@@ -60,11 +60,6 @@ func run() (err error) {
 	workers := flag.Int("workers", 0, "counterfactual winner-determination workers (0 = GOMAXPROCS, 1 = serial)")
 	jsonOut := flag.Bool("json", false, "time one auction per constraint and write ns/op, checks, cache hit rate and C(SL) to BENCH_auction.json")
 	provisionOut := flag.Bool("provision", false, "benchmark the provisioning hot path (steady-state Route/CheckCore plus winner determination) and write BENCH_provision.json")
-	fabricOut := flag.Bool("fabric", false, "benchmark the fabric data plane (bulk admission, churn, BP-outage reroute at 100k and 1M flows) and write BENCH_fabric.json")
-	benchtime := flag.String("benchtime", "", "with -fabric: Nx runs a single smoke point at N×50k flows instead of the full 100k/1M trajectory")
-	fabricFlows := flag.Int("fabricflows", 0, "with -fabric: measure exactly this population size instead of the default trajectory")
-	fleetOut := flag.Bool("fleet", false, "benchmark the scenario-grid runner (golden grid, cold vs warm shared cache) and write BENCH_fleet.json")
-	wdOut := flag.Bool("wd", false, "benchmark continental winner determination (synthetic 200/600/1200-link instances: baseline, incremental memo, regional decomposition, warm persisted cache) and write BENCH_wd.json; -benchtime=Nx runs a single N×200-link smoke point")
 	metrics := flag.String("metrics", "", "with -json: also write the poc-obs/v1 metrics ledger to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -94,24 +89,6 @@ func run() (err error) {
 	if *provisionOut {
 		if err := benchProvision(*scale, *checks, *workers); err != nil {
 			return fmt.Errorf("provision: %w", err)
-		}
-		return nil
-	}
-	if *fabricOut {
-		if err := benchFabric(*scale, *benchtime, *fabricFlows); err != nil {
-			return fmt.Errorf("fabric: %w", err)
-		}
-		return nil
-	}
-	if *fleetOut {
-		if err := benchFleet(*scale, *workers); err != nil {
-			return fmt.Errorf("fleet: %w", err)
-		}
-		return nil
-	}
-	if *wdOut {
-		if err := benchWD(*benchtime, *workers); err != nil {
-			return fmt.Errorf("wd: %w", err)
 		}
 		return nil
 	}

@@ -1,0 +1,124 @@
+package graph
+
+// layout is the CSR (compressed sparse row) form of a Graph that the
+// shortest-path kernel walks: node u's outgoing edges occupy the
+// contiguous positions off[u]..off[u+1]-1 of the column slices, in
+// adjacency (= insertion) order. A position is therefore both an index
+// into the columns and a bit index into an open-edge bitset, and
+// ascending position within a node's range is exactly the order the
+// adjacency list would have been scanned in.
+type layout struct {
+	off  []int32 // len NumNodes+1
+	to   []int32
+	eid  []int32
+	link []int32
+	cost []float64
+	pos  []int32 // EdgeID -> position
+
+	// enabled is the position bitset of edges that are not Disabled,
+	// kept current by SetDisabled: the open set of a nil Mask.
+	enabled []uint64
+}
+
+// layout returns g's CSR form, building it on first use. Concurrent
+// readers may race to build; the builds are identical and one wins.
+func (g *Graph) layout() *layout {
+	if lay := g.lay.Load(); lay != nil {
+		return lay
+	}
+	m := len(g.edges)
+	lay := &layout{
+		off:     make([]int32, len(g.adj)+1),
+		to:      make([]int32, m),
+		eid:     make([]int32, m),
+		link:    make([]int32, m),
+		cost:    make([]float64, m),
+		pos:     make([]int32, m),
+		enabled: make([]uint64, (m+63)/64),
+	}
+	p := 0
+	for u, out := range g.adj {
+		lay.off[u] = int32(p)
+		for _, id := range out {
+			e := &g.edges[id]
+			lay.to[p] = int32(e.To)
+			lay.eid[p] = int32(id)
+			lay.link[p] = int32(id)
+			if g.links != nil {
+				lay.link[p] = g.links[id]
+			}
+			lay.cost[p] = e.Cost
+			lay.pos[id] = int32(p)
+			setBit(lay.enabled, p, !e.Disabled)
+			p++
+		}
+	}
+	lay.off[len(g.adj)] = int32(p)
+	if g.lay.CompareAndSwap(nil, lay) {
+		return lay
+	}
+	return g.layout()
+}
+
+// SetLinks labels every edge with a caller-defined link ID — typically
+// the logical link both directions of a bidirectional edge belong to.
+// Mask.Avoid and Mask.Resid are indexed by these labels. links must
+// hold one entry per edge and is retained; unlabeled graphs use each
+// edge's own ID.
+func (g *Graph) SetLinks(links []int32) {
+	if len(links) != len(g.edges) {
+		panic("graph: SetLinks needs one label per edge")
+	}
+	g.links = links
+	g.lay.Store(nil)
+}
+
+// Pos returns the edge's bit index in a Mask.Open bitset. Positions are
+// dense in [0, NumEdges) and stable until an edge or node is added.
+func (g *Graph) Pos(id EdgeID) int { return int(g.layout().pos[id]) }
+
+// Mask selects the edges a shortest-path search may traverse. The
+// kernel iterates the set bits of Open within the popped node's
+// position range, so an edge outside Open is never visited at all;
+// Avoid and Resid then reject individual visited edges. A nil *Mask
+// admits every edge that is not Disabled.
+type Mask struct {
+	// Open is a caller-owned bitset over edge positions (see Pos),
+	// (NumEdges+63)/64 words. nil means the graph's own enabled set
+	// (every edge not Disabled); a non-nil Open replaces that set
+	// outright — Edge.Disabled is not consulted.
+	Open []uint64
+	// Avoid, when non-nil, is a bitset over link labels (SetLinks):
+	// edges whose link has its bit set are rejected. Links beyond the
+	// last word are not avoided.
+	Avoid []uint64
+	// Resid, when non-nil, rejects edges with Resid[link] < Want.
+	Resid []float64
+	Want  float64
+}
+
+// filterMask evaluates filter once over every enabled edge and returns
+// the admitted set as a Mask, adapting the cold closure-taking entry
+// points (Dijkstra, ShortestPath) to the mask kernel. A nil filter is
+// a nil Mask.
+func (g *Graph) filterMask(filter EdgeFilter) *Mask {
+	if filter == nil {
+		return nil
+	}
+	lay := g.layout()
+	open := make([]uint64, len(lay.enabled))
+	for p, id := range lay.eid {
+		e := &g.edges[id]
+		setBit(open, p, !e.Disabled && filter(EdgeID(id), e))
+	}
+	return &Mask{Open: open}
+}
+
+// setBit sets or clears bit i of a bitset.
+func setBit(words []uint64, i int, on bool) {
+	if on {
+		words[i>>6] |= 1 << (uint(i) & 63)
+	} else {
+		words[i>>6] &^= 1 << (uint(i) & 63)
+	}
+}

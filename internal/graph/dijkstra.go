@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 )
 
@@ -92,43 +93,127 @@ func (t *ShortestTree) PathTo(g *Graph, dst NodeID) Path {
 	return Path{Edges: rev, Cost: t.Dist[dst]}
 }
 
-// EdgeFilter restricts which edges an algorithm may traverse. A nil
-// filter admits every enabled edge. Disabled edges are always skipped
-// regardless of the filter. The Edge pointer aliases the graph's edge
-// storage and is valid only for the duration of the call; filters
-// must not retain or mutate it.
-type EdgeFilter func(id EdgeID, e *Edge) bool
-
 // pqPool recycles priority-queue backing arrays across one-shot
 // Dijkstra runs; the heap is the only scratch that does not escape to
 // the caller.
 var pqPool = sync.Pool{New: func() interface{} { return new(pq) }}
 
-// dijkstraInto runs the Dijkstra loop from src over t's Dist/Parent
-// slices (already sized and initialized) using q as heap scratch.
+// dijkstraScratch is the reusable state of one shortest-path engine:
+// dist/parent are valid for a node only while its epoch stamp equals
+// cur, so starting a search is O(1) instead of an O(nodes) refill. It
+// is not safe for concurrent use.
+type dijkstraScratch struct {
+	dist   []float64
+	parent []EdgeID
+	epoch  []uint32
+	cur    uint32
+	q      pq
+}
+
+// begin sizes the scratch for n nodes and opens a new epoch. On the
+// uint32 wrap (2³² searches on one long-lived engine) the stamps are
+// cleared and the epoch restarts at 1, so a stamp left by a search
+// 2³² runs ago can never be mistaken for the current one.
+func (s *dijkstraScratch) begin(n int) {
+	if len(s.epoch) < n {
+		s.dist = make([]float64, n)
+		s.parent = make([]EdgeID, n)
+		s.epoch = make([]uint32, n)
+		s.cur = 0
+	}
+	s.cur++
+	if s.cur == 0 {
+		for i := range s.epoch {
+			s.epoch[i] = 0
+		}
+		s.cur = 1
+	}
+}
+
+// search is the one Dijkstra loop behind every engine. It settles
+// nodes from src until dst is popped (dst = Undefined settles
+// everything reachable), relaxing only the edges m admits: per popped
+// node it walks the set bits of the open bitset inside the node's CSR
+// position range in ascending order — the adjacency order — and
+// applies the Avoid / Resid tests to those. An edge outside the open
+// set is never loaded; that is observationally identical to visiting
+// and rejecting it, because a rejected edge writes nothing and pushes
+// nothing. A node whose epoch stamp is stale counts as dist +Inf.
+//
 // trace, when non-nil, is a bitset over EdgeIDs: every edge that wins
-// a relaxation — i.e. writes Dist/Parent and pushes, even if a later
+// a relaxation — i.e. writes dist/parent and pushes, even if a later
 // relaxation overwrites it — gets its bit set. Edges that never win a
 // relaxation leave no mark on the run's observable state (no writes,
 // no pushes, no heap reordering), which is what makes the trace a
 // sound influence certificate for incremental recheck memoization.
-func dijkstraInto(g *Graph, src NodeID, filter EdgeFilter, t *ShortestTree, q *pq, trace []uint64) {
-	*q = append((*q)[:0], pqItem{node: src})
-	for len(*q) > 0 {
-		it := q.pop()
-		if it.dist > t.Dist[it.node] {
+func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, trace []uint64) {
+	lay := g.layout()
+	s.begin(len(lay.off) - 1)
+	open := lay.enabled
+	var avoid []uint64
+	var resid []float64
+	var want float64
+	if m != nil {
+		if m.Open != nil {
+			open = m.Open
+		}
+		avoid, resid, want = m.Avoid, m.Resid, m.Want
+	}
+	needLink := avoid != nil || resid != nil
+	inf := math.Inf(1)
+	cur := s.cur
+	dist, parent, epoch := s.dist, s.parent, s.epoch
+	epoch[src] = cur
+	dist[src] = 0
+	parent[src] = Undefined
+	s.q = append(s.q[:0], pqItem{node: src})
+	for len(s.q) > 0 {
+		it := s.q.pop()
+		if it.dist > dist[it.node] {
 			continue // stale entry
 		}
-		for _, eid := range g.adj[it.node] {
-			e := &g.edges[eid]
-			if e.Disabled || (filter != nil && !filter(eid, e)) {
-				continue
+		if it.node == dst {
+			break // settled: done
+		}
+		lo, hi := int(lay.off[it.node]), int(lay.off[it.node+1])
+		if lo == hi {
+			continue
+		}
+		first, last := lo>>6, (hi-1)>>6
+		for wi := first; wi <= last; wi++ {
+			w := open[wi]
+			if wi == first {
+				w &= ^uint64(0) << (uint(lo) & 63)
 			}
-			nd := it.dist + e.Cost
-			if nd < t.Dist[e.To] {
-				t.Dist[e.To] = nd
-				t.Parent[e.To] = eid
-				q.push(pqItem{node: e.To, dist: nd})
+			if wi == last {
+				w &= ^uint64(0) >> (63 - uint(hi-1)&63)
+			}
+			for w != 0 {
+				p := wi<<6 | bits.TrailingZeros64(w)
+				w &= w - 1
+				if needLink {
+					l := uint(lay.link[p])
+					if wl := l >> 6; wl < uint(len(avoid)) && avoid[wl]&(1<<(l&63)) != 0 {
+						continue
+					}
+					if resid != nil && resid[l] < want {
+						continue
+					}
+				}
+				nd := it.dist + lay.cost[p]
+				to := lay.to[p]
+				d := dist[to]
+				if epoch[to] != cur {
+					d = inf // unvisited this run
+				}
+				if !(nd < d) {
+					continue
+				}
+				epoch[to] = cur
+				dist[to] = nd
+				eid := EdgeID(lay.eid[p])
+				parent[to] = eid
+				s.q.push(pqItem{node: NodeID(to), dist: nd})
 				if trace != nil {
 					trace[eid>>6] |= 1 << (uint(eid) & 63)
 				}
@@ -139,23 +224,15 @@ func dijkstraInto(g *Graph, src NodeID, filter EdgeFilter, t *ShortestTree, q *p
 
 // Dijkstra computes single-source shortest paths from src using edge
 // costs. Edges rejected by filter (or disabled) are not traversed.
+// The filter is evaluated once per enabled edge, up front.
 func (g *Graph) Dijkstra(src NodeID, filter EdgeFilter) *ShortestTree {
-	n := g.NumNodes()
-	t := &ShortestTree{
-		Source: src,
-		Dist:   make([]float64, n),
-		Parent: make([]EdgeID, n),
-	}
-	for i := range t.Dist {
-		t.Dist[i] = math.Inf(1)
-		t.Parent[i] = Undefined
-	}
-	t.Dist[src] = 0
-
+	tr := TreeRouter{g: g}
 	q := pqPool.Get().(*pq)
-	dijkstraInto(g, src, filter, t, q, nil)
+	tr.s.q = *q
+	t := *tr.Tree(src, g.filterMask(filter))
+	*q = tr.s.q
 	pqPool.Put(q)
-	return t
+	return &t
 }
 
 // TreeRouter computes single-source shortest-path trees with reusable
@@ -164,8 +241,8 @@ func (g *Graph) Dijkstra(src NodeID, filter EdgeFilter) *ShortestTree {
 // one TreeRouter per goroutine.
 type TreeRouter struct {
 	g     *Graph
+	s     dijkstraScratch
 	t     ShortestTree
-	q     pq
 	trace []uint64
 }
 
@@ -179,27 +256,22 @@ func NewTreeRouter(g *Graph) *TreeRouter { return &TreeRouter{g: g} }
 // observes the winner of each relaxation.
 func (tr *TreeRouter) SetTrace(trace []uint64) { tr.trace = trace }
 
-// Tree computes the shortest-path tree from src, identical to
-// g.Dijkstra(src, filter). The returned tree shares the router's
-// scratch buffers: it is valid only until the next Tree call and must
-// not be retained.
-func (tr *TreeRouter) Tree(src NodeID, filter EdgeFilter) *ShortestTree {
+// Tree computes the shortest-path tree from src over the edges m
+// admits (nil = every enabled edge). The returned tree shares the
+// router's scratch buffers: it is valid only until the next Tree call
+// and must not be retained.
+func (tr *TreeRouter) Tree(src NodeID, m *Mask) *ShortestTree {
+	s := &tr.s
+	s.search(tr.g, m, src, Undefined, tr.trace)
 	n := tr.g.NumNodes()
-	if cap(tr.t.Dist) < n {
-		tr.t.Dist = make([]float64, n)
-		tr.t.Parent = make([]EdgeID, n)
+	for i, e := range s.epoch[:n] {
+		if e != s.cur {
+			s.dist[i] = math.Inf(1)
+			s.parent[i] = Undefined
+		}
 	}
-	t := &tr.t
-	t.Source = src
-	t.Dist = t.Dist[:n]
-	t.Parent = t.Parent[:n]
-	for i := range t.Dist {
-		t.Dist[i] = math.Inf(1)
-		t.Parent[i] = Undefined
-	}
-	t.Dist[src] = 0
-	dijkstraInto(tr.g, src, filter, t, &tr.q, tr.trace)
-	return t
+	tr.t = ShortestTree{Source: src, Dist: s.dist[:n], Parent: s.parent[:n]}
+	return &tr.t
 }
 
 // ShortestPath returns the cheapest path from src to dst, or a path

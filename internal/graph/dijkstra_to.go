@@ -1,35 +1,11 @@
 package graph
 
-import (
-	"math"
-)
-
-// dijkstraScratch is reusable state for repeated point-to-point
-// Dijkstra runs on the same graph, avoiding per-call allocation. It is
-// not safe for concurrent use.
-type dijkstraScratch struct {
-	dist   []float64
-	parent []EdgeID
-	epoch  []uint32
-	cur    uint32
-	q      pq
-}
+import "math"
 
 // NewPointRouter returns a reusable point-to-point shortest-path
-// engine bound to g's node count. The engine reads g's edges on every
-// call, so edge mutations (capacity, disabled) between calls are
-// honored; adding nodes is not.
-func NewPointRouter(g *Graph) *PointRouter {
-	n := g.NumNodes()
-	return &PointRouter{
-		g: g,
-		s: dijkstraScratch{
-			dist:   make([]float64, n),
-			parent: make([]EdgeID, n),
-			epoch:  make([]uint32, n),
-		},
-	}
-}
+// engine bound to g. The engine reads g's current layout on every
+// call, so edges disabled or added between calls are honored.
+func NewPointRouter(g *Graph) *PointRouter { return &PointRouter{g: g} }
 
 // PointRouter computes point-to-point shortest paths with early
 // termination and zero steady-state allocation. Not concurrency-safe.
@@ -45,11 +21,11 @@ type PointRouter struct {
 // gets its bit ORed in. Tracing never changes results.
 func (pr *PointRouter) SetTrace(trace []uint64) { pr.trace = trace }
 
-// Path returns the cheapest src→dst path, or a path with +Inf cost if
-// none exists. The returned path's Edges slice is freshly allocated
-// and owned by the caller.
-func (pr *PointRouter) Path(src, dst NodeID, filter EdgeFilter) Path {
-	edges, cost := pr.PathInto(nil, src, dst, filter)
+// Path returns the cheapest src→dst path over the edges m admits, or
+// a path with +Inf cost if none exists. The returned path's Edges
+// slice is freshly allocated and owned by the caller.
+func (pr *PointRouter) Path(src, dst NodeID, m *Mask) Path {
+	edges, cost := pr.PathInto(nil, src, dst, m)
 	return Path{Edges: edges, Cost: cost}
 }
 
@@ -59,57 +35,20 @@ func (pr *PointRouter) Path(src, dst NodeID, filter EdgeFilter) Path {
 // returns the edge sequence and its cost; on an unreachable pair the
 // buffer is returned unextended with +Inf cost, and src == dst yields
 // an empty sequence at cost 0.
-func (pr *PointRouter) PathInto(buf []EdgeID, src, dst NodeID, filter EdgeFilter) ([]EdgeID, float64) {
+func (pr *PointRouter) PathInto(buf []EdgeID, src, dst NodeID, m *Mask) ([]EdgeID, float64) {
 	if src == dst {
 		return buf, 0
 	}
-	g := pr.g
 	s := &pr.s
-	s.cur++
-	cur := s.cur
-	s.epoch[src] = cur
-	s.dist[src] = 0
-	s.parent[src] = Undefined
-	s.q = append(s.q[:0], pqItem{node: src})
-	for len(s.q) > 0 {
-		it := s.q.pop()
-		if it.dist > s.dist[it.node] {
-			continue
-		}
-		if it.node == dst {
-			break // settled: done
-		}
-		for _, eid := range g.adj[it.node] {
-			e := &g.edges[eid]
-			if e.Disabled || (filter != nil && !filter(eid, e)) {
-				continue
-			}
-			// A stale epoch means "unvisited this run" (dist +Inf), so
-			// the relaxation always takes that branch; otherwise the
-			// usual strict improvement test applies.
-			nd := it.dist + e.Cost
-			to := e.To
-			if s.epoch[to] != cur {
-				s.epoch[to] = cur
-			} else if nd >= s.dist[to] {
-				continue
-			}
-			s.dist[to] = nd
-			s.parent[to] = eid
-			s.q.push(pqItem{node: to, dist: nd})
-			if pr.trace != nil {
-				pr.trace[eid>>6] |= 1 << (uint(eid) & 63)
-			}
-		}
-	}
-	if s.epoch[dst] != cur || math.IsInf(s.dist[dst], 1) {
+	s.search(pr.g, m, src, dst, pr.trace)
+	if s.epoch[dst] != s.cur {
 		return buf, math.Inf(1)
 	}
 	start := len(buf)
 	for n := dst; n != src; {
 		eid := s.parent[n]
 		buf = append(buf, eid)
-		n = g.edges[eid].From
+		n = pr.g.edges[eid].From
 	}
 	rev := buf[start:]
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {

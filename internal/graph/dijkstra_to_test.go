@@ -76,9 +76,14 @@ func TestPointRouterHonorsEdgeMutations(t *testing.T) {
 func TestPointRouterFilter(t *testing.T) {
 	g := diamond()
 	pr := NewPointRouter(g)
-	p := pr.Path(0, 3, func(id EdgeID, e *Edge) bool { return id != 0 })
+	open := make([]uint64, (g.NumEdges()+63)/64)
+	for id := 1; id < g.NumEdges(); id++ {
+		pos := uint(g.Pos(EdgeID(id)))
+		open[pos>>6] |= 1 << (pos & 63)
+	}
+	p := pr.Path(0, 3, &Mask{Open: open})
 	if p.Cost != 4 {
-		t.Fatalf("filtered cost = %v, want 4", p.Cost)
+		t.Fatalf("masked cost = %v, want 4", p.Cost)
 	}
 }
 

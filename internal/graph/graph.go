@@ -4,16 +4,19 @@
 //
 // The graph is deliberately small and value-oriented: nodes are dense
 // integer IDs, edges are stored in a flat slice and referenced by index,
-// and adjacency is a slice of edge indices per node. This keeps Dijkstra
-// and max-flow allocation-free in steady state, which matters because the
-// auction's winner-determination step runs feasibility checks across
-// thousands of candidate link subsets.
+// and adjacency is a slice of edge indices per node. The shortest-path
+// engines walk a CSR view of the same data (csr.go) and select edges
+// through caller-owned bitsets (Mask) rather than a per-edge callback,
+// which keeps Dijkstra allocation-free and closure-free in steady state
+// — it matters because the auction's winner-determination step runs
+// feasibility checks across thousands of candidate link subsets.
 package graph
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeID identifies a node in a Graph. IDs are dense: a graph with N
@@ -31,8 +34,7 @@ const Undefined = -1
 // The provisioning engine treats Cost as the routing metric (typically
 // link latency or distance) and Capacity as the leased bandwidth in
 // Gbps. Disabled edges remain in the slice (so EdgeIDs stay stable) but
-// are skipped by all algorithms; the auction uses this to evaluate
-// subsets of the offered links without rebuilding the graph.
+// are skipped by all algorithms.
 type Edge struct {
 	From     NodeID
 	To       NodeID
@@ -41,11 +43,24 @@ type Edge struct {
 	Disabled bool
 }
 
+// EdgeFilter restricts which edges an algorithm may traverse. A nil
+// filter admits every enabled edge. Disabled edges are always skipped
+// regardless of the filter. The Edge pointer aliases the graph's edge
+// storage and is valid only for the duration of the call; filters
+// must not retain or mutate it. The reusable engines (TreeRouter,
+// PointRouter) take a *Mask instead.
+type EdgeFilter func(id EdgeID, e *Edge) bool
+
 // Graph is a directed multigraph. The zero value is an empty graph
 // ready to use.
 type Graph struct {
 	edges []Edge
 	adj   [][]EdgeID // outgoing edge indices per node
+	links []int32    // per-edge link label (SetLinks); nil = the edge's own ID
+
+	// lay is the CSR form the shortest-path kernel walks, built on
+	// first use and dropped whenever the edge or node set changes.
+	lay atomic.Pointer[layout]
 }
 
 // New returns a graph with n nodes and no edges.
@@ -61,6 +76,7 @@ func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		edges: append([]Edge(nil), g.edges...),
 		adj:   make([][]EdgeID, len(g.adj)),
+		links: append([]int32(nil), g.links...),
 	}
 	total := 0
 	for _, a := range g.adj {
@@ -87,6 +103,7 @@ func (g *Graph) NumEdges() int { return len(g.edges) }
 // AddNode appends a new node and returns its ID.
 func (g *Graph) AddNode() NodeID {
 	g.adj = append(g.adj, nil)
+	g.lay.Store(nil)
 	return NodeID(len(g.adj) - 1)
 }
 
@@ -105,6 +122,7 @@ func (g *Graph) AddEdge(from, to NodeID, cost, capacity float64) EdgeID {
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{From: from, To: to, Cost: cost, Capacity: capacity})
 	g.adj[from] = append(g.adj[from], id)
+	g.lay.Store(nil)
 	return id
 }
 
@@ -122,6 +140,9 @@ func (g *Graph) Edge(id EdgeID) Edge {
 // SetDisabled marks an edge (not) usable by the algorithms.
 func (g *Graph) SetDisabled(id EdgeID, disabled bool) {
 	g.edges[id].Disabled = disabled
+	if lay := g.lay.Load(); lay != nil {
+		setBit(lay.enabled, int(lay.pos[id]), !disabled)
+	}
 }
 
 // SetCapacity overwrites an edge's capacity.

@@ -152,12 +152,11 @@ type Fabric struct {
 	linkFor []int32
 	edgeFor [][2]graph.EdgeID
 
-	// want + wantFilter implement the capacity edge filter without a
-	// closure allocation per path search; edgeBuf is the reusable
-	// Dijkstra output buffer.
-	want       float64
-	wantFilter graph.EdgeFilter
-	edgeBuf    []graph.EdgeID
+	// mask is the path-search edge mask (failed links avoided,
+	// residual ≥ the demand being placed), reparameterized by usable;
+	// edgeBuf is the reusable Dijkstra output buffer.
+	mask    graph.Mask
+	edgeBuf []graph.EdgeID
 
 	// Epoch-stamped scratch for bulk operations (see nextMark).
 	linkMark   []uint32
@@ -207,14 +206,9 @@ func New(p *topo.POCNetwork, selected map[int]bool) *Fabric {
 		f.linkFor[pair[1]] = int32(id)
 		f.resid[id] = p.Links[id].Capacity
 	}
+	f.g.SetLinks(f.linkFor)
 	f.pr = graph.NewPointRouter(f.g)
-	f.wantFilter = func(id graph.EdgeID, e *graph.Edge) bool {
-		l := int(f.linkFor[id])
-		if f.failed.Contains(l) {
-			return false
-		}
-		return f.resid[l] >= f.want
-	}
+	f.mask.Resid = f.resid
 	return f
 }
 
@@ -247,12 +241,13 @@ func (f *Fabric) Endpoints() []Endpoint {
 	return append([]Endpoint(nil), f.endpoints...)
 }
 
-// usable reports whether a logical link can carry more traffic. The
-// returned filter is the fabric's shared bound filter, parameterized
-// by f.want — valid until the next usable or findPath call.
-func (f *Fabric) usable(want float64) graph.EdgeFilter {
-	f.want = want
-	return f.wantFilter
+// usable admits the non-failed links with at least want Gbps of
+// residual. The returned mask is the fabric's shared one — valid until
+// the next usable or findPath call.
+func (f *Fabric) usable(want float64) *graph.Mask {
+	f.mask.Avoid = f.failed.Words()
+	f.mask.Want = want
+	return &f.mask
 }
 
 // findPath returns the cheapest path able to carry the full demand,
@@ -265,11 +260,9 @@ func (f *Fabric) usable(want float64) graph.EdgeFilter {
 // The returned edge slice is the fabric's scratch buffer: it is valid
 // only until the next findPath call.
 func (f *Fabric) findPath(a, b int, demand float64) ([]graph.EdgeID, float64) {
-	f.want = demand
-	edges, cost := f.pr.PathInto(f.edgeBuf[:0], graph.NodeID(a), graph.NodeID(b), f.wantFilter)
+	edges, cost := f.pr.PathInto(f.edgeBuf[:0], graph.NodeID(a), graph.NodeID(b), f.usable(demand))
 	if math.IsInf(cost, 1) {
-		f.want = 1e-9
-		edges, cost = f.pr.PathInto(f.edgeBuf[:0], graph.NodeID(a), graph.NodeID(b), f.wantFilter)
+		edges, cost = f.pr.PathInto(f.edgeBuf[:0], graph.NodeID(a), graph.NodeID(b), f.usable(1e-9))
 	}
 	f.edgeBuf = edges
 	return edges, cost

@@ -195,19 +195,26 @@ func (r *Routing) MaxUtilization(p *topo.POCNetwork) float64 {
 }
 
 // router is one reusable routing arena: the full graph over every
-// logical link (candidate subsets toggle Edge.Disabled via apply), the
-// pooled Dijkstra engines, and slice-backed residual/usage scratch.
-// Arenas are owned by a Workspace and must be used by one goroutine at
-// a time (acquire/release).
+// logical link (candidate subsets select edges through the enabled /
+// open masks, see apply), the pooled Dijkstra engines, and slice-backed
+// residual/usage scratch. Arenas are owned by a Workspace and must be
+// used by one goroutine at a time (acquire/release).
 type router struct {
 	p       *topo.POCNetwork
 	g       *graph.Graph
 	pr      *graph.PointRouter
 	tr      *graph.TreeRouter
-	edgeFor [][2]graph.EdgeID // logical link -> directed edge IDs
-	linkFor []int32           // directed edge -> logical link
-	resid   []float64         // residual Gbps per logical link
-	enabled *linkset.Set      // links currently not Disabled in g
+	linkFor []int32      // directed edge -> logical link
+	posFor  [][2]uint32  // logical link -> mask positions of its two edges
+	resid   []float64    // residual Gbps per logical link
+	enabled *linkset.Set // links of the applied subset, minus bans
+
+	// Position bitsets over g's edges, the masks the Dijkstra kernel
+	// iterates: enabledPos mirrors enabled, and open = enabledPos ∧
+	// resid ≥ 1e-9. Both change only in apply, setEnabled and addResid.
+	enabledPos []uint64
+	open       []uint64
+	pathBuf    []graph.EdgeID // point-search output scratch
 
 	// usedScratch/touched accumulate per-link usage during a routing;
 	// touched lists the dirtied indices so zeroing is O(paths), not
@@ -222,39 +229,22 @@ type router struct {
 	traceBits []uint64
 }
 
-// residFilter admits edges with at least want Gbps of residual
-// capacity on their logical link, excluding the links in avoid.
-func (rt *router) residFilter(want float64, avoid *linkset.Set) graph.EdgeFilter {
-	resid, linkFor := rt.resid, rt.linkFor
-	if avoid == nil {
-		return func(id graph.EdgeID, e *graph.Edge) bool {
-			return resid[linkFor[id]] >= want
-		}
-	}
-	return func(id graph.EdgeID, e *graph.Edge) bool {
-		link := int(linkFor[id])
-		return !avoid.Contains(link) && resid[link] >= want
-	}
-}
-
 // place routes gbps from src to dst over up to MaxPaths paths,
 // avoiding the given logical links entirely. It returns the
 // assignments made and the amount left unplaced.
 func (rt *router) place(src, dst int, gbps float64, maxPaths int, avoid *linkset.Set) ([]PathAssignment, float64) {
 	var out []PathAssignment
 	remaining := gbps
+	usable := rt.openMask(avoid)
 	for attempt := 0; attempt < maxPaths && remaining > 1e-9; attempt++ {
 		// Find the cheapest path that can carry any positive amount.
-		path := rt.pr.Path(graph.NodeID(src), graph.NodeID(dst), rt.residFilter(1e-9, avoid))
-		if math.IsInf(path.Cost, 1) {
+		links := rt.path(src, dst, usable)
+		if links == nil {
 			break
 		}
 		// Bottleneck over residuals.
 		bn := remaining
-		links := make([]int, len(path.Edges))
-		for i, eid := range path.Edges {
-			l := int(rt.linkFor[eid])
-			links[i] = l
+		for _, l := range links {
 			if rt.resid[l] < bn {
 				bn = rt.resid[l]
 			}
@@ -263,7 +253,7 @@ func (rt *router) place(src, dst int, gbps float64, maxPaths int, avoid *linkset
 			break
 		}
 		for _, l := range links {
-			rt.resid[l] -= bn
+			rt.addResid(l, -bn)
 		}
 		out = append(out, PathAssignment{Links: links, Gbps: bn})
 		remaining -= bn
@@ -279,18 +269,11 @@ func (rt *router) place(src, dst int, gbps float64, maxPaths int, avoid *linkset
 func (rt *router) ejectAndPlace(res *Routing, pair [2]int, gbps float64, avoid *linkset.Set, moves *int) (placed float64, blocker int) {
 	// Cheapest path over all enabled links (capacity ignored),
 	// respecting only the pair's avoid set.
-	filter := func(id graph.EdgeID, e *graph.Edge) bool {
-		return !avoid.Contains(int(rt.linkFor[id]))
-	}
-	path := rt.pr.Path(graph.NodeID(pair[0]), graph.NodeID(pair[1]), filter)
-	if math.IsInf(path.Cost, 1) || len(path.Edges) == 0 {
+	links := rt.path(pair[0], pair[1], rt.enabledMask(avoid))
+	if len(links) == 0 {
 		return 0, -1
 	}
-	links := make([]int, len(path.Edges))
 	want := gbps
-	for i, eid := range path.Edges {
-		links[i] = int(rt.linkFor[eid])
-	}
 	// How much can this path carry if we free what is freeable? Try to
 	// raise every deficit link's residual to `want`, reducing `want`
 	// when a link cannot be freed that far. Track the tightest link so
@@ -317,7 +300,7 @@ func (rt *router) ejectAndPlace(res *Routing, pair [2]int, gbps float64, avoid *
 		return 0, blocker
 	}
 	for _, l := range links {
-		rt.resid[l] -= want
+		rt.addResid(l, -want)
 	}
 	res.Assignments[pair] = append(res.Assignments[pair], PathAssignment{Links: links, Gbps: want})
 	return want, blocker
@@ -374,7 +357,7 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude [2]int, mo
 		}
 		// Release.
 		for _, al := range a.Links {
-			rt.resid[al] += a.Gbps
+			rt.addResid(al, a.Gbps)
 		}
 		// Re-place avoiding l.
 		*moves--
@@ -383,11 +366,11 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude [2]int, mo
 			// Rollback: restore the original assignment.
 			for _, r := range replaced {
 				for _, al := range r.Links {
-					rt.resid[al] += r.Gbps
+					rt.addResid(al, r.Gbps)
 				}
 			}
 			for _, al := range a.Links {
-				rt.resid[al] -= a.Gbps
+				rt.addResid(al, -a.Gbps)
 			}
 			continue
 		}
@@ -458,7 +441,7 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 	}
 
 	var phase2 []demand
-	usable := rt.residFilter(1e-9, nil)
+	usable := rt.openMask(nil)
 	for _, s := range srcs {
 		tree := rt.tr.Tree(graph.NodeID(s), usable)
 		for _, d := range bySrc[s] {
@@ -486,7 +469,7 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 				continue
 			}
 			for _, l := range links {
-				rt.resid[l] -= bn
+				rt.addResid(l, -bn)
 			}
 			res.Assignments[pair] = append(res.Assignments[pair], PathAssignment{Links: links, Gbps: bn})
 			if rest := d.gbps - bn; rest > 1e-9 {
@@ -630,8 +613,9 @@ func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matr
 	// One Dijkstra per source covers all destinations.
 	dsts, srcs := ws.primaryDemands(tm)
 	primaries := make(map[[2]int]*linkset.Set, len(srcs))
+	enabled := rt.enabledMask(nil)
 	for _, s := range srcs {
-		tree := rt.tr.Tree(graph.NodeID(s), nil)
+		tree := rt.tr.Tree(graph.NodeID(s), enabled)
 		for _, d := range dsts[s] {
 			if !tree.Reachable(graph.NodeID(d)) {
 				unreachable = append(unreachable, [2]int{s, d})

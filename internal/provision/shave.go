@@ -3,7 +3,6 @@ package provision
 import (
 	"sort"
 
-	"github.com/public-option/poc/internal/graph"
 	"github.com/public-option/poc/internal/linkset"
 	"github.com/public-option/poc/internal/topo"
 	"github.com/public-option/poc/internal/traffic"
@@ -88,34 +87,12 @@ type liveRouting struct {
 	banned *linkset.Set
 }
 
-// usableFilter admits edges whose links still have residual capacity
-// and are not in the per-call avoid set. Banned links never reach the
-// filter: ban() folds them into the arena graph's Disabled flags, so
-// the path search rejects them at the Disabled check it performs
-// anyway — no per-edge bitset probe. Only Constraint-3 placements
-// carry an avoid set; the common case is the bare residual check.
-func (lr *liveRouting) usableFilter(avoid *linkset.Set) graph.EdgeFilter {
-	resid, linkFor := lr.rt.resid, lr.rt.linkFor
-	if avoid == nil {
-		return func(id graph.EdgeID, e *graph.Edge) bool {
-			return resid[linkFor[id]] >= 1e-9
-		}
-	}
-	return func(id graph.EdgeID, e *graph.Edge) bool {
-		l := int(linkFor[id])
-		return !avoid.Contains(l) && resid[l] >= 1e-9
-	}
-}
-
-// ban excludes a link from this routing by disabling its directed
-// edges on the private arena graph. The arena's enabled set is kept
-// in sync so a later apply() XOR-diffs from true state. Idempotent.
+// ban excludes a link from this routing by closing its directed edges
+// in the private arena's masks. The arena's enabled set stays in sync,
+// so a later apply() XOR-diffs from true state. Idempotent.
 func (lr *liveRouting) ban(l int) {
 	lr.banned.Add(l)
-	ef := lr.rt.edgeFor[l]
-	lr.rt.g.SetDisabled(ef[0], true)
-	lr.rt.g.SetDisabled(ef[1], true)
-	lr.rt.enabled.Remove(l)
+	lr.rt.setEnabled(l, false)
 }
 
 // unban re-admits a banned link. Only valid when the link belongs to
@@ -123,10 +100,7 @@ func (lr *liveRouting) ban(l int) {
 // rollback, which re-adds the link to include first.
 func (lr *liveRouting) unban(l int) {
 	lr.banned.Remove(l)
-	ef := lr.rt.edgeFor[l]
-	lr.rt.g.SetDisabled(ef[0], false)
-	lr.rt.g.SetDisabled(ef[1], false)
-	lr.rt.enabled.Add(l)
+	lr.rt.setEnabled(l, true)
 }
 
 // newLive routes tm over include minus failed (with per-pair avoid
@@ -170,7 +144,7 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid map[[2]int]
 		lr.idx[pair] = i
 		for _, a := range lr.lists[i] {
 			for _, l := range a.Links {
-				lr.rt.resid[l] -= a.Gbps
+				lr.rt.addResid(l, -a.Gbps)
 			}
 		}
 	}
@@ -267,15 +241,11 @@ func (s *Shaver) primaryOf(pair [2]int) (*linkset.Set, bool) {
 		s.pgArena.apply(s.include, 0, s.ws.all)
 		s.pgVersion = s.version
 	}
-	path := s.pgArena.pr.Path(graph.NodeID(pair[0]), graph.NodeID(pair[1]), nil)
-	if len(path.Edges) == 0 {
+	links := s.pgArena.path(pair[0], pair[1], s.pgArena.enabledMask(nil))
+	if len(links) == 0 {
 		return nil, pair[0] == pair[1]
 	}
-	out := linkset.New(len(s.p.Links))
-	for _, eid := range path.Edges {
-		out.Add(int(s.pgArena.linkFor[eid]))
-	}
-	return out, true
+	return linkset.FromIDs(links, len(s.p.Links)), true
 }
 
 // routings returns every live routing in deterministic order.
@@ -329,7 +299,7 @@ func (u *repairUndo) rollback() {
 		asgs := lr.lists[i]
 		for _, a := range asgs[len(asgs)-n:] {
 			for _, l := range a.Links {
-				lr.rt.resid[l] += a.Gbps
+				lr.rt.addResid(l, a.Gbps)
 			}
 		}
 		lr.lists[i] = asgs[:len(asgs)-n]
@@ -337,7 +307,7 @@ func (u *repairUndo) rollback() {
 	for k, i := range u.idxs {
 		for _, a := range u.removed[k] {
 			for _, l := range a.Links {
-				lr.rt.resid[l] -= a.Gbps
+				lr.rt.addResid(l, -a.Gbps)
 			}
 			lr.lists[i] = append(lr.lists[i], a)
 		}
@@ -368,7 +338,7 @@ func (s *Shaver) repair(lr *liveRouting, link int) (*repairUndo, bool) {
 			if crossesLink(a, link) {
 				removed = append(removed, a)
 				for _, l := range a.Links {
-					lr.rt.resid[l] += a.Gbps
+					lr.rt.addResid(l, a.Gbps)
 				}
 			} else {
 				keep = append(keep, a)
@@ -401,7 +371,7 @@ func (s *Shaver) reanchor(lr *liveRouting, pair [2]int) (*repairUndo, bool) {
 	for _, a := range lr.lists[i] {
 		u.removed[0] = append(u.removed[0], a)
 		for _, l := range a.Links {
-			lr.rt.resid[l] += a.Gbps
+			lr.rt.addResid(l, a.Gbps)
 		}
 	}
 	lr.lists[i] = nil
@@ -564,19 +534,18 @@ func (s *Shaver) TryDrop(link int) bool {
 // across up to MaxPaths paths. It returns nil if the full amount does
 // not fit (partial placements are rolled back internally).
 func (s *Shaver) place(lr *liveRouting, pair [2]int, gbps float64) []PathAssignment {
-	filter := lr.usableFilter(lr.avoid[pair])
+	// Banned links never reach the search: ban() closes them in the
+	// arena's masks. Only Constraint-3 placements carry an avoid set.
+	usable := lr.rt.openMask(lr.avoid[pair])
 	var out []PathAssignment
 	remaining := gbps
 	for attempt := 0; attempt < s.opts.MaxPaths && remaining > 1e-9; attempt++ {
-		path := lr.rt.pr.Path(graph.NodeID(pair[0]), graph.NodeID(pair[1]), filter)
-		if len(path.Edges) == 0 {
+		links := lr.rt.path(pair[0], pair[1], usable)
+		if len(links) == 0 {
 			break
 		}
 		bn := remaining
-		links := make([]int, len(path.Edges))
-		for i, eid := range path.Edges {
-			l := int(lr.rt.linkFor[eid])
-			links[i] = l
+		for _, l := range links {
 			if lr.rt.resid[l] < bn {
 				bn = lr.rt.resid[l]
 			}
@@ -585,7 +554,7 @@ func (s *Shaver) place(lr *liveRouting, pair [2]int, gbps float64) []PathAssignm
 			break
 		}
 		for _, l := range links {
-			lr.rt.resid[l] -= bn
+			lr.rt.addResid(l, -bn)
 		}
 		out = append(out, PathAssignment{Links: links, Gbps: bn})
 		remaining -= bn
@@ -593,7 +562,7 @@ func (s *Shaver) place(lr *liveRouting, pair [2]int, gbps float64) []PathAssignm
 	if remaining > 1e-9 {
 		for _, a := range out {
 			for _, l := range a.Links {
-				lr.rt.resid[l] += a.Gbps
+				lr.rt.addResid(l, a.Gbps)
 			}
 		}
 		return nil

@@ -1,6 +1,7 @@
 package provision
 
 import (
+	"math"
 	"math/bits"
 	"sort"
 	"sync"
@@ -17,13 +18,12 @@ import (
 // metric) pair. The auction's winner determination probes thousands of
 // near-identical link subsets; a Workspace builds the routing graph
 // over *every* logical link once and evaluates each candidate subset
-// by toggling Edge.Disabled flags against the include bitset — an
-// O(diff) word-scan per check instead of a full graph rebuild. Both
-// Dijkstra engines skip disabled edges before any heap operation and
-// adjacency keeps insertion order, so the toggled full graph explores
-// exactly the node/edge sequence a subset-built graph would: every
-// path, cost and residual is bit-identical to the rebuild-per-check
-// seed behaviour.
+// by XOR-diffing the include bitset into the arena's open-edge masks —
+// an O(diff) word-scan per check instead of a full graph rebuild. The
+// shortest-path kernel walks only the set bits of the mask, in
+// adjacency order, so the masked full graph explores exactly the
+// node/edge sequence a subset-built graph would: every path, cost and
+// residual is bit-identical to the rebuild-per-check seed behaviour.
 //
 // A Workspace owns a free list of arenas (router state: graph, pooled
 // TreeRouter/PointRouter scratch, slice-backed residual and usage
@@ -140,8 +140,9 @@ func (ws *Workspace) release(rt *router) {
 	ws.mu.Unlock()
 }
 
-// newArena builds routing state over every logical link of p (enabled),
-// with the metric frozen into the edge costs.
+// newArena builds routing state over every logical link of p, with the
+// metric frozen into the edge costs. No link is enabled until the
+// first apply.
 func newArena(p *topo.POCNetwork, linkCost func(l topo.LogicalLink) float64) *router {
 	g := graph.New(len(p.Routers))
 	edgeFor := make([][2]graph.EdgeID, len(p.Links))
@@ -158,26 +159,99 @@ func newArena(p *topo.POCNetwork, linkCost func(l topo.LogicalLink) float64) *ro
 		linkFor[pair[0]] = int32(id)
 		linkFor[pair[1]] = int32(id)
 	}
+	g.SetLinks(linkFor)
+	posFor := make([][2]uint32, len(p.Links))
+	for id, pair := range edgeFor {
+		posFor[id] = [2]uint32{uint32(g.Pos(pair[0])), uint32(g.Pos(pair[1]))}
+	}
+	words := (g.NumEdges() + 63) / 64
 	return &router{
 		p:           p,
 		g:           g,
 		pr:          graph.NewPointRouter(g),
 		tr:          graph.NewTreeRouter(g),
-		edgeFor:     edgeFor,
 		linkFor:     linkFor,
+		posFor:      posFor,
 		resid:       make([]float64, len(p.Links)),
 		usedScratch: make([]float64, len(p.Links)),
-		enabled:     linkset.All(len(p.Links)),
+		enabled:     linkset.New(len(p.Links)),
+		enabledPos:  make([]uint64, words),
+		open:        make([]uint64, words),
 	}
+}
+
+// setBits sets or clears link l's two edge positions in a position
+// bitset.
+func (rt *router) setBits(words []uint64, l int, on bool) {
+	for _, p := range rt.posFor[l] {
+		if on {
+			words[p>>6] |= 1 << (p & 63)
+		} else {
+			words[p>>6] &^= 1 << (p & 63)
+		}
+	}
+}
+
+// setEnabled moves link l into or out of the arena's enabled set and
+// brings its open bits along: a disabled link is never open, a newly
+// enabled one is open iff its residual is usable.
+func (rt *router) setEnabled(l int, on bool) {
+	if on {
+		rt.enabled.Add(l)
+	} else {
+		rt.enabled.Remove(l)
+	}
+	rt.setBits(rt.enabledPos, l, on)
+	rt.setBits(rt.open, l, on && rt.resid[l] >= 1e-9)
+}
+
+// addResid adjusts link l's residual by d Gbps. Every residual write
+// after apply goes through here, so the open mask flips exactly when a
+// link crosses the 1e-9 usability threshold. Disabled links keep their
+// (stale) residual arithmetic but stay closed.
+func (rt *router) addResid(l int, d float64) {
+	old := rt.resid[l]
+	r := old + d
+	rt.resid[l] = r
+	if now := r >= 1e-9; now != (old >= 1e-9) && rt.enabled.Contains(l) {
+		rt.setBits(rt.open, l, now)
+	}
+}
+
+// openMask admits the enabled links with usable residual, minus the
+// per-call avoid set (nil = none); enabledMask ignores capacity.
+func (rt *router) openMask(avoid *linkset.Set) *graph.Mask {
+	return &graph.Mask{Open: rt.open, Avoid: avoid.Words()}
+}
+
+func (rt *router) enabledMask(avoid *linkset.Set) *graph.Mask {
+	return &graph.Mask{Open: rt.enabledPos, Avoid: avoid.Words()}
+}
+
+// path returns the cheapest src→dst path admitted by m as logical link
+// IDs (freshly allocated: callers keep it in a PathAssignment), or nil
+// when there is none. The edge sequence lives in arena scratch.
+func (rt *router) path(src, dst int, m *graph.Mask) []int {
+	edges, cost := rt.pr.PathInto(rt.pathBuf[:0], graph.NodeID(src), graph.NodeID(dst), m)
+	rt.pathBuf = edges[:0]
+	if math.IsInf(cost, 1) {
+		return nil
+	}
+	links := make([]int, len(edges))
+	for i, eid := range edges {
+		links[i] = int(rt.linkFor[eid])
+	}
+	return links
 }
 
 // apply configures the arena for one candidate subset: links outside
 // include (nil = all) are disabled, links inside get their residual
-// reset to capacity×(1−headroom). The disabled flags are toggled via a
-// word-level XOR against the arena's current enabled set, so repeated
-// checks over near-identical sets touch only the differing links.
-// Residuals of excluded links are left stale — every algorithm checks
-// Disabled before reading a residual.
+// reset to capacity×(1−headroom). The enabled position bits are
+// flipped via a word-level XOR against the arena's current enabled
+// set, so repeated checks over near-identical sets touch only the
+// differing links; the open mask is then the enabled mask minus links
+// whose fresh residual is already unusable. Residuals of excluded
+// links are left stale — no mask admits them.
 func (rt *router) apply(include *linkset.Set, headroom float64, all *linkset.Set) {
 	target := include
 	if target == nil {
@@ -194,17 +268,18 @@ func (rt *router) apply(include *linkset.Set, headroom float64, all *linkset.Set
 		for diff != 0 {
 			bit := uint(bits.TrailingZeros64(diff))
 			diff &= diff - 1
-			id := wi*64 + int(bit)
-			dis := t&(uint64(1)<<bit) == 0
-			pair := rt.edgeFor[id]
-			rt.g.SetDisabled(pair[0], dis)
-			rt.g.SetDisabled(pair[1], dis)
+			rt.setBits(rt.enabledPos, wi*64+int(bit), t&(uint64(1)<<bit) != 0)
 		}
 		ew[wi] = t
 	}
+	copy(rt.open, rt.enabledPos)
 	scale := 1 - headroom
 	target.Iterate(func(id int) {
-		rt.resid[id] = rt.p.Links[id].Capacity * scale
+		r := rt.p.Links[id].Capacity * scale
+		rt.resid[id] = r
+		if !(r >= 1e-9) {
+			rt.setBits(rt.open, id, false)
+		}
 	})
 }
 
