@@ -139,14 +139,7 @@ func (s *dijkstraScratch) begin(n int) {
 // set is never loaded; that is observationally identical to visiting
 // and rejecting it, because a rejected edge writes nothing and pushes
 // nothing. A node whose epoch stamp is stale counts as dist +Inf.
-//
-// trace, when non-nil, is a bitset over EdgeIDs: every edge that wins
-// a relaxation — i.e. writes dist/parent and pushes, even if a later
-// relaxation overwrites it — gets its bit set. Edges that never win a
-// relaxation leave no mark on the run's observable state (no writes,
-// no pushes, no heap reordering), which is what makes the trace a
-// sound influence certificate for incremental recheck memoization.
-func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, trace []uint64) {
+func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID) {
 	lay := g.layout()
 	s.begin(len(lay.off) - 1)
 	open := lay.enabled
@@ -211,12 +204,8 @@ func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, trace []uin
 				}
 				epoch[to] = cur
 				dist[to] = nd
-				eid := EdgeID(lay.eid[p])
-				parent[to] = eid
+				parent[to] = EdgeID(lay.eid[p])
 				s.q.push(pqItem{node: NodeID(to), dist: nd})
-				if trace != nil {
-					trace[eid>>6] |= 1 << (uint(eid) & 63)
-				}
 			}
 		}
 	}
@@ -240,21 +229,13 @@ func (g *Graph) Dijkstra(src NodeID, filter EdgeFilter) *ShortestTree {
 // repeated runs on the same graph. Not safe for concurrent use; use
 // one TreeRouter per goroutine.
 type TreeRouter struct {
-	g     *Graph
-	s     dijkstraScratch
-	t     ShortestTree
-	trace []uint64
+	g *Graph
+	s dijkstraScratch
+	t ShortestTree
 }
 
 // NewTreeRouter returns a reusable single-source engine bound to g.
 func NewTreeRouter(g *Graph) *TreeRouter { return &TreeRouter{g: g} }
-
-// SetTrace installs (or, with nil, removes) a relaxation trace bitset:
-// while set, every Tree call ORs a bit into trace for each edge that
-// wins a relaxation. The bitset must span the graph's edge IDs
-// (NumEdges bits). Tracing never changes routing results — it only
-// observes the winner of each relaxation.
-func (tr *TreeRouter) SetTrace(trace []uint64) { tr.trace = trace }
 
 // Tree computes the shortest-path tree from src over the edges m
 // admits (nil = every enabled edge). The returned tree shares the
@@ -262,7 +243,7 @@ func (tr *TreeRouter) SetTrace(trace []uint64) { tr.trace = trace }
 // and must not be retained.
 func (tr *TreeRouter) Tree(src NodeID, m *Mask) *ShortestTree {
 	s := &tr.s
-	s.search(tr.g, m, src, Undefined, tr.trace)
+	s.search(tr.g, m, src, Undefined)
 	n := tr.g.NumNodes()
 	for i, e := range s.epoch[:n] {
 		if e != s.cur {

@@ -10,16 +10,9 @@ func NewPointRouter(g *Graph) *PointRouter { return &PointRouter{g: g} }
 // PointRouter computes point-to-point shortest paths with early
 // termination and zero steady-state allocation. Not concurrency-safe.
 type PointRouter struct {
-	g     *Graph
-	s     dijkstraScratch
-	trace []uint64
+	g *Graph
+	s dijkstraScratch
 }
-
-// SetTrace installs (or, with nil, removes) a relaxation trace bitset
-// with the same contract as TreeRouter.SetTrace: every edge that wins
-// a relaxation in a Path/PathInto call — including first-touch wins —
-// gets its bit ORed in. Tracing never changes results.
-func (pr *PointRouter) SetTrace(trace []uint64) { pr.trace = trace }
 
 // Path returns the cheapest src→dst path over the edges m admits, or
 // a path with +Inf cost if none exists. The returned path's Edges
@@ -40,7 +33,7 @@ func (pr *PointRouter) PathInto(buf []EdgeID, src, dst NodeID, m *Mask) ([]EdgeI
 		return buf, 0
 	}
 	s := &pr.s
-	s.search(pr.g, m, src, dst, pr.trace)
+	s.search(pr.g, m, src, dst)
 	if s.epoch[dst] != s.cur {
 		return buf, math.Inf(1)
 	}

@@ -10,11 +10,10 @@ import (
 // kept as the differential reference: it scans the adjacency list of
 // every popped node, asks admit about each edge, and relaxes with the
 // same heap. dst = Undefined settles the whole tree.
-func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float64, parent []EdgeID, trace []uint64) {
+func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float64, parent []EdgeID) {
 	n := g.NumNodes()
 	dist = make([]float64, n)
 	parent = make([]EdgeID, n)
-	trace = make([]uint64, (g.NumEdges()+63)/64)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		parent[i] = Undefined
@@ -38,11 +37,10 @@ func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float
 				dist[e.To] = nd
 				parent[e.To] = eid
 				q.push(pqItem{node: e.To, dist: nd})
-				trace[eid>>6] |= 1 << (uint(eid) & 63)
 			}
 		}
 	}
-	return dist, parent, trace
+	return dist, parent
 }
 
 // kernelCase is one random instance: a multigraph with parallel edges
@@ -139,18 +137,15 @@ func (c kernelCase) admit(eid EdgeID) bool {
 
 // checkKernelCase compares both engines against the reference on one
 // instance: whole trees from a few sources, point searches over a few
-// pairs — distances, parents, path edges, costs and trace bits.
+// pairs — distances, parents, path edges and costs.
 func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) {
 	t.Helper()
 	g := c.g
 	n := g.NumNodes()
-	words := (g.NumEdges() + 63) / 64
 	tr, pr := NewTreeRouter(g), NewPointRouter(g)
 	for k := 0; k < 4; k++ {
 		src := NodeID(rng.Intn(n))
-		wantDist, wantParent, wantTrace := refSearch(g, c.admit, src, Undefined)
-		trace := make([]uint64, words)
-		tr.SetTrace(trace)
+		wantDist, wantParent := refSearch(g, c.admit, src, Undefined)
 		tree := tr.Tree(src, c.mask)
 		for i := 0; i < n; i++ {
 			if tree.Dist[i] != wantDist[i] || tree.Parent[i] != wantParent[i] {
@@ -158,25 +153,18 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) {
 					src, i, tree.Dist[i], tree.Parent[i], wantDist[i], wantParent[i])
 			}
 		}
-		for w := range trace {
-			if trace[w] != wantTrace[w] {
-				t.Fatalf("tree from %d: trace word %d = %#x, reference %#x", src, w, trace[w], wantTrace[w])
-			}
-		}
 
 		dst := NodeID(rng.Intn(n))
 		if dst == src {
 			continue
 		}
-		wantDist, wantParent, wantTrace = refSearch(g, c.admit, src, dst)
+		wantDist, wantParent = refSearch(g, c.admit, src, dst)
 		var wantPath []EdgeID
 		if !math.IsInf(wantDist[dst], 1) {
 			for v := dst; v != src; v = g.edges[wantParent[v]].From {
 				wantPath = append([]EdgeID{wantParent[v]}, wantPath...)
 			}
 		}
-		trace = make([]uint64, words)
-		pr.SetTrace(trace)
 		path, cost := pr.PathInto(nil, src, dst, c.mask)
 		if cost != wantDist[dst] || len(path) != len(wantPath) {
 			t.Fatalf("path %d->%d: cost %v over %d edges, reference %v over %d", src, dst, cost, len(path), wantDist[dst], len(wantPath))
@@ -184,11 +172,6 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) {
 		for i := range path {
 			if path[i] != wantPath[i] {
 				t.Fatalf("path %d->%d: hop %d is edge %d, reference %d", src, dst, i, path[i], wantPath[i])
-			}
-		}
-		for w := range trace {
-			if trace[w] != wantTrace[w] {
-				t.Fatalf("path %d->%d: trace word %d = %#x, reference %#x", src, dst, w, trace[w], wantTrace[w])
 			}
 		}
 	}

@@ -55,21 +55,6 @@ type FeasibilityCache struct {
 	mu sync.RWMutex
 	m  map[string]cacheEntry
 
-	// Bounded mode (capacity > 0): order is an insertion-order ring of
-	// the currently resident keys — the slot the next insert overwrites
-	// always holds the oldest entry, so eviction is deterministic in
-	// insertion order, never map order. seen records every distinct key
-	// ever stored so the insert-win metrics rule survives an
-	// evict-then-reinsert: recordCheck still fires exactly once per
-	// distinct key, keeping obs exports byte-identical to an unbounded
-	// cache. seen holds only key strings; the cap bounds the dominant
-	// memory (summaries, cores, map buckets).
-	capacity  int
-	order     []string
-	orderPos  int
-	seen      map[string]struct{}
-	evictions int64
-
 	hits   atomic.Int64
 	misses atomic.Int64
 	// decompositions counts probes answered by stitching per-component
@@ -84,11 +69,7 @@ type FeasibilityCache struct {
 	// clock. Memoizing its result turns a persisted-cache replay into
 	// pure lookup. Keys share fc.key's encoding behind a prefix byte no
 	// check key can start with; values are the shaved set's raw words.
-	// Bounded mode evicts on a separate insertion-order ring of the
-	// same capacity.
 	shaved      map[string][]uint64
-	shavedOrder []string
-	shavedPos   int
 	shaveHits   atomic.Int64
 	shaveMisses atomic.Int64
 
@@ -120,43 +101,15 @@ func NewFeasibilityCache() *FeasibilityCache {
 	}
 }
 
-// SetCapacity bounds the cache to at most n resident entries, evicting
-// the oldest-inserted entry on overflow (deterministic insertion-order
-// ring, not map order). n <= 0 restores the unbounded default. Any
-// resident entries are dropped, so call it before first use (or treat
-// it as a Reset). Eviction never changes answers — a re-probed evicted
-// key recomputes the identical result — and never perturbs obs exports
-// (metrics record once per distinct key ever, eviction or not).
-func (fc *FeasibilityCache) SetCapacity(n int) {
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	fc.m = make(map[string]cacheEntry, 256)
-	fc.shaved = make(map[string][]uint64, 64)
-	if n <= 0 {
-		fc.capacity, fc.order, fc.seen = 0, nil, nil
-		fc.orderPos = 0
-		fc.shavedOrder, fc.shavedPos = nil, 0
-		return
-	}
-	fc.capacity = n
-	fc.order = make([]string, n)
-	fc.orderPos = 0
-	fc.seen = make(map[string]struct{}, 256)
-	fc.shavedOrder = make([]string, n)
-	fc.shavedPos = 0
-}
-
 // CacheStats is a point-in-time snapshot of a cache's behaviour.
 type CacheStats struct {
 	Hits           int64
 	Misses         int64
-	Evictions      int64
 	Decompositions int64
 	ShaveHits      int64
 	ShaveMisses    int64
 	Entries        int
 	ShaveEntries   int
-	Capacity       int // 0 = unbounded
 }
 
 // Stats snapshots the counters. They live here rather than on
@@ -170,13 +123,11 @@ func (fc *FeasibilityCache) Stats() CacheStats {
 	return CacheStats{
 		Hits:           fc.hits.Load(),
 		Misses:         fc.misses.Load(),
-		Evictions:      fc.evictions,
 		Decompositions: fc.decompositions.Load(),
 		ShaveHits:      fc.shaveHits.Load(),
 		ShaveMisses:    fc.shaveMisses.Load(),
 		Entries:        len(fc.m),
 		ShaveEntries:   len(fc.shaved),
-		Capacity:       fc.capacity,
 	}
 }
 
@@ -202,16 +153,6 @@ func (fc *FeasibilityCache) Reset() {
 	fc.mu.Lock()
 	fc.m = make(map[string]cacheEntry, 256)
 	fc.shaved = make(map[string][]uint64, 64)
-	if fc.capacity > 0 {
-		// A fresh generation: an unbounded cache re-records metrics for
-		// keys re-probed after Reset, so the bounded seen-set must
-		// forget them too to stay byte-identical.
-		fc.order = make([]string, fc.capacity)
-		fc.orderPos = 0
-		fc.seen = make(map[string]struct{}, 256)
-		fc.shavedOrder = make([]string, fc.capacity)
-		fc.shavedPos = 0
-	}
 	fc.mu.Unlock()
 	fc.tmMu.Lock()
 	fc.tmFP = make(map[*traffic.Matrix]uint64, 4)
@@ -250,7 +191,7 @@ func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, tm
 		return e.sum, e.core
 	}
 	fc.misses.Add(1)
-	return fc.compute(key, p, include, tm, c, opts, metric, needCore)
+	return fc.compute(key, p, include, tm, c, opts, needCore)
 }
 
 // peek returns the entry for key if it can answer a probe of the given
@@ -268,38 +209,15 @@ func (fc *FeasibilityCache) peek(key string, needCore bool) (cacheEntry, bool) {
 	return e, true
 }
 
-// compute runs the miss path for key: consult the workspace's
-// incremental-recheck memo, fall back to a full routing, then store
-// and record. opts must already have defaults.
-func (fc *FeasibilityCache) compute(key string, p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore bool) (CacheSummary, *linkset.Set) {
+// compute runs the miss path for key: a full routing, then store and
+// record. opts must already have defaults.
+func (fc *FeasibilityCache) compute(key string, p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, needCore bool) (CacheSummary, *linkset.Set) {
 	// Compute with Obs stripped: whether this goroutine or a racing
 	// one performs the routing is scheduling luck, so metrics are
 	// recorded per distinct memo entry (insert win) instead — the set
 	// of distinct keys probed is Workers-invariant.
 	stripped := opts
 	stripped.Obs = nil
-	// Incremental recheck: a recent check on a superset whose removed
-	// links never influenced it replays byte-identically — serve it
-	// without routing. The fc entry stored is exactly what the compute
-	// path would store (coreless for a plain Check, core-carrying for a
-	// CheckCore), so cache state and obs stay byte-identical to a cold
-	// run. A needCore probe can only be served by a memo entry that
-	// carries a core (or is infeasible) — the same rule peek applies.
-	ws := opts.Workspace
-	memoOK := ws != nil && ws.p == p && ws.memoEnabled()
-	if memoOK {
-		if sum, core, ok := ws.memoLookup(include, tm, c, opts, metric, needCore); ok {
-			e := cacheEntry{sum: sum}
-			if needCore {
-				e.core = core
-			}
-			if fc.store(key, e) {
-				recordCheck(opts.Obs, c, sum)
-			}
-			return sum, e.core
-		}
-		stripped.influence = newInfluence(len(p.Links))
-	}
 	var sum CacheSummary
 	var core *linkset.Set
 	if needCore {
@@ -308,11 +226,7 @@ func (fc *FeasibilityCache) compute(key string, p *topo.POCNetwork, include *lin
 		feasible, r := Check(p, include, tm, c, stripped)
 		sum = summarize(p, feasible, r)
 	}
-	if memoOK && !stripped.influence.isInvalid() {
-		ws.memoStore(include, tm, c, opts, metric, stripped.influence, sum, core)
-	}
-	e := cacheEntry{sum: sum, core: core}
-	if fc.store(key, e) {
+	if fc.store(key, cacheEntry{sum: sum, core: core}) {
 		recordCheck(opts.Obs, c, sum)
 	}
 	return sum, core
@@ -321,8 +235,7 @@ func (fc *FeasibilityCache) compute(key string, p *topo.POCNetwork, include *lin
 // store writes an entry, never downgrading one that already has a
 // core (two goroutines may race to fill the same key). It reports
 // whether the key is fresh for metrics purposes — exactly once per
-// distinct key ever, so racing double-computes never double-count and
-// (in bounded mode) an evict-then-reinsert never re-counts.
+// distinct key, so racing double-computes never double-count.
 func (fc *FeasibilityCache) store(key string, e cacheEntry) bool {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -330,27 +243,7 @@ func (fc *FeasibilityCache) store(key string, e cacheEntry) bool {
 	if !existed || old.core == nil {
 		fc.m[key] = e
 	}
-	if existed {
-		return false
-	}
-	if fc.capacity <= 0 {
-		return true
-	}
-	fresh := false
-	if _, ok := fc.seen[key]; !ok {
-		fc.seen[key] = struct{}{}
-		fresh = true
-	}
-	if len(fc.m) > fc.capacity {
-		// The slot the ring is about to reuse holds the oldest resident
-		// key (the ring only ever holds resident keys, and the new key
-		// is not in it yet).
-		delete(fc.m, fc.order[fc.orderPos])
-		fc.evictions++
-	}
-	fc.order[fc.orderPos] = key
-	fc.orderPos = (fc.orderPos + 1) % fc.capacity
-	return fresh
+	return !existed
 }
 
 // shaveKeyPrefix distinguishes shave-memo keys from check keys in the
@@ -384,25 +277,15 @@ func (fc *FeasibilityCache) Shaved(p *topo.POCNetwork, start *linkset.Set, tm *t
 }
 
 // storeShaved inserts a shave result (insert-win, private copy of the
-// words), evicting the oldest shave entry when bounded.
+// words).
 func (fc *FeasibilityCache) storeShaved(key string, words []uint64) {
 	cp := make([]uint64, len(words))
 	copy(cp, words)
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	if _, existed := fc.shaved[key]; existed {
-		return
+	if _, existed := fc.shaved[key]; !existed {
+		fc.shaved[key] = cp
 	}
-	fc.shaved[key] = cp
-	if fc.capacity <= 0 {
-		return
-	}
-	if len(fc.shaved) > fc.capacity {
-		delete(fc.shaved, fc.shavedOrder[fc.shavedPos])
-		fc.evictions++
-	}
-	fc.shavedOrder[fc.shavedPos] = key
-	fc.shavedPos = (fc.shavedPos + 1) % fc.capacity
 }
 
 // key builds the canonical, collision-free cache key. The include

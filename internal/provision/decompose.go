@@ -97,7 +97,7 @@ func (fc *FeasibilityCache) checkedDecomposed(p *topo.POCNetwork, include *links
 			return sum, core
 		}
 	}
-	return fc.compute(key, p, include, tm, c, opts, metric, needCore)
+	return fc.compute(key, p, include, tm, c, opts, needCore)
 }
 
 // decomposePlan builds the per-component sub-problems for a probe, or

@@ -9,6 +9,56 @@ import (
 	"github.com/public-option/poc/internal/traffic"
 )
 
+// memoNet builds a seeded random POC network: a ring over n routers
+// (so it stays connected under light pruning) plus extra chords, with
+// mixed capacities so pruning sequences cross the feasibility boundary.
+func memoNet(rng *rand.Rand, n, chords int) *topo.POCNetwork {
+	p := &topo.POCNetwork{
+		World:   &topo.World{Cities: make([]topo.City, n)},
+		Routers: make([]int, n),
+	}
+	for i := range p.Routers {
+		p.Routers[i] = i
+	}
+	caps := []float64{20, 40, 80}
+	add := func(a, b int) {
+		p.Links = append(p.Links, topo.LogicalLink{
+			ID: len(p.Links), BP: len(p.Links) % 5, A: a, B: b,
+			Capacity:   caps[rng.Intn(len(caps))],
+			DistanceKm: 50 + rng.Float64()*450,
+		})
+	}
+	for i := 0; i < n; i++ {
+		add(i, (i+1)%n)
+	}
+	for i := 0; i < chords; i++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a != b {
+			add(a, b)
+		}
+	}
+	p.BPs = make([]topo.BP, 5)
+	return p
+}
+
+func memoTM(rng *rand.Rand, n, pairs int, gbps float64) *traffic.Matrix {
+	tm := traffic.NewMatrix(n)
+	for i := 0; i < pairs; i++ {
+		a, b := rng.Intn(n), rng.Intn(n)
+		if a != b {
+			tm.Set(a, b, tm.At(a, b)+gbps*(0.5+rng.Float64()))
+		}
+	}
+	return tm
+}
+
+func sameCore(a, b *linkset.Set) bool {
+	if (a == nil) != (b == nil) {
+		return false
+	}
+	return a == nil || a.Equal(b)
+}
+
 // splitNet builds a border-separable POC network: two memoNet-style
 // rings (nA and nB routers, plus chords) with no links between them.
 func splitNet(rng *rand.Rand, nA, nB, chords int) *topo.POCNetwork {
@@ -169,7 +219,6 @@ func TestDecomposedSharesCache(t *testing.T) {
 	sideTM(rng, tm, 0, 10, 4, 6)
 	sideTM(rng, tm, 10, 10, 4, 6)
 	ws := NewWorkspace(p, Options{})
-	ws.SetMemoCapacity(0) // isolate fc behaviour from the recheck memo
 	opts := Options{Workspace: ws}
 
 	fc := NewFeasibilityCache()

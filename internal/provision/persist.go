@@ -1,6 +1,7 @@
 package provision
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -139,10 +140,10 @@ func appendCachePayload(dst []byte, key string, e cacheEntry) []byte {
 	return dst
 }
 
-// Load reads entries from r into the cache (insert-win, honoring any
-// capacity bound) and returns how many were loaded. A torn or corrupt
-// tail ends the load silently — everything before it is kept. A bad
-// magic is an error: the file is not a cache.
+// Load reads entries from r into the cache (insert-win) and returns
+// how many were loaded. A torn or corrupt tail ends the load silently —
+// everything before it is kept. A bad magic is an error: the file is
+// not a cache.
 func (fc *FeasibilityCache) Load(r io.Reader) (int, error) {
 	magic := make([]byte, len(cacheMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
@@ -156,7 +157,10 @@ func (fc *FeasibilityCache) Load(r io.Reader) (int, error) {
 	}
 	loaded := 0
 	header := make([]byte, 9)
-	var payload []byte
+	// The frame length is outside input: the buffer grows with the bytes
+	// that actually arrive, never by what a header claims.
+	var buf bytes.Buffer
+	body := io.LimitedReader{R: r}
 	for {
 		if _, err := io.ReadFull(r, header); err != nil {
 			return loaded, nil // clean EOF or torn header: stop
@@ -167,13 +171,12 @@ func (fc *FeasibilityCache) Load(r io.Reader) (int, error) {
 		if (kind != cacheKindEntry && kind != cacheKindShave) || n > 1<<30 {
 			return loaded, nil
 		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(r, payload); err != nil {
+		buf.Reset()
+		body.N = int64(n)
+		if _, err := buf.ReadFrom(&body); err != nil || body.N > 0 {
 			return loaded, nil // torn payload
 		}
+		payload := buf.Bytes()
 		if crc32.ChecksumIEEE(payload) != crc {
 			return loaded, nil // corrupt frame
 		}
@@ -226,7 +229,7 @@ func parseCachePayload(p []byte) (string, cacheEntry, bool) {
 	e.sum.Moves = int(moves)
 	if flags&2 != 0 {
 		wc, n := binary.Uvarint(p)
-		if n <= 0 || uint64(len(p)-n) < wc*8 {
+		if n <= 0 || wc > uint64(len(p)-n)/8 {
 			return "", cacheEntry{}, false
 		}
 		p = p[n:]
@@ -248,7 +251,7 @@ func parseShavePayload(p []byte) (string, []uint64, bool) {
 	key := string(p[:klen])
 	p = p[klen:]
 	wc, n := binary.Uvarint(p)
-	if n <= 0 || uint64(len(p)-n) < wc*8 {
+	if n <= 0 || wc > uint64(len(p)-n)/8 {
 		return "", nil, false
 	}
 	p = p[n:]

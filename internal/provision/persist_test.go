@@ -2,6 +2,8 @@ package provision
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"github.com/public-option/poc/internal/linkset"
@@ -132,39 +134,6 @@ func TestCachePersistShaveMemo(t *testing.T) {
 	}
 }
 
-// TestShaveMemoBounded pins the shave ring's deterministic eviction
-// under SetCapacity.
-func TestShaveMemoBounded(t *testing.T) {
-	p := shaveNet(10, 10, 10, 10)
-	tm := traffic.NewMatrix(2)
-	tm.Set(0, 1, 8)
-	fc := NewFeasibilityCache()
-	fc.SetCapacity(2)
-	sets := []*linkset.Set{
-		linkset.FromIDs([]int{0}, len(p.Links)),
-		linkset.FromIDs([]int{1}, len(p.Links)),
-		linkset.FromIDs([]int{2}, len(p.Links)),
-	}
-	for _, s := range sets {
-		s := s
-		fc.Shaved(p, s, tm, Constraint1, Options{}, 0, func() *linkset.Set { return s })
-	}
-	st := fc.Stats()
-	if st.ShaveEntries != 2 || st.Evictions != 1 {
-		t.Fatalf("bounded shave memo: %+v", st)
-	}
-	// Oldest (sets[0]) was evicted: re-probing recomputes; newest hits.
-	recomputed := false
-	fc.Shaved(p, sets[0], tm, Constraint1, Options{}, 0, func() *linkset.Set { recomputed = true; return sets[0] })
-	if !recomputed {
-		t.Fatal("evicted entry still answered")
-	}
-	fc.Shaved(p, sets[2], tm, Constraint1, Options{}, 0, func() *linkset.Set {
-		t.Fatal("resident entry recomputed")
-		return nil
-	})
-}
-
 func TestCachePersistTornTail(t *testing.T) {
 	p := shaveNet(10, 10, 10)
 	tm := traffic.NewMatrix(2)
@@ -201,10 +170,106 @@ func TestCachePersistTornTail(t *testing.T) {
 		t.Fatalf("corrupt first frame loaded %d entries, want 0", loaded2)
 	}
 
+	// A CRC-valid frame whose word count would overflow wc*8 is corrupt
+	// like any other: the load stops there and keeps the prefix.
+	huge := binary.AppendUvarint(nil, 1<<61)
+	entry := []byte{1, 'k', 2}                      // uvarint(len(key)) ∥ key ∥ flags: has-core
+	entry = append(entry, make([]byte, 8+8+1+1)...) // Unplaced, MaxUtilization, Paths, Moves
+	entry = append(entry, huge...)
+	shave := append([]byte{1, 'k'}, huge...)
+	for _, f := range []struct {
+		kind    byte
+		payload []byte
+	}{{cacheKindEntry, entry}, {cacheKindShave, shave}} {
+		data := append([]byte(nil), buf.Bytes()...)
+		data = binary.LittleEndian.AppendUint32(data, uint32(len(f.payload)))
+		data = append(data, f.kind)
+		data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(f.payload))
+		data = append(data, f.payload...)
+		dst3 := NewFeasibilityCache()
+		loaded3, err := dst3.Load(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if loaded3 != 3 || dst3.Len() != 3 {
+			t.Fatalf("kind %d overflow frame: loaded %d entries, want the 3 before it", f.kind, loaded3)
+		}
+	}
+
 	// Wrong magic is a hard error.
 	if _, err := dst2.Load(bytes.NewReader([]byte("not a cache file at all"))); err == nil {
 		t.Fatal("bad magic accepted")
 	}
+}
+
+// FuzzCacheLoad feeds Load arbitrary bytes, seeded with a real save
+// holding every entry shape (coreless check, check with core, shave):
+// it must not panic, cannot load more entries than the input has whole
+// frames, and whatever it loaded must answer like the saved cache.
+func FuzzCacheLoad(f *testing.F) {
+	p := shaveNet(10, 10, 10, 10)
+	tm := traffic.NewMatrix(2)
+	tm.Set(0, 1, 8)
+	probes := []*linkset.Set{nil, linkset.New(len(p.Links))}
+	for i := range p.Links {
+		probes = append(probes, linkset.FromIDs([]int{i}, len(p.Links)))
+	}
+	start := linkset.All(len(p.Links))
+	shaved := linkset.FromIDs([]int{0}, len(p.Links))
+
+	src := NewFeasibilityCache()
+	want := make([]CacheSummary, len(probes))
+	wantCore := make([]*linkset.Set, len(probes))
+	for i, s := range probes {
+		_, want[i] = src.Check(p, s, tm, Constraint1, Options{}, 7)
+		if i%2 == 0 {
+			src.CheckCore(p, s, tm, Constraint1, Options{}, 7)
+		}
+	}
+	src.Shaved(p, start, tm, Constraint1, Options{}, 7, shaved.Clone)
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		f.Fatal(err)
+	}
+	for i, s := range probes {
+		_, wantCore[i] = src.CheckCore(p, s, tm, Constraint1, Options{}, 7)
+	}
+	f.Add(buf.Bytes())
+	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add([]byte(cacheMagic))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fc := NewFeasibilityCache()
+		n, err := fc.Load(bytes.NewReader(data))
+		if err != nil {
+			if n != 0 {
+				t.Fatalf("load failed with %v after counting %d entries", err, n)
+			}
+			return
+		}
+		frames := 0
+		for rest := data[len(cacheMagic):]; len(rest) >= 9; frames++ {
+			size := int(binary.LittleEndian.Uint32(rest))
+			if size > len(rest)-9 {
+				break
+			}
+			rest = rest[9+size:]
+		}
+		if n > frames {
+			t.Fatalf("loaded %d entries from %d whole frames", n, frames)
+		}
+		for i, s := range probes {
+			if _, sum := fc.Check(p, s, tm, Constraint1, Options{}, 7); sum != want[i] {
+				t.Fatalf("probe %d: summary %+v after load, saved cache says %+v", i, sum, want[i])
+			}
+			if _, core := fc.CheckCore(p, s, tm, Constraint1, Options{}, 7); !sameCore(core, wantCore[i]) {
+				t.Fatalf("probe %d: core differs from the saved cache's", i)
+			}
+		}
+		if got := fc.Shaved(p, start, tm, Constraint1, Options{}, 7, shaved.Clone); !sameCore(got, shaved) {
+			t.Fatalf("shave %v after load, saved cache says %v", got.AppendIDs(nil), shaved.AppendIDs(nil))
+		}
+	})
 }
 
 func TestCachePersistFileMissing(t *testing.T) {

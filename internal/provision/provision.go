@@ -101,12 +101,6 @@ type Options struct {
 	// exported counts independent of cache hit/miss scheduling. Obs
 	// never enters cache keys.
 	Obs *obs.Registry
-	// NoMemo disables the incremental-recheck memo in every workspace
-	// built for this call (including the per-determination workspaces
-	// an auction creates internally). Ablation and benchmark-baseline
-	// knob: the memo never changes results, so NoMemo only slows the
-	// call down. Like Workspace, it never enters cache keys.
-	NoMemo bool
 	// Workspace, when non-nil, supplies the reusable routing arenas
 	// and demand caches for this call (and nested scenario routings).
 	// It must have been built for the same network and the same
@@ -114,13 +108,6 @@ type Options struct {
 	// transient workspace is created per call. Like Obs, Workspace
 	// never enters cache keys and never changes results, only speed.
 	Workspace *Workspace
-
-	// influence, when non-nil, collects the link-level influence set of
-	// every routing run under this call: each link that wins a Dijkstra
-	// relaxation anywhere in the check gets its bit ORed in. The
-	// FeasibilityCache sets it to build incremental-recheck certificates
-	// (see workspace memo, DESIGN.md §15). Never set by callers.
-	influence *influence
 }
 
 // workerCount resolves the effective parallelism for n independent
@@ -223,10 +210,6 @@ type router struct {
 	// exported utilization metrics — stay byte-identical.
 	usedScratch []float64
 	touched     []int
-
-	// traceBits is the edge-level relaxation trace buffer, installed on
-	// both Dijkstra engines while an influence sink is active.
-	traceBits []uint64
 }
 
 // place routes gbps from src to dst over up to MaxPaths paths,
@@ -424,10 +407,6 @@ func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Op
 	ws := opts.Workspace
 	rt := ws.acquire()
 	defer ws.release(rt)
-	if opts.influence != nil {
-		rt.startTrace()
-		defer rt.stopTrace(opts.influence)
-	}
 	rt.apply(include, opts.Headroom, ws.all)
 	return rt.route(ws, tm, opts, avoidPrimary)
 }
@@ -603,10 +582,6 @@ func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matr
 	ws := opts.Workspace
 	rt := ws.acquire()
 	defer ws.release(rt)
-	if opts.influence != nil {
-		rt.startTrace()
-		defer rt.stopTrace(opts.influence)
-	}
 	rt.apply(include, 0, ws.all)
 
 	var unreachable [][2]int
@@ -677,7 +652,7 @@ func summarize(p *topo.POCNetwork, feasible bool, r *Routing) CacheSummary {
 // routing; for Constraint3 it is the degraded routing.
 func Check(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (bool, *Routing) {
 	opts = opts.withDefaults().resolve(p)
-	ok, r := checkRouting(p, include, tm, c, opts)
+	ok, r := checkRouting(p, include, tm, c, opts, func(*Routing) {})
 	if opts.Obs != nil {
 		recordCheck(opts.Obs, c, summarize(p, ok, r))
 	}
@@ -685,18 +660,24 @@ func Check(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Const
 }
 
 // checkRouting is Check without metrics recording; opts must already
-// have defaults and a workspace applied.
-func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (bool, *Routing) {
+// have defaults and a workspace applied. visit sees every feasible
+// routing the constraint entails — the base routing, then each failure
+// scenario's (Constraint2) or the degraded one (Constraint3) — one call
+// at a time, stopping at the first infeasible routing.
+func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, visit func(*Routing)) (bool, *Routing) {
+	if c < Constraint1 || c > Constraint3 {
+		panic(fmt.Sprintf("provision: unknown constraint %d", int(c)))
+	}
+	base := Route(p, include, tm, opts, nil)
+	if !base.Feasible() {
+		return false, base
+	}
+	visit(base)
 	switch c {
 	case Constraint1:
-		r := Route(p, include, tm, opts, nil)
-		return r.Feasible(), r
+		return true, base
 
 	case Constraint2:
-		base := Route(p, include, tm, opts, nil)
-		if !base.Feasible() {
-			return false, base
-		}
 		primaries, unreachable := PrimaryPathsOpts(p, include, tm, opts)
 		if len(unreachable) > 0 {
 			return false, base
@@ -708,75 +689,58 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 			}
 		}
 		// Each scenario fails one pair's primary path for everyone and
-		// re-routes from scratch — every worker acquires its own arena,
+		// re-routes from scratch — every Route acquires its own arena,
 		// so the scenarios share no mutable state and fan across
-		// workers. The verdict (all feasible?) is order-independent,
-		// which keeps the parallel sweep bit-identical to the serial one.
-		//
-		// A scenario-stage failure aborts the sweep early, so WHICH
-		// scenarios were routed is scheduling luck — the influence sink
-		// would under-approximate. The uniform rule (serial path too, so
-		// worker count can never change memo contents' validity) is to
-		// invalidate the sink on any scenario-stage infeasibility. The
-		// per-routing move maxima are folded only on the all-feasible
-		// verdict, where every scenario completed and the max is
-		// order-independent.
-		if workers := opts.workerCount(len(scenarios)); workers > 1 {
-			var wg sync.WaitGroup
-			var next atomic.Int64
-			var infeasible atomic.Bool
-			workerMoves := make([]int, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(scenarios) || infeasible.Load() {
-							return // done, or early abort on first failure
-						}
-						sub := subtract(include, scenarios[i], len(p.Links))
-						r := Route(p, sub, tm, opts, nil)
-						if !r.Feasible() {
-							infeasible.Store(true)
-							return
-						}
-						if r.moves > workerMoves[w] {
-							workerMoves[w] = r.moves
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-			if infeasible.Load() {
-				opts.influence.markInvalid()
-				return false, base
-			}
-			for _, m := range workerMoves {
-				if m > base.moves {
-					base.moves = m
+		// workers (the caller is one of them). The verdict (all
+		// feasible?) is order-independent, which keeps the parallel
+		// sweep bit-identical to the serial one. The first failure
+		// aborts the sweep, so WHICH scenarios were routed is scheduling
+		// luck: the move maxima are folded only on the all-feasible
+		// verdict, where every scenario completed.
+		var (
+			mu         sync.Mutex
+			next       atomic.Int64
+			infeasible atomic.Bool
+			moves      int
+		)
+		sweep := func() {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(scenarios) || infeasible.Load() {
+					return
 				}
+				r := Route(p, subtract(include, scenarios[i], len(p.Links)), tm, opts, nil)
+				if !r.Feasible() {
+					infeasible.Store(true)
+					return
+				}
+				mu.Lock()
+				visit(r)
+				if r.moves > moves {
+					moves = r.moves
+				}
+				mu.Unlock()
 			}
-			return true, base
 		}
-		for _, failed := range scenarios {
-			sub := subtract(include, failed, len(p.Links))
-			r := Route(p, sub, tm, opts, nil)
-			if !r.Feasible() {
-				opts.influence.markInvalid()
-				return false, base
-			}
-			if r.moves > base.moves {
-				base.moves = r.moves
-			}
+		var wg sync.WaitGroup
+		for w := opts.workerCount(len(scenarios)); w > 1; w-- {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sweep()
+			}()
+		}
+		sweep()
+		wg.Wait()
+		if infeasible.Load() {
+			return false, base
+		}
+		if moves > base.moves {
+			base.moves = moves
 		}
 		return true, base
 
-	case Constraint3:
-		base := Route(p, include, tm, opts, nil)
-		if !base.Feasible() {
-			return false, base
-		}
+	default: // Constraint3
 		primaries, unreachable := PrimaryPathsOpts(p, include, tm, opts)
 		if len(unreachable) > 0 {
 			return false, base
@@ -785,20 +749,20 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 		if base.moves > r.moves {
 			r.moves = base.moves
 		}
+		if r.Feasible() {
+			visit(r)
+		}
 		return r.Feasible(), r
-
-	default:
-		panic(fmt.Sprintf("provision: unknown constraint %d", int(c)))
 	}
 }
 
-// CheckCore is Check fused with CoreLinks: it reports whether include
-// satisfies the constraint and, when it does, the union of links used
-// by the base and every degraded routing — sharing the routing work
-// that separate Check + CoreLinks calls would duplicate (both route
-// the base matrix and every failure scenario). On an infeasible set
-// the core is nil. The verdict is bit-identical to Check's and the
-// core bit-identical to CoreLinks's on feasible sets.
+// CheckCore is Check that also reports, when include satisfies the
+// constraint, the union of links used by the base and every degraded
+// routing. Links outside this core are idle under the constraint's
+// scenarios, which makes it the natural seed for the auction's winner
+// determination: everything else is a candidate to drop. On an
+// infeasible set the core is nil. The verdict is bit-identical to
+// Check's.
 func CheckCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (bool, *linkset.Set) {
 	opts = opts.withDefaults().resolve(p)
 	ok, core, sum := checkCore(p, include, tm, c, opts)
@@ -810,172 +774,21 @@ func CheckCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 
 // checkCore is CheckCore without metrics recording, additionally
 // returning the same summary a Check on this key would produce (the
-// memo stores it so hits answer either entry point). opts must
+// cache stores it so hits answer either entry point). opts must
 // already have defaults and a workspace applied.
 func checkCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (bool, *linkset.Set, CacheSummary) {
 	core := linkset.New(len(p.Links))
-	add := func(r *Routing) {
+	ok, r := checkRouting(p, include, tm, c, opts, func(r *Routing) {
 		for id, used := range r.Used {
 			if used > 0 {
 				core.Add(id)
 			}
 		}
+	})
+	if !ok {
+		core = nil
 	}
-	base := Route(p, include, tm, opts, nil)
-	if !base.Feasible() {
-		return false, nil, summarize(p, false, base)
-	}
-	add(base)
-	switch c {
-	case Constraint1:
-		return true, core, summarize(p, true, base)
-
-	case Constraint2:
-		primaries, unreachable := PrimaryPathsOpts(p, include, tm, opts)
-		if len(unreachable) > 0 {
-			return false, nil, summarize(p, false, base)
-		}
-		var scenarios []*linkset.Set
-		for _, pair := range opts.Workspace.heaviest(tm, opts.FailureScenarios) {
-			if failed := primaries[pair]; failed != nil && !failed.Empty() {
-				scenarios = append(scenarios, failed)
-			}
-		}
-		// Same invalidation and move-folding rules as checkRouting: the
-		// early-abort sweep makes the influence sink schedule-dependent
-		// on scenario-stage failures, and scenario move maxima are only
-		// well-defined on the all-feasible verdict.
-		if workers := opts.workerCount(len(scenarios)); workers > 1 {
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			var next atomic.Int64
-			var infeasible atomic.Bool
-			scenarioMoves := 0
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(scenarios) || infeasible.Load() {
-							return
-						}
-						r := Route(p, subtract(include, scenarios[i], len(p.Links)), tm, opts, nil)
-						if !r.Feasible() {
-							infeasible.Store(true)
-							return
-						}
-						mu.Lock()
-						add(r)
-						if r.moves > scenarioMoves {
-							scenarioMoves = r.moves
-						}
-						mu.Unlock()
-					}
-				}()
-			}
-			wg.Wait()
-			if infeasible.Load() {
-				opts.influence.markInvalid()
-				return false, nil, summarize(p, false, base)
-			}
-			if scenarioMoves > base.moves {
-				base.moves = scenarioMoves
-			}
-			return true, core, summarize(p, true, base)
-		}
-		for _, failed := range scenarios {
-			r := Route(p, subtract(include, failed, len(p.Links)), tm, opts, nil)
-			if !r.Feasible() {
-				opts.influence.markInvalid()
-				return false, nil, summarize(p, false, base)
-			}
-			add(r)
-			if r.moves > base.moves {
-				base.moves = r.moves
-			}
-		}
-		return true, core, summarize(p, true, base)
-
-	case Constraint3:
-		primaries, unreachable := PrimaryPathsOpts(p, include, tm, opts)
-		if len(unreachable) > 0 {
-			return false, nil, summarize(p, false, base)
-		}
-		r := Route(p, include, tm, opts, primaries)
-		if base.moves > r.moves {
-			r.moves = base.moves
-		}
-		if !r.Feasible() {
-			return false, nil, summarize(p, false, r)
-		}
-		add(r)
-		return true, core, summarize(p, true, r)
-
-	default:
-		panic(fmt.Sprintf("provision: unknown constraint %d", int(c)))
-	}
-}
-
-// CoreLinks returns the union of logical links used by the base
-// routing and by every degraded routing the constraint entails. Links
-// outside this set are idle under the constraint's scenarios, which
-// makes the set the natural seed for the auction's winner
-// determination: everything else is a candidate to drop.
-func CoreLinks(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) *linkset.Set {
-	opts = opts.withDefaults().resolve(p)
-	core := linkset.New(len(p.Links))
-	add := func(r *Routing) {
-		for id, used := range r.Used {
-			if used > 0 {
-				core.Add(id)
-			}
-		}
-	}
-	add(Route(p, include, tm, opts, nil))
-	switch c {
-	case Constraint1:
-	case Constraint2:
-		primaries, _ := PrimaryPathsOpts(p, include, tm, opts)
-		var scenarios []*linkset.Set
-		for _, pair := range opts.Workspace.heaviest(tm, opts.FailureScenarios) {
-			if failed := primaries[pair]; failed != nil && !failed.Empty() {
-				scenarios = append(scenarios, failed)
-			}
-		}
-		// The union of used links is order-independent, so the degraded
-		// routings can run concurrently with a mutex-guarded merge.
-		if workers := opts.workerCount(len(scenarios)); workers > 1 {
-			var wg sync.WaitGroup
-			var mu sync.Mutex
-			var next atomic.Int64
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(scenarios) {
-							return
-						}
-						r := Route(p, subtract(include, scenarios[i], len(p.Links)), tm, opts, nil)
-						mu.Lock()
-						add(r)
-						mu.Unlock()
-					}
-				}()
-			}
-			wg.Wait()
-			break
-		}
-		for _, failed := range scenarios {
-			add(Route(p, subtract(include, failed, len(p.Links)), tm, opts, nil))
-		}
-	case Constraint3:
-		primaries, _ := PrimaryPathsOpts(p, include, tm, opts)
-		add(Route(p, include, tm, opts, primaries))
-	}
-	return core
+	return ok, core, summarize(p, ok, r)
 }
 
 // heaviestPairs returns up to n demand pairs ordered by descending

@@ -5,7 +5,6 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"github.com/public-option/poc/internal/graph"
 	"github.com/public-option/poc/internal/linkset"
@@ -71,33 +70,16 @@ type Workspace struct {
 	projTM  *traffic.Matrix
 	projSig uint64
 	proj    []*traffic.Matrix
-
-	// Incremental-recheck memo (see incremental.go): a small ring of
-	// recently computed checks with their influence sets, consulted by
-	// the FeasibilityCache on misses. Contents are scheduling-dependent
-	// under sharing, but hits replay byte-identical results, so only
-	// speed varies.
-	memoMu     sync.Mutex
-	memo       []memoEntry
-	memoPos    int
-	memoCap    int
-	memoHits   atomic.Int64
-	memoMisses atomic.Int64
 }
 
 // NewWorkspace returns a workspace for p bound to opts.LinkCost (nil
 // means physical distance). Arenas are built lazily on first use and
 // recycled across checks.
 func NewWorkspace(p *topo.POCNetwork, opts Options) *Workspace {
-	cap := defaultMemoCapacity
-	if opts.NoMemo {
-		cap = 0
-	}
 	return &Workspace{
 		p:        p,
 		linkCost: opts.LinkCost,
 		all:      linkset.All(len(p.Links)),
-		memoCap:  cap,
 	}
 }
 
