@@ -14,9 +14,10 @@
 //     are order-independent, so any interleaving yields the same
 //     state.
 //   - Order-dependent operations — Set (gauges), AddFloat (float
-//     accumulators), Append (timelines), and StartSpan — must only be
-//     called from serial orchestration code. Float addition is not
-//     associative, timelines and spans are ordered.
+//     accumulators), Append (timelines), StartSpan, and Capture — must
+//     only be called from serial orchestration code. Float addition
+//     is not associative, timelines and spans are ordered, and a
+//     capture taken mid-section would hold half of it.
 //   - Histograms store integer bucket counts, a total count, and a
 //     running min/max. They do not keep a float sum: summing float
 //     observations in scheduling order would break bit-identity.
@@ -350,8 +351,11 @@ type histExport struct {
 	Max     float64   `json:"max"`
 }
 
-// Export is the JSON shape of a registry snapshot. encoding/json
-// sorts map keys, so marshaling an Export is deterministic.
+// Export is one captured registry state in its JSON shape, returned by
+// Capture. It is immutable: nothing the registry records afterwards
+// shows in it, and its holder must not write through its maps or
+// slices. encoding/json sorts map keys, so marshaling an Export is
+// deterministic.
 type Export struct {
 	Schema     string                     `json:"schema"`
 	Meta       map[string]string          `json:"meta,omitempty"`
@@ -365,8 +369,18 @@ type Export struct {
 	Spans      []Span                     `json:"spans,omitempty"`
 }
 
-// snapshot copies the registry into its export shape.
-func (r *Registry) snapshot() Export {
+// Capture returns the registry's current state without rendering it.
+// The cost is one map entry per recorded name (plus the keyed maps'
+// entries and the spans), never the length of a timeline: a timeline
+// is append-only, so the capture shares its backing array up to the
+// captured length with the capacity clipped to it — Append only ever
+// writes at an index at or beyond that length, or into a fresh array.
+// Histogram bucket layouts are fixed at the first Observe and shared
+// the same way. Everything written in place is copied: counts, every
+// map, and the spans (End fills in a span opened before the capture).
+// A capture is ordered like Set and Append: take it from the serial
+// section that records, then hand it to any goroutine.
+func (r *Registry) Capture() Export {
 	e := Export{Schema: Schema}
 	if r == nil {
 		return e
@@ -407,7 +421,7 @@ func (r *Registry) snapshot() Export {
 		e.Histograms = make(map[string]histExport, len(r.hists))
 		for k, h := range r.hists {
 			he := histExport{
-				Buckets: append([]float64(nil), h.buckets...),
+				Buckets: h.buckets[:len(h.buckets):len(h.buckets)],
 				Counts:  append([]int64(nil), h.counts...),
 				Count:   h.count,
 			}
@@ -430,7 +444,7 @@ func (r *Registry) snapshot() Export {
 	if len(r.lines) > 0 {
 		e.Timelines = make(map[string][]float64, len(r.lines))
 		for k, v := range r.lines {
-			e.Timelines[k] = append([]float64(nil), v...)
+			e.Timelines[k] = v[:len(v):len(v)]
 		}
 	}
 	if len(r.spans) > 0 {
@@ -439,18 +453,12 @@ func (r *Registry) snapshot() Export {
 	return e
 }
 
-// MarshalJSON renders the registry deterministically: identical
-// recorded state yields identical bytes.
-func (r *Registry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.snapshot())
-}
-
-// ExportJSON renders the registry's indented deterministic export as
-// bytes — the poc-obs/v1 document WriteJSON streams and pocd caches
-// in its degraded-read snapshots. Identical recorded state yields
-// identical bytes, so two exports may be compared with bytes.Equal.
-func (r *Registry) ExportJSON() ([]byte, error) {
-	b, err := json.Marshal(r.snapshot())
+// JSON renders the capture as the indented poc-obs/v1 document.
+// Identical captured state yields identical bytes, so two renders may
+// be compared with bytes.Equal. Safe from any goroutine, concurrently
+// with the registry's recording methods.
+func (e Export) JSON() ([]byte, error) {
+	b, err := json.Marshal(e)
 	if err != nil {
 		return nil, err
 	}
@@ -460,6 +468,18 @@ func (r *Registry) ExportJSON() ([]byte, error) {
 	}
 	buf.WriteByte('\n')
 	return buf.Bytes(), nil
+}
+
+// MarshalJSON renders the registry deterministically: identical
+// recorded state yields identical bytes.
+func (r *Registry) MarshalJSON() ([]byte, error) {
+	return json.Marshal(r.Capture())
+}
+
+// ExportJSON renders the registry's indented deterministic export as
+// bytes — the poc-obs/v1 document WriteJSON streams: Capture().JSON().
+func (r *Registry) ExportJSON() ([]byte, error) {
+	return r.Capture().JSON()
 }
 
 // WriteJSON writes the indented deterministic export.

@@ -53,7 +53,7 @@ func TestCountersGaugesFloats(t *testing.T) {
 	r.SetMax("peak", 5)
 	r.SetMax("peak", 3)
 	r.SetMax("peak", 9)
-	e := r.snapshot()
+	e := r.Capture()
 	if e.Maxima["peak"] != 9 {
 		t.Fatalf("max = %v, want 9", e.Maxima["peak"])
 	}
@@ -65,7 +65,7 @@ func TestHistogramBuckets(t *testing.T) {
 	for _, v := range []float64{0.5, 1, 2, 10, 11, 1000} {
 		r.Observe("lat", buckets, v)
 	}
-	e := r.snapshot()
+	e := r.Capture()
 	h := e.Histograms["lat"]
 	// v <= buckets[i] lands in counts[i]; counts[3] is overflow.
 	want := []int64{2, 2, 1, 1}
@@ -84,7 +84,7 @@ func TestKeyedMaxAndTimeline(t *testing.T) {
 	r.KeyedMax("util", 3, 0.5)
 	r.KeyedMax("util", 3, 0.2)
 	r.KeyedMax("util", 8, 0.9)
-	e := r.snapshot()
+	e := r.Capture()
 	if e.Keyed["util"][3] != 0.5 || e.Keyed["util"][8] != 0.9 {
 		t.Fatalf("keyed = %v", e.Keyed["util"])
 	}
@@ -104,7 +104,7 @@ func TestSpansMonotonicClock(t *testing.T) {
 	inner := r.StartSpan("inner")
 	inner.End()
 	outer.End()
-	e := r.snapshot()
+	e := r.Capture()
 	if len(e.Spans) != 2 {
 		t.Fatalf("spans = %d, want 2", len(e.Spans))
 	}
@@ -146,7 +146,7 @@ func TestCommutativeOpsUnderRace(t *testing.T) {
 	if got := r.Counter("n"); got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	e := r.snapshot()
+	e := r.Capture()
 	if e.Maxima["m"] != float64(workers*per-1) {
 		t.Fatalf("max = %v", e.Maxima["m"])
 	}

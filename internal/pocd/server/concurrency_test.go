@@ -4,9 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/public-option/poc/internal/core"
 	"github.com/public-option/poc/internal/pocd/journal"
@@ -129,5 +134,155 @@ func TestConcurrentClientsMatchSequentialReplay(t *testing.T) {
 	if !bytes.Equal(liveJSON, replayJSON) {
 		t.Fatalf("concurrent snapshot diverges from sequential replay:\n%s\nwant:\n%s",
 			liveJSON, replayJSON)
+	}
+}
+
+// TestDegradedObsReads covers the /v1/obs fallback and the one render
+// site behind both paths. With the writer wedged before journaling the
+// next op and the queue full, concurrent obs reads must all come back
+// stale, stamped with the seq of the last APPLIED op, carrying exactly
+// the bytes a fresh read returned at that seq — and however many
+// readers share a snapshot, fresh or degraded, it renders once.
+// Mutations alone render nothing.
+func TestDegradedObsReads(t *testing.T) {
+	var armed atomic.Bool
+	entered := make(chan struct{})
+	gate := make(chan struct{})
+	s, _, path := newTestServer(t, func(cfg *Config) {
+		cfg.QueueDepth = 1
+		cfg.applyGate = func(*Op) {
+			if armed.Load() {
+				entered <- struct{}{}
+				<-gate
+			}
+		}
+	})
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// wedge parks one epoch op in the gate (dequeued, not yet
+	// journaled) and a second in the depth-1 queue; the returned func
+	// lets both through and waits for their replies.
+	wedge := func() (release func()) {
+		armed.Store(true)
+		var posts sync.WaitGroup
+		epoch := func() {
+			defer posts.Done()
+			resp, err := http.Post(ts.URL+"/v1/epoch", "application/json", bytes.NewReader([]byte(`{"seconds":60}`)))
+			if err != nil {
+				t.Errorf("wedged epoch: %v", err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Errorf("wedged epoch: status %d", resp.StatusCode)
+			}
+		}
+		posts.Add(2)
+		go epoch()
+		<-entered
+		go epoch()
+		for i := 0; i < 5000 && len(s.queue) < 1; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if len(s.queue) != 1 {
+			t.Fatal("queue never filled behind the wedged writer")
+		}
+		return func() {
+			armed.Store(false)
+			gate <- struct{}{}
+			posts.Wait()
+		}
+	}
+	// staleReads issues 8 concurrent GET /v1/obs, requires each to be
+	// a degraded 200 at wantSeq, and returns the bodies.
+	staleReads := func(wantSeq uint64) [][]byte {
+		bodies := make([][]byte, 8)
+		var wg sync.WaitGroup
+		for i := range bodies {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				resp, err := http.Get(ts.URL + "/v1/obs")
+				if err != nil {
+					t.Errorf("reader %d: %v", i, err)
+					return
+				}
+				defer resp.Body.Close()
+				bodies[i], _ = io.ReadAll(resp.Body)
+				if resp.StatusCode != 200 || resp.Header.Get("X-Pocd-Degraded") != "stale" ||
+					resp.Header.Get("X-Pocd-Seq") != strconv.FormatUint(wantSeq, 10) {
+					t.Errorf("reader %d: status %d, degraded %q, seq %q; want 200, stale, %d", i,
+						resp.StatusCode, resp.Header.Get("X-Pocd-Degraded"), resp.Header.Get("X-Pocd-Seq"), wantSeq)
+				}
+			}(i)
+		}
+		wg.Wait()
+		return bodies
+	}
+	renders := func() int64 {
+		_, body := get(t, ts, "/metrics")
+		var n int64 = -1
+		for _, line := range bytes.Split(body, []byte("\n")) {
+			fmt.Sscanf(string(line), "pocd_obs_renders_total %d", &n)
+		}
+		return n
+	}
+
+	for _, step := range script[:5] {
+		if code, body := post(t, ts, step.path, step.body); code != 200 {
+			t.Fatalf("POST %s: %d: %s", step.path, code, body)
+		}
+	}
+	if n := renders(); n != 0 {
+		t.Fatalf("%d renders after a mutation-only burst, want 0", n)
+	}
+
+	// A snapshot a fresh read already rendered: the stale readers get
+	// those bytes back and add no render.
+	seq := s.Seq()
+	fresh := obsExport(t, ts)
+	release := wedge()
+	for i, body := range staleReads(seq) {
+		if !bytes.Equal(body, fresh) {
+			t.Errorf("reader %d: stale export differs from the fresh export at seq %d", i, seq)
+		}
+	}
+	if n := renders(); n != 1 {
+		t.Fatalf("%d renders for one fresh and 8 stale reads of one snapshot, want 1", n)
+	}
+	release()
+
+	// A snapshot nobody has read: 8 readers racing for it render it
+	// once. The wedged writer sits before the journal append, so the
+	// registry is quiescent and can be exported for reference.
+	seq += 2
+	release = wedge()
+	want, err := s.st.reg.ExportJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, body := range staleReads(seq) {
+		if !bytes.Equal(body, want) {
+			t.Errorf("reader %d: stale export differs from the registry at seq %d", i, seq)
+		}
+	}
+	if n := renders(); n != 2 {
+		t.Fatalf("%d renders, want exactly one more for 8 readers of one snapshot", n)
+	}
+	release()
+
+	// Drained: reads are fresh again and equal the journal's replay.
+	live := obsExport(t, ts)
+	ts.Close()
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	_, replayed, err := ReplayFile(path, buildRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live, replayed) {
+		t.Fatal("fresh export after the drain diverges from ReplayFile's")
 	}
 }

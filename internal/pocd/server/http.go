@@ -68,23 +68,27 @@ func (s *Server) Handler() http.Handler {
 		if !s.admit(w, r) {
 			return
 		}
-		rep := s.do(nil, func(st *state) (any, error) {
-			return st.reg.ExportJSON()
-		})
+		// The fresh read queues through the writer for ordering only:
+		// the published snapshot is at jw.Seq() whenever a read is
+		// dequeued. Fresh or degraded, the export renders here, on the
+		// HTTP goroutine, once per snapshot.
+		rep := s.do(nil, func(*state) (any, error) { return s.snap.Load(), nil })
+		sn, _ := rep.val.(*Snapshot)
 		if rep.err != nil {
-			if sn := s.degradedSnapshot(); sn != nil {
-				w.Header().Set("X-Pocd-Degraded", "stale")
-				w.Header().Set("X-Pocd-Seq", strconv.FormatUint(sn.Seq, 10))
-				w.Header().Set("Content-Type", "application/json")
-				w.Write(sn.ObsExport())
+			if sn = s.degradedSnapshot(); sn == nil {
+				s.writeReply(w, rep)
 				return
 			}
-			s.writeReply(w, rep)
+			w.Header().Set("X-Pocd-Degraded", "stale")
+		}
+		body, err := sn.ObsExport()
+		if err != nil {
+			s.writeReply(w, reply{err: fmt.Errorf("obs export: %w", err), seq: sn.Seq})
 			return
 		}
-		w.Header().Set("X-Pocd-Seq", strconv.FormatUint(rep.seq, 10))
+		w.Header().Set("X-Pocd-Seq", strconv.FormatUint(sn.Seq, 10))
 		w.Header().Set("Content-Type", "application/json")
-		w.Write(rep.val.([]byte))
+		w.Write(body)
 	})
 
 	// Mutations: the path fixes the op kind; the body carries the rest.
@@ -199,6 +203,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "pocd_shed_total %d\n", s.mShed.Load())
 	fmt.Fprintf(w, "pocd_timeouts_total %d\n", s.mTimeouts.Load())
 	fmt.Fprintf(w, "pocd_degraded_reads_total %d\n", s.mDegraded.Load())
+	fmt.Fprintf(w, "pocd_obs_renders_total %d\n", s.mObsRenders.Load())
 	fmt.Fprintf(w, "pocd_ops_applied_total %d\n", s.mApplied.Load())
 	fmt.Fprintf(w, "pocd_op_errors_total %d\n", s.mApplyErrors.Load())
 	fmt.Fprintf(w, "pocd_queue_depth %d\n", len(s.queue))

@@ -68,18 +68,19 @@ type Config struct {
 	applyGate func(*Op)
 }
 
-// Snapshot is the degraded-read unit: the state view and obs export
-// as of one applied journal sequence.
+// Snapshot is the degraded-read unit: the state view and the captured
+// obs registry as of one applied journal sequence.
 type Snapshot struct {
 	Seq   uint64        `json:"seq"`
 	State core.Snapshot `json:"state"`
 
-	obsExport []byte
+	obsExport func() ([]byte, error)
 }
 
-// ObsExport returns the poc-obs/v1 export bytes captured with this
-// snapshot.
-func (s *Snapshot) ObsExport() []byte { return s.obsExport }
+// ObsExport returns the poc-obs/v1 export bytes as of Seq. The capture
+// is rendered on the first call, on the caller's goroutine, and every
+// later call on the same snapshot returns those bytes (or that error).
+func (s *Snapshot) ObsExport() ([]byte, error) { return s.obsExport() }
 
 type reply struct {
 	val    any
@@ -134,6 +135,7 @@ type Server struct {
 	mDegraded    atomic.Int64
 	mApplied     atomic.Int64
 	mApplyErrors atomic.Int64
+	mObsRenders  atomic.Int64
 }
 
 // New builds or recovers a server. If JournalPath exists the journal
@@ -207,10 +209,7 @@ func New(cfg Config) (*Server, error) {
 		s.jw = jw
 	}
 
-	if err := s.publish(); err != nil {
-		s.jw.Close()
-		return nil, err
-	}
+	s.publish()
 	s.ready.Store(true)
 	go s.writer() //lint:allow deepfold the one writer goroutine; its folds are ordered by the journaled queue, not completion order
 	return s, nil
@@ -223,19 +222,20 @@ func (s *Server) Recovered() *journal.ReplayResult { return s.recovered }
 // Seq returns the last journaled sequence number.
 func (s *Server) Seq() uint64 { return s.jw.Seq() }
 
-// publish captures the current state as the degraded-read snapshot.
-// Runs on the writer goroutine (or in New before the writer starts).
-func (s *Server) publish() error {
-	export, err := s.st.reg.ExportJSON()
-	if err != nil {
-		return fmt.Errorf("pocd: obs export: %w", err)
-	}
+// publish captures the current state as the read snapshot. Runs on
+// the writer goroutine (or in New before the writer starts) and never
+// renders: the cost is the registry's names, not its history, and the
+// JSON is paid by the first /v1/obs read of this snapshot, if any.
+func (s *Server) publish() {
+	capture := s.st.reg.Capture()
 	s.snap.Store(&Snapshot{
-		Seq:       s.jw.Seq(),
-		State:     s.st.poc.Snapshot(),
-		obsExport: export,
+		Seq:   s.jw.Seq(),
+		State: s.st.poc.Snapshot(),
+		obsExport: sync.OnceValues(func() ([]byte, error) {
+			s.mObsRenders.Add(1)
+			return capture.JSON()
+		}),
 	})
-	return nil
 }
 
 // writer is the single goroutine that owns the POC. It drains the
@@ -294,10 +294,7 @@ func (s *Server) handle(req *request) {
 	}
 	// Publish even after an apply error — the op may have partially
 	// acted (per-entry admissions) and the obs registry moved.
-	if err := s.publish(); err != nil {
-		req.reply <- reply{err: err, seq: seq, status: 500}
-		return
-	}
+	s.publish()
 	status := 0
 	if applyErr != nil {
 		status = 422
