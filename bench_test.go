@@ -343,66 +343,6 @@ func benchmarkRouting(b *testing.B, maxPaths int) {
 func BenchmarkRoutingAblationSinglePath(b *testing.B) { benchmarkRouting(b, 1) }
 func BenchmarkRoutingAblationMultiPath(b *testing.B)  { benchmarkRouting(b, 12) }
 
-// Steady-state substrate benches: the same probes the auction issues,
-// but through one shared Workspace, so the graph/arena build cost is
-// paid once outside the loop and the iterations measure the reusable
-// hot path — the regime winner determination actually runs in. The
-// allocs/op here are the PR's headline number (BENCH_provision.json).
-func BenchmarkRoute(b *testing.B) {
-	s := benchScenario(b)
-	opts := s.RouteOptions()
-	opts.Workspace = provision.NewWorkspace(s.Network, opts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := provision.Route(s.Network, nil, s.TM, opts, nil)
-		if !r.Feasible() {
-			b.Fatal("full set infeasible")
-		}
-	}
-}
-
-func BenchmarkCheckCore(b *testing.B) {
-	s := benchScenario(b)
-	opts := s.RouteOptions()
-	opts.Workspace = provision.NewWorkspace(s.Network, opts)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok, _ := provision.CheckCore(s.Network, nil, s.TM, provision.Constraint1, opts)
-		if !ok {
-			b.Fatal("full set infeasible")
-		}
-	}
-}
-
-// Substrate micro-benches: the primitives the auction's inner loop
-// leans on.
-func BenchmarkFeasibilityCheckC1(b *testing.B) {
-	s := benchScenario(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ok, _ := provision.Check(s.Network, nil, s.TM, provision.Constraint1, s.RouteOptions())
-		if !ok {
-			b.Fatal("full set infeasible")
-		}
-	}
-}
-
-func BenchmarkShaveMinimality(b *testing.B) {
-	s := benchScenario(b)
-	price := func(link int) float64 { return s.Pricing.Price(s.Network, s.Network.Links[link]) }
-	var dropped int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sh, ok := provision.NewShaver(s.Network, nil, s.TM, provision.Constraint1, s.RouteOptions())
-		if !ok {
-			b.Fatal("infeasible")
-		}
-		dropped = sh.Shave(price, 0)
-		sh.Close()
-	}
-	b.ReportMetric(float64(dropped), "links-dropped")
-}
-
 // E13: multicast tree construction vs unicast equivalent.
 func BenchmarkMulticast(b *testing.B) {
 	s := benchScenario(b)

@@ -23,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -34,7 +33,6 @@ import (
 	"time"
 
 	poc "github.com/public-option/poc"
-	"github.com/public-option/poc/internal/analysis"
 	"github.com/public-option/poc/internal/econ"
 	"github.com/public-option/poc/internal/interdomain"
 	"github.com/public-option/poc/internal/peering"
@@ -57,10 +55,6 @@ func run() (err error) {
 	exp := flag.String("exp", "all", "experiment id (fig2, nn, lemma1, fees, incumbent, collusion, market, peering, entry, regimes, baseline, all)")
 	scale := flag.Float64("scale", 0.35, "auction instance scale in (0,1]; 1 = paper scale")
 	checks := flag.Int("checks", 0, "winner-determination variant (see auction.Instance.MaxChecks)")
-	workers := flag.Int("workers", 0, "counterfactual winner-determination workers (0 = GOMAXPROCS, 1 = serial)")
-	jsonOut := flag.Bool("json", false, "time one auction per constraint and write ns/op, checks, cache hit rate and C(SL) to BENCH_auction.json")
-	provisionOut := flag.Bool("provision", false, "benchmark the provisioning hot path (steady-state Route/CheckCore plus winner determination) and write BENCH_provision.json")
-	metrics := flag.String("metrics", "", "with -json: also write the poc-obs/v1 metrics ledger to this file")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
@@ -79,19 +73,6 @@ func run() (err error) {
 	}()
 
 	w := newStopwatch()
-
-	if *jsonOut {
-		if err := benchJSON(w, *scale, *checks, *workers, *metrics); err != nil {
-			return fmt.Errorf("json: %w", err)
-		}
-		return nil
-	}
-	if *provisionOut {
-		if err := benchProvision(*scale, *checks, *workers); err != nil {
-			return fmt.Errorf("provision: %w", err)
-		}
-		return nil
-	}
 
 	runExp := func(name string, fn func() error) error {
 		if *exp != "all" && *exp != name {
@@ -150,88 +131,6 @@ func (w *stopwatch) lap() time.Duration {
 	d := now - w.last
 	w.last = now
 	return d
-}
-
-// benchRow is one constraint's timed auction run in BENCH_auction.json.
-type benchRow struct {
-	Constraint   int     `json:"constraint"`
-	NsPerOp      int64   `json:"ns_per_op"`
-	Checks       int     `json:"checks"`
-	CacheHits    int     `json:"cache_hits"`
-	CacheMisses  int     `json:"cache_misses"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-	TotalCost    float64 `json:"total_cost"`
-	Links        int     `json:"links"`
-	Surplus      float64 `json:"surplus"`
-}
-
-// benchJSON times one full auction (winner determination plus every
-// counterfactual) per constraint and writes the machine-readable rows
-// CI and the EXPERIMENTS.md tables consume. With a metrics path it
-// additionally threads an observability registry through all three
-// runs and writes the poc-obs/v1 ledger alongside the bench rows.
-func benchJSON(w *stopwatch, scale float64, checks, workers int, metrics string) error {
-	var reg *poc.Observer
-	if metrics != "" {
-		reg = poc.NewObserver()
-		reg.SetMeta("poclint", analysis.Version)
-	}
-	s, err := poc.NewScenario(poc.ScenarioOptions{Scale: scale, Obs: reg})
-	if err != nil {
-		return err
-	}
-	out := struct {
-		Poclint    string     `json:"poclint"`
-		Scale      float64    `json:"scale"`
-		MaxChecks  int        `json:"max_checks"`
-		Workers    int        `json:"workers"`
-		GOMAXPROCS int        `json:"gomaxprocs"`
-		WallMs     int64      `json:"wall_ms"`
-		Rows       []benchRow `json:"rows"`
-	}{Poclint: analysis.Version, Scale: scale, MaxChecks: checks, Workers: workers, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	for c := poc.Constraint1; c <= poc.Constraint3; c++ {
-		inst := s.Instance(c, checks)
-		inst.Workers = workers
-		w.lap()
-		res, err := inst.Run()
-		if err != nil {
-			return fmt.Errorf("constraint#%d: %w", int(c), err)
-		}
-		elapsed := w.lap()
-		row := benchRow{
-			Constraint:  int(c),
-			NsPerOp:     elapsed.Nanoseconds(),
-			Checks:      res.Checks,
-			CacheHits:   res.CacheHits,
-			CacheMisses: res.CacheMisses,
-			TotalCost:   res.TotalCost,
-			Links:       len(res.Selected),
-			Surplus:     res.Surplus(),
-		}
-		if res.Checks > 0 {
-			row.CacheHitRate = float64(res.CacheHits) / float64(res.Checks)
-		}
-		out.Rows = append(out.Rows, row)
-		fmt.Printf("constraint#%d: %v, %d checks (%.1f%% cached), C(SL)=%.0f\n",
-			int(c), elapsed.Round(time.Millisecond), res.Checks, 100*row.CacheHitRate, res.TotalCost)
-	}
-	out.WallMs = w.total().Milliseconds()
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if err := os.WriteFile("BENCH_auction.json", data, 0o644); err != nil {
-		return err
-	}
-	fmt.Println("wrote BENCH_auction.json")
-	if metrics != "" {
-		if err := reg.WriteFile(metrics); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", metrics)
-	}
-	return nil
 }
 
 // startDiagnostics enables the opt-in pprof/trace hooks and returns

@@ -3,6 +3,7 @@ package poc
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/public-option/poc/internal/federation"
@@ -253,6 +254,37 @@ func TestMetricsExportDeterminism(t *testing.T) {
 	if par := metricsExport(t, 4); !bytes.Equal(base, par) {
 		t.Fatalf("metrics export changed with Workers=4:\n%s\n---\n%s", base, par)
 	}
+
+	// A failed auction leaves what it recorded in the registry, and a
+	// pocd that journaled a failed reauction replays it on whatever core
+	// count the replay host has: that export is held to the same bar.
+	failed := failedAuctionExport(t, 1)
+	if par := failedAuctionExport(t, 4); !bytes.Equal(failed, par) {
+		t.Fatalf("failed-auction export changed with Workers=4:\n%s\n---\n%s", failed, par)
+	}
+}
+
+// failedAuctionExport runs one auction that fails into a fresh registry
+// and returns the export. At Scale 0.2 several BPs are irreplaceable,
+// BP 2 the first of them, so Run errors only after the counterfactuals
+// recorded their checks — which of them ran must not depend on Workers.
+func failedAuctionExport(t *testing.T, workers int) []byte {
+	t.Helper()
+	reg := NewObserver()
+	s, err := NewScenario(ScenarioOptions{Scale: 0.2, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := s.Instance(Constraint1, 0)
+	in.Workers = workers
+	if _, err := in.Run(); err == nil || !strings.Contains(err.Error(), "A(OL−L_2) empty") {
+		t.Fatalf("scale 0.2 auction: err = %v, want an empty counterfactual for BP 2", err)
+	}
+	out, err := reg.MarshalJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 // TestSortedIterationDeterminism pins the poclint mapordfloat fixes

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"github.com/public-option/poc/internal/fnv64"
 	"github.com/public-option/poc/internal/linkset"
@@ -40,21 +41,14 @@ type Instance struct {
 	// publish the algorithm ("an open algorithm so that it cannot be
 	// accused of favoritism").
 	MaxChecks int
-	// WarmBias in (0,1] scales the routing metric of links already in
-	// SL during the counterfactual winner determinations, so SL_-a
-	// reuses the main solution's structure. Smaller values track SL
-	// more aggressively: too small overestimates the Clarke pivots
-	// (the counterfactual ignores cheap alternatives outside SL), too
-	// large re-introduces heuristic noise (negative pivots). Zero
-	// means the default of 0.75.
-	WarmBias float64
 	// Workers bounds how many counterfactual winner determinations run
 	// concurrently (the per-BP runs are mutually independent), and is
 	// forwarded to RouteOpts.Workers for Constraint2's failure-scenario
-	// sweep when that is unset. 0 means runtime.GOMAXPROCS(0); 1 forces
-	// the serial path. Parallelism only reorders work — every outcome
-	// (Selected, TotalCost, Payments, Checks) is bit-identical to the
-	// serial run, preserving the published-algorithm property.
+	// sweep when that is unset. 0 means runtime.GOMAXPROCS(0); 1 runs
+	// everything on the caller. Parallelism only reorders work — every
+	// outcome (Selected, TotalCost, Payments, Checks, the error of a
+	// failed auction) is bit-identical for any value, preserving the
+	// published-algorithm property.
 	Workers int
 	// NoCache disables the per-run feasibility memo (the serial seed
 	// behaviour, useful for ablation). The memo never changes outcomes
@@ -79,7 +73,7 @@ type Instance struct {
 	// Decompose enables regional decomposition inside the cached
 	// feasibility checks: probes whose enabled subgraph splits into
 	// components with only intra-component demand are evaluated per
-	// region and stitched exactly (provision.CheckDecomposed). Answers
+	// region and stitched exactly (FeasibilityCache.Probe). Answers
 	// are identical to the global check on every instance — connected
 	// or cross-demand probes simply compute cold — so the flag is pure
 	// speed on border-separable continental instances. It requires a
@@ -101,6 +95,14 @@ type Instance struct {
 	// byte-identical across Workers settings.
 	Obs *obs.Registry
 }
+
+// warmBias scales the routing metric of links already in SL during the
+// counterfactual winner determinations, so SL_-a reuses the main
+// solution's structure. Smaller values track SL more aggressively: too
+// small overestimates the Clarke pivots (the counterfactual ignores
+// cheap alternatives outside SL), too large re-introduces heuristic
+// noise (negative pivots).
+const warmBias = 0.75
 
 // Result reports the auction outcome.
 type Result struct {
@@ -165,8 +167,8 @@ func priceMetric(price map[int]float64) func(l topo.LogicalLink) float64 {
 // Run executes the auction: winner determination for SL, then one
 // counterfactual winner determination per participating BP to price
 // the Clarke pivots. The counterfactuals are mutually independent and
-// fan across Workers goroutines; every outcome is bit-identical to the
-// serial (Workers: 1) run.
+// fan across Workers goroutines; every outcome — and, with Obs, every
+// exported byte, on success or failure — is the same for any Workers.
 func (in *Instance) Run() (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -235,44 +237,48 @@ func (in *Instance) Run() (*Result, error) {
 	// and the warm start makes the heuristic respect that in all but
 	// pathological cases.
 	//
-	// The per-BP runs share no mutable state: each gets its own Options
-	// value (and, when the metric was auction-built, its own LinkCost
-	// over a private copy of the price map), and results land in
-	// per-index slots. Aggregation below walks the slots in BP order,
-	// so Checks and error selection match the serial run exactly.
+	// One loop, the shape of provision's Constraint-2 scenario sweep: an
+	// atomic cursor over need, workers−1 goroutines plus the caller. The
+	// runs share no mutable state: each worker owns its Options value
+	// (and, when the metric was auction-built, its own LinkCost over a
+	// private copy of the price map), and results land in per-index
+	// slots. Aggregation below walks the slots in BP order, so Checks and
+	// error selection are the same for any Workers. A failing run does
+	// not stop the others: which checks the runs record in Obs would
+	// otherwise depend on how far each got before the failure — on
+	// Workers, and through Workers: 0 on the machine's core count.
 	alts := make([]selection, len(in.Bids))
 	errs := make([]error, len(in.Bids))
 	cf := in.Obs.StartSpan("auction.counterfactuals")
-	if workers <= 1 || len(need) <= 1 {
-		for _, a := range need {
-			alts[a], errs[a] = in.selectLinks(a, sel.set, in.RouteOpts, cc)
-			if errs[a] != nil {
-				break
+	var next atomic.Int64
+	sweep := func() {
+		opts := in.RouteOpts
+		if sharedPrice != nil {
+			price := make(map[int]float64, len(sharedPrice))
+			for id, p := range sharedPrice {
+				price[id] = p
 			}
+			opts.LinkCost = priceMetric(price)
 		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, a := range need {
-			a := a
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				opts := in.RouteOpts
-				if sharedPrice != nil {
-					price := make(map[int]float64, len(sharedPrice))
-					for id, p := range sharedPrice {
-						price[id] = p
-					}
-					opts.LinkCost = priceMetric(price)
-				}
-				alts[a], errs[a] = in.selectLinks(a, sel.set, opts, cc)
-			}()
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(need) {
+				return
+			}
+			a := need[i]
+			alts[a], errs[a] = in.selectLinks(a, sel.set, opts, cc)
 		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for w := min(workers, len(need)); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sweep()
+		}()
+	}
+	sweep()
+	wg.Wait()
 	cf.End()
 	for _, a := range need {
 		if errs[a] != nil {
@@ -549,22 +555,19 @@ func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision
 	if warm != nil {
 		// Scale down the routing metric of links in the warm set so
 		// the constructive seed follows the main solution's structure.
-		bias := in.WarmBias
-		if bias <= 0 || bias > 1 {
-			bias = 0.75
-		}
-		// Warm-biased metric, identical across counterfactuals: a pure
-		// function of (price metric, warm set, bias).
+		// The warm-biased metric is identical across counterfactuals: a
+		// pure function of (price metric, warm set, bias). The bias stays
+		// in the tag so keys in persisted caches keep their bytes.
 		metric = fnv64.Mix(fnv64.Mix(fnv64.Offset, cc.base), 2)
 		for _, w := range warm.Words() {
 			metric = fnv64.Mix(metric, w)
 		}
-		metric = fnv64.Mix(metric, math.Float64bits(bias))
+		metric = fnv64.Mix(metric, math.Float64bits(warmBias))
 		base := opts.LinkCost
 		opts.LinkCost = func(l topo.LogicalLink) float64 {
 			c := base(l)
 			if warm.Contains(l.ID) {
-				c *= bias
+				c *= warmBias
 			}
 			return c
 		}
@@ -583,47 +586,38 @@ func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision
 	}
 	checks := 0
 	fc := cc.fc
-	// Every query counts against checks whether or not the memo
-	// answers it: the MaxChecks budget must not depend on cache luck,
-	// so cached and uncached runs take identical decisions.
-	check := func(set *linkset.Set, o provision.Options) bool {
+	// probe is the one feasibility query of the determination. Every
+	// query counts against checks whether or not the memo answers it:
+	// the MaxChecks budget must not depend on cache luck, so cached and
+	// uncached runs take identical decisions. needCore additionally asks
+	// for the union of links the constraint's routings use.
+	probe := func(set *linkset.Set, o provision.Options, needCore bool) (bool, *linkset.Set) {
 		checks++
-		if fc != nil {
-			if cc.external {
-				// Which sharing run wins an entry's insert — and with it
-				// the once-per-entry check metrics — is cross-run
-				// scheduling luck; record nothing through a shared cache.
-				o.Obs = nil
+		if fc == nil {
+			if needCore {
+				return provision.CheckCore(in.Network, set, in.TM, in.Constraint, o)
 			}
-			if in.Decompose {
-				ok, _ := fc.CheckDecomposed(in.Network, set, in.TM, in.Constraint, o, metric)
-				return ok
-			}
-			ok, _ := fc.Check(in.Network, set, in.TM, in.Constraint, o, metric)
-			return ok
+			ok, _ := provision.Check(in.Network, set, in.TM, in.Constraint, o)
+			return ok, nil
 		}
-		ok, _ := provision.Check(in.Network, set, in.TM, in.Constraint, o)
+		if cc.external {
+			// Which sharing run wins an entry's insert — and with it the
+			// once-per-entry check metrics — is cross-run scheduling luck;
+			// record nothing through a shared cache.
+			o.Obs = nil
+		}
+		sum, core := fc.Probe(in.Network, set, in.TM, in.Constraint, o, metric, needCore, in.Decompose)
+		return sum.Feasible, core
+	}
+	feasible := func(set *linkset.Set) bool {
+		ok, _ := probe(set, opts, false)
 		return ok
 	}
-	feasible := func(set *linkset.Set) bool { return check(set, opts) }
 	// The acceptability check and the idle-link scan of pass 1 route the
-	// exact same instance; fuse them (CheckCore) so the full offer set —
+	// exact same instance; fuse them (needCore) so the full offer set —
 	// the most expensive instance the pipeline ever routes — is routed
 	// once instead of twice.
-	checkCore := func(set *linkset.Set, o provision.Options) (bool, *linkset.Set) {
-		checks++
-		if fc != nil {
-			if cc.external {
-				o.Obs = nil
-			}
-			if in.Decompose {
-				return fc.CheckCoreDecomposed(in.Network, set, in.TM, in.Constraint, o, metric)
-			}
-			return fc.CheckCore(in.Network, set, in.TM, in.Constraint, o, metric)
-		}
-		return provision.CheckCore(in.Network, set, in.TM, in.Constraint, o)
-	}
-	ok, core := checkCore(cur, opts)
+	ok, core := probe(cur, opts, true)
 	if !ok {
 		// A tight offer set (e.g. a prior auction's minimal selection
 		// re-offered in the collusion experiment) can wedge the greedy
@@ -634,7 +628,7 @@ func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision
 		if boosted.MaxPaths <= 0 {
 			boosted.MaxPaths = 48
 		}
-		if ok, core = checkCore(cur, boosted); !ok {
+		if ok, core = probe(cur, boosted, true); !ok {
 			return selection{}, fmt.Errorf("offered set is not acceptable under %v", in.Constraint)
 		}
 		opts = boosted
@@ -648,7 +642,7 @@ func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision
 			idle = append(idle, id)
 		}
 	})
-	in.dropBatch(cur, idle, feasible)
+	in.dropBatch(cur, idle, feasible, math.MaxInt, &checks)
 
 	price := in.priceOfLink()
 
@@ -669,7 +663,7 @@ func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision
 			if batch < 1 {
 				batch = 1
 			}
-			dropped := in.dropBatchBudget(cur, cand[:min(batch*2, len(cand))], feasible, budget-checks, &checks)
+			dropped := in.dropBatch(cur, cand[:min(batch*2, len(cand))], feasible, budget-checks, &checks)
 			if dropped == 0 {
 				break
 			}
@@ -702,33 +696,12 @@ func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision
 	return selection{set: cur, cost: in.costOf(cur), checks: checks}, nil
 }
 
-// dropBatch tries to remove the candidate links from set, bisecting
-// on infeasibility. It mutates set in place and returns how many
-// links were removed.
-func (in *Instance) dropBatch(set *linkset.Set, cand []int, feasible func(*linkset.Set) bool) int {
-	if len(cand) == 0 {
-		return 0
-	}
-	trial := set.Clone()
-	for _, id := range cand {
-		trial.Remove(id)
-	}
-	if feasible(trial) {
-		for _, id := range cand {
-			set.Remove(id)
-		}
-		return len(cand)
-	}
-	if len(cand) == 1 {
-		return 0
-	}
-	mid := len(cand) / 2
-	return in.dropBatch(set, cand[:mid], feasible) + in.dropBatch(set, cand[mid:], feasible)
-}
-
-// dropBatchBudget is dropBatch with an external check budget: it
-// stops descending when spent reaches budget.
-func (in *Instance) dropBatchBudget(set *linkset.Set, cand []int, feasible func(*linkset.Set) bool, budget int, spent *int) int {
+// dropBatch tries to remove the candidate links from set, bisecting on
+// infeasibility, within a check budget: it stops descending once
+// *spent (the caller's check counter, which feasible advances) has
+// grown by budget. It mutates set in place and returns how many links
+// were removed.
+func (in *Instance) dropBatch(set *linkset.Set, cand []int, feasible func(*linkset.Set) bool, budget int, spent *int) int {
 	if len(cand) == 0 || budget <= 0 {
 		return 0
 	}
@@ -748,14 +721,7 @@ func (in *Instance) dropBatchBudget(set *linkset.Set, cand []int, feasible func(
 	}
 	mid := len(cand) / 2
 	remaining := budget - (*spent - before)
-	n := in.dropBatchBudget(set, cand[:mid], feasible, remaining, spent)
+	n := in.dropBatch(set, cand[:mid], feasible, remaining, spent)
 	remaining = budget - (*spent - before)
-	return n + in.dropBatchBudget(set, cand[mid:], feasible, remaining, spent)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
+	return n + in.dropBatch(set, cand[mid:], feasible, remaining, spent)
 }

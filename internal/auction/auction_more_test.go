@@ -1,9 +1,12 @@
 package auction
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
+	"github.com/public-option/poc/internal/obs"
 	"github.com/public-option/poc/internal/provision"
 	"github.com/public-option/poc/internal/topo"
 	"github.com/public-option/poc/internal/traffic"
@@ -65,21 +68,55 @@ func TestParallelLinksKPlusOnePrice(t *testing.T) {
 	}
 }
 
-func TestWarmBiasKnobAccepted(t *testing.T) {
-	for _, bias := range []float64{0.1, 0.5, 1.0, 0 /* default */, 1.5 /* clamped to default */} {
-		in := parallelInstance([]float64{10, 20, 30}, 15)
-		in.WarmBias = bias
-		res, err := in.Run()
-		if err != nil {
-			t.Fatalf("bias %v: %v", bias, err)
-		}
-		// The small instance is exact regardless of bias.
-		if res.TotalCost != 30 {
-			t.Fatalf("bias %v: C(SL) = %v", bias, res.TotalCost)
-		}
-		for a := range res.Payments {
-			if res.Payments[a] < res.BPCost[a]-1e-9 {
-				t.Fatalf("bias %v: IR violated for BP %d", bias, a)
+// TestFailedCounterfactualExportWorkerInvariant: when a counterfactual
+// fails (A(OL−L_a) empty) the auction fails, but what it already
+// recorded stays in the registry — and a pocd that journaled the failed
+// reauction replays it on a different core count. Every counterfactual
+// must therefore run whatever the others return: the error names the
+// lowest failing BP and the export is byte-identical for any Workers.
+func TestFailedCounterfactualExportWorkerInvariant(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		caps    []float64 // per-link capacity, priced 10, 20, ... in order
+		demand  float64
+		failing string
+	}{
+		// All four links are needed: every BP is irreplaceable.
+		{"every BP irreplaceable", []float64{10, 10, 10, 10}, 35, "A(OL−L_0) empty"},
+		// SL = {0,2,3,4}; link 1 covers for link 0 but not for a 10 Gbps
+		// one, so BP 0's counterfactual succeeds and BPs 2–4 fail.
+		{"first needed BP replaceable", []float64{5, 5, 10, 10, 10}, 31, "A(OL−L_2) empty"},
+	} {
+		var base []byte
+		var baseErr string
+		for _, workers := range []int{1, 2, 4} {
+			prices := make([]float64, len(tc.caps))
+			for i := range prices {
+				prices[i] = 10 * float64(i+1)
+			}
+			in := parallelInstance(prices, tc.demand)
+			for i, c := range tc.caps {
+				in.Network.Links[i].Capacity = c
+			}
+			in.Workers = workers
+			in.Obs = obs.New()
+			_, err := in.Run()
+			if err == nil || !strings.Contains(err.Error(), tc.failing) {
+				t.Fatalf("%s, workers %d: err = %v, want %s", tc.name, workers, err, tc.failing)
+			}
+			out, jerr := in.Obs.ExportJSON()
+			if jerr != nil {
+				t.Fatal(jerr)
+			}
+			if base == nil {
+				base, baseErr = out, err.Error()
+				continue
+			}
+			if err.Error() != baseErr {
+				t.Fatalf("%s, workers %d: error %q, workers 1 said %q", tc.name, workers, err, baseErr)
+			}
+			if !bytes.Equal(out, base) {
+				t.Fatalf("%s: export differs between workers 1 and %d:\n%s\n---\n%s", tc.name, workers, base, out)
 			}
 		}
 	}

@@ -200,7 +200,7 @@ func TestExportDeterminism(t *testing.T) {
 	}
 }
 
-// TestMetaCarriesPoclintVersion: pocbench and pocsim stamp the linter
+// TestMetaCarriesPoclintVersion: pocsim stamps the linter
 // version into the export meta (reg.SetMeta("poclint", ...)); the tag
 // must be the current v2 one and round-trip verbatim into the export
 // so baselines record which analyzer generation vetted the run.

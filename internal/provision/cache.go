@@ -3,6 +3,7 @@ package provision
 import (
 	"encoding/binary"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -53,25 +54,19 @@ type CacheSummary struct {
 // computed once per *Matrix pointer).
 type FeasibilityCache struct {
 	mu sync.RWMutex
-	m  map[string]cacheEntry
+	// m is the one memo table. An entry's kind is its key's leading
+	// byte (kindOf): shaveKeyPrefix marks a shave result, anything else
+	// — a check key starts with uvarint(Constraint) — a check verdict.
+	// shaves counts the shave-kind keys, so Len can report checks only.
+	m      map[string]cacheEntry
+	shaves int
 
-	hits   atomic.Int64
-	misses atomic.Int64
+	// Lookup tallies, indexed by entry kind.
+	hits   [2]atomic.Int64
+	misses [2]atomic.Int64
 	// decompositions counts probes answered by stitching per-component
 	// sub-checks (decompose.go) rather than one global routing.
 	decompositions atomic.Int64
-
-	// Shave memo: the auction's shave-to-1-minimality step is a
-	// deterministic function of exactly the material the check key
-	// already encodes (network, start set, matrix, constraint, options,
-	// price metric), but it routes internally without going through
-	// Check — at continental scale it dominates a warm run's wall
-	// clock. Memoizing its result turns a persisted-cache replay into
-	// pure lookup. Keys share fc.key's encoding behind a prefix byte no
-	// check key can start with; values are the shaved set's raw words.
-	shaved      map[string][]uint64
-	shaveHits   atomic.Int64
-	shaveMisses atomic.Int64
 
 	tmMu sync.Mutex
 	tmFP map[*traffic.Matrix]uint64
@@ -80,10 +75,29 @@ type FeasibilityCache struct {
 	netFP map[*topo.POCNetwork]uint64
 }
 
-// cacheEntry is one memoized check. core is non-nil only when the set
-// was feasible and a CheckCore call computed the used-link union; the
-// set is shared with every subsequent hit and must be treated as
-// read-only.
+// Entry kinds. A shave-memo key is a check key behind a prefix byte no
+// check key can start with (constraints are small, so 0xff never leads
+// a uvarint(Constraint)); in sorted order every shave key therefore
+// follows every check key.
+const (
+	kindCheck = iota
+	kindShave
+
+	shaveKeyPrefix = "\xff"
+)
+
+func kindOf(key string) int {
+	if strings.HasPrefix(key, shaveKeyPrefix) {
+		return kindShave
+	}
+	return kindCheck
+}
+
+// cacheEntry is one memoized result. For a check, core is non-nil only
+// when the set was feasible and a needCore probe computed the used-link
+// union. For a shave (FeasibilityCache.Shaved) sum is zero and core is
+// the shaved set. Either way the set is shared with every subsequent
+// hit and must be treated as read-only.
 type cacheEntry struct {
 	sum  CacheSummary
 	core *linkset.Set
@@ -92,8 +106,7 @@ type cacheEntry struct {
 // NewFeasibilityCache returns an empty concurrency-safe cache.
 func NewFeasibilityCache() *FeasibilityCache {
 	return &FeasibilityCache{
-		m:      make(map[string]cacheEntry, 256),
-		shaved: make(map[string][]uint64, 64),
+		m: make(map[string]cacheEntry, 256),
 		// A cache usually sees a handful of matrices (the auction's
 		// one, plus chaos reauction variants) — pre-size small.
 		tmFP:  make(map[*traffic.Matrix]uint64, 4),
@@ -113,35 +126,36 @@ type CacheStats struct {
 }
 
 // Stats snapshots the counters. They live here rather than on
-// CacheSummary (where the issue sketch put them) deliberately:
-// summaries are memoized check results that hits replay byte-for-byte,
-// and a mutable counter inside them would make a replayed summary
-// differ from its cold computation.
+// CacheSummary deliberately: summaries are memoized check results that
+// hits replay byte-for-byte, and a mutable counter inside them would
+// make a replayed summary differ from its cold computation.
 func (fc *FeasibilityCache) Stats() CacheStats {
 	fc.mu.RLock()
 	defer fc.mu.RUnlock()
 	return CacheStats{
-		Hits:           fc.hits.Load(),
-		Misses:         fc.misses.Load(),
+		Hits:           fc.hits[kindCheck].Load(),
+		Misses:         fc.misses[kindCheck].Load(),
 		Decompositions: fc.decompositions.Load(),
-		ShaveHits:      fc.shaveHits.Load(),
-		ShaveMisses:    fc.shaveMisses.Load(),
-		Entries:        len(fc.m),
-		ShaveEntries:   len(fc.shaved),
+		ShaveHits:      fc.hits[kindShave].Load(),
+		ShaveMisses:    fc.misses[kindShave].Load(),
+		Entries:        len(fc.m) - fc.shaves,
+		ShaveEntries:   fc.shaves,
 	}
 }
 
-// Hits returns how many lookups were answered from the cache.
-func (fc *FeasibilityCache) Hits() int64 { return fc.hits.Load() }
+// Hits returns how many check lookups were answered from the cache.
+func (fc *FeasibilityCache) Hits() int64 { return fc.hits[kindCheck].Load() }
 
-// Misses returns how many lookups fell through to a full Check.
-func (fc *FeasibilityCache) Misses() int64 { return fc.misses.Load() }
+// Misses returns how many check lookups fell through to a computation.
+func (fc *FeasibilityCache) Misses() int64 { return fc.misses[kindCheck].Load() }
 
-// Len returns the number of memoized entries.
+// Len returns the number of memoized check entries — the distinct
+// (set, constraint, options, matrix, metric) tuples probed. Shave
+// entries are not counted.
 func (fc *FeasibilityCache) Len() int {
 	fc.mu.RLock()
 	defer fc.mu.RUnlock()
-	return len(fc.m)
+	return len(fc.m) - fc.shaves
 }
 
 // Reset drops every memoized entry AND the per-matrix fingerprints.
@@ -152,7 +166,7 @@ func (fc *FeasibilityCache) Len() int {
 func (fc *FeasibilityCache) Reset() {
 	fc.mu.Lock()
 	fc.m = make(map[string]cacheEntry, 256)
-	fc.shaved = make(map[string][]uint64, 64)
+	fc.shaves = 0
 	fc.mu.Unlock()
 	fc.tmMu.Lock()
 	fc.tmFP = make(map[*traffic.Matrix]uint64, 4)
@@ -167,8 +181,7 @@ func (fc *FeasibilityCache) Reset() {
 // metric) are answered without routing. metric distinguishes
 // Options.LinkCost functions, which cannot be encoded into the key.
 func (fc *FeasibilityCache) Check(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64) (bool, CacheSummary) {
-	opts = opts.withDefaults()
-	sum, _ := fc.checked(p, include, tm, c, opts, metric, false)
+	sum, _ := fc.Probe(p, include, tm, c, opts, metric, false, false)
 	return sum.Feasible, sum
 }
 
@@ -176,66 +189,85 @@ func (fc *FeasibilityCache) Check(p *topo.POCNetwork, include *linkset.Set, tm *
 // is shared with the cache and must be treated as read-only; it is nil
 // when the set is infeasible.
 func (fc *FeasibilityCache) CheckCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64) (bool, *linkset.Set) {
-	opts = opts.withDefaults()
-	sum, core := fc.checked(p, include, tm, c, opts, metric, true)
+	sum, core := fc.Probe(p, include, tm, c, opts, metric, true, false)
 	return sum.Feasible, core
 }
 
-// checked is the shared lookup-or-compute path behind Check, CheckCore
-// and the decomposed variants. opts must already have defaults. When
-// needCore is true, a feasible answer must carry the core link union
-// (a coreless feasible entry is treated as a miss and upgraded).
-func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore bool) (CacheSummary, *linkset.Set) {
+// Probe is the one memoized feasibility entry point. needCore asks for
+// the union of links the constraint's routings use (nil when the set
+// is infeasible; shared with the cache, read-only). decompose lets a
+// miss be answered by regional decomposition (decompose.go) when the
+// probe is border-separable: the answer is identical to the global
+// check's, up to the internal Moves bound documented there.
+func (fc *FeasibilityCache) Probe(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore, decompose bool) (CacheSummary, *linkset.Set) {
+	return fc.checked(p, include, tm, c, opts.withDefaults(), metric, needCore, decompose)
+}
+
+// checked is the lookup-or-compute path behind every probe. opts must
+// already have defaults. When needCore is true, a feasible answer must
+// carry the core link union (a coreless feasible entry is treated as a
+// miss and upgraded).
+func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore, decompose bool) (CacheSummary, *linkset.Set) {
 	key := fc.key(p, include, tm, c, opts, metric)
 	if e, ok := fc.peek(key, needCore); ok {
 		return e.sum, e.core
 	}
-	fc.misses.Add(1)
-	return fc.compute(key, p, include, tm, c, opts, needCore)
-}
-
-// peek returns the entry for key if it can answer a probe of the given
-// shape, counting a hit. A plain Check entry for a feasible set has no
-// core, so it cannot answer a needCore probe — the caller falls
-// through and upgrades it.
-func (fc *FeasibilityCache) peek(key string, needCore bool) (cacheEntry, bool) {
-	fc.mu.RLock()
-	e, ok := fc.m[key]
-	fc.mu.RUnlock()
-	if !ok || (needCore && e.core == nil && e.sum.Feasible) {
-		return cacheEntry{}, false
+	var (
+		sum      CacheSummary
+		core     *linkset.Set
+		stitched bool
+	)
+	if decompose {
+		sum, core, stitched = fc.stitch(p, include, tm, c, opts, metric, needCore)
 	}
-	fc.hits.Add(1)
-	return e, true
-}
-
-// compute runs the miss path for key: a full routing, then store and
-// record. opts must already have defaults.
-func (fc *FeasibilityCache) compute(key string, p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, needCore bool) (CacheSummary, *linkset.Set) {
-	// Compute with Obs stripped: whether this goroutine or a racing
-	// one performs the routing is scheduling luck, so metrics are
-	// recorded per distinct memo entry (insert win) instead — the set
-	// of distinct keys probed is Workers-invariant.
-	stripped := opts
-	stripped.Obs = nil
-	var sum CacheSummary
-	var core *linkset.Set
-	if needCore {
-		_, core, sum = checkCore(p, include, tm, c, stripped.resolve(p))
-	} else {
-		feasible, r := Check(p, include, tm, c, stripped)
-		sum = summarize(p, feasible, r)
+	if !stitched {
+		sum, core = compute(p, include, tm, c, opts, needCore)
 	}
+	// Metrics are recorded per distinct memo entry (insert win), not per
+	// computation: whether this goroutine or a racing one performs the
+	// routing is scheduling luck, but the set of distinct keys probed is
+	// Workers-invariant.
 	if fc.store(key, cacheEntry{sum: sum, core: core}) {
 		recordCheck(opts.Obs, c, sum)
 	}
 	return sum, core
 }
 
-// store writes an entry, never downgrading one that already has a
-// core (two goroutines may race to fill the same key). It reports
-// whether the key is fresh for metrics purposes — exactly once per
-// distinct key, so racing double-computes never double-count.
+// peek returns the entry for key if it can answer a probe of the given
+// shape, counting a hit or a miss against the key's kind. A plain Check
+// entry for a feasible set has no core, so it cannot answer a needCore
+// probe — the caller falls through and upgrades it.
+func (fc *FeasibilityCache) peek(key string, needCore bool) (cacheEntry, bool) {
+	fc.mu.RLock()
+	e, ok := fc.m[key]
+	fc.mu.RUnlock()
+	kind := kindOf(key)
+	if !ok || (needCore && e.core == nil && e.sum.Feasible) {
+		fc.misses[kind].Add(1)
+		return cacheEntry{}, false
+	}
+	fc.hits[kind].Add(1)
+	return e, true
+}
+
+// compute is the miss path: one full routing of the probe, with Obs
+// stripped (checked records once per memo entry instead). opts must
+// already have defaults.
+func compute(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, needCore bool) (CacheSummary, *linkset.Set) {
+	opts.Obs = nil
+	if needCore {
+		_, core, sum := checkCore(p, include, tm, c, opts.resolve(p))
+		return sum, core
+	}
+	feasible, r := Check(p, include, tm, c, opts)
+	return summarize(p, feasible, r), nil
+}
+
+// store writes an entry, never replacing one that already has a set
+// (two goroutines may race to fill the same key; a loaded file never
+// overrides what the process computed). It reports whether the key is
+// fresh for metrics purposes — exactly once per distinct key, so racing
+// double-computes never double-count.
 func (fc *FeasibilityCache) store(key string, e cacheEntry) bool {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
@@ -243,49 +275,31 @@ func (fc *FeasibilityCache) store(key string, e cacheEntry) bool {
 	if !existed || old.core == nil {
 		fc.m[key] = e
 	}
+	if !existed && kindOf(key) == kindShave {
+		fc.shaves++
+	}
 	return !existed
 }
 
-// shaveKeyPrefix distinguishes shave-memo keys from check keys in the
-// same canonical encoding: a check key starts with uvarint(Constraint)
-// and constraints are small, so 0xff can never lead one.
-const shaveKeyPrefix = "\xff"
-
 // Shaved memoizes the shave-to-1-minimality step of a winner
-// determination. The shave is deterministic in exactly the material
-// the check key encodes — network, start set, matrix, constraint,
-// feasibility options and the price metric (which fixes both the
-// routing costs and the shave's price order) — so its result can be
-// replayed the same way check verdicts are, including from a persisted
-// cache file. On a miss, compute runs the caller's shave and its
-// result is stored; hits and misses both return a private copy the
-// caller may mutate freely.
+// determination. The shave is a deterministic function of exactly the
+// material the check key encodes — network, start set, matrix,
+// constraint, feasibility options and the price metric (which fixes
+// both the routing costs and the shave's price order) — but it routes
+// internally without going through a check, and at continental scale it
+// dominates a warm run's wall clock. Memoizing its result as a second
+// entry kind of the same table turns a persisted-cache replay into pure
+// lookup. On a miss, compute runs the caller's shave and its result is
+// stored; hits and misses both return a private copy the caller may
+// mutate freely.
 func (fc *FeasibilityCache) Shaved(p *topo.POCNetwork, start *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, compute func() *linkset.Set) *linkset.Set {
-	opts = opts.withDefaults()
-	key := shaveKeyPrefix + fc.key(p, start, tm, c, opts, metric)
-	fc.mu.RLock()
-	words, ok := fc.shaved[key]
-	fc.mu.RUnlock()
-	if ok {
-		fc.shaveHits.Add(1)
-		return linkset.FromWords(words, len(p.Links))
+	key := shaveKeyPrefix + fc.key(p, start, tm, c, opts.withDefaults(), metric)
+	if e, ok := fc.peek(key, false); ok {
+		return linkset.FromWords(e.core.Words(), len(p.Links))
 	}
-	fc.shaveMisses.Add(1)
 	res := compute()
-	fc.storeShaved(key, res.Words())
+	fc.store(key, cacheEntry{core: res.Clone()})
 	return res
-}
-
-// storeShaved inserts a shave result (insert-win, private copy of the
-// words).
-func (fc *FeasibilityCache) storeShaved(key string, words []uint64) {
-	cp := make([]uint64, len(words))
-	copy(cp, words)
-	fc.mu.Lock()
-	defer fc.mu.Unlock()
-	if _, existed := fc.shaved[key]; !existed {
-		fc.shaved[key] = cp
-	}
 }
 
 // key builds the canonical, collision-free cache key. The include

@@ -13,10 +13,10 @@ import (
 // per-component checks — Dijkstra never relaxes across a gap, residual
 // capacity never aggregates across components, and the demand order of
 // each component is the order-preserved restriction of the global one.
-// The decomposed entry points below detect that certificate per probe,
-// evaluate each component as an ordinary (cached, memoized) check over
-// the same network with a projected traffic matrix, and stitch the
-// results back together.
+// A probe that asks for decomposition (FeasibilityCache.Probe) detects
+// that certificate on a miss, evaluates each component as an ordinary
+// memoized check over the same network with a projected traffic matrix,
+// and stitches the results back together.
 //
 // Exactness conditions, and the fallbacks that guard them:
 //
@@ -61,43 +61,22 @@ type decompComp struct {
 	fs      int
 }
 
-// CheckDecomposed is Check with regional decomposition: border-
-// separable probes are evaluated per component and stitched exactly;
-// everything else computes cold. Answers are always identical to
-// Check's (up to the internal Moves bound documented above).
-func (fc *FeasibilityCache) CheckDecomposed(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64) (bool, CacheSummary) {
-	opts = opts.withDefaults()
-	sum, _ := fc.checkedDecomposed(p, include, tm, c, opts, metric, false)
-	return sum.Feasible, sum
-}
-
-// CheckCoreDecomposed is CheckCore with regional decomposition. The
-// merged core is the union of the component cores — exactly the cold
-// core, since every cold routing is the disjoint union of its
-// component restrictions.
-func (fc *FeasibilityCache) CheckCoreDecomposed(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64) (bool, *linkset.Set) {
-	opts = opts.withDefaults()
-	sum, core := fc.checkedDecomposed(p, include, tm, c, opts, metric, true)
-	return sum.Feasible, core
-}
-
-func (fc *FeasibilityCache) checkedDecomposed(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore bool) (CacheSummary, *linkset.Set) {
-	key := fc.key(p, include, tm, c, opts, metric)
-	if e, ok := fc.peek(key, needCore); ok {
-		return e.sum, e.core
+// stitch is the decomposition step of a probe miss: plan the
+// per-component sub-problems, evaluate and merge them. ok=false means
+// the probe is not border-separable or a fallback condition fired, and
+// the caller computes it cold. The merged core is the union of the
+// component cores — exactly the cold core, since every cold routing is
+// the disjoint union of its component restrictions.
+func (fc *FeasibilityCache) stitch(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore bool) (CacheSummary, *linkset.Set, bool) {
+	comps := decomposePlan(p, include, tm, c, opts)
+	if comps == nil {
+		return CacheSummary{}, nil, false
 	}
-	fc.misses.Add(1)
-	if comps := decomposePlan(p, include, tm, c, opts); comps != nil {
-		if sum, core, ok := fc.checkParts(p, c, opts, metric, comps, needCore); ok {
-			fc.decompositions.Add(1)
-			e := cacheEntry{sum: sum, core: core}
-			if fc.store(key, e) {
-				recordCheck(opts.Obs, c, sum)
-			}
-			return sum, core
-		}
+	sum, core, ok := fc.checkParts(p, c, opts, metric, comps, needCore)
+	if ok {
+		fc.decompositions.Add(1)
 	}
-	return fc.compute(key, p, include, tm, c, opts, needCore)
+	return sum, core, ok
 }
 
 // decomposePlan builds the per-component sub-problems for a probe, or
@@ -135,14 +114,10 @@ func decomposePlan(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix,
 		return nil
 	}
 
-	ws := opts.Workspace
-	wsOK := ws != nil && ws.p == p
-	var proj []*traffic.Matrix
-	if wsOK {
-		proj = ws.projections(tm, pt)
-	} else {
-		proj = projectMatrix(tm, pt)
-	}
+	// The caller's workspace memoizes the projections and the pair
+	// ranking per matrix; without one a transient workspace computes them.
+	ws := opts.resolve(p).Workspace
+	proj := ws.projections(tm, pt)
 
 	incs := make([]*linkset.Set, pt.NumComp)
 	for k, ok := range hasDemand {
@@ -163,13 +138,7 @@ func decomposePlan(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix,
 	var fsOf []int
 	if c == Constraint2 {
 		fsOf = make([]int, pt.NumComp)
-		var pairs [][2]int
-		if wsOK {
-			pairs = ws.heaviest(tm, opts.FailureScenarios)
-		} else {
-			pairs = heaviestPairs(tm, opts.FailureScenarios)
-		}
-		for _, q := range pairs {
+		for _, q := range ws.heaviest(tm, opts.FailureScenarios) {
 			fsOf[pt.Comp[q[0]]]++
 		}
 	}
@@ -195,7 +164,8 @@ func decomposePlan(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix,
 func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, c Constraint, opts Options, metric uint64, comps []decompComp, needCore bool) (CacheSummary, *linkset.Set, bool) {
 	// Component checks run Obs-stripped: cold evaluation of this probe
 	// records one check, not one per region. The merged result records
-	// against the global key below, insert-win, exactly as cold would.
+	// against the global key in checked, insert-win, exactly as cold
+	// would.
 	sub := opts
 	sub.Obs = nil
 	merged := CacheSummary{Feasible: true}
@@ -214,7 +184,7 @@ func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, c Constraint, opts Op
 				copts.FailureScenarios = comp.fs
 			}
 		}
-		sum, ccore := fc.checked(p, comp.include, comp.tm, cc, copts, metric, needCore)
+		sum, ccore := fc.checked(p, comp.include, comp.tm, cc, copts, metric, needCore, false)
 		if !sum.Feasible {
 			merged.Feasible = false
 		}

@@ -136,10 +136,10 @@ func TestDecomposedMatchesCold(t *testing.T) {
 						wantCoreOK, wantCore := CheckCore(p, include, tm, c, cold)
 
 						fc := NewFeasibilityCache()
-						gotOK, got := fc.CheckDecomposed(p, include, tm, c, opts, 0)
-						if gotOK != wantOK {
+						got, _ := fc.Probe(p, include, tm, c, opts, 0, false, true)
+						if gotOK := got.Feasible; gotOK != wantOK {
 							t.Fatalf("w=%d seed=%d step=%d %v fs=%d: verdict %v != cold %v",
-								workers, seed, step, c, fs, gotOK, wantOK)
+								workers, seed, step, c, fs, got.Feasible, wantOK)
 						}
 						mask := func(s CacheSummary) CacheSummary { s.Moves = 0; return s }
 						if mask(got) != mask(want) {
@@ -152,8 +152,8 @@ func TestDecomposedMatchesCold(t *testing.T) {
 						}
 
 						fc2 := NewFeasibilityCache()
-						gotCoreOK, gotCore := fc2.CheckCoreDecomposed(p, include, tm, c, opts, 0)
-						if gotCoreOK != wantCoreOK || !sameCore(gotCore, wantCore) {
+						gotSum, gotCore := fc2.Probe(p, include, tm, c, opts, 0, true, true)
+						if gotSum.Feasible != wantCoreOK || mask(gotSum) != mask(want) || !sameCore(gotCore, wantCore) {
 							t.Fatalf("w=%d seed=%d step=%d %v fs=%d: core mismatch", workers, seed, step, c, fs)
 						}
 						decompositions += fc.Stats().Decompositions + fc2.Stats().Decompositions
@@ -187,10 +187,10 @@ func TestDecomposedFallsBackOnCrossDemand(t *testing.T) {
 
 	for _, c := range []Constraint{Constraint1, Constraint2} {
 		fc := NewFeasibilityCache()
-		gotOK, got := fc.CheckDecomposed(p, nil, tm, c, Options{Workspace: ws}, 0)
+		got, _ := fc.Probe(p, nil, tm, c, Options{Workspace: ws}, 0, false, true)
 		wantOK, wantR := Check(p, nil, tm, c, Options{})
 		want := summarize(p, wantOK, wantR)
-		if gotOK != wantOK || got != want {
+		if got != want {
 			t.Fatalf("%v: cross-demand answer %+v != cold %+v", c, got, want)
 		}
 		if n := fc.Stats().Decompositions; n != 0 {
@@ -202,13 +202,13 @@ func TestDecomposedFallsBackOnCrossDemand(t *testing.T) {
 	pc := memoNet(rng, 12, 8)
 	tmc := memoTM(rng, 12, 5, 6)
 	fc := NewFeasibilityCache()
-	fc.CheckDecomposed(pc, nil, tmc, Constraint2, Options{}, 0)
+	fc.Probe(pc, nil, tmc, Constraint2, Options{}, 0, false, true)
 	if n := fc.Stats().Decompositions; n != 0 {
 		t.Fatalf("connected instance decomposed %d probes", n)
 	}
 }
 
-// TestDecomposedSharesCache verifies the decomposed entry points store
+// TestDecomposedSharesCache verifies a decomposed probe stores
 // the merged result under the global key (a second probe is a pure
 // hit) and that component sub-results are themselves cached and reused
 // across probes that only touch the other region.
@@ -222,9 +222,9 @@ func TestDecomposedSharesCache(t *testing.T) {
 	opts := Options{Workspace: ws}
 
 	fc := NewFeasibilityCache()
-	_, first := fc.CheckDecomposed(p, nil, tm, Constraint1, opts, 0)
+	first, _ := fc.Probe(p, nil, tm, Constraint1, opts, 0, false, true)
 	hits := fc.Hits()
-	_, again := fc.CheckDecomposed(p, nil, tm, Constraint1, opts, 0)
+	again, _ := fc.Probe(p, nil, tm, Constraint1, opts, 0, false, true)
 	if first != again {
 		t.Fatalf("replay diverged: %+v vs %+v", first, again)
 	}
@@ -245,7 +245,7 @@ func TestDecomposedSharesCache(t *testing.T) {
 	include.Remove(bLink)
 	misses := fc.Misses()
 	hits = fc.Hits()
-	fc.CheckDecomposed(p, include, tm, Constraint1, opts, 0)
+	fc.Probe(p, include, tm, Constraint1, opts, 0, false, true)
 	if fc.Hits() <= hits {
 		t.Fatalf("side-A component entry did not hit (hits %d -> %d, misses %d -> %d)",
 			hits, fc.Hits(), misses, fc.Misses())

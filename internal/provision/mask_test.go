@@ -103,7 +103,7 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 }
 
 // TestShaverMasksTrackResiduals runs random TryDrop sequences — ban,
-// incremental repair, reanchor, scenario rebuild, rollback, unban — and
+// incremental repair, avoid-set move, scenario rebuild, rollback, unban — and
 // checks the invariant on every arena the shave holds and on every
 // arena it has returned to the pool.
 func TestShaverMasksTrackResiduals(t *testing.T) {

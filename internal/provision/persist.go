@@ -20,24 +20,28 @@ import (
 //	magic   "pocfcache/v1\n"
 //	frame   len(u32 LE) ∥ kind(u8) ∥ crc(u32 LE, IEEE over payload) ∥ payload
 //
-// kind 1 (check entry):
+// Every payload starts with uvarint(len(key)) ∥ key, and the frame kind
+// restates the entry kind the key's leading byte already gives.
 //
-//	payload uvarint(len(key)) ∥ key
-//	        ∥ flags(u8: bit0 feasible, bit1 has-core)
-//	        ∥ Float64bits(Unplaced)(u64 LE) ∥ Float64bits(MaxUtilization)(u64 LE)
-//	        ∥ uvarint(Paths) ∥ uvarint(Moves)
-//	        ∥ [has-core: uvarint(words) ∥ words(u64 LE each)]
+// kind 1 (check entry) continues:
 //
-// kind 2 (shave-memo entry, see FeasibilityCache.Shaved):
+//	flags(u8: bit0 feasible, bit1 has-core)
+//	∥ Float64bits(Unplaced)(u64 LE) ∥ Float64bits(MaxUtilization)(u64 LE)
+//	∥ uvarint(Paths) ∥ uvarint(Moves)
+//	∥ [has-core: uvarint(words) ∥ words(u64 LE each)]
 //
-//	payload uvarint(len(key)) ∥ key ∥ uvarint(words) ∥ words(u64 LE each)
+// kind 2 (shave-memo entry, see FeasibilityCache.Shaved) continues:
 //
-// Save iterates keys in sorted order, so saving the same contents
-// always produces the same bytes. Load verifies the magic, then stops
-// quietly at the first torn or corrupt frame (a crash mid-save loses
-// the tail, never the run). Keys are content fingerprints (FNV-1a over
-// matrix/network contents plus the raw include words), so a key written
-// by one process hashes identically when another loads it.
+//	uvarint(words) ∥ words(u64 LE each)
+//
+// Save iterates keys in sorted order — check entries first, then shave
+// entries, because 0xff-prefixed keys sort last — so saving the same
+// contents always produces the same bytes. Load verifies the magic,
+// then stops quietly at the first torn or corrupt frame (a crash
+// mid-save loses the tail, never the run). Keys are content
+// fingerprints (FNV-1a over matrix/network contents plus the raw
+// include words), so a key written by one process hashes identically
+// when another loads it.
 //
 // Entries loaded from a file replay exactly the checks that produced
 // them, so a warm-started cache answers with the same bytes a cold one
@@ -48,13 +52,10 @@ import (
 
 const cacheMagic = "pocfcache/v1\n"
 
-const (
-	cacheKindEntry = 1
-	cacheKindShave = 2
-)
+// Frame kinds, by entry kind.
+var cacheFrameKind = [2]byte{kindCheck: 1, kindShave: 2}
 
-// Save writes every resident entry to w in sorted-key order: check
-// entries first, then shave-memo entries.
+// Save writes every resident entry to w in sorted-key order.
 func (fc *FeasibilityCache) Save(w io.Writer) error {
 	fc.mu.RLock()
 	keys := make([]string, 0, len(fc.m))
@@ -66,48 +67,26 @@ func (fc *FeasibilityCache) Save(w io.Writer) error {
 	for i, k := range keys {
 		entries[i] = fc.m[k]
 	}
-	shaveKeys := make([]string, 0, len(fc.shaved))
-	for k := range fc.shaved {
-		shaveKeys = append(shaveKeys, k)
-	}
-	sort.Strings(shaveKeys)
-	shaveWords := make([][]uint64, len(shaveKeys))
-	for i, k := range shaveKeys {
-		shaveWords[i] = fc.shaved[k]
-	}
 	fc.mu.RUnlock()
 
 	if _, err := io.WriteString(w, cacheMagic); err != nil {
 		return err
 	}
 	var payload, frame []byte
-	writeFrame := func(kind byte) error {
-		frame = frame[:0]
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(len(payload)))
-		frame = append(frame, kind)
-		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
-		frame = append(frame, payload...)
-		_, err := w.Write(frame)
-		return err
-	}
 	for i, k := range keys {
 		payload = appendCachePayload(payload[:0], k, entries[i])
-		if err := writeFrame(cacheKindEntry); err != nil {
-			return err
-		}
-	}
-	for i, k := range shaveKeys {
-		payload = appendShavePayload(payload[:0], k, shaveWords[i])
-		if err := writeFrame(cacheKindShave); err != nil {
+		frame = binary.LittleEndian.AppendUint32(frame[:0], uint32(len(payload)))
+		frame = append(frame, cacheFrameKind[kindOf(k)])
+		frame = binary.LittleEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+		frame = append(frame, payload...)
+		if _, err := w.Write(frame); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func appendShavePayload(dst []byte, key string, words []uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(key)))
-	dst = append(dst, key...)
+func appendWords(dst []byte, words []uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(words)))
 	for _, w := range words {
 		dst = binary.LittleEndian.AppendUint64(dst, w)
@@ -118,6 +97,9 @@ func appendShavePayload(dst []byte, key string, words []uint64) []byte {
 func appendCachePayload(dst []byte, key string, e cacheEntry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
+	if kindOf(key) == kindShave {
+		return appendWords(dst, e.core.Words())
+	}
 	var flags byte
 	if e.sum.Feasible {
 		flags |= 1
@@ -131,11 +113,7 @@ func appendCachePayload(dst []byte, key string, e cacheEntry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(e.sum.Paths))
 	dst = binary.AppendUvarint(dst, uint64(e.sum.Moves))
 	if e.core != nil {
-		words := e.core.Words()
-		dst = binary.AppendUvarint(dst, uint64(len(words)))
-		for _, w := range words {
-			dst = binary.LittleEndian.AppendUint64(dst, w)
-		}
+		dst = appendWords(dst, e.core.Words())
 	}
 	return dst
 }
@@ -168,7 +146,7 @@ func (fc *FeasibilityCache) Load(r io.Reader) (int, error) {
 		n := binary.LittleEndian.Uint32(header[0:4])
 		kind := header[4]
 		crc := binary.LittleEndian.Uint32(header[5:9])
-		if (kind != cacheKindEntry && kind != cacheKindShave) || n > 1<<30 {
+		if n > 1<<30 {
 			return loaded, nil
 		}
 		buf.Reset()
@@ -180,22 +158,31 @@ func (fc *FeasibilityCache) Load(r io.Reader) (int, error) {
 		if crc32.ChecksumIEEE(payload) != crc {
 			return loaded, nil // corrupt frame
 		}
-		if kind == cacheKindShave {
-			key, words, ok := parseShavePayload(payload)
-			if !ok {
-				return loaded, nil
-			}
-			fc.storeShaved(key, words)
-			loaded++
-			continue
-		}
 		key, e, ok := parseCachePayload(payload)
-		if !ok {
+		// A frame whose kind disagrees with its key's would file a shave
+		// under a check key or the reverse: corrupt, like an unknown kind.
+		if !ok || kind != cacheFrameKind[kindOf(key)] {
 			return loaded, nil
 		}
 		fc.store(key, e)
 		loaded++
 	}
+}
+
+// parseWords decodes uvarint(count) ∥ words into a set. The count is
+// outside input: it is checked against the bytes present before it
+// sizes anything.
+func parseWords(p []byte) (*linkset.Set, bool) {
+	wc, n := binary.Uvarint(p)
+	if n <= 0 || wc > uint64(len(p)-n)/8 {
+		return nil, false
+	}
+	p = p[n:]
+	words := make([]uint64, wc)
+	for i := range words {
+		words[i] = binary.LittleEndian.Uint64(p[i*8:])
+	}
+	return linkset.FromWords(words, len(words)*64), true
 }
 
 func parseCachePayload(p []byte) (string, cacheEntry, bool) {
@@ -206,11 +193,16 @@ func parseCachePayload(p []byte) (string, cacheEntry, bool) {
 	p = p[n:]
 	key := string(p[:klen])
 	p = p[klen:]
+	var e cacheEntry
+	var ok bool
+	if kindOf(key) == kindShave {
+		e.core, ok = parseWords(p)
+		return key, e, ok
+	}
 	if len(p) < 1+8+8 {
 		return "", cacheEntry{}, false
 	}
 	flags := p[0]
-	var e cacheEntry
 	e.sum.Feasible = flags&1 != 0
 	e.sum.Unplaced = math.Float64frombits(binary.LittleEndian.Uint64(p[1:9]))
 	e.sum.MaxUtilization = math.Float64frombits(binary.LittleEndian.Uint64(p[9:17]))
@@ -224,42 +216,14 @@ func parseCachePayload(p []byte) (string, cacheEntry, bool) {
 	if n <= 0 {
 		return "", cacheEntry{}, false
 	}
-	p = p[n:]
 	e.sum.Paths = int(paths)
 	e.sum.Moves = int(moves)
 	if flags&2 != 0 {
-		wc, n := binary.Uvarint(p)
-		if n <= 0 || wc > uint64(len(p)-n)/8 {
+		if e.core, ok = parseWords(p[n:]); !ok {
 			return "", cacheEntry{}, false
 		}
-		p = p[n:]
-		words := make([]uint64, wc)
-		for i := range words {
-			words[i] = binary.LittleEndian.Uint64(p[i*8:])
-		}
-		e.core = linkset.FromWords(words, int(wc)*64)
 	}
 	return key, e, true
-}
-
-func parseShavePayload(p []byte) (string, []uint64, bool) {
-	klen, n := binary.Uvarint(p)
-	if n <= 0 || uint64(len(p)-n) < klen {
-		return "", nil, false
-	}
-	p = p[n:]
-	key := string(p[:klen])
-	p = p[klen:]
-	wc, n := binary.Uvarint(p)
-	if n <= 0 || wc > uint64(len(p)-n)/8 {
-		return "", nil, false
-	}
-	p = p[n:]
-	words := make([]uint64, wc)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint64(p[i*8:])
-	}
-	return key, words, true
 }
 
 // SaveFile writes the cache to path atomically (temp file + rename),
@@ -270,17 +234,14 @@ func (fc *FeasibilityCache) SaveFile(path string) error {
 	if err != nil {
 		return err
 	}
-	if err := fc.Save(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	err = fc.Save(f)
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	if err := f.Close(); err != nil {
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}

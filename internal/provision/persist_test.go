@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math/rand"
+	"os"
 	"testing"
 
 	"github.com/public-option/poc/internal/linkset"
@@ -176,11 +178,13 @@ func TestCachePersistTornTail(t *testing.T) {
 	entry := []byte{1, 'k', 2}                      // uvarint(len(key)) ∥ key ∥ flags: has-core
 	entry = append(entry, make([]byte, 8+8+1+1)...) // Unplaced, MaxUtilization, Paths, Moves
 	entry = append(entry, huge...)
-	shave := append([]byte{1, 'k'}, huge...)
+	shave := append([]byte{2, shaveKeyPrefix[0], 'k'}, huge...)
+	// A frame whose kind contradicts its key's leading byte is corrupt too.
+	crossed := append([]byte{1, 'k'}, 0) // shave frame, check key, zero words
 	for _, f := range []struct {
 		kind    byte
 		payload []byte
-	}{{cacheKindEntry, entry}, {cacheKindShave, shave}} {
+	}{{cacheFrameKind[kindCheck], entry}, {cacheFrameKind[kindShave], shave}, {cacheFrameKind[kindShave], crossed}} {
 		data := append([]byte(nil), buf.Bytes()...)
 		data = binary.LittleEndian.AppendUint32(data, uint32(len(f.payload)))
 		data = append(data, f.kind)
@@ -237,6 +241,14 @@ func FuzzCacheLoad(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()/2])
 	f.Add([]byte(cacheMagic))
+	// The committed fixture probes the same network, matrix and metric
+	// (plus a Constraint2 and a decomposed entry), so its entries must
+	// answer like src's too.
+	if fixture, err := os.ReadFile("testdata/pocfcache_v1.bin"); err != nil {
+		f.Fatal(err)
+	} else {
+		f.Add(fixture)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fc := NewFeasibilityCache()
@@ -270,6 +282,96 @@ func FuzzCacheLoad(f *testing.F) {
 			t.Fatalf("shave %v after load, saved cache says %v", got.AppendIDs(nil), shaved.AppendIDs(nil))
 		}
 	})
+}
+
+// fixtureCache replays the probes that produced
+// testdata/pocfcache_v1.bin — written by Save at the commit before the
+// memo became one table — and returns the cache plus a function that
+// repeats every probe against another cache and fails on any miss.
+func fixtureCache(t testing.TB) (*FeasibilityCache, func(*FeasibilityCache)) {
+	p := shaveNet(10, 10, 10, 10)
+	tm := traffic.NewMatrix(2)
+	tm.Set(0, 1, 8)
+	rng := rand.New(rand.NewSource(3))
+	ps := splitNet(rng, 10, 10, 5)
+	tms := traffic.NewMatrix(len(ps.Routers))
+	sideTM(rng, tms, 0, 10, 4, 6)
+	sideTM(rng, tms, 10, 10, 4, 6)
+	replay := func(fc *FeasibilityCache, shave func() *linkset.Set) {
+		for i := range p.Links {
+			fc.Check(p, linkset.FromIDs([]int{i}, len(p.Links)), tm, Constraint1, Options{}, 7)
+		}
+		fc.Check(p, linkset.New(len(p.Links)), tm, Constraint1, Options{}, 7)
+		fc.CheckCore(p, nil, tm, Constraint1, Options{}, 7)
+		fc.CheckCore(p, linkset.FromIDs([]int{0, 1}, len(p.Links)), tm, Constraint2, Options{FailureScenarios: 4}, 7)
+		fc.Probe(ps, nil, tms, Constraint1, Options{}, 9, false, true)
+		got := fc.Shaved(p, linkset.All(len(p.Links)), tm, Constraint1, Options{}, 7, shave)
+		if want := linkset.FromIDs([]int{0}, len(p.Links)); !got.Equal(want) {
+			t.Fatalf("fixture shave = %v, want %v", got.AppendIDs(nil), want.AppendIDs(nil))
+		}
+	}
+	fc := NewFeasibilityCache()
+	replay(fc, func() *linkset.Set {
+		sh, ok := NewShaver(p, nil, tm, Constraint1, Options{})
+		if !ok {
+			t.Fatal("fixture shave instance infeasible")
+		}
+		defer sh.Close()
+		sh.Shave(func(l int) float64 { return float64(l + 1) }, 0)
+		return sh.Include()
+	})
+	if st := fc.Stats(); st.Decompositions != 1 || st.Entries != 10 || st.ShaveEntries != 1 {
+		t.Fatalf("fixture cache shape: %+v", st)
+	}
+	return fc, func(warm *FeasibilityCache) {
+		before := warm.Stats()
+		replay(warm, func() *linkset.Set {
+			t.Fatal("warm cache recomputed the shave")
+			return nil
+		})
+		after := warm.Stats()
+		if after.Misses != before.Misses || after.ShaveMisses != before.ShaveMisses || after.Decompositions != before.Decompositions {
+			t.Fatalf("fixture probes missed on a warm cache: %+v -> %+v", before, after)
+		}
+	}
+}
+
+// TestCachePersistFixture pins the pocfcache/v1 bytes across the
+// one-table refactor: the committed file holds every entry shape
+// (coreless checks, cores, a decomposed probe with its two component
+// entries, one shave). The same probes must Save to the same bytes,
+// Load → Save must reproduce the file, and the loaded cache must answer
+// every probe without computing.
+func TestCachePersistFixture(t *testing.T) {
+	want, err := os.ReadFile("testdata/pocfcache_v1.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, replay := fixtureCache(t)
+	var buf bytes.Buffer
+	if err := fresh.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Save of the fixture probes wrote %d bytes that differ from testdata/pocfcache_v1.bin (%d bytes)", buf.Len(), len(want))
+	}
+
+	warm := NewFeasibilityCache()
+	n, err := warm.Load(bytes.NewReader(want))
+	if err != nil || n != 11 {
+		t.Fatalf("load: n=%d err=%v, want 11 entries", n, err)
+	}
+	if st := warm.Stats(); st.Entries != 10 || st.ShaveEntries != 1 || warm.Len() != 10 {
+		t.Fatalf("loaded shape: %+v len=%d", st, warm.Len())
+	}
+	buf.Reset()
+	if err := warm.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("Load → Save did not reproduce testdata/pocfcache_v1.bin")
+	}
+	replay(warm)
 }
 
 func TestCachePersistFileMissing(t *testing.T) {

@@ -235,9 +235,7 @@ func (rt *router) place(src, dst int, gbps float64, maxPaths int, avoid *linkset
 		if bn <= 1e-9 {
 			break
 		}
-		for _, l := range links {
-			rt.addResid(l, -bn)
-		}
+		rt.addPath(links, -bn)
 		out = append(out, PathAssignment{Links: links, Gbps: bn})
 		remaining -= bn
 	}
@@ -282,9 +280,7 @@ func (rt *router) ejectAndPlace(res *Routing, pair [2]int, gbps float64, avoid *
 	if want <= 1e-9 {
 		return 0, blocker
 	}
-	for _, l := range links {
-		rt.addResid(l, -want)
-	}
+	rt.addPath(links, -want)
 	res.Assignments[pair] = append(res.Assignments[pair], PathAssignment{Links: links, Gbps: want})
 	return want, blocker
 }
@@ -339,22 +335,16 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude [2]int, mo
 			continue // already displaced in this pass
 		}
 		// Release.
-		for _, al := range a.Links {
-			rt.addResid(al, a.Gbps)
-		}
+		rt.addPath(a.Links, a.Gbps)
 		// Re-place avoiding l.
 		*moves--
 		replaced, left := rt.place(c.pair[0], c.pair[1], a.Gbps, 8, banned)
 		if left > 1e-9 {
 			// Rollback: restore the original assignment.
 			for _, r := range replaced {
-				for _, al := range r.Links {
-					rt.addResid(al, r.Gbps)
-				}
+				rt.addPath(r.Links, r.Gbps)
 			}
-			for _, al := range a.Links {
-				rt.addResid(al, -a.Gbps)
-			}
+			rt.addPath(a.Links, -a.Gbps)
 			continue
 		}
 		// Commit: zero out the old slot and append the new ones.
@@ -377,8 +367,14 @@ func flatten(tm *traffic.Matrix) []demand {
 	tm.Demands(func(s, d int, g float64) { n++ })
 	ds := make([]demand, 0, n)
 	tm.Demands(func(s, d int, g float64) { ds = append(ds, demand{s, d, g}) })
-	// Largest first: big aggregates get the short paths, which is both
-	// realistic and makes the greedy packing more effective.
+	sortDemands(ds)
+	return ds
+}
+
+// sortDemands orders demands largest first — big aggregates get the
+// short paths, which is both realistic and makes the greedy packing
+// more effective — with ties broken by (src, dst).
+func sortDemands(ds []demand) {
 	sort.Slice(ds, func(i, j int) bool {
 		if ds[i].gbps != ds[j].gbps {
 			return ds[i].gbps > ds[j].gbps
@@ -388,7 +384,6 @@ func flatten(tm *traffic.Matrix) []demand {
 		}
 		return ds[i].dst < ds[j].dst
 	})
-	return ds
 }
 
 // Route places tm onto the link subset include (nil = all links) and
@@ -425,7 +420,7 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 		tree := rt.tr.Tree(graph.NodeID(s), usable)
 		for _, d := range bySrc[s] {
 			pair := [2]int{d.src, d.dst}
-			if avoidPrimary != nil && avoidPrimary[pair] != nil {
+			if avoidPrimary[pair] != nil {
 				phase2 = append(phase2, d)
 				continue
 			}
@@ -447,9 +442,7 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 				phase2 = append(phase2, d)
 				continue
 			}
-			for _, l := range links {
-				rt.addResid(l, -bn)
-			}
+			rt.addPath(links, -bn)
 			res.Assignments[pair] = append(res.Assignments[pair], PathAssignment{Links: links, Gbps: bn})
 			if rest := d.gbps - bn; rest > 1e-9 {
 				phase2 = append(phase2, demand{d.src, d.dst, rest})
@@ -457,22 +450,11 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 		}
 	}
 
-	sort.Slice(phase2, func(i, j int) bool {
-		if phase2[i].gbps != phase2[j].gbps {
-			return phase2[i].gbps > phase2[j].gbps
-		}
-		if phase2[i].src != phase2[j].src {
-			return phase2[i].src < phase2[j].src
-		}
-		return phase2[i].dst < phase2[j].dst
-	})
+	sortDemands(phase2)
 	var stuck []demand
 	for _, d := range phase2 {
 		pair := [2]int{d.src, d.dst}
-		var avoid *linkset.Set
-		if avoidPrimary != nil {
-			avoid = avoidPrimary[pair]
-		}
+		avoid := avoidPrimary[pair] // nil map, nil set: nothing to avoid
 		budget := opts.MaxPaths - len(res.Assignments[pair])
 		if budget <= 0 {
 			stuck = append(stuck, d)
@@ -494,10 +476,7 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 	moves := 512
 	for _, d := range stuck {
 		pair := [2]int{d.src, d.dst}
-		var avoid *linkset.Set
-		if avoidPrimary != nil {
-			avoid = avoidPrimary[pair]
-		}
+		avoid := avoidPrimary[pair] // nil map, nil set: nothing to avoid
 		left := d.gbps
 		pathBudget := opts.MaxPaths - len(res.Assignments[pair])
 		// detour accumulates the worst deficit link of each failed
@@ -820,10 +799,7 @@ func heaviestPairs(tm *traffic.Matrix, n int) [][2]int {
 // links", so the result enumerates all links except removed. Two word
 // scans — no per-ID hashing.
 func subtract(include *linkset.Set, removed *linkset.Set, total int) *linkset.Set {
-	out := include.Clone()
-	if out == nil {
-		out = linkset.All(total)
-	}
+	out := cloneInclude(include, total)
 	out.Subtract(removed)
 	return out
 }

@@ -75,7 +75,7 @@ type liveRouting struct {
 	// parallel slices keep the TryDrop hot path free of map hashing
 	// (a [2]int key costs a hash plus a 16-byte compare per access)
 	// and scans walk pairs in the deterministic order repairs require.
-	// idx serves the rare by-pair entries (reanchor).
+	// idx serves the rare by-pair entries (an avoid-set move).
 	pairs [][2]int
 	lists [][]PathAssignment
 	idx   map[[2]int]int
@@ -143,9 +143,7 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid map[[2]int]
 		lr.lists[i] = r.Assignments[pair]
 		lr.idx[pair] = i
 		for _, a := range lr.lists[i] {
-			for _, l := range a.Links {
-				lr.rt.addResid(l, -a.Gbps)
-			}
+			lr.rt.addPath(a.Links, -a.Gbps)
 		}
 	}
 	return lr
@@ -162,44 +160,44 @@ func NewShaver(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 	}
 	opts = opts.resolve(p)
 	s := &Shaver{p: p, opts: opts, c: c, tm: tm, include: cloneInclude(include, len(p.Links)), ws: opts.Workspace}
-
-	s.base = newLive(p, s.include, nil, nil, tm, opts)
-	if s.base == nil {
-		s.Close()
-		return nil, false
-	}
-	switch c {
-	case Constraint1:
-	case Constraint2:
-		for _, pair := range s.ws.heaviest(tm, opts.FailureScenarios) {
-			primary, ok := s.primaryOf(pair)
-			if !ok {
-				s.Close()
-				return nil, false
-			}
-			lr := newLive(p, s.include, primary, nil, tm, opts)
-			if lr == nil {
-				s.Close()
-				return nil, false
-			}
-			s.scenarios = append(s.scenarios, &scenario{pair: pair, primary: primary, lr: lr})
-		}
-	case Constraint3:
-		avoid, unreachable := PrimaryPathsOpts(p, s.include, tm, opts)
-		if len(unreachable) > 0 {
-			s.Close()
-			return nil, false
-		}
-		s.degraded = newLive(p, s.include, nil, avoid, tm, opts)
-		if s.degraded == nil {
-			s.Close()
-			return nil, false
-		}
-	default:
+	if !s.build() {
 		s.Close()
 		return nil, false
 	}
 	return s, true
+}
+
+// build creates the live routings the constraint entails, reporting
+// false as soon as one is infeasible or a demand pair is unreachable.
+func (s *Shaver) build() bool {
+	if s.base = newLive(s.p, s.include, nil, nil, s.tm, s.opts); s.base == nil {
+		return false
+	}
+	switch s.c {
+	case Constraint1:
+	case Constraint2:
+		for _, pair := range s.ws.heaviest(s.tm, s.opts.FailureScenarios) {
+			primary, ok := s.primaryOf(pair)
+			if !ok {
+				return false
+			}
+			lr := newLive(s.p, s.include, primary, nil, s.tm, s.opts)
+			if lr == nil {
+				return false
+			}
+			s.scenarios = append(s.scenarios, &scenario{pair: pair, primary: primary, lr: lr})
+		}
+	case Constraint3:
+		avoid, unreachable := PrimaryPathsOpts(s.p, s.include, s.tm, s.opts)
+		if len(unreachable) > 0 {
+			return false
+		}
+		s.degraded = newLive(s.p, s.include, nil, avoid, s.tm, s.opts)
+		return s.degraded != nil
+	default:
+		return false
+	}
+	return true
 }
 
 // Close returns every arena the shave holds to the workspace pool.
@@ -298,34 +296,32 @@ func (u *repairUndo) rollback() {
 		}
 		asgs := lr.lists[i]
 		for _, a := range asgs[len(asgs)-n:] {
-			for _, l := range a.Links {
-				lr.rt.addResid(l, a.Gbps)
-			}
+			lr.rt.addPath(a.Links, a.Gbps)
 		}
 		lr.lists[i] = asgs[:len(asgs)-n]
 	}
 	for k, i := range u.idxs {
 		for _, a := range u.removed[k] {
-			for _, l := range a.Links {
-				lr.rt.addResid(l, -a.Gbps)
-			}
+			lr.rt.addPath(a.Links, -a.Gbps)
 			lr.lists[i] = append(lr.lists[i], a)
 		}
 	}
 }
 
-// repair releases every assignment of lr crossing link and re-places
-// it. It returns the undo record and whether every assignment was
-// re-placed.
-func (s *Shaver) repair(lr *liveRouting, link int) (*repairUndo, bool) {
+// repair releases the assignments lift selects among pairs [lo,hi) of
+// lr and re-places each under the routing's current bans and avoid
+// sets. A dropped link lifts the assignments crossing it, over every
+// pair; a pair whose avoid set just changed lifts all of its own. It
+// returns the undo record and whether every assignment was re-placed.
+func (s *Shaver) repair(lr *liveRouting, lo, hi int, lift func(PathAssignment) bool) (*repairUndo, bool) {
 	u := &repairUndo{lr: lr}
-	// lr.pairs is sorted, so crossing pairs are released — and later
+	// lr.pairs is sorted, so lifted pairs are released — and later
 	// re-placed — in the deterministic order repairs require.
-	for i := range lr.pairs {
+	for i := lo; i < hi; i++ {
 		asgs := lr.lists[i]
 		hit := false
 		for _, a := range asgs {
-			if crossesLink(a, link) {
+			if lift(a) {
 				hit = true
 				break
 			}
@@ -335,11 +331,9 @@ func (s *Shaver) repair(lr *liveRouting, link int) (*repairUndo, bool) {
 		}
 		var keep, removed []PathAssignment
 		for _, a := range asgs {
-			if crossesLink(a, link) {
+			if lift(a) {
 				removed = append(removed, a)
-				for _, l := range a.Links {
-					lr.rt.addResid(l, a.Gbps)
-				}
+				lr.rt.addPath(a.Links, a.Gbps)
 			} else {
 				keep = append(keep, a)
 			}
@@ -363,29 +357,6 @@ func (s *Shaver) repair(lr *liveRouting, link int) (*repairUndo, bool) {
 	return u, true
 }
 
-// reanchor releases every assignment of the pair (its avoid set just
-// changed) and re-places it under the new avoid set.
-func (s *Shaver) reanchor(lr *liveRouting, pair [2]int) (*repairUndo, bool) {
-	i := lr.idx[pair]
-	u := &repairUndo{lr: lr, idxs: []int{i}, removed: [][]PathAssignment{nil}, added: []int{0}}
-	for _, a := range lr.lists[i] {
-		u.removed[0] = append(u.removed[0], a)
-		for _, l := range a.Links {
-			lr.rt.addResid(l, a.Gbps)
-		}
-	}
-	lr.lists[i] = nil
-	for _, a := range u.removed[0] {
-		placed := s.place(lr, pair, a.Gbps)
-		u.added[0] += len(placed)
-		if placed == nil {
-			return u, false
-		}
-		lr.lists[i] = append(lr.lists[i], placed...)
-	}
-	return u, true
-}
-
 // TryDrop attempts to remove one link. It returns true (and commits)
 // when every routing repairs and every affected failure scenario
 // rebuilds; otherwise the state is rolled back.
@@ -404,13 +375,10 @@ func (s *Shaver) TryDrop(link int) bool {
 		preBanned[i] = lr.banned.Contains(link)
 		lr.ban(link)
 	}
-	var undos []*repairUndo
-	ok := true
-
+	crossing := func(a PathAssignment) bool { return crossesLink(a, link) }
 	// 1. Base routing repairs incrementally.
-	u, repaired := s.repair(s.base, link)
-	undos = append(undos, u)
-	ok = repaired
+	u, ok := s.repair(s.base, 0, len(s.base.pairs), crossing)
+	undos := []*repairUndo{u}
 
 	// 2. Constraint-2 scenarios: a scenario whose primary contained
 	// the link gets a recomputed primary and a rebuilt routing; other
@@ -425,7 +393,7 @@ func (s *Shaver) TryDrop(link int) bool {
 	if ok {
 		for _, sc := range s.scenarios {
 			if !sc.primary.Contains(link) {
-				u, repaired := s.repair(sc.lr, link)
+				u, repaired := s.repair(sc.lr, 0, len(sc.lr.pairs), crossing)
 				undos = append(undos, u)
 				if !repaired {
 					ok = false
@@ -466,7 +434,7 @@ func (s *Shaver) TryDrop(link int) bool {
 	}
 	var avoidSwaps []avoidSwap
 	if ok && s.degraded != nil {
-		u, repaired := s.repair(s.degraded, link)
+		u, repaired := s.repair(s.degraded, 0, len(s.degraded.pairs), crossing)
 		undos = append(undos, u)
 		if !repaired {
 			ok = false
@@ -487,7 +455,8 @@ func (s *Shaver) TryDrop(link int) bool {
 				}
 				avoidSwaps = append(avoidSwaps, avoidSwap{pair: pair, old: s.degraded.avoid[pair]})
 				s.degraded.avoid[pair] = newPrimary
-				u, repaired := s.reanchor(s.degraded, pair)
+				i := s.degraded.idx[pair]
+				u, repaired := s.repair(s.degraded, i, i+1, func(PathAssignment) bool { return true })
 				undos = append(undos, u)
 				if !repaired {
 					ok = false
@@ -530,40 +499,22 @@ func (s *Shaver) TryDrop(link int) bool {
 	return false
 }
 
-// place routes gbps for the pair over the live residuals, splitting
-// across up to MaxPaths paths. It returns nil if the full amount does
-// not fit (partial placements are rolled back internally).
+// place routes gbps for the pair over the live residuals, all or
+// nothing: it returns nil, with the partial placements released, if the
+// full amount does not fit. Banned links never reach the search — ban()
+// closes them in the arena's masks — so the only per-call exclusion is
+// the pair's avoid set (Constraint3).
+//
+// router.place would hand a src == dst pair one empty-path assignment.
+// The Shaver never asks: traffic.Matrix.Set panics on a self-demand, so
+// no routing holds a diagonal pair; and if one did, its empty path
+// crosses no link and its primary is the empty set, so neither a drop
+// nor an avoid-set move would lift it (TestShaverNeverLiftsDiagonal).
 func (s *Shaver) place(lr *liveRouting, pair [2]int, gbps float64) []PathAssignment {
-	// Banned links never reach the search: ban() closes them in the
-	// arena's masks. Only Constraint-3 placements carry an avoid set.
-	usable := lr.rt.openMask(lr.avoid[pair])
-	var out []PathAssignment
-	remaining := gbps
-	for attempt := 0; attempt < s.opts.MaxPaths && remaining > 1e-9; attempt++ {
-		links := lr.rt.path(pair[0], pair[1], usable)
-		if len(links) == 0 {
-			break
-		}
-		bn := remaining
-		for _, l := range links {
-			if lr.rt.resid[l] < bn {
-				bn = lr.rt.resid[l]
-			}
-		}
-		if bn <= 1e-9 {
-			break
-		}
-		for _, l := range links {
-			lr.rt.addResid(l, -bn)
-		}
-		out = append(out, PathAssignment{Links: links, Gbps: bn})
-		remaining -= bn
-	}
-	if remaining > 1e-9 {
+	out, left := lr.rt.place(pair[0], pair[1], gbps, s.opts.MaxPaths, lr.avoid[pair])
+	if left > 1e-9 {
 		for _, a := range out {
-			for _, l := range a.Links {
-				lr.rt.addResid(l, a.Gbps)
-			}
+			lr.rt.addPath(a.Links, a.Gbps)
 		}
 		return nil
 	}

@@ -3,6 +3,7 @@ package provision
 import (
 	"testing"
 
+	"github.com/public-option/poc/internal/linkset"
 	"github.com/public-option/poc/internal/topo"
 	"github.com/public-option/poc/internal/traffic"
 )
@@ -106,18 +107,39 @@ func TestShaverTryDropUnknownLink(t *testing.T) {
 
 func TestShaverConstraint2KeepsBackup(t *testing.T) {
 	// Demand fits on one link, but Constraint2 requires surviving the
-	// primary path's failure: the shave must keep a second link.
-	p := shaveNet(10, 10, 10)
-	tm := traffic.NewMatrix(2)
-	tm.Set(0, 1, 8)
-	sh, ok := NewShaver(p, nil, tm, Constraint2, Options{FailureScenarios: 4})
-	if !ok {
-		t.Fatal("feasible instance rejected")
-	}
+	// primary path's failure: the shave must keep a second link. Three
+	// parallel links, priciest (highest ID) first: link 2 goes, then
+	// neither the backup nor the primary can.
 	price := func(l int) float64 { return float64(l + 1) }
-	sh.Shave(price, 0)
-	if sh.Include().Len() != 2 {
-		t.Fatalf("kept %d links under constraint2, want 2 (primary + backup)", sh.Include().Len())
+	for _, tc := range []struct {
+		name  string
+		drops []int // explicit TryDrop sequence; nil runs Shave by price
+		want  []bool
+	}{
+		{name: "shave by price"},
+		{name: "two manual passes", drops: []int{2, 1, 0, 1, 0}, want: []bool{true, false, false, false, false}},
+	} {
+		p := shaveNet(10, 10, 10)
+		tm := traffic.NewMatrix(2)
+		tm.Set(0, 1, 8)
+		sh, ok := NewShaver(p, nil, tm, Constraint2, Options{FailureScenarios: 4})
+		if !ok {
+			t.Fatalf("%s: feasible instance rejected", tc.name)
+		}
+		if tc.drops == nil {
+			if n := sh.Shave(price, 0); n != 1 {
+				t.Fatalf("%s: shave dropped %d links, want 1", tc.name, n)
+			}
+		}
+		for i, l := range tc.drops {
+			if got := sh.TryDrop(l); got != tc.want[i] {
+				t.Fatalf("%s: drop %d: TryDrop(%d) = %v, want %v", tc.name, i, l, got, tc.want[i])
+			}
+		}
+		if got := sh.Include().AppendIDs(nil); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+			t.Fatalf("%s: kept %v under constraint2, want [0 1] (primary + backup)", tc.name, got)
+		}
+		sh.Close()
 	}
 }
 
@@ -134,6 +156,63 @@ func TestShaverConstraint3KeepsDetour(t *testing.T) {
 	// The degraded routing must avoid the primary link entirely.
 	if sh.Include().Len() != 2 {
 		t.Fatalf("kept %d links under constraint3, want 2", sh.Include().Len())
+	}
+}
+
+// TestShaverNeverLiftsDiagonal backs the src == dst argument on
+// Shaver.place: a traffic matrix cannot hold a self-demand, and even a
+// diagonal pair planted in the live routings — with the empty-path
+// assignment and empty primary a routing would give it — is never
+// lifted by a drop or an avoid-set move, so the Shaver never asks
+// router.place to place one.
+func TestShaverNeverLiftsDiagonal(t *testing.T) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("traffic.Matrix accepted a self-demand")
+			}
+		}()
+		traffic.NewMatrix(2).Set(0, 0, 5)
+	}()
+	for _, c := range []Constraint{Constraint1, Constraint3} {
+		p := shaveNet(10, 10, 10)
+		tm := traffic.NewMatrix(2)
+		tm.Set(0, 1, 8)
+		sh, ok := NewShaver(p, nil, tm, c, Options{})
+		if !ok {
+			t.Fatalf("%v: feasible instance rejected", c)
+		}
+		diag := [2]int{0, 0}
+		for _, lr := range sh.routings() {
+			// Sorted position: (0,0) precedes (0,1). A nil path marks the
+			// planted assignment; a re-placement would allocate one.
+			lr.pairs = append([][2]int{diag}, lr.pairs...)
+			lr.lists = append([][]PathAssignment{{{Gbps: 5}}}, lr.lists...)
+			for pair, i := range lr.idx {
+				lr.idx[pair] = i + 1
+			}
+			lr.idx[diag] = 0
+			if lr.avoid != nil {
+				lr.avoid[diag] = linkset.New(len(p.Links))
+			}
+		}
+		dropped := 0
+		for pass := 0; pass < 2; pass++ {
+			for l := len(p.Links) - 1; l >= 0; l-- {
+				if sh.TryDrop(l) {
+					dropped++
+				}
+			}
+		}
+		if dropped == 0 || dropped == len(p.Links) {
+			t.Fatalf("%v: %d of %d drops committed — need both commits and rollbacks", c, dropped, len(p.Links))
+		}
+		for _, lr := range sh.routings() {
+			if got := lr.lists[0]; lr.pairs[0] != diag || len(got) != 1 || got[0].Links != nil || got[0].Gbps != 5 {
+				t.Fatalf("%v: diagonal pair was lifted: %+v", c, got)
+			}
+		}
+		sh.Close()
 	}
 }
 

@@ -200,6 +200,14 @@ func (rt *router) addResid(l int, d float64) {
 	}
 }
 
+// addPath adjusts the residual of every link on a path by d Gbps:
+// negative books an assignment onto the arena, positive releases it.
+func (rt *router) addPath(links []int, d float64) {
+	for _, l := range links {
+		rt.addResid(l, d)
+	}
+}
+
 // openMask admits the enabled links with usable residual, minus the
 // per-call avoid set (nil = none); enabledMask ignores capacity.
 func (rt *router) openMask(avoid *linkset.Set) *graph.Mask {
