@@ -69,9 +69,7 @@ type Pass struct {
 	Info     *types.Info
 	Path     string // canonical import path
 	// Facts is the fact universe: this package's summaries plus those
-	// of its analyzed imports (facts.go). Never nil inside Run when
-	// driven through RunAnalyzersWithFacts; the v1 RunAnalyzers entry
-	// point supplies an empty set.
+	// of its analyzed imports (facts.go). Never nil inside Run.
 	Facts *FactSet
 
 	diags *[]Diagnostic
@@ -122,19 +120,6 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 		return o
 	}
 	return p.Info.Uses[id]
-}
-
-// RunAnalyzers runs every applicable analyzer over one type-checked
-// package and returns the diagnostics with //lint:allow suppression
-// already applied, sorted by position. Facts are computed for the
-// package itself but no imported facts are consulted — the
-// single-package v1 behavior. Drivers that thread dependency facts use
-// RunAnalyzersWithFacts.
-func RunAnalyzers(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
-	pkg *types.Package, info *types.Info, path string) ([]Diagnostic, error) {
-
-	diags, _, err := RunAnalyzersWithFacts(analyzers, fset, files, pkg, info, path, nil)
-	return diags, err
 }
 
 // RunAnalyzersWithFacts computes the package's facts (consulting

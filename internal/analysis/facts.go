@@ -172,13 +172,6 @@ type FactSet struct {
 	Imports map[string]*PackageFacts
 }
 
-// emptyFactSet is used when a driver runs without facts (the v1
-// RunAnalyzers entry point): lookups all miss, so the summary-driven
-// analyzers degrade to silence rather than crashing.
-func emptyFactSet(path string) *FactSet {
-	return &FactSet{Cur: NewPackageFacts(path), Imports: map[string]*PackageFacts{}}
-}
-
 // lookup returns the facts for the package with the given import
 // path, or nil.
 func (fs *FactSet) lookup(path string) *PackageFacts {

@@ -23,12 +23,3 @@ func Mix(h, v uint64) uint64 {
 	}
 	return h
 }
-
-// Fold hashes a sequence of words from the standard offset.
-func Fold(vs ...uint64) uint64 {
-	h := uint64(Offset)
-	for _, v := range vs {
-		h = Mix(h, v)
-	}
-	return h
-}

@@ -15,9 +15,9 @@ type layout struct {
 	cost []float64
 	pos  []int32 // EdgeID -> position
 
-	// enabled is the position bitset of edges that are not Disabled,
-	// kept current by SetDisabled: the open set of a nil Mask.
-	enabled []uint64
+	// all is the position bitset with every edge set: the open set of
+	// a nil Mask or a nil Mask.Open.
+	all []uint64
 }
 
 // layout returns g's CSR form, building it on first use. Concurrent
@@ -28,13 +28,16 @@ func (g *Graph) layout() *layout {
 	}
 	m := len(g.edges)
 	lay := &layout{
-		off:     make([]int32, len(g.adj)+1),
-		to:      make([]int32, m),
-		eid:     make([]int32, m),
-		link:    make([]int32, m),
-		cost:    make([]float64, m),
-		pos:     make([]int32, m),
-		enabled: make([]uint64, (m+63)/64),
+		off:  make([]int32, len(g.adj)+1),
+		to:   make([]int32, m),
+		eid:  make([]int32, m),
+		link: make([]int32, m),
+		cost: make([]float64, m),
+		pos:  make([]int32, m),
+		all:  make([]uint64, (m+63)/64),
+	}
+	for i := range lay.all {
+		lay.all[i] = ^uint64(0) // search trims each word to the node's range
 	}
 	p := 0
 	for u, out := range g.adj {
@@ -49,7 +52,6 @@ func (g *Graph) layout() *layout {
 			}
 			lay.cost[p] = e.Cost
 			lay.pos[id] = int32(p)
-			setBit(lay.enabled, p, !e.Disabled)
 			p++
 		}
 	}
@@ -74,19 +76,17 @@ func (g *Graph) SetLinks(links []int32) {
 }
 
 // Pos returns the edge's bit index in a Mask.Open bitset. Positions are
-// dense in [0, NumEdges) and stable until an edge or node is added.
+// dense in [0, NumEdges) and stable until an edge is added.
 func (g *Graph) Pos(id EdgeID) int { return int(g.layout().pos[id]) }
 
 // Mask selects the edges a shortest-path search may traverse. The
 // kernel iterates the set bits of Open within the popped node's
 // position range, so an edge outside Open is never visited at all;
 // Avoid and Resid then reject individual visited edges. A nil *Mask
-// admits every edge that is not Disabled.
+// admits every edge.
 type Mask struct {
 	// Open is a caller-owned bitset over edge positions (see Pos),
-	// (NumEdges+63)/64 words. nil means the graph's own enabled set
-	// (every edge not Disabled); a non-nil Open replaces that set
-	// outright — Edge.Disabled is not consulted.
+	// (NumEdges+63)/64 words. nil means every edge.
 	Open []uint64
 	// Avoid, when non-nil, is a bitset over link labels (SetLinks):
 	// edges whose link has its bit set are rejected. Links beyond the
@@ -95,30 +95,4 @@ type Mask struct {
 	// Resid, when non-nil, rejects edges with Resid[link] < Want.
 	Resid []float64
 	Want  float64
-}
-
-// filterMask evaluates filter once over every enabled edge and returns
-// the admitted set as a Mask, adapting the cold closure-taking entry
-// points (Dijkstra, ShortestPath) to the mask kernel. A nil filter is
-// a nil Mask.
-func (g *Graph) filterMask(filter EdgeFilter) *Mask {
-	if filter == nil {
-		return nil
-	}
-	lay := g.layout()
-	open := make([]uint64, len(lay.enabled))
-	for p, id := range lay.eid {
-		e := &g.edges[id]
-		setBit(open, p, !e.Disabled && filter(EdgeID(id), e))
-	}
-	return &Mask{Open: open}
-}
-
-// setBit sets or clears bit i of a bitset.
-func setBit(words []uint64, i int, on bool) {
-	if on {
-		words[i>>6] |= 1 << (uint(i) & 63)
-	} else {
-		words[i>>6] &^= 1 << (uint(i) & 63)
-	}
 }

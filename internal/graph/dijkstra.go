@@ -3,7 +3,6 @@ package graph
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // pqItem is an entry in the Dijkstra priority queue.
@@ -93,11 +92,6 @@ func (t *ShortestTree) PathTo(g *Graph, dst NodeID) Path {
 	return Path{Edges: rev, Cost: t.Dist[dst]}
 }
 
-// pqPool recycles priority-queue backing arrays across one-shot
-// Dijkstra runs; the heap is the only scratch that does not escape to
-// the caller.
-var pqPool = sync.Pool{New: func() interface{} { return new(pq) }}
-
 // dijkstraScratch is the reusable state of one shortest-path engine:
 // dist/parent are valid for a node only while its epoch stamp equals
 // cur, so starting a search is O(1) instead of an O(nodes) refill. It
@@ -130,7 +124,7 @@ func (s *dijkstraScratch) begin(n int) {
 	}
 }
 
-// search is the one Dijkstra loop behind every engine. It settles
+// search is the one Dijkstra loop behind both engines. It settles
 // nodes from src until dst is popped (dst = Undefined settles
 // everything reachable), relaxing only the edges m admits: per popped
 // node it walks the set bits of the open bitset inside the node's CSR
@@ -142,7 +136,7 @@ func (s *dijkstraScratch) begin(n int) {
 func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID) {
 	lay := g.layout()
 	s.begin(len(lay.off) - 1)
-	open := lay.enabled
+	open := lay.all
 	var avoid []uint64
 	var resid []float64
 	var want float64
@@ -211,19 +205,6 @@ func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID) {
 	}
 }
 
-// Dijkstra computes single-source shortest paths from src using edge
-// costs. Edges rejected by filter (or disabled) are not traversed.
-// The filter is evaluated once per enabled edge, up front.
-func (g *Graph) Dijkstra(src NodeID, filter EdgeFilter) *ShortestTree {
-	tr := TreeRouter{g: g}
-	q := pqPool.Get().(*pq)
-	tr.s.q = *q
-	t := *tr.Tree(src, g.filterMask(filter))
-	*q = tr.s.q
-	pqPool.Put(q)
-	return &t
-}
-
 // TreeRouter computes single-source shortest-path trees with reusable
 // scratch (dist/parent/heap), avoiding per-call allocation across
 // repeated runs on the same graph. Not safe for concurrent use; use
@@ -238,9 +219,9 @@ type TreeRouter struct {
 func NewTreeRouter(g *Graph) *TreeRouter { return &TreeRouter{g: g} }
 
 // Tree computes the shortest-path tree from src over the edges m
-// admits (nil = every enabled edge). The returned tree shares the
-// router's scratch buffers: it is valid only until the next Tree call
-// and must not be retained.
+// admits (nil = every edge). The returned tree shares the router's
+// scratch buffers: it is valid only until the next Tree call and must
+// not be retained.
 func (tr *TreeRouter) Tree(src NodeID, m *Mask) *ShortestTree {
 	s := &tr.s
 	s.search(tr.g, m, src, Undefined)
@@ -253,13 +234,4 @@ func (tr *TreeRouter) Tree(src NodeID, m *Mask) *ShortestTree {
 	}
 	tr.t = ShortestTree{Source: src, Dist: s.dist[:n], Parent: s.parent[:n]}
 	return &tr.t
-}
-
-// ShortestPath returns the cheapest path from src to dst, or a path
-// with infinite cost if none exists.
-func (g *Graph) ShortestPath(src, dst NodeID, filter EdgeFilter) Path {
-	if src == dst {
-		return Path{}
-	}
-	return g.Dijkstra(src, filter).PathTo(g, dst)
 }

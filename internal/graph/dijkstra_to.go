@@ -4,7 +4,7 @@ import "math"
 
 // NewPointRouter returns a reusable point-to-point shortest-path
 // engine bound to g. The engine reads g's current layout on every
-// call, so edges disabled or added between calls are honored.
+// call, so edges added between calls are honored.
 func NewPointRouter(g *Graph) *PointRouter { return &PointRouter{g: g} }
 
 // PointRouter computes point-to-point shortest paths with early

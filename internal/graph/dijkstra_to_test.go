@@ -10,8 +10,9 @@ func TestPointRouterMatchesDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 25, 60)
 		pr := NewPointRouter(g)
+		tree := NewTreeRouter(g).Tree(0, nil)
 		for dst := 1; dst < g.NumNodes(); dst++ {
-			want := g.ShortestPath(0, NodeID(dst), nil)
+			want := tree.PathTo(g, NodeID(dst))
 			got := pr.Path(0, NodeID(dst), nil)
 			if math.IsInf(want.Cost, 1) != math.IsInf(got.Cost, 1) {
 				return false
@@ -63,41 +64,17 @@ func TestPointRouterHonorsEdgeMutations(t *testing.T) {
 	if p := pr.Path(0, 3, nil); p.Cost != 2 {
 		t.Fatalf("cost = %v", p.Cost)
 	}
-	g.SetDisabled(0, true)
-	if p := pr.Path(0, 3, nil); p.Cost != 4 {
-		t.Fatalf("after disable: cost = %v, want 4", p.Cost)
-	}
-	g.SetDisabled(0, false)
-	if p := pr.Path(0, 3, nil); p.Cost != 2 {
-		t.Fatalf("after re-enable: cost = %v, want 2", p.Cost)
+	g.AddEdge(0, 3, 1.5, 1)
+	if p := pr.Path(0, 3, nil); p.Cost != 1.5 || len(p.Edges) != 1 {
+		t.Fatalf("after adding a shortcut: path %+v, want the new edge at cost 1.5", p)
 	}
 }
 
 func TestPointRouterFilter(t *testing.T) {
 	g := diamond()
 	pr := NewPointRouter(g)
-	open := make([]uint64, (g.NumEdges()+63)/64)
-	for id := 1; id < g.NumEdges(); id++ {
-		pos := uint(g.Pos(EdgeID(id)))
-		open[pos>>6] |= 1 << (pos & 63)
-	}
-	p := pr.Path(0, 3, &Mask{Open: open})
+	p := pr.Path(0, 3, openExcept(g, 0))
 	if p.Cost != 4 {
 		t.Fatalf("masked cost = %v, want 4", p.Cost)
 	}
-}
-
-func BenchmarkPointRouterVsDijkstra(b *testing.B) {
-	g := randomGraph(7, 60, 400)
-	pr := NewPointRouter(g)
-	b.Run("pointrouter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			pr.Path(0, NodeID(g.NumNodes()-1), nil)
-		}
-	})
-	b.Run("full-dijkstra", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			g.ShortestPath(0, NodeID(g.NumNodes()-1), nil)
-		}
-	})
 }

@@ -4,18 +4,20 @@
 //
 // The graph is deliberately small and value-oriented: nodes are dense
 // integer IDs, edges are stored in a flat slice and referenced by index,
-// and adjacency is a slice of edge indices per node. The shortest-path
-// engines walk a CSR view of the same data (csr.go) and select edges
-// through caller-owned bitsets (Mask) rather than a per-edge callback,
-// which keeps Dijkstra allocation-free and closure-free in steady state
-// — it matters because the auction's winner-determination step runs
+// and adjacency is a slice of edge indices per node. It is append-only:
+// edges are added, never removed or switched off. Which edges a search
+// may use is the caller's business, expressed as a Mask of caller-owned
+// bitsets — the one way to select edges. Two reusable engines,
+// TreeRouter (single source, whole tree) and PointRouter (one pair,
+// early exit), run the same Dijkstra loop over a CSR view of the graph
+// (csr.go), allocation-free and closure-free in steady state — it
+// matters because the auction's winner-determination step runs
 // feasibility checks across thousands of candidate link subsets.
 package graph
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync/atomic"
 )
 
@@ -33,33 +35,23 @@ const Undefined = -1
 //
 // The provisioning engine treats Cost as the routing metric (typically
 // link latency or distance) and Capacity as the leased bandwidth in
-// Gbps. Disabled edges remain in the slice (so EdgeIDs stay stable) but
-// are skipped by all algorithms.
+// Gbps.
 type Edge struct {
 	From     NodeID
 	To       NodeID
 	Cost     float64
 	Capacity float64
-	Disabled bool
 }
 
-// EdgeFilter restricts which edges an algorithm may traverse. A nil
-// filter admits every enabled edge. Disabled edges are always skipped
-// regardless of the filter. The Edge pointer aliases the graph's edge
-// storage and is valid only for the duration of the call; filters
-// must not retain or mutate it. The reusable engines (TreeRouter,
-// PointRouter) take a *Mask instead.
-type EdgeFilter func(id EdgeID, e *Edge) bool
-
-// Graph is a directed multigraph. The zero value is an empty graph
-// ready to use.
+// Graph is a directed multigraph over a fixed set of nodes; build one
+// with New.
 type Graph struct {
 	edges []Edge
 	adj   [][]EdgeID // outgoing edge indices per node
 	links []int32    // per-edge link label (SetLinks); nil = the edge's own ID
 
 	// lay is the CSR form the shortest-path kernel walks, built on
-	// first use and dropped whenever the edge or node set changes.
+	// first use and dropped whenever an edge is added or relabeled.
 	lay atomic.Pointer[layout]
 }
 
@@ -68,44 +60,11 @@ func New(n int) *Graph {
 	return &Graph{adj: make([][]EdgeID, n)}
 }
 
-// Clone returns a deep copy of g. Mutating the clone's edges (for
-// example disabling them during a failure sweep) does not affect g.
-// The adjacency rows are carved out of one flat allocation (full-cap
-// slices, so an append to one row cannot clobber its neighbour).
-func (g *Graph) Clone() *Graph {
-	c := &Graph{
-		edges: append([]Edge(nil), g.edges...),
-		adj:   make([][]EdgeID, len(g.adj)),
-		links: append([]int32(nil), g.links...),
-	}
-	total := 0
-	for _, a := range g.adj {
-		total += len(a)
-	}
-	flat := make([]EdgeID, 0, total)
-	for i, a := range g.adj {
-		if len(a) == 0 {
-			continue
-		}
-		start := len(flat)
-		flat = append(flat, a...)
-		c.adj[i] = flat[start:len(flat):len(flat)]
-	}
-	return c
-}
-
 // NumNodes returns the number of nodes.
 func (g *Graph) NumNodes() int { return len(g.adj) }
 
-// NumEdges returns the number of edges, including disabled ones.
+// NumEdges returns the number of edges.
 func (g *Graph) NumEdges() int { return len(g.edges) }
-
-// AddNode appends a new node and returns its ID.
-func (g *Graph) AddNode() NodeID {
-	g.adj = append(g.adj, nil)
-	g.lay.Store(nil)
-	return NodeID(len(g.adj) - 1)
-}
 
 // AddEdge appends a directed edge and returns its ID. Cost must be
 // non-negative; a negative capacity is treated as unbounded.
@@ -135,37 +94,6 @@ func (g *Graph) AddBiEdge(a, b NodeID, cost, capacity float64) (EdgeID, EdgeID) 
 // Edge returns a copy of the edge with the given ID.
 func (g *Graph) Edge(id EdgeID) Edge {
 	return g.edges[id]
-}
-
-// SetDisabled marks an edge (not) usable by the algorithms.
-func (g *Graph) SetDisabled(id EdgeID, disabled bool) {
-	g.edges[id].Disabled = disabled
-	if lay := g.lay.Load(); lay != nil {
-		setBit(lay.enabled, int(lay.pos[id]), !disabled)
-	}
-}
-
-// SetCapacity overwrites an edge's capacity.
-func (g *Graph) SetCapacity(id EdgeID, capacity float64) {
-	if capacity < 0 {
-		capacity = math.Inf(1)
-	}
-	g.edges[id].Capacity = capacity
-}
-
-// Out returns the IDs of the outgoing edges of n, including disabled
-// ones. The returned slice must not be modified.
-func (g *Graph) Out(n NodeID) []EdgeID { return g.adj[n] }
-
-// Degree returns the number of enabled outgoing edges of n.
-func (g *Graph) Degree(n NodeID) int {
-	d := 0
-	for _, id := range g.adj[n] {
-		if !g.edges[id].Disabled {
-			d++
-		}
-	}
-	return d
 }
 
 // Path is a sequence of edge IDs forming a walk from a source to a
@@ -212,18 +140,4 @@ func (p Path) Validate(g *Graph) error {
 		}
 	}
 	return nil
-}
-
-// EdgesBetween returns the IDs of enabled edges from a to b, sorted by
-// ascending cost.
-func (g *Graph) EdgesBetween(a, b NodeID) []EdgeID {
-	var out []EdgeID
-	for _, id := range g.adj[a] {
-		e := g.edges[id]
-		if !e.Disabled && e.To == b {
-			out = append(out, id)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return g.edges[out[i]].Cost < g.edges[out[j]].Cost })
-	return out
 }

@@ -7,16 +7,6 @@ import (
 	"testing/quick"
 )
 
-// line builds a simple line graph 0-1-2-...-n-1 with unit costs and
-// the given capacity.
-func line(n int, capacity float64) *Graph {
-	g := New(n)
-	for i := 0; i < n-1; i++ {
-		g.AddBiEdge(NodeID(i), NodeID(i+1), 1, capacity)
-	}
-	return g
-}
-
 // diamond builds the classic two-path diamond:
 //
 //	0 -> 1 -> 3 (cost 1+1, cap 5 each)
@@ -28,6 +18,25 @@ func diamond() *Graph {
 	g.AddEdge(0, 2, 2, 3)
 	g.AddEdge(2, 3, 2, 3)
 	return g
+}
+
+// shortestPath is one point search on a fresh engine.
+func shortestPath(g *Graph, src, dst NodeID, m *Mask) Path {
+	return NewPointRouter(g).Path(src, dst, m)
+}
+
+// openExcept returns a Mask admitting every edge of g but the given.
+func openExcept(g *Graph, closed ...EdgeID) *Mask {
+	open := make([]uint64, (g.NumEdges()+63)/64)
+	for id := 0; id < g.NumEdges(); id++ {
+		pos := uint(g.Pos(EdgeID(id)))
+		open[pos>>6] |= 1 << (pos & 63)
+	}
+	for _, id := range closed {
+		pos := uint(g.Pos(id))
+		open[pos>>6] &^= 1 << (pos & 63)
+	}
+	return &Mask{Open: open}
 }
 
 func TestAddEdgePanics(t *testing.T) {
@@ -58,28 +67,11 @@ func TestNegativeCapacityMeansUnbounded(t *testing.T) {
 	if !math.IsInf(g.Edge(id).Capacity, 1) {
 		t.Fatalf("capacity = %v, want +Inf", g.Edge(id).Capacity)
 	}
-	g.SetCapacity(id, -3)
-	if !math.IsInf(g.Edge(id).Capacity, 1) {
-		t.Fatalf("after SetCapacity: %v, want +Inf", g.Edge(id).Capacity)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	g := diamond()
-	c := g.Clone()
-	c.SetDisabled(0, true)
-	if g.Edge(0).Disabled {
-		t.Fatal("disabling edge in clone affected original")
-	}
-	c.AddNode()
-	if g.NumNodes() != 4 {
-		t.Fatalf("original node count changed to %d", g.NumNodes())
-	}
 }
 
 func TestShortestPathDiamond(t *testing.T) {
 	g := diamond()
-	p := g.ShortestPath(0, 3, nil)
+	p := shortestPath(g, 0, 3, nil)
 	if p.Cost != 2 {
 		t.Fatalf("cost = %v, want 2", p.Cost)
 	}
@@ -98,18 +90,9 @@ func TestShortestPathDiamond(t *testing.T) {
 	}
 }
 
-func TestShortestPathRespectsDisabled(t *testing.T) {
-	g := diamond()
-	g.SetDisabled(0, true) // kill 0->1
-	p := g.ShortestPath(0, 3, nil)
-	if p.Cost != 4 {
-		t.Fatalf("cost = %v, want 4 (via node 2)", p.Cost)
-	}
-}
-
 func TestShortestPathRespectsFilter(t *testing.T) {
 	g := diamond()
-	p := g.ShortestPath(0, 3, func(id EdgeID, e *Edge) bool { return id != 1 })
+	p := shortestPath(g, 0, 3, openExcept(g, 1))
 	if p.Cost != 4 {
 		t.Fatalf("cost = %v, want 4", p.Cost)
 	}
@@ -118,7 +101,7 @@ func TestShortestPathRespectsFilter(t *testing.T) {
 func TestShortestPathUnreachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1, 1)
-	p := g.ShortestPath(0, 2, nil)
+	p := shortestPath(g, 0, 2, nil)
 	if !math.IsInf(p.Cost, 1) {
 		t.Fatalf("cost = %v, want +Inf", p.Cost)
 	}
@@ -126,7 +109,7 @@ func TestShortestPathUnreachable(t *testing.T) {
 
 func TestShortestPathSelf(t *testing.T) {
 	g := New(1)
-	p := g.ShortestPath(0, 0, nil)
+	p := shortestPath(g, 0, 0, nil)
 	if p.Cost != 0 || len(p.Edges) != 0 {
 		t.Fatalf("self path = %+v, want empty, zero cost", p)
 	}
@@ -142,7 +125,7 @@ func TestPathValidateDetectsGap(t *testing.T) {
 
 func TestMinCapacity(t *testing.T) {
 	g := diamond()
-	p := g.ShortestPath(0, 3, nil)
+	p := shortestPath(g, 0, 3, nil)
 	if got := p.MinCapacity(g); got != 5 {
 		t.Fatalf("MinCapacity = %v, want 5", got)
 	}
@@ -151,194 +134,18 @@ func TestMinCapacity(t *testing.T) {
 	}
 }
 
-func TestMaxFlowDiamond(t *testing.T) {
-	g := diamond()
-	if f := g.MaxFlow(0, 3, nil); f != 8 {
-		t.Fatalf("max flow = %v, want 8", f)
-	}
-}
-
-func TestMaxFlowBottleneck(t *testing.T) {
-	g := line(4, 2.5)
-	if f := g.MaxFlow(0, 3, nil); f != 2.5 {
-		t.Fatalf("max flow = %v, want 2.5", f)
-	}
-}
-
-func TestMaxFlowDisconnected(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1, 10)
-	if f := g.MaxFlow(0, 3, nil); f != 0 {
-		t.Fatalf("max flow = %v, want 0", f)
-	}
-}
-
-func TestMaxFlowSameNode(t *testing.T) {
-	g := New(2)
-	if f := g.MaxFlow(0, 0, nil); !math.IsInf(f, 1) {
-		t.Fatalf("s==t flow = %v, want +Inf", f)
-	}
-}
-
-func TestMaxFlowInfiniteCapacityPath(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 1, -1)
-	g.AddEdge(1, 2, 1, -1)
-	if f := g.MaxFlow(0, 2, nil); !math.IsInf(f, 1) {
-		t.Fatalf("flow = %v, want +Inf", f)
-	}
-}
-
-func TestMinCutMatchesMaxFlow(t *testing.T) {
-	g := diamond()
-	cut, side := g.MinCut(0, 3, nil)
-	if cut != 8 {
-		t.Fatalf("min cut = %v, want 8", cut)
-	}
-	inSide := map[NodeID]bool{}
-	for _, n := range side {
-		inSide[n] = true
-	}
-	if !inSide[0] {
-		t.Fatal("source not on source side of cut")
-	}
-	if inSide[3] {
-		t.Fatal("sink on source side of cut")
-	}
-}
-
-func TestKShortestPathsDiamond(t *testing.T) {
-	g := diamond()
-	ps := g.KShortestPaths(0, 3, 5, nil)
-	if len(ps) != 2 {
-		t.Fatalf("got %d paths, want 2", len(ps))
-	}
-	if ps[0].Cost != 2 || ps[1].Cost != 4 {
-		t.Fatalf("costs = %v, %v; want 2, 4", ps[0].Cost, ps[1].Cost)
-	}
-}
-
-func TestKShortestPathsOrdered(t *testing.T) {
-	g := grid(5, 5)
-	ps := g.KShortestPaths(0, 24, 8, nil)
-	if len(ps) == 0 {
-		t.Fatal("no paths in grid")
-	}
-	for i := 1; i < len(ps); i++ {
-		if ps[i].Cost < ps[i-1].Cost {
-			t.Fatalf("paths out of order: %v then %v", ps[i-1].Cost, ps[i].Cost)
-		}
-	}
-	for i, p := range ps {
-		if err := p.Validate(g); err != nil {
-			t.Fatalf("path %d invalid: %v", i, err)
-		}
-		// Loopless check.
-		seen := map[NodeID]bool{}
-		for _, n := range p.Nodes(g) {
-			if seen[n] {
-				t.Fatalf("path %d revisits node %d", i, n)
-			}
-			seen[n] = true
-		}
-	}
-}
-
-func TestKShortestPathsNone(t *testing.T) {
-	g := New(2)
-	if ps := g.KShortestPaths(0, 1, 3, nil); ps != nil {
-		t.Fatalf("got %v, want nil", ps)
-	}
-	if ps := g.KShortestPaths(0, 1, 0, nil); ps != nil {
-		t.Fatalf("k=0: got %v, want nil", ps)
-	}
-}
-
-func TestEdgeDisjointPathsDiamond(t *testing.T) {
-	g := diamond()
-	ps := g.EdgeDisjointPaths(0, 3, 0, nil)
-	if len(ps) != 2 {
-		t.Fatalf("got %d disjoint paths, want 2", len(ps))
-	}
-	used := map[EdgeID]bool{}
-	for _, p := range ps {
-		for _, e := range p.Edges {
-			if used[e] {
-				t.Fatalf("edge %d reused", e)
-			}
-			used[e] = true
-		}
-	}
-}
-
-func TestEdgeDisjointPathsLimit(t *testing.T) {
-	g := diamond()
-	ps := g.EdgeDisjointPaths(0, 3, 1, nil)
-	if len(ps) != 1 {
-		t.Fatalf("got %d paths, want 1", len(ps))
-	}
-}
-
-func TestComponents(t *testing.T) {
-	g := New(5)
-	g.AddBiEdge(0, 1, 1, 1)
-	g.AddBiEdge(2, 3, 1, 1)
-	comps := g.Components()
-	if len(comps) != 3 { // {0,1}, {2,3}, {4}
-		t.Fatalf("got %d components, want 3", len(comps))
-	}
-}
-
-func TestConnectedIgnoresIsolated(t *testing.T) {
-	g := New(4)
-	g.AddBiEdge(0, 1, 1, 1)
-	// Node 2, 3 isolated: still "connected" for auction purposes.
-	if !g.Connected() {
-		t.Fatal("graph with isolated nodes should count as connected")
-	}
-	g.AddBiEdge(2, 3, 1, 1)
-	if g.Connected() {
-		t.Fatal("two active components should not be connected")
-	}
-}
-
 func TestReachable(t *testing.T) {
 	g := New(3)
 	g.AddEdge(0, 1, 1, 1)
-	if !g.Reachable(0, 1, nil) {
+	tr := NewTreeRouter(g)
+	if !tr.Tree(0, nil).Reachable(1) {
 		t.Fatal("0->1 should be reachable")
 	}
-	if g.Reachable(1, 0, nil) {
+	if tr.Tree(1, nil).Reachable(0) {
 		t.Fatal("1->0 should not be reachable (directed)")
 	}
-	if !g.Reachable(2, 2, nil) {
+	if !tr.Tree(2, nil).Reachable(2) {
 		t.Fatal("node reachable from itself")
-	}
-}
-
-func TestDegree(t *testing.T) {
-	g := diamond()
-	if d := g.Degree(0); d != 2 {
-		t.Fatalf("degree(0) = %d, want 2", d)
-	}
-	g.SetDisabled(0, true)
-	if d := g.Degree(0); d != 1 {
-		t.Fatalf("degree(0) after disable = %d, want 1", d)
-	}
-}
-
-func TestEdgesBetween(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 5, 1)
-	g.AddEdge(0, 1, 2, 1)
-	dis := g.AddEdge(0, 1, 1, 1)
-	g.SetDisabled(dis, true)
-	ids := g.EdgesBetween(0, 1)
-	if len(ids) != 2 {
-		t.Fatalf("got %d edges, want 2", len(ids))
-	}
-	if g.Edge(ids[0]).Cost != 2 || g.Edge(ids[1]).Cost != 5 {
-		t.Fatalf("edges not sorted by cost: %v", ids)
 	}
 }
 
@@ -362,17 +169,9 @@ func grid(r, c int) *Graph {
 
 func TestGridShortestPathLength(t *testing.T) {
 	g := grid(4, 4)
-	p := g.ShortestPath(0, 15, nil)
+	p := shortestPath(g, 0, 15, nil)
 	if p.Cost != 6 { // 3 right + 3 down
 		t.Fatalf("cost = %v, want 6", p.Cost)
-	}
-}
-
-func TestGridMaxFlowEqualsCornerDegree(t *testing.T) {
-	g := grid(4, 4)
-	// Corner has degree 2, so unit-capacity max flow from corner is 2.
-	if f := g.MaxFlow(0, 15, nil); f != 2 {
-		t.Fatalf("flow = %v, want 2", f)
 	}
 }
 
@@ -398,16 +197,13 @@ func randomGraph(seed int64, n, m int) *Graph {
 }
 
 // Property: Dijkstra distances satisfy the triangle inequality over
-// every enabled edge: dist[to] <= dist[from] + cost.
+// every edge: dist[to] <= dist[from] + cost.
 func TestQuickDijkstraTriangleInequality(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 30, 60)
-		tree := g.Dijkstra(0, nil)
+		tree := NewTreeRouter(g).Tree(0, nil)
 		for i := 0; i < g.NumEdges(); i++ {
 			e := g.Edge(EdgeID(i))
-			if e.Disabled {
-				continue
-			}
 			if tree.Reachable(e.From) && tree.Dist[e.To] > tree.Dist[e.From]+e.Cost+1e-9 {
 				return false
 			}
@@ -424,7 +220,7 @@ func TestQuickDijkstraTriangleInequality(t *testing.T) {
 func TestQuickDijkstraPathCostMatchesDist(t *testing.T) {
 	f := func(seed int64) bool {
 		g := randomGraph(seed, 25, 50)
-		tree := g.Dijkstra(0, nil)
+		tree := NewTreeRouter(g).Tree(0, nil)
 		for n := 1; n < g.NumNodes(); n++ {
 			if !tree.Reachable(NodeID(n)) {
 				continue
@@ -444,67 +240,6 @@ func TestQuickDijkstraPathCostMatchesDist(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: max flow is monotone in capacity — doubling every capacity
-// cannot decrease the flow, and never more than doubles it.
-func TestQuickMaxFlowMonotone(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 20, 40)
-		f1 := g.MaxFlow(0, NodeID(g.NumNodes()-1), nil)
-		double := g.Clone()
-		for i := 0; i < double.NumEdges(); i++ {
-			double.SetCapacity(EdgeID(i), double.Edge(EdgeID(i)).Capacity*2)
-		}
-		f2 := double.MaxFlow(0, NodeID(double.NumNodes()-1), nil)
-		return f2 >= f1-1e-9 && f2 <= 2*f1+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: max flow <= capacity of any s-t cut induced by removing
-// the source's outgoing edges.
-func TestQuickMaxFlowBoundedBySourceDegreeCut(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 20, 40)
-		s, tt := NodeID(0), NodeID(g.NumNodes()-1)
-		flow := g.MaxFlow(s, tt, nil)
-		cut := 0.0
-		for _, eid := range g.Out(s) {
-			cut += g.Edge(eid).Capacity
-		}
-		return flow <= cut+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: k-shortest paths are sorted and the first equals the
-// shortest path cost.
-func TestQuickKShortestSorted(t *testing.T) {
-	f := func(seed int64) bool {
-		g := randomGraph(seed, 15, 30)
-		sp := g.ShortestPath(0, NodeID(g.NumNodes()-1), nil)
-		ps := g.KShortestPaths(0, NodeID(g.NumNodes()-1), 4, nil)
-		if math.IsInf(sp.Cost, 1) {
-			return len(ps) == 0
-		}
-		if len(ps) == 0 || math.Abs(ps[0].Cost-sp.Cost) > 1e-9 {
-			return false
-		}
-		for i := 1; i < len(ps); i++ {
-			if ps[i].Cost < ps[i-1].Cost-1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -45,7 +45,7 @@ func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float
 
 // kernelCase is one random instance: a multigraph with parallel edges
 // and small integer costs (so exact cost ties abound), link labels
-// shared by edge pairs, some Disabled edges, and a random mask.
+// shared by edge pairs, and a random mask.
 type kernelCase struct {
 	g     *Graph
 	links []int32
@@ -77,14 +77,9 @@ func newKernelCase(rng *rand.Rand, n, m int) kernelCase {
 		links[i] = int32(rng.Intn(nl))
 	}
 	g.SetLinks(links)
-	for i := 0; i < ne; i++ {
-		if rng.Intn(5) == 0 {
-			g.SetDisabled(EdgeID(i), true)
-		}
-	}
 	c := kernelCase{g: g, links: links}
 	if rng.Intn(6) == 0 {
-		return c // nil mask: the graph's own enabled set
+		return c // nil mask: every edge
 	}
 	c.mask = &Mask{}
 	if rng.Intn(3) != 0 {
@@ -118,15 +113,11 @@ func newKernelCase(rng *rand.Rand, n, m int) kernelCase {
 // admit is the mask's meaning spelled out edge by edge.
 func (c kernelCase) admit(eid EdgeID) bool {
 	m := c.mask
-	if m == nil || m.Open == nil {
-		if c.g.edges[eid].Disabled {
-			return false
-		}
-	} else if !hasBit(m.Open, c.g.Pos(eid)) {
-		return false
-	}
 	if m == nil {
 		return true
+	}
+	if m.Open != nil && !hasBit(m.Open, c.g.Pos(eid)) {
+		return false
 	}
 	l := int(c.links[eid])
 	if hasBit(m.Avoid, l) {
@@ -179,7 +170,7 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) {
 
 // TestMaskKernelMatchesClosureReference is the differential test for
 // the mask kernel: never-visited must equal visited-and-rejected, bit
-// for bit, across random enabled / avoid / threshold sets.
+// for bit, across random open / avoid / threshold sets.
 func TestMaskKernelMatchesClosureReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -172,7 +172,7 @@ func TestFuzzFailureInjection(t *testing.T) {
 				}
 			case 4: // restore a failed link
 				for l := range failed {
-					fab.RestoreLink(l)
+					fab.RepairLink(l)
 					delete(failed, l)
 					break
 				}

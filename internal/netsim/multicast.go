@@ -69,18 +69,13 @@ func (f *Fabric) StartMulticast(src EndpointID, receivers []EndpointID, gbps flo
 	// Tree state: routers already on the tree, links reserved so far.
 	inTree := map[int]bool{f.endpoints[src].Router: true}
 	treeLinks := map[int]bool{}
-	// usable admits links with residual >= gbps OR already on the
-	// tree (tree links carry the stream once; joining them is free).
-	usable := func(id graph.EdgeID, e *graph.Edge) bool {
-		l := int(f.linkFor[id])
-		if f.failed.Contains(l) {
-			return false
-		}
-		if treeLinks[l] {
-			return true
-		}
-		return f.resid[l] >= gbps
-	}
+	// Every search admits the non-failed links with residual >= gbps.
+	// Nothing is reserved until the whole tree is known, so residuals
+	// hold still meanwhile and a link already on the tree (which
+	// carries the stream once; joining it is free) still passes the
+	// test it passed when it joined.
+	usable := f.usable(gbps)
+	tr := graph.NewTreeRouter(f.g)
 
 	remaining := append([]EndpointID(nil), receivers...)
 	var order []EndpointID // connection order, for determinism
@@ -101,7 +96,7 @@ func (f *Fabric) StartMulticast(src EndpointID, receivers []EndpointID, gbps flo
 			// fabric's links are bidirectional; use the receiver as
 			// source and stop at any tree node by scanning the tree
 			// after a full Dijkstra.
-			tree := f.g.Dijkstra(dst, usable)
+			tree := tr.Tree(dst, usable)
 			for node := range inTree {
 				if !tree.Reachable(graph.NodeID(node)) {
 					continue

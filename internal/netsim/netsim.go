@@ -409,15 +409,6 @@ func (f *Fabric) indexFlow(s int32) {
 	f.obs.SetMax("netsim.crossing.flow_entries_peak", float64(f.nFlowIdx))
 }
 
-// unindexFlow removes a flow's reservation from each link of its path.
-func (f *Fabric) unindexFlow(s int32) {
-	links := f.tab.path(s)
-	for _, l := range links {
-		f.crossRemove(int(l), s)
-	}
-	f.nFlowIdx -= len(links)
-}
-
 // indexMcast records a multicast tree's reservation on each tree
 // link. Multicast IDs never recycle, so a new tree always appends at
 // the tail of each link's (ascending) index.
@@ -810,9 +801,6 @@ func (f *Fabric) RepairLinks(links []int) []FlowID {
 	}
 	return f.rerouteSlots(victims)
 }
-
-// RestoreLink is RepairLink under its historical name.
-func (f *Fabric) RestoreLink(link int) []FlowID { return f.RepairLink(link) }
 
 // linksOfBP returns the fabric's selected links owned by bp, in ID
 // order. Virtual links (topo.VirtualBP) are addressed with bp = -1.

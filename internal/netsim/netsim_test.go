@@ -248,7 +248,7 @@ func TestFailLinkDegradesWhenNoAlternative(t *testing.T) {
 		t.Fatalf("allocation = %v, want 0 (outage)", got.Allocated)
 	}
 	// Restore re-admits.
-	restored := f.RestoreLink(0)
+	restored := f.RepairLink(0)
 	if len(restored) != 1 {
 		t.Fatalf("restored = %v", restored)
 	}
@@ -256,7 +256,7 @@ func TestFailLinkDegradesWhenNoAlternative(t *testing.T) {
 	if got.Allocated != 5 {
 		t.Fatalf("post-restore allocation = %v", got.Allocated)
 	}
-	if f.RestoreLink(0) != nil {
+	if f.RepairLink(0) != nil {
 		t.Fatal("restoring healthy link should be nil")
 	}
 }

@@ -61,6 +61,10 @@ type Writer struct {
 	fsync bool
 	buf   []byte
 	seal  bool // sealed and closed
+	// err is the first failed write or sync. The record it hit is of
+	// unknown durability and the file offset is past a possible torn
+	// frame, so nothing may follow it: every later append returns err.
+	err error
 }
 
 // Create writes a fresh journal at path: the magic plus the header
@@ -90,6 +94,8 @@ func (w *Writer) Seq() uint64 { return w.seq }
 // When the writer was created with fsync, the record is on stable
 // storage by the time Append returns — the caller may then apply the
 // op knowing a crash cannot lose the record while keeping the effect.
+// The first write or sync failure ends the journal: that Append and
+// every later Append or Seal return the same error and write nothing.
 func (w *Writer) Append(payload []byte) (uint64, error) {
 	if w.seal {
 		return 0, fmt.Errorf("journal: append to sealed journal")
@@ -101,18 +107,24 @@ func (w *Writer) Append(payload []byte) (uint64, error) {
 	return seq, nil
 }
 
-// append frames and writes one record, updating w.seq on success.
+// append frames and writes one record, updating w.seq on success. A
+// write or sync failure is sticky (see Writer.err).
 func (w *Writer) append(kind byte, seq uint64, payload []byte) error {
+	if w.err != nil {
+		return w.err
+	}
 	if len(payload) > MaxPayload {
 		return fmt.Errorf("journal: payload %d bytes exceeds max %d", len(payload), MaxPayload)
 	}
 	w.buf = appendRecord(w.buf[:0], kind, seq, payload)
 	if _, err := w.f.Write(w.buf); err != nil {
-		return fmt.Errorf("journal: append: %w", err)
+		w.err = fmt.Errorf("journal: append: %w", err)
+		return w.err
 	}
 	if w.fsync {
 		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("journal: sync: %w", err)
+			w.err = fmt.Errorf("journal: sync: %w", err)
+			return w.err
 		}
 	}
 	w.seq = seq
@@ -136,20 +148,19 @@ func appendRecord(buf []byte, kind byte, seq uint64, payload []byte) []byte {
 
 // Seal appends the clean-shutdown marker, syncs and closes the file.
 // A sealed journal replays identically to an unsealed one; the marker
-// only records that the writer exited in good order.
+// only records that the writer exited in good order. The file is
+// synced and closed even when the marker cannot be written; the first
+// error is returned.
 func (w *Writer) Seal() error {
 	if w.seal {
 		return nil
 	}
-	if err := w.append(KindSeal, w.seq+1, nil); err != nil {
-		return err
+	err := w.append(KindSeal, w.seq+1, nil)
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
 	w.seal = true
-	if err := w.f.Sync(); err != nil {
-		w.f.Close()
-		return fmt.Errorf("journal: seal sync: %w", err)
-	}
-	return w.f.Close()
+	return err
 }
 
 // Close syncs and closes without sealing (the journal will replay as

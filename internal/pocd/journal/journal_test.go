@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,7 +10,7 @@ import (
 )
 
 // writeSession journals n ops ("op-0".."op-n-1") and returns the path.
-func writeSession(t *testing.T, n int, seal bool) string {
+func writeSession(t testing.TB, n int, seal bool) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "poc.journal")
 	w, err := Create(path, []byte(`{"spec":"test"}`), false)
@@ -62,7 +63,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-func readFile(t *testing.T, path string) []byte {
+func readFile(t testing.TB, path string) []byte {
 	t.Helper()
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -243,4 +244,129 @@ func TestBadMagicRejected(t *testing.T) {
 	if _, err := replayBytes(bytes.Repeat([]byte{0}, 100), nil); err == nil {
 		t.Fatal("zero file accepted")
 	}
+}
+
+// TestAppendErrorIsSticky: a failed append leaves a record of unknown
+// durability and a file offset past a possibly torn frame, so the
+// writer must refuse everything after it — even if the file would
+// take writes again — rather than acknowledge ops the reader can
+// never reach.
+func TestAppendErrorIsSticky(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	w, err := Create(path, []byte("spec"), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Append([]byte("op-0")); err != nil {
+		t.Fatal(err)
+	}
+	good := w.f
+	closed, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed.Close()
+	w.f = closed
+	_, first := w.Append([]byte("lost"))
+	if first == nil {
+		t.Fatal("append to a closed file succeeded")
+	}
+	w.f = good
+	if _, err := w.Append([]byte("after")); err != first {
+		t.Fatalf("append after a failed append: err = %v, want the first error %v", err, first)
+	}
+	if w.Seq() != 1 {
+		t.Fatalf("seq = %d after failed appends, want 1", w.Seq())
+	}
+	if err := w.Seal(); err != first {
+		t.Fatalf("seal after a failed append: err = %v, want the first error %v", err, first)
+	}
+	if err := good.Sync(); !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("seal left the file open (sync: %v)", err)
+	}
+	ops, res := replayOps(t, readFile(t, path))
+	if len(ops) != 1 || ops[0] != "op-0" || res.Sealed || res.TornBytes != 0 {
+		t.Fatalf("ops=%v sealed=%v torn=%d, want exactly op-0, unsealed, clean", ops, res.Sealed, res.TornBytes)
+	}
+}
+
+// FuzzJournalReplay feeds arbitrary images to the reader. Whatever the
+// bytes, it must not panic, must account for every byte as valid
+// prefix or torn tail, must deliver ops in sequence order — with the
+// seals, which take a sequence number each, they tile 1..LastSeq —
+// and must read its own valid prefix back to the same result.
+func FuzzJournalReplay(f *testing.F) {
+	sealed := readFile(f, writeSession(f, 5, true))
+	f.Add(sealed)
+
+	path := writeSession(f, 2, true)
+	w, _, err := Resume(path, false, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := w.Append([]byte("post-seal")); err != nil {
+		f.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(readFile(f, path))
+
+	f.Add(sealed[:len(sealed)-3]) // torn final write
+	for pos := len(Magic); pos < len(sealed); pos += 7 {
+		mut := append([]byte(nil), sealed...)
+		mut[pos] ^= 0x40
+		f.Add(mut)
+	}
+
+	type op struct {
+		seq     uint64
+		payload string
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var ops []op
+		collect := func(seq uint64, payload []byte) error {
+			ops = append(ops, op{seq, string(payload)})
+			return nil
+		}
+		res, err := replayBytes(data, collect)
+		if err != nil {
+			return // not a journal, or a record kind from the future
+		}
+		if res.ValidLen+res.TornBytes != int64(len(data)) {
+			t.Fatalf("valid %d + torn %d != %d bytes", res.ValidLen, res.TornBytes, len(data))
+		}
+		if len(ops) != res.Ops {
+			t.Fatalf("%d ops delivered, result says %d", len(ops), res.Ops)
+		}
+		last := uint64(0)
+		for _, o := range ops {
+			if o.seq <= last || o.seq > res.LastSeq {
+				t.Fatalf("op seq %d after %d (last valid %d)", o.seq, last, res.LastSeq)
+			}
+			last = o.seq
+		}
+		if res.Sealed == (last == res.LastSeq) && res.LastSeq > 0 {
+			t.Fatalf("sealed=%v but last op seq %d, last valid seq %d", res.Sealed, last, res.LastSeq)
+		}
+
+		first := ops
+		ops = nil
+		again, err := replayBytes(data[:res.ValidLen], collect)
+		if err != nil {
+			t.Fatalf("valid prefix does not replay: %v", err)
+		}
+		if again.TornBytes != 0 || again.ValidLen != res.ValidLen || again.LastSeq != res.LastSeq ||
+			again.Sealed != res.Sealed || !bytes.Equal(again.Spec, res.Spec) {
+			t.Fatalf("valid prefix replays to %+v, full image to %+v", again, res)
+		}
+		if len(ops) != len(first) {
+			t.Fatalf("valid prefix delivers %d ops, full image %d", len(ops), len(first))
+		}
+		for i := range ops {
+			if ops[i] != first[i] {
+				t.Fatalf("op %d: prefix %+v, full image %+v", i, ops[i], first[i])
+			}
+		}
+	})
 }

@@ -167,34 +167,17 @@ func New(cfg Config) (*Server, error) {
 
 	fsync := !cfg.NoFsync
 	if _, err := os.Stat(cfg.JournalPath); err == nil {
-		// Recover: read the header spec first, build the deployment,
-		// then resume (replaying ops and truncating any torn tail).
-		probe, err := journal.Replay(cfg.JournalPath, nil)
+		// Recover: rebuild the deployment from the header spec, then
+		// resume (replaying ops and truncating any torn tail).
+		st, apply, err := recoverState(cfg.JournalPath, cfg.Spec, cfg.Build)
 		if err != nil {
-			return nil, fmt.Errorf("pocd: probe journal: %w", err)
+			return nil, err
 		}
-		if cfg.Spec != nil && string(cfg.Spec) != string(probe.Spec) {
-			return nil, fmt.Errorf("pocd: journal %s was recorded under a different deployment spec", cfg.JournalPath)
-		}
-		p, reg, err := cfg.Build(probe.Spec)
-		if err != nil {
-			return nil, fmt.Errorf("pocd: rebuild deployment: %w", err)
-		}
-		s.st = &state{poc: p, reg: reg}
-		jw, res, err := journal.Resume(cfg.JournalPath, fsync, func(seq uint64, payload []byte) error {
-			var op Op
-			if err := json.Unmarshal(payload, &op); err != nil {
-				return fmt.Errorf("op %d: %w", seq, err)
-			}
-			// Apply errors were journaled as ops too; they fail the
-			// same deterministic way here and are not replay errors.
-			s.st.apply(&op)
-			return nil
-		})
+		jw, res, err := journal.Resume(cfg.JournalPath, fsync, apply)
 		if err != nil {
 			return nil, fmt.Errorf("pocd: resume journal: %w", err)
 		}
-		s.jw, s.recovered = jw, res
+		s.st, s.jw, s.recovered = st, jw, res
 		s.mApplied.Store(int64(res.Ops))
 	} else {
 		p, reg, err := cfg.Build(cfg.Spec)
@@ -344,29 +327,46 @@ func (s *Server) degradedSnapshot() *Snapshot {
 	return s.snap.Load()
 }
 
-// ReplayFile rebuilds the deployment a journal describes and replays
-// its surviving ops sequentially, without starting a daemon. It
-// returns the replay result and the resulting obs export — the
-// ground truth `pocd -replay` and the CI smoke job compare a live
-// daemon's export against.
-func ReplayFile(path string, build BuildFunc) (*journal.ReplayResult, []byte, error) {
+// recoverState reads the journal's header spec (a non-nil wantSpec
+// must equal it) and builds the deployment from it. The returned
+// callback applies one journaled op to that state: hand it to
+// journal.Replay or journal.Resume.
+func recoverState(path string, wantSpec []byte, build BuildFunc) (*state, func(seq uint64, payload []byte) error, error) {
 	probe, err := journal.Replay(path, nil)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pocd: probe journal: %w", err)
+	}
+	if wantSpec != nil && string(wantSpec) != string(probe.Spec) {
+		return nil, nil, fmt.Errorf("pocd: journal %s was recorded under a different deployment spec", path)
 	}
 	p, reg, err := build(probe.Spec)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pocd: rebuild deployment: %w", err)
 	}
 	st := &state{poc: p, reg: reg}
-	res, err := journal.Replay(path, func(seq uint64, payload []byte) error {
+	return st, func(seq uint64, payload []byte) error {
 		var op Op
 		if err := json.Unmarshal(payload, &op); err != nil {
 			return fmt.Errorf("op %d: %w", seq, err)
 		}
+		// Apply errors were journaled as ops too; they fail the
+		// same deterministic way here and are not replay errors.
 		st.apply(&op)
 		return nil
-	})
+	}, nil
+}
+
+// ReplayFile rebuilds the deployment a journal describes and replays
+// its surviving ops sequentially, without starting a daemon. It
+// returns the replay result and the resulting obs export — the
+// ground truth `pocd -replay` and the CI smoke job compare a live
+// daemon's export against.
+func ReplayFile(path string, build BuildFunc) (*journal.ReplayResult, []byte, error) {
+	st, apply, err := recoverState(path, nil, build)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, err := journal.Replay(path, apply)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -627,3 +627,43 @@ func TestSpecMismatchRefused(t *testing.T) {
 		t.Fatalf("spec mismatch accepted: %v", err)
 	}
 }
+
+// TestJournalFailureRefusesLaterMutations: once an append fails, the
+// journal writer refuses every later one, so the daemon answers each
+// mutation 503 without applying it and the live state stays exactly
+// what the journal replays to — no op is acknowledged behind a record
+// of unknown durability.
+func TestJournalFailureRefusesLaterMutations(t *testing.T) {
+	s, _, path := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, step := range script[:4] {
+		if code, body := post(t, ts, step.path, step.body); code != 200 {
+			t.Fatalf("POST %s: %d: %s", step.path, code, body)
+		}
+	}
+	// The writer goroutine is idle between requests; closing the file
+	// under it makes the next append fail.
+	if err := s.jw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range script[4:] {
+		if code, body := post(t, ts, step.path, step.body); code != 503 {
+			t.Fatalf("POST %s on a broken journal: %d (%s), want 503", step.path, code, body)
+		}
+	}
+	live := obsExport(t, ts)
+	res, replayed, err := ReplayFile(path, buildRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ops != 4 || res.TornBytes != 0 {
+		t.Fatalf("journal replays %+v, want the 4 acknowledged ops", res)
+	}
+	if !bytes.Equal(live, replayed) {
+		t.Fatal("live obs export diverges from ReplayFile's after a journal failure")
+	}
+	if err := s.Shutdown(); err == nil {
+		t.Fatal("shutdown reported a clean seal on a broken journal")
+	}
+}

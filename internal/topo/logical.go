@@ -132,8 +132,9 @@ func BuildPOCNetwork(w *World, nets []Network, numBPs, minColo, maxHops int) *PO
 			}
 		}
 		sort.Ints(bpRouters)
+		tr := graph.NewTreeRouter(g)
 		for i := 0; i < len(bpRouters); i++ {
-			tree := g.Dijkstra(graph.NodeID(bpRouters[i]), nil)
+			tree := tr.Tree(graph.NodeID(bpRouters[i]), nil)
 			for j := i + 1; j < len(bpRouters); j++ {
 				dst := graph.NodeID(bpRouters[j])
 				if !tree.Reachable(dst) {
