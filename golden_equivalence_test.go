@@ -3,7 +3,6 @@ package poc
 import (
 	"crypto/sha256"
 	"fmt"
-	"hash"
 	"sort"
 	"strconv"
 	"testing"
@@ -74,40 +73,21 @@ func hashAuction(res *AuctionResult) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-func hashAsg(h hash.Hash, asg map[[2]int][]provision.PathAssignment) {
-	var pairs [][2]int
-	for pr := range asg {
-		pairs = append(pairs, pr)
-	}
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
-	for _, pr := range pairs {
-		fmt.Fprintf(h, "%d-%d:", pr[0], pr[1])
-		for _, a := range asg[pr] {
+func hashRouting(res *provision.Routing) string {
+	h := sha256.New()
+	res.Visit(func(src, dst int, asgs []provision.PathAssignment) {
+		fmt.Fprintf(h, "%d-%d:", src, dst)
+		for _, a := range asgs {
 			fmt.Fprintf(h, "%s:", strconv.FormatFloat(a.Gbps, 'x', -1, 64))
 			for _, l := range a.Links {
 				fmt.Fprintf(h, "%d,", l)
 			}
 			fmt.Fprint(h, ";")
 		}
-	}
-}
-
-func hashRouting(res *provision.Routing) string {
-	h := sha256.New()
-	hashAsg(h, res.Assignments)
-	var ids []int
-	for id := range res.Used {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		fmt.Fprintf(h, "u%d=%s;", id, strconv.FormatFloat(res.Used[id], 'x', -1, 64))
-	}
+	})
+	res.VisitUsed(func(id int, gbps float64) {
+		fmt.Fprintf(h, "u%d=%s;", id, strconv.FormatFloat(gbps, 'x', -1, 64))
+	})
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
@@ -362,9 +342,9 @@ func TestRouteMatchesSeedGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := provision.Route(s.Network, nil, s.TM, provision.Options{}, nil)
-	if len(res.Assignments) != seedRouteAsgCount || res.Unplaced != 0 {
+	if res.RoutedPairs() != seedRouteAsgCount || res.Unplaced != 0 {
 		t.Errorf("asg=%d unplaced=%v, seed asg=%d unplaced=0",
-			len(res.Assignments), res.Unplaced, seedRouteAsgCount)
+			res.RoutedPairs(), res.Unplaced, seedRouteAsgCount)
 	}
 	if got := hashRouting(res); got != seedRouteHash {
 		t.Errorf("route hash %s, seed %s", got, seedRouteHash)
@@ -377,9 +357,9 @@ func TestRouteMatchesSeedGolden(t *testing.T) {
 		}
 	}
 	res2 := provision.Route(s.Network, include, s.TM, provision.Options{}, nil)
-	if len(res2.Assignments) != seedRouteAsgCount || res2.Unplaced != 0 || res2.Ejected != 0 {
+	if res2.RoutedPairs() != seedRouteAsgCount || res2.Unplaced != 0 || res2.Ejected != 0 {
 		t.Errorf("subset asg=%d unplaced=%v ejected=%v, seed asg=%d unplaced=0 ejected=0",
-			len(res2.Assignments), res2.Unplaced, res2.Ejected, seedRouteAsgCount)
+			res2.RoutedPairs(), res2.Unplaced, res2.Ejected, seedRouteAsgCount)
 	}
 	if got := hashRouting(res2); got != seedRouteSubsetHash {
 		t.Errorf("subset route hash %s, seed %s", got, seedRouteSubsetHash)

@@ -174,7 +174,7 @@ func isFloat(t types.Type) bool {
 }
 
 // rootIdent returns the leftmost identifier of a selector/index/star/
-// address-of chain (&res.Used[l] → res), or nil.
+// address-of chain (&res.usedGbps[k] → res), or nil.
 func rootIdent(e ast.Expr) *ast.Ident {
 	for {
 		switch x := e.(type) {

@@ -173,20 +173,24 @@ func (in *Instance) Run() (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
 	}
+	// What Run derives goes into a local copy, never into in.RouteOpts:
+	// the next Run on this instance — or on a copy with other bids — must
+	// derive its own.
+	opts := in.RouteOpts
 	var sharedPrice map[int]float64
-	if in.RouteOpts.LinkCost == nil {
+	if opts.LinkCost == nil {
 		sharedPrice = in.priceOfLink()
-		in.RouteOpts.LinkCost = priceMetric(sharedPrice)
+		opts.LinkCost = priceMetric(sharedPrice)
 	}
 	workers := in.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if in.RouteOpts.Workers == 0 {
-		in.RouteOpts.Workers = workers
+	if opts.Workers == 0 {
+		opts.Workers = workers
 	}
-	if in.RouteOpts.Obs == nil {
-		in.RouteOpts.Obs = in.Obs
+	if opts.Obs == nil {
+		opts.Obs = in.Obs
 	}
 	// cc.external marks a cache shared beyond this run: obs recording
 	// through it is suppressed (insert wins are cross-run scheduling
@@ -204,7 +208,7 @@ func (in *Instance) Run() (*Result, error) {
 	run := in.Obs.StartSpan("auction.run")
 	defer run.End()
 	wd := in.Obs.StartSpan("auction.winner_determination")
-	sel, err := in.selectLinks(-1, nil, in.RouteOpts, cc)
+	sel, err := in.selectLinks(-1, nil, opts, cc)
 	wd.End()
 	if err != nil {
 		return nil, fmt.Errorf("auction: winner determination: %w", err)
@@ -252,7 +256,7 @@ func (in *Instance) Run() (*Result, error) {
 	cf := in.Obs.StartSpan("auction.counterfactuals")
 	var next atomic.Int64
 	sweep := func() {
-		opts := in.RouteOpts
+		opts := opts
 		if sharedPrice != nil {
 			price := make(map[int]float64, len(sharedPrice))
 			for id, p := range sharedPrice {

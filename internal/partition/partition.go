@@ -7,9 +7,7 @@
 // each component alone is byte-identical to routing them together —
 // Dijkstra never relaxes across a gap, utilization never aggregates
 // across components, and the ejection budget is per-Route. This
-// package supplies the certificate inputs: the component labeling,
-// the links that would bridge components (all necessarily disabled),
-// and a balanced-cut diagnostic for instances that refuse to split.
+// package supplies the certificate's input: the component labeling.
 //
 // Everything here is deterministic: labels are dense ranks of each
 // component's smallest router index, and all link iteration is in
@@ -88,21 +86,6 @@ func Components(p *topo.POCNetwork, include *linkset.Set) *Partition {
 	return pt
 }
 
-// Border returns, in ascending order, the IDs of every link of p whose
-// endpoints lie in different components. All such links are disabled
-// in the set the partition was computed from (an enabled link unions
-// its endpoints); they are exactly the links whose re-enablement could
-// merge regions.
-func (pt *Partition) Border(p *topo.POCNetwork) []int {
-	var out []int
-	for _, l := range p.Links {
-		if pt.Comp[l.A] != pt.Comp[l.B] {
-			out = append(out, l.ID)
-		}
-	}
-	return out
-}
-
 // Signature fingerprints the labeling (FNV-1a over the dense labels).
 // Two partitions with equal signatures label every router identically,
 // up to fingerprint collision; the provisioner uses it to key cached
@@ -114,61 +97,4 @@ func (pt *Partition) Signature() uint64 {
 		h = fnv64.Mix(h, uint64(c))
 	}
 	return h
-}
-
-// BalancedCut is a diagnostic for instances that refuse to decompose:
-// it grows a BFS region from the lowest-numbered router (restarting
-// from the smallest unvisited router if the enabled graph disconnects)
-// until half the routers are absorbed, and reports that side plus the
-// enabled links crossing the split. A narrow cut suggests the instance
-// is nearly separable — disabling (or pricing out) the cut links would
-// let the decomposition engage. Deterministic: adjacency is scanned in
-// ascending link-ID order and the frontier is FIFO.
-func BalancedCut(p *topo.POCNetwork, include *linkset.Set) (sideA []int, cut []int) {
-	n := len(p.Routers)
-	if n == 0 {
-		return nil, nil
-	}
-	adj := make([][]int, n) // neighbor router indices, ascending link ID
-	for _, l := range p.Links {
-		if include != nil && !include.Contains(l.ID) {
-			continue
-		}
-		adj[l.A] = append(adj[l.A], l.B)
-		adj[l.B] = append(adj[l.B], l.A)
-	}
-	want := (n + 1) / 2
-	inA := make([]bool, n)
-	visited := make([]bool, n)
-	queue := make([]int, 0, n)
-	taken := 0
-	for start := 0; start < n && taken < want; start++ {
-		if visited[start] {
-			continue
-		}
-		visited[start] = true
-		queue = append(queue[:0], start)
-		for len(queue) > 0 && taken < want {
-			u := queue[0]
-			queue = queue[1:]
-			inA[u] = true
-			sideA = append(sideA, u)
-			taken++
-			for _, v := range adj[u] {
-				if !visited[v] {
-					visited[v] = true
-					queue = append(queue, v)
-				}
-			}
-		}
-	}
-	for _, l := range p.Links {
-		if include != nil && !include.Contains(l.ID) {
-			continue
-		}
-		if inA[l.A] != inA[l.B] {
-			cut = append(cut, l.ID)
-		}
-	}
-	return sideA, cut
 }

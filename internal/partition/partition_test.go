@@ -39,9 +39,6 @@ func TestComponentsLabels(t *testing.T) {
 	if !reflect.DeepEqual(pt.Size, []int{3, 3, 1}) {
 		t.Fatalf("Size = %v", pt.Size)
 	}
-	if b := pt.Border(p); b != nil {
-		t.Fatalf("Border = %v, want none (no inter-component links exist)", b)
-	}
 }
 
 func TestComponentsRespectsInclude(t *testing.T) {
@@ -55,10 +52,6 @@ func TestComponentsRespectsInclude(t *testing.T) {
 	}
 	if !reflect.DeepEqual(pt.Comp, []int{0, 0, 1, 1}) {
 		t.Fatalf("Comp = %v", pt.Comp)
-	}
-	// The disabled middle link is now exactly the border.
-	if b := pt.Border(p); !reflect.DeepEqual(b, []int{1}) {
-		t.Fatalf("Border = %v, want [1]", b)
 	}
 	// Signatures distinguish the split from the connected labeling.
 	if Components(p, nil).Signature() == pt.Signature() {
@@ -77,33 +70,5 @@ func TestComponentsLabelOrderIsBySmallestMember(t *testing.T) {
 	pt := Components(p, nil)
 	if !reflect.DeepEqual(pt.Comp, []int{0, 0, 1, 1}) {
 		t.Fatalf("Comp = %v, want [0 0 1 1]", pt.Comp)
-	}
-}
-
-func TestBalancedCut(t *testing.T) {
-	// A 6-path: BFS from router 0 absorbs {0,1,2}; the single crossing
-	// link is 2-3 (ID 2).
-	p := net(6, [2]int{0, 1}, [2]int{1, 2}, [2]int{2, 3}, [2]int{3, 4}, [2]int{4, 5})
-	sideA, cut := BalancedCut(p, nil)
-	if !reflect.DeepEqual(sideA, []int{0, 1, 2}) {
-		t.Fatalf("sideA = %v", sideA)
-	}
-	if !reflect.DeepEqual(cut, []int{2}) {
-		t.Fatalf("cut = %v, want [2]", cut)
-	}
-	// Deterministic across calls.
-	a2, c2 := BalancedCut(p, nil)
-	if !reflect.DeepEqual(a2, sideA) || !reflect.DeepEqual(c2, cut) {
-		t.Fatal("BalancedCut is not deterministic")
-	}
-	// Disconnected graph: restarts from the smallest unvisited router.
-	s := linkset.All(len(p.Links))
-	s.Remove(1) // split {0,1} | {2,3,4,5}; want 3 on side A -> {0,1} then restart at 2
-	a3, c3 := BalancedCut(p, s)
-	if !reflect.DeepEqual(a3, []int{0, 1, 2}) {
-		t.Fatalf("disconnected sideA = %v", a3)
-	}
-	if !reflect.DeepEqual(c3, []int{2}) {
-		t.Fatalf("disconnected cut = %v", c3)
 	}
 }

@@ -138,8 +138,8 @@ func decomposePlan(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix,
 	var fsOf []int
 	if c == Constraint2 {
 		fsOf = make([]int, pt.NumComp)
-		for _, q := range ws.heaviest(tm, opts.FailureScenarios) {
-			fsOf[pt.Comp[q[0]]]++
+		for _, q := range ws.shapeOf(tm).heaviest(opts.FailureScenarios) {
+			fsOf[pt.Comp[q.src]]++
 		}
 	}
 

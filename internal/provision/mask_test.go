@@ -122,7 +122,7 @@ func TestShaverMasksTrackResiduals(t *testing.T) {
 				if sh.TryDrop(rng.Intn(len(p.Links))) {
 					committed++
 				}
-				for _, lr := range sh.routings() {
+				for _, lr := range sh.live {
 					checkMasks(t, lr.rt, "live routing")
 				}
 				if sh.pgArena != nil {

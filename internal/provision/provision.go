@@ -16,15 +16,20 @@
 // feasibility checks fast enough for the auction's winner
 // determination, which runs them thousands of times.
 //
-// Link subsets are linkset.Set bitsets (nil = all links) and routing
-// state lives in reusable Workspace arenas, so a steady-state check
-// performs no graph rebuilds and almost no allocation — see
-// DESIGN.md §10.
+// Link subsets are linkset.Set bitsets (nil = all links). A demand pair
+// is an index: a matrix's positive cells in row-major order, computed
+// once per matrix with the orders routing visits them in (shape). A
+// Routing holds one assignment list per pair index and compact
+// per-link usage, and there is one of it: the Shaver repairs the
+// Routing that route returned, in place, under one undo log. Residuals
+// and the open-edge masks live in reusable Workspace arenas, so a
+// steady-state check rebuilds no graph — see DESIGN.md §10.
 package provision
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -143,11 +148,10 @@ type PathAssignment struct {
 }
 
 // Routing is the result of placing a traffic matrix onto a link set.
+// Assignments are held per demand pair, indexed in the matrix's
+// row-major pair order; usage is compact (the links some path crosses
+// and their Gbps), so a small matrix on a large network stays small.
 type Routing struct {
-	// Assignments maps demand (src,dst) to its path assignments.
-	Assignments map[[2]int][]PathAssignment
-	// Used maps logical link ID to carried Gbps (sum of both directions).
-	Used map[int]float64
 	// Unplaced is the total demand in Gbps that could not be routed;
 	// zero means the matrix fits.
 	Unplaced float64
@@ -163,29 +167,118 @@ type Routing struct {
 	// which regional decomposition uses to prove the shared budget
 	// never binds differently between the global and per-region runs.
 	moves int
+
+	// lists[i] carries shape.pairs[i]; a pair under the 1e-9 placement
+	// tolerance has an empty list. The Shaver repairs lists in place.
+	shape *shape
+	lists [][]PathAssignment
+	// used holds the links the routing crossed when route returned it
+	// and usedGbps their carried Gbps (both directions summed), in
+	// ascending link order.
+	used     *linkset.Set
+	usedGbps []float64
 }
 
 // Feasible reports whether the routing placed all demand.
 func (r *Routing) Feasible() bool { return r.Unplaced <= 1e-9 }
 
+// Assignments returns the paths carrying demand (src,dst); none when
+// the matrix has no such demand or nothing of it was placed.
+func (r *Routing) Assignments(src, dst int) []PathAssignment {
+	ps := r.shape.pairs
+	i := sort.Search(len(ps), func(i int) bool {
+		return ps[i].src > src || ps[i].src == src && ps[i].dst >= dst
+	})
+	if i == len(ps) || ps[i].src != src || ps[i].dst != dst {
+		return nil
+	}
+	return r.lists[i]
+}
+
+// Visit calls fn for every routed pair — one with at least one
+// assignment — in (src,dst) order.
+func (r *Routing) Visit(fn func(src, dst int, asgs []PathAssignment)) {
+	for i, asgs := range r.lists {
+		if len(asgs) > 0 {
+			fn(r.shape.pairs[i].src, r.shape.pairs[i].dst, asgs)
+		}
+	}
+}
+
+// RoutedPairs returns the number of pairs Visit visits.
+func (r *Routing) RoutedPairs() int {
+	n := 0
+	r.Visit(func(int, int, []PathAssignment) { n++ })
+	return n
+}
+
+// Used returns the Gbps carried on a logical link, 0 when no path
+// crosses it.
+func (r *Routing) Used(link int) float64 {
+	if !r.used.Contains(link) {
+		return 0
+	}
+	return r.usedGbps[r.slot(link)]
+}
+
+// VisitUsed calls fn for every link some path crosses, ascending.
+func (r *Routing) VisitUsed(fn func(link int, gbps float64)) {
+	k := 0
+	r.used.Iterate(func(l int) {
+		fn(l, r.usedGbps[k])
+		k++
+	})
+}
+
+// slot is a used link's position in usedGbps: its rank in used.
+func (r *Routing) slot(link int) int {
+	w := r.used.Words()
+	n := bits.OnesCount64(w[link>>6] & (1<<(link&63) - 1))
+	for _, x := range w[:link>>6] {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// foldUsage accounts per-link usage. Each link's Gbps is a float
+// accumulation: it folds pairs in index order and each pair's list in
+// list order — the order the exported utilization metrics are pinned to.
+func (r *Routing) foldUsage(links int) {
+	r.used = linkset.New(links)
+	for _, asgs := range r.lists {
+		for _, a := range asgs {
+			for _, l := range a.Links {
+				r.used.Add(l)
+			}
+		}
+	}
+	r.usedGbps = make([]float64, r.used.Len())
+	for _, asgs := range r.lists {
+		for _, a := range asgs {
+			for _, l := range a.Links {
+				r.usedGbps[r.slot(l)] += a.Gbps
+			}
+		}
+	}
+}
+
 // MaxUtilization returns the highest used/capacity ratio across links
 // in the POC network p, or 0 when nothing is used.
 func (r *Routing) MaxUtilization(p *topo.POCNetwork) float64 {
 	mx := 0.0
-	for id, used := range r.Used {
-		u := used / p.Links[id].Capacity
-		if u > mx {
+	r.VisitUsed(func(id int, used float64) {
+		if u := used / p.Links[id].Capacity; u > mx {
 			mx = u
 		}
-	}
+	})
 	return mx
 }
 
 // router is one reusable routing arena: the full graph over every
 // logical link (candidate subsets select edges through the enabled /
 // open masks, see apply), the pooled Dijkstra engines, and slice-backed
-// residual/usage scratch. Arenas are owned by a Workspace and must be
-// used by one goroutine at a time (acquire/release).
+// residuals. Arenas are owned by a Workspace and must be used by one
+// goroutine at a time (acquire/release).
 type router struct {
 	p       *topo.POCNetwork
 	g       *graph.Graph
@@ -202,14 +295,6 @@ type router struct {
 	enabledPos []uint64
 	open       []uint64
 	pathBuf    []graph.EdgeID // point-search output scratch
-
-	// usedScratch/touched accumulate per-link usage during a routing;
-	// touched lists the dirtied indices so zeroing is O(paths), not
-	// O(links). The accumulation folds in the same sorted-pair order
-	// as the seed's map-backed version, so the float sums — and the
-	// exported utilization metrics — stay byte-identical.
-	usedScratch []float64
-	touched     []int
 }
 
 // place routes gbps from src to dst over up to MaxPaths paths,
@@ -242,15 +327,15 @@ func (rt *router) place(src, dst int, gbps float64, maxPaths int, avoid *linkset
 	return out, remaining
 }
 
-// ejectAndPlace tries to place up to gbps for the pair along its
+// ejectAndPlace tries to place up to gbps for demand d along its
 // cheapest capacity-oblivious path, freeing deficit links by
 // rerouting other pairs' assignments off them (whole assignments,
 // smallest first). It mutates res and the residuals, decrements
 // *moves per rerouted assignment, and returns the amount placed.
-func (rt *router) ejectAndPlace(res *Routing, pair [2]int, gbps float64, avoid *linkset.Set, moves *int) (placed float64, blocker int) {
+func (rt *router) ejectAndPlace(res *Routing, d demand, gbps float64, avoid *linkset.Set, moves *int) (placed float64, blocker int) {
 	// Cheapest path over all enabled links (capacity ignored),
 	// respecting only the pair's avoid set.
-	links := rt.path(pair[0], pair[1], rt.enabledMask(avoid))
+	links := rt.path(d.src, d.dst, rt.enabledMask(avoid))
 	if len(links) == 0 {
 		return 0, -1
 	}
@@ -265,7 +350,7 @@ func (rt *router) ejectAndPlace(res *Routing, pair [2]int, gbps float64, avoid *
 		if rt.resid[l] >= want {
 			continue
 		}
-		rt.freeLink(res, l, want-rt.resid[l], pair, moves)
+		rt.freeLink(res, l, want-rt.resid[l], d.pair, moves)
 		if rt.resid[l] < want {
 			want = rt.resid[l]
 		}
@@ -281,46 +366,37 @@ func (rt *router) ejectAndPlace(res *Routing, pair [2]int, gbps float64, avoid *
 		return 0, blocker
 	}
 	rt.addPath(links, -want)
-	res.Assignments[pair] = append(res.Assignments[pair], PathAssignment{Links: links, Gbps: want})
+	res.lists[d.pair] = append(res.lists[d.pair], PathAssignment{Links: links, Gbps: want})
 	return want, blocker
 }
 
 // freeLink tries to raise link l's residual by `need` Gbps by
 // rerouting other pairs' assignments off it (smallest assignments
-// first, deterministic order). The displaced pair keeps its avoid
-// set; reroutes that cannot fully re-place are rolled back.
-func (rt *router) freeLink(res *Routing, l int, need float64, exclude [2]int, moves *int) float64 {
-	type cand struct {
-		pair [2]int
-		idx  int
-	}
+// first, then by pair and list slot — tombstones count). The displaced
+// pair keeps its avoid set; reroutes that cannot fully re-place are
+// rolled back.
+func (rt *router) freeLink(res *Routing, l int, need float64, exclude int, moves *int) float64 {
+	type cand struct{ pair, slot int }
 	var cands []cand
-	for pair, asgs := range res.Assignments {
+	for pair, asgs := range res.lists {
 		if pair == exclude {
 			continue
 		}
-		for i, a := range asgs {
-			for _, al := range a.Links {
-				if al == l {
-					cands = append(cands, cand{pair, i})
-					break
-				}
+		for slot, a := range asgs {
+			if crossesLink(a, l) {
+				cands = append(cands, cand{pair, slot})
 			}
 		}
 	}
 	sort.Slice(cands, func(i, j int) bool {
-		ai := res.Assignments[cands[i].pair][cands[i].idx]
-		aj := res.Assignments[cands[j].pair][cands[j].idx]
-		if ai.Gbps != aj.Gbps {
-			return ai.Gbps < aj.Gbps
+		ci, cj := cands[i], cands[j]
+		if gi, gj := res.lists[ci.pair][ci.slot].Gbps, res.lists[cj.pair][cj.slot].Gbps; gi != gj {
+			return gi < gj
 		}
-		if cands[i].pair != cands[j].pair {
-			if cands[i].pair[0] != cands[j].pair[0] {
-				return cands[i].pair[0] < cands[j].pair[0]
-			}
-			return cands[i].pair[1] < cands[j].pair[1]
+		if ci.pair != cj.pair {
+			return ci.pair < cj.pair
 		}
-		return cands[i].idx < cands[j].idx
+		return ci.slot < cj.slot
 	})
 	freed := 0.0
 	banned := linkset.New(len(rt.p.Links))
@@ -329,8 +405,8 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude [2]int, mo
 		if freed >= need || *moves <= 0 {
 			break
 		}
-		asgs := res.Assignments[c.pair]
-		a := asgs[c.idx]
+		asgs := res.lists[c.pair]
+		a := asgs[c.slot]
 		if a.Gbps == 0 {
 			continue // already displaced in this pass
 		}
@@ -338,7 +414,8 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude [2]int, mo
 		rt.addPath(a.Links, a.Gbps)
 		// Re-place avoiding l.
 		*moves--
-		replaced, left := rt.place(c.pair[0], c.pair[1], a.Gbps, 8, banned)
+		d := res.shape.pairs[c.pair]
+		replaced, left := rt.place(d.src, d.dst, a.Gbps, 8, banned)
 		if left > 1e-9 {
 			// Rollback: restore the original assignment.
 			for _, r := range replaced {
@@ -348,48 +425,26 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude [2]int, mo
 			continue
 		}
 		// Commit: zero out the old slot and append the new ones.
-		asgs[c.idx] = PathAssignment{Gbps: 0}
-		res.Assignments[c.pair] = append(asgs, replaced...)
+		asgs[c.slot] = PathAssignment{Gbps: 0}
+		res.lists[c.pair] = append(asgs, replaced...)
 		freed += a.Gbps
 	}
 	return freed
 }
 
-// demand is an internal flattened demand entry.
-type demand struct {
-	src, dst int
-	gbps     float64
-}
-
-func flatten(tm *traffic.Matrix) []demand {
-	// Count first so the slice is allocated exactly once.
-	n := 0
-	tm.Demands(func(s, d int, g float64) { n++ })
-	ds := make([]demand, 0, n)
-	tm.Demands(func(s, d int, g float64) { ds = append(ds, demand{s, d, g}) })
-	sortDemands(ds)
-	return ds
-}
-
-// sortDemands orders demands largest first — big aggregates get the
-// short paths, which is both realistic and makes the greedy packing
-// more effective — with ties broken by (src, dst).
-func sortDemands(ds []demand) {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].gbps != ds[j].gbps {
-			return ds[i].gbps > ds[j].gbps
-		}
-		if ds[i].src != ds[j].src {
-			return ds[i].src < ds[j].src
-		}
-		return ds[i].dst < ds[j].dst
-	})
+// avoidOf returns pair i's avoid set; a nil slice bans nothing.
+func avoidOf(avoid []*linkset.Set, i int) *linkset.Set {
+	if avoid == nil {
+		return nil
+	}
+	return avoid[i]
 }
 
 // Route places tm onto the link subset include (nil = all links) and
-// returns the routing. avoidPrimary, when non-nil, maps a (src,dst)
-// pair to the set of logical links that demand must not use
-// (Constraint #3 uses this to ban each pair's primary path).
+// returns the routing. avoidPrimary, when non-nil, holds for each demand
+// pair — indexed in tm.Demands order, as PrimaryPathsOpts returns it —
+// the set of logical links that demand must not use (Constraint #3 uses
+// this to ban each pair's primary path).
 //
 // Routing runs in two phases. Phase 1 computes one shortest-path tree
 // per source and sends each demand down its tree path as far as
@@ -397,7 +452,7 @@ func sortDemands(ds []demand) {
 // with O(sources) Dijkstra runs. Phase 2 repairs the remainder (and
 // all demands with avoid sets) with per-demand point-to-point
 // searches over the residual capacities.
-func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options, avoidPrimary map[[2]int]*linkset.Set) *Routing {
+func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options, avoidPrimary []*linkset.Set) *Routing {
 	opts = opts.withDefaults().resolve(p)
 	ws := opts.Workspace
 	rt := ws.acquire()
@@ -408,23 +463,16 @@ func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Op
 
 // route runs the three routing phases on an arena that has already
 // been configured via apply.
-func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPrimary map[[2]int]*linkset.Set) *Routing {
-	_, bySrc, srcs := ws.demands(tm)
-	res := &Routing{
-		Assignments: make(map[[2]int][]PathAssignment, len(srcs)*2),
-	}
+func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPrimary []*linkset.Set) *Routing {
+	sh := ws.shapeOf(tm)
+	res := &Routing{shape: sh, lists: make([][]PathAssignment, len(sh.pairs))}
 
 	var phase2 []demand
 	usable := rt.openMask(nil)
-	for _, s := range srcs {
-		tree := rt.tr.Tree(graph.NodeID(s), usable)
-		for _, d := range bySrc[s] {
-			pair := [2]int{d.src, d.dst}
-			if avoidPrimary[pair] != nil {
-				phase2 = append(phase2, d)
-				continue
-			}
-			if !tree.Reachable(graph.NodeID(d.dst)) {
+	for _, group := range sh.bySrc {
+		tree := rt.tr.Tree(graph.NodeID(group[0].src), usable)
+		for _, d := range group {
+			if avoidOf(avoidPrimary, d.pair) != nil || !tree.Reachable(graph.NodeID(d.dst)) {
 				phase2 = append(phase2, d)
 				continue
 			}
@@ -443,9 +491,9 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 				continue
 			}
 			rt.addPath(links, -bn)
-			res.Assignments[pair] = append(res.Assignments[pair], PathAssignment{Links: links, Gbps: bn})
-			if rest := d.gbps - bn; rest > 1e-9 {
-				phase2 = append(phase2, demand{d.src, d.dst, rest})
+			res.lists[d.pair] = append(res.lists[d.pair], PathAssignment{Links: links, Gbps: bn})
+			if d.gbps -= bn; d.gbps > 1e-9 {
+				phase2 = append(phase2, d)
 			}
 		}
 	}
@@ -453,17 +501,16 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 	sortDemands(phase2)
 	var stuck []demand
 	for _, d := range phase2 {
-		pair := [2]int{d.src, d.dst}
-		avoid := avoidPrimary[pair] // nil map, nil set: nothing to avoid
-		budget := opts.MaxPaths - len(res.Assignments[pair])
+		budget := opts.MaxPaths - len(res.lists[d.pair])
 		if budget <= 0 {
 			stuck = append(stuck, d)
 			continue
 		}
-		asg, left := rt.place(d.src, d.dst, d.gbps, budget, avoid)
-		res.Assignments[pair] = append(res.Assignments[pair], asg...)
+		asg, left := rt.place(d.src, d.dst, d.gbps, budget, avoidOf(avoidPrimary, d.pair))
+		res.lists[d.pair] = append(res.lists[d.pair], asg...)
 		if left > 1e-9 {
-			stuck = append(stuck, demand{d.src, d.dst, left})
+			d.gbps = left
+			stuck = append(stuck, d)
 		}
 	}
 
@@ -475,16 +522,14 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 	// so the phase stays cheap and deterministic.
 	moves := 512
 	for _, d := range stuck {
-		pair := [2]int{d.src, d.dst}
-		avoid := avoidPrimary[pair] // nil map, nil set: nothing to avoid
 		left := d.gbps
-		pathBudget := opts.MaxPaths - len(res.Assignments[pair])
+		pathBudget := opts.MaxPaths - len(res.lists[d.pair])
 		// detour accumulates the worst deficit link of each failed
 		// attempt so later attempts explore different paths.
 		detour := linkset.New(len(rt.p.Links))
-		detour.Union(avoid)
+		detour.Union(avoidOf(avoidPrimary, d.pair))
 		for attempt := 0; attempt < 8 && left > 1e-9 && moves > 0 && pathBudget > 0; attempt++ {
-			placed, blocker := rt.ejectAndPlace(res, pair, left, detour, &moves)
+			placed, blocker := rt.ejectAndPlace(res, d, left, detour, &moves)
 			left -= placed
 			res.Ejected += placed
 			if placed <= 1e-9 {
@@ -498,89 +543,56 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 		}
 		if left > 1e-9 {
 			res.Unplaced += left
-			res.UnplacedPairs = append(res.UnplacedPairs, pair)
+			res.UnplacedPairs = append(res.UnplacedPairs, [2]int{d.src, d.dst})
 		}
 	}
 	res.moves = 512 - moves
 
 	// Strip the zero-Gbps tombstones the ejection phase leaves behind,
 	// then account usage.
-	for pair, asgs := range res.Assignments {
+	for i, asgs := range res.lists {
 		kept := asgs[:0]
 		for _, a := range asgs {
 			if a.Gbps > 0 {
 				kept = append(kept, a)
 			}
 		}
-		if len(kept) == 0 {
-			delete(res.Assignments, pair)
-		} else {
-			res.Assignments[pair] = kept
-		}
+		res.lists[i] = kept
 	}
-	// Deterministic pair order: Used is a float accumulation, and map
-	// iteration order would perturb the sums at ULP scale run to run —
-	// invisible to feasibility verdicts, but it leaks into exported
-	// utilization metrics, which must be byte-identical. The fold goes
-	// through the arena's usedScratch slice (same addition sequence as
-	// the seed's map-backed fold) and materializes one exact-size map.
-	pairs := make([][2]int, 0, len(res.Assignments))
-	for pair := range res.Assignments {
-		pairs = append(pairs, pair)
-	}
-	sortPairs(pairs)
-	for _, pair := range pairs {
-		for _, a := range res.Assignments[pair] {
-			for _, l := range a.Links {
-				if rt.usedScratch[l] == 0 {
-					rt.touched = append(rt.touched, l)
-				}
-				rt.usedScratch[l] += a.Gbps
-			}
-		}
-	}
-	res.Used = make(map[int]float64, len(rt.touched))
-	for _, l := range rt.touched {
-		res.Used[l] = rt.usedScratch[l]
-		rt.usedScratch[l] = 0
-	}
-	rt.touched = rt.touched[:0]
+	res.foldUsage(len(rt.p.Links))
 	return res
 }
 
-// PrimaryPaths computes, for every demand pair in tm, the links of its
-// shortest path in the subset include, ignoring capacity. Pairs with
-// no path at all map to nil and are reported in the second return.
-func PrimaryPaths(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix) (map[[2]int]*linkset.Set, [][2]int) {
-	return PrimaryPathsOpts(p, include, tm, Options{})
-}
-
-// PrimaryPathsOpts is PrimaryPaths with an explicit routing metric.
-func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options) (map[[2]int]*linkset.Set, [][2]int) {
+// PrimaryPathsOpts computes, for every demand pair in tm — indexed in
+// tm.Demands order — the links of its cheapest path in the subset
+// include by opts' routing metric, ignoring capacity. Pairs with no
+// path at all stay nil and are reported in the second return.
+func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options) ([]*linkset.Set, [][2]int) {
 	opts = opts.resolve(p)
 	ws := opts.Workspace
 	rt := ws.acquire()
 	defer ws.release(rt)
 	rt.apply(include, 0, ws.all)
 
+	pairs := ws.shapeOf(tm).pairs
+	primaries := make([]*linkset.Set, len(pairs))
 	var unreachable [][2]int
-	// One Dijkstra per source covers all destinations.
-	dsts, srcs := ws.primaryDemands(tm)
-	primaries := make(map[[2]int]*linkset.Set, len(srcs))
 	enabled := rt.enabledMask(nil)
-	for _, s := range srcs {
-		tree := rt.tr.Tree(graph.NodeID(s), enabled)
-		for _, d := range dsts[s] {
-			if !tree.Reachable(graph.NodeID(d)) {
-				unreachable = append(unreachable, [2]int{s, d})
-				continue
-			}
-			path := tree.PathTo(rt.g, graph.NodeID(d))
-			set := linkset.New(len(p.Links))
-			for _, eid := range path.Edges {
-				set.Add(int(rt.linkFor[eid]))
-			}
-			primaries[[2]int{s, d}] = set
+	var tree *graph.ShortestTree
+	for i, d := range pairs {
+		// Row-major order: one Dijkstra per source covers its run of
+		// destinations.
+		if i == 0 || d.src != pairs[i-1].src {
+			tree = rt.tr.Tree(graph.NodeID(d.src), enabled)
+		}
+		if !tree.Reachable(graph.NodeID(d.dst)) {
+			unreachable = append(unreachable, [2]int{d.src, d.dst})
+			continue
+		}
+		path := tree.PathTo(rt.g, graph.NodeID(d.dst))
+		primaries[i] = linkset.New(len(p.Links))
+		for _, eid := range path.Edges {
+			primaries[i].Add(int(rt.linkFor[eid]))
 		}
 	}
 	return primaries, unreachable
@@ -614,7 +626,7 @@ func recordCheck(r *obs.Registry, c Constraint, sum CacheSummary) {
 // memo/metrics summary.
 func summarize(p *topo.POCNetwork, feasible bool, r *Routing) CacheSummary {
 	paths := 0
-	for _, asgs := range r.Assignments {
+	for _, asgs := range r.lists {
 		paths += len(asgs)
 	}
 	return CacheSummary{
@@ -662,8 +674,8 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 			return false, base
 		}
 		var scenarios []*linkset.Set
-		for _, pair := range opts.Workspace.heaviest(tm, opts.FailureScenarios) {
-			if failed := primaries[pair]; failed != nil && !failed.Empty() {
+		for _, d := range opts.Workspace.shapeOf(tm).heaviest(opts.FailureScenarios) {
+			if failed := primaries[d.pair]; failed != nil && !failed.Empty() {
 				scenarios = append(scenarios, failed)
 			}
 		}
@@ -757,42 +769,11 @@ func CheckCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 // already have defaults and a workspace applied.
 func checkCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (bool, *linkset.Set, CacheSummary) {
 	core := linkset.New(len(p.Links))
-	ok, r := checkRouting(p, include, tm, c, opts, func(r *Routing) {
-		for id, used := range r.Used {
-			if used > 0 {
-				core.Add(id)
-			}
-		}
-	})
+	ok, r := checkRouting(p, include, tm, c, opts, func(r *Routing) { core.Union(r.used) })
 	if !ok {
 		core = nil
 	}
 	return ok, core, summarize(p, ok, r)
-}
-
-// heaviestPairs returns up to n demand pairs ordered by descending
-// demand.
-func heaviestPairs(tm *traffic.Matrix, n int) [][2]int {
-	type pd struct {
-		pair [2]int
-		g    float64
-	}
-	var all []pd
-	tm.Demands(func(s, d int, g float64) { all = append(all, pd{[2]int{s, d}, g}) })
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].g != all[j].g {
-			return all[i].g > all[j].g
-		}
-		return all[i].pair[0]*1<<16+all[i].pair[1] < all[j].pair[0]*1<<16+all[j].pair[1]
-	})
-	if n > len(all) {
-		n = len(all)
-	}
-	out := make([][2]int, n)
-	for i := 0; i < n; i++ {
-		out[i] = all[i].pair
-	}
-	return out
 }
 
 // subtract returns include minus removed. A nil include means "all

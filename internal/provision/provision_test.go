@@ -47,7 +47,7 @@ func TestRouteSingleDemand(t *testing.T) {
 	if !r.Feasible() {
 		t.Fatalf("unplaced = %v", r.Unplaced)
 	}
-	asg := r.Assignments[[2]int{0, 2}]
+	asg := r.Assignments(0, 2)
 	if len(asg) != 1 {
 		t.Fatalf("assignments = %+v, want single path", asg)
 	}
@@ -55,8 +55,8 @@ func TestRouteSingleDemand(t *testing.T) {
 	if len(asg[0].Links) != 2 || asg[0].Links[0] != 0 || asg[0].Links[1] != 1 {
 		t.Fatalf("path links = %v, want [0 1]", asg[0].Links)
 	}
-	if r.Used[0] != 5 || r.Used[1] != 5 {
-		t.Fatalf("used = %v", r.Used)
+	if r.Used(0) != 5 || r.Used(1) != 5 {
+		t.Fatalf("used = %v, %v", r.Used(0), r.Used(1))
 	}
 }
 
@@ -67,7 +67,7 @@ func TestRouteSplitsAcrossPaths(t *testing.T) {
 	if !r.Feasible() {
 		t.Fatalf("unplaced = %v", r.Unplaced)
 	}
-	asg := r.Assignments[[2]int{0, 2}]
+	asg := r.Assignments(0, 2)
 	if len(asg) != 3 {
 		t.Fatalf("got %d paths, want 3: %+v", len(asg), asg)
 	}
@@ -132,14 +132,14 @@ func TestRouteRespectsInclude(t *testing.T) {
 
 func TestRouteAvoidPrimary(t *testing.T) {
 	p := testNet(10)
-	avoid := map[[2]int]*linkset.Set{
-		{0, 2}: linkset.FromIDs([]int{0, 1}, len(p.Links)), // ban the 0-1-2 path
+	avoid := []*linkset.Set{
+		linkset.FromIDs([]int{0, 1}, len(p.Links)), // pair 0 is (0,2): ban the 0-1-2 path
 	}
 	r := Route(p, nil, tmSingle(4, 0, 2, 5), Options{}, avoid)
 	if !r.Feasible() {
 		t.Fatal("chord should carry the demand")
 	}
-	for _, a := range r.Assignments[[2]int{0, 2}] {
+	for _, a := range r.Assignments(0, 2) {
 		for _, l := range a.Links {
 			if l == 0 || l == 1 {
 				t.Fatalf("assignment used banned link %d", l)
@@ -169,16 +169,17 @@ func TestPrimaryPaths(t *testing.T) {
 	m := traffic.NewMatrix(4)
 	m.Set(0, 2, 1)
 	m.Set(3, 1, 1)
-	prim, unreachable := PrimaryPaths(p, nil, m)
+	prim, unreachable := PrimaryPathsOpts(p, nil, m, Options{})
 	if len(unreachable) != 0 {
 		t.Fatalf("unreachable = %v", unreachable)
 	}
-	if !prim[[2]int{0, 2}].Contains(0) || !prim[[2]int{0, 2}].Contains(1) {
-		t.Fatalf("primary(0,2) = %v, want {0,1}", prim[[2]int{0, 2}].AppendIDs(nil))
+	// Pair order is m.Demands order: (0,2) is pair 0, (3,1) pair 1.
+	if len(prim) != 2 || !prim[0].Contains(0) || !prim[0].Contains(1) {
+		t.Fatalf("primary(0,2) = %v, want {0,1}", prim[0].AppendIDs(nil))
 	}
 	// 3->1 shortest: 3-0-1 or 3-2-1, both 200km; Dijkstra picks one.
-	if prim[[2]int{3, 1}].Len() != 2 {
-		t.Fatalf("primary(3,1) = %v, want 2 links", prim[[2]int{3, 1}].AppendIDs(nil))
+	if prim[1].Len() != 2 {
+		t.Fatalf("primary(3,1) = %v, want 2 links", prim[1].AppendIDs(nil))
 	}
 }
 
@@ -187,9 +188,9 @@ func TestPrimaryPathsUnreachable(t *testing.T) {
 	include := linkset.FromIDs([]int{0}, len(p.Links))
 	m := traffic.NewMatrix(4)
 	m.Set(0, 3, 1)
-	_, unreachable := PrimaryPaths(p, include, m)
-	if len(unreachable) != 1 {
-		t.Fatalf("unreachable = %v, want one pair", unreachable)
+	prim, unreachable := PrimaryPathsOpts(p, include, m, Options{})
+	if len(unreachable) != 1 || unreachable[0] != [2]int{0, 3} || prim[0] != nil {
+		t.Fatalf("unreachable = %v, primary = %v, want the one pair and no primary", unreachable, prim)
 	}
 }
 
@@ -239,7 +240,7 @@ func TestCheckConstraint3(t *testing.T) {
 	if !ok {
 		t.Fatal("constraint3 should pass")
 	}
-	for _, a := range r.Assignments[[2]int{0, 2}] {
+	for _, a := range r.Assignments(0, 2) {
 		for _, l := range a.Links {
 			if l == 0 || l == 1 {
 				t.Fatal("constraint3 routing used the primary path")
@@ -315,11 +316,12 @@ func TestHeaviestPairs(t *testing.T) {
 	m.Set(0, 1, 1)
 	m.Set(1, 2, 9)
 	m.Set(2, 0, 5)
-	ps := heaviestPairs(m, 2)
-	if len(ps) != 2 || ps[0] != [2]int{1, 2} || ps[1] != [2]int{2, 0} {
+	sh := newShape(m)
+	ps := sh.heaviest(2)
+	if len(ps) != 2 || ps[0] != (demand{1, 2, 9, 1}) || ps[1] != (demand{2, 0, 5, 2}) {
 		t.Fatalf("heaviest = %v", ps)
 	}
-	if got := heaviestPairs(m, 99); len(got) != 3 {
+	if got := sh.heaviest(99); len(got) != 3 {
 		t.Fatalf("capped = %v", got)
 	}
 }

@@ -47,9 +47,17 @@ type Shaver struct {
 	include *linkset.Set
 	ws      *Workspace
 
-	base      *liveRouting
-	scenarios []*scenario  // Constraint2
-	degraded  *liveRouting // Constraint3 (avoid sets mutate as primaries move)
+	// live[0] is the base routing. Under Constraint2 live[1+j] routes
+	// scenarios[j]; under Constraint3 live[1] is the degraded routing,
+	// whose avoid sets move as primaries do.
+	live      []*liveRouting
+	scenarios []scenario
+
+	// undo logs every mutation of the TryDrop in flight, in order;
+	// lifted holds the assignments its repairs released. Both are
+	// truncated when the drop commits or rolls back, and reused.
+	undo   []undoRec
+	lifted []PathAssignment
 
 	// Cached metric arena for primaryOf, re-applied when include
 	// changes.
@@ -61,31 +69,45 @@ type Shaver struct {
 // scenario is one Constraint-2 failure case: the traffic matrix must
 // route with the pair's primary path removed.
 type scenario struct {
-	pair    [2]int
+	pair    demand
 	primary *linkset.Set
-	lr      *liveRouting
 }
 
-// liveRouting is one mutable routing the shave must keep repairable.
+// liveRouting is one mutable routing the shave must keep repairable:
+// the Routing route returned, edited in place, on the arena whose
+// residuals book it. Repairs only ever re-place existing pairs.
 type liveRouting struct {
 	rt *router
-	// pairs is the sorted demand-pair list and lists[i] the live
-	// assignments of pairs[i]. Repairs only ever re-place existing
-	// pairs, so the pair set is fixed at creation; index-based
-	// parallel slices keep the TryDrop hot path free of map hashing
-	// (a [2]int key costs a hash plus a 16-byte compare per access)
-	// and scans walk pairs in the deterministic order repairs require.
-	// idx serves the rare by-pair entries (an avoid-set move).
-	pairs [][2]int
-	lists [][]PathAssignment
-	idx   map[[2]int]int
+	r  *Routing
 	// avoid bans links per pair (Constraint3's degraded routing).
-	avoid map[[2]int]*linkset.Set
+	avoid []*linkset.Set
 	// banned excludes links from this routing beyond the shared
 	// include set: the scenario's failed primary plus every shaved
 	// link.
 	banned *linkset.Set
 }
+
+// undoRec is one logged mutation; kind says which fields it uses.
+type undoRec struct {
+	kind undoKind
+	k    int // index into Shaver.live
+	pair int // undoLift, undoAvoid: the pair index
+	// undoLift: the released assignments are Shaver.lifted[off:off+n],
+	// added placements were appended in their stead, and the repair's
+	// records begin at undo[first].
+	off, n, added, first int
+	set                  *linkset.Set // undoAvoid: the old avoid set; undoScenario: the old primary
+	lr                   *liveRouting // undoScenario: the replaced routing
+}
+
+type undoKind uint8
+
+const (
+	undoBan      undoKind = iota // the dropped link was banned on live[k]
+	undoLift                     // a repair replaced part of a pair's list
+	undoAvoid                    // a pair's avoid set moved to its new primary
+	undoScenario                 // live[k] was rebuilt around a new primary
+)
 
 // ban excludes a link from this routing by closing its directed edges
 // in the private arena's masks. The arena's enabled set stays in sync,
@@ -106,44 +128,32 @@ func (lr *liveRouting) unban(l int) {
 // newLive routes tm over include minus failed (with per-pair avoid
 // sets) and wraps the result as a liveRouting, or returns nil when
 // infeasible. Shaved links must be passed in failed so the routing
-// avoids them. opts must carry a resolved Workspace; the returned
-// routing owns one of its arenas until released.
-func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid map[[2]int]*linkset.Set, tm *traffic.Matrix, opts Options) *liveRouting {
+// avoids them. opts must carry defaults and a resolved Workspace; the
+// returned routing owns one of its arenas until released.
+func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.Set, tm *traffic.Matrix, opts Options) *liveRouting {
 	inc := include
 	if failed != nil && !failed.Empty() {
 		inc = subtract(include, failed, len(p.Links))
 	}
-	r := Route(p, inc, tm, opts, avoid)
+	ws := opts.Workspace
+	rt := ws.acquire()
+	rt.apply(inc, opts.Headroom, ws.all)
+	r := rt.route(ws, tm, opts, avoid)
 	if !r.Feasible() {
+		ws.release(rt)
 		return nil
 	}
-	ws := opts.Workspace
-	lr := &liveRouting{
-		rt:     ws.acquire(),
-		avoid:  avoid,
-		banned: linkset.New(len(p.Links)),
-	}
-	lr.rt.apply(include, opts.Headroom, ws.all)
+	lr := &liveRouting{rt: rt, r: r, avoid: avoid, banned: linkset.New(len(p.Links))}
+	rt.apply(include, opts.Headroom, ws.all)
 	if failed != nil {
 		failed.Iterate(func(l int) { lr.ban(l) })
 	}
-	// Rebuild residuals from the assignments (the routing arena inside
-	// Route owned the originals). Deterministic pair order: the
-	// residuals are float accumulations, and map iteration would
-	// perturb every later packing decision at ULP scale.
-	pairs := make([][2]int, 0, len(r.Assignments))
-	for pair := range r.Assignments {
-		pairs = append(pairs, pair)
-	}
-	sortPairs(pairs)
-	lr.pairs = pairs
-	lr.lists = make([][]PathAssignment, len(pairs))
-	lr.idx = make(map[[2]int]int, len(pairs))
-	for i, pair := range pairs {
-		lr.lists[i] = r.Assignments[pair]
-		lr.idx[pair] = i
-		for _, a := range lr.lists[i] {
-			lr.rt.addPath(a.Links, -a.Gbps)
+	// Rebuild the residuals from the assignments in index order: they
+	// are float accumulations, and the packing order route booked them
+	// in would leave every later repair at different ULPs.
+	for _, asgs := range r.lists {
+		for _, a := range asgs {
+			rt.addPath(a.Links, -a.Gbps)
 		}
 	}
 	return lr
@@ -170,30 +180,29 @@ func NewShaver(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 // build creates the live routings the constraint entails, reporting
 // false as soon as one is infeasible or a demand pair is unreachable.
 func (s *Shaver) build() bool {
-	if s.base = newLive(s.p, s.include, nil, nil, s.tm, s.opts); s.base == nil {
+	add := func(failed *linkset.Set, avoid []*linkset.Set) bool {
+		lr := newLive(s.p, s.include, failed, avoid, s.tm, s.opts)
+		if lr != nil {
+			s.live = append(s.live, lr)
+		}
+		return lr != nil
+	}
+	if !add(nil, nil) {
 		return false
 	}
 	switch s.c {
 	case Constraint1:
 	case Constraint2:
-		for _, pair := range s.ws.heaviest(s.tm, s.opts.FailureScenarios) {
-			primary, ok := s.primaryOf(pair)
-			if !ok {
+		for _, d := range s.ws.shapeOf(s.tm).heaviest(s.opts.FailureScenarios) {
+			primary, ok := s.primaryOf(d)
+			if !ok || !add(primary, nil) {
 				return false
 			}
-			lr := newLive(s.p, s.include, primary, nil, s.tm, s.opts)
-			if lr == nil {
-				return false
-			}
-			s.scenarios = append(s.scenarios, &scenario{pair: pair, primary: primary, lr: lr})
+			s.scenarios = append(s.scenarios, scenario{pair: d, primary: primary})
 		}
 	case Constraint3:
 		avoid, unreachable := PrimaryPathsOpts(s.p, s.include, s.tm, s.opts)
-		if len(unreachable) > 0 {
-			return false
-		}
-		s.degraded = newLive(s.p, s.include, nil, avoid, s.tm, s.opts)
-		return s.degraded != nil
+		return len(unreachable) == 0 && add(nil, avoid)
 	default:
 		return false
 	}
@@ -207,22 +216,15 @@ func (s *Shaver) Close() {
 	if s.ws == nil {
 		return
 	}
-	release := func(lr *liveRouting) {
-		if lr != nil && lr.rt != nil {
-			s.ws.release(lr.rt)
-			lr.rt = nil
-		}
+	for _, lr := range s.live {
+		s.ws.release(lr.rt)
+		lr.rt = nil
 	}
-	release(s.base)
-	for _, sc := range s.scenarios {
-		release(sc.lr)
-	}
-	release(s.degraded)
 	if s.pgArena != nil {
 		s.ws.release(s.pgArena)
 		s.pgArena = nil
 	}
-	s.base, s.scenarios, s.degraded = nil, nil, nil
+	s.live, s.scenarios = nil, nil
 	s.ws = nil
 }
 
@@ -230,7 +232,7 @@ func (s *Shaver) Close() {
 // current include set (by the routing metric, ignoring capacity). The
 // metric arena is cached and re-applied only when the include set has
 // changed since the last call.
-func (s *Shaver) primaryOf(pair [2]int) (*linkset.Set, bool) {
+func (s *Shaver) primaryOf(d demand) (*linkset.Set, bool) {
 	if s.pgArena == nil {
 		s.pgArena = s.ws.acquire()
 		s.pgArena.apply(s.include, 0, s.ws.all)
@@ -239,122 +241,77 @@ func (s *Shaver) primaryOf(pair [2]int) (*linkset.Set, bool) {
 		s.pgArena.apply(s.include, 0, s.ws.all)
 		s.pgVersion = s.version
 	}
-	links := s.pgArena.path(pair[0], pair[1], s.pgArena.enabledMask(nil))
+	links := s.pgArena.path(d.src, d.dst, s.pgArena.enabledMask(nil))
 	if len(links) == 0 {
-		return nil, pair[0] == pair[1]
+		return nil, d.src == d.dst
 	}
 	return linkset.FromIDs(links, len(s.p.Links)), true
-}
-
-// routings returns every live routing in deterministic order.
-func (s *Shaver) routings() []*liveRouting {
-	out := []*liveRouting{s.base}
-	for _, sc := range s.scenarios {
-		out = append(out, sc.lr)
-	}
-	if s.degraded != nil {
-		out = append(out, s.degraded)
-	}
-	return out
 }
 
 // Include returns the current link set (live view; do not mutate).
 func (s *Shaver) Include() *linkset.Set { return s.include }
 
-// Witness returns the base (no-failure) packing the shave maintains —
-// proof that the current set carries the matrix. The assignment
-// slices are live state; callers must not mutate them.
-func (s *Shaver) Witness() map[[2]int][]PathAssignment {
-	out := make(map[[2]int][]PathAssignment, len(s.base.pairs))
-	for i, pair := range s.base.pairs {
-		out[pair] = s.base.lists[i]
-	}
-	return out
-}
-
-// repairUndo records one routing's repair so it can be rolled back.
-// idxs holds the touched pair indices in ascending order (repairs
-// process pairs in sorted order, so appending preserves it); removed
-// and added run parallel to idxs.
-type repairUndo struct {
-	lr      *liveRouting
-	idxs    []int
-	removed [][]PathAssignment
-	added   []int
-}
-
-// rollback undoes the repair. Both passes run in ascending pair
-// order: the residual rebuilds are float accumulations, and undoing
-// in any other order would leave resid at different ULPs than the
-// forward repair computed, compounding across repair attempts.
-func (u *repairUndo) rollback() {
-	lr := u.lr
-	for k, i := range u.idxs {
-		n := u.added[k]
-		if n == 0 {
-			continue
-		}
-		asgs := lr.lists[i]
-		for _, a := range asgs[len(asgs)-n:] {
-			lr.rt.addPath(a.Links, a.Gbps)
-		}
-		lr.lists[i] = asgs[:len(asgs)-n]
-	}
-	for k, i := range u.idxs {
-		for _, a := range u.removed[k] {
-			lr.rt.addPath(a.Links, -a.Gbps)
-			lr.lists[i] = append(lr.lists[i], a)
-		}
-	}
-}
-
 // repair releases the assignments lift selects among pairs [lo,hi) of
-// lr and re-places each under the routing's current bans and avoid
-// sets. A dropped link lifts the assignments crossing it, over every
-// pair; a pair whose avoid set just changed lifts all of its own. It
-// returns the undo record and whether every assignment was re-placed.
-func (s *Shaver) repair(lr *liveRouting, lo, hi int, lift func(PathAssignment) bool) (*repairUndo, bool) {
-	u := &repairUndo{lr: lr}
-	// lr.pairs is sorted, so lifted pairs are released — and later
-	// re-placed — in the deterministic order repairs require.
+// live[k] and re-places each under the routing's current bans and avoid
+// sets, logging one undoLift per touched pair. A dropped link lifts the
+// assignments crossing it, over every pair; a pair whose avoid set just
+// changed lifts all of its own. It reports whether every assignment was
+// re-placed. Pairs release — and then re-place — in ascending order:
+// the residuals are float accumulations.
+func (s *Shaver) repair(k, lo, hi int, lift func(PathAssignment) bool) bool {
+	lr := s.live[k]
+	first := len(s.undo)
 	for i := lo; i < hi; i++ {
-		asgs := lr.lists[i]
-		hit := false
+		asgs, off := lr.r.lists[i], len(s.lifted)
+		keep := asgs[:0]
 		for _, a := range asgs {
 			if lift(a) {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		var keep, removed []PathAssignment
-		for _, a := range asgs {
-			if lift(a) {
-				removed = append(removed, a)
+				s.lifted = append(s.lifted, a)
 				lr.rt.addPath(a.Links, a.Gbps)
 			} else {
 				keep = append(keep, a)
 			}
 		}
-		lr.lists[i] = keep
-		u.idxs = append(u.idxs, i)
-		u.removed = append(u.removed, removed)
-		u.added = append(u.added, 0)
-	}
-	for k, i := range u.idxs {
-		pair := lr.pairs[i]
-		for _, a := range u.removed[k] {
-			placed := s.place(lr, pair, a.Gbps)
-			u.added[k] += len(placed)
-			if placed == nil {
-				return u, false
-			}
-			lr.lists[i] = append(lr.lists[i], placed...)
+		if n := len(s.lifted) - off; n > 0 {
+			lr.r.lists[i] = keep
+			s.undo = append(s.undo, undoRec{kind: undoLift, k: k, pair: i, off: off, n: n, first: first})
 		}
 	}
-	return u, true
+	for j := first; j < len(s.undo); j++ {
+		u := &s.undo[j]
+		for _, a := range s.lifted[u.off : u.off+u.n] {
+			placed := s.place(lr, lr.r.shape.pairs[u.pair], a.Gbps)
+			u.added += len(placed)
+			if placed == nil {
+				return false
+			}
+			lr.r.lists[u.pair] = append(lr.r.lists[u.pair], placed...)
+		}
+	}
+	return true
+}
+
+// unrepair rolls back the repair whose records are undo[first:end].
+// Both passes run in ascending pair order — first release what was
+// added, then re-book what was lifted: undoing in any other order
+// would leave resid at different ULPs than the forward repair
+// computed, compounding across repair attempts. Each list ends as its
+// kept assignments, then the lifted ones.
+func (s *Shaver) unrepair(first, end int) {
+	lr := s.live[s.undo[first].k]
+	for _, u := range s.undo[first:end] {
+		asgs := lr.r.lists[u.pair]
+		for _, a := range asgs[len(asgs)-u.added:] {
+			lr.rt.addPath(a.Links, a.Gbps)
+		}
+		lr.r.lists[u.pair] = asgs[:len(asgs)-u.added]
+	}
+	for _, u := range s.undo[first:end] {
+		for _, a := range s.lifted[u.off : u.off+u.n] {
+			lr.rt.addPath(a.Links, -a.Gbps)
+			lr.r.lists[u.pair] = append(lr.r.lists[u.pair], a)
+		}
+	}
 }
 
 // TryDrop attempts to remove one link. It returns true (and commits)
@@ -364,139 +321,114 @@ func (s *Shaver) TryDrop(link int) bool {
 	if !s.include.Contains(link) {
 		return false
 	}
-	// Tentatively remove the link everywhere, remembering which
-	// routings already banned it (a Constraint-2 scenario bans its
-	// failed primary; rollback must not clear that ban).
+	// Tentatively remove the link everywhere. A routing that already
+	// banned it (a Constraint-2 scenario bans its failed primary) logs
+	// nothing: rollback must not clear that ban.
 	s.include.Remove(link)
 	s.version++
-	entry := s.routings()
-	preBanned := make([]bool, len(entry))
-	for i, lr := range entry {
-		preBanned[i] = lr.banned.Contains(link)
-		lr.ban(link)
+	for k, lr := range s.live {
+		if !lr.banned.Contains(link) {
+			s.undo = append(s.undo, undoRec{kind: undoBan, k: k})
+			lr.ban(link)
+		}
 	}
-	crossing := func(a PathAssignment) bool { return crossesLink(a, link) }
-	// 1. Base routing repairs incrementally.
-	u, ok := s.repair(s.base, 0, len(s.base.pairs), crossing)
-	undos := []*repairUndo{u}
+	ok := s.repairAll(link)
+	if ok {
+		// Committed: the replaced scenario routings return their arenas.
+		for _, u := range s.undo {
+			if u.kind == undoScenario {
+				s.ws.release(u.lr.rt)
+				u.lr.rt = nil
+			}
+		}
+	} else {
+		s.include.Add(link)
+		s.version++
+		for j := len(s.undo) - 1; j >= 0; j-- {
+			switch u := s.undo[j]; u.kind {
+			case undoBan:
+				s.live[u.k].unban(link)
+			case undoLift:
+				s.unrepair(u.first, j+1)
+				j = u.first
+			case undoAvoid:
+				s.live[u.k].avoid[u.pair] = u.set
+			case undoScenario:
+				s.ws.release(s.live[u.k].rt)
+				s.live[u.k].rt = nil
+				s.live[u.k], s.scenarios[u.k-1].primary = u.lr, u.set
+			}
+		}
+	}
+	s.undo, s.lifted = s.undo[:0], s.lifted[:0]
+	return ok
+}
 
+// repairAll brings every live routing back to feasibility after link
+// left the include set, logging each mutation in s.undo; false means
+// some routing could not be repaired and the log must be replayed.
+func (s *Shaver) repairAll(link int) bool {
+	crossing := func(a PathAssignment) bool { return crossesLink(a, link) }
+	all := func(k int) bool { return s.repair(k, 0, len(s.live[k].r.lists), crossing) }
+	// 1. Base routing repairs incrementally.
+	if !all(0) {
+		return false
+	}
 	// 2. Constraint-2 scenarios: a scenario whose primary contained
 	// the link gets a recomputed primary and a rebuilt routing; other
 	// scenarios repair incrementally.
-	type scenarioSwap struct {
-		sc         *scenario
-		oldPrimary *linkset.Set
-		oldLR      *liveRouting
-		newLR      *liveRouting
-	}
-	var swaps []scenarioSwap
-	if ok {
-		for _, sc := range s.scenarios {
-			if !sc.primary.Contains(link) {
-				u, repaired := s.repair(sc.lr, 0, len(sc.lr.pairs), crossing)
-				undos = append(undos, u)
-				if !repaired {
-					ok = false
-					break
-				}
-				continue
+	for j := range s.scenarios {
+		sc, k := &s.scenarios[j], 1+j
+		if !sc.primary.Contains(link) {
+			if !all(k) {
+				return false
 			}
-			newPrimary, reachable := s.primaryOf(sc.pair)
-			if !reachable {
-				ok = false
-				break
-			}
-			failed := newPrimary.Clone()
-			sc.lr.banned.Iterate(func(id int) {
-				if id != link && !s.include.Contains(id) {
-					// Keep previously shaved links out of the rebuild.
-					failed.Add(id)
-				}
-			})
-			failed.Add(link)
-			newLR := newLive(s.p, s.include, failed, nil, s.tm, s.opts)
-			if newLR == nil {
-				ok = false
-				break
-			}
-			swaps = append(swaps, scenarioSwap{sc: sc, oldPrimary: sc.primary, oldLR: sc.lr, newLR: newLR})
-			sc.primary = newPrimary
-			sc.lr = newLR
+			continue
 		}
-	}
-
-	// 3. Constraint-3 degraded routing: pairs whose primary contained
-	// the link get new avoid sets and are re-placed; the rest repair
-	// incrementally.
-	type avoidSwap struct {
-		pair [2]int
-		old  *linkset.Set
-	}
-	var avoidSwaps []avoidSwap
-	if ok && s.degraded != nil {
-		u, repaired := s.repair(s.degraded, 0, len(s.degraded.pairs), crossing)
-		undos = append(undos, u)
-		if !repaired {
-			ok = false
+		newPrimary, reachable := s.primaryOf(sc.pair)
+		if !reachable {
+			return false
 		}
-		if ok {
-			var moved [][2]int
-			for pair, av := range s.degraded.avoid {
-				if av.Contains(link) {
-					moved = append(moved, pair)
-				}
+		failed := newPrimary.Clone()
+		s.live[k].banned.Iterate(func(id int) {
+			if id != link && !s.include.Contains(id) {
+				// Keep previously shaved links out of the rebuild.
+				failed.Add(id)
 			}
-			sortPairs(moved)
-			for _, pair := range moved {
-				newPrimary, reachable := s.primaryOf(pair)
-				if !reachable {
-					ok = false
-					break
-				}
-				avoidSwaps = append(avoidSwaps, avoidSwap{pair: pair, old: s.degraded.avoid[pair]})
-				s.degraded.avoid[pair] = newPrimary
-				i := s.degraded.idx[pair]
-				u, repaired := s.repair(s.degraded, i, i+1, func(PathAssignment) bool { return true })
-				undos = append(undos, u)
-				if !repaired {
-					ok = false
-					break
-				}
-			}
+		})
+		failed.Add(link)
+		newLR := newLive(s.p, s.include, failed, nil, s.tm, s.opts)
+		if newLR == nil {
+			return false
 		}
+		s.undo = append(s.undo, undoRec{kind: undoScenario, k: k, lr: s.live[k], set: sc.primary})
+		s.live[k], sc.primary = newLR, newPrimary
 	}
-
-	if ok {
-		// Committed: the replaced scenario routings return their arenas.
-		for _, sw := range swaps {
-			s.ws.release(sw.oldLR.rt)
-			sw.oldLR.rt = nil
-		}
+	// 3. Constraint-3 degraded routing: it repairs incrementally, then
+	// each pair whose primary contained the link — ascending — gets a
+	// new avoid set and is re-placed whole.
+	if s.c != Constraint3 {
 		return true
 	}
-	// Rollback in reverse order of the mutations.
-	for i := len(undos) - 1; i >= 0; i-- {
-		undos[i].rollback()
+	lr := s.live[1]
+	if !all(1) {
+		return false
 	}
-	if s.degraded != nil {
-		for i := len(avoidSwaps) - 1; i >= 0; i-- {
-			s.degraded.avoid[avoidSwaps[i].pair] = avoidSwaps[i].old
+	for i, av := range lr.avoid {
+		if !av.Contains(link) {
+			continue
+		}
+		newPrimary, reachable := s.primaryOf(lr.r.shape.pairs[i])
+		if !reachable {
+			return false
+		}
+		s.undo = append(s.undo, undoRec{kind: undoAvoid, k: 1, pair: i, set: av})
+		lr.avoid[i] = newPrimary
+		if !s.repair(1, i, i+1, func(PathAssignment) bool { return true }) {
+			return false
 		}
 	}
-	for i := len(swaps) - 1; i >= 0; i-- {
-		swaps[i].sc.primary = swaps[i].oldPrimary
-		swaps[i].sc.lr = swaps[i].oldLR
-		s.ws.release(swaps[i].newLR.rt)
-		swaps[i].newLR.rt = nil
-	}
-	s.include.Add(link)
-	s.version++
-	for i, lr := range entry {
-		if !preBanned[i] {
-			lr.unban(link)
-		}
-	}
-	return false
+	return true
 }
 
 // place routes gbps for the pair over the live residuals, all or
@@ -510,8 +442,8 @@ func (s *Shaver) TryDrop(link int) bool {
 // no routing holds a diagonal pair; and if one did, its empty path
 // crosses no link and its primary is the empty set, so neither a drop
 // nor an avoid-set move would lift it (TestShaverNeverLiftsDiagonal).
-func (s *Shaver) place(lr *liveRouting, pair [2]int, gbps float64) []PathAssignment {
-	out, left := lr.rt.place(pair[0], pair[1], gbps, s.opts.MaxPaths, lr.avoid[pair])
+func (s *Shaver) place(lr *liveRouting, d demand, gbps float64) []PathAssignment {
+	out, left := lr.rt.place(d.src, d.dst, gbps, s.opts.MaxPaths, avoidOf(lr.avoid, d.pair))
 	if left > 1e-9 {
 		for _, a := range out {
 			lr.rt.addPath(a.Links, a.Gbps)
@@ -560,15 +492,6 @@ func crossesLink(a PathAssignment, link int) bool {
 		}
 	}
 	return false
-}
-
-func sortPairs(pairs [][2]int) {
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i][0] != pairs[j][0] {
-			return pairs[i][0] < pairs[j][0]
-		}
-		return pairs[i][1] < pairs[j][1]
-	})
 }
 
 // cloneInclude materializes an include set (nil means all links) as an

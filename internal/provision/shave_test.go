@@ -182,18 +182,21 @@ func TestShaverNeverLiftsDiagonal(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v: feasible instance rejected", c)
 		}
-		diag := [2]int{0, 0}
-		for _, lr := range sh.routings() {
-			// Sorted position: (0,0) precedes (0,1). A nil path marks the
-			// planted assignment; a re-placement would allocate one.
-			lr.pairs = append([][2]int{diag}, lr.pairs...)
-			lr.lists = append([][]PathAssignment{{{Gbps: 5}}}, lr.lists...)
-			for pair, i := range lr.idx {
-				lr.idx[pair] = i + 1
-			}
-			lr.idx[diag] = 0
+		// A private copy of the shape, the diagonal planted at its
+		// row-major position: (0,0) precedes (0,1).
+		diag := demand{src: 0, dst: 0, gbps: 5, pair: 0}
+		planted := &shape{pairs: []demand{diag}}
+		for _, d := range sh.live[0].r.shape.pairs {
+			d.pair++
+			planted.pairs = append(planted.pairs, d)
+		}
+		for _, lr := range sh.live {
+			// A nil path marks the planted assignment; a re-placement
+			// would allocate one.
+			lr.r.shape = planted
+			lr.r.lists = append([][]PathAssignment{{{Gbps: 5}}}, lr.r.lists...)
 			if lr.avoid != nil {
-				lr.avoid[diag] = linkset.New(len(p.Links))
+				lr.avoid = append([]*linkset.Set{linkset.New(len(p.Links))}, lr.avoid...)
 			}
 		}
 		dropped := 0
@@ -207,8 +210,8 @@ func TestShaverNeverLiftsDiagonal(t *testing.T) {
 		if dropped == 0 || dropped == len(p.Links) {
 			t.Fatalf("%v: %d of %d drops committed — need both commits and rollbacks", c, dropped, len(p.Links))
 		}
-		for _, lr := range sh.routings() {
-			if got := lr.lists[0]; lr.pairs[0] != diag || len(got) != 1 || got[0].Links != nil || got[0].Gbps != 5 {
+		for _, lr := range sh.live {
+			if got := lr.r.lists[0]; lr.r.shape.pairs[0] != diag || len(got) != 1 || got[0].Links != nil || got[0].Gbps != 5 {
 				t.Fatalf("%v: diagonal pair was lifted: %+v", c, got)
 			}
 		}
@@ -268,11 +271,11 @@ func TestShaverResultStillRoutes(t *testing.T) {
 
 	// Exact guarantee: the witness packing covers every demand and
 	// respects capacities.
-	witness := sh.Witness()
+	witness := sh.live[0].r
 	used := map[int]float64{}
 	tm.Demands(func(src, dst int, gbps float64) {
 		placed := 0.0
-		for _, a := range witness[[2]int{src, dst}] {
+		for _, a := range witness.Assignments(src, dst) {
 			placed += a.Gbps
 			for _, l := range a.Links {
 				used[l] += a.Gbps

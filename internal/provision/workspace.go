@@ -25,12 +25,12 @@ import (
 // residual is bit-identical to the rebuild-per-check seed behaviour.
 //
 // A Workspace owns a free list of arenas (router state: graph, pooled
-// TreeRouter/PointRouter scratch, slice-backed residual and usage
-// accumulators). Route/Check acquire an arena, apply the include set,
-// and release it on return; parallel callers (Constraint-2 scenario
-// sweeps, the auction's counterfactuals) therefore each own a private
-// arena for the duration of a routing — the per-worker ownership rule
-// that keeps parallel runs bit-identical (DESIGN.md §10).
+// TreeRouter/PointRouter scratch, slice-backed residuals). Route/Check
+// acquire an arena, apply the include set, and release it on return;
+// parallel callers (Constraint-2 scenario sweeps, the auction's
+// counterfactuals) therefore each own a private arena for the duration
+// of a routing — the per-worker ownership rule that keeps parallel runs
+// bit-identical (DESIGN.md §10).
 //
 // The Workspace is bound to the Options.LinkCost metric it was created
 // with: edge costs are frozen into the arena graphs. Callers must not
@@ -45,28 +45,18 @@ type Workspace struct {
 	mu   sync.Mutex
 	free []*router
 
-	// Demand-shape caches, keyed by traffic-matrix pointer: the
-	// flattened + sorted demand list, its by-source grouping, the
-	// per-source destination lists for primary-path trees, and the
-	// heaviest-pairs ranking. All are pure functions of the matrix,
-	// which is constant across an auction, so each is computed once
-	// per workspace instead of once per routing.
+	// Single-slot caches keyed by traffic-matrix pointer. The demand
+	// shape is a pure function of the matrix, which is constant across
+	// an auction, so it is computed once per workspace instead of once
+	// per routing.
 	dmu   sync.Mutex
-	dsTM  *traffic.Matrix
-	ds    []demand
-	bySrc map[int][]demand
-	srcs  []int
-	pTM   *traffic.Matrix
-	pDsts map[int][]int
-	pSrcs []int
-	hpTM  *traffic.Matrix
-	hpN   int
-	hp    [][2]int
+	shTM  *traffic.Matrix
+	shape *shape
 	// Regional-decomposition projection cache: the per-component
 	// matrices for (matrix, partition labeling). Pointer-stable across
-	// probes that split the same way, so the demand-shape caches above
-	// and the FeasibilityCache's per-matrix fingerprints stay warm for
-	// every component sub-problem.
+	// probes that split the same way, so the shape slot above and the
+	// FeasibilityCache's per-matrix fingerprints stay warm for every
+	// component sub-problem.
 	projTM  *traffic.Matrix
 	projSig uint64
 	proj    []*traffic.Matrix
@@ -148,17 +138,16 @@ func newArena(p *topo.POCNetwork, linkCost func(l topo.LogicalLink) float64) *ro
 	}
 	words := (g.NumEdges() + 63) / 64
 	return &router{
-		p:           p,
-		g:           g,
-		pr:          graph.NewPointRouter(g),
-		tr:          graph.NewTreeRouter(g),
-		linkFor:     linkFor,
-		posFor:      posFor,
-		resid:       make([]float64, len(p.Links)),
-		usedScratch: make([]float64, len(p.Links)),
-		enabled:     linkset.New(len(p.Links)),
-		enabledPos:  make([]uint64, words),
-		open:        make([]uint64, words),
+		p:          p,
+		g:          g,
+		pr:         graph.NewPointRouter(g),
+		tr:         graph.NewTreeRouter(g),
+		linkFor:    linkFor,
+		posFor:     posFor,
+		resid:      make([]float64, len(p.Links)),
+		enabled:    linkset.New(len(p.Links)),
+		enabledPos: make([]uint64, words),
+		open:       make([]uint64, words),
 	}
 }
 
@@ -273,50 +262,96 @@ func (rt *router) apply(include *linkset.Set, headroom float64, all *linkset.Set
 	})
 }
 
-// demands returns the flattened demand list, its by-source grouping
-// and the source order for tm, computing them once per matrix.
-func (ws *Workspace) demands(tm *traffic.Matrix) ([]demand, map[int][]demand, []int) {
-	ws.dmu.Lock()
-	defer ws.dmu.Unlock()
-	if ws.dsTM != tm {
-		ds := flatten(tm)
-		bySrc := make(map[int][]demand, tm.Size())
-		rowTotal := make(map[int]float64, tm.Size())
-		for _, d := range ds {
-			bySrc[d.src] = append(bySrc[d.src], d)
-			rowTotal[d.src] += d.gbps
-		}
-		srcs := make([]int, 0, len(bySrc))
-		for s := range bySrc {
-			srcs = append(srcs, s)
-		}
-		sort.Slice(srcs, func(i, j int) bool {
-			if rowTotal[srcs[i]] != rowTotal[srcs[j]] {
-				return rowTotal[srcs[i]] > rowTotal[srcs[j]]
-			}
-			return srcs[i] < srcs[j]
-		})
-		ws.dsTM, ws.ds, ws.bySrc, ws.srcs = tm, ds, bySrc, srcs
-	}
-	return ws.ds, ws.bySrc, ws.srcs
+// demand is one positive cell of a traffic matrix or, on the routing
+// phases' work lists, what is still unplaced of one. pair is the cell's
+// index in the matrix's row-major pair order (shape.pairs): the key of
+// every per-pair structure, so nothing on the routing path hashes or
+// searches for a (src,dst).
+type demand struct {
+	src, dst int
+	gbps     float64
+	pair     int
 }
 
-// primaryDemands returns the per-source destination lists and sorted
-// source order for tm's demand pairs, computed once per matrix.
-func (ws *Workspace) primaryDemands(tm *traffic.Matrix) (map[int][]int, []int) {
+// sortDemands orders demands largest first — big aggregates get the
+// short paths, which is both realistic and makes the greedy packing
+// more effective — with ties broken by pair index, i.e. by (src, dst).
+func sortDemands(ds []demand) {
+	sort.Slice(ds, func(i, j int) bool {
+		if ds[i].gbps != ds[j].gbps {
+			return ds[i].gbps > ds[j].gbps
+		}
+		return ds[i].pair < ds[j].pair
+	})
+}
+
+// shape is everything routing derives from a traffic matrix alone.
+type shape struct {
+	// pairs is the pair index: tm.Demands order, pairs[i].pair == i.
+	pairs []demand
+	// bySize is pairs in sortDemands order; its prefixes are
+	// Constraint 2's failure-scenario ranking.
+	bySize []demand
+	// bySrc groups pairs by source, heaviest row first (ties by source);
+	// each group is in sortDemands order. Phase 1 grows one tree per group.
+	bySrc [][]demand
+}
+
+func newShape(tm *traffic.Matrix) *shape {
+	n := 0
+	tm.Demands(func(int, int, float64) { n++ })
+	sh := &shape{pairs: make([]demand, 0, n)}
+	tm.Demands(func(s, d int, g float64) { sh.pairs = append(sh.pairs, demand{s, d, g, len(sh.pairs)}) })
+	sh.bySize = append(make([]demand, 0, n), sh.pairs...)
+	sortDemands(sh.bySize)
+
+	// A source's pairs are one run of the row-major list. Sorting each
+	// run in place gives bySize restricted to that source, and the row
+	// totals fold in that order.
+	type row struct {
+		ds    []demand
+		total float64
+	}
+	var rows []row
+	grouped := append(make([]demand, 0, n), sh.pairs...)
+	for lo := 0; lo < n; {
+		hi, total := lo, 0.0
+		for hi < n && grouped[hi].src == grouped[lo].src {
+			hi++
+		}
+		sortDemands(grouped[lo:hi])
+		for _, d := range grouped[lo:hi] {
+			total += d.gbps
+		}
+		rows = append(rows, row{grouped[lo:hi], total})
+		lo = hi
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i].total != rows[j].total {
+			return rows[i].total > rows[j].total
+		}
+		return rows[i].ds[0].src < rows[j].ds[0].src
+	})
+	sh.bySrc = make([][]demand, len(rows))
+	for i, r := range rows {
+		sh.bySrc[i] = r.ds
+	}
+	return sh
+}
+
+// heaviest returns up to n demands, largest first.
+func (sh *shape) heaviest(n int) []demand {
+	return sh.bySize[:min(n, len(sh.bySize))]
+}
+
+// shapeOf returns tm's demand shape, computed once per matrix.
+func (ws *Workspace) shapeOf(tm *traffic.Matrix) *shape {
 	ws.dmu.Lock()
 	defer ws.dmu.Unlock()
-	if ws.pTM != tm {
-		dsts := map[int][]int{}
-		tm.Demands(func(s, d int, _ float64) { dsts[s] = append(dsts[s], d) })
-		srcs := make([]int, 0, len(dsts))
-		for s := range dsts {
-			srcs = append(srcs, s)
-		}
-		sort.Ints(srcs)
-		ws.pTM, ws.pDsts, ws.pSrcs = tm, dsts, srcs
+	if ws.shTM != tm {
+		ws.shTM, ws.shape = tm, newShape(tm)
 	}
-	return ws.pDsts, ws.pSrcs
+	return ws.shape
 }
 
 // projections returns projectMatrix(tm, pt), computed once per
@@ -329,14 +364,4 @@ func (ws *Workspace) projections(tm *traffic.Matrix, pt *partition.Partition) []
 		ws.projTM, ws.projSig, ws.proj = tm, sig, projectMatrix(tm, pt)
 	}
 	return ws.proj
-}
-
-// heaviest returns heaviestPairs(tm, n), computed once per (matrix, n).
-func (ws *Workspace) heaviest(tm *traffic.Matrix, n int) [][2]int {
-	ws.dmu.Lock()
-	defer ws.dmu.Unlock()
-	if ws.hpTM != tm || ws.hpN != n {
-		ws.hpTM, ws.hpN, ws.hp = tm, n, heaviestPairs(tm, n)
-	}
-	return ws.hp
 }
