@@ -137,3 +137,27 @@ func allowedLeak(ws *pool.Workspace, fail bool) {
 	}
 	ws.Release(rt)
 }
+
+// Positive, second kind: an internal routing — a failure scenario's,
+// summarised and dropped — leaks on the infeasible path.
+func leakScenarioRouting(ws *pool.Workspace) bool {
+	r := ws.Route() // want "r acquired by Route \\(kind .routing.\\) is not released on the path reaching the return"
+	if r.Lists == nil {
+		return false
+	}
+	ws.GiveRouting(r)
+	return true
+}
+
+// Negative: given back on both paths; the base routing goes to the
+// caller, who owns it for good.
+func okScenarioRouting(ws *pool.Workspace) (bool, *pool.Routing) {
+	base := ws.Route()
+	r := ws.Route()
+	if r.Lists == nil {
+		ws.GiveRouting(r)
+		return false, base
+	}
+	ws.GiveRouting(r)
+	return true, base
+}

@@ -33,3 +33,20 @@ func (ws *Workspace) Acquire() *Router {
 func (ws *Workspace) Release(rt *Router) {
 	ws.free = append(ws.free, rt)
 }
+
+// Routing is a second pooled resource, of its own kind: the stand-in
+// for provision.Routing, which a Workspace recycles beside its arenas.
+type Routing struct {
+	Lists [][]int
+}
+
+// Route routes into a Routing taken from the pool, which only the
+// routings that never leave the package go back to.
+//
+//lint:acquire routing
+func (ws *Workspace) Route() *Routing { return &Routing{} }
+
+// GiveRouting returns a Routing nothing refers to any more.
+//
+//lint:release routing
+func (ws *Workspace) GiveRouting(r *Routing) {}

@@ -2,6 +2,7 @@ package auction
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/public-option/poc/internal/provision"
@@ -347,6 +348,36 @@ func TestStandardBidsCoverAllLinks(t *testing.T) {
 	}
 	if covered != len(p.Links) {
 		t.Fatalf("bids cover %d links, want %d", covered, len(p.Links))
+	}
+}
+
+// TestStandardBidsMatchPerBPScan: bucketing links by BP in one pass
+// gives each BP the links, in the order, and at the prices that one
+// LinksOfBP scan per BP gave it — on the zoo network (with a virtual
+// link no BP owns) and on a synth one.
+func TestStandardBidsMatchPerBPScan(t *testing.T) {
+	w := topo.DefaultWorld()
+	zoo := topo.BuildPOCNetwork(w, topo.GenerateZoo(w, topo.DefaultZooConfig()), 20, 4, 0)
+	zoo.AddVirtualLink(0, 1, 10)
+	synth := topo.GenerateSynth(topo.DefaultSynthConfig()).P
+	lp := DefaultLeasePricing()
+	for _, p := range []*topo.POCNetwork{zoo, synth} {
+		for b, bid := range StandardBids(p, lp) {
+			want := p.LinksOfBP(b)
+			if bid.BP != b || bid.Links == nil || !slices.Equal(bid.Links, want) {
+				t.Fatalf("BP %d: bid %d over links %v, scan gives %v", b, bid.BP, bid.Links, want)
+			}
+			prices := map[int]float64{}
+			for _, id := range want {
+				prices[id] = lp.Price(p, p.Links[id])
+				if got := bid.Cost([]int{id}); got != prices[id] {
+					t.Fatalf("BP %d: link %d bid at %v, priced %v", b, id, got, prices[id])
+				}
+			}
+			if got, ref := bid.Cost(want), VolumeDiscountCost(prices, 0.01, 0.12)(want); got != ref {
+				t.Fatalf("BP %d: all links bid at %v, per-scan bid %v", b, got, ref)
+			}
+		}
 	}
 }
 

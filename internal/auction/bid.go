@@ -132,17 +132,28 @@ func (lp LeasePricing) Price(p *topo.POCNetwork, l topo.LogicalLink) float64 {
 // the given lease pricing and a volume discount (rate 1% per extra
 // link, capped at 12%).
 func StandardBids(p *topo.POCNetwork, lp LeasePricing) []Bid {
+	// One pass over the links buckets their IDs by BP, ascending as
+	// LinksOfBP lists them; a scan per BP is O(BPs × links).
+	counts := make([]int, len(p.BPs))
+	for _, l := range p.Links {
+		if l.BP >= 0 && l.BP < len(counts) {
+			counts[l.BP]++
+		}
+	}
 	bids := make([]Bid, len(p.BPs))
-	for b := range p.BPs {
-		prices := map[int]float64{}
-		for _, id := range p.LinksOfBP(b) {
-			prices[id] = lp.Price(p, p.Links[id])
+	prices := make([]map[int]float64, len(p.BPs))
+	for b, n := range counts {
+		bids[b] = Bid{BP: b, Links: make([]int, 0, n)}
+		prices[b] = make(map[int]float64, n)
+	}
+	for _, l := range p.Links {
+		if l.BP >= 0 && l.BP < len(counts) {
+			bids[l.BP].Links = append(bids[l.BP].Links, l.ID)
+			prices[l.BP][l.ID] = lp.Price(p, l)
 		}
-		links := make([]int, 0, len(prices))
-		for _, id := range p.LinksOfBP(b) {
-			links = append(links, id)
-		}
-		bids[b] = Bid{BP: b, Links: links, Cost: VolumeDiscountCost(prices, 0.01, 0.12)}
+	}
+	for b := range bids {
+		bids[b].Cost = VolumeDiscountCost(prices[b], 0.01, 0.12)
 	}
 	return bids
 }

@@ -76,20 +76,25 @@ func (t *ShortestTree) PathTo(g *Graph, dst NodeID) Path {
 	if !t.Reachable(dst) {
 		return Path{Cost: math.Inf(1)}
 	}
-	var rev []EdgeID
+	return Path{Edges: t.AppendPathTo(nil, g, dst), Cost: t.Dist[dst]}
+}
+
+// AppendPathTo appends the edge sequence of the path to dst, which the
+// caller has checked is Reachable, to a caller-provided buffer (the tree
+// twin of PointRouter.PathInto): into a grown buffer the walk allocates
+// nothing. dst == source appends nothing.
+func (t *ShortestTree) AppendPathTo(buf []EdgeID, g *Graph, dst NodeID) []EdgeID {
+	start := len(buf)
 	for n := dst; n != t.Source; {
 		eid := t.Parent[n]
-		if eid == Undefined {
-			return Path{Cost: math.Inf(1)}
-		}
-		rev = append(rev, eid)
+		buf = append(buf, eid)
 		n = g.edges[eid].From
 	}
-	// Reverse in place.
+	rev := buf[start:]
 	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
 		rev[i], rev[j] = rev[j], rev[i]
 	}
-	return Path{Edges: rev, Cost: t.Dist[dst]}
+	return buf
 }
 
 // dijkstraScratch is the reusable state of one shortest-path engine:

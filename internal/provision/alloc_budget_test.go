@@ -1,0 +1,69 @@
+//go:build !race
+
+package provision_test
+
+import (
+	"testing"
+
+	poc "github.com/public-option/poc"
+	"github.com/public-option/poc/internal/provision"
+)
+
+// The race detector inflates allocation counts, hence the build tag; CI
+// runs these in their own step. They mirror BENCHMARK.json's per-layer
+// provision.check_allocs, on the Scale-0.12 scenario.
+
+// TestAllocBudgetCheck: a Constraint-1 Check on a reused Workspace
+// allocates the Routing it returns — struct, lists, usage, a slab chunk
+// or two — and nothing per path or per pair.
+func TestAllocBudgetCheck(t *testing.T) {
+	s, err := poc.NewScenario(poc.ScenarioOptions{Scale: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := s.RouteOptions()
+	opts.Workspace = provision.NewWorkspace(s.Network, opts)
+	allocs := testing.AllocsPerRun(10, func() {
+		if ok, _ := provision.Check(s.Network, nil, s.TM, provision.Constraint1, opts); !ok {
+			t.Fatal("full link set infeasible")
+		}
+	})
+	t.Logf("Check allocates %v objects per call", allocs)
+	if allocs > 50 {
+		t.Fatalf("Check allocates %v objects per call, budget 50", allocs)
+	}
+}
+
+// TestAllocBudgetTryDrop: in steady state a TryDrop — committed or
+// rolled back — repairs in place on the live routing's slabs and the
+// Shaver's reused logs. Constraint 1, where a drop is repair and nothing
+// else: under 2 and 3 a drop that moves a primary path also builds the
+// new primary's link set (and a rebuilt scenario its wrapper).
+func TestAllocBudgetTryDrop(t *testing.T) {
+	s, err := poc.NewScenario(poc.ScenarioOptions{Scale: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, ok := provision.NewShaver(s.Network, nil, s.TM, provision.Constraint1, s.RouteOptions())
+	if !ok {
+		t.Fatal("full link set infeasible")
+	}
+	defer sh.Close()
+	links := sh.Include().AppendIDs(nil)
+	next, committed := 0, 0
+	drop := func() {
+		if sh.TryDrop(links[next]) {
+			committed++
+		}
+		next++
+	}
+	for range links[:len(links)/2] { // grows the logs
+		drop()
+	}
+	warm, measured := committed, len(links)-next
+	allocs := testing.AllocsPerRun(measured-1, drop)
+	if allocs > 2 || committed == warm || committed-warm == measured {
+		t.Fatalf("TryDrop allocates %v objects per call, budget 2 (%d of %d measured drops committed)",
+			allocs, committed-warm, measured)
+	}
+}

@@ -50,8 +50,8 @@ type CacheSummary struct {
 // metric tag per LinkCost so entries never cross metrics.
 //
 // The cache is safe for concurrent use. It assumes the traffic
-// matrices it sees are not mutated while cached (their fingerprint is
-// computed once per *Matrix pointer).
+// matrices it sees are not mutated while cached (their demand shape,
+// fingerprint included, is computed once per *Matrix pointer).
 type FeasibilityCache struct {
 	mu sync.RWMutex
 	// m is the one memo table. An entry's kind is its key's leading
@@ -68,8 +68,10 @@ type FeasibilityCache struct {
 	// sub-checks (decompose.go) rather than one global routing.
 	decompositions atomic.Int64
 
-	tmMu sync.Mutex
-	tmFP map[*traffic.Matrix]uint64
+	// shapes holds the matrices callers probed with — never a component
+	// of one: regional decomposition restricts the shape instead.
+	tmMu   sync.Mutex
+	shapes map[*traffic.Matrix]*shape
 
 	netMu sync.Mutex
 	netFP map[*topo.POCNetwork]uint64
@@ -109,8 +111,8 @@ func NewFeasibilityCache() *FeasibilityCache {
 		m: make(map[string]cacheEntry, 256),
 		// A cache usually sees a handful of matrices (the auction's
 		// one, plus chaos reauction variants) — pre-size small.
-		tmFP:  make(map[*traffic.Matrix]uint64, 4),
-		netFP: make(map[*topo.POCNetwork]uint64, 4),
+		shapes: make(map[*traffic.Matrix]*shape, 4),
+		netFP:  make(map[*topo.POCNetwork]uint64, 4),
 	}
 }
 
@@ -158,10 +160,10 @@ func (fc *FeasibilityCache) Len() int {
 	return len(fc.m) - fc.shaves
 }
 
-// Reset drops every memoized entry AND the per-matrix fingerprints.
+// Reset drops every memoized entry AND the per-matrix shapes.
 // Long-lived callers that retire traffic matrices (chaos reauctions
 // build a fresh matrix per epoch) call this between runs so the
-// pointer-keyed fingerprint map cannot grow without bound. The hit and
+// pointer-keyed shape map cannot grow without bound. The hit and
 // miss counters are preserved: they describe lookups, not contents.
 func (fc *FeasibilityCache) Reset() {
 	fc.mu.Lock()
@@ -169,7 +171,7 @@ func (fc *FeasibilityCache) Reset() {
 	fc.shaves = 0
 	fc.mu.Unlock()
 	fc.tmMu.Lock()
-	fc.tmFP = make(map[*traffic.Matrix]uint64, 4)
+	fc.shapes = make(map[*traffic.Matrix]*shape, 4)
 	fc.tmMu.Unlock()
 	fc.netMu.Lock()
 	fc.netFP = make(map[*topo.POCNetwork]uint64, 4)
@@ -200,15 +202,15 @@ func (fc *FeasibilityCache) CheckCore(p *topo.POCNetwork, include *linkset.Set, 
 // probe is border-separable: the answer is identical to the global
 // check's, up to the internal Moves bound documented there.
 func (fc *FeasibilityCache) Probe(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore, decompose bool) (CacheSummary, *linkset.Set) {
-	return fc.checked(p, include, tm, c, opts.withDefaults(), metric, needCore, decompose)
+	return fc.checked(p, include, fc.shapeOf(tm), c, opts.withDefaults().resolve(p), metric, needCore, decompose)
 }
 
 // checked is the lookup-or-compute path behind every probe. opts must
-// already have defaults. When needCore is true, a feasible answer must
-// carry the core link union (a coreless feasible entry is treated as a
-// miss and upgraded).
-func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore, decompose bool) (CacheSummary, *linkset.Set) {
-	key := fc.key(p, include, tm, c, opts, metric)
+// already have defaults and a workspace. When needCore is true, a
+// feasible answer must carry the core link union (a coreless feasible
+// entry is treated as a miss and upgraded).
+func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64, needCore, decompose bool) (CacheSummary, *linkset.Set) {
+	key := fc.key(p, include, sh, c, opts, metric)
 	if e, ok := fc.peek(key, needCore); ok {
 		return e.sum, e.core
 	}
@@ -218,10 +220,14 @@ func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, tm
 		stitched bool
 	)
 	if decompose {
-		sum, core, stitched = fc.stitch(p, include, tm, c, opts, metric, needCore)
+		sum, core, stitched = fc.checkParts(p, c, opts, metric, decomposePlan(p, include, sh, c, opts), needCore)
 	}
 	if !stitched {
-		sum, core = compute(p, include, tm, c, opts, needCore)
+		// One full routing of the probe, Obs stripped: it is recorded
+		// below, once per memo entry.
+		cold := opts
+		cold.Obs = nil
+		_, core, sum = checkCore(p, include, sh, c, cold, needCore)
 	}
 	// Metrics are recorded per distinct memo entry (insert win), not per
 	// computation: whether this goroutine or a racing one performs the
@@ -248,19 +254,6 @@ func (fc *FeasibilityCache) peek(key string, needCore bool) (cacheEntry, bool) {
 	}
 	fc.hits[kind].Add(1)
 	return e, true
-}
-
-// compute is the miss path: one full routing of the probe, with Obs
-// stripped (checked records once per memo entry instead). opts must
-// already have defaults.
-func compute(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, needCore bool) (CacheSummary, *linkset.Set) {
-	opts.Obs = nil
-	if needCore {
-		_, core, sum := checkCore(p, include, tm, c, opts.resolve(p))
-		return sum, core
-	}
-	feasible, r := Check(p, include, tm, c, opts)
-	return summarize(p, feasible, r), nil
 }
 
 // store writes an entry, never replacing one that already has a set
@@ -293,7 +286,7 @@ func (fc *FeasibilityCache) store(key string, e cacheEntry) bool {
 // stored; hits and misses both return a private copy the caller may
 // mutate freely.
 func (fc *FeasibilityCache) Shaved(p *topo.POCNetwork, start *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, compute func() *linkset.Set) *linkset.Set {
-	key := shaveKeyPrefix + fc.key(p, start, tm, c, opts.withDefaults(), metric)
+	key := shaveKeyPrefix + fc.key(p, start, fc.shapeOf(tm), c, opts.withDefaults(), metric)
 	if e, ok := fc.peek(key, false); ok {
 		return linkset.FromWords(e.core.Words(), len(p.Links))
 	}
@@ -306,14 +299,14 @@ func (fc *FeasibilityCache) Shaved(p *topo.POCNetwork, start *linkset.Set, tm *t
 // set's raw words go in verbatim (trailing zero words trimmed), so two
 // logically equal sets — however built — share a key and two distinct
 // sets never do.
-func (fc *FeasibilityCache) key(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64) string {
+func (fc *FeasibilityCache) key(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64) string {
 	buf := make([]byte, 0, 48+8*len(include.Words()))
 	buf = binary.AppendUvarint(buf, uint64(c))
 	buf = binary.AppendUvarint(buf, uint64(opts.MaxPaths))
 	buf = binary.AppendUvarint(buf, math.Float64bits(opts.Headroom))
 	buf = binary.AppendUvarint(buf, uint64(opts.FailureScenarios))
 	buf = binary.AppendUvarint(buf, metric)
-	buf = binary.AppendUvarint(buf, fc.matrixFP(tm))
+	buf = binary.AppendUvarint(buf, sh.fp)
 	buf = binary.AppendUvarint(buf, fc.networkFP(p))
 	if include == nil {
 		// nil means "all links": key on the universe size.
@@ -326,27 +319,18 @@ func (fc *FeasibilityCache) key(p *topo.POCNetwork, include *linkset.Set, tm *tr
 	return string(buf)
 }
 
-// matrixFP fingerprints a traffic matrix once per pointer (FNV-1a over
-// the demand bits).
-func (fc *FeasibilityCache) matrixFP(tm *traffic.Matrix) uint64 {
+// shapeOf returns tm's demand shape, computed once per pointer: a warm
+// run's probes are all hits, and would otherwise pay one shape per
+// winner determination's workspace just to key them.
+func (fc *FeasibilityCache) shapeOf(tm *traffic.Matrix) *shape {
 	fc.tmMu.Lock()
 	defer fc.tmMu.Unlock()
-	if fp, ok := fc.tmFP[tm]; ok {
-		return fp
+	sh, ok := fc.shapes[tm]
+	if !ok {
+		sh = newShape(tm)
+		fc.shapes[tm] = sh
 	}
-	h := uint64(fnv64.Offset)
-	n := tm.Size()
-	h = fnv64.Mix(h, uint64(n))
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if v := tm.At(i, j); v != 0 {
-				h = fnv64.Mix(h, uint64(i)<<32|uint64(j))
-				h = fnv64.Mix(h, math.Float64bits(v))
-			}
-		}
-	}
-	fc.tmFP[tm] = h
-	return h
+	return sh
 }
 
 // networkFP fingerprints an offer graph once per pointer (FNV-1a over
@@ -354,7 +338,7 @@ func (fc *FeasibilityCache) matrixFP(tm *traffic.Matrix) uint64 {
 // and distance). A cache shared across deployments — the fleet runner
 // runs many topologies through one process-wide cache — needs the
 // network in the key: the include-set words and options alone can
-// collide between two graphs of similar size. Like matrixFP, it
+// collide between two graphs of similar size. Like shapeOf, it
 // assumes cached networks are not mutated while cached.
 func (fc *FeasibilityCache) networkFP(p *topo.POCNetwork) uint64 {
 	fc.netMu.Lock()

@@ -43,8 +43,8 @@ func TestFeasibilityCacheHitsAndMisses(t *testing.T) {
 
 // TestFeasibilityCacheReset pins the unbounded-growth fix: Reset must
 // drop both the memoized entries and the pointer-keyed traffic-matrix
-// fingerprints (a long-lived cache fed a fresh matrix per chaos epoch
-// would otherwise leak one fingerprint per retired matrix), while the
+// shapes (a long-lived cache fed a fresh matrix per chaos epoch
+// would otherwise leak one shape per retired matrix), while the
 // hit/miss counters — which describe lookups, not contents — survive.
 func TestFeasibilityCacheReset(t *testing.T) {
 	p := shaveNet(10, 10, 10)
@@ -59,11 +59,8 @@ func TestFeasibilityCacheReset(t *testing.T) {
 	if fc.Len() != 5 {
 		t.Fatalf("len=%d before reset, want 5", fc.Len())
 	}
-	fc.tmMu.Lock()
-	nFP := len(fc.tmFP)
-	fc.tmMu.Unlock()
-	if nFP != 5 {
-		t.Fatalf("tracked %d matrix fingerprints, want 5", nFP)
+	if n := fc.Matrices(); n != 5 {
+		t.Fatalf("tracked %d matrix shapes, want 5", n)
 	}
 	hits, misses := fc.Hits(), fc.Misses()
 
@@ -72,11 +69,8 @@ func TestFeasibilityCacheReset(t *testing.T) {
 	if fc.Len() != 0 {
 		t.Fatalf("len=%d after reset, want 0", fc.Len())
 	}
-	fc.tmMu.Lock()
-	nFP = len(fc.tmFP)
-	fc.tmMu.Unlock()
-	if nFP != 0 {
-		t.Fatalf("%d matrix fingerprints survived reset", nFP)
+	if n := fc.Matrices(); n != 0 {
+		t.Fatalf("%d matrix shapes survived reset", n)
 	}
 	if fc.Hits() != hits || fc.Misses() != misses {
 		t.Fatalf("counters changed across reset: %d/%d -> %d/%d",

@@ -1,10 +1,11 @@
 package provision
 
 import (
+	"slices"
+
 	"github.com/public-option/poc/internal/linkset"
 	"github.com/public-option/poc/internal/partition"
 	"github.com/public-option/poc/internal/topo"
-	"github.com/public-option/poc/internal/traffic"
 )
 
 // Regional decomposition (DESIGN.md §15): when the enabled subgraph of
@@ -15,8 +16,8 @@ import (
 // each component is the order-preserved restriction of the global one.
 // A probe that asks for decomposition (FeasibilityCache.Probe) detects
 // that certificate on a miss, evaluates each component as an ordinary
-// memoized check over the same network with a projected traffic matrix,
-// and stitches the results back together.
+// memoized check over the same network with the demand shape restricted
+// to the component (restrict), and stitches the results back together.
 //
 // Exactness conditions, and the fallbacks that guard them:
 //
@@ -54,114 +55,97 @@ import (
 // difference.
 
 // decompComp is one component's sub-problem: its enabled links, its
-// projected traffic, and its Constraint2 scenario share.
+// share of the demand, and its Constraint2 scenario share.
 type decompComp struct {
 	include *linkset.Set
-	tm      *traffic.Matrix
+	sh      *shape
 	fs      int
-}
-
-// stitch is the decomposition step of a probe miss: plan the
-// per-component sub-problems, evaluate and merge them. ok=false means
-// the probe is not border-separable or a fallback condition fired, and
-// the caller computes it cold. The merged core is the union of the
-// component cores — exactly the cold core, since every cold routing is
-// the disjoint union of its component restrictions.
-func (fc *FeasibilityCache) stitch(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore bool) (CacheSummary, *linkset.Set, bool) {
-	comps := decomposePlan(p, include, tm, c, opts)
-	if comps == nil {
-		return CacheSummary{}, nil, false
-	}
-	sum, core, ok := fc.checkParts(p, c, opts, metric, comps, needCore)
-	if ok {
-		fc.decompositions.Add(1)
-	}
-	return sum, core, ok
 }
 
 // decomposePlan builds the per-component sub-problems for a probe, or
 // returns nil when the separability certificate does not hold.
-func decomposePlan(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) []decompComp {
+func decomposePlan(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options) []decompComp {
 	pt := partition.Components(p, include)
 	if pt.NumComp < 2 {
 		return nil
 	}
-	hasDemand := make([]bool, pt.NumComp)
-	separable := true
+	for _, d := range sh.pairs {
+		// A sub-tolerance demand can be unreachable while the base
+		// routing stays feasible; only the global unreachable-pair
+		// check catches that.
+		if c != Constraint1 && d.gbps <= 1e-9 || pt.Comp[d.src] != pt.Comp[d.dst] {
+			return nil
+		}
+	}
+	// Indexed by component label until the last line drops the idle ones.
+	comps := make([]decompComp, pt.NumComp)
 	withDemand := 0
-	tm.Demands(func(s, d int, g float64) {
-		if !separable {
-			return
-		}
-		if c != Constraint1 && g <= 1e-9 {
-			// A sub-tolerance demand can be unreachable while the base
-			// routing stays feasible; only the global unreachable-pair
-			// check catches that.
-			separable = false
-			return
-		}
-		k := pt.Comp[s]
-		if k != pt.Comp[d] {
-			separable = false
-			return
-		}
-		if !hasDemand[k] {
-			hasDemand[k] = true
+	for k, sub := range sh.restrict(pt.Comp, pt.NumComp) {
+		if sub != nil {
+			comps[k] = decompComp{include: linkset.New(len(p.Links)), sh: sub}
 			withDemand++
 		}
-	})
-	if !separable || withDemand < 2 {
+	}
+	if withDemand < 2 {
 		return nil
 	}
-
-	// The caller's workspace memoizes the projections and the pair
-	// ranking per matrix; without one a transient workspace computes them.
-	ws := opts.resolve(p).Workspace
-	proj := ws.projections(tm, pt)
-
-	incs := make([]*linkset.Set, pt.NumComp)
-	for k, ok := range hasDemand {
-		if ok {
-			incs[k] = linkset.New(len(p.Links))
-		}
-	}
 	for _, l := range p.Links {
-		if include != nil && !include.Contains(l.ID) {
-			continue
-		}
 		// Enabled links never cross components.
-		if s := incs[pt.Comp[l.A]]; s != nil {
+		if s := comps[pt.Comp[l.A]].include; s != nil && (include == nil || include.Contains(l.ID)) {
 			s.Add(l.ID)
 		}
 	}
-
-	var fsOf []int
 	if c == Constraint2 {
-		fsOf = make([]int, pt.NumComp)
-		for _, q := range ws.shapeOf(tm).heaviest(opts.FailureScenarios) {
-			fsOf[pt.Comp[q.src]]++
+		for _, q := range sh.heaviest(opts.FailureScenarios) {
+			comps[pt.Comp[q.src]].fs++
 		}
 	}
-
-	comps := make([]decompComp, 0, withDemand)
-	for k := 0; k < pt.NumComp; k++ {
-		if !hasDemand[k] {
-			continue
-		}
-		fs := 0
-		if fsOf != nil {
-			fs = fsOf[k]
-		}
-		comps = append(comps, decompComp{include: incs[k], tm: proj[k], fs: fs})
-	}
-	return comps
+	return slices.DeleteFunc(comps, func(c decompComp) bool { return c.sh == nil })
 }
 
-// checkParts evaluates the components (ascending label order — labels
-// are ranks of smallest router index, so the order is deterministic)
-// and merges. ok=false means a fallback condition fired and the caller
-// must recompute the probe cold.
+// restrict splits sh into one shape per component (comp labels the
+// routers; every pair lies inside one), nil where there is no demand.
+// pairs, bySize and bySrc are filtered in order and pair renumbered.
+// Nothing is re-sorted and no row total re-folded: the comparators are
+// total orders and a source's row lies inside one component, so order
+// and fp are what newShape gives the component's own matrix.
+func (sh *shape) restrict(comp []int, numComp int) []*shape {
+	out := make([]*shape, numComp)
+	renum := make([]int, len(sh.pairs))
+	for i, d := range sh.pairs {
+		if out[comp[d.src]] == nil {
+			out[comp[d.src]] = emptyShape(sh.n)
+		}
+		renum[i] = out[comp[d.src]].add(d)
+	}
+	for _, d := range sh.bySize {
+		d.pair = renum[d.pair]
+		out[comp[d.src]].bySize = append(out[comp[d.src]].bySize, d)
+	}
+	rows := make([]demand, 0, len(sh.pairs))
+	for _, group := range sh.bySrc {
+		lo := len(rows)
+		for _, d := range group {
+			d.pair = renum[d.pair]
+			rows = append(rows, d)
+		}
+		sub := out[comp[group[0].src]]
+		sub.bySrc = append(sub.bySrc, rows[lo:])
+	}
+	return out
+}
+
+// checkParts is the decomposition step of a probe miss: it evaluates
+// the planned components (ascending label order — labels are ranks of
+// smallest router index, so the order is deterministic) and merges.
+// ok=false means there is no plan or a fallback condition fired, and
+// the caller computes the probe cold. The merged core is the union of
+// the component cores — exactly the cold core, since every cold routing
+// is the disjoint union of its component restrictions.
 func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, c Constraint, opts Options, metric uint64, comps []decompComp, needCore bool) (CacheSummary, *linkset.Set, bool) {
+	if comps == nil {
+		return CacheSummary{}, nil, false
+	}
 	// Component checks run Obs-stripped: cold evaluation of this probe
 	// records one check, not one per region. The merged result records
 	// against the global key in checked, insert-win, exactly as cold
@@ -184,7 +168,7 @@ func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, c Constraint, opts Op
 				copts.FailureScenarios = comp.fs
 			}
 		}
-		sum, ccore := fc.checked(p, comp.include, comp.tm, cc, copts, metric, needCore, false)
+		sum, ccore := fc.checked(p, comp.include, comp.sh, cc, copts, metric, needCore, false)
 		if !sum.Feasible {
 			merged.Feasible = false
 		}
@@ -207,23 +191,6 @@ func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, c Constraint, opts Op
 	if !merged.Feasible {
 		core = nil
 	}
+	fc.decompositions.Add(1)
 	return merged, core, true
-}
-
-// projectMatrix splits tm into per-component matrices (nil for a
-// component with no demand). The caller has verified every pair is
-// intra-component.
-func projectMatrix(tm *traffic.Matrix, pt *partition.Partition) []*traffic.Matrix {
-	out := make([]*traffic.Matrix, pt.NumComp)
-	tm.Demands(func(s, d int, g float64) {
-		k := pt.Comp[s]
-		if pt.Comp[d] != k {
-			return
-		}
-		if out[k] == nil {
-			out[k] = traffic.NewMatrix(tm.Size())
-		}
-		out[k].Set(s, d, g)
-	})
-	return out
 }

@@ -1,10 +1,14 @@
 package provision
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"github.com/public-option/poc/internal/fnv64"
 	"github.com/public-option/poc/internal/linkset"
+	"github.com/public-option/poc/internal/partition"
 	"github.com/public-option/poc/internal/topo"
 	"github.com/public-option/poc/internal/traffic"
 )
@@ -249,5 +253,104 @@ func TestDecomposedSharesCache(t *testing.T) {
 	if fc.Hits() <= hits {
 		t.Fatalf("side-A component entry did not hit (hits %d -> %d, misses %d -> %d)",
 			hits, fc.Hits(), misses, fc.Misses())
+	}
+}
+
+// projectMatrix is the dense reference restrict replaced: tm split into
+// per-component matrices (nil for a component with no demand), every
+// pair being intra-component.
+func projectMatrix(tm *traffic.Matrix, pt *partition.Partition) []*traffic.Matrix {
+	out := make([]*traffic.Matrix, pt.NumComp)
+	tm.Demands(func(s, d int, g float64) {
+		k := pt.Comp[s]
+		if out[k] == nil {
+			out[k] = traffic.NewMatrix(tm.Size())
+		}
+		out[k].Set(s, d, g)
+	})
+	return out
+}
+
+// matrixFP is the fingerprint cache keys carried before shapes did:
+// FNV-1a over the size and every non-zero cell of the dense matrix.
+func matrixFP(tm *traffic.Matrix) uint64 {
+	n := tm.Size()
+	h := fnv64.Mix(fnv64.Offset, uint64(n))
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if v := tm.At(i, j); v != 0 {
+				h = fnv64.Mix(h, uint64(i)<<32|uint64(j))
+				h = fnv64.Mix(h, math.Float64bits(v))
+			}
+		}
+	}
+	return h
+}
+
+// TestRestrictMatchesProjection: for seeded random partitions of the
+// synth instance's routers that keep every demand pair inside one
+// component, each restricted shape is, field for field, the shape of
+// the projected dense matrix, and carries that matrix's fingerprint —
+// so component sub-checks route in the same order and key the same
+// cache bytes as when they were given matrices.
+func TestRestrictMatchesProjection(t *testing.T) {
+	s := topo.GenerateSynth(topo.SynthConfig{
+		Seed: 1, Regions: 8, Routers: 80, Links: 320, BPsPerRegion: 4, Hubs: 4, Pairs: 40, Gbps: 6,
+	})
+	n := len(s.P.Routers)
+	tm := traffic.NewMatrix(n)
+	for _, d := range s.Demand {
+		tm.Set(d.A, d.B, tm.At(d.A, d.B)+d.Gbps)
+	}
+	sh := newShape(tm)
+	if sh.fp != matrixFP(tm) {
+		t.Fatalf("shape fingerprint %x, matrix fingerprint %x", sh.fp, matrixFP(tm))
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		// Routers joined by a demand pair share a class; each class gets
+		// a random label, so labels split regions and merge them alike.
+		class := make([]int, n)
+		for i := range class {
+			class[i] = i
+		}
+		var find func(int) int
+		find = func(x int) int {
+			if class[x] != x {
+				class[x] = find(class[x])
+			}
+			return class[x]
+		}
+		for _, d := range sh.pairs {
+			class[find(d.src)] = find(d.dst)
+		}
+		pt := &partition.Partition{Comp: make([]int, n), NumComp: 2 + rng.Intn(9)}
+		label := map[int]int{}
+		for i := range pt.Comp {
+			c := find(i)
+			if _, ok := label[c]; !ok {
+				label[c] = rng.Intn(pt.NumComp)
+			}
+			pt.Comp[i] = label[c]
+		}
+		subs, withDemand := sh.restrict(pt.Comp, pt.NumComp), 0
+		for k, m := range projectMatrix(tm, pt) {
+			if m == nil {
+				if subs[k] != nil {
+					t.Fatalf("seed %d: component %d has a shape but no demand", seed, k)
+				}
+				continue
+			}
+			withDemand++
+			if want := newShape(m); !reflect.DeepEqual(subs[k], want) {
+				t.Fatalf("seed %d: component %d: restricted shape\n%+v\nprojected matrix's shape\n%+v", seed, k, subs[k], want)
+			}
+			if subs[k].fp != matrixFP(m) {
+				t.Fatalf("seed %d: component %d: fingerprint %x, matrix fingerprint %x", seed, k, subs[k].fp, matrixFP(m))
+			}
+		}
+		if withDemand < 2 {
+			t.Fatalf("seed %d: only %d components carry demand", seed, withDemand)
+		}
 	}
 }

@@ -5,7 +5,18 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+
+	"github.com/public-option/poc/internal/linkset"
+	"github.com/public-option/poc/internal/topo"
+	"github.com/public-option/poc/internal/traffic"
 )
+
+// PrimaryPathsOpts is primaryPaths for a matrix, as Check's Constraint
+// 2 and 3 call it.
+func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options) ([]*linkset.Set, [][2]int) {
+	ws := opts.resolve(p).Workspace
+	return ws.primaryPaths(include, ws.shapeOf(tm))
+}
 
 // StateHash digests everything a TryDrop may touch, for the trajectory
 // test in package provision_test: every live routing's assignments as
@@ -37,4 +48,31 @@ func (s *Shaver) StateHash() string {
 		put(math.MaxUint64)
 	}
 	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// Matrices counts the traffic matrices the cache holds a shape for —
+// and therefore keeps alive.
+func (fc *FeasibilityCache) Matrices() int {
+	fc.tmMu.Lock()
+	defer fc.tmMu.Unlock()
+	return len(fc.shapes)
+}
+
+// IndexError checks the crossing index's superset invariant on every
+// live routing: a pair holding an assignment that crosses link l has
+// its bit in l's row.
+func (s *Shaver) IndexError() error {
+	for k, lr := range s.live {
+		rt := lr.rt
+		for i, asgs := range lr.r.lists {
+			for _, a := range asgs {
+				for _, l := range a.Links {
+					if rt.cross[l*rt.stride+i>>6]&(1<<(i&63)) == 0 {
+						return fmt.Errorf("live[%d]: pair %d crosses link %d without its bit", k, i, l)
+					}
+				}
+			}
+		}
+	}
+	return nil
 }

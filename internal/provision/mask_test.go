@@ -60,6 +60,8 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 		rt.apply(nil, 0, ws.all)
 		checkMasks(t, rt, "first apply")
 
+		// A one-pair routing for the placements to land in.
+		res := ws.takeRouting(&shape{pairs: make([]demand, 1)})
 		var placed []PathAssignment
 		for step := 0; step < 200; step++ {
 			var when string
@@ -72,7 +74,7 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 				placed = placed[:0]
 			case op == 1:
 				when = "route"
-				rt.route(ws, tm, Options{}.withDefaults(), nil)
+				ws.giveRouting(rt.route(ws, ws.shapeOf(tm), Options{}.withDefaults(), nil))
 				placed = placed[:0]
 			case op == 2:
 				when = "ban"
@@ -93,11 +95,12 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					avoid = randomSubset(rng, len(p.Links), 2)
 				}
-				asg, _ := rt.place(rng.Intn(n), rng.Intn(n), 5+rng.Float64()*60, 1+rng.Intn(4), avoid)
-				placed = append(placed, asg...)
+				added, _ := rt.place(res, demand{src: rng.Intn(n), dst: rng.Intn(n)}, 5+rng.Float64()*60, 1+rng.Intn(4), avoid)
+				placed = append(placed, res.lists[0][len(res.lists[0])-added:]...)
 			}
 			checkMasks(t, rt, when)
 		}
+		ws.giveRouting(res)
 		ws.release(rt)
 	}
 }

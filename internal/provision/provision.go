@@ -19,18 +19,20 @@
 // Link subsets are linkset.Set bitsets (nil = all links). A demand pair
 // is an index: a matrix's positive cells in row-major order, computed
 // once per matrix with the orders routing visits them in (shape). A
-// Routing holds one assignment list per pair index and compact
-// per-link usage, and there is one of it: the Shaver repairs the
-// Routing that route returned, in place, under one undo log. Residuals
-// and the open-edge masks live in reusable Workspace arenas, so a
-// steady-state check rebuilds no graph — see DESIGN.md §10.
+// Routing holds one assignment list per pair index and per-link
+// usage, and there is one of it: the Shaver repairs the
+// Routing that route returned, in place, under one undo log. Paths and
+// lists live on slabs the Routing owns, residuals and the open-edge
+// masks in reusable Workspace arenas, so a steady-state check rebuilds
+// no graph and allocates nothing per path — see DESIGN.md §10.
 package provision
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"math/bits"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -149,8 +151,11 @@ type PathAssignment struct {
 
 // Routing is the result of placing a traffic matrix onto a link set.
 // Assignments are held per demand pair, indexed in the matrix's
-// row-major pair order; usage is compact (the links some path crosses
-// and their Gbps), so a small matrix on a large network stays small.
+// row-major pair order.
+//
+// Ownership: a Routing that Route or Check returned is the caller's for
+// good — nothing a later call writes aliases it. One that never leaves
+// the package goes back to its Workspace (giveRouting) to be reused.
 type Routing struct {
 	// Unplaced is the total demand in Gbps that could not be routed;
 	// zero means the matrix fits.
@@ -172,11 +177,65 @@ type Routing struct {
 	// tolerance has an empty list. The Shaver repairs lists in place.
 	shape *shape
 	lists [][]PathAssignment
-	// used holds the links the routing crossed when route returned it
-	// and usedGbps their carried Gbps (both directions summed), in
-	// ascending link order.
-	used     *linkset.Set
-	usedGbps []float64
+	// usage[l] is the Gbps link l carried (both directions summed) when
+	// route returned the routing: positive exactly on the links crossed.
+	usage []float64
+
+	// links stores every path's link IDs and asgs every pair's list
+	// (keep, push): both are sized by the demand, not by the network.
+	links slab[int]
+	asgs  slab[PathAssignment]
+}
+
+// slab hands out cap-limited windows of chunks that never move, so
+// earlier windows stay valid while it grows. Assigning an earlier
+// slabPos back frees what was allocated since.
+type slab[T any] struct {
+	chunks [][]T
+	slabPos
+}
+
+// slabPos says chunks[cur][:used] is handed out, the chunks after it free.
+type slabPos struct{ cur, used int }
+
+// alloc returns a window of n elements with stale contents, opening a
+// chunk of at least size elements when no free one can hold it.
+func (s *slab[T]) alloc(n, size int) []T {
+	for ; s.cur < len(s.chunks); s.slabPos = (slabPos{s.cur + 1, 0}) {
+		if c := s.chunks[s.cur]; s.used+n <= len(c) {
+			s.used += n
+			return c[s.used-n : s.used : s.used]
+		}
+	}
+	s.chunks, s.used = append(s.chunks, make([]T, max(n, size))), n
+	return s.chunks[s.cur][:n:n]
+}
+
+// reset empties the routing to carry sh, keeping its storage.
+func (r *Routing) reset(sh *shape) {
+	r.Unplaced, r.Ejected, r.UnplacedPairs, r.moves, r.shape = 0, 0, r.UnplacedPairs[:0], 0, sh
+	r.lists = append(r.lists[:0], make([][]PathAssignment, len(sh.pairs))...)
+	r.links.slabPos, r.asgs.slabPos = slabPos{}, slabPos{}
+}
+
+// keep copies a path out of arena scratch onto the slab, as link IDs.
+func (r *Routing) keep(rt *router, edges []graph.EdgeID) []int {
+	links := r.links.alloc(len(edges), 8*len(r.lists)+64)
+	for i, eid := range edges {
+		links[i] = int(rt.linkFor[eid])
+	}
+	return links
+}
+
+// push appends a to pair i's list. A full list moves to a window twice
+// its size on the routing's slab; the first holds two, so the common
+// one- and two-path pairs never move.
+func (r *Routing) push(i int, a PathAssignment) {
+	l := r.lists[i]
+	if len(l) == cap(l) {
+		l = append(r.asgs.alloc(max(2, 2*len(l)), 2*len(r.lists)+8)[:0], l...)
+	}
+	r.lists[i] = append(l, a)
 }
 
 // Feasible reports whether the routing placed all demand.
@@ -214,49 +273,26 @@ func (r *Routing) RoutedPairs() int {
 
 // Used returns the Gbps carried on a logical link, 0 when no path
 // crosses it.
-func (r *Routing) Used(link int) float64 {
-	if !r.used.Contains(link) {
-		return 0
-	}
-	return r.usedGbps[r.slot(link)]
-}
+func (r *Routing) Used(link int) float64 { return r.usage[link] }
 
 // VisitUsed calls fn for every link some path crosses, ascending.
 func (r *Routing) VisitUsed(fn func(link int, gbps float64)) {
-	k := 0
-	r.used.Iterate(func(l int) {
-		fn(l, r.usedGbps[k])
-		k++
-	})
-}
-
-// slot is a used link's position in usedGbps: its rank in used.
-func (r *Routing) slot(link int) int {
-	w := r.used.Words()
-	n := bits.OnesCount64(w[link>>6] & (1<<(link&63) - 1))
-	for _, x := range w[:link>>6] {
-		n += bits.OnesCount64(x)
+	for l, g := range r.usage {
+		if g > 0 {
+			fn(l, g)
+		}
 	}
-	return n
 }
 
 // foldUsage accounts per-link usage. Each link's Gbps is a float
 // accumulation: it folds pairs in index order and each pair's list in
 // list order — the order the exported utilization metrics are pinned to.
 func (r *Routing) foldUsage(links int) {
-	r.used = linkset.New(links)
+	r.usage = append(r.usage[:0], make([]float64, links)...)
 	for _, asgs := range r.lists {
 		for _, a := range asgs {
 			for _, l := range a.Links {
-				r.used.Add(l)
-			}
-		}
-	}
-	r.usedGbps = make([]float64, r.used.Len())
-	for _, asgs := range r.lists {
-		for _, a := range asgs {
-			for _, l := range a.Links {
-				r.usedGbps[r.slot(l)] += a.Gbps
+				r.usage[l] += a.Gbps
 			}
 		}
 	}
@@ -289,42 +325,59 @@ type router struct {
 	resid   []float64    // residual Gbps per logical link
 	enabled *linkset.Set // links of the applied subset, minus bans
 
+	// cross is a live routing's crossing index (liveRouting.reindex):
+	// link l's row is cross[l*stride:(l+1)*stride], a bitset of pairs.
+	cross  []uint64
+	stride int
+
 	// Position bitsets over g's edges, the masks the Dijkstra kernel
 	// iterates: enabledPos mirrors enabled, and open = enabledPos ∧
 	// resid ≥ 1e-9. Both change only in apply, setEnabled and addResid.
 	enabledPos []uint64
 	open       []uint64
-	pathBuf    []graph.EdgeID // point-search output scratch
+	pathBuf    []graph.EdgeID // path output scratch
+
+	// Per-route scratch: the phase work lists, freeLink's candidates and
+	// the link it bans, phase 3's detour set.
+	phase2, stuck  []demand
+	cands          []cand
+	banned, detour *linkset.Set
 }
 
-// place routes gbps from src to dst over up to MaxPaths paths,
-// avoiding the given logical links entirely. It returns the
-// assignments made and the amount left unplaced.
-func (rt *router) place(src, dst int, gbps float64, maxPaths int, avoid *linkset.Set) ([]PathAssignment, float64) {
-	var out []PathAssignment
-	remaining := gbps
+// cand is one assignment freeLink may displace.
+type cand struct{ pair, slot int }
+
+// place routes gbps for pair d of res over up to maxPaths paths,
+// avoiding the given logical links entirely. It appends the assignments
+// to the pair's list and returns how many, and the amount left unplaced.
+func (rt *router) place(res *Routing, d demand, gbps float64, maxPaths int, avoid *linkset.Set) (added int, remaining float64) {
+	remaining = gbps
 	usable := rt.openMask(avoid)
-	for attempt := 0; attempt < maxPaths && remaining > 1e-9; attempt++ {
+	for ; added < maxPaths && remaining > 1e-9; added++ {
 		// Find the cheapest path that can carry any positive amount.
-		links := rt.path(src, dst, usable)
-		if links == nil {
+		edges, ok := rt.path(d.src, d.dst, usable)
+		if !ok {
 			break
 		}
-		// Bottleneck over residuals.
-		bn := remaining
-		for _, l := range links {
-			if rt.resid[l] < bn {
-				bn = rt.resid[l]
-			}
-		}
+		bn := rt.bottleneck(edges, remaining)
 		if bn <= 1e-9 {
 			break
 		}
+		links := res.keep(rt, edges)
 		rt.addPath(links, -bn)
-		out = append(out, PathAssignment{Links: links, Gbps: bn})
+		res.push(d.pair, PathAssignment{Links: links, Gbps: bn})
 		remaining -= bn
 	}
-	return out, remaining
+	return added, remaining
+}
+
+// unplace releases, in list order, and drops pair i's last n assignments.
+func (rt *router) unplace(res *Routing, i, n int) {
+	l := res.lists[i]
+	for _, a := range l[len(l)-n:] {
+		rt.addPath(a.Links, a.Gbps)
+	}
+	res.lists[i] = l[:len(l)-n]
 }
 
 // ejectAndPlace tries to place up to gbps for demand d along its
@@ -335,10 +388,11 @@ func (rt *router) place(src, dst int, gbps float64, maxPaths int, avoid *linkset
 func (rt *router) ejectAndPlace(res *Routing, d demand, gbps float64, avoid *linkset.Set, moves *int) (placed float64, blocker int) {
 	// Cheapest path over all enabled links (capacity ignored),
 	// respecting only the pair's avoid set.
-	links := rt.path(d.src, d.dst, rt.enabledMask(avoid))
-	if len(links) == 0 {
+	edges, _ := rt.path(d.src, d.dst, rt.enabledMask(avoid))
+	if len(edges) == 0 {
 		return 0, -1
 	}
+	links := res.keep(rt, edges) // freeLink's searches reuse the scratch
 	want := gbps
 	// How much can this path carry if we free what is freeable? Try to
 	// raise every deficit link's residual to `want`, reducing `want`
@@ -366,7 +420,7 @@ func (rt *router) ejectAndPlace(res *Routing, d demand, gbps float64, avoid *lin
 		return 0, blocker
 	}
 	rt.addPath(links, -want)
-	res.lists[d.pair] = append(res.lists[d.pair], PathAssignment{Links: links, Gbps: want})
+	res.push(d.pair, PathAssignment{Links: links, Gbps: want})
 	return want, blocker
 }
 
@@ -376,8 +430,7 @@ func (rt *router) ejectAndPlace(res *Routing, d demand, gbps float64, avoid *lin
 // pair keeps its avoid set; reroutes that cannot fully re-place are
 // rolled back.
 func (rt *router) freeLink(res *Routing, l int, need float64, exclude int, moves *int) float64 {
-	type cand struct{ pair, slot int }
-	var cands []cand
+	cands := rt.cands[:0]
 	for pair, asgs := range res.lists {
 		if pair == exclude {
 			continue
@@ -388,25 +441,19 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude int, moves
 			}
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		ci, cj := cands[i], cands[j]
-		if gi, gj := res.lists[ci.pair][ci.slot].Gbps, res.lists[cj.pair][cj.slot].Gbps; gi != gj {
-			return gi < gj
-		}
-		if ci.pair != cj.pair {
-			return ci.pair < cj.pair
-		}
-		return ci.slot < cj.slot
+	rt.cands = cands
+	// A total order, so any sort gives this order.
+	slices.SortFunc(cands, func(ci, cj cand) int {
+		gi, gj := res.lists[ci.pair][ci.slot].Gbps, res.lists[cj.pair][cj.slot].Gbps
+		return cmp.Or(cmp.Compare(gi, gj), ci.pair-cj.pair, ci.slot-cj.slot)
 	})
 	freed := 0.0
-	banned := linkset.New(len(rt.p.Links))
-	banned.Add(l)
+	rt.banned.Add(l)
 	for _, c := range cands {
 		if freed >= need || *moves <= 0 {
 			break
 		}
-		asgs := res.lists[c.pair]
-		a := asgs[c.slot]
+		a := res.lists[c.pair][c.slot]
 		if a.Gbps == 0 {
 			continue // already displaced in this pass
 		}
@@ -414,21 +461,17 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude int, moves
 		rt.addPath(a.Links, a.Gbps)
 		// Re-place avoiding l.
 		*moves--
-		d := res.shape.pairs[c.pair]
-		replaced, left := rt.place(d.src, d.dst, a.Gbps, 8, banned)
-		if left > 1e-9 {
+		if added, left := rt.place(res, res.shape.pairs[c.pair], a.Gbps, 8, rt.banned); left > 1e-9 {
 			// Rollback: restore the original assignment.
-			for _, r := range replaced {
-				rt.addPath(r.Links, r.Gbps)
-			}
+			rt.unplace(res, c.pair, added)
 			rt.addPath(a.Links, -a.Gbps)
 			continue
 		}
-		// Commit: zero out the old slot and append the new ones.
-		asgs[c.slot] = PathAssignment{Gbps: 0}
-		res.lists[c.pair] = append(asgs, replaced...)
+		// Commit: zero out the old slot; the new ones follow it.
+		res.lists[c.pair][c.slot] = PathAssignment{Gbps: 0}
 		freed += a.Gbps
 	}
+	rt.banned.Remove(l)
 	return freed
 }
 
@@ -442,9 +485,8 @@ func avoidOf(avoid []*linkset.Set, i int) *linkset.Set {
 
 // Route places tm onto the link subset include (nil = all links) and
 // returns the routing. avoidPrimary, when non-nil, holds for each demand
-// pair — indexed in tm.Demands order, as PrimaryPathsOpts returns it —
-// the set of logical links that demand must not use (Constraint #3 uses
-// this to ban each pair's primary path).
+// pair — indexed in tm.Demands order — the set of logical links that
+// demand must not use (Constraint #3 bans each pair's primary path).
 //
 // Routing runs in two phases. Phase 1 computes one shortest-path tree
 // per source and sends each demand down its tree path as far as
@@ -454,20 +496,28 @@ func avoidOf(avoid []*linkset.Set, i int) *linkset.Set {
 // searches over the residual capacities.
 func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options, avoidPrimary []*linkset.Set) *Routing {
 	opts = opts.withDefaults().resolve(p)
-	ws := opts.Workspace
+	return opts.Workspace.route(include, opts.Workspace.shapeOf(tm), opts, avoidPrimary)
+}
+
+// route is Route on a resolved workspace and a demand shape: it places
+// sh on an arena it holds for the call.
+//
+//lint:acquire routing
+func (ws *Workspace) route(include *linkset.Set, sh *shape, opts Options, avoid []*linkset.Set) *Routing {
 	rt := ws.acquire()
 	defer ws.release(rt)
 	rt.apply(include, opts.Headroom, ws.all)
-	return rt.route(ws, tm, opts, avoidPrimary)
+	return rt.route(ws, sh, opts, avoid)
 }
 
 // route runs the three routing phases on an arena that has already
-// been configured via apply.
-func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPrimary []*linkset.Set) *Routing {
-	sh := ws.shapeOf(tm)
-	res := &Routing{shape: sh, lists: make([][]PathAssignment, len(sh.pairs))}
+// been configured via apply, into a routing taken from ws.
+//
+//lint:acquire routing
+func (rt *router) route(ws *Workspace, sh *shape, opts Options, avoidPrimary []*linkset.Set) *Routing {
+	res := ws.takeRouting(sh)
 
-	var phase2 []demand
+	phase2, stuck := rt.phase2[:0], rt.stuck[:0]
 	usable := rt.openMask(nil)
 	for _, group := range sh.bySrc {
 		tree := rt.tr.Tree(graph.NodeID(group[0].src), usable)
@@ -476,22 +526,15 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 				phase2 = append(phase2, d)
 				continue
 			}
-			path := tree.PathTo(rt.g, graph.NodeID(d.dst))
-			bn := d.gbps
-			links := make([]int, len(path.Edges))
-			for i, eid := range path.Edges {
-				l := int(rt.linkFor[eid])
-				links[i] = l
-				if rt.resid[l] < bn {
-					bn = rt.resid[l]
-				}
-			}
+			rt.pathBuf = tree.AppendPathTo(rt.pathBuf[:0], rt.g, graph.NodeID(d.dst))
+			bn := rt.bottleneck(rt.pathBuf, d.gbps)
 			if bn <= 1e-9 {
 				phase2 = append(phase2, d)
 				continue
 			}
+			links := res.keep(rt, rt.pathBuf)
 			rt.addPath(links, -bn)
-			res.lists[d.pair] = append(res.lists[d.pair], PathAssignment{Links: links, Gbps: bn})
+			res.push(d.pair, PathAssignment{Links: links, Gbps: bn})
 			if d.gbps -= bn; d.gbps > 1e-9 {
 				phase2 = append(phase2, d)
 			}
@@ -499,16 +542,13 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 	}
 
 	sortDemands(phase2)
-	var stuck []demand
 	for _, d := range phase2 {
 		budget := opts.MaxPaths - len(res.lists[d.pair])
 		if budget <= 0 {
 			stuck = append(stuck, d)
 			continue
 		}
-		asg, left := rt.place(d.src, d.dst, d.gbps, budget, avoidOf(avoidPrimary, d.pair))
-		res.lists[d.pair] = append(res.lists[d.pair], asg...)
-		if left > 1e-9 {
+		if _, left := rt.place(res, d, d.gbps, budget, avoidOf(avoidPrimary, d.pair)); left > 1e-9 {
 			d.gbps = left
 			stuck = append(stuck, d)
 		}
@@ -526,7 +566,8 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 		pathBudget := opts.MaxPaths - len(res.lists[d.pair])
 		// detour accumulates the worst deficit link of each failed
 		// attempt so later attempts explore different paths.
-		detour := linkset.New(len(rt.p.Links))
+		detour := rt.detour
+		clear(detour.Words())
 		detour.Union(avoidOf(avoidPrimary, d.pair))
 		for attempt := 0; attempt < 8 && left > 1e-9 && moves > 0 && pathBudget > 0; attempt++ {
 			placed, blocker := rt.ejectAndPlace(res, d, left, detour, &moves)
@@ -547,34 +588,27 @@ func (rt *router) route(ws *Workspace, tm *traffic.Matrix, opts Options, avoidPr
 		}
 	}
 	res.moves = 512 - moves
+	rt.phase2, rt.stuck = phase2[:0], stuck[:0]
 
 	// Strip the zero-Gbps tombstones the ejection phase leaves behind,
 	// then account usage.
 	for i, asgs := range res.lists {
-		kept := asgs[:0]
-		for _, a := range asgs {
-			if a.Gbps > 0 {
-				kept = append(kept, a)
-			}
-		}
-		res.lists[i] = kept
+		res.lists[i] = slices.DeleteFunc(asgs, func(a PathAssignment) bool { return !(a.Gbps > 0) })
 	}
 	res.foldUsage(len(rt.p.Links))
 	return res
 }
 
-// PrimaryPathsOpts computes, for every demand pair in tm — indexed in
-// tm.Demands order — the links of its cheapest path in the subset
-// include by opts' routing metric, ignoring capacity. Pairs with no
-// path at all stay nil and are reported in the second return.
-func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options) ([]*linkset.Set, [][2]int) {
-	opts = opts.resolve(p)
-	ws := opts.Workspace
+// primaryPaths computes, for every demand pair of sh by index, the links
+// of its cheapest path in the subset include by the workspace's routing
+// metric, ignoring capacity. Pairs with no path at all stay nil and are
+// reported in the second return.
+func (ws *Workspace) primaryPaths(include *linkset.Set, sh *shape) ([]*linkset.Set, [][2]int) {
 	rt := ws.acquire()
 	defer ws.release(rt)
 	rt.apply(include, 0, ws.all)
 
-	pairs := ws.shapeOf(tm).pairs
+	p, pairs := ws.p, sh.pairs
 	primaries := make([]*linkset.Set, len(pairs))
 	var unreachable [][2]int
 	enabled := rt.enabledMask(nil)
@@ -589,9 +623,9 @@ func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matr
 			unreachable = append(unreachable, [2]int{d.src, d.dst})
 			continue
 		}
-		path := tree.PathTo(rt.g, graph.NodeID(d.dst))
+		rt.pathBuf = tree.AppendPathTo(rt.pathBuf[:0], rt.g, graph.NodeID(d.dst))
 		primaries[i] = linkset.New(len(p.Links))
-		for _, eid := range path.Edges {
+		for _, eid := range rt.pathBuf {
 			primaries[i].Add(int(rt.linkFor[eid]))
 		}
 	}
@@ -643,7 +677,7 @@ func summarize(p *topo.POCNetwork, feasible bool, r *Routing) CacheSummary {
 // routing; for Constraint3 it is the degraded routing.
 func Check(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (bool, *Routing) {
 	opts = opts.withDefaults().resolve(p)
-	ok, r := checkRouting(p, include, tm, c, opts, func(*Routing) {})
+	ok, r := checkRouting(p, include, opts.Workspace.shapeOf(tm), c, opts, func(*Routing) {})
 	if opts.Obs != nil {
 		recordCheck(opts.Obs, c, summarize(p, ok, r))
 	}
@@ -654,27 +688,29 @@ func Check(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Const
 // have defaults and a workspace applied. visit sees every feasible
 // routing the constraint entails — the base routing, then each failure
 // scenario's (Constraint2) or the degraded one (Constraint3) — one call
-// at a time, stopping at the first infeasible routing.
-func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, visit func(*Routing)) (bool, *Routing) {
+// at a time, stopping at the first infeasible routing — and keeps none:
+// all but the returned one, the caller's, go back to the workspace.
+func checkRouting(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, visit func(*Routing)) (bool, *Routing) {
 	if c < Constraint1 || c > Constraint3 {
 		panic(fmt.Sprintf("provision: unknown constraint %d", int(c)))
 	}
-	base := Route(p, include, tm, opts, nil)
+	ws := opts.Workspace
+	base := ws.route(include, sh, opts, nil)
 	if !base.Feasible() {
 		return false, base
 	}
 	visit(base)
-	switch c {
-	case Constraint1:
+	if c == Constraint1 {
 		return true, base
-
+	}
+	primaries, unreachable := ws.primaryPaths(include, sh)
+	if len(unreachable) > 0 {
+		return false, base
+	}
+	switch c {
 	case Constraint2:
-		primaries, unreachable := PrimaryPathsOpts(p, include, tm, opts)
-		if len(unreachable) > 0 {
-			return false, base
-		}
 		var scenarios []*linkset.Set
-		for _, d := range opts.Workspace.shapeOf(tm).heaviest(opts.FailureScenarios) {
+		for _, d := range sh.heaviest(opts.FailureScenarios) {
 			if failed := primaries[d.pair]; failed != nil && !failed.Empty() {
 				scenarios = append(scenarios, failed)
 			}
@@ -700,9 +736,10 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 				if i >= len(scenarios) || infeasible.Load() {
 					return
 				}
-				r := Route(p, subtract(include, scenarios[i], len(p.Links)), tm, opts, nil)
+				r := ws.route(subtract(include, scenarios[i], len(p.Links)), sh, opts, nil)
 				if !r.Feasible() {
 					infeasible.Store(true)
+					ws.giveRouting(r)
 					return
 				}
 				mu.Lock()
@@ -711,6 +748,7 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 					moves = r.moves
 				}
 				mu.Unlock()
+				ws.giveRouting(r)
 			}
 		}
 		var wg sync.WaitGroup
@@ -732,14 +770,11 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 		return true, base
 
 	default: // Constraint3
-		primaries, unreachable := PrimaryPathsOpts(p, include, tm, opts)
-		if len(unreachable) > 0 {
-			return false, base
-		}
-		r := Route(p, include, tm, opts, primaries)
+		r := ws.route(include, sh, opts, primaries)
 		if base.moves > r.moves {
 			r.moves = base.moves
 		}
+		ws.giveRouting(base)
 		if r.Feasible() {
 			visit(r)
 		}
@@ -756,24 +791,32 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, 
 // Check's.
 func CheckCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (bool, *linkset.Set) {
 	opts = opts.withDefaults().resolve(p)
-	ok, core, sum := checkCore(p, include, tm, c, opts)
+	ok, core, sum := checkCore(p, include, opts.Workspace.shapeOf(tm), c, opts, true)
 	if opts.Obs != nil {
 		recordCheck(opts.Obs, c, sum)
 	}
 	return ok, core
 }
 
-// checkCore is CheckCore without metrics recording, additionally
-// returning the same summary a Check on this key would produce (the
-// cache stores it so hits answer either entry point). opts must
-// already have defaults and a workspace applied.
-func checkCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (bool, *linkset.Set, CacheSummary) {
-	core := linkset.New(len(p.Links))
-	ok, r := checkRouting(p, include, tm, c, opts, func(r *Routing) { core.Union(r.used) })
+// checkCore is CheckCore without metrics recording — or, when needCore
+// is false, without the core — additionally returning the same summary
+// a Check on this key would produce (the cache stores it so hits answer
+// either entry point). opts must already have defaults and a workspace,
+// which gets the routing back.
+func checkCore(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, needCore bool) (bool, *linkset.Set, CacheSummary) {
+	var core *linkset.Set
+	visit := func(*Routing) {}
+	if needCore {
+		core = linkset.New(len(p.Links))
+		visit = func(r *Routing) { r.VisitUsed(func(l int, _ float64) { core.Add(l) }) }
+	}
+	ok, r := checkRouting(p, include, sh, c, opts, visit)
 	if !ok {
 		core = nil
 	}
-	return ok, core, summarize(p, ok, r)
+	sum := summarize(p, ok, r)
+	opts.Workspace.giveRouting(r)
+	return ok, core, sum
 }
 
 // subtract returns include minus removed. A nil include means "all

@@ -1,6 +1,10 @@
 package provision
 
 import (
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"github.com/public-option/poc/internal/linkset"
@@ -346,6 +350,63 @@ func TestFullZooFeasibleAllConstraints(t *testing.T) {
 		if !ok {
 			t.Fatalf("%v infeasible on full link set: unplaced %.1f Gbps over %d pairs",
 				c, r.Unplaced, len(r.UnplacedPairs))
+		}
+	}
+}
+
+// hashRouting digests everything a caller can read off a Routing.
+func hashRouting(r *Routing) string {
+	h := sha256.New()
+	fmt.Fprintf(h, "%x %x %v|", math.Float64bits(r.Unplaced), math.Float64bits(r.Ejected), r.UnplacedPairs)
+	r.Visit(func(src, dst int, asgs []PathAssignment) {
+		for _, a := range asgs {
+			fmt.Fprintf(h, "%d>%d %x %v|", src, dst, math.Float64bits(a.Gbps), a.Links)
+		}
+	})
+	r.VisitUsed(func(l int, g float64) { fmt.Fprintf(h, "%d=%x|", l, math.Float64bits(g)) })
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestReturnedRoutingIsNeverRecycled pins the ownership rule: a Routing
+// that Route or Check handed out belongs to the caller for good, so
+// nothing later calls on the same Workspace write — recycled routings,
+// their slabs, arena scratch — may alias it. (Run under -race in CI.)
+func TestReturnedRoutingIsNeverRecycled(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	p := memoNet(rng, 10, 14)
+	tm, other := memoTM(rng, 10, 12, 6), memoTM(rng, 10, 9, 8)
+	opts := Options{FailureScenarios: 4}
+	opts.Workspace = NewWorkspace(p, opts)
+
+	kept := []*Routing{Route(p, nil, tm, opts, nil)}
+	for _, c := range []Constraint{Constraint1, Constraint2, Constraint3} {
+		ok, r := Check(p, nil, tm, c, opts)
+		if !ok {
+			t.Fatalf("%v: full set infeasible", c)
+		}
+		kept = append(kept, r)
+	}
+	var want []string
+	for _, r := range kept {
+		want = append(want, hashRouting(r))
+	}
+	fc := NewFeasibilityCache()
+	for i := 0; i < 50; i++ {
+		m, c := tm, Constraint(1+i%3)
+		if i%2 == 1 {
+			m = other
+		}
+		Route(p, randomSubset(rng, len(p.Links), 6), m, opts, nil)
+		Check(p, nil, m, c, opts)
+		fc.CheckCore(p, randomSubset(rng, len(p.Links), 8), m, c, opts, 0)
+		if sh, ok := NewShaver(p, nil, m, c, opts); ok {
+			sh.Shave(func(l int) float64 { return p.Links[l].DistanceKm }, 1)
+			sh.Close()
+		}
+	}
+	for i, r := range kept {
+		if got := hashRouting(r); got != want[i] {
+			t.Fatalf("routing %d changed under later calls on its workspace: %s, was %s", i, got, want[i])
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package provision
 
 import (
+	"math/bits"
 	"sort"
 
 	"github.com/public-option/poc/internal/linkset"
@@ -18,7 +19,8 @@ const ShaveHeadroom = 0.05
 // Shaver makes a feasible link set (approximately) 1-minimal: it
 // repeatedly tries to drop links, most expensive first, using
 // incremental repair — only the demand assignments crossing the
-// dropped link are re-placed, against the live residual capacities of
+// dropped link are re-placed (a per-link crossing index names the pairs
+// that may hold one), against the live residual capacities of
 // every routing the constraint entails (the base routing, one routing
 // per Constraint-2 failure scenario, and the Constraint-3 degraded
 // routing). A drop commits only if every routing repairs.
@@ -43,7 +45,7 @@ type Shaver struct {
 	p       *topo.POCNetwork
 	opts    Options
 	c       Constraint
-	tm      *traffic.Matrix
+	sh      *shape
 	include *linkset.Set
 	ws      *Workspace
 
@@ -85,6 +87,8 @@ type liveRouting struct {
 	// include set: the scenario's failed primary plus every shaved
 	// link.
 	banned *linkset.Set
+	// mark is where r's path slab stood when the TryDrop in flight began.
+	mark slabPos
 }
 
 // undoRec is one logged mutation; kind says which fields it uses.
@@ -117,6 +121,35 @@ func (lr *liveRouting) ban(l int) {
 	lr.rt.setEnabled(l, false)
 }
 
+// retire returns the routing and its arena to the workspace.
+func (lr *liveRouting) retire(ws *Workspace) {
+	ws.giveRouting(lr.r)
+	ws.release(lr.rt)
+	lr.r, lr.rt = nil, nil
+}
+
+// reindex rebuilds the crossing index on the routing's arena: per link,
+// a bitset of at least every pair holding an assignment that crosses
+// it. Repairs only add bits (index), so rollback undoes nothing here: a
+// stale bit costs one list scan and never changes what is lifted.
+func (lr *liveRouting) reindex() {
+	rt := lr.rt
+	rt.stride = (len(lr.r.lists) + 63) / 64
+	rt.cross = append(rt.cross[:0], make([]uint64, rt.stride*len(rt.resid))...)
+	for i, asgs := range lr.r.lists {
+		rt.index(i, asgs)
+	}
+}
+
+// index sets pair i's bit in the row of every link asgs cross.
+func (rt *router) index(i int, asgs []PathAssignment) {
+	for _, a := range asgs {
+		for _, l := range a.Links {
+			rt.cross[l*rt.stride+i>>6] |= 1 << (i & 63)
+		}
+	}
+}
+
 // unban re-admits a banned link. Only valid when the link belongs to
 // the routing's include set — true at the sole call site: TryDrop's
 // rollback, which re-adds the link to include first.
@@ -130,7 +163,7 @@ func (lr *liveRouting) unban(l int) {
 // infeasible. Shaved links must be passed in failed so the routing
 // avoids them. opts must carry defaults and a resolved Workspace; the
 // returned routing owns one of its arenas until released.
-func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.Set, tm *traffic.Matrix, opts Options) *liveRouting {
+func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.Set, sh *shape, opts Options) *liveRouting {
 	inc := include
 	if failed != nil && !failed.Empty() {
 		inc = subtract(include, failed, len(p.Links))
@@ -138,8 +171,9 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.
 	ws := opts.Workspace
 	rt := ws.acquire()
 	rt.apply(inc, opts.Headroom, ws.all)
-	r := rt.route(ws, tm, opts, avoid)
+	r := rt.route(ws, sh, opts, avoid)
 	if !r.Feasible() {
+		ws.giveRouting(r)
 		ws.release(rt)
 		return nil
 	}
@@ -156,6 +190,7 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.
 			rt.addPath(a.Links, -a.Gbps)
 		}
 	}
+	lr.reindex()
 	return lr
 }
 
@@ -169,7 +204,7 @@ func NewShaver(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 		opts.Headroom = ShaveHeadroom
 	}
 	opts = opts.resolve(p)
-	s := &Shaver{p: p, opts: opts, c: c, tm: tm, include: cloneInclude(include, len(p.Links)), ws: opts.Workspace}
+	s := &Shaver{p: p, opts: opts, c: c, sh: opts.Workspace.shapeOf(tm), include: cloneInclude(include, len(p.Links)), ws: opts.Workspace}
 	if !s.build() {
 		s.Close()
 		return nil, false
@@ -181,7 +216,7 @@ func NewShaver(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c C
 // false as soon as one is infeasible or a demand pair is unreachable.
 func (s *Shaver) build() bool {
 	add := func(failed *linkset.Set, avoid []*linkset.Set) bool {
-		lr := newLive(s.p, s.include, failed, avoid, s.tm, s.opts)
+		lr := newLive(s.p, s.include, failed, avoid, s.sh, s.opts)
 		if lr != nil {
 			s.live = append(s.live, lr)
 		}
@@ -193,7 +228,7 @@ func (s *Shaver) build() bool {
 	switch s.c {
 	case Constraint1:
 	case Constraint2:
-		for _, d := range s.ws.shapeOf(s.tm).heaviest(s.opts.FailureScenarios) {
+		for _, d := range s.sh.heaviest(s.opts.FailureScenarios) {
 			primary, ok := s.primaryOf(d)
 			if !ok || !add(primary, nil) {
 				return false
@@ -201,7 +236,7 @@ func (s *Shaver) build() bool {
 			s.scenarios = append(s.scenarios, scenario{pair: d, primary: primary})
 		}
 	case Constraint3:
-		avoid, unreachable := PrimaryPathsOpts(s.p, s.include, s.tm, s.opts)
+		avoid, unreachable := s.ws.primaryPaths(s.include, s.sh)
 		return len(unreachable) == 0 && add(nil, avoid)
 	default:
 		return false
@@ -209,16 +244,15 @@ func (s *Shaver) build() bool {
 	return true
 }
 
-// Close returns every arena the shave holds to the workspace pool.
-// Idempotent; the Shaver must not be used after Close (Include's
-// result remains valid — it is not arena-backed).
+// Close returns every arena and routing the shave holds to the
+// workspace pool. Idempotent; the Shaver must not be used after Close
+// (Include's result remains valid — it is not arena-backed).
 func (s *Shaver) Close() {
 	if s.ws == nil {
 		return
 	}
 	for _, lr := range s.live {
-		s.ws.release(lr.rt)
-		lr.rt = nil
+		lr.retire(s.ws)
 	}
 	if s.pgArena != nil {
 		s.ws.release(s.pgArena)
@@ -234,40 +268,46 @@ func (s *Shaver) Close() {
 // changed since the last call.
 func (s *Shaver) primaryOf(d demand) (*linkset.Set, bool) {
 	if s.pgArena == nil {
-		s.pgArena = s.ws.acquire()
-		s.pgArena.apply(s.include, 0, s.ws.all)
-		s.pgVersion = s.version
-	} else if s.pgVersion != s.version {
+		s.pgArena, s.pgVersion = s.ws.acquire(), s.version-1
+	}
+	if s.pgVersion != s.version {
 		s.pgArena.apply(s.include, 0, s.ws.all)
 		s.pgVersion = s.version
 	}
-	links := s.pgArena.path(d.src, d.dst, s.pgArena.enabledMask(nil))
-	if len(links) == 0 {
+	edges, _ := s.pgArena.path(d.src, d.dst, s.pgArena.enabledMask(nil))
+	if len(edges) == 0 {
 		return nil, d.src == d.dst
 	}
-	return linkset.FromIDs(links, len(s.p.Links)), true
+	primary := linkset.New(len(s.p.Links))
+	for _, eid := range edges {
+		primary.Add(int(s.pgArena.linkFor[eid]))
+	}
+	return primary, true
 }
 
 // Include returns the current link set (live view; do not mutate).
 func (s *Shaver) Include() *linkset.Set { return s.include }
 
-// repair releases the assignments lift selects among pairs [lo,hi) of
-// live[k] and re-places each under the routing's current bans and avoid
-// sets, logging one undoLift per touched pair. A dropped link lifts the
-// assignments crossing it, over every pair; a pair whose avoid set just
-// changed lifts all of its own. It reports whether every assignment was
-// re-placed. Pairs release — and then re-place — in ascending order:
-// the residuals are float accumulations.
-func (s *Shaver) repair(k, lo, hi int, lift func(PathAssignment) bool) bool {
+// repair releases assignments of live[k] and re-places each under the
+// routing's current bans and avoid sets, logging one undoLift per
+// touched pair. With pair < 0 the link was dropped: it lifts the
+// assignments crossing it, over the pairs the link's index row names;
+// otherwise pair's avoid set just changed and it lifts all of that
+// pair's. It reports whether every assignment was re-placed. Pairs
+// release — and then re-place — in ascending order: the residuals are
+// float accumulations.
+func (s *Shaver) repair(k, link, pair int) bool {
 	lr := s.live[k]
-	first := len(s.undo)
-	for i := lo; i < hi; i++ {
+	rt, first := lr.rt, len(s.undo)
+	// lift releases into s.lifted the assignments of pair i that cross
+	// the link, or all of them.
+	lift := func(i int, all bool) {
 		asgs, off := lr.r.lists[i], len(s.lifted)
 		keep := asgs[:0]
 		for _, a := range asgs {
-			if lift(a) {
+			if all || crossesLink(a, link) {
 				s.lifted = append(s.lifted, a)
-				lr.rt.addPath(a.Links, a.Gbps)
+				rt.addPath(a.Links, a.Gbps)
 			} else {
 				keep = append(keep, a)
 			}
@@ -277,15 +317,34 @@ func (s *Shaver) repair(k, lo, hi int, lift func(PathAssignment) bool) bool {
 			s.undo = append(s.undo, undoRec{kind: undoLift, k: k, pair: i, off: off, n: n, first: first})
 		}
 	}
+	if pair >= 0 {
+		lift(pair, true)
+	} else {
+		for wi, w := range rt.cross[link*rt.stride : (link+1)*rt.stride] {
+			for ; w != 0; w &= w - 1 {
+				lift(wi<<6|bits.TrailingZeros64(w), false)
+			}
+		}
+	}
 	for j := first; j < len(s.undo); j++ {
 		u := &s.undo[j]
+		d := lr.r.shape.pairs[u.pair]
 		for _, a := range s.lifted[u.off : u.off+u.n] {
-			placed := s.place(lr, lr.r.shape.pairs[u.pair], a.Gbps)
-			u.added += len(placed)
-			if placed == nil {
+			// All or nothing. Banned links never reach the search — ban()
+			// closes them in the arena's masks — so the only per-call
+			// exclusion is the pair's avoid set. router.place would hand a
+			// src == dst pair one empty-path assignment; the Shaver never
+			// asks: no matrix holds a self-demand, and the empty path of a
+			// planted one crosses no link and is its own empty primary, so
+			// nothing lifts it (TestShaverNeverLiftsDiagonal).
+			added, left := rt.place(lr.r, d, a.Gbps, s.opts.MaxPaths, avoidOf(lr.avoid, u.pair))
+			if left > 1e-9 || added == 0 {
+				rt.unplace(lr.r, u.pair, added)
 				return false
 			}
-			lr.r.lists[u.pair] = append(lr.r.lists[u.pair], placed...)
+			u.added += added
+			l := lr.r.lists[u.pair]
+			rt.index(u.pair, l[len(l)-added:])
 		}
 	}
 	return true
@@ -300,16 +359,12 @@ func (s *Shaver) repair(k, lo, hi int, lift func(PathAssignment) bool) bool {
 func (s *Shaver) unrepair(first, end int) {
 	lr := s.live[s.undo[first].k]
 	for _, u := range s.undo[first:end] {
-		asgs := lr.r.lists[u.pair]
-		for _, a := range asgs[len(asgs)-u.added:] {
-			lr.rt.addPath(a.Links, a.Gbps)
-		}
-		lr.r.lists[u.pair] = asgs[:len(asgs)-u.added]
+		lr.rt.unplace(lr.r, u.pair, u.added)
 	}
 	for _, u := range s.undo[first:end] {
 		for _, a := range s.lifted[u.off : u.off+u.n] {
 			lr.rt.addPath(a.Links, -a.Gbps)
-			lr.r.lists[u.pair] = append(lr.r.lists[u.pair], a)
+			lr.r.push(u.pair, a)
 		}
 	}
 }
@@ -327,6 +382,7 @@ func (s *Shaver) TryDrop(link int) bool {
 	s.include.Remove(link)
 	s.version++
 	for k, lr := range s.live {
+		lr.mark = lr.r.links.slabPos
 		if !lr.banned.Contains(link) {
 			s.undo = append(s.undo, undoRec{kind: undoBan, k: k})
 			lr.ban(link)
@@ -334,11 +390,11 @@ func (s *Shaver) TryDrop(link int) bool {
 	}
 	ok := s.repairAll(link)
 	if ok {
-		// Committed: the replaced scenario routings return their arenas.
+		// Committed: the replaced scenario routings go back to the pool;
+		// the words of lifted paths stay dead until theirs do.
 		for _, u := range s.undo {
 			if u.kind == undoScenario {
-				s.ws.release(u.lr.rt)
-				u.lr.rt = nil
+				u.lr.retire(s.ws)
 			}
 		}
 	} else {
@@ -354,10 +410,13 @@ func (s *Shaver) TryDrop(link int) bool {
 			case undoAvoid:
 				s.live[u.k].avoid[u.pair] = u.set
 			case undoScenario:
-				s.ws.release(s.live[u.k].rt)
-				s.live[u.k].rt = nil
+				s.live[u.k].retire(s.ws)
 				s.live[u.k], s.scenarios[u.k-1].primary = u.lr, u.set
 			}
+		}
+		// Nothing refers to the paths this drop placed any more.
+		for _, lr := range s.live {
+			lr.r.links.slabPos = lr.mark
 		}
 	}
 	s.undo, s.lifted = s.undo[:0], s.lifted[:0]
@@ -368,8 +427,7 @@ func (s *Shaver) TryDrop(link int) bool {
 // left the include set, logging each mutation in s.undo; false means
 // some routing could not be repaired and the log must be replayed.
 func (s *Shaver) repairAll(link int) bool {
-	crossing := func(a PathAssignment) bool { return crossesLink(a, link) }
-	all := func(k int) bool { return s.repair(k, 0, len(s.live[k].r.lists), crossing) }
+	all := func(k int) bool { return s.repair(k, link, -1) }
 	// 1. Base routing repairs incrementally.
 	if !all(0) {
 		return false
@@ -397,7 +455,7 @@ func (s *Shaver) repairAll(link int) bool {
 			}
 		})
 		failed.Add(link)
-		newLR := newLive(s.p, s.include, failed, nil, s.tm, s.opts)
+		newLR := newLive(s.p, s.include, failed, nil, s.sh, s.opts)
 		if newLR == nil {
 			return false
 		}
@@ -424,33 +482,11 @@ func (s *Shaver) repairAll(link int) bool {
 		}
 		s.undo = append(s.undo, undoRec{kind: undoAvoid, k: 1, pair: i, set: av})
 		lr.avoid[i] = newPrimary
-		if !s.repair(1, i, i+1, func(PathAssignment) bool { return true }) {
+		if !s.repair(1, link, i) {
 			return false
 		}
 	}
 	return true
-}
-
-// place routes gbps for the pair over the live residuals, all or
-// nothing: it returns nil, with the partial placements released, if the
-// full amount does not fit. Banned links never reach the search — ban()
-// closes them in the arena's masks — so the only per-call exclusion is
-// the pair's avoid set (Constraint3).
-//
-// router.place would hand a src == dst pair one empty-path assignment.
-// The Shaver never asks: traffic.Matrix.Set panics on a self-demand, so
-// no routing holds a diagonal pair; and if one did, its empty path
-// crosses no link and its primary is the empty set, so neither a drop
-// nor an avoid-set move would lift it (TestShaverNeverLiftsDiagonal).
-func (s *Shaver) place(lr *liveRouting, d demand, gbps float64) []PathAssignment {
-	out, left := lr.rt.place(d.src, d.dst, gbps, s.opts.MaxPaths, avoidOf(lr.avoid, d.pair))
-	if left > 1e-9 {
-		for _, a := range out {
-			lr.rt.addPath(a.Links, a.Gbps)
-		}
-		return nil
-	}
-	return out
 }
 
 // Shave runs drop passes over the current set, most expensive link

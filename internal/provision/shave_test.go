@@ -198,6 +198,9 @@ func TestShaverNeverLiftsDiagonal(t *testing.T) {
 			if lr.avoid != nil {
 				lr.avoid = append([]*linkset.Set{linkset.New(len(p.Links))}, lr.avoid...)
 			}
+			// Planting shifted every pair index behind the crossing
+			// index's back: derive it again, as newLive does.
+			lr.reindex()
 		}
 		dropped := 0
 		for pass := 0; pass < 2; pass++ {

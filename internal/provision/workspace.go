@@ -1,14 +1,16 @@
 package provision
 
 import (
+	"cmp"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
+	"github.com/public-option/poc/internal/fnv64"
 	"github.com/public-option/poc/internal/graph"
 	"github.com/public-option/poc/internal/linkset"
-	"github.com/public-option/poc/internal/partition"
 	"github.com/public-option/poc/internal/topo"
 	"github.com/public-option/poc/internal/traffic"
 )
@@ -42,24 +44,17 @@ type Workspace struct {
 	linkCost func(l topo.LogicalLink) float64
 	all      *linkset.Set
 
-	mu   sync.Mutex
-	free []*router
+	mu    sync.Mutex
+	free  []*router
+	freeR []*Routing // routings that never left the package, for takeRouting
 
-	// Single-slot caches keyed by traffic-matrix pointer. The demand
+	// Single-slot cache keyed by traffic-matrix pointer. The demand
 	// shape is a pure function of the matrix, which is constant across
 	// an auction, so it is computed once per workspace instead of once
 	// per routing.
 	dmu   sync.Mutex
 	shTM  *traffic.Matrix
 	shape *shape
-	// Regional-decomposition projection cache: the per-component
-	// matrices for (matrix, partition labeling). Pointer-stable across
-	// probes that split the same way, so the shape slot above and the
-	// FeasibilityCache's per-matrix fingerprints stay warm for every
-	// component sub-problem.
-	projTM  *traffic.Matrix
-	projSig uint64
-	proj    []*traffic.Matrix
 }
 
 // NewWorkspace returns a workspace for p bound to opts.LinkCost (nil
@@ -112,6 +107,35 @@ func (ws *Workspace) release(rt *router) {
 	ws.mu.Unlock()
 }
 
+// takeRouting pops a recycled Routing, or makes one, reset to carry sh.
+// A routing that stays inside the package is given back by whoever
+// holds it last; one returned to a caller of the package never is.
+//
+//lint:acquire routing
+func (ws *Workspace) takeRouting(sh *shape) *Routing {
+	var r *Routing
+	ws.mu.Lock()
+	if n := len(ws.freeR); n > 0 {
+		r, ws.freeR[n-1] = ws.freeR[n-1], nil
+		ws.freeR = ws.freeR[:n-1]
+	}
+	ws.mu.Unlock()
+	if r == nil {
+		r = &Routing{}
+	}
+	r.reset(sh)
+	return r
+}
+
+// giveRouting puts a routing nothing refers to any more on the free list.
+//
+//lint:release routing
+func (ws *Workspace) giveRouting(r *Routing) {
+	ws.mu.Lock()
+	ws.freeR = append(ws.freeR, r)
+	ws.mu.Unlock()
+}
+
 // newArena builds routing state over every logical link of p, with the
 // metric frozen into the edge costs. No link is enabled until the
 // first apply.
@@ -148,6 +172,8 @@ func newArena(p *topo.POCNetwork, linkCost func(l topo.LogicalLink) float64) *ro
 		enabled:    linkset.New(len(p.Links)),
 		enabledPos: make([]uint64, words),
 		open:       make([]uint64, words),
+		banned:     linkset.New(len(p.Links)),
+		detour:     linkset.New(len(p.Links)),
 	}
 }
 
@@ -207,20 +233,23 @@ func (rt *router) enabledMask(avoid *linkset.Set) *graph.Mask {
 	return &graph.Mask{Open: rt.enabledPos, Avoid: avoid.Words()}
 }
 
-// path returns the cheapest src→dst path admitted by m as logical link
-// IDs (freshly allocated: callers keep it in a PathAssignment), or nil
-// when there is none. The edge sequence lives in arena scratch.
-func (rt *router) path(src, dst int, m *graph.Mask) []int {
+// path finds the cheapest src→dst path admitted by m; ok is false when
+// there is none. The edge sequence lives in arena scratch, valid until
+// the arena's next search: bottleneck reads it, Routing.keep copies it.
+func (rt *router) path(src, dst int, m *graph.Mask) (edges []graph.EdgeID, ok bool) {
 	edges, cost := rt.pr.PathInto(rt.pathBuf[:0], graph.NodeID(src), graph.NodeID(dst), m)
 	rt.pathBuf = edges[:0]
-	if math.IsInf(cost, 1) {
-		return nil
+	return edges, !math.IsInf(cost, 1)
+}
+
+// bottleneck is the least residual along edges, capped at gbps.
+func (rt *router) bottleneck(edges []graph.EdgeID, gbps float64) float64 {
+	for _, eid := range edges {
+		if r := rt.resid[rt.linkFor[eid]]; r < gbps {
+			gbps = r
+		}
 	}
-	links := make([]int, len(edges))
-	for i, eid := range edges {
-		links[i] = int(rt.linkFor[eid])
-	}
-	return links
+	return gbps
 }
 
 // apply configures the arena for one candidate subset: links outside
@@ -276,17 +305,17 @@ type demand struct {
 // sortDemands orders demands largest first — big aggregates get the
 // short paths, which is both realistic and makes the greedy packing
 // more effective — with ties broken by pair index, i.e. by (src, dst).
+// No list holds a pair twice, so the order is total and any sort gives it.
 func sortDemands(ds []demand) {
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].gbps != ds[j].gbps {
-			return ds[i].gbps > ds[j].gbps
-		}
-		return ds[i].pair < ds[j].pair
-	})
+	slices.SortFunc(ds, func(a, b demand) int { return cmp.Or(cmp.Compare(b.gbps, a.gbps), a.pair-b.pair) })
 }
 
 // shape is everything routing derives from a traffic matrix alone.
 type shape struct {
+	// n is the matrix size and fp its fingerprint, the one cache keys
+	// carry: FNV-1a over n, then each pair's (src<<32|dst, Gbps bits).
+	n  int
+	fp uint64
 	// pairs is the pair index: tm.Demands order, pairs[i].pair == i.
 	pairs []demand
 	// bySize is pairs in sortDemands order; its prefixes are
@@ -297,11 +326,24 @@ type shape struct {
 	bySrc [][]demand
 }
 
+// emptyShape is the shape of the zero matrix over n points.
+func emptyShape(n int) *shape {
+	return &shape{n: n, fp: fnv64.Mix(fnv64.Offset, uint64(n))}
+}
+
+// add appends d, a cell after every pair so far in row-major order, as
+// the next pair, folds it into fp and returns its index.
+func (sh *shape) add(d demand) int {
+	d.pair = len(sh.pairs)
+	sh.pairs = append(sh.pairs, d)
+	sh.fp = fnv64.Mix(fnv64.Mix(sh.fp, uint64(d.src)<<32|uint64(d.dst)), math.Float64bits(d.gbps))
+	return d.pair
+}
+
 func newShape(tm *traffic.Matrix) *shape {
-	n := 0
-	tm.Demands(func(int, int, float64) { n++ })
-	sh := &shape{pairs: make([]demand, 0, n)}
-	tm.Demands(func(s, d int, g float64) { sh.pairs = append(sh.pairs, demand{s, d, g, len(sh.pairs)}) })
+	sh := emptyShape(tm.Size())
+	tm.Demands(func(s, d int, g float64) { sh.add(demand{src: s, dst: d, gbps: g}) })
+	n := len(sh.pairs)
 	sh.bySize = append(make([]demand, 0, n), sh.pairs...)
 	sortDemands(sh.bySize)
 
@@ -352,16 +394,4 @@ func (ws *Workspace) shapeOf(tm *traffic.Matrix) *shape {
 		ws.shTM, ws.shape = tm, newShape(tm)
 	}
 	return ws.shape
-}
-
-// projections returns projectMatrix(tm, pt), computed once per
-// (matrix, partition-signature) pair.
-func (ws *Workspace) projections(tm *traffic.Matrix, pt *partition.Partition) []*traffic.Matrix {
-	sig := pt.Signature()
-	ws.dmu.Lock()
-	defer ws.dmu.Unlock()
-	if ws.projTM != tm || ws.projSig != sig || len(ws.proj) != pt.NumComp {
-		ws.projTM, ws.projSig, ws.proj = tm, sig, projectMatrix(tm, pt)
-	}
-	return ws.proj
 }
