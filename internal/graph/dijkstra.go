@@ -129,16 +129,33 @@ func (s *dijkstraScratch) begin(n int) {
 	}
 }
 
+// rejects is the mask's link test, the one definition the kernel and
+// Cert.Holds share: an edge labeled l is turned away when its Avoid
+// bit is set (links past the last word are not avoided) or its
+// residual is below want.
+func rejects(avoid []uint64, resid []float64, want float64, l uint) bool {
+	if wl := l >> 6; wl < uint(len(avoid)) && avoid[wl]&(1<<(l&63)) != 0 {
+		return true
+	}
+	return resid != nil && resid[l] < want
+}
+
 // search is the one Dijkstra loop behind both engines. It settles
 // nodes from src until dst is popped (dst = Undefined settles
 // everything reachable), relaxing only the edges m admits: per popped
 // node it walks the set bits of the open bitset inside the node's CSR
-// position range in ascending order — the adjacency order — and
-// applies the Avoid / Resid tests to those. An edge outside the open
-// set is never loaded; that is observationally identical to visiting
-// and rejecting it, because a rejected edge writes nothing and pushes
-// nothing. A node whose epoch stamp is stale counts as dist +Inf.
-func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID) {
+// position range in ascending order — the adjacency order — and asks
+// the Avoid / Resid link test only of the edges that would relax
+// (nd < d), just before the write. An edge outside the open set is
+// never loaded, and an edge that would not relax is never tested; both
+// are observationally identical to testing and rejecting it, because a
+// rejected edge writes nothing and pushes nothing. A node whose epoch
+// stamp is stale counts as dist +Inf.
+//
+// A non-nil c records the search's certificate (see Cert), overwriting
+// it: the answer to every link test the search asks, admitted links
+// into Rel and rejected ones into Rej. A nil c records nothing.
+func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, c *Cert) {
 	lay := g.layout()
 	s.begin(len(lay.off) - 1)
 	open := lay.all
@@ -151,7 +168,11 @@ func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID) {
 		}
 		avoid, resid, want = m.Avoid, m.Resid, m.Want
 	}
-	needLink := avoid != nil || resid != nil
+	if c != nil {
+		clear(c.Rel)
+		clear(c.Rej)
+	}
+	needLink := avoid != nil || resid != nil || c != nil
 	inf := math.Inf(1)
 	cur := s.cur
 	dist, parent, epoch := s.dist, s.parent, s.epoch
@@ -183,15 +204,6 @@ func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID) {
 			for w != 0 {
 				p := wi<<6 | bits.TrailingZeros64(w)
 				w &= w - 1
-				if needLink {
-					l := uint(lay.link[p])
-					if wl := l >> 6; wl < uint(len(avoid)) && avoid[wl]&(1<<(l&63)) != 0 {
-						continue
-					}
-					if resid != nil && resid[l] < want {
-						continue
-					}
-				}
 				nd := it.dist + lay.cost[p]
 				to := lay.to[p]
 				d := dist[to]
@@ -200,6 +212,18 @@ func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID) {
 				}
 				if !(nd < d) {
 					continue
+				}
+				if needLink {
+					l := uint(lay.link[p])
+					if rejects(avoid, resid, want, l) {
+						if c != nil {
+							c.Rej[l>>6] |= 1 << (l & 63)
+						}
+						continue
+					}
+					if c != nil {
+						c.Rel[l>>6] |= 1 << (l & 63)
+					}
 				}
 				epoch[to] = cur
 				dist[to] = nd
@@ -229,7 +253,7 @@ func NewTreeRouter(g *Graph) *TreeRouter { return &TreeRouter{g: g} }
 // not be retained.
 func (tr *TreeRouter) Tree(src NodeID, m *Mask) *ShortestTree {
 	s := &tr.s
-	s.search(tr.g, m, src, Undefined)
+	s.search(tr.g, m, src, Undefined, nil)
 	n := tr.g.NumNodes()
 	for i, e := range s.epoch[:n] {
 		if e != s.cur {

@@ -1,6 +1,9 @@
 package graph
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // NewPointRouter returns a reusable point-to-point shortest-path
 // engine bound to g. The engine reads g's current layout on every
@@ -29,11 +32,31 @@ func (pr *PointRouter) Path(src, dst NodeID, m *Mask) Path {
 // buffer is returned unextended with +Inf cost, and src == dst yields
 // an empty sequence at cost 0.
 func (pr *PointRouter) PathInto(buf []EdgeID, src, dst NodeID, m *Mask) ([]EdgeID, float64) {
+	return pr.pathInto(buf, src, dst, m, nil)
+}
+
+// CertifiedPathInto is PathInto that also records the search's
+// certificate into c, whose bitsets it overwrites: a later PathInto
+// for the same src, dst and graph over any mask c Holds for returns
+// this call's path and cost exactly. m.Open must be nil — a
+// certificate speaks for link labels, not edge positions.
+func (pr *PointRouter) CertifiedPathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert) ([]EdgeID, float64) {
+	if m != nil && m.Open != nil {
+		panic("graph: a certified search needs a mask with nil Open")
+	}
+	return pr.pathInto(buf, src, dst, m, c)
+}
+
+func (pr *PointRouter) pathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert) ([]EdgeID, float64) {
 	if src == dst {
+		if c != nil {
+			clear(c.Rel)
+			clear(c.Rej)
+		}
 		return buf, 0
 	}
 	s := &pr.s
-	s.search(pr.g, m, src, dst)
+	s.search(pr.g, m, src, dst, c)
 	if s.epoch[dst] != s.cur {
 		return buf, math.Inf(1)
 	}
@@ -48,4 +71,57 @@ func (pr *PointRouter) PathInto(buf []EdgeID, src, dst NodeID, m *Mask) ([]EdgeI
 		rev[i], rev[j] = rev[j], rev[i]
 	}
 	return buf, s.dist[dst]
+}
+
+// Cert is the certificate of one point search: the answers the mask
+// gave it. The search asks the mask's link test only of edges that
+// would relax (their tentative distance beats the target's at that
+// moment); Rel holds every link it asked about and was admitted — each
+// a relaxation that wrote state — and Rej every link it asked about
+// and was refused.
+//
+// A masked search is a deterministic function of those answers: costs,
+// adjacency order and the relaxation test do not depend on the mask.
+// So a later search over the same graph and pair that admits every Rel
+// link and rejects every Rej link asks the same questions, gets the
+// same answers and writes the same dist, parent and heap state at
+// every step (by induction over the examined edges). It returns the
+// same path and cost, bit for bit, with no reasoning about ties, heap
+// layout or float sums.
+//
+// Rel and Rej are caller-owned bitsets over link labels (SetLinks),
+// each at least (max label + 64)/64 words.
+type Cert struct {
+	Rel, Rej []uint64
+}
+
+// Holds reports whether a point search over m would run exactly as
+// the certified one did: m admits every Rel link and rejects every Rej
+// link, by the kernel's own link test. A mask with a non-nil Open is
+// never held, because a certificate says nothing about edge positions.
+func (c *Cert) Holds(m *Mask) bool {
+	var avoid []uint64
+	var resid []float64
+	var want float64
+	if m != nil {
+		if m.Open != nil {
+			return false
+		}
+		avoid, resid, want = m.Avoid, m.Resid, m.Want
+	}
+	for wi, w := range c.Rej {
+		for ; w != 0; w &= w - 1 {
+			if !rejects(avoid, resid, want, uint(wi<<6|bits.TrailingZeros64(w))) {
+				return false
+			}
+		}
+	}
+	for wi, w := range c.Rel {
+		for ; w != 0; w &= w - 1 {
+			if rejects(avoid, resid, want, uint(wi<<6|bits.TrailingZeros64(w))) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -44,12 +45,14 @@ func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float
 }
 
 // kernelCase is one random instance: a multigraph with parallel edges
-// and small integer costs (so exact cost ties abound), link labels
-// shared by edge pairs, and a random mask.
+// and small integer costs (so exact cost ties abound; one case in four
+// gives every edge the same cost), link labels shared by edge pairs,
+// and a random mask.
 type kernelCase struct {
-	g     *Graph
-	links []int32
-	mask  *Mask
+	g        *Graph
+	links    []int32
+	numLinks int
+	mask     *Mask
 }
 
 func hasBit(words []uint64, i int) bool {
@@ -58,9 +61,13 @@ func hasBit(words []uint64, i int) bool {
 
 func newKernelCase(rng *rand.Rand, n, m int) kernelCase {
 	g := New(n)
+	allTies := rng.Intn(4) == 0
 	for i := 0; i < m; i++ {
 		a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
 		cost := float64(1 + rng.Intn(3))
+		if allTies {
+			cost = 1
+		}
 		if rng.Intn(3) == 0 {
 			g.AddEdge(a, b, cost, 1)
 		} else {
@@ -77,7 +84,7 @@ func newKernelCase(rng *rand.Rand, n, m int) kernelCase {
 		links[i] = int32(rng.Intn(nl))
 	}
 	g.SetLinks(links)
-	c := kernelCase{g: g, links: links}
+	c := kernelCase{g: g, links: links, numLinks: nl}
 	if rng.Intn(6) == 0 {
 		return c // nil mask: every edge
 	}
@@ -126,10 +133,111 @@ func (c kernelCase) admit(eid EdgeID) bool {
 	return m.Resid == nil || m.Resid[l] >= m.Want
 }
 
+// perturb returns a mask near c's — its Avoid and Resid copied with a
+// few links flipped or re-drawn, sometimes a new Want — always with a
+// nil Open, the masks a certificate can speak for. changed reports
+// whether anything was flipped or re-drawn.
+func perturb(rng *rand.Rand, c kernelCase) (m *Mask, changed bool) {
+	m = &Mask{}
+	if c.mask != nil {
+		m.Avoid = append([]uint64(nil), c.mask.Avoid...)
+		m.Resid = append([]float64(nil), c.mask.Resid...)
+		m.Want = c.mask.Want
+	}
+	for k := rng.Intn(4); k > 0; k-- {
+		l := rng.Intn(c.numLinks)
+		if rng.Intn(2) == 0 {
+			if m.Avoid == nil {
+				m.Avoid = make([]uint64, (c.numLinks+63)/64)
+			}
+			if l>>6 < len(m.Avoid) {
+				m.Avoid[l>>6] ^= 1 << (uint(l) & 63)
+				changed = true
+			}
+		} else {
+			if m.Resid == nil {
+				m.Resid = make([]float64, c.numLinks)
+			}
+			m.Resid[l] = float64(rng.Intn(4))
+			changed = true
+		}
+	}
+	if rng.Intn(4) == 0 {
+		m.Want = float64(rng.Intn(4))
+		changed = true
+	}
+	return m, changed
+}
+
+// settled copies the state a search left in s: dist and parent of
+// every node stamped this epoch, +Inf / Undefined elsewhere.
+func settled(s *dijkstraScratch, n int) ([]float64, []EdgeID) {
+	dist, parent := make([]float64, n), make([]EdgeID, n)
+	for i := range dist {
+		dist[i], parent[i] = math.Inf(1), Undefined
+		if s.epoch[i] == s.cur {
+			dist[i], parent[i] = s.dist[i], s.parent[i]
+		}
+	}
+	return dist, parent
+}
+
+// checkCert records a certified search for src→dst under c's mask and
+// checks the certificate's contract: recording leaves the search's
+// state and answer bit-identical to an uncertified run, the
+// certificate holds for the mask it was recorded under, and every
+// perturbed mask it holds for yields exactly the recorded path and
+// cost. It returns how many perturbed masks that changed something
+// the certificate held for.
+func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (held int) {
+	t.Helper()
+	g := c.g
+	words := (c.numLinks + 63) / 64
+	cert := Cert{Rel: make([]uint64, words), Rej: make([]uint64, words)}
+	for i := range cert.Rel {
+		cert.Rel[i], cert.Rej[i] = ^uint64(0), ^uint64(0) // the search must clear both
+	}
+	pc, pr := NewPointRouter(g), NewPointRouter(g)
+	path, cost := pc.CertifiedPathInto(nil, src, dst, c.mask, &cert)
+	want, wantCost := pr.PathInto(nil, src, dst, c.mask)
+	if src != dst {
+		cd, cp := settled(&pc.s, g.NumNodes())
+		wd, wp := settled(&pr.s, g.NumNodes())
+		for i := range cd {
+			if cd[i] != wd[i] || cp[i] != wp[i] {
+				t.Fatalf("certified search %d->%d: node %d dist/parent %v/%d, uncertified %v/%d", src, dst, i, cd[i], cp[i], wd[i], wp[i])
+			}
+		}
+	}
+	if cost != wantCost || !slices.Equal(path, want) {
+		t.Fatalf("certified search %d->%d: %v at %v, uncertified %v at %v", src, dst, path, cost, want, wantCost)
+	}
+	if !cert.Holds(c.mask) {
+		t.Fatalf("certificate of %d->%d does not hold for the mask it was recorded under", src, dst)
+	}
+	for k := 0; k < 8; k++ {
+		m, changed := perturb(rng, c)
+		if !cert.Holds(m) {
+			continue
+		}
+		if changed {
+			held++
+		}
+		got, gotCost := pr.PathInto(nil, src, dst, m)
+		if gotCost != cost || !slices.Equal(got, path) {
+			t.Fatalf("certificate of %d->%d holds for %+v, but the search returns %v at %v, recorded %v at %v",
+				src, dst, m, got, gotCost, path, cost)
+		}
+	}
+	return held
+}
+
 // checkKernelCase compares both engines against the reference on one
 // instance: whole trees from a few sources, point searches over a few
-// pairs — distances, parents, path edges and costs.
-func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) {
+// pairs — distances, parents, path edges and costs — and, where the
+// mask has no Open set, the certificate of each point search. It
+// returns checkCert's count of held perturbations.
+func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (held int) {
 	t.Helper()
 	g := c.g
 	n := g.NumNodes()
@@ -146,6 +254,9 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) {
 		}
 
 		dst := NodeID(rng.Intn(n))
+		if c.mask == nil || c.mask.Open == nil {
+			held += checkCert(t, rng, c, src, dst)
+		}
 		if dst == src {
 			continue
 		}
@@ -166,16 +277,48 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) {
 			}
 		}
 	}
+	return held
 }
 
 // TestMaskKernelMatchesClosureReference is the differential test for
 // the mask kernel: never-visited must equal visited-and-rejected, bit
-// for bit, across random open / avoid / threshold sets.
+// for bit, across random open / avoid / threshold sets. It also checks
+// the certificates, and that enough of them hold for changed masks
+// for that check to mean something.
 func TestMaskKernelMatchesClosureReference(t *testing.T) {
+	held := 0
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		checkKernelCase(t, rng, newKernelCase(rng, 2+rng.Intn(40), rng.Intn(160)))
+		held += checkKernelCase(t, rng, newKernelCase(rng, 2+rng.Intn(40), rng.Intn(160)))
 	}
+	if held < 100 {
+		t.Fatalf("certificates held for only %d changed masks", held)
+	}
+}
+
+// TestCertNeedsLinkMasks pins the certificate's restriction to masks
+// with a nil Open: Holds never covers a mask that selects edge
+// positions, a certified search refuses one, and a src == dst search
+// records the empty certificate, which holds for every other mask.
+func TestCertNeedsLinkMasks(t *testing.T) {
+	g := diamond()
+	all := openExcept(g)
+	cert := Cert{Rel: []uint64{^uint64(0)}, Rej: []uint64{^uint64(0)}}
+	if _, cost := NewPointRouter(g).CertifiedPathInto(nil, 2, 2, nil, &cert); cost != 0 || cert.Rel[0] != 0 || cert.Rej[0] != 0 {
+		t.Fatalf("src == dst: cost %v, certificate %+v, want 0 and empty", cost, cert)
+	}
+	if !cert.Holds(nil) || !cert.Holds(&Mask{Avoid: []uint64{^uint64(0)}}) {
+		t.Fatal("the empty certificate does not hold for a link mask")
+	}
+	if cert.Holds(all) {
+		t.Fatal("a certificate holds for a mask with an Open set")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a certified search accepted a mask with an Open set")
+		}
+	}()
+	NewPointRouter(g).CertifiedPathInto(nil, 0, 3, all, &cert)
 }
 
 // TestMaskKernelWideRows forces node position ranges that span several

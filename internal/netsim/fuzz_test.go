@@ -21,7 +21,8 @@ import (
 //	(4) the packed crossing indexes hold only live flows, in ascending
 //	    admission order, with a consistent total entry count;
 //	(5) the shards' degraded registries hold exactly the below-demand
-//	    flows.
+//	    flows;
+//	(6) the path memo is exact (checkMemo).
 func invariants(t *testing.T, f *Fabric) {
 	t.Helper()
 	used := make([]float64, len(f.net.Links))
@@ -89,6 +90,43 @@ func invariants(t *testing.T, f *Fabric) {
 	if registered != degraded {
 		t.Fatalf("shards register %d degraded flows, population has %d", registered, degraded)
 	}
+	checkMemo(t, f)
+}
+
+// checkMemo asserts the path memo's exactness on the fabric as it
+// stands: for every stored pair and a sweep of demands, wherever the
+// stored certificate holds for the fabric's current mask, the stored
+// path and cost equal a fresh, uncertified search's. It returns how
+// many (pair, demand) probes held, so a caller can tell the check was
+// not vacuous.
+func checkMemo(t *testing.T, f *Fabric) (held int) {
+	t.Helper()
+	m := &f.memo
+	pr := graph.NewPointRouter(f.g)
+	for i, n := range m.plen {
+		if n < 0 {
+			continue
+		}
+		a, b := graph.NodeID(i/m.routers), graph.NodeID(i%m.routers)
+		c, win := m.entry(i)
+		for _, demand := range []float64{1e-9, 0.5, 2, 5, 10, 20, 60} {
+			mask := f.usable(demand)
+			if !c.Holds(mask) {
+				continue
+			}
+			held++
+			edges, cost := pr.PathInto(nil, a, b, mask)
+			same := cost == m.cost[i] && len(edges) == int(n)
+			for k := 0; same && k < len(edges); k++ {
+				same = f.linkFor[edges[k]] == win[k]
+			}
+			if !same {
+				t.Fatalf("memo %d->%d at demand %v: links %v at %v, a fresh search %v at %v",
+					a, b, demand, win[:n], m.cost[i], edges, cost)
+			}
+		}
+	}
+	return held
 }
 
 // drain stops every flow and multicast, then asserts each link's

@@ -67,7 +67,8 @@ func (f *Fabric) StartMulticast(src EndpointID, receivers []EndpointID, gbps flo
 	}
 
 	// Tree state: routers already on the tree, links reserved so far.
-	inTree := map[int]bool{f.endpoints[src].Router: true}
+	inTree := make([]bool, f.g.NumNodes())
+	inTree[f.endpoints[src].Router] = true
 	treeLinks := map[int]bool{}
 	// Every search admits the non-failed links with residual >= gbps.
 	// Nothing is reserved until the whole tree is known, so residuals
@@ -75,7 +76,9 @@ func (f *Fabric) StartMulticast(src EndpointID, receivers []EndpointID, gbps flo
 	// carries the stream once; joining it is free) still passes the
 	// test it passed when it joined.
 	usable := f.usable(gbps)
-	tr := graph.NewTreeRouter(f.g)
+	if f.tr == nil {
+		f.tr = graph.NewTreeRouter(f.g)
+	}
 
 	remaining := append([]EndpointID(nil), receivers...)
 	var order []EndpointID // connection order, for determinism
@@ -86,7 +89,7 @@ func (f *Fabric) StartMulticast(src EndpointID, receivers []EndpointID, gbps flo
 		var bestPath graph.Path
 		for i, r := range remaining {
 			dst := graph.NodeID(f.endpoints[r].Router)
-			if inTree[int(dst)] {
+			if inTree[dst] {
 				// Already reachable for free.
 				bestIdx, bestCost, bestPath = i, 0, graph.Path{}
 				break
@@ -95,10 +98,11 @@ func (f *Fabric) StartMulticast(src EndpointID, receivers []EndpointID, gbps flo
 			// receiver over reversed edges is equivalent because the
 			// fabric's links are bidirectional; use the receiver as
 			// source and stop at any tree node by scanning the tree
-			// after a full Dijkstra.
-			tree := tr.Tree(dst, usable)
-			for node := range inTree {
-				if !tree.Reachable(graph.NodeID(node)) {
+			// after a full Dijkstra. Tree nodes are scanned in ascending
+			// router order, so an equidistant tie goes to the lowest ID.
+			tree := f.tr.Tree(dst, usable)
+			for node, on := range inTree {
+				if !on || !tree.Reachable(graph.NodeID(node)) {
 					continue
 				}
 				if tree.Dist[node] < bestCost {
@@ -119,7 +123,7 @@ func (f *Fabric) StartMulticast(src EndpointID, receivers []EndpointID, gbps flo
 		}
 		nodes := bestPath.Nodes(f.g)
 		for _, n := range nodes {
-			inTree[int(n)] = true
+			inTree[n] = true
 		}
 		order = append(order, remaining[bestIdx])
 		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)

@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"reflect"
 	"testing"
+
+	"github.com/public-option/poc/internal/topo"
 )
 
 // starFabric builds a fabric over the ring+chord fixture with a CSP
@@ -65,6 +68,40 @@ func TestMulticastStopReleases(t *testing.T) {
 			if f.resid[i] != f.net.Links[i].Capacity {
 				t.Fatalf("link %d resid = %v after release", i, f.resid[i])
 			}
+		}
+	}
+}
+
+// TestMulticastTieGoesToLowestRouter: the last receiver (router 3) is
+// 100 km from both on-tree routers 1 and 2. The tree must attach it at
+// router 1 — the lower ID — on every run, never by map iteration order.
+func TestMulticastTieGoesToLowestRouter(t *testing.T) {
+	p := &topo.POCNetwork{
+		World:   &topo.World{Cities: make([]topo.City, 4)},
+		BPs:     make([]topo.BP, 4),
+		Routers: []int{0, 1, 2, 3},
+	}
+	for _, l := range [][3]int{{0, 1, 10}, {0, 2, 10}, {1, 3, 100}, {2, 3, 100}} {
+		p.Links = append(p.Links, topo.LogicalLink{
+			ID: len(p.Links), BP: len(p.Links), A: l[0], B: l[1], Capacity: 10, DistanceKm: float64(l[2]),
+		})
+	}
+	for run := 0; run < 100; run++ {
+		f := New(p, nil)
+		var eps []EndpointID
+		for r := range p.Routers {
+			id, err := f.Attach(string(rune('a'+r)), LMPEndpoint, r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps = append(eps, id)
+		}
+		m, err := f.StartMulticast(eps[0], eps[1:], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(m.TreeLinks, []int{0, 1, 2}) {
+			t.Fatalf("run %d: tree links %v, want [0 1 2] (router 3 attached at router 1)", run, m.TreeLinks)
 		}
 	}
 }

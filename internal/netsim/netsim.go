@@ -154,9 +154,13 @@ type Fabric struct {
 
 	// mask is the path-search edge mask (failed links avoided,
 	// residual ≥ the demand being placed), reparameterized by usable;
-	// edgeBuf is the reusable Dijkstra output buffer.
+	// edgeBuf is the reusable Dijkstra output buffer; memo answers
+	// findPath's searches whose certificates still hold; tr is the
+	// multicast tree engine, built on first use.
 	mask    graph.Mask
 	edgeBuf []graph.EdgeID
+	memo    pathMemo
+	tr      *graph.TreeRouter
 
 	// Epoch-stamped scratch for bulk operations (see nextMark).
 	linkMark   []uint32
@@ -257,15 +261,14 @@ func (f *Fabric) usable(want float64) *graph.Mask {
 // a degraded flow prefers a slightly longer path that restores its
 // full allocation over the short one that cannot.
 //
-// The returned edge slice is the fabric's scratch buffer: it is valid
-// only until the next findPath call.
-func (f *Fabric) findPath(a, b int, demand float64) ([]graph.EdgeID, float64) {
-	edges, cost := f.pr.PathInto(f.edgeBuf[:0], graph.NodeID(a), graph.NodeID(b), f.usable(demand))
+// The path comes back as logical links in the path memo's storage: it
+// is valid only until the next findPath call.
+func (f *Fabric) findPath(a, b int, demand float64) ([]int32, float64) {
+	links, cost := f.memoSearch(a, b, demand)
 	if math.IsInf(cost, 1) {
-		edges, cost = f.pr.PathInto(f.edgeBuf[:0], graph.NodeID(a), graph.NodeID(b), f.usable(1e-9))
+		links, cost = f.memoSearch(a, b, 1e-9)
 	}
-	f.edgeBuf = edges
-	return edges, cost
+	return links, cost
 }
 
 // nextMark advances the epoch stamp used by bulk operations for O(1)
@@ -470,7 +473,7 @@ func (f *Fabric) startOne(src, dst EndpointID, demandGbps float64, class Class) 
 		f.obs.Add("netsim.flows.local", 1)
 		return s, nil
 	}
-	edges, cost := f.findPath(se.Router, de.Router, demandGbps)
+	links, cost := f.findPath(se.Router, de.Router, demandGbps)
 	if math.IsInf(cost, 1) {
 		f.obs.Add("netsim.flows.rejected", 1)
 		return -1, fmt.Errorf("netsim: no usable path %s→%s", se.Name, de.Name)
@@ -479,9 +482,8 @@ func (f *Fabric) startOne(src, dst EndpointID, demandGbps float64, class Class) 
 	start := len(t.arena.data)
 	alloc := demandGbps
 	lat := 0.0
-	for _, eid := range edges {
-		l := int(f.linkFor[eid])
-		t.arena.data = append(t.arena.data, int32(l))
+	for _, l := range links {
+		t.arena.data = append(t.arena.data, l)
 		lat += f.net.Links[l].DistanceKm
 		if f.resid[l] < alloc {
 			alloc = f.resid[l]
@@ -890,16 +892,15 @@ func (f *Fabric) rerouteSlots(victims []int32) []FlowID {
 			f.setAlloc(s, t.demand[s])
 			continue
 		}
-		edges, cost := f.findPath(se.Router, de.Router, t.demand[s])
+		links, cost := f.findPath(se.Router, de.Router, t.demand[s])
 		if math.IsInf(cost, 1) {
 			continue
 		}
 		start := len(t.arena.data)
 		alloc := t.demand[s]
 		lat := 0.0
-		for _, eid := range edges {
-			l := int(f.linkFor[eid])
-			t.arena.data = append(t.arena.data, int32(l))
+		for _, l := range links {
+			t.arena.data = append(t.arena.data, l)
 			lat += f.net.Links[l].DistanceKm
 			if f.resid[l] < alloc {
 				alloc = f.resid[l]

@@ -1,8 +1,11 @@
 package netsim
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
+
+	"github.com/public-option/poc/internal/topo"
 )
 
 // attach4 attaches one LMP endpoint per ring router.
@@ -237,6 +240,60 @@ func TestRerouteVictimOrderInvariance(t *testing.T) {
 	}
 	if !reflect.DeepEqual(f1.Flows(), f2.Flows()) {
 		t.Fatal("flow populations diverge under victim permutation")
+	}
+}
+
+// TestMemoAcrossBPCycle loads a zoo fabric past saturation, then runs
+// FailBP → RepairBP → FailBP on its busiest BP: after each step the
+// invariants (the memo's exactness among them) must hold, and some
+// stored certificates must still hold so the check means something.
+// Both failures must reroute flows.
+func TestMemoAcrossBPCycle(t *testing.T) {
+	w := topo.DefaultWorld()
+	cfg := topo.DefaultZooConfig()
+	cfg.NumNetworks = 25
+	p := topo.BuildPOCNetwork(w, topo.GenerateZoo(w, cfg), 8, 4, 0)
+	perBP := make([]int, len(p.BPs))
+	bp := 0
+	for _, l := range p.Links {
+		if l.BP >= 0 {
+			if perBP[l.BP]++; perBP[l.BP] > perBP[bp] {
+				bp = l.BP
+			}
+		}
+	}
+	f := New(p, nil)
+	eps := make([]EndpointID, len(p.Routers))
+	for r := range p.Routers {
+		id, err := f.Attach(string(rune('A'+r)), LMPEndpoint, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[r] = id
+	}
+	rng := rand.New(rand.NewSource(5))
+	var specs []FlowSpec
+	for i := 0; i < 3000; i++ {
+		a, b := rng.Intn(len(eps)), rng.Intn(len(eps))
+		if a != b {
+			specs = append(specs, FlowSpec{Src: eps[a], Dst: eps[b], Demand: 1 + rng.Float64()*40, Class: BestEffort})
+		}
+	}
+	f.StartFlows(specs)
+	for step, op := range []string{"FailBP", "RepairBP", "FailBP"} {
+		var moved []FlowID
+		if op == "FailBP" {
+			moved = f.FailBP(bp)
+		} else {
+			f.RepairBP(bp)
+		}
+		if op == "FailBP" && len(moved) == 0 {
+			t.Fatalf("step %d: failing BP %d rerouted nothing", step, bp)
+		}
+		invariants(t, f)
+		if checkMemo(t, f) == 0 {
+			t.Fatalf("step %d (%s): no stored certificate holds at any probe demand", step, op)
+		}
 	}
 }
 

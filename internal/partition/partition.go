@@ -16,7 +16,6 @@
 package partition
 
 import (
-	"github.com/public-option/poc/internal/fnv64"
 	"github.com/public-option/poc/internal/linkset"
 	"github.com/public-option/poc/internal/topo"
 )
@@ -84,17 +83,4 @@ func Components(p *topo.POCNetwork, include *linkset.Set) *Partition {
 		pt.Size[k]++
 	}
 	return pt
-}
-
-// Signature fingerprints the labeling (FNV-1a over the dense labels).
-// Two partitions with equal signatures label every router identically,
-// up to fingerprint collision; the provisioner uses it to key cached
-// per-component traffic projections alongside the matrix pointer.
-func (pt *Partition) Signature() uint64 {
-	h := uint64(fnv64.Offset)
-	h = fnv64.Mix(h, uint64(pt.NumComp))
-	for _, c := range pt.Comp {
-		h = fnv64.Mix(h, uint64(c))
-	}
-	return h
 }

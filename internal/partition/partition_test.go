@@ -53,13 +53,13 @@ func TestComponentsRespectsInclude(t *testing.T) {
 	if !reflect.DeepEqual(pt.Comp, []int{0, 0, 1, 1}) {
 		t.Fatalf("Comp = %v", pt.Comp)
 	}
-	// Signatures distinguish the split from the connected labeling.
-	if Components(p, nil).Signature() == pt.Signature() {
-		t.Fatal("signatures collide between connected and split labelings")
+	// The connected labeling differs from the split one.
+	if whole := Components(p, nil); reflect.DeepEqual(whole.Comp, pt.Comp) {
+		t.Fatalf("connected labeling %v equals the split one", whole.Comp)
 	}
-	// And equal labelings share a signature.
-	if pt.Signature() != Components(p, s).Signature() {
-		t.Fatal("signature is not deterministic")
+	// And the same input labels the same way again.
+	if again := Components(p, s); !reflect.DeepEqual(again.Comp, pt.Comp) {
+		t.Fatalf("relabeling gave %v, first run %v", again.Comp, pt.Comp)
 	}
 }
 
