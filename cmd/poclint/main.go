@@ -8,16 +8,16 @@
 //
 // which is exactly what the CI lint job does. Under go vet the
 // driver speaks the unitchecker protocol: each package's function
-// summaries (order-sensitive float folds, wall-clock/global-rand
-// reach, arena acquire/release, journal appends, single-writer field
-// owners) are serialized as poclint-facts/v1 files through vet's
-// facts cache, so the interprocedural analyzers see summaries of
-// every import.
+// summaries (order-sensitive float folds, receiver writes, arena
+// acquire/release, journal appends, single-writer field owners) are
+// serialized as poclint-facts/v1 files through vet's facts cache, so
+// the interprocedural analyzers see summaries of every import. The
+// tool takes no flags; every analyzer always runs.
 //
-// The v1 analyzers — mapordfloat, seededrand, walltime, obsguard,
-// floatsum — are documented in DESIGN.md §9; the v2 interprocedural
-// ones — arenapair, journalorder, writerescape, deepfold — in
-// DESIGN.md §14. All are implemented in internal/analysis.
+// floatorder, seededrand, walltime and obsguard are documented in
+// DESIGN.md §9; the interprocedural arenapair, journalorder and
+// writerescape in DESIGN.md §14. All are implemented in
+// internal/analysis.
 // Sanctioned exceptions carry a `//lint:allow <analyzer> <reason>`
 // comment on or above the flagged line; resource constructors carry
 // `//lint:acquire <kind>` / `//lint:release <kind>` directives and

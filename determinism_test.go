@@ -287,7 +287,7 @@ func failedAuctionExport(t *testing.T, workers int) []byte {
 	return out
 }
 
-// TestSortedIterationDeterminism pins the poclint mapordfloat fixes
+// TestSortedIterationDeterminism pins the poclint floatorder fixes
 // that changed bytes: interdomain.TransitBill and
 // federation.SegmentUsage now accumulate in sorted-ID order instead of
 // map order. Each result must be bit-identical to a reference sum

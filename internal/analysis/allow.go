@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -17,9 +18,12 @@ type allowDirective struct {
 }
 
 // parseAllows extracts every //lint:allow directive from files.
-// Malformed directives (no analyzer, or no reason) are returned
-// separately so the driver can report them: an exception without a
-// recorded reason is itself an invariant violation.
+// Malformed directives (no analyzer, no reason, or a name that is no
+// analyzer in All) are returned separately so the driver can report
+// them: an exception without a recorded reason is itself an invariant
+// violation, and one naming a renamed or deleted analyzer exempts
+// nothing. Names are checked against All, not the analyzers of the
+// current run, so a run of a subset still accepts the others' names.
 func parseAllows(fset *token.FileSet, files []*ast.File) (ok []allowDirective, malformed []Diagnostic) {
 	for _, f := range files {
 		for _, cg := range f.Comments {
@@ -34,6 +38,13 @@ func parseAllows(fset *token.FileSet, files []*ast.File) (ok []allowDirective, m
 					malformed = append(malformed, Diagnostic{
 						Pos: pos, Analyzer: "poclint",
 						Message: "malformed //lint:allow: missing analyzer name",
+					})
+					continue
+				}
+				if !slices.ContainsFunc(All, func(a *Analyzer) bool { return a.Name == fields[0] }) {
+					malformed = append(malformed, Diagnostic{
+						Pos: pos, Analyzer: "poclint",
+						Message: "//lint:allow " + fields[0] + " names no poclint analyzer",
 					})
 					continue
 				}
@@ -72,26 +83,12 @@ func applyAllows(fset *token.FileSet, files []*ast.File, diags []Diagnostic) []D
 	for _, a := range allows {
 		idx[key{a.file, a.line, a.analyzer}] = true
 	}
-	type at struct {
-		file      string
-		line, col int
-		analyzer  string
-	}
-	seen := map[at]bool{}
 	kept := diags[:0]
 	for _, d := range diags {
 		if idx[key{d.Pos.Filename, d.Pos.Line, d.Analyzer}] ||
 			idx[key{d.Pos.Filename, d.Pos.Line - 1, d.Analyzer}] {
 			continue
 		}
-		// Overlapping checks within one analyzer (e.g. a channel-range
-		// accumulator inside a goroutine) may hit the same statement
-		// twice; report each site once.
-		k := at{d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer}
-		if seen[k] {
-			continue
-		}
-		seen[k] = true
 		kept = append(kept, d)
 	}
 	kept = append(kept, malformed...)

@@ -1,7 +1,7 @@
 // Package analysis is poclint's static-analysis framework: a minimal,
 // dependency-free re-implementation of the golang.org/x/tools
-// go/analysis model, plus the five analyzers that mechanize this
-// repo's determinism and safety invariants (DESIGN.md §9).
+// go/analysis model, plus the seven analyzers that mechanize this
+// repo's determinism and safety invariants (DESIGN.md §9, §14).
 //
 // The repo's whole evaluation pipeline is gated on byte-identical
 // output across runs and across Workers settings. The bug classes
@@ -38,7 +38,7 @@ import (
 // it so every archived JSON records which invariant suite the tree
 // passed when the artifact was produced. Bump when an analyzer is
 // added, removed, or materially re-scoped.
-const Version = "poclint/v2"
+const Version = "poclint/v3"
 
 // An Analyzer is one named invariant check.
 type Analyzer struct {
@@ -53,11 +53,11 @@ type Analyzer struct {
 	Run func(*Pass) error
 }
 
-// All is the poclint suite in reporting order: the five v1 analyzers
-// followed by the four fact-consuming v2 analyzers.
+// All is the poclint suite. It is also the set of names a
+// //lint:allow directive may cite.
 var All = []*Analyzer{
-	MapOrdFloat, SeededRand, WallTime, ObsGuard, FloatSum,
-	ArenaPair, JournalOrder, WriterEscape, DeepFold,
+	FloatOrder, SeededRand, WallTime, ObsGuard,
+	ArenaPair, JournalOrder, WriterEscape,
 }
 
 // A Pass carries one analyzer's view of one type-checked package.
@@ -197,6 +197,27 @@ func rootIdent(e ast.Expr) *ast.Ident {
 			return nil
 		}
 	}
+}
+
+// exprString renders a short lvalue for a message.
+func exprString(e ast.Expr) string {
+	switch x := e.(type) {
+	case *ast.Ident:
+		return x.Name
+	case *ast.SelectorExpr:
+		return exprString(x.X) + "." + x.Sel.Name
+	case *ast.IndexExpr:
+		return exprString(x.X) + "[" + exprString(x.Index) + "]"
+	case *ast.StarExpr:
+		return "*" + exprString(x.X)
+	case *ast.CallExpr:
+		return exprString(x.Fun) + "(…)"
+	case *ast.ParenExpr:
+		return "(" + exprString(x.X) + ")"
+	case *ast.UnaryExpr:
+		return x.Op.String() + exprString(x.X)
+	}
+	return "expression"
 }
 
 // declaredWithin reports whether the object behind e's root identifier

@@ -1,9 +1,9 @@
 package analysis
 
-// Tests for the poclint v2 fact-consuming analyzers and the facts
-// layer itself. The testdata trees follow the v1 convention: positive
-// cases carry `// want "re"` comments, negatives none, and each
-// analyzer has a sanctioned //lint:allow case.
+// Tests for the fact-consuming analyzers and the facts layer itself.
+// The testdata trees follow the same convention as analyzers_test.go:
+// positive cases carry `// want "re"` comments, negatives none, and
+// each analyzer has a sanctioned //lint:allow case.
 
 import (
 	"bytes"
@@ -16,22 +16,20 @@ import (
 	"testing"
 )
 
-func TestArenaPair(t *testing.T)    { expectWants(t, ArenaPair, "arenalab") }
-func TestJournalOrder(t *testing.T) { expectWants(t, JournalOrder, "pocd/srvlab") }
-func TestWriterEscape(t *testing.T) { expectWants(t, WriterEscape, "writerlab") }
-func TestDeepFold(t *testing.T)     { expectWants(t, DeepFold, "deeplab") }
+func TestArenaPair(t *testing.T)    { expectSuite(t, "arenalab") }
+func TestJournalOrder(t *testing.T) { expectSuite(t, "pocd/srvlab") }
+func TestWriterEscape(t *testing.T) { expectSuite(t, "writerlab") }
 
 // Cross-package: the annotation/summary lives in the imported package;
 // only the facts layer can carry it to the diagnostic site.
-func TestWriterEscapeCrossPackage(t *testing.T) { expectWants(t, WriterEscape, "writerlab/client") }
-func TestDeepFoldCrossPackage(t *testing.T)     { expectWants(t, DeepFold, "xfacts/use") }
+func TestWriterEscapeCrossPackage(t *testing.T) { expectSuite(t, "writerlab/client") }
 
 // The pool/journal provider packages themselves are clean.
-func TestArenaProviderClean(t *testing.T)   { expectClean(t, ArenaPair, "arenalab/pool") }
-func TestJournalProviderClean(t *testing.T) { expectClean(t, JournalOrder, "pocd/journal") }
+func TestArenaProviderClean(t *testing.T)   { expectSuite(t, "arenalab/pool") }
+func TestJournalProviderClean(t *testing.T) { expectSuite(t, "pocd/journal") }
 
 // Malformed facts directives are diagnostics in their own right.
-func TestFactsDirectiveErrors(t *testing.T) { expectWants(t, ArenaPair, "dirlab") }
+func TestFactsDirectiveErrors(t *testing.T) { expectSuite(t, "dirlab") }
 
 // TestFactsRoundTrip is the golden facts-file test: encode → decode →
 // identical summaries, deterministic bytes, zero summaries stripped,
@@ -40,8 +38,8 @@ func TestFactsRoundTrip(t *testing.T) {
 	pf := NewPackageFacts("example.com/p")
 	pf.Funcs["Workspace.Acquire"] = FuncSummary{Acquires: "arena"}
 	pf.Funcs["Workspace.Release"] = FuncSummary{Releases: "arena", WritesRecv: true}
-	pf.Funcs["Route"] = FuncSummary{FoldParams: []int{0, 2}, WallClock: true}
-	pf.Funcs["Server.loop"] = FuncSummary{WritesRecv: true, Blocks: true, JournalAppend: true}
+	pf.Funcs["Route"] = FuncSummary{FoldParams: []int{0, 2}, FoldGlobal: true}
+	pf.Funcs["Server.loop"] = FuncSummary{WritesRecv: true, JournalAppend: true}
 	pf.Funcs["pure"] = FuncSummary{} // zero: must be stripped
 	pf.Owned["Server.st"] = []string{"New", "Server.loop"}
 
@@ -87,7 +85,7 @@ func TestFactsRoundTrip(t *testing.T) {
 	if pf2, err := DecodeFacts(nil); err != nil || len(pf2.Funcs) != 0 {
 		t.Errorf("empty facts file: %v %+v", err, pf2)
 	}
-	foreign := []byte(`{"schema":"poclint-facts/v999","path":"x","funcs":{"F":{"wall_clock":true}}}`)
+	foreign := []byte(`{"schema":"poclint-facts/v999","path":"x","funcs":{"F":{"fold_global":true}}}`)
 	if pf3, err := DecodeFacts(foreign); err != nil || len(pf3.Funcs) != 0 {
 		t.Errorf("foreign schema must decode empty: %v %+v", err, pf3)
 	}
@@ -202,7 +200,7 @@ func TestStaleFacts(t *testing.T) {
 		"dep": "package dep\n\nfunc AddTo(dst *float64, v float64) { *dst = v }\n",
 		"use": staleConsumerSrc,
 	})
-	if diags := clean.run(t, DeepFold, "use"); len(diags) != 0 {
+	if diags := clean.run(t, FloatOrder, "use"); len(diags) != 0 {
 		t.Fatalf("fold-free dependency must be clean, got %v", diags)
 	}
 
@@ -210,7 +208,7 @@ func TestStaleFacts(t *testing.T) {
 		"dep": "package dep\n\nfunc AddTo(dst *float64, v float64) { *dst += v }\n",
 		"use": staleConsumerSrc,
 	})
-	diags := edited.run(t, DeepFold, "use")
+	diags := edited.run(t, FloatOrder, "use")
 	if len(diags) != 1 || !strings.Contains(diags[0].Message, "AddTo folds floats") {
 		t.Fatalf("edited dependency must flag the consumer, got %v", diags)
 	}
@@ -234,23 +232,16 @@ func TestOwnerDirectiveMalformed(t *testing.T) {
 }
 
 // TestSummaryFixpoint asserts the summary lattice directly on a small
-// package: transitive wall clocks, fold relocation through wrappers,
-// and journal-append propagation.
+// package: fold relocation through wrappers.
 func TestSummaryFixpoint(t *testing.T) {
 	ml := newMemLoader(map[string]string{
 		"fix": `package fix
-
-import "time"
 
 type Acc struct{ total float64 }
 
 func (a *Acc) Add(v float64) { a.total += v }
 
 func AddVia(a *Acc, v float64) { a.Add(v) }
-
-func Stamp() int64 { return time.Now().UnixNano() }
-
-func StampVia() int64 { return Stamp() }
 `,
 	})
 	if _, err := ml.load("fix"); err != nil {
@@ -264,10 +255,45 @@ func StampVia() int64 { return Stamp() }
 	if s := facts.Funcs["AddVia"]; len(s.FoldParams) != 1 || s.FoldParams[0] != 0 {
 		t.Errorf("AddVia: want FoldParams [0], got %+v", s)
 	}
-	if s := facts.Funcs["Stamp"]; !s.WallClock {
-		t.Errorf("Stamp: want WallClock, got %+v", s)
+}
+
+// TestObsGuardLastSegment pins that only a package whose last path
+// element is "obs" gets the obs-package rules. "knobs" ends in "obs"
+// but is a consumer: its *Registry deref must be flagged, and its
+// half-guarded type is none of obsguard's business.
+func TestObsGuardLastSegment(t *testing.T) {
+	ml := newMemLoader(map[string]string{
+		"obs": `package obs
+
+type Registry struct{ n int }
+
+func (r *Registry) Inc() {
+	if r == nil {
+		return
 	}
-	if s := facts.Funcs["StampVia"]; !s.WallClock {
-		t.Errorf("StampVia: want transitive WallClock, got %+v", s)
+	r.n++
+}
+`,
+		"knobs": `package knobs
+
+import "obs"
+
+func Copy(r *obs.Registry) obs.Registry { return *r }
+
+type Knob struct{ v int }
+
+func (k *Knob) Get() int {
+	if k == nil {
+		return 0
+	}
+	return k.v
+}
+
+func (k *Knob) Set(v int) { k.v = v }
+`,
+	})
+	diags := ml.run(t, ObsGuard, "knobs")
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, "dereferencing *Registry") {
+		t.Fatalf("want exactly the *Registry deref flagged in knobs, got %v", diags)
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // This file is poclint's facts layer: the serializable per-package
-// summaries that make the v2 analyzers interprocedural. A package's
+// summaries that make the analyzers interprocedural. A package's
 // facts are computed once (by the summary pass in summary.go), written
 // to the vet facts file cmd/go already threads between vet units
 // (Config.VetxOutput / Config.PackageVetx — see unitchecker.go), and
@@ -43,15 +43,6 @@ type FuncSummary struct {
 	FoldParams []int `json:"fold_params,omitempty"`
 	FoldGlobal bool  `json:"fold_global,omitempty"`
 
-	// WallClock reports a wall-clock read (time.Now & friends),
-	// directly or transitively.
-	WallClock bool `json:"wall_clock,omitempty"`
-	// GlobalRand reports a draw from math/rand's process-global
-	// source, directly or transitively.
-	GlobalRand bool `json:"global_rand,omitempty"`
-	// Blocks reports potentially blocking operations: channel sends/
-	// receives/selects, mutex Lock/RLock, WaitGroup.Wait, file Sync.
-	Blocks bool `json:"blocks,omitempty"`
 	// WritesRecv reports that the method assigns receiver state:
 	// fields of the receiver, or (transitively) calls a WritesRecv
 	// method on the receiver or one of its fields. journalorder uses
@@ -80,8 +71,7 @@ func (s FuncSummary) FoldsFloat() bool {
 // zero reports whether the summary carries no facts (omitted from the
 // encoded file to keep facts small and diffs readable).
 func (s FuncSummary) zero() bool {
-	return !s.FoldRecv && !s.FoldGlobal && len(s.FoldParams) == 0 &&
-		!s.WallClock && !s.GlobalRand && !s.Blocks && !s.WritesRecv &&
+	return !s.FoldsFloat() && !s.WritesRecv &&
 		s.Acquires == "" && s.Releases == "" && !s.JournalAppend
 }
 

@@ -3,11 +3,14 @@ package analysis
 // An analysistest-style harness built on the source importer: each
 // testdata package under testdata/src/<importpath> is parsed,
 // type-checked (resolving sibling testdata packages first, then the
-// standard library), run through one analyzer plus the //lint:allow
-// driver pass, and its diagnostics are matched against `// want "re"`
-// comments the same way golang.org/x/tools/go/analysis/analysistest
-// does: every want must be matched by a diagnostic on its line, every
-// diagnostic must be matched by a want.
+// standard library), run through the whole suite plus the //lint:allow
+// driver pass exactly as cmd/go runs it, and its diagnostics are
+// matched against `// want "re"` comments the same way
+// golang.org/x/tools/go/analysis/analysistest does: every want must be
+// matched by a diagnostic on its line, every diagnostic must be
+// matched by a want. Running every analyzer means a package's
+// negatives are negatives for the whole suite, not just for the
+// analyzer the package was written for.
 
 import (
 	"fmt"
@@ -110,10 +113,10 @@ func (ti *testImporter) load(path string) (*loadedPkg, error) {
 	return lp, nil
 }
 
-// runAnalyzer loads testdata/src/<path> and returns the diagnostics
-// the analyzer (plus allow-directive driver pass) produces for it.
-// Applies gating is honored, so a path can also exercise exemptions.
-func runAnalyzer(t *testing.T, a *Analyzer, path string) ([]Diagnostic, *loadedPkg) {
+// runSuite loads testdata/src/<path> and returns the diagnostics All
+// (plus the allow-directive driver pass) produces for it. Applies
+// gating is honored, so a path can also exercise exemptions.
+func runSuite(t *testing.T, path string) ([]Diagnostic, *loadedPkg) {
 	t.Helper()
 	ti := &testImporter{
 		t:      t,
@@ -129,7 +132,7 @@ func runAnalyzer(t *testing.T, a *Analyzer, path string) ([]Diagnostic, *loadedP
 	if lp == nil {
 		t.Fatalf("testdata package %s not found", path)
 	}
-	diags, _, err := RunAnalyzersWithFacts([]*Analyzer{a}, lp.fset, lp.files, lp.pkg, lp.info, path, ti.facts)
+	diags, _, err := RunAnalyzersWithFacts(All, lp.fset, lp.files, lp.pkg, lp.info, path, ti.facts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,19 +201,11 @@ func checkDiagnostics(t *testing.T, lp *loadedPkg, diags []Diagnostic) {
 	}
 }
 
-// expectClean asserts the analyzer finds nothing in the package.
-func expectClean(t *testing.T, a *Analyzer, path string) {
+// expectSuite runs the whole suite over the package and matches its
+// output against the package's want comments; a package without wants
+// must come out clean.
+func expectSuite(t *testing.T, path string) {
 	t.Helper()
-	diags, _ := runAnalyzer(t, a, path)
-	for _, d := range diags {
-		t.Errorf("unexpected diagnostic in %s: %s", path, d)
-	}
-}
-
-// expectWants runs the analyzer and matches its output against the
-// package's want comments.
-func expectWants(t *testing.T, a *Analyzer, path string) {
-	t.Helper()
-	diags, lp := runAnalyzer(t, a, path)
+	diags, lp := runSuite(t, path)
 	checkDiagnostics(t, lp, diags)
 }

@@ -196,23 +196,6 @@ func reportMutations(pass *Pass, fi *funcInfo, st ast.Stmt) {
 	})
 }
 
-// frameOf builds a minimal funcInfo (receiver + params) for root
-// classification outside the summary pass.
-func frameOf(pass *Pass, decl *ast.FuncDecl) *funcInfo {
-	fi := &funcInfo{decl: decl}
-	if decl.Recv != nil && len(decl.Recv.List) == 1 && len(decl.Recv.List[0].Names) == 1 {
-		fi.recv = pass.ObjectOf(decl.Recv.List[0].Names[0])
-	}
-	if fn, ok := pass.Info.Defs[decl.Name].(*types.Func); ok {
-		if sig, ok := fn.Type().(*types.Signature); ok {
-			for i := 0; i < sig.Params().Len(); i++ {
-				fi.params = append(fi.params, sig.Params().At(i))
-			}
-		}
-	}
-	return fi
-}
-
 // predecessors inverts the successor edges.
 func predecessors(g *cfg) map[*cfgBlock][]*cfgBlock {
 	preds := map[*cfgBlock][]*cfgBlock{}

@@ -14,9 +14,10 @@ import (
 // actually guards the nil receiver — one unguarded method added to
 // the package turns every instrumented call site into a latent panic.
 //
-// Inside an obs package (import path ending in "obs"), for every type
-// that follows the convention (at least one exported pointer-receiver
-// method opening with an `if recv == nil` guard), ObsGuard requires
+// Inside an obs package (import path whose last element is "obs"),
+// for every type that follows the convention (at least one exported
+// pointer-receiver method opening with an `if recv == nil` guard),
+// ObsGuard requires
 // each exported pointer-receiver method to be nil-safe: either it
 // guards the receiver before first use, or every use of the receiver
 // is a call to an already-nil-safe method of the same type
@@ -35,12 +36,18 @@ var ObsGuard = &Analyzer{
 }
 
 func runObsGuard(pass *Pass) error {
-	if strings.HasSuffix(pass.Path, "obs") || pass.Path == "obs" {
+	if isObsPath(pass.Path) {
 		checkObsPackage(pass)
 		return nil
 	}
 	checkObsConsumers(pass)
 	return nil
+}
+
+// isObsPath reports whether the import path's last element is "obs"
+// (".../jobs" and ".../knobs" are not obs packages).
+func isObsPath(path string) bool {
+	return path == "obs" || strings.HasSuffix(path, "/obs")
 }
 
 // ---- consumer side ----
@@ -76,11 +83,7 @@ func namedObsType(t types.Type) string {
 	if !ok {
 		return ""
 	}
-	pkg := named.Obj().Pkg()
-	if pkg == nil {
-		return ""
-	}
-	if pkg.Path() == "obs" || strings.HasSuffix(pkg.Path(), "/obs") {
+	if pkg := named.Obj().Pkg(); pkg != nil && isObsPath(pkg.Path()) {
 		return named.Obj().Name()
 	}
 	return ""

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -91,7 +92,7 @@ func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 			if key == "" {
 				continue
 			}
-			fi := summarizeFunc(p, decl, fn, key, &diags)
+			fi := summarizeFunc(p, decl, key, &diags)
 			funcs = append(funcs, fi)
 			byKey[key] = fi
 		}
@@ -136,9 +137,6 @@ func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 // receiver/parameter fold targets through the call site's argument
 // roots.
 func mergeCall(sum *FuncSummary, csum FuncSummary, cs callSite) {
-	sum.WallClock = sum.WallClock || csum.WallClock
-	sum.GlobalRand = sum.GlobalRand || csum.GlobalRand
-	sum.Blocks = sum.Blocks || csum.Blocks
 	sum.JournalAppend = sum.JournalAppend || csum.JournalAppend
 	if csum.WritesRecv && cs.recv.kind == rootRecv {
 		sum.WritesRecv = true
@@ -178,105 +176,49 @@ func addFoldParam(sum *FuncSummary, i int) {
 }
 
 func summaryEqual(a, b FuncSummary) bool {
-	if len(a.FoldParams) != len(b.FoldParams) {
-		return false
-	}
-	for i := range a.FoldParams {
-		if a.FoldParams[i] != b.FoldParams[i] {
-			return false
-		}
-	}
-	return a.FoldRecv == b.FoldRecv && a.FoldGlobal == b.FoldGlobal &&
-		a.WallClock == b.WallClock && a.GlobalRand == b.GlobalRand &&
-		a.Blocks == b.Blocks && a.WritesRecv == b.WritesRecv &&
+	return slices.Equal(a.FoldParams, b.FoldParams) &&
+		a.FoldRecv == b.FoldRecv && a.FoldGlobal == b.FoldGlobal &&
+		a.WritesRecv == b.WritesRecv &&
 		a.Acquires == b.Acquires && a.Releases == b.Releases &&
 		a.JournalAppend == b.JournalAppend
 }
 
 // summarizeFunc computes one function's direct summary and call list.
-func summarizeFunc(p *Pass, decl *ast.FuncDecl, fn *types.Func, key string, diags *[]Diagnostic) *funcInfo {
-	fi := &funcInfo{decl: decl, key: key}
-	if decl.Recv != nil && len(decl.Recv.List) == 1 && len(decl.Recv.List[0].Names) == 1 {
-		fi.recv = p.ObjectOf(decl.Recv.List[0].Names[0])
-	}
-	if sig, ok := fn.Type().(*types.Signature); ok {
-		for i := 0; i < sig.Params().Len(); i++ {
-			fi.params = append(fi.params, sig.Params().At(i))
-		}
-	}
+func summarizeFunc(p *Pass, decl *ast.FuncDecl, key string, diags *[]Diagnostic) *funcInfo {
+	fi := frameOf(p, decl)
+	fi.key = key
 	fi.sum.Acquires, fi.sum.Releases = funcDirectives(p, decl, diags)
 
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
-		case *ast.SelectorExpr:
-			if name, ok := p.pkgFunc(x.Sel, "time"); ok && wallClockFuncs[name] {
-				fi.sum.WallClock = true
-			}
-			for _, rp := range []string{"math/rand", "math/rand/v2"} {
-				if name, ok := p.pkgFunc(x.Sel, rp); ok && !randAllowed[name] {
-					fi.sum.GlobalRand = true
-				}
-			}
-		case *ast.SendStmt, *ast.SelectStmt:
-			fi.sum.Blocks = true
-		case *ast.UnaryExpr:
-			if x.Op == token.ARROW {
-				fi.sum.Blocks = true
-			}
-		case *ast.RangeStmt:
-			if t := p.TypeOf(x.X); t != nil {
-				if _, ok := t.Underlying().(*types.Chan); ok {
-					fi.sum.Blocks = true
-				}
-			}
 		case *ast.CallExpr:
 			summarizeCall(p, fi, x)
 		case *ast.AssignStmt:
-			summarizeAssign(p, fi, decl, x)
+			folds := floatFolds(p, x)
+			for _, lhs := range x.Lhs {
+				summarizeWrite(p, fi, lhs, slices.Contains(folds, lhs))
+			}
 		case *ast.IncDecStmt:
-			summarizeWrite(p, fi, decl, x.X, isFloat(p.TypeOf(x.X)))
+			summarizeWrite(p, fi, x.X, len(floatFolds(p, x)) > 0)
 		}
 		return true
 	})
 	return fi
 }
 
-// summarizeCall records the call for the fixpoint and detects directly
-// blocking / journal-appending callees.
+// summarizeCall records the call for the fixpoint and detects a direct
+// journal append.
 func summarizeCall(p *Pass, fi *funcInfo, call *ast.CallExpr) {
-	var callee *types.Func
-	var recvExpr ast.Expr
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		callee, _ = p.Info.Uses[fun].(*types.Func)
-	case *ast.SelectorExpr:
-		callee, _ = p.Info.Uses[fun.Sel].(*types.Func)
-		if callee != nil {
-			if sig, ok := callee.Type().(*types.Signature); ok && sig.Recv() != nil {
-				recvExpr = fun.X
-			}
-		}
-	}
+	callee := calleeFunc(p, call)
 	if callee == nil {
 		return
-	}
-	if pkg := callee.Pkg(); pkg != nil && recvExpr != nil {
-		name := callee.Name()
-		// Potentially blocking std-lib primitives (no facts exist for
-		// std packages, so these are recognized by name here).
-		if pkg.Path() == "sync" && (name == "Lock" || name == "RLock" || name == "Wait") {
-			fi.sum.Blocks = true
-		}
-		if pkg.Path() == "os" && name == "Sync" {
-			fi.sum.Blocks = true // fsync
-		}
 	}
 	if isJournalAppendCallee(callee) {
 		fi.sum.JournalAppend = true
 	}
 	cs := callSite{callee: callee}
-	if recvExpr != nil {
-		cs.recv = classifyRoot(p, fi, recvExpr)
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && callee.Type().(*types.Signature).Recv() != nil {
+		cs.recv = classifyRoot(p, fi, sel.X)
 	}
 	for _, arg := range call.Args {
 		cs.args = append(cs.args, classifyRoot(p, fi, arg))
@@ -299,32 +241,10 @@ func isJournalAppendCallee(fn *types.Func) bool {
 	return segs[len(segs)-1] == "journal"
 }
 
-// summarizeAssign detects order-sensitive float folds and receiver
-// writes in one assignment.
-func summarizeAssign(p *Pass, fi *funcInfo, decl *ast.FuncDecl, st *ast.AssignStmt) {
-	switch {
-	case compoundOps[st.Tok]:
-		for _, lhs := range st.Lhs {
-			summarizeWrite(p, fi, decl, lhs, isFloat(p.TypeOf(lhs)))
-		}
-	case st.Tok == token.ASSIGN && len(st.Lhs) == 1 && len(st.Rhs) == 1:
-		fold := false
-		if bin, ok := st.Rhs[0].(*ast.BinaryExpr); ok && arithmeticOp(bin.Op) {
-			fold = (sameExpr(bin.X, st.Lhs[0]) || sameExpr(bin.Y, st.Lhs[0])) &&
-				isFloat(p.TypeOf(st.Lhs[0]))
-		}
-		summarizeWrite(p, fi, decl, st.Lhs[0], fold)
-	default:
-		for _, lhs := range st.Lhs {
-			summarizeWrite(p, fi, decl, lhs, false)
-		}
-	}
-}
-
 // summarizeWrite records one lvalue write: a receiver-state write
 // (WritesRecv) and, when fold is true, an order-sensitive float fold
 // located by the lvalue's root.
-func summarizeWrite(p *Pass, fi *funcInfo, decl *ast.FuncDecl, lhs ast.Expr, fold bool) {
+func summarizeWrite(p *Pass, fi *funcInfo, lhs ast.Expr, fold bool) {
 	if _, bare := lhs.(*ast.Ident); bare {
 		// Rebinding a local name (including the receiver or a value
 		// parameter) never escapes the frame; x += v on a bare float
@@ -355,6 +275,23 @@ func summarizeWrite(p *Pass, fi *funcInfo, decl *ast.FuncDecl, lhs ast.Expr, fol
 	case rootOuter:
 		fi.sum.FoldGlobal = true
 	}
+}
+
+// frameOf returns decl's frame (receiver and parameters), against
+// which classifyRoot resolves expressions.
+func frameOf(pass *Pass, decl *ast.FuncDecl) *funcInfo {
+	fi := &funcInfo{decl: decl}
+	if decl.Recv != nil && len(decl.Recv.List) == 1 && len(decl.Recv.List[0].Names) == 1 {
+		fi.recv = pass.ObjectOf(decl.Recv.List[0].Names[0])
+	}
+	if fn, ok := pass.Info.Defs[decl.Name].(*types.Func); ok {
+		if sig, ok := fn.Type().(*types.Signature); ok {
+			for i := 0; i < sig.Params().Len(); i++ {
+				fi.params = append(fi.params, sig.Params().At(i))
+			}
+		}
+	}
+	return fi
 }
 
 // classifyRoot resolves an expression's leftmost identifier against

@@ -100,6 +100,16 @@ func foldDirectGoParam(vals []float64) float64 {
 	return total
 }
 
+// Positive, reported once: a direct-call goroutine inside a map range
+// is judged by its innermost context, the goroutine.
+func foldDirectGoInMapRange(m map[string]float64) float64 {
+	var a acc
+	for _, v := range m {
+		go a.add(v) // want "acc\\.add folds floats into a, declared outside, from a goroutine"
+	}
+	return a.total
+}
+
 // Negative: direct-call goroutine of a fold-free callee.
 func directGoPure(vals []float64) {
 	for _, v := range vals {
@@ -129,11 +139,12 @@ func foldLocalRecv(m map[string]float64) float64 {
 	return best
 }
 
-// Negative: callee without fold facts.
+// The call is clean (a callee without fold facts); the float append it
+// feeds is not: the slice's element order follows the map.
 func callPure(m map[string]float64) {
 	out := make([]float64, 0, len(m))
 	for _, v := range m {
-		out = append(out, pure(v))
+		out = append(out, pure(v)) // want "element order follows map iteration"
 	}
 	_ = out
 }
@@ -174,7 +185,7 @@ func (s *srv) drain(ch chan float64) {
 // Sanctioned: the annotated writer loop.
 func (s *srv) drainAllowed(ch chan float64) {
 	for v := range ch {
-		s.handle(v) //lint:allow deepfold receive order is journaled upstream; replay reproduces it
+		s.handle(v) //lint:allow floatorder receive order is journaled upstream; replay reproduces it
 	}
 }
 
@@ -182,7 +193,7 @@ func (s *srv) drainAllowed(ch chan float64) {
 func allowedFold(m map[string]float64) float64 {
 	var a acc
 	for _, v := range m {
-		a.add(v) //lint:allow deepfold result feeds a max, not a sum; order-insensitive
+		a.add(v) //lint:allow floatorder result feeds a max, not a sum; order-insensitive
 	}
 	return a.total
 }

@@ -1,6 +1,6 @@
-// Package maplab exercises the mapordfloat analyzer: every shape PR 3
-// fixed by hand, the spelled-out accumulator, append and fmt output
-// ordering, and the sanctioned idioms that must stay silent.
+// Package maplab exercises floatorder in map ranges: every map-order
+// shape once fixed by hand, the spelled-out accumulator, append and fmt
+// output ordering, and the sanctioned idioms that must stay silent.
 package maplab
 
 import (
@@ -127,7 +127,7 @@ func freshSlice(m map[string][]float64) map[string][]float64 {
 func allowedSameLine(m map[string]float64) float64 {
 	t := 0.0
 	for _, v := range m {
-		t += v //lint:allow mapordfloat tolerance documented in maplab
+		t += v //lint:allow floatorder tolerance documented in maplab
 	}
 	return t
 }
@@ -135,7 +135,7 @@ func allowedSameLine(m map[string]float64) float64 {
 func allowedLineAbove(m map[string]float64) float64 {
 	t := 0.0
 	for _, v := range m {
-		//lint:allow mapordfloat tolerance documented in maplab
+		//lint:allow floatorder tolerance documented in maplab
 		t += v
 	}
 	return t

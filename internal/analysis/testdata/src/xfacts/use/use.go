@@ -23,11 +23,12 @@ func SumPtr(m map[string]float64) float64 {
 	return total
 }
 
-// Negative: fold-free imported callee.
+// The fold-free imported callee is clean; the float append it feeds is
+// not: the slice's element order follows the map.
 func ScaleAll(m map[string]float64) []float64 {
 	out := make([]float64, 0, len(m))
 	for _, v := range m {
-		out = append(out, helper.Scale(v, 2))
+		out = append(out, helper.Scale(v, 2)) // want "element order follows map iteration"
 	}
 	return out
 }

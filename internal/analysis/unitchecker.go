@@ -3,7 +3,6 @@ package analysis
 import (
 	"crypto/sha256"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"go/ast"
 	"go/importer"
@@ -23,9 +22,10 @@ import (
 // standard library):
 //
 //   - `tool -flags` must print a JSON array of the tool's flags.
+//     poclint has none — every analyzer always runs — so it prints [].
 //   - `tool -V=full` must print one "name version ..." line (build
 //     cache fingerprinting).
-//   - `tool [flags] path/to/vet.cfg` must type-check the single
+//   - `tool path/to/vet.cfg` must type-check the single
 //     package described by the JSON config, print diagnostics to
 //     stderr as "file:line:col: message", write the (possibly empty)
 //     facts file to VetxOutput, and exit 0 (clean) / 2 (findings).
@@ -67,40 +67,24 @@ func Main(analyzers ...*Analyzer) {
 	// Protocol queries, answered before general flag parsing because
 	// cmd/go issues them with exactly one argument.
 	if len(args) == 1 && args[0] == "-flags" {
-		printFlagDefs(analyzers)
+		fmt.Println("[]")
 		os.Exit(0)
 	}
 	if len(args) == 1 && (args[0] == "-V=full" || args[0] == "-V") {
 		printVersion(progname)
 		os.Exit(0)
 	}
-
-	fs := flag.NewFlagSet(progname, flag.ExitOnError)
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: %s [-analyzer=false ...] vet.cfg\n\n", progname)
+	if len(args) != 1 || !strings.HasSuffix(args[0], ".cfg") {
+		fmt.Fprintf(os.Stderr, "usage: %s vet.cfg\n\n", progname)
 		fmt.Fprintf(os.Stderr, "%s is this repo's invariant checker; run it via\n", progname)
 		fmt.Fprintf(os.Stderr, "\tgo vet -vettool=$(which %s) ./...\n\nAnalyzers:\n", progname)
 		for _, a := range analyzers {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
-	}
-	enabled := make(map[string]*bool, len(analyzers))
-	for _, a := range analyzers {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer")
-	}
-	fs.Parse(args)
-	if fs.NArg() != 1 || !strings.HasSuffix(fs.Arg(0), ".cfg") {
-		fs.Usage()
 		os.Exit(2)
 	}
-	var run []*Analyzer
-	for _, a := range analyzers {
-		if *enabled[a.Name] {
-			run = append(run, a)
-		}
-	}
 
-	diags, err := AnalyzeUnit(fs.Arg(0), run)
+	diags, err := AnalyzeUnit(args[0], analyzers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "%s: %v\n", progname, err)
 		os.Exit(1)
@@ -223,26 +207,6 @@ func loadDepFacts(cfg Config) map[string]*PackageFacts {
 		imports[path] = pf
 	}
 	return imports
-}
-
-// printFlagDefs answers `tool -flags`: cmd/go parses this JSON to
-// learn which flags it may forward to the tool.
-func printFlagDefs(analyzers []*Analyzer) {
-	type jsonFlag struct {
-		Name  string
-		Bool  bool
-		Usage string
-	}
-	defs := make([]jsonFlag, 0, len(analyzers))
-	for _, a := range analyzers {
-		defs = append(defs, jsonFlag{Name: a.Name, Bool: true, Usage: "enable the " + a.Name + " analyzer"})
-	}
-	data, err := json.MarshalIndent(defs, "", "\t")
-	if err != nil {
-		panic(err)
-	}
-	os.Stdout.Write(data)
-	fmt.Println()
 }
 
 // printVersion answers `tool -V=full` with a line keyed to the

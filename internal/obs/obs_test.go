@@ -202,11 +202,11 @@ func TestExportDeterminism(t *testing.T) {
 
 // TestMetaCarriesPoclintVersion: pocsim stamps the linter
 // version into the export meta (reg.SetMeta("poclint", ...)); the tag
-// must be the current v2 one and round-trip verbatim into the export
+// must be the current v3 one and round-trip verbatim into the export
 // so baselines record which analyzer generation vetted the run.
 func TestMetaCarriesPoclintVersion(t *testing.T) {
-	if analysis.Version != "poclint/v2" {
-		t.Fatalf("analysis.Version = %q, want poclint/v2", analysis.Version)
+	if analysis.Version != "poclint/v3" {
+		t.Fatalf("analysis.Version = %q, want poclint/v3", analysis.Version)
 	}
 	r := New()
 	r.SetMeta("poclint", analysis.Version)
@@ -214,7 +214,7 @@ func TestMetaCarriesPoclintVersion(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"poclint"`)) || !bytes.Contains(buf.Bytes(), []byte(`"poclint/v2"`)) {
+	if !bytes.Contains(buf.Bytes(), []byte(`"poclint"`)) || !bytes.Contains(buf.Bytes(), []byte(`"poclint/v3"`)) {
 		t.Fatalf("export meta missing the poclint version tag:\n%s", buf.String())
 	}
 }

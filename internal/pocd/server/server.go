@@ -194,7 +194,7 @@ func New(cfg Config) (*Server, error) {
 
 	s.publish()
 	s.ready.Store(true)
-	go s.writer() //lint:allow deepfold the one writer goroutine; its folds are ordered by the journaled queue, not completion order
+	go s.writer() //lint:allow floatorder the one writer goroutine; its folds are ordered by the journaled queue, not completion order
 	return s, nil
 }
 
@@ -227,7 +227,7 @@ func (s *Server) publish() {
 func (s *Server) writer() {
 	defer close(s.writerDone)
 	for req := range s.queue {
-		s.handle(req) //lint:allow deepfold receive order is journaled before each apply; replay reproduces it exactly
+		s.handle(req) //lint:allow floatorder receive order is journaled before each apply; replay reproduces it exactly
 	}
 }
 
