@@ -3,14 +3,18 @@ package poc
 import (
 	"bytes"
 	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"github.com/public-option/poc/internal/auction"
 	"github.com/public-option/poc/internal/federation"
 	"github.com/public-option/poc/internal/fleet"
 	"github.com/public-option/poc/internal/interdomain"
 	"github.com/public-option/poc/internal/netsim"
+	"github.com/public-option/poc/internal/provision"
 	"github.com/public-option/poc/internal/topo"
+	"github.com/public-option/poc/internal/traffic"
 )
 
 // TestAuctionDeterminismAcrossWorkers is the regression gate for the
@@ -496,5 +500,66 @@ func TestFleetWorkerInvariance(t *testing.T) {
 	// Run-to-run: a second 8-worker sweep over the now-warm cache.
 	if got := sweep(8); !bytes.Equal(got, base) {
 		t.Fatal("rerun merged report differs (warm cache leaked into results)")
+	}
+}
+
+// TestDecomposedAuctionWorkerInvariance extends the Workers gate to the
+// continental path: a border-separable topo.GenerateSynth instance
+// under Constraint 2, with regional decomposition and an external
+// cache. Every counterfactual draws arenas, routings and the demand
+// shape from one shared workspace, in scheduling order; the outcome and
+// the check count must not notice — cold at Workers 1, 2 and 4, and
+// warm from a cache written by SaveFile and read back by LoadFile.
+func TestDecomposedAuctionWorkerInvariance(t *testing.T) {
+	s := topo.GenerateSynth(topo.SynthConfig{
+		Seed: 3, Regions: 4, Routers: 64, Links: 256, BPsPerRegion: 4, Hubs: 2, Pairs: 6, Gbps: 6,
+	})
+	tm := traffic.NewMatrix(len(s.P.Routers))
+	for _, d := range s.Demand {
+		tm.Set(d.A, d.B, tm.At(d.A, d.B)+d.Gbps)
+	}
+	bids := auction.StandardBids(s.P, auction.DefaultLeasePricing())
+	instance := func(workers int) *AuctionInstance {
+		return &AuctionInstance{
+			Network: s.P, Bids: bids, TM: tm, Constraint: Constraint2,
+			RouteOpts: RouteOptions{FailureScenarios: 8}, MaxChecks: 40, Workers: workers,
+			Cache: provision.NewFeasibilityCache(), Decompose: true,
+		}
+	}
+	run := func(in *AuctionInstance) (string, int) {
+		t.Helper()
+		res, err := in.Run()
+		if err != nil {
+			t.Fatalf("Workers %d: %v", in.Workers, err)
+		}
+		return hashAuction(res), res.Checks
+	}
+
+	cold := instance(1)
+	wantHash, wantChecks := run(cold)
+	if cold.Cache.Stats().Decompositions == 0 {
+		t.Fatal("decomposition never engaged on a separable instance")
+	}
+	for _, workers := range []int{2, 4} {
+		if hash, checks := run(instance(workers)); hash != wantHash || checks != wantChecks {
+			t.Fatalf("cold Workers %d: outcome %s with %d checks, Workers 1: %s with %d", workers, hash, checks, wantHash, wantChecks)
+		}
+	}
+
+	file := filepath.Join(t.TempDir(), "feasibility.cache")
+	if err := cold.Cache.SaveFile(file); err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 2, 4} {
+		in := instance(workers)
+		if _, err := in.Cache.LoadFile(file); err != nil {
+			t.Fatal(err)
+		}
+		if hash, checks := run(in); hash != wantHash || checks != wantChecks {
+			t.Fatalf("warm Workers %d: outcome %s with %d checks, cold: %s with %d", workers, hash, checks, wantHash, wantChecks)
+		}
+		if st := in.Cache.Stats(); st.Misses != 0 || st.ShaveMisses != 0 {
+			t.Fatalf("warm Workers %d missed the loaded cache: %+v", workers, st)
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -82,9 +83,10 @@ type Instance struct {
 	// Workspace, when non-nil, is an external arena pool for the main
 	// (raw-metric) winner determination, built by NewRawWorkspace on an
 	// instance with the same Network, Bids, Virtual and RouteOpts.
-	// Counterfactual runs always build their own (their warm-biased
-	// metric differs per selection). Sharing never changes outcomes:
-	// arenas are equivalent after apply, whichever run returned them.
+	// The counterfactuals draw from one workspace that Run builds for
+	// them (their warm-biased metric depends on the selection). Sharing
+	// never changes outcomes: arenas are equivalent after apply,
+	// whichever run returned them.
 	Workspace *provision.Workspace
 	// Obs, when non-nil, receives the auction's metrics and trace
 	// spans: run/counterfactual spans, check and memo counters, cost
@@ -152,16 +154,29 @@ func (r *Result) Surplus() float64 {
 	return s
 }
 
-// priceMetric routes by declared lease price so that the routing —
-// and therefore the seed of the winner determination — prefers the
-// cheap links, which is what argmin C(L) wants.
-func priceMetric(price map[int]float64) func(l topo.LogicalLink) float64 {
-	return func(l topo.LogicalLink) float64 {
-		if p, ok := price[l.ID]; ok && !math.IsInf(p, 1) {
-			return p
-		}
-		return l.DistanceKm
+// priceTable is one Run's link prices (see priceOfLink). It is a pure
+// function of the bids, built once per Run and read-only after, so
+// every winner determination, every counterfactual worker and every
+// metric closure reads the same table.
+type priceTable struct {
+	// of is indexed by link ID; +Inf means unpriced (no bid or contract
+	// offers the link) or priced at +Inf.
+	of []float64
+	// byPrice lists the offered links by price descending, then ID
+	// ascending — a total order, so filtering it to a subset yields
+	// exactly that subset sorted the same way.
+	byPrice []int
+}
+
+// metric routes by declared lease price so that the routing — and
+// therefore the seed of the winner determination — prefers the cheap
+// links, which is what argmin C(L) wants. An unpriced or +Inf-priced
+// link routes by its distance.
+func (pt *priceTable) metric(l topo.LogicalLink) float64 {
+	if p := pt.of[l.ID]; !math.IsInf(p, 1) {
+		return p
 	}
+	return l.DistanceKm
 }
 
 // Run executes the auction: winner determination for SL, then one
@@ -169,6 +184,10 @@ func priceMetric(price map[int]float64) func(l topo.LogicalLink) float64 {
 // the Clarke pivots. The counterfactuals are mutually independent and
 // fan across Workers goroutines; every outcome — and, with Obs, every
 // exported byte, on success or failure — is the same for any Workers.
+//
+// Run derives its per-run state once and hands it to every winner
+// determination: the price table (priceOfLink), the cache context, and
+// one workspace that every counterfactual draws its arenas from.
 func (in *Instance) Run() (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -177,10 +196,10 @@ func (in *Instance) Run() (*Result, error) {
 	// the next Run on this instance — or on a copy with other bids — must
 	// derive its own.
 	opts := in.RouteOpts
-	var sharedPrice map[int]float64
-	if opts.LinkCost == nil {
-		sharedPrice = in.priceOfLink()
-		opts.LinkCost = priceMetric(sharedPrice)
+	rc := &runCtx{prices: in.priceOfLink()}
+	builtMetric := opts.LinkCost == nil
+	if builtMetric {
+		opts.LinkCost = rc.prices.metric
 	}
 	workers := in.Workers
 	if workers <= 0 {
@@ -197,18 +216,23 @@ func (in *Instance) Run() (*Result, error) {
 	// luck) and entries are namespaced by the instance's price-metric
 	// fingerprint. A caller-supplied LinkCost cannot be fingerprinted,
 	// so an external cache is only honored for the auction-built metric.
-	var cc cacheCtx
 	if !in.NoCache {
-		if in.Cache != nil && sharedPrice != nil {
-			cc = cacheCtx{fc: in.Cache, base: priceFingerprint(sharedPrice), external: true}
+		if in.Cache != nil && builtMetric {
+			rc.fc, rc.base, rc.external = in.Cache, priceFingerprint(rc.prices), true
 		} else {
-			cc = cacheCtx{fc: provision.NewFeasibilityCache()}
+			rc.fc = provision.NewFeasibilityCache()
 		}
 	}
 	run := in.Obs.StartSpan("auction.run")
 	defer run.End()
 	wd := in.Obs.StartSpan("auction.winner_determination")
-	sel, err := in.selectLinks(-1, nil, opts, cc)
+	// The main determination draws from the caller's raw-metric pool when
+	// there is one, else from its own.
+	opts.Workspace = in.Workspace
+	if opts.Workspace == nil {
+		opts.Workspace = provision.NewWorkspace(in.Network, opts)
+	}
+	sel, err := in.selectLinks(-1, opts, rc.rawTag(), rc)
 	wd.End()
 	if err != nil {
 		return nil, fmt.Errorf("auction: winner determination: %w", err)
@@ -241,36 +265,44 @@ func (in *Instance) Run() (*Result, error) {
 	// and the warm start makes the heuristic respect that in all but
 	// pathological cases.
 	//
+	// Every counterfactual routes by the same metric — a pure function of
+	// (price metric, SL, bias) — so they all draw arenas, routings and the
+	// demand shape from one workspace. Which run gets which arena is
+	// scheduling order, and it never matters: arenas are equivalent after
+	// apply (DESIGN §10.2).
+	warm, base := sel.set, opts.LinkCost
+	cfOpts := opts
+	cfOpts.LinkCost = func(l topo.LogicalLink) float64 {
+		c := base(l)
+		if warm.Contains(l.ID) {
+			c *= warmBias
+		}
+		return c
+	}
+	cfOpts.Workspace = provision.NewWorkspace(in.Network, cfOpts)
+	cfTag := rc.warmTag(warm)
+
 	// One loop, the shape of provision's Constraint-2 scenario sweep: an
 	// atomic cursor over need, workers−1 goroutines plus the caller. The
-	// runs share no mutable state: each worker owns its Options value
-	// (and, when the metric was auction-built, its own LinkCost over a
-	// private copy of the price map), and results land in per-index
-	// slots. Aggregation below walks the slots in BP order, so Checks and
-	// error selection are the same for any Workers. A failing run does
-	// not stop the others: which checks the runs record in Obs would
-	// otherwise depend on how far each got before the failure — on
-	// Workers, and through Workers: 0 on the machine's core count.
+	// runs share only read-only state (the price table, SL) and the
+	// workspace's locked free lists; results land in per-index slots.
+	// Aggregation below walks the slots in BP order, so Checks and error
+	// selection are the same for any Workers. A failing run does not stop
+	// the others: which checks the runs record in Obs would otherwise
+	// depend on how far each got before the failure — on Workers, and
+	// through Workers: 0 on the machine's core count.
 	alts := make([]selection, len(in.Bids))
 	errs := make([]error, len(in.Bids))
 	cf := in.Obs.StartSpan("auction.counterfactuals")
 	var next atomic.Int64
 	sweep := func() {
-		opts := opts
-		if sharedPrice != nil {
-			price := make(map[int]float64, len(sharedPrice))
-			for id, p := range sharedPrice {
-				price[id] = p
-			}
-			opts.LinkCost = priceMetric(price)
-		}
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(need) {
 				return
 			}
 			a := need[i]
-			alts[a], errs[a] = in.selectLinks(a, sel.set, opts, cc)
+			alts[a], errs[a] = in.selectLinks(a, cfOpts, cfTag, rc)
 		}
 	}
 	var wg sync.WaitGroup
@@ -305,11 +337,11 @@ func (in *Instance) Run() (*Result, error) {
 			res.VirtualCost += v.ContractPrice
 		}
 	}
-	if cc.fc != nil && !cc.external {
-		res.CacheHits = int(cc.fc.Hits())
-		res.CacheMisses = int(cc.fc.Misses())
+	if rc.fc != nil && !rc.external {
+		res.CacheHits = int(rc.fc.Hits())
+		res.CacheMisses = int(rc.fc.Misses())
 	}
-	in.record(res, need, cc)
+	in.record(res, need, rc)
 	return res, nil
 }
 
@@ -321,7 +353,7 @@ var paymentBuckets = []float64{1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 // the memo counters use fc.Len() — the number of distinct link sets
 // checked — rather than the scheduling-dependent hit/miss tallies, so
 // the export is identical for any Workers value.
-func (in *Instance) record(res *Result, need []int, cc cacheCtx) {
+func (in *Instance) record(res *Result, need []int, rc *runCtx) {
 	if in.Obs == nil {
 		return
 	}
@@ -339,8 +371,8 @@ func (in *Instance) record(res *Result, need []int, cc cacheCtx) {
 	// An external cache's entry count reflects every run that shares
 	// it, in completion order — scheduling-dependent — so the memo
 	// counters are private-cache only.
-	if cc.fc != nil && !cc.external {
-		entries := int64(cc.fc.Len())
+	if rc.fc != nil && !rc.external {
+		entries := int64(rc.fc.Len())
 		in.Obs.Add("auction.memo.lookups", int64(res.Checks))
 		in.Obs.Add("auction.memo.entries", entries)
 		in.Obs.Add("auction.memo.replayed", int64(res.Checks)-entries)
@@ -430,30 +462,47 @@ type selection struct {
 	checks int
 }
 
-// cacheCtx carries one Run's feasibility-memo context into every
-// winner determination: the cache itself, the instance's price-metric
-// fingerprint (zero for a private per-run cache), and whether the
-// cache outlives the run (external ⇒ no obs recording through it).
-type cacheCtx struct {
+// runCtx is what one Run derives once and every winner determination
+// reads: the price table, the feasibility memo, the instance's
+// price-metric fingerprint (zero for a private per-run cache), and
+// whether the cache outlives the run (external ⇒ no obs recording
+// through it).
+type runCtx struct {
+	prices   *priceTable
 	fc       *provision.FeasibilityCache
 	base     uint64
 	external bool
 }
 
-// priceFingerprint hashes a price metric by value, in ascending link
-// ID: two instances with equal bids produce equal fingerprints (and so
-// share cache entries), while a reauction's reduced bids — different
-// marginal prices — produce a different one.
-func priceFingerprint(price map[int]float64) uint64 {
-	ids := make([]int, 0, len(price))
-	for id := range price {
-		ids = append(ids, id)
+// rawTag is the cache metric tag of the raw price metric (the main
+// determination).
+func (rc *runCtx) rawTag() uint64 {
+	return fnv64.Mix(fnv64.Mix(fnv64.Offset, rc.base), 1)
+}
+
+// warmTag is the cache metric tag of the warm-biased metric, a pure
+// function of (price metric, warm set, bias) and so the same for every
+// counterfactual. The bias stays in the tag so keys in persisted
+// caches keep their bytes.
+func (rc *runCtx) warmTag(warm *linkset.Set) uint64 {
+	tag := fnv64.Mix(fnv64.Mix(fnv64.Offset, rc.base), 2)
+	for _, w := range warm.Words() {
+		tag = fnv64.Mix(tag, w)
 	}
-	sort.Ints(ids)
+	return fnv64.Mix(tag, math.Float64bits(warmBias))
+}
+
+// priceFingerprint hashes a price table by value, in ascending link ID
+// over the priced links: two instances with equal bids produce equal
+// fingerprints (and so share cache entries), while a reauction's
+// reduced bids — different marginal prices — produce a different one.
+func priceFingerprint(pt *priceTable) uint64 {
+	ids := slices.Clone(pt.byPrice)
+	slices.Sort(ids)
 	h := uint64(fnv64.Offset)
 	for _, id := range ids {
 		h = fnv64.Mix(h, uint64(id))
-		h = fnv64.Mix(h, math.Float64bits(price[id]))
+		h = fnv64.Mix(h, math.Float64bits(pt.of[id]))
 	}
 	return h
 }
@@ -467,7 +516,7 @@ func priceFingerprint(price map[int]float64) uint64 {
 func (in *Instance) NewRawWorkspace() *provision.Workspace {
 	opts := in.RouteOpts
 	if opts.LinkCost == nil {
-		opts.LinkCost = priceMetric(in.priceOfLink())
+		opts.LinkCost = in.priceOfLink().metric
 	}
 	return provision.NewWorkspace(in.Network, opts)
 }
@@ -490,20 +539,33 @@ func (in *Instance) offered(excludeBP int) *linkset.Set {
 	return ol
 }
 
-// priceOfLink returns the per-link price used as the routing metric
-// and the removal order: each BP link's *marginal* price within the
-// BP's full offer (C_a(L_a) − C_a(L_a∖{id})), which sees bundle
-// discounts that a naive singleton price would miss; virtual links
-// use their contract price. When a bid prices its full set at +Inf
-// (pathological), the singleton price is the fallback.
-func (in *Instance) priceOfLink() map[int]float64 {
-	price := map[int]float64{}
+// priceOfLink builds the price table: the per-link price used as the
+// routing metric and the removal order. Each BP link's price is its
+// *marginal* price within the BP's full offer (C_a(L_a) −
+// C_a(L_a∖{id})), which sees bundle discounts that a naive singleton
+// price would miss; virtual links use their contract price. When a bid
+// prices its full set at +Inf (pathological), the singleton price is
+// the fallback. It costs Σ_a(|L_a|+1) bid evaluations of O(|L_a|)
+// each, so Run calls it once and shares the result.
+func (in *Instance) priceOfLink() *priceTable {
+	offered := len(in.Virtual)
+	for _, b := range in.Bids {
+		offered += len(b.Links)
+	}
+	pt := &priceTable{of: make([]float64, len(in.Network.Links)), byPrice: make([]int, 0, offered)}
+	for i := range pt.of {
+		pt.of[i] = math.Inf(1)
+	}
+	set := func(id int, p float64) {
+		pt.of[id] = p
+		pt.byPrice = append(pt.byPrice, id)
+	}
 	scratch := make([]int, 0, 64)
 	for _, b := range in.Bids {
 		full := b.Cost(b.Links)
 		for i, id := range b.Links {
 			if math.IsInf(full, 1) {
-				price[id] = b.Cost([]int{id})
+				set(id, b.Cost([]int{id}))
 				continue
 			}
 			scratch = scratch[:0]
@@ -513,13 +575,20 @@ func (in *Instance) priceOfLink() map[int]float64 {
 			if p < 0 {
 				p = 0
 			}
-			price[id] = p
+			set(id, p)
 		}
 	}
 	for _, v := range in.Virtual {
-		price[v.LinkID] = v.ContractPrice
+		set(v.LinkID, v.ContractPrice)
 	}
-	return price
+	sort.Slice(pt.byPrice, func(i, j int) bool {
+		pi, pj := pt.of[pt.byPrice[i]], pt.of[pt.byPrice[j]]
+		if pi != pj {
+			return pi > pj
+		}
+		return pt.byPrice[i] < pt.byPrice[j]
+	})
+	return pt
 }
 
 // selectLinks is the deterministic winner-determination heuristic:
@@ -542,54 +611,22 @@ func (in *Instance) priceOfLink() map[int]float64 {
 // heuristic noise. The whole pipeline is deterministic, so the POC
 // can publish it and every BP can reproduce the outcome.
 //
-// opts is passed explicitly (not read from in.RouteOpts) so that
-// concurrent counterfactual runs each own their Options value. cc.fc,
-// when non-nil, memoizes feasibility checks. Within one Run only two
-// routing metrics exist — the raw price metric (main run) and the
-// warm-biased one (every counterfactual warms towards the same SL) —
-// so entries are tagged with which of the two produced them: the
-// excluded BP is already captured by the include set in the key, and
-// sharing the warm tag lets counterfactuals reuse each other's checks.
-// The tags mix in cc.base (the instance's price-metric fingerprint,
-// zero for a private cache) and, for the warm metric, the warm set and
-// bias, so runs sharing an external cache never cross metrics.
-func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision.Options, cc cacheCtx) (selection, error) {
+// Everything a determination reads beyond its own excluded BP comes
+// from the caller, derived once per Run. opts carries the routing
+// metric and the workspace whose arenas freeze it: the main run's raw
+// price metric, or the warm-biased one every counterfactual shares
+// (arenas are equivalent after apply, so sharing a pool never changes
+// an answer). Every check below — the Constraint-2 scenario sweeps and
+// the shave included — draws from that pool. tag names the metric to
+// the feasibility memo rc.fc (nil = no memo); within one Run only the
+// two metrics exist, so the excluded BP is captured by the include set
+// in the key and counterfactuals reuse each other's checks. The tags
+// mix in rc.base, so runs sharing an external cache never cross
+// metrics. rc.prices gives pass 2's removal order and the shave's.
+func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint64, rc *runCtx) (selection, error) {
 	cur := in.offered(excludeBP)
-	metric := fnv64.Mix(fnv64.Mix(fnv64.Offset, cc.base), 1) // raw price metric
-	if warm != nil {
-		// Scale down the routing metric of links in the warm set so
-		// the constructive seed follows the main solution's structure.
-		// The warm-biased metric is identical across counterfactuals: a
-		// pure function of (price metric, warm set, bias). The bias stays
-		// in the tag so keys in persisted caches keep their bytes.
-		metric = fnv64.Mix(fnv64.Mix(fnv64.Offset, cc.base), 2)
-		for _, w := range warm.Words() {
-			metric = fnv64.Mix(metric, w)
-		}
-		metric = fnv64.Mix(metric, math.Float64bits(warmBias))
-		base := opts.LinkCost
-		opts.LinkCost = func(l topo.LogicalLink) float64 {
-			c := base(l)
-			if warm.Contains(l.ID) {
-				c *= warmBias
-			}
-			return c
-		}
-	}
-	// One workspace per winner determination: its arenas freeze this
-	// determination's routing metric (raw or warm-biased), and every
-	// check below — including the Constraint-2 scenario sweeps and the
-	// shave — draws from the same pool. Counterfactuals run their own
-	// selectLinks, so parallel runs never share a workspace — unless
-	// the caller provided a shared raw-metric pool, which the main
-	// determination draws from (arenas are equivalent after apply).
-	if warm == nil && in.Workspace != nil {
-		opts.Workspace = in.Workspace
-	} else {
-		opts.Workspace = provision.NewWorkspace(in.Network, opts)
-	}
 	checks := 0
-	fc := cc.fc
+	fc := rc.fc
 	// probe is the one feasibility query of the determination. Every
 	// query counts against checks whether or not the memo answers it:
 	// the MaxChecks budget must not depend on cache luck, so cached and
@@ -604,13 +641,13 @@ func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision
 			ok, _ := provision.Check(in.Network, set, in.TM, in.Constraint, o)
 			return ok, nil
 		}
-		if cc.external {
+		if rc.external {
 			// Which sharing run wins an entry's insert — and with it the
 			// once-per-entry check metrics — is cross-run scheduling luck;
 			// record nothing through a shared cache.
 			o.Obs = nil
 		}
-		sum, core := fc.Probe(in.Network, set, in.TM, in.Constraint, o, metric, needCore, in.Decompose)
+		sum, core := fc.Probe(in.Network, set, in.TM, in.Constraint, o, tag, needCore, in.Decompose)
 		return sum.Feasible, core
 	}
 	feasible := func(set *linkset.Set) bool {
@@ -648,21 +685,20 @@ func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision
 	})
 	in.dropBatch(cur, idle, feasible, math.MaxInt, &checks)
 
-	price := in.priceOfLink()
-
 	// Pass 2 (optional): price-ordered batch refinement within the
 	// check budget.
 	if in.MaxChecks > 0 {
 		budget := in.MaxChecks
+		cand := make([]int, 0, cur.Len())
 		for checks < budget {
-			// Most expensive first.
-			cand := cur.AppendIDs(make([]int, 0, cur.Len()))
-			sort.Slice(cand, func(i, j int) bool {
-				if price[cand[i]] != price[cand[j]] {
-					return price[cand[i]] > price[cand[j]]
+			// Most expensive first: cur ⊆ OL, so filtering the price
+			// order to cur is cur sorted by it.
+			cand = cand[:0]
+			for _, id := range rc.prices.byPrice {
+				if cur.Contains(id) {
+					cand = append(cand, id)
 				}
-				return cand[i] < cand[j]
-			})
+			}
 			batch := len(cand) / 8
 			if batch < 1 {
 				batch = 1
@@ -684,14 +720,14 @@ func (in *Instance) selectLinks(excludeBP int, warm *linkset.Set, opts provision
 	if in.MaxChecks >= 0 {
 		runShave := func() *linkset.Set {
 			if sh, ok := provision.NewShaver(in.Network, cur, in.TM, in.Constraint, opts); ok {
-				sh.Shave(func(link int) float64 { return price[link] }, 0)
+				sh.Shave(func(link int) float64 { return rc.prices.of[link] }, 0)
 				defer sh.Close()
 				return sh.Include()
 			}
 			return cur
 		}
 		if fc != nil {
-			cur = fc.Shaved(in.Network, cur, in.TM, in.Constraint, opts, metric, runShave)
+			cur = fc.Shaved(in.Network, cur, in.TM, in.Constraint, opts, tag, runShave)
 		} else {
 			cur = runShave()
 		}

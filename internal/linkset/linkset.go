@@ -32,6 +32,21 @@ func New(universe int) *Set {
 	return &Set{words: make([]uint64, (universe+wordBits-1)/wordBits)}
 }
 
+// NewBatch returns n empty sets sized for IDs in [0, universe), all
+// backed by one word allocation: a caller building one set per demand
+// pair pays two allocations, not n. Each set's words are capped to its
+// own share, so growing one (an Add beyond the universe) reallocates it
+// alone and never writes into a neighbour.
+func NewBatch(n, universe int) []Set {
+	w := (universe + wordBits - 1) / wordBits
+	slab := make([]uint64, n*w)
+	sets := make([]Set, n)
+	for i := range sets {
+		sets[i].words = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	return sets
+}
+
 // All returns the set {0, ..., universe-1}.
 func All(universe int) *Set {
 	s := New(universe)

@@ -152,3 +152,37 @@ func TestSetOps(t *testing.T) {
 		t.Fatal("nil must equal empty")
 	}
 }
+
+// TestNewBatch: batch sets behave like New's, are independent of each
+// other, come from one word allocation, and a set that grows past the
+// universe leaves its neighbours untouched.
+func TestNewBatch(t *testing.T) {
+	const n, universe = 5, 130
+	sets := NewBatch(n, universe)
+	if len(sets) != n {
+		t.Fatalf("NewBatch(%d) returned %d sets", n, len(sets))
+	}
+	for i := range sets {
+		if !sets[i].Empty() || len(sets[i].Words()) != len(New(universe).Words()) {
+			t.Fatalf("set %d: not an empty set sized like New(%d)", i, universe)
+		}
+		sets[i].Add(i)
+		sets[i].Add(universe - 1 - i)
+	}
+	for i := range sets {
+		want := FromIDs([]int{i, universe - 1 - i}, universe)
+		if !sets[i].Equal(want) {
+			t.Fatalf("set %d = %v, want %v", i, sets[i].AppendIDs(nil), want.AppendIDs(nil))
+		}
+	}
+	sets[1].Add(1000) // beyond the universe: reallocates set 1 alone
+	if !sets[1].Contains(1000) || !sets[1].Contains(1) {
+		t.Fatal("grown set lost members")
+	}
+	if !sets[2].Equal(FromIDs([]int{2, universe - 3}, universe)) {
+		t.Fatalf("growing set 1 changed set 2: %v", sets[2].AppendIDs(nil))
+	}
+	if allocs := testing.AllocsPerRun(10, func() { NewBatch(64, 1000) }); allocs != 2 {
+		t.Fatalf("NewBatch allocates %v objects, want 2", allocs)
+	}
+}

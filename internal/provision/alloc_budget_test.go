@@ -7,6 +7,7 @@ import (
 
 	poc "github.com/public-option/poc"
 	"github.com/public-option/poc/internal/provision"
+	"github.com/public-option/poc/internal/traffic"
 )
 
 // The race detector inflates allocation counts, hence the build tag; CI
@@ -65,5 +66,39 @@ func TestAllocBudgetTryDrop(t *testing.T) {
 	if allocs > 2 || committed == warm || committed-warm == measured {
 		t.Fatalf("TryDrop allocates %v objects per call, budget 2 (%d of %d measured drops committed)",
 			allocs, committed-warm, measured)
+	}
+}
+
+// TestAllocBudgetPrimaryPaths: Constraints 2 and 3 build one primary
+// path set per demand pair, all backed by one allocation, so a
+// Constraint-3 Check allocates no more for a matrix with twice the
+// pairs.
+func TestAllocBudgetPrimaryPaths(t *testing.T) {
+	s, err := poc.NewScenario(poc.ScenarioOptions{Scale: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := s.RouteOptions()
+	opts.Workspace = provision.NewWorkspace(s.Network, opts)
+	half := traffic.NewMatrix(s.TM.Size())
+	pairs := 0
+	s.TM.Demands(func(src, dst int, gbps float64) {
+		if pairs%2 == 0 {
+			half.Set(src, dst, gbps)
+		}
+		pairs++
+	})
+	check := func(tm *traffic.Matrix) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if ok, _ := provision.Check(s.Network, nil, tm, provision.Constraint3, opts); !ok {
+				t.Fatal("full link set infeasible")
+			}
+		})
+	}
+	all, halved := check(s.TM), check(half)
+	t.Logf("Constraint-3 Check allocates %v objects for %d pairs, %v for %d", all, pairs, halved, (pairs+1)/2)
+	if all-halved > 4 {
+		t.Fatalf("Constraint-3 Check allocates %v objects for %d pairs but %v for %d: grows with the pair count",
+			all, pairs, halved, (pairs+1)/2)
 	}
 }

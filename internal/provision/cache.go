@@ -335,11 +335,12 @@ func (fc *FeasibilityCache) shapeOf(tm *traffic.Matrix) *shape {
 
 // networkFP fingerprints an offer graph once per pointer (FNV-1a over
 // router count and every link's identity, endpoints, owner, capacity
-// and distance). A cache shared across deployments — the fleet runner
-// runs many topologies through one process-wide cache — needs the
-// network in the key: the include-set words and options alone can
-// collide between two graphs of similar size. Like shapeOf, it
-// assumes cached networks are not mutated while cached.
+// and distance; see topo.LogicalLink.Mix). A cache shared across
+// deployments — the fleet runner runs many topologies through one
+// process-wide cache — needs the network in the key: the include-set
+// words and options alone can collide between two graphs of similar
+// size. Like shapeOf, it assumes cached networks are not mutated while
+// cached.
 func (fc *FeasibilityCache) networkFP(p *topo.POCNetwork) uint64 {
 	fc.netMu.Lock()
 	defer fc.netMu.Unlock()
@@ -350,9 +351,7 @@ func (fc *FeasibilityCache) networkFP(p *topo.POCNetwork) uint64 {
 	h = fnv64.Mix(h, uint64(len(p.Routers)))
 	h = fnv64.Mix(h, uint64(len(p.Links)))
 	for _, l := range p.Links {
-		h = fnv64.Mix(h, uint64(l.ID)<<32|uint64(l.BP&0xffff)<<16|uint64(l.A&0xff)<<8|uint64(l.B&0xff))
-		h = fnv64.Mix(h, math.Float64bits(l.Capacity))
-		h = fnv64.Mix(h, math.Float64bits(l.DistanceKm))
+		h = l.Mix(h)
 	}
 	fc.netFP[p] = h
 	return h

@@ -1,9 +1,12 @@
 package provision
 
 import (
+	"math"
 	"testing"
 
+	"github.com/public-option/poc/internal/fnv64"
 	"github.com/public-option/poc/internal/linkset"
+	"github.com/public-option/poc/internal/topo"
 	"github.com/public-option/poc/internal/traffic"
 )
 
@@ -112,5 +115,40 @@ func TestFeasibilityCacheCoreUpgrade(t *testing.T) {
 	}
 	if fc.Misses() != misses {
 		t.Fatal("core hit recomputed")
+	}
+}
+
+// TestNetworkFPFullEndpoints: the packed identity word holds an
+// endpoint in 8 bits. Two 300-router networks that differ only in one
+// link's endpoint (1 vs 257) must still fingerprint differently — a
+// shared cache would otherwise answer one network's probe with the
+// other's entry — while a network whose fields fit the word keeps the
+// single-word bytes persisted keys were written with.
+func TestNetworkFPFullEndpoints(t *testing.T) {
+	chain := func(routers, b0 int) *topo.POCNetwork {
+		p := &topo.POCNetwork{Routers: make([]int, routers), BPs: make([]topo.BP, 2)}
+		for i := 0; i+1 < routers; i++ {
+			p.Links = append(p.Links, topo.LogicalLink{ID: i, BP: i % 2, A: i, B: i + 1, Capacity: 10, DistanceKm: 100})
+		}
+		p.Links[0].B = b0
+		return p
+	}
+	fc := NewFeasibilityCache()
+	if fc.networkFP(chain(300, 1)) == fc.networkFP(chain(300, 257)) {
+		t.Fatal("networks differing only in endpoint 1 vs 257 share a fingerprint")
+	}
+
+	small := chain(200, 1)
+	small.Links = append(small.Links, topo.LogicalLink{ID: len(small.Links), BP: topo.VirtualBP, A: 5, B: 9, Capacity: 40, DistanceKm: 7})
+	h := uint64(fnv64.Offset)
+	h = fnv64.Mix(h, uint64(len(small.Routers)))
+	h = fnv64.Mix(h, uint64(len(small.Links)))
+	for _, l := range small.Links {
+		h = fnv64.Mix(h, uint64(l.ID)<<32|uint64(l.BP&0xffff)<<16|uint64(l.A&0xff)<<8|uint64(l.B&0xff))
+		h = fnv64.Mix(h, math.Float64bits(l.Capacity))
+		h = fnv64.Mix(h, math.Float64bits(l.DistanceKm))
+	}
+	if got := fc.networkFP(small); got != h {
+		t.Fatalf("fingerprint of a network that fits the packed word moved: %#x, want %#x", got, h)
 	}
 }

@@ -602,7 +602,7 @@ func (rt *router) route(ws *Workspace, sh *shape, opts Options, avoidPrimary []*
 // primaryPaths computes, for every demand pair of sh by index, the links
 // of its cheapest path in the subset include by the workspace's routing
 // metric, ignoring capacity. Pairs with no path at all stay nil and are
-// reported in the second return.
+// reported in the second return. The sets share one backing allocation.
 func (ws *Workspace) primaryPaths(include *linkset.Set, sh *shape) ([]*linkset.Set, [][2]int) {
 	rt := ws.acquire()
 	defer ws.release(rt)
@@ -610,6 +610,7 @@ func (ws *Workspace) primaryPaths(include *linkset.Set, sh *shape) ([]*linkset.S
 
 	p, pairs := ws.p, sh.pairs
 	primaries := make([]*linkset.Set, len(pairs))
+	sets := linkset.NewBatch(len(pairs), len(p.Links))
 	var unreachable [][2]int
 	enabled := rt.enabledMask(nil)
 	var tree *graph.ShortestTree
@@ -624,7 +625,7 @@ func (ws *Workspace) primaryPaths(include *linkset.Set, sh *shape) ([]*linkset.S
 			continue
 		}
 		rt.pathBuf = tree.AppendPathTo(rt.pathBuf[:0], rt.g, graph.NodeID(d.dst))
-		primaries[i] = linkset.New(len(p.Links))
+		primaries[i] = &sets[i]
 		for _, eid := range rt.pathBuf {
 			primaries[i].Add(int(rt.linkFor[eid]))
 		}

@@ -36,9 +36,9 @@ import (
 //
 // The Workspace is bound to the Options.LinkCost metric it was created
 // with: edge costs are frozen into the arena graphs. Callers must not
-// pass one workspace to checks using a different metric (the auction
-// builds one workspace per winner determination, whose metric is fixed
-// for that determination's lifetime).
+// pass one workspace to checks using a different metric (an auction run
+// builds one for its main winner determination and one that all its
+// counterfactuals share, each bound to that metric for the run).
 type Workspace struct {
 	p        *topo.POCNetwork
 	linkCost func(l topo.LogicalLink) float64

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 
+	"github.com/public-option/poc/internal/fnv64"
 	"github.com/public-option/poc/internal/graph"
 	"github.com/public-option/poc/internal/linkset"
 )
@@ -26,6 +27,24 @@ type LogicalLink struct {
 // external ISPs under long-term contract (§3.3). Virtual links belong
 // to no bandwidth provider and never receive auction payments.
 const VirtualBP = -1
+
+// Mix folds the link into an FNV-1a state: identity, owner and
+// endpoints packed into one word (ID<<32 | BP<<16 | A<<8 | B), then
+// capacity and distance. The packed slots hold an endpoint below 256
+// and an owner in [VirtualBP, 0xffff); a link whose fields overflow
+// them also mixes its full endpoints and owner, so networks that
+// differ only there fingerprint differently, while every link that
+// fits keeps the single-word bytes persisted cache keys were written
+// with.
+func (l LogicalLink) Mix(h uint64) uint64 {
+	h = fnv64.Mix(h, uint64(l.ID)<<32|uint64(l.BP&0xffff)<<16|uint64(l.A&0xff)<<8|uint64(l.B&0xff))
+	if l.A&0xff != l.A || l.B&0xff != l.B || l.BP < VirtualBP || l.BP >= 0xffff {
+		h = fnv64.Mix(h, uint64(uint32(l.A))<<32|uint64(uint32(l.B)))
+		h = fnv64.Mix(h, uint64(l.BP))
+	}
+	h = fnv64.Mix(h, math.Float64bits(l.Capacity))
+	return fnv64.Mix(h, math.Float64bits(l.DistanceKm))
+}
 
 // POCNetwork is the auction input: the set of POC routers (placed at
 // multi-BP colocation sites) and every logical link the BPs can offer

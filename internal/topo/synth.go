@@ -76,9 +76,7 @@ func (s *Synth) Fingerprint() uint64 {
 	h := uint64(fnv64.Offset)
 	h = fnv64.Mix(h, uint64(len(s.P.Routers)))
 	for _, l := range s.P.Links {
-		h = fnv64.Mix(h, uint64(l.ID)<<32|uint64(l.BP&0xffff)<<16|uint64(l.A&0xff)<<8|uint64(l.B&0xff))
-		h = fnv64.Mix(h, math.Float64bits(l.Capacity))
-		h = fnv64.Mix(h, math.Float64bits(l.DistanceKm))
+		h = l.Mix(h)
 	}
 	for _, d := range s.Demand {
 		h = fnv64.Mix(h, uint64(d.A)<<32|uint64(d.B))

@@ -73,3 +73,16 @@ func TestSynthRegionalStructure(t *testing.T) {
 		}
 	}
 }
+
+// TestSynthFingerprintFullEndpoints: two instances that differ only in
+// one link's endpoint, 1 vs 257, fingerprint differently although the
+// packed identity word keeps 8 bits of it.
+func TestSynthFingerprintFullEndpoints(t *testing.T) {
+	cfg := DefaultSynthConfig()
+	cfg.Routers, cfg.Links = 300, 600
+	a, b := GenerateSynth(cfg), GenerateSynth(cfg)
+	a.P.Links[0].B, b.P.Links[0].B = 1, 257
+	if a.Fingerprint() == b.Fingerprint() {
+		t.Fatal("instances differing only in endpoint 1 vs 257 share a fingerprint")
+	}
+}
