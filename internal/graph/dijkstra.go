@@ -107,6 +107,12 @@ type dijkstraScratch struct {
 	epoch  []uint32
 	cur    uint32
 	q      pq
+
+	// The frontier engine's logs (frontier.go), and how often it
+	// completed, fell back to the heap, and resumed a search.
+	undo                         []undoEntry
+	pops                         []popMark
+	completed, fellBack, resumed uint64
 }
 
 // begin sizes the scratch for n nodes and opens a new epoch. On the
@@ -140,7 +146,9 @@ func rejects(avoid []uint64, resid []float64, want float64, l uint) bool {
 	return resid != nil && resid[l] < want
 }
 
-// search is the one Dijkstra loop behind both engines. It settles
+// search is the heap-ordered Dijkstra loop behind both engines: every
+// search on a graph of more than 64 nodes, and every one the frontier
+// loop (settle, frontier.go) hands back on a tie. It settles
 // nodes from src until dst is popped (dst = Undefined settles
 // everything reachable), relaxing only the edges m admits: per popped
 // node it walks the set bits of the open bitset inside the node's CSR
@@ -253,7 +261,7 @@ func NewTreeRouter(g *Graph) *TreeRouter { return &TreeRouter{g: g} }
 // not be retained.
 func (tr *TreeRouter) Tree(src NodeID, m *Mask) *ShortestTree {
 	s := &tr.s
-	s.search(tr.g, m, src, Undefined, nil)
+	s.run(tr.g, m, src, Undefined, nil)
 	n := tr.g.NumNodes()
 	for i, e := range s.epoch[:n] {
 		if e != s.cur {

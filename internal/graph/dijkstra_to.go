@@ -15,6 +15,14 @@ func NewPointRouter(g *Graph) *PointRouter { return &PointRouter{g: g} }
 type PointRouter struct {
 	g *Graph
 	s dijkstraScratch
+
+	// last identifies the search the frontier logs in s record — a
+	// completed, uncertified frontier search for src→dst on layout lay —
+	// or is zero when there is none to resume.
+	last struct {
+		lay      *layout
+		src, dst NodeID
+	}
 }
 
 // Path returns the cheapest src→dst path over the edges m admits, or
@@ -47,7 +55,42 @@ func (pr *PointRouter) CertifiedPathInto(buf []EdgeID, src, dst NodeID, m *Mask,
 	return pr.pathInto(buf, src, dst, m, c)
 }
 
+// ResumeInto is PathInto for a mask that admits the same edges as the
+// mask of this router's last search except, at most, edges out of the
+// nodes in changed (bit i = node i). When the last search was a
+// completed frontier search for the same pair, it already popped the
+// same nodes in the same order up to its first pop of a changed node:
+// ResumeInto rewinds the search's log to that pop and continues from
+// there under m, and when no changed node was popped it returns the
+// last answer without searching. Otherwise — a graph of more than 64
+// nodes, another pair, a certified or fallen-back search, an added
+// edge — it runs PathInto. Either way it returns exactly PathInto's
+// path and cost.
+func (pr *PointRouter) ResumeInto(buf []EdgeID, src, dst NodeID, m *Mask, changed uint64) ([]EdgeID, float64) {
+	s := &pr.s
+	lay := pr.g.layout()
+	if pr.last.lay != lay || pr.last.src != src || pr.last.dst != dst {
+		return pr.pathInto(buf, src, dst, m, nil)
+	}
+	s.resumed++
+	for i, p := range s.pops {
+		if changed&(1<<uint(p.node)) == 0 {
+			continue
+		}
+		s.rewind(int(p.log))
+		s.pops = s.pops[:i]
+		if !s.settle(lay, m, p.front, dst, nil) {
+			s.fellBack++
+			pr.last.lay = nil
+			s.search(pr.g, m, src, dst, nil)
+		}
+		break
+	}
+	return pr.appendPath(buf, src, dst)
+}
+
 func (pr *PointRouter) pathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert) ([]EdgeID, float64) {
+	pr.last.lay = nil
 	if src == dst {
 		if c != nil {
 			clear(c.Rel)
@@ -55,8 +98,17 @@ func (pr *PointRouter) pathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert)
 		}
 		return buf, 0
 	}
+	if pr.s.run(pr.g, m, src, dst, c) && c == nil {
+		pr.last.lay, pr.last.src, pr.last.dst = pr.g.layout(), src, dst
+	}
+	return pr.appendPath(buf, src, dst)
+}
+
+// appendPath appends the src→dst path the last search left in the
+// scratch, returning the buffer unextended with +Inf cost when dst was
+// not reached.
+func (pr *PointRouter) appendPath(buf []EdgeID, src, dst NodeID) ([]EdgeID, float64) {
 	s := &pr.s
-	s.search(pr.g, m, src, dst, c)
 	if s.epoch[dst] != s.cur {
 		return buf, math.Inf(1)
 	}

@@ -1,0 +1,210 @@
+package graph
+
+import (
+	"math"
+	"math/bits"
+)
+
+// frontierMax is the largest graph the frontier engine serves: its
+// unsettled visited nodes fit one uint64 word.
+const frontierMax = 64
+
+// undoEntry is the label a relaxation overwrote: the node, its previous
+// parent and dist, +Inf when the node was unvisited before the write.
+type undoEntry struct {
+	node, parent int32
+	dist         float64
+}
+
+// popMark records one pop of a frontier search: the node, the undo log
+// length before its relaxations, and the frontier before the pop.
+type popMark struct {
+	node, log int32
+	front     uint64
+}
+
+// run is the engine choice. On a graph of at most 64 nodes it runs the
+// frontier search and, when that meets a tie it cannot order, reruns
+// the search on the heap; larger graphs go straight to the heap. It
+// reports whether the frontier completed, which leaves an undo log a
+// point search can resume from.
+func (s *dijkstraScratch) run(g *Graph, m *Mask, src, dst NodeID, c *Cert) bool {
+	if g.NumNodes() <= frontierMax {
+		if s.frontier(g.layout(), m, src, dst, c) {
+			s.completed++
+			return true
+		}
+		s.fellBack++
+	}
+	s.search(g, m, src, dst, c)
+	return false
+}
+
+// frontier starts a search on a graph of at most 64 nodes and settles
+// it (see settle). It fills dist with +Inf, so settle reads a label
+// without the heap loop's epoch check; epoch stamps still mark the nodes
+// a search visited, for the readers of its result.
+func (s *dijkstraScratch) frontier(lay *layout, m *Mask, src, dst NodeID, c *Cert) bool {
+	n := len(lay.off) - 1
+	s.begin(n)
+	if c != nil {
+		clear(c.Rel)
+		clear(c.Rej)
+	}
+	inf := math.Inf(1)
+	for i := range s.dist[:n] {
+		s.dist[i] = inf
+	}
+	s.epoch[src] = s.cur
+	s.dist[src] = 0
+	s.parent[src] = Undefined
+	if cap(s.undo) < len(lay.to) || cap(s.pops) < n {
+		// A search, resumed or not, pops each node at most once and so
+		// relaxes each edge at most once: the logs never grow past this.
+		s.undo, s.pops = make([]undoEntry, 0, len(lay.to)), make([]popMark, 0, n)
+	}
+	s.undo, s.pops = s.undo[:0], s.pops[:0]
+	return s.settle(lay, m, 1<<uint(src), dst, c)
+}
+
+// settle is search's loop with the heap replaced by front, the bitset
+// of unsettled visited nodes. Every such node has one heap entry at its
+// current dist, and the heap's other entries are stale: larger than
+// their node's dist, so popping one does nothing. Costs are ≥ 0, so
+// when one node of front holds the least dist, it is the heap's next
+// effective pop, and by induction both loops pop the same nodes in the
+// same order, relax the same edges in adjacency order, ask the same
+// link tests and write the same dist and parent. When the least dist is
+// shared the heap's choice depends on its layout, and settle returns
+// false at once; the caller reruns the search on the heap.
+//
+// An uncertified point search skips every relaxation with nd ≥
+// dist[dst]: such a node could only be popped after dst or in a tie
+// with it, which ends the search either way, and its edges cannot lower
+// dst's label. The path and cost are the heap's; only labels no one
+// reads differ. A certified search (c != nil) does not prune, so its
+// certificate records the heap's whole run (DESIGN §11.6).
+//
+// Every label write is logged in s.undo and every pop in s.pops, so a
+// resumed search can rewind to any pop (PointRouter.ResumeInto).
+func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID, c *Cert) bool {
+	open := lay.all
+	var avoid []uint64
+	var resid []float64
+	var want float64
+	if m != nil {
+		if m.Open != nil {
+			open = m.Open
+		}
+		avoid, resid, want = m.Avoid, m.Resid, m.Want
+	}
+	needLink := avoid != nil || resid != nil || c != nil
+	cur := s.cur
+	dist, parent, epoch := s.dist, s.parent, s.epoch
+	target, bound := dst, math.Inf(1)
+	if c != nil {
+		target = Undefined
+	} else if target != Undefined {
+		bound = dist[target]
+	}
+	undo, pops := s.undo, s.pops
+	for front != 0 {
+		u, unique := least(front, dist)
+		if !unique {
+			s.undo, s.pops = undo, pops
+			return false
+		}
+		du := dist[u]
+		if NodeID(u) == dst {
+			break // settled: done
+		}
+		pops = append(pops, popMark{node: int32(u), log: int32(len(undo)), front: front})
+		front &^= 1 << uint(u)
+		lo, hi := int(lay.off[u]), int(lay.off[u+1])
+		if lo == hi {
+			continue
+		}
+		first, last := lo>>6, (hi-1)>>6
+		for wi := first; wi <= last; wi++ {
+			w := open[wi]
+			if wi == first {
+				w &= ^uint64(0) << (uint(lo) & 63)
+			}
+			if wi == last {
+				w &= ^uint64(0) >> (63 - uint(hi-1)&63)
+			}
+			for w != 0 {
+				p := wi<<6 | bits.TrailingZeros64(w)
+				w &= w - 1
+				nd := du + lay.cost[p]
+				if !(nd < bound) {
+					continue // past dst
+				}
+				to := lay.to[p]
+				d := dist[to]
+				if !(nd < d) {
+					continue
+				}
+				if needLink {
+					l := uint(lay.link[p])
+					if rejects(avoid, resid, want, l) {
+						if c != nil {
+							c.Rej[l>>6] |= 1 << (l & 63)
+						}
+						continue
+					}
+					if c != nil {
+						c.Rel[l>>6] |= 1 << (l & 63)
+					}
+				}
+				undo = append(undo, undoEntry{node: to, parent: int32(parent[to]), dist: d})
+				epoch[to] = cur
+				dist[to] = nd
+				parent[to] = EdgeID(lay.eid[p])
+				front |= 1 << uint(to)
+				if NodeID(to) == target {
+					bound = nd
+				}
+			}
+		}
+	}
+	s.undo, s.pops = undo, pops
+	return true
+}
+
+// least returns the node of front with the least dist, and whether no
+// other node of front holds the same dist. The labels of visited nodes
+// are finite sums of costs ≥ 0 starting from +0, so never NaN or -0,
+// and their bit patterns order as the floats do. It stays out of line:
+// settle's relaxation loop is register-bound (DESIGN §11.6), and the
+// scan inlined into it ran no faster.
+//
+//go:noinline
+func least(front uint64, dist []float64) (u int, unique bool) {
+	u = bits.TrailingZeros64(front)
+	best, eq := math.Float64bits(dist[u]), 0
+	for w := front & (front - 1); w != 0; w &= w - 1 {
+		v := bits.TrailingZeros64(w)
+		b := math.Float64bits(dist[v])
+		if b == best {
+			eq++
+		}
+		if b < best {
+			best, u, eq = b, v, 0
+		}
+	}
+	return u, eq == 0
+}
+
+// rewind undoes the label writes logged after the first n, restoring
+// the labels and stamps the search held when its log was n entries long.
+func (s *dijkstraScratch) rewind(n int) {
+	for i := len(s.undo) - 1; i >= n; i-- {
+		e := s.undo[i]
+		s.dist[e.node], s.parent[e.node] = e.dist, EdgeID(e.parent)
+		if math.IsInf(e.dist, 1) {
+			s.epoch[e.node] = 0 // never the current epoch
+		}
+	}
+	s.undo = s.undo[:n]
+}

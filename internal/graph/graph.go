@@ -9,10 +9,13 @@
 // may use is the caller's business, expressed as a Mask of caller-owned
 // bitsets — the one way to select edges. Two reusable engines,
 // TreeRouter (single source, whole tree) and PointRouter (one pair,
-// early exit), run the same Dijkstra loop over a CSR view of the graph
-// (csr.go), allocation-free and closure-free in steady state — it
-// matters because the auction's winner-determination step runs
-// feasibility checks across thousands of candidate link subsets.
+// early exit), run Dijkstra over a CSR view of the graph (csr.go),
+// allocation-free and closure-free in steady state — it matters
+// because the auction's winner-determination step runs feasibility
+// checks across thousands of candidate link subsets. On a graph of at
+// most 64 nodes the queue is a bitset scanned for a unique minimum
+// (frontier.go), which pops exactly what the binary heap would; a tie
+// sends the search back to the heap.
 package graph
 
 import (
@@ -67,13 +70,14 @@ func (g *Graph) NumNodes() int { return len(g.adj) }
 func (g *Graph) NumEdges() int { return len(g.edges) }
 
 // AddEdge appends a directed edge and returns its ID. Cost must be
-// non-negative; a negative capacity is treated as unbounded.
+// non-negative, which NaN is not: the searches rely on ordered costs
+// ≥ 0. A negative capacity is treated as unbounded.
 func (g *Graph) AddEdge(from, to NodeID, cost, capacity float64) EdgeID {
 	if from < 0 || int(from) >= len(g.adj) || to < 0 || int(to) >= len(g.adj) {
 		panic(fmt.Sprintf("graph: AddEdge(%d, %d) out of range for %d nodes", from, to, len(g.adj)))
 	}
-	if cost < 0 {
-		panic(fmt.Sprintf("graph: negative edge cost %v", cost))
+	if !(cost >= 0) {
+		panic(fmt.Sprintf("graph: edge cost %v is negative or NaN", cost))
 	}
 	if capacity < 0 {
 		capacity = math.Inf(1)

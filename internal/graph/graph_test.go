@@ -49,6 +49,7 @@ func TestAddEdgePanics(t *testing.T) {
 		{"to out of range", func() { g.AddEdge(0, 5, 1, 1) }},
 		{"negative from", func() { g.AddEdge(-1, 0, 1, 1) }},
 		{"negative cost", func() { g.AddEdge(0, 1, -1, 1) }},
+		{"NaN cost", func() { g.AddEdge(0, 1, math.NaN(), 1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			defer func() {

@@ -44,10 +44,12 @@ func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float
 	return dist, parent
 }
 
-// kernelCase is one random instance: a multigraph with parallel edges
-// and small integer costs (so exact cost ties abound; one case in four
-// gives every edge the same cost), link labels shared by edge pairs,
-// and a random mask.
+// kernelCase is one random instance: a multigraph with parallel edges,
+// link labels shared by edge pairs, and a random mask. Its costs are
+// one of three regimes: small integers, so exact ties abound; one cost
+// for every edge, so ties are everywhere; or real-valued, where ties
+// between distinct nodes are absent and the frontier search completes.
+// The first two send many frontier searches back to the heap.
 type kernelCase struct {
 	g        *Graph
 	links    []int32
@@ -61,12 +63,15 @@ func hasBit(words []uint64, i int) bool {
 
 func newKernelCase(rng *rand.Rand, n, m int) kernelCase {
 	g := New(n)
-	allTies := rng.Intn(4) == 0
+	regime := rng.Intn(4) // 0 all equal, 1 integer, else real-valued
 	for i := 0; i < m; i++ {
 		a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
 		cost := float64(1 + rng.Intn(3))
-		if allTies {
+		switch regime {
+		case 0:
 			cost = 1
+		case 2, 3:
+			cost = 1 + 99*rng.Float64()
 		}
 		if rng.Intn(3) == 0 {
 			g.AddEdge(a, b, cost, 1)
@@ -182,14 +187,31 @@ func settled(s *dijkstraScratch, n int) ([]float64, []EdgeID) {
 	return dist, parent
 }
 
+// tally counts what a test exercised: certificates that held for
+// changed masks, and frontier searches that completed, fell back to the
+// heap, or were resumed.
+type tally struct{ held, completed, fellBack, resumed int }
+
+func (ty *tally) add(o tally) {
+	ty.held += o.held
+	ty.completed += o.completed
+	ty.fellBack += o.fellBack
+	ty.resumed += o.resumed
+}
+
+func (ty *tally) count(s *dijkstraScratch) {
+	ty.add(tally{completed: int(s.completed), fellBack: int(s.fellBack), resumed: int(s.resumed)})
+}
+
 // checkCert records a certified search for src→dst under c's mask and
-// checks the certificate's contract: recording leaves the search's
-// state and answer bit-identical to an uncertified run, the
-// certificate holds for the mask it was recorded under, and every
+// checks the certificate's contract: the certified search leaves every
+// dist and parent the reference heap search leaves (it never prunes,
+// whichever engine ran it) and the same answer as an uncertified run,
+// the certificate holds for the mask it was recorded under, and every
 // perturbed mask it holds for yields exactly the recorded path and
-// cost. It returns how many perturbed masks that changed something
-// the certificate held for.
-func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (held int) {
+// cost. It tallies the perturbed masks that changed something the
+// certificate held for, and both routers' engine counts.
+func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (ty tally) {
 	t.Helper()
 	g := c.g
 	words := (c.numLinks + 63) / 64
@@ -198,14 +220,16 @@ func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (hel
 		cert.Rel[i], cert.Rej[i] = ^uint64(0), ^uint64(0) // the search must clear both
 	}
 	pc, pr := NewPointRouter(g), NewPointRouter(g)
+	defer ty.count(&pc.s)
+	defer ty.count(&pr.s)
 	path, cost := pc.CertifiedPathInto(nil, src, dst, c.mask, &cert)
 	want, wantCost := pr.PathInto(nil, src, dst, c.mask)
 	if src != dst {
 		cd, cp := settled(&pc.s, g.NumNodes())
-		wd, wp := settled(&pr.s, g.NumNodes())
+		wd, wp := refSearch(g, c.admit, src, dst)
 		for i := range cd {
 			if cd[i] != wd[i] || cp[i] != wp[i] {
-				t.Fatalf("certified search %d->%d: node %d dist/parent %v/%d, uncertified %v/%d", src, dst, i, cd[i], cp[i], wd[i], wp[i])
+				t.Fatalf("certified search %d->%d: node %d dist/parent %v/%d, reference %v/%d", src, dst, i, cd[i], cp[i], wd[i], wp[i])
 			}
 		}
 	}
@@ -221,7 +245,7 @@ func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (hel
 			continue
 		}
 		if changed {
-			held++
+			ty.held++
 		}
 		got, gotCost := pr.PathInto(nil, src, dst, m)
 		if gotCost != cost || !slices.Equal(got, path) {
@@ -229,19 +253,21 @@ func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (hel
 				src, dst, m, got, gotCost, path, cost)
 		}
 	}
-	return held
+	return ty
 }
 
 // checkKernelCase compares both engines against the reference on one
 // instance: whole trees from a few sources, point searches over a few
 // pairs — distances, parents, path edges and costs — and, where the
 // mask has no Open set, the certificate of each point search. It
-// returns checkCert's count of held perturbations.
-func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (held int) {
+// returns checkCert's tally plus its own routers' engine counts.
+func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (ty tally) {
 	t.Helper()
 	g := c.g
 	n := g.NumNodes()
 	tr, pr := NewTreeRouter(g), NewPointRouter(g)
+	defer ty.count(&tr.s)
+	defer ty.count(&pr.s)
 	for k := 0; k < 4; k++ {
 		src := NodeID(rng.Intn(n))
 		wantDist, wantParent := refSearch(g, c.admit, src, Undefined)
@@ -255,44 +281,40 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (held int) {
 
 		dst := NodeID(rng.Intn(n))
 		if c.mask == nil || c.mask.Open == nil {
-			held += checkCert(t, rng, c, src, dst)
+			ty.add(checkCert(t, rng, c, src, dst))
 		}
 		if dst == src {
 			continue
 		}
-		wantDist, wantParent = refSearch(g, c.admit, src, dst)
-		var wantPath []EdgeID
-		if !math.IsInf(wantDist[dst], 1) {
-			for v := dst; v != src; v = g.edges[wantParent[v]].From {
-				wantPath = append([]EdgeID{wantParent[v]}, wantPath...)
-			}
-		}
-		path, cost := pr.PathInto(nil, src, dst, c.mask)
-		if cost != wantDist[dst] || len(path) != len(wantPath) {
-			t.Fatalf("path %d->%d: cost %v over %d edges, reference %v over %d", src, dst, cost, len(path), wantDist[dst], len(wantPath))
-		}
-		for i := range path {
-			if path[i] != wantPath[i] {
-				t.Fatalf("path %d->%d: hop %d is edge %d, reference %d", src, dst, i, path[i], wantPath[i])
-			}
+		wantPath, wantCost := refPath(g, c.admit, src, dst)
+		if path, cost := pr.PathInto(nil, src, dst, c.mask); cost != wantCost || !slices.Equal(path, wantPath) {
+			t.Fatalf("path %d->%d: %v at %v, reference %v at %v", src, dst, path, cost, wantPath, wantCost)
 		}
 	}
-	return held
+	return ty
 }
 
 // TestMaskKernelMatchesClosureReference is the differential test for
 // the mask kernel: never-visited must equal visited-and-rejected, bit
-// for bit, across random open / avoid / threshold sets. It also checks
-// the certificates, and that enough of them hold for changed masks
-// for that check to mean something.
+// for bit, across random open / avoid / threshold sets, on graphs the
+// frontier engine serves (up to 64 nodes) and on larger ones only the
+// heap does. It also checks the certificates, that enough of them hold
+// for changed masks for that check to mean something, and that the
+// frontier both completed and fell back often enough for the
+// comparison to cover each.
 func TestMaskKernelMatchesClosureReference(t *testing.T) {
-	held := 0
-	for seed := int64(1); seed <= 300; seed++ {
+	var ty tally
+	for seed := int64(1); seed <= 360; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		held += checkKernelCase(t, rng, newKernelCase(rng, 2+rng.Intn(40), rng.Intn(160)))
+		n, m := 2+rng.Intn(40), rng.Intn(160)
+		if seed > 300 {
+			n, m = 60+rng.Intn(40), rng.Intn(400)
+		}
+		ty.add(checkKernelCase(t, rng, newKernelCase(rng, n, m)))
 	}
-	if held < 100 {
-		t.Fatalf("certificates held for only %d changed masks", held)
+	if ty.held < 100 || ty.completed < 1000 || ty.fellBack < 100 {
+		t.Fatalf("certificates held for %d changed masks, frontier searches completed %d and fell back %d times; want at least 100, 1000 and 100",
+			ty.held, ty.completed, ty.fellBack)
 	}
 }
 
@@ -335,6 +357,8 @@ func FuzzMaskKernel(f *testing.F) {
 	f.Add(int64(1), uint8(8), uint16(20))
 	f.Add(int64(7), uint8(2), uint16(200))  // two nodes, rows of 100+ positions
 	f.Add(int64(42), uint8(64), uint16(64)) // sparse: most rows empty or one bit
+	f.Add(int64(5), uint8(63), uint16(300)) // 64 nodes: the largest frontier graph
+	f.Add(int64(6), uint8(64), uint16(300)) // 65 nodes: the smallest heap-only one
 	f.Add(int64(3), uint8(1), uint16(5))    // self-loops only
 	f.Add(int64(9), uint8(30), uint16(0))   // no edges
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, m uint16) {

@@ -1,9 +1,12 @@
 package provision
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"github.com/public-option/poc/internal/graph"
 	"github.com/public-option/poc/internal/linkset"
 )
 
@@ -34,6 +37,42 @@ func checkMasks(t *testing.T, rt *router, when string) {
 	}
 }
 
+// checkSplits replays one place call with a fresh search per split. It
+// restores the residuals and open mask place started from, then books
+// the splits place made one by one: each must be the path a fresh
+// search finds on the arena at that point, where place resumed the last
+// split's search; after the last one, a fresh search must agree that
+// place had to stop, and the arena must be back in the state place
+// left, bit for bit.
+func checkSplits(t *testing.T, rt *router, d demand, avoid *linkset.Set, resid0 []float64, open0 []uint64, splits []PathAssignment, maxPaths int, remaining float64) {
+	t.Helper()
+	residAfter, openAfter := slices.Clone(rt.resid), slices.Clone(rt.open)
+	copy(rt.resid, resid0)
+	copy(rt.open, open0)
+	fresh := graph.NewPointRouter(rt.g)
+	m := rt.openMask(avoid)
+	for i, a := range splits {
+		edges, cost := fresh.PathInto(nil, graph.NodeID(d.src), graph.NodeID(d.dst), m)
+		links := make([]int, len(edges))
+		for j, eid := range edges {
+			links[j] = int(rt.linkFor[eid])
+		}
+		if math.IsInf(cost, 1) || !slices.Equal(links, a.Links) {
+			t.Fatalf("%d->%d split %d took links %v, a fresh search finds %v at %v", d.src, d.dst, i, a.Links, links, cost)
+		}
+		rt.addPath(a.Links, -a.Gbps)
+	}
+	if len(splits) < maxPaths && remaining > 1e-9 {
+		edges, cost := fresh.PathInto(nil, graph.NodeID(d.src), graph.NodeID(d.dst), m)
+		if !math.IsInf(cost, 1) && rt.bottleneck(edges, remaining) > 1e-9 {
+			t.Fatalf("%d->%d: place stopped after %d splits, a fresh search finds %v", d.src, d.dst, len(splits), edges)
+		}
+	}
+	if !slices.Equal(rt.resid, residAfter) || !slices.Equal(rt.open, openAfter) {
+		t.Fatalf("%d->%d: replaying %d splits leaves other residuals or open bits than place did", d.src, d.dst, len(splits))
+	}
+}
+
 func randomSubset(rng *rand.Rand, n, keepOutOf int) *linkset.Set {
 	s := linkset.New(n)
 	for l := 0; l < n; l++ {
@@ -47,8 +86,10 @@ func randomSubset(rng *rand.Rand, n, keepOutOf int) *linkset.Set {
 // TestArenaMasksTrackResiduals drives one arena through random apply /
 // place / release / ban / unban / full-route sequences, with demands
 // large enough to saturate links, and checks the mask invariant after
-// every step.
+// every step, and every path split of every place against a fresh
+// search (checkSplits).
 func TestArenaMasksTrackResiduals(t *testing.T) {
+	resumed := 0
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(8)
@@ -95,13 +136,21 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 				if rng.Intn(3) == 0 {
 					avoid = randomSubset(rng, len(p.Links), 2)
 				}
-				added, _ := rt.place(res, demand{src: rng.Intn(n), dst: rng.Intn(n)}, 5+rng.Float64()*60, 1+rng.Intn(4), avoid)
-				placed = append(placed, res.lists[0][len(res.lists[0])-added:]...)
+				d, maxPaths := demand{src: rng.Intn(n), dst: rng.Intn(n)}, 1+rng.Intn(4)
+				resid0, open0 := slices.Clone(rt.resid), slices.Clone(rt.open)
+				added, remaining := rt.place(res, d, 5+rng.Float64()*60, maxPaths, avoid)
+				splits := res.lists[0][len(res.lists[0])-added:]
+				checkSplits(t, rt, d, avoid, resid0, open0, splits, maxPaths, remaining)
+				resumed += max(added-1, 0)
+				placed = append(placed, splits...)
 			}
 			checkMasks(t, rt, when)
 		}
 		ws.giveRouting(res)
 		ws.release(rt)
+	}
+	if resumed < 100 {
+		t.Fatalf("only %d path splits resumed a search; want at least 100", resumed)
 	}
 }
 

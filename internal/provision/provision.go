@@ -353,9 +353,18 @@ type cand struct{ pair, slot int }
 func (rt *router) place(res *Routing, d demand, gbps float64, maxPaths int, avoid *linkset.Set) (added int, remaining float64) {
 	remaining = gbps
 	usable := rt.openMask(avoid)
+	var closed uint64
 	for ; added < maxPaths && remaining > 1e-9; added++ {
 		// Find the cheapest path that can carry any positive amount.
-		edges, ok := rt.path(d.src, d.dst, usable)
+		// Between splits the mask loses only the links the last split
+		// saturated, so every search after the first resumes the last.
+		var edges []graph.EdgeID
+		var ok bool
+		if added == 0 {
+			edges, ok = rt.path(d.src, d.dst, usable)
+		} else {
+			edges, ok = rt.resume(d.src, d.dst, usable, closed)
+		}
 		if !ok {
 			break
 		}
@@ -365,6 +374,7 @@ func (rt *router) place(res *Routing, d demand, gbps float64, maxPaths int, avoi
 		}
 		links := res.keep(rt, edges)
 		rt.addPath(links, -bn)
+		closed = rt.closedEnds(links)
 		res.push(d.pair, PathAssignment{Links: links, Gbps: bn})
 		remaining -= bn
 	}

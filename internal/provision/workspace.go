@@ -242,6 +242,31 @@ func (rt *router) path(src, dst int, m *graph.Mask) (edges []graph.EdgeID, ok bo
 	return edges, !math.IsInf(cost, 1)
 }
 
+// resume is path for a mask that differs from the one of the arena's
+// last path search only on edges out of the routers in changed (bit i =
+// router i): the search picks up where the last one first popped one
+// of them (graph.PointRouter.ResumeInto) and returns exactly what path
+// would.
+func (rt *router) resume(src, dst int, m *graph.Mask, changed uint64) (edges []graph.EdgeID, ok bool) {
+	edges, cost := rt.pr.ResumeInto(rt.pathBuf[:0], graph.NodeID(src), graph.NodeID(dst), m, changed)
+	rt.pathBuf = edges[:0]
+	return edges, !math.IsInf(cost, 1)
+}
+
+// closedEnds is the set of routers (bit i = router i; routers past 63
+// are left out, and searches on such graphs do not resume) at either
+// end of a link in links that is now closed for capacity.
+func (rt *router) closedEnds(links []int) uint64 {
+	var ends uint64
+	for _, l := range links {
+		if rt.resid[l] < 1e-9 {
+			ln := &rt.p.Links[l]
+			ends |= 1<<uint(ln.A) | 1<<uint(ln.B)
+		}
+	}
+	return ends
+}
+
 // bottleneck is the least residual along edges, capped at gbps.
 func (rt *router) bottleneck(edges []graph.EdgeID, gbps float64) float64 {
 	for _, eid := range edges {
