@@ -34,9 +34,10 @@ func TestAllocBudgetAppendPathTo(t *testing.T) {
 
 // TestAllocBudgetSearch holds every kind of search to zero steady-state
 // allocations at 27 and 64 nodes, which the frontier engine serves, and
-// at 200, which only the heap does: point searches, trees, resumed
-// searches, and point searches on a graph of equal costs, whose ties
-// send every frontier search back to the heap.
+// at 200, which only the heap does: point searches, trees, trees that
+// stop at their targets, resumed searches, and point searches on a
+// graph of equal costs, whose ties send every frontier search back to
+// the heap.
 func TestAllocBudgetSearch(t *testing.T) {
 	for _, n := range []int{27, 64, 200} {
 		g := benchGraph(n, 4*n)
@@ -50,6 +51,7 @@ func TestAllocBudgetSearch(t *testing.T) {
 		pr, rr, fr, tr := NewPointRouter(g), NewPointRouter(g), NewPointRouter(tied), NewTreeRouter(g)
 		var buf []EdgeID
 		src, dst := NodeID(0), NodeID(n/2)
+		targets := []NodeID{dst, NodeID(n / 3), dst, src}
 		flip := func() uint64 { // toggles the edges out of node 1
 			for p := lay.off[1]; p < lay.off[2]; p++ {
 				m.Open[p>>6] ^= 1 << (uint(p) & 63)
@@ -59,6 +61,7 @@ func TestAllocBudgetSearch(t *testing.T) {
 		for name, search := range map[string]func(){
 			"point":    func() { buf, _ = pr.PathInto(buf[:0], src, dst, m) },
 			"tree":     func() { tr.Tree(src, m) },
+			"targets":  func() { tr.Tree(src, m, targets...) },
 			"resume":   func() { buf, _ = rr.ResumeInto(buf[:0], src, dst, m, flip()) },
 			"fallback": func() { buf, _ = fr.PathInto(buf[:0], src, dst, nil) },
 		} {

@@ -58,7 +58,8 @@ func benchMask(g *Graph, kind string, links int) *Mask {
 // the heap does — over each mask kind. One op is 64 point searches, 16
 // trees, or 16 demands split over up to four paths, each split closing
 // one link of the last path as saturation would: "resume" resumes the
-// last split's search, "fresh" searches again from scratch.
+// last split's search, "fresh" searches again from scratch. A
+// "tree-to-k" tree stops once k random destinations have settled.
 func BenchmarkSearch(b *testing.B) {
 	for _, size := range []struct{ n, links int }{{27, 300}, {36, 653}, {200, 800}} {
 		g := benchGraph(size.n, size.links)
@@ -86,6 +87,20 @@ func BenchmarkSearch(b *testing.B) {
 					}
 				}
 			})
+			for _, k := range []int{1, 4} {
+				b.Run(fmt.Sprintf("tree-to-%d/%s/n%d", k, kind, size.n), func(b *testing.B) {
+					tr := NewTreeRouter(g)
+					targets := make([]NodeID, k)
+					for i := 0; i < b.N; i++ {
+						for j, p := range pairs[:16] {
+							for t := range targets {
+								targets[t] = pairs[(j+16*t+16)%len(pairs)][1]
+							}
+							tr.Tree(p[0], m, targets...)
+						}
+					}
+				})
+			}
 			if m == nil {
 				continue
 			}

@@ -113,6 +113,13 @@ type dijkstraScratch struct {
 	undo                         []undoEntry
 	pops                         []popMark
 	completed, fellBack, resumed uint64
+
+	// goal[i] == cur marks node i as a target of the search in flight
+	// and left counts those not yet popped (aim); goal is built by the
+	// first search that has targets. left lives here, not in a local:
+	// a register held across the search loops slows every search.
+	goal []uint32
+	left int
 }
 
 // begin sizes the scratch for n nodes and opens a new epoch. On the
@@ -124,14 +131,33 @@ func (s *dijkstraScratch) begin(n int) {
 		s.dist = make([]float64, n)
 		s.parent = make([]EdgeID, n)
 		s.epoch = make([]uint32, n)
+		s.goal = nil
 		s.cur = 0
 	}
 	s.cur++
 	if s.cur == 0 {
-		for i := range s.epoch {
-			s.epoch[i] = 0
-		}
+		clear(s.epoch)
+		clear(s.goal)
 		s.cur = 1
+	}
+}
+
+// aim marks the targets of the search begin just opened and sets left
+// to how many distinct ones there are: the search stops at the pop that
+// settles the last of them. No targets sets 0, which stops nothing.
+func (s *dijkstraScratch) aim(n int, targets []NodeID) {
+	s.left = 0
+	if len(targets) == 0 {
+		return
+	}
+	if len(s.goal) < n {
+		s.goal = make([]uint32, n)
+	}
+	for _, t := range targets {
+		if s.goal[t] != s.cur {
+			s.goal[t] = s.cur
+			s.left++
+		}
 	}
 }
 
@@ -149,8 +175,9 @@ func rejects(avoid []uint64, resid []float64, want float64, l uint) bool {
 // search is the heap-ordered Dijkstra loop behind both engines: every
 // search on a graph of more than 64 nodes, and every one the frontier
 // loop (settle, frontier.go) hands back on a tie. It settles
-// nodes from src until dst is popped (dst = Undefined settles
-// everything reachable), relaxing only the edges m admits: per popped
+// nodes from src until dst is popped, or until the pop that settles the
+// last of targets (dst = Undefined and no targets settle everything
+// reachable), relaxing only the edges m admits: per popped
 // node it walks the set bits of the open bitset inside the node's CSR
 // position range in ascending order — the adjacency order — and asks
 // the Avoid / Resid link test only of the edges that would relax
@@ -163,9 +190,10 @@ func rejects(avoid []uint64, resid []float64, want float64, l uint) bool {
 // A non-nil c records the search's certificate (see Cert), overwriting
 // it: the answer to every link test the search asks, admitted links
 // into Rel and rejected ones into Rej. A nil c records nothing.
-func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, c *Cert) {
+func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, targets []NodeID, c *Cert) {
 	lay := g.layout()
 	s.begin(len(lay.off) - 1)
+	s.aim(len(lay.off)-1, targets)
 	open := lay.all
 	var avoid []uint64
 	var resid []float64
@@ -195,6 +223,12 @@ func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, c *Cert) {
 		}
 		if it.node == dst {
 			break // settled: done
+		}
+		if s.left > 0 && s.goal[it.node] == cur {
+			// A node's one effective pop: pushes strictly lower its dist.
+			if s.left--; s.left == 0 {
+				break // the last target settled
+			}
 		}
 		lo, hi := int(lay.off[it.node]), int(lay.off[it.node+1])
 		if lo == hi {
@@ -259,14 +293,29 @@ func NewTreeRouter(g *Graph) *TreeRouter { return &TreeRouter{g: g} }
 // admits (nil = every edge). The returned tree shares the router's
 // scratch buffers: it is valid only until the next Tree call and must
 // not be retained.
-func (tr *TreeRouter) Tree(src NodeID, m *Mask) *ShortestTree {
+//
+// With targets, the search stops right after the pop that settles the
+// last distinct one: the whole tree's search cut short, so Dist, Parent
+// and Reachable are the whole tree's at every target and every node on
+// a target's path (each settled before the target was), and PathTo and
+// AppendPathTo to a target are too. Every other node's labels are
+// unspecified. Without targets every label is the whole tree's.
+func (tr *TreeRouter) Tree(src NodeID, m *Mask, targets ...NodeID) *ShortestTree {
 	s := &tr.s
-	s.run(tr.g, m, src, Undefined, nil)
+	s.run(tr.g, m, src, Undefined, targets, nil)
 	n := tr.g.NumNodes()
-	for i, e := range s.epoch[:n] {
-		if e != s.cur {
-			s.dist[i] = math.Inf(1)
-			s.parent[i] = Undefined
+	if len(targets) > 0 {
+		for _, t := range targets {
+			if s.epoch[t] != s.cur {
+				s.dist[t], s.parent[t] = math.Inf(1), Undefined
+			}
+		}
+	} else {
+		for i, e := range s.epoch[:n] {
+			if e != s.cur {
+				s.dist[i] = math.Inf(1)
+				s.parent[i] = Undefined
+			}
 		}
 	}
 	tr.t = ShortestTree{Source: src, Dist: s.dist[:n], Parent: s.parent[:n]}

@@ -82,7 +82,7 @@ func (pr *PointRouter) ResumeInto(buf []EdgeID, src, dst NodeID, m *Mask, change
 		if !s.settle(lay, m, p.front, dst, nil) {
 			s.fellBack++
 			pr.last.lay = nil
-			s.search(pr.g, m, src, dst, nil)
+			s.search(pr.g, m, src, dst, nil, nil)
 		}
 		break
 	}
@@ -98,7 +98,7 @@ func (pr *PointRouter) pathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert)
 		}
 		return buf, 0
 	}
-	if pr.s.run(pr.g, m, src, dst, c) && c == nil {
+	if pr.s.run(pr.g, m, src, dst, nil, c) && c == nil {
 		pr.last.lay, pr.last.src, pr.last.dst = pr.g.layout(), src, dst
 	}
 	return pr.appendPath(buf, src, dst)

@@ -28,15 +28,15 @@ type popMark struct {
 // the search on the heap; larger graphs go straight to the heap. It
 // reports whether the frontier completed, which leaves an undo log a
 // point search can resume from.
-func (s *dijkstraScratch) run(g *Graph, m *Mask, src, dst NodeID, c *Cert) bool {
+func (s *dijkstraScratch) run(g *Graph, m *Mask, src, dst NodeID, targets []NodeID, c *Cert) bool {
 	if g.NumNodes() <= frontierMax {
-		if s.frontier(g.layout(), m, src, dst, c) {
+		if s.frontier(g.layout(), m, src, dst, targets, c) {
 			s.completed++
 			return true
 		}
 		s.fellBack++
 	}
-	s.search(g, m, src, dst, c)
+	s.search(g, m, src, dst, targets, c)
 	return false
 }
 
@@ -44,9 +44,10 @@ func (s *dijkstraScratch) run(g *Graph, m *Mask, src, dst NodeID, c *Cert) bool 
 // it (see settle). It fills dist with +Inf, so settle reads a label
 // without the heap loop's epoch check; epoch stamps still mark the nodes
 // a search visited, for the readers of its result.
-func (s *dijkstraScratch) frontier(lay *layout, m *Mask, src, dst NodeID, c *Cert) bool {
+func (s *dijkstraScratch) frontier(lay *layout, m *Mask, src, dst NodeID, targets []NodeID, c *Cert) bool {
 	n := len(lay.off) - 1
 	s.begin(n)
+	s.aim(n, targets)
 	if c != nil {
 		clear(c.Rel)
 		clear(c.Rej)
@@ -85,6 +86,11 @@ func (s *dijkstraScratch) frontier(lay *layout, m *Mask, src, dst NodeID, c *Cer
 // reads differ. A certified search (c != nil) does not prune, so its
 // certificate records the heap's whole run (DESIGN §11.6).
 //
+// A search with targets stops, as search does, right after the pop that
+// settles the last of the s.left targets not yet popped. A tie after
+// that pop no longer sends it back to the heap: up to that pop it has
+// matched the heap's run.
+//
 // Every label write is logged in s.undo and every pop in s.pops, so a
 // resumed search can rewind to any pop (PointRouter.ResumeInto).
 func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID, c *Cert) bool {
@@ -117,6 +123,11 @@ func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID,
 		du := dist[u]
 		if NodeID(u) == dst {
 			break // settled: done
+		}
+		if s.left > 0 && s.goal[u] == cur {
+			if s.left--; s.left == 0 {
+				break // the last target settled
+			}
 		}
 		pops = append(pops, popMark{node: int32(u), log: int32(len(undo)), front: front})
 		front &^= 1 << uint(u)

@@ -8,9 +8,10 @@
 // edges are added, never removed or switched off. Which edges a search
 // may use is the caller's business, expressed as a Mask of caller-owned
 // bitsets — the one way to select edges. Two reusable engines,
-// TreeRouter (single source, whole tree) and PointRouter (one pair,
-// early exit), run Dijkstra over a CSR view of the graph (csr.go),
-// allocation-free and closure-free in steady state — it matters
+// TreeRouter (single source; the whole tree, or one that stops once its
+// targets settle) and PointRouter (one pair, early exit), run Dijkstra
+// over a CSR view of the graph (csr.go), allocation-free and
+// closure-free in steady state — it matters
 // because the auction's winner-determination step runs feasibility
 // checks across thousands of candidate link subsets. On a graph of at
 // most 64 nodes the queue is a bitset scanned for a unique minimum

@@ -188,15 +188,17 @@ func settled(s *dijkstraScratch, n int) ([]float64, []EdgeID) {
 }
 
 // tally counts what a test exercised: certificates that held for
-// changed masks, and frontier searches that completed, fell back to the
-// heap, or were resumed.
-type tally struct{ held, completed, fellBack, resumed int }
+// changed masks, frontier searches that completed, fell back to the
+// heap, or were resumed, and trees that stopped at their targets short
+// of the whole tree.
+type tally struct{ held, completed, fellBack, resumed, stopped int }
 
 func (ty *tally) add(o tally) {
 	ty.held += o.held
 	ty.completed += o.completed
 	ty.fellBack += o.fellBack
 	ty.resumed += o.resumed
+	ty.stopped += o.stopped
 }
 
 func (ty *tally) count(s *dijkstraScratch) {
@@ -256,8 +258,90 @@ func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (ty 
 	return ty
 }
 
+// randomTargets draws up to four targets for a tree from src, any node
+// reachable or not, sometimes src itself and sometimes one twice.
+func randomTargets(rng *rand.Rand, n int, src NodeID) []NodeID {
+	var ts []NodeID
+	for k := rng.Intn(5); k > 0; k-- {
+		ts = append(ts, NodeID(rng.Intn(n)))
+	}
+	if rng.Intn(4) == 0 {
+		ts = append(ts, src)
+	}
+	if len(ts) > 0 && rng.Intn(3) == 0 {
+		ts = append(ts, ts[rng.Intn(len(ts))])
+	}
+	rng.Shuffle(len(ts), func(i, j int) { ts[i], ts[j] = ts[j], ts[i] })
+	return ts
+}
+
+// checkTargets grows trees from src that stop at random targets and
+// checks each (checkTree). It counts the trees that stopped early.
+func checkTargets(t *testing.T, rng *rand.Rand, c kernelCase, tr *TreeRouter, src NodeID, wantDist []float64, wantParent []EdgeID) (stopped int) {
+	t.Helper()
+	for k := 0; k < 3; k++ {
+		if checkTree(t, c, tr, src, randomTargets(rng, c.g.NumNodes(), src), wantDist, wantParent) {
+			stopped++
+		}
+	}
+	return stopped
+}
+
+// checkTree grows the tree from src that stops at targets and compares
+// it with the whole tree — wantDist, wantParent — at every target and
+// every node on its path; a tree without targets must be the whole tree
+// everywhere. It reports whether the tree's labels fell short of the
+// whole tree's somewhere: whether it stopped early.
+func checkTree(t *testing.T, c kernelCase, tr *TreeRouter, src NodeID, targets []NodeID, wantDist []float64, wantParent []EdgeID) (stopped bool) {
+	t.Helper()
+	g := c.g
+	n := g.NumNodes()
+	tree := tr.Tree(src, c.mask, targets...)
+	if len(targets) == 0 {
+		for i := 0; i < n; i++ {
+			if tree.Dist[i] != wantDist[i] || tree.Parent[i] != wantParent[i] {
+				t.Fatalf("tree from %d without targets: node %d dist/parent %v/%d, whole tree %v/%d",
+					src, i, tree.Dist[i], tree.Parent[i], wantDist[i], wantParent[i])
+			}
+		}
+		return false
+	}
+	for _, tg := range targets {
+		if tree.Reachable(tg) == math.IsInf(wantDist[tg], 1) {
+			t.Fatalf("tree from %d to %v: Reachable(%d) = %v, whole tree dist %v", src, targets, tg, tree.Reachable(tg), wantDist[tg])
+		}
+		v := tg
+		for hop := 0; ; hop++ {
+			if tree.Dist[v] != wantDist[v] || tree.Parent[v] != wantParent[v] || hop > n {
+				t.Fatalf("tree from %d to %v: node %d on the path to %d has dist/parent %v/%d, whole tree %v/%d",
+					src, targets, v, tg, tree.Dist[v], tree.Parent[v], wantDist[v], wantParent[v])
+			}
+			if tree.Parent[v] == Undefined {
+				break
+			}
+			v = g.edges[tree.Parent[v]].From
+		}
+		if tree.Reachable(tg) && !slices.Equal(tree.PathTo(g, tg).Edges, wantPathTo(g, wantParent, src, tg)) {
+			t.Fatalf("tree from %d to %v: PathTo(%d) differs from the whole tree's", src, targets, tg)
+		}
+	}
+	dist, _ := settled(&tr.s, n)
+	return !slices.Equal(dist, wantDist)
+}
+
+// wantPathTo walks parent from dst back to src.
+func wantPathTo(g *Graph, parent []EdgeID, src, dst NodeID) []EdgeID {
+	var rev []EdgeID
+	for v := dst; v != src; v = g.edges[parent[v]].From {
+		rev = append(rev, parent[v])
+	}
+	slices.Reverse(rev)
+	return rev
+}
+
 // checkKernelCase compares both engines against the reference on one
-// instance: whole trees from a few sources, point searches over a few
+// instance: whole trees from a few sources, trees stopped at random
+// targets (checkTargets), point searches over a few
 // pairs — distances, parents, path edges and costs — and, where the
 // mask has no Open set, the certificate of each point search. It
 // returns checkCert's tally plus its own routers' engine counts.
@@ -278,6 +362,7 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (ty tally) {
 					src, i, tree.Dist[i], tree.Parent[i], wantDist[i], wantParent[i])
 			}
 		}
+		ty.stopped += checkTargets(t, rng, c, tr, src, wantDist, wantParent)
 
 		dst := NodeID(rng.Intn(n))
 		if c.mask == nil || c.mask.Open == nil {
@@ -301,20 +386,30 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (ty tally) {
 // heap does. It also checks the certificates, that enough of them hold
 // for changed masks for that check to mean something, and that the
 // frontier both completed and fell back often enough for the
-// comparison to cover each.
+// comparison to cover each, and that trees stopped at their targets
+// short of the whole tree often enough on both engines.
 func TestMaskKernelMatchesClosureReference(t *testing.T) {
 	var ty tally
+	var stoppedHeap int
 	for seed := int64(1); seed <= 360; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n, m := 2+rng.Intn(40), rng.Intn(160)
 		if seed > 300 {
 			n, m = 60+rng.Intn(40), rng.Intn(400)
 		}
-		ty.add(checkKernelCase(t, rng, newKernelCase(rng, n, m)))
+		o := checkKernelCase(t, rng, newKernelCase(rng, n, m))
+		if n > frontierMax {
+			stoppedHeap += o.stopped
+		}
+		ty.add(o)
 	}
 	if ty.held < 100 || ty.completed < 1000 || ty.fellBack < 100 {
 		t.Fatalf("certificates held for %d changed masks, frontier searches completed %d and fell back %d times; want at least 100, 1000 and 100",
 			ty.held, ty.completed, ty.fellBack)
+	}
+	if ty.stopped-stoppedHeap < 800 || stoppedHeap < 150 {
+		t.Fatalf("%d trees stopped at their targets on the frontier engine's graphs and %d on the heap's; want at least 800 and 150",
+			ty.stopped-stoppedHeap, stoppedHeap)
 	}
 }
 
@@ -353,17 +448,33 @@ func TestMaskKernelWideRows(t *testing.T) {
 	}
 }
 
+// FuzzMaskKernel runs checkKernelCase on a fuzzed instance, then grows
+// one more tree, from the node the first byte of tree names, stopped at
+// the nodes the other bytes name (none: the whole tree), and checks it
+// against the reference (checkTree).
 func FuzzMaskKernel(f *testing.F) {
-	f.Add(int64(1), uint8(8), uint16(20))
-	f.Add(int64(7), uint8(2), uint16(200))  // two nodes, rows of 100+ positions
-	f.Add(int64(42), uint8(64), uint16(64)) // sparse: most rows empty or one bit
-	f.Add(int64(5), uint8(63), uint16(300)) // 64 nodes: the largest frontier graph
-	f.Add(int64(6), uint8(64), uint16(300)) // 65 nodes: the smallest heap-only one
-	f.Add(int64(3), uint8(1), uint16(5))    // self-loops only
-	f.Add(int64(9), uint8(30), uint16(0))   // no edges
-	f.Fuzz(func(t *testing.T, seed int64, n uint8, m uint16) {
+	f.Add(int64(1), uint8(8), uint16(20), []byte{0, 3, 5})
+	f.Add(int64(7), uint8(2), uint16(200), []byte{1, 0})         // two nodes, rows of 100+ positions
+	f.Add(int64(42), uint8(64), uint16(64), []byte{9, 9, 9, 40}) // sparse: most rows empty or one bit
+	f.Add(int64(5), uint8(63), uint16(300), []byte{2, 63, 17})   // 64 nodes: the largest frontier graph
+	f.Add(int64(6), uint8(64), uint16(300), []byte{2, 64, 17})   // 65 nodes: the smallest heap-only one
+	f.Add(int64(3), uint8(1), uint16(5), []byte{0, 0})           // self-loops only
+	f.Add(int64(9), uint8(30), uint16(0), []byte{4})             // no edges
+	f.Fuzz(func(t *testing.T, seed int64, n uint8, m uint16, tree []byte) {
 		rng := rand.New(rand.NewSource(seed))
-		checkKernelCase(t, rng, newKernelCase(rng, 1+int(n), int(m)%600))
+		c := newKernelCase(rng, 1+int(n), int(m)%600)
+		checkKernelCase(t, rng, c)
+		if len(tree) == 0 {
+			return
+		}
+		nodes := c.g.NumNodes()
+		src := NodeID(int(tree[0]) % nodes)
+		var targets []NodeID
+		for _, b := range tree[1:] {
+			targets = append(targets, NodeID(int(b)%nodes))
+		}
+		wantDist, wantParent := refSearch(c.g, c.admit, src, Undefined)
+		checkTree(t, c, NewTreeRouter(c.g), src, targets, wantDist, wantParent)
 	})
 }
 

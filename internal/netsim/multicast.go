@@ -82,7 +82,14 @@ func (f *Fabric) StartMulticast(src EndpointID, receivers []EndpointID, gbps flo
 
 	remaining := append([]EndpointID(nil), receivers...)
 	var order []EndpointID // connection order, for determinism
+	var treeNodes []graph.NodeID
 	for len(remaining) > 0 {
+		treeNodes = treeNodes[:0]
+		for node, on := range inTree {
+			if on {
+				treeNodes = append(treeNodes, graph.NodeID(node))
+			}
+		}
 		// Pick the remaining receiver with the cheapest path to the
 		// current tree.
 		bestIdx, bestCost := -1, math.Inf(1)
@@ -97,16 +104,17 @@ func (f *Fabric) StartMulticast(src EndpointID, receivers []EndpointID, gbps flo
 			// Cheapest path from any tree node: search from the
 			// receiver over reversed edges is equivalent because the
 			// fabric's links are bidirectional; use the receiver as
-			// source and stop at any tree node by scanning the tree
-			// after a full Dijkstra. Tree nodes are scanned in ascending
-			// router order, so an equidistant tie goes to the lowest ID.
-			tree := f.tr.Tree(dst, usable)
-			for node, on := range inTree {
-				if !on || !tree.Reachable(graph.NodeID(node)) {
+			// source and pick the nearest tree node from a Dijkstra
+			// that stops once every tree node has settled. Tree nodes
+			// are scanned in ascending router order, so an equidistant
+			// tie goes to the lowest ID.
+			tree := f.tr.Tree(dst, usable, treeNodes...)
+			for _, node := range treeNodes {
+				if !tree.Reachable(node) {
 					continue
 				}
 				if tree.Dist[node] < bestCost {
-					p := tree.PathTo(f.g, graph.NodeID(node))
+					p := tree.PathTo(f.g, node)
 					bestIdx, bestCost, bestPath = i, tree.Dist[node], p
 				}
 			}

@@ -5,6 +5,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+	"sync/atomic"
+	"testing"
 
 	"github.com/public-option/poc/internal/linkset"
 	"github.com/public-option/poc/internal/topo"
@@ -75,4 +78,32 @@ func (s *Shaver) IndexError() error {
 		}
 	}
 	return nil
+}
+
+// WatchFreeLink makes every freeLink call until t ends compare the
+// candidates the crossing index derived with a scan of every list —
+// the same pairs and slots in the same order — reporting a difference
+// through t, and returns a reader of how many calls it has checked.
+// Calls may come from several goroutines at once.
+func WatchFreeLink(t testing.TB) func() int64 {
+	var calls atomic.Int64
+	checkCands = func(res *Routing, l, exclude int, cands []cand) {
+		calls.Add(1)
+		var scan []cand
+		for pair, asgs := range res.lists {
+			if pair == exclude {
+				continue
+			}
+			for slot, a := range asgs {
+				if crossesLink(a, l) {
+					scan = append(scan, cand{pair, slot})
+				}
+			}
+		}
+		if !slices.Equal(cands, scan) {
+			t.Errorf("freeLink(link %d): the crossing index names %v, a scan of every list %v", l, cands, scan)
+		}
+	}
+	t.Cleanup(func() { checkCands = nil })
+	return calls.Load
 }

@@ -31,6 +31,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"slices"
 	"sort"
@@ -325,8 +326,9 @@ type router struct {
 	resid   []float64    // residual Gbps per logical link
 	enabled *linkset.Set // links of the applied subset, minus bans
 
-	// cross is a live routing's crossing index (liveRouting.reindex):
-	// link l's row is cross[l*stride:(l+1)*stride], a bitset of pairs.
+	// cross is a crossing index (reindex) — a live routing's, or that of
+	// the routing route's phase 3 is repairing: link l's row is
+	// cross[l*stride:(l+1)*stride], a bitset of pairs.
 	cross  []uint64
 	stride int
 
@@ -336,6 +338,7 @@ type router struct {
 	enabledPos []uint64
 	open       []uint64
 	pathBuf    []graph.EdgeID // path output scratch
+	targets    []graph.NodeID // a tree's targets (treeTo)
 
 	// Per-route scratch: the phase work lists, freeLink's candidates and
 	// the link it bans, phase 3's detour set.
@@ -346,6 +349,20 @@ type router struct {
 
 // cand is one assignment freeLink may displace.
 type cand struct{ pair, slot int }
+
+// checkCands, when non-nil, sees every freeLink call's candidates as
+// the crossing index derived them, before they are sorted: a test hook.
+var checkCands func(res *Routing, l, exclude int, cands []cand)
+
+// treeTo grows the shortest-path tree from src over m that stops once
+// the destinations of ds have settled.
+func (rt *router) treeTo(src int, m *graph.Mask, ds []demand) *graph.ShortestTree {
+	rt.targets = rt.targets[:0]
+	for _, d := range ds {
+		rt.targets = append(rt.targets, graph.NodeID(d.dst))
+	}
+	return rt.tr.Tree(graph.NodeID(src), m, rt.targets...)
+}
 
 // place routes gbps for pair d of res over up to maxPaths paths,
 // avoiding the given logical links entirely. It appends the assignments
@@ -431,6 +448,8 @@ func (rt *router) ejectAndPlace(res *Routing, d demand, gbps float64, avoid *lin
 	}
 	rt.addPath(links, -want)
 	res.push(d.pair, PathAssignment{Links: links, Gbps: want})
+	l := res.lists[d.pair]
+	rt.index(d.pair, l[len(l)-1:])
 	return want, blocker
 }
 
@@ -438,20 +457,28 @@ func (rt *router) ejectAndPlace(res *Routing, d demand, gbps float64, avoid *lin
 // rerouting other pairs' assignments off it (smallest assignments
 // first, then by pair and list slot — tombstones count). The displaced
 // pair keeps its avoid set; reroutes that cannot fully re-place are
-// rolled back.
+// rolled back. The candidates come from the lists of the pairs l's
+// crossing-index row names, a superset of those crossing l: a stale
+// bit costs one list scan and adds no candidate.
 func (rt *router) freeLink(res *Routing, l int, need float64, exclude int, moves *int) float64 {
 	cands := rt.cands[:0]
-	for pair, asgs := range res.lists {
-		if pair == exclude {
-			continue
-		}
-		for slot, a := range asgs {
-			if crossesLink(a, l) {
-				cands = append(cands, cand{pair, slot})
+	for wi, w := range rt.cross[l*rt.stride : (l+1)*rt.stride] {
+		for ; w != 0; w &= w - 1 {
+			pair := wi<<6 | bits.TrailingZeros64(w)
+			if pair == exclude {
+				continue
+			}
+			for slot, a := range res.lists[pair] {
+				if crossesLink(a, l) {
+					cands = append(cands, cand{pair, slot})
+				}
 			}
 		}
 	}
 	rt.cands = cands
+	if checkCands != nil {
+		checkCands(res, l, exclude, cands)
+	}
 	// A total order, so any sort gives this order.
 	slices.SortFunc(cands, func(ci, cj cand) int {
 		gi, gj := res.lists[ci.pair][ci.slot].Gbps, res.lists[cj.pair][cj.slot].Gbps
@@ -471,14 +498,17 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude int, moves
 		rt.addPath(a.Links, a.Gbps)
 		// Re-place avoiding l.
 		*moves--
-		if added, left := rt.place(res, res.shape.pairs[c.pair], a.Gbps, 8, rt.banned); left > 1e-9 {
+		added, left := rt.place(res, res.shape.pairs[c.pair], a.Gbps, 8, rt.banned)
+		if left > 1e-9 {
 			// Rollback: restore the original assignment.
 			rt.unplace(res, c.pair, added)
 			rt.addPath(a.Links, -a.Gbps)
 			continue
 		}
 		// Commit: zero out the old slot; the new ones follow it.
-		res.lists[c.pair][c.slot] = PathAssignment{Gbps: 0}
+		asgs := res.lists[c.pair]
+		asgs[c.slot] = PathAssignment{Gbps: 0}
+		rt.index(c.pair, asgs[len(asgs)-added:])
 		freed += a.Gbps
 	}
 	rt.banned.Remove(l)
@@ -499,9 +529,10 @@ func avoidOf(avoid []*linkset.Set, i int) *linkset.Set {
 // demand must not use (Constraint #3 bans each pair's primary path).
 //
 // Routing runs in two phases. Phase 1 computes one shortest-path tree
-// per source and sends each demand down its tree path as far as
-// residual capacity allows — this covers the vast majority of demand
-// with O(sources) Dijkstra runs. Phase 2 repairs the remainder (and
+// per source, grown only until the source's destinations settle, and
+// sends each demand down its tree path as far as residual capacity
+// allows — this covers the vast majority of demand with O(sources)
+// Dijkstra runs. Phase 2 repairs the remainder (and
 // all demands with avoid sets) with per-demand point-to-point
 // searches over the residual capacities.
 func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options, avoidPrimary []*linkset.Set) *Routing {
@@ -530,7 +561,7 @@ func (rt *router) route(ws *Workspace, sh *shape, opts Options, avoidPrimary []*
 	phase2, stuck := rt.phase2[:0], rt.stuck[:0]
 	usable := rt.openMask(nil)
 	for _, group := range sh.bySrc {
-		tree := rt.tr.Tree(graph.NodeID(group[0].src), usable)
+		tree := rt.treeTo(group[0].src, usable, group)
 		for _, d := range group {
 			if avoidOf(avoidPrimary, d.pair) != nil || !tree.Reachable(graph.NodeID(d.dst)) {
 				phase2 = append(phase2, d)
@@ -569,7 +600,12 @@ func (rt *router) route(ws *Workspace, sh *shape, opts Options, avoidPrimary []*
 	// capacity later ones needed). For each stuck remainder, walk its
 	// cheapest path and try to reroute other pairs' assignments off
 	// the deficit links, then place. Bounded by a global move budget,
-	// so the phase stays cheap and deterministic.
+	// so the phase stays cheap and deterministic. freeLink finds the
+	// assignments crossing a link through the crossing index, which
+	// phase 3 keeps over every assignment it adds.
+	if len(stuck) > 0 {
+		rt.reindex(res.lists)
+	}
 	moves := 512
 	for _, d := range stuck {
 		left := d.gbps
@@ -626,9 +662,13 @@ func (ws *Workspace) primaryPaths(include *linkset.Set, sh *shape) ([]*linkset.S
 	var tree *graph.ShortestTree
 	for i, d := range pairs {
 		// Row-major order: one Dijkstra per source covers its run of
-		// destinations.
+		// destinations, and stops once they have settled.
 		if i == 0 || d.src != pairs[i-1].src {
-			tree = rt.tr.Tree(graph.NodeID(d.src), enabled)
+			j := i + 1
+			for j < len(pairs) && pairs[j].src == d.src {
+				j++
+			}
+			tree = rt.treeTo(d.src, enabled, pairs[i:j])
 		}
 		if !tree.Reachable(graph.NodeID(d.dst)) {
 			unreachable = append(unreachable, [2]int{d.src, d.dst})

@@ -128,15 +128,14 @@ func (lr *liveRouting) retire(ws *Workspace) {
 	lr.r, lr.rt = nil, nil
 }
 
-// reindex rebuilds the crossing index on the routing's arena: per link,
-// a bitset of at least every pair holding an assignment that crosses
-// it. Repairs only add bits (index), so rollback undoes nothing here: a
+// reindex rebuilds the arena's crossing index over lists: per link, a
+// bitset of at least every pair holding an assignment that crosses it.
+// Repairs only add bits (index), so rollback undoes nothing here: a
 // stale bit costs one list scan and never changes what is lifted.
-func (lr *liveRouting) reindex() {
-	rt := lr.rt
-	rt.stride = (len(lr.r.lists) + 63) / 64
+func (rt *router) reindex(lists [][]PathAssignment) {
+	rt.stride = (len(lists) + 63) / 64
 	rt.cross = append(rt.cross[:0], make([]uint64, rt.stride*len(rt.resid))...)
-	for i, asgs := range lr.r.lists {
+	for i, asgs := range lists {
 		rt.index(i, asgs)
 	}
 }
@@ -190,7 +189,9 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.
 			rt.addPath(a.Links, -a.Gbps)
 		}
 	}
-	lr.reindex()
+	// route's phase 3 may have indexed r on this arena; the Shaver's
+	// index is rebuilt over the lists as they stand.
+	rt.reindex(r.lists)
 	return lr
 }
 

@@ -200,7 +200,7 @@ func TestShaverNeverLiftsDiagonal(t *testing.T) {
 			}
 			// Planting shifted every pair index behind the crossing
 			// index's back: derive it again, as newLive does.
-			lr.reindex()
+			lr.rt.reindex(lr.r.lists)
 		}
 		dropped := 0
 		for pass := 0; pass < 2; pass++ {

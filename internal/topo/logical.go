@@ -151,9 +151,14 @@ func BuildPOCNetwork(w *World, nets []Network, numBPs, minColo, maxHops int) *PO
 			}
 		}
 		sort.Ints(bpRouters)
+		targets := make([]graph.NodeID, len(bpRouters))
+		for i, c := range bpRouters {
+			targets[i] = graph.NodeID(c)
+		}
 		tr := graph.NewTreeRouter(g)
-		for i := 0; i < len(bpRouters); i++ {
-			tree := tr.Tree(graph.NodeID(bpRouters[i]), nil)
+		for i := 0; i+1 < len(bpRouters); i++ {
+			// Only the routers after i are read: the tree stops there.
+			tree := tr.Tree(targets[i], nil, targets[i+1:]...)
 			for j := i + 1; j < len(bpRouters); j++ {
 				dst := graph.NodeID(bpRouters[j])
 				if !tree.Reachable(dst) {
