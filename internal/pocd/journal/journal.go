@@ -197,7 +197,9 @@ type ReplayResult struct {
 // Replay reads the journal at path, invoking fn for every op record
 // in sequence order. A torn or corrupt tail is not an error: reading
 // stops at the last valid boundary and the result reports the drop.
-// fn errors abort the replay and are returned as-is.
+// fn errors abort the replay and are returned as-is. Each payload
+// aliases the file image this call read, which nothing else holds: fn
+// may keep it past the call but must not modify it.
 func Replay(path string, fn func(seq uint64, payload []byte) error) (*ReplayResult, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -281,25 +283,38 @@ func replayBytes(data []byte, fn func(seq uint64, payload []byte) error) (*Repla
 // Resume replays an existing journal (see Replay), truncates any torn
 // tail so the file is exactly its valid prefix, and reopens it for
 // appending with the sequence counter continuing where the last valid
-// record left off.
+// record left off. It is Replay followed by Reopen.
 func Resume(path string, fsync bool, fn func(seq uint64, payload []byte) error) (*Writer, *ReplayResult, error) {
 	res, err := Replay(path, fn)
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	w, err := Reopen(path, fsync, res)
 	if err != nil {
 		return nil, nil, err
+	}
+	return w, res, nil
+}
+
+// Reopen opens the journal at path for appending after the valid
+// prefix res describes: it truncates the torn tail, if any, and
+// continues the sequence from res.LastSeq. res must come from a Replay
+// of path with no write to the file since, so that the prefix it
+// measured is still the file's.
+func Reopen(path string, fsync bool, res *ReplayResult) (*Writer, error) {
+	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
+	if err != nil {
+		return nil, err
 	}
 	if res.TornBytes > 0 {
 		if err := f.Truncate(res.ValidLen); err != nil {
 			f.Close()
-			return nil, nil, fmt.Errorf("journal: truncate torn tail: %w", err)
+			return nil, fmt.Errorf("journal: truncate torn tail: %w", err)
 		}
 	}
 	if _, err := f.Seek(res.ValidLen, io.SeekStart); err != nil {
 		f.Close()
-		return nil, nil, err
+		return nil, err
 	}
-	return &Writer{f: f, fsync: fsync, seq: res.LastSeq}, res, nil
+	return &Writer{f: f, fsync: fsync, seq: res.LastSeq}, nil
 }

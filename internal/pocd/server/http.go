@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -142,8 +143,9 @@ func (s *Server) readHandler(read func(*state) (any, error), stale func(*Snapsho
 	}
 }
 
-// opHandler builds a POST handler for one op kind: decode, validate
-// (400 before any journal traffic), then run through the writer.
+// opHandler builds a POST handler for one op kind: decode the body's
+// one JSON value, validate (400 before any journal traffic), then run
+// through the writer.
 func (s *Server) opHandler(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.admit(w, r) {
@@ -154,6 +156,12 @@ func (s *Server) opHandler(kind string) http.HandlerFunc {
 			dec := json.NewDecoder(r.Body)
 			if err := dec.Decode(op); err != nil {
 				http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+				return
+			}
+			// Decode stops after one value and would drop what follows
+			// it unseen: anything but whitespace there is a 400 too.
+			if _, err := dec.Token(); err != io.EOF {
+				http.Error(w, "bad request body: data after the op", http.StatusBadRequest)
 				return
 			}
 		}

@@ -167,13 +167,17 @@ func New(cfg Config) (*Server, error) {
 
 	fsync := !cfg.NoFsync
 	if _, err := os.Stat(cfg.JournalPath); err == nil {
-		// Recover: rebuild the deployment from the header spec, then
-		// resume (replaying ops and truncating any torn tail).
-		st, apply, err := recoverState(cfg.JournalPath, cfg.Spec, cfg.Build)
+		// Recover: rebuild the deployment from the header spec, replay
+		// the ops, then reopen the journal after its valid prefix
+		// (truncating any torn tail).
+		st, res, replay, err := recoverState(cfg.JournalPath, cfg.Spec, cfg.Build)
 		if err != nil {
 			return nil, err
 		}
-		jw, res, err := journal.Resume(cfg.JournalPath, fsync, apply)
+		if err := replay(); err != nil {
+			return nil, fmt.Errorf("pocd: resume journal: %w", err)
+		}
+		jw, err := journal.Reopen(cfg.JournalPath, fsync, res)
 		if err != nil {
 			return nil, fmt.Errorf("pocd: resume journal: %w", err)
 		}
@@ -327,33 +331,58 @@ func (s *Server) degradedSnapshot() *Snapshot {
 	return s.snap.Load()
 }
 
-// recoverState reads the journal's header spec (a non-nil wantSpec
-// must equal it) and builds the deployment from it. The returned
-// callback applies one journaled op to that state: hand it to
-// journal.Replay or journal.Resume.
-func recoverState(path string, wantSpec []byte, build BuildFunc) (*state, func(seq uint64, payload []byte) error, error) {
-	probe, err := journal.Replay(path, nil)
+// recoverState reads the journal once, checks its header spec (a
+// non-nil wantSpec must equal it) and builds the deployment from it.
+// The op payloads decode on a second goroutine while the build runs
+// here. The returned replay waits for that decode and applies the ops
+// to the built state in seq order; it fails, applying nothing, if any
+// op does not decode.
+func recoverState(path string, wantSpec []byte, build BuildFunc) (*state, *journal.ReplayResult, func() error, error) {
+	var seqs []uint64
+	var payloads [][]byte
+	res, err := journal.Replay(path, func(seq uint64, payload []byte) error {
+		seqs = append(seqs, seq)
+		payloads = append(payloads, payload)
+		return nil
+	})
 	if err != nil {
-		return nil, nil, fmt.Errorf("pocd: probe journal: %w", err)
+		return nil, nil, nil, fmt.Errorf("pocd: read journal: %w", err)
 	}
-	if wantSpec != nil && string(wantSpec) != string(probe.Spec) {
-		return nil, nil, fmt.Errorf("pocd: journal %s was recorded under a different deployment spec", path)
+	if wantSpec != nil && string(wantSpec) != string(res.Spec) {
+		return nil, nil, nil, fmt.Errorf("pocd: journal %s was recorded under a different deployment spec", path)
 	}
-	p, reg, err := build(probe.Spec)
+	ops := make([]Op, len(payloads))
+	decoded := make(chan error, 1)
+	go func() { decoded <- decodeOps(ops, seqs, payloads) }()
+	p, reg, err := build(res.Spec)
 	if err != nil {
-		return nil, nil, fmt.Errorf("pocd: rebuild deployment: %w", err)
+		<-decoded
+		return nil, nil, nil, fmt.Errorf("pocd: rebuild deployment: %w", err)
 	}
 	st := &state{poc: p, reg: reg}
-	return st, func(seq uint64, payload []byte) error {
-		var op Op
-		if err := json.Unmarshal(payload, &op); err != nil {
-			return fmt.Errorf("op %d: %w", seq, err)
+	return st, res, func() error {
+		if err := <-decoded; err != nil {
+			return err
 		}
-		// Apply errors were journaled as ops too; they fail the
-		// same deterministic way here and are not replay errors.
-		st.apply(&op)
+		for i := range ops {
+			// Apply errors were journaled as ops too; they fail the
+			// same deterministic way here and are not replay errors.
+			st.apply(&ops[i])
+		}
 		return nil
 	}, nil
+}
+
+// decodeOps decodes payloads[i] into ops[i] and stops at the first
+// payload that does not decode.
+func decodeOps(ops []Op, seqs []uint64, payloads [][]byte) error {
+	var d opDecoder
+	for i, b := range payloads {
+		if err := d.decode(b, &ops[i]); err != nil {
+			return fmt.Errorf("op %d: %w", seqs[i], err)
+		}
+	}
+	return nil
 }
 
 // ReplayFile rebuilds the deployment a journal describes and replays
@@ -362,12 +391,11 @@ func recoverState(path string, wantSpec []byte, build BuildFunc) (*state, func(s
 // ground truth `pocd -replay` and the CI smoke job compare a live
 // daemon's export against.
 func ReplayFile(path string, build BuildFunc) (*journal.ReplayResult, []byte, error) {
-	st, apply, err := recoverState(path, nil, build)
+	st, res, replay, err := recoverState(path, nil, build)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := journal.Replay(path, apply)
-	if err != nil {
+	if err := replay(); err != nil {
 		return nil, nil, err
 	}
 	export, err := st.reg.ExportJSON()
