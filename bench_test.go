@@ -93,25 +93,11 @@ func BenchmarkFigure1Fabric(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		op, err := s.NewPOC(Constraint1)
+		// Each operator runs its own lease lifecycle, auction included
+		// (the auction alone is BenchmarkFigure2Constraint1), so the
+		// bench covers activation + flows + billing on top of it.
+		op, _, err := s.Deploy(Constraint1)
 		if err != nil {
-			b.Fatal(err)
-		}
-		// Reuse the auction outcome by replaying bids (auction cost is
-		// benchmarked separately); the operator must still run its own
-		// lifecycle, so the bench covers activation + flows + billing.
-		for _, bid := range s.Bids {
-			if err := op.SubmitBid(bid); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := op.AddVirtualLinks(s.Virtual); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := op.RunAuction(); err != nil {
-			b.Fatal(err)
-		}
-		if err := op.Activate(); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := op.AttachLMP("lmp-a", 0, PeeringPolicy{}); err != nil {
@@ -250,22 +236,8 @@ func BenchmarkCollusion(b *testing.B) {
 // E11: multi-epoch break-even economy.
 func BenchmarkMarketEpochs(b *testing.B) {
 	s := benchScenario(b)
-	op, err := s.NewPOC(Constraint1)
+	op, _, err := s.Deploy(Constraint1)
 	if err != nil {
-		b.Fatal(err)
-	}
-	for _, bid := range s.Bids {
-		if err := op.SubmitBid(bid); err != nil {
-			b.Fatal(err)
-		}
-	}
-	if err := op.AddVirtualLinks(s.Virtual); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := op.RunAuction(); err != nil {
-		b.Fatal(err)
-	}
-	if err := op.Activate(); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := op.AttachLMP("lmp-a", 0, PeeringPolicy{}); err != nil {

@@ -17,6 +17,14 @@
 //	pocbench -exp baseline  # E19: status-quo BGP transit vs the POC
 //	pocbench -exp all       # everything above
 //
+// Stdout carries only the experiments' output, one "==== <exp> ===="
+// section each, and is deterministic; the per-experiment wall-time lap
+// lines go to stderr. At the default flags stdout is the pinned
+// artifact testdata/experiments_v1.txt, which TestArtifact diffs
+// against; regenerate it after an intended change with
+//
+//	go run ./cmd/pocbench -exp all > testdata/experiments_v1.txt
+//
 // -scale 1 runs the paper-scale instance for the auction experiments
 // (tens of minutes); the default reduced instance preserves the
 // qualitative shape.
@@ -25,19 +33,25 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
-	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
+	"slices"
 	"time"
 
 	poc "github.com/public-option/poc"
+	"github.com/public-option/poc/cmd/internal/diag"
 	"github.com/public-option/poc/internal/econ"
 	"github.com/public-option/poc/internal/interdomain"
 	"github.com/public-option/poc/internal/peering"
 	"github.com/public-option/poc/internal/regimesim"
 	"github.com/public-option/poc/internal/stats"
+)
+
+// The artifact's auction instance: the -scale and -checks defaults.
+const (
+	defaultScale  = 0.35
+	defaultChecks = 0
 )
 
 func main() {
@@ -53,14 +67,14 @@ func main() {
 // and leave truncated, unreadable profile files behind.
 func run() (err error) {
 	exp := flag.String("exp", "all", "experiment id (fig2, nn, lemma1, fees, incumbent, collusion, market, peering, entry, regimes, baseline, all)")
-	scale := flag.Float64("scale", 0.35, "auction instance scale in (0,1]; 1 = paper scale")
-	checks := flag.Int("checks", 0, "winner-determination variant (see auction.Instance.MaxChecks)")
+	scale := flag.Float64("scale", defaultScale, "auction instance scale in (0,1]; 1 = paper scale")
+	checks := flag.Int("checks", defaultChecks, "winner-determination variant (see auction.Instance.MaxChecks)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
 
-	stop, err := startDiagnostics(*cpuprofile, *memprofile, *traceFile)
+	stop, err := diag.Start(*cpuprofile, *memprofile, *traceFile)
 	if err != nil {
 		return err
 	}
@@ -72,49 +86,68 @@ func run() (err error) {
 		}
 	}()
 
-	w := newStopwatch()
-
-	runExp := func(name string, fn func() error) error {
-		if *exp != "all" && *exp != name {
-			return nil
+	exps := experiments(*scale, *checks)
+	if *exp != "all" {
+		i := slices.IndexFunc(exps, func(e experiment) bool { return e.name == *exp })
+		if i < 0 {
+			return fmt.Errorf("unknown experiment %q", *exp)
 		}
-		fmt.Printf("==== %s ====\n", name)
-		w.lap()
-		if err := fn(); err != nil {
-			return fmt.Errorf("%s: %w", name, err)
-		}
-		fmt.Printf("(%s in %v)\n\n", name, w.lap().Round(time.Millisecond))
-		return nil
+		exps = exps[i : i+1]
 	}
 
-	for _, e := range []struct {
-		name string
-		fn   func() error
-	}{
-		{"fig2", func() error { return fig2(*scale, *checks) }},
-		{"nn", nnWelfare},
-		{"lemma1", lemma1},
-		{"fees", fees},
-		{"incumbent", incumbent},
-		{"collusion", func() error { return collusion(*scale, *checks) }},
-		{"market", func() error { return marketEpochs(*scale) }},
-		{"peering", peeringAudit},
-		{"entry", entry},
-		{"regimes", regimes},
-		{"baseline", baseline},
-	} {
-		if err := runExp(e.name, e.fn); err != nil {
+	w := newStopwatch()
+	for _, e := range exps {
+		w.lap()
+		if err := e.write(os.Stdout); err != nil {
 			return err
 		}
+		fmt.Fprintf(os.Stderr, "(%s in %v)\n", e.name, w.lap().Round(time.Millisecond))
 	}
 	return nil
 }
 
+// experiment is one "==== <name> ====" section of the artifact.
+// auction marks the sections that run VCG auctions (seconds each);
+// the others are closed forms and small simulations.
+type experiment struct {
+	name    string
+	auction bool
+	fn      func(w io.Writer) error
+}
+
+// experiments lists every experiment in artifact order, with the
+// auction ones bound to the given instance scale and check budget.
+func experiments(scale float64, checks int) []experiment {
+	return []experiment{
+		{"fig2", true, func(w io.Writer) error { return fig2(w, scale, checks) }},
+		{"nn", false, nnWelfare},
+		{"lemma1", false, lemma1},
+		{"fees", false, fees},
+		{"incumbent", false, incumbent},
+		{"collusion", true, func(w io.Writer) error { return collusion(w, scale, checks) }},
+		{"market", true, func(w io.Writer) error { return marketEpochs(w, scale) }},
+		{"peering", false, peeringAudit},
+		{"entry", false, entry},
+		{"regimes", false, regimes},
+		{"baseline", false, baseline},
+	}
+}
+
+// write emits the experiment's section: header, output, blank line.
+func (e experiment) write(w io.Writer) error {
+	fmt.Fprintf(w, "==== %s ====\n", e.name)
+	if err := e.fn(w); err != nil {
+		return fmt.Errorf("%s: %w", e.name, err)
+	}
+	_, err := fmt.Fprintln(w)
+	return err
+}
+
 // stopwatch derives every wall-time report in the command from one
-// captured time.Now pair: a single start sample, with each lap and the
-// total read as time.Since deltas against it. Wall time is reporting
-// only — it never feeds experiment state or the metrics ledger
-// (poclint's walltime analyzer holds that line in internal/).
+// captured time.Now pair: a single start sample, with each lap read as
+// a time.Since delta against it. Wall time is reporting only — it
+// never feeds experiment state or the metrics ledger (poclint's
+// walltime analyzer holds that line in internal/).
 type stopwatch struct {
 	start time.Time
 	last  time.Duration
@@ -122,95 +155,36 @@ type stopwatch struct {
 
 func newStopwatch() *stopwatch { return &stopwatch{start: time.Now()} }
 
-// total returns the wall time since the watch started.
-func (w *stopwatch) total() time.Duration { return time.Since(w.start) }
-
 // lap returns the wall time since the previous lap (or the start).
 func (w *stopwatch) lap() time.Duration {
-	now := w.total()
+	now := time.Since(w.start)
 	d := now - w.last
 	w.last = now
 	return d
 }
 
-// startDiagnostics enables the opt-in pprof/trace hooks and returns
-// the stop function to defer in run. Both setup and teardown report
-// errors instead of exiting, so a failure mid-run still flushes and
-// closes whatever was already started.
-func startDiagnostics(cpuprofile, memprofile, traceFile string) (func() error, error) {
-	var stops []func() error
-	stopAll := func() error {
-		var first error
-		for i := len(stops) - 1; i >= 0; i-- {
-			if err := stops[i](); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return nil, err
-		}
-		if err := trace.Start(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stops = append(stops, func() error { trace.Stop(); return f.Close() })
-	}
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			stopAll()
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			stopAll()
-			return nil, err
-		}
-		stops = append(stops, func() error { pprof.StopCPUProfile(); return f.Close() })
-	}
-	if memprofile != "" {
-		stops = append(stops, func() error {
-			f, err := os.Create(memprofile)
-			if err != nil {
-				return err
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		})
-	}
-	return stopAll, nil
-}
-
-func baseline() error {
+func baseline(w io.Writer) error {
 	h, err := interdomain.SyntheticHierarchy(3, 8, 5)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("status-quo Internet: %d tier-1s (peer mesh), %d regionals, %d stubs\n",
+	fmt.Fprintf(w, "status-quo Internet: %d tier-1s (peer mesh), %d regionals, %d stubs\n",
 		len(h.Tier1s), len(h.Regionals), len(h.Stubs))
-	fmt.Printf("%-8s %10s %10s %14s %10s\n", "stub", "reachable", "paid-dsts", "statusquo-bill", "poc-bill")
+	fmt.Fprintf(w, "%-8s %10s %10s %14s %10s\n", "stub", "reachable", "paid-dsts", "statusquo-bill", "poc-bill")
 	for _, stub := range h.Stubs[:4] {
 		cmp, err := h.CompareStubTransit(stub, 2.0, 0.5)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("AS%-6d %10d %10d %14.1f %10.1f\n",
+		fmt.Fprintf(w, "AS%-6d %10d %10d %14.1f %10.1f\n",
 			cmp.Stub, cmp.Reachable, cmp.PaidDestinations, cmp.StatusQuoBill, cmp.POCBill)
 	}
-	fmt.Println("(under the status quo nearly every destination rides a paid provider route;")
-	fmt.Println(" the POC replaces that with one break-even usage price — §2.5)")
+	fmt.Fprintln(w, "(under the status quo nearly every destination rides a paid provider route;")
+	fmt.Fprintln(w, " the POC replaces that with one break-even usage price — §2.5)")
 	return nil
 }
 
-func regimes() error {
+func regimes(w io.Writer) error {
 	services := []regimesim.Service{
 		{Name: "video", Demand: econ.Uniform{High: 100}},
 		{Name: "social", Demand: econ.Exponential{Mean: 30}},
@@ -224,57 +198,57 @@ func regimes() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-14s %14s %14s %14s %14s\n", "regime", "welfare", "CSP revenue", "LMP fees", "conservation")
+	fmt.Fprintf(w, "%-14s %14s %14s %14s %14s\n", "regime", "welfare", "CSP revenue", "LMP fees", "conservation")
 	for _, regime := range []econ.Regime{econ.NN, econ.URBargain, econ.URUnilateral} {
 		r := results[regime]
 		e := r.Epochs[0]
-		fmt.Printf("%-14s %14.0f %14.0f %14.0f %14.6f\n",
+		fmt.Fprintf(w, "%-14s %14.0f %14.0f %14.0f %14.6f\n",
 			regime, e.Welfare, e.CSPRevenue, e.LMPFees, r.Ledger.Conservation())
 	}
-	fmt.Println("(every payment ledger-validated; termination fees only exist in the UR rows)")
+	fmt.Fprintln(w, "(every payment ledger-validated; termination fees only exist in the UR rows)")
 	return nil
 }
 
-func entry() error {
+func entry(w io.Writer) error {
 	m := poc.EntryModel{
 		IncumbentRetail: 60,
 		LastMileCost:    25,
 		POCTransitPrice: 8,
 		SqueezeSlack:    2,
 	}
-	fmt.Println("LMP entry (per subscriber per month), §2.3/§2.5:")
-	fmt.Printf("  incumbent retail %.0f, entrant last-mile cost %.0f\n", m.IncumbentRetail, m.LastMileCost)
-	fmt.Printf("  incumbent transit (margin squeeze): %.0f → entrant margin %.0f\n",
+	fmt.Fprintln(w, "LMP entry (per subscriber per month), §2.3/§2.5:")
+	fmt.Fprintf(w, "  incumbent retail %.0f, entrant last-mile cost %.0f\n", m.IncumbentRetail, m.LastMileCost)
+	fmt.Fprintf(w, "  incumbent transit (margin squeeze): %.0f → entrant margin %.0f\n",
 		m.IncumbentTransitPrice(), m.EntrantMargin(poc.IncumbentTransit))
-	fmt.Printf("  POC transit (break-even):           %.0f → entrant margin %.0f\n",
+	fmt.Fprintf(w, "  POC transit (break-even):           %.0f → entrant margin %.0f\n",
 		m.POCTransitPrice, m.EntrantMargin(poc.POCTransit))
 	a, err := poc.AnalyzeEntry(m, 100, 0.10, 0.45)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("  UR termination-fee gap favoring the incumbent: %.2f per subscriber\n", a.URFeeGap)
-	fmt.Printf("  POC advantage for the entrant: %.0f per subscriber\n", a.POCAdvantage())
+	fmt.Fprintf(w, "  UR termination-fee gap favoring the incumbent: %.2f per subscriber\n", a.URFeeGap)
+	fmt.Fprintf(w, "  POC advantage for the entrant: %.0f per subscriber\n", a.POCAdvantage())
 	return nil
 }
 
-func fig2(scale float64, checks int) error {
+func fig2(w io.Writer, scale float64, checks int) error {
 	s, err := poc.NewScenario(poc.ScenarioOptions{Scale: scale})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("instance: %s, %.1f Tbps demand\n", s.Network.Summary(), s.TM.Total()/1000)
+	fmt.Fprintf(w, "instance: %s, %.1f Tbps demand\n", s.Network.Summary(), s.TM.Total()/1000)
 	res, err := s.Figure2(checks)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-8s %-7s %12s %12s %12s\n", "BP", "share", "constraint#1", "constraint#2", "constraint#3")
+	fmt.Fprintf(w, "%-8s %-7s %12s %12s %12s\n", "BP", "share", "constraint#1", "constraint#2", "constraint#3")
 	for _, row := range res.Rows {
-		fmt.Printf("%-8s %5.1f%% %12.3f %12.3f %12.3f\n",
+		fmt.Fprintf(w, "%-8s %5.1f%% %12.3f %12.3f %12.3f\n",
 			row.Name, 100*row.Share, row.PoB[0], row.PoB[1], row.PoB[2])
 	}
 	for i, r := range res.Results {
-		fmt.Printf("constraint#%d: C(SL)=%.0f links=%d surplus=%.0f\n",
-			i+1, r.TotalCost, len(r.Selected), r.Surplus())
+		fmt.Fprintf(w, "constraint#%d: C(SL)=%.0f links=%d surplus=%.0f checks=%d\n",
+			i+1, r.TotalCost, len(r.Selected), r.Surplus(), r.Checks)
 		var pob, pay []float64
 		for a := range r.Payments {
 			if r.BPCost[a] > 0 {
@@ -282,8 +256,8 @@ func fig2(scale float64, checks int) error {
 			}
 			pay = append(pay, r.Payments[a])
 		}
-		fmt.Printf("  all-BP PoB: %s\n", stats.Summarize(pob))
-		fmt.Printf("  payment Gini: %.3f\n", stats.Gini(pay))
+		fmt.Fprintf(w, "  all-BP PoB: %s\n", stats.Summarize(pob))
+		fmt.Fprintf(w, "  payment Gini: %.3f\n", stats.Gini(pay))
 	}
 	return nil
 }
@@ -303,39 +277,39 @@ var benchLMPs = []poc.EconLMP{
 	{Name: "entrant", Customers: 300, Access: 40, Churn: 0.45},
 }
 
-func nnWelfare() error {
-	fmt.Printf("%-18s %8s %8s %10s %10s\n", "demand", "p*", "D(p*)", "welfare", "CSP rev")
+func nnWelfare(w io.Writer) error {
+	fmt.Fprintf(w, "%-18s %8s %8s %10s %10s\n", "demand", "p*", "D(p*)", "welfare", "CSP rev")
 	for _, f := range families {
 		out, err := poc.EvaluateRegime(f.d, poc.RegimeNN, nil)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-18s %8.2f %8.3f %10.3f %10.3f\n",
+		fmt.Fprintf(w, "%-18s %8.2f %8.3f %10.3f %10.3f\n",
 			f.name, out.Price, out.Demand, out.Welfare, out.CSPRevenue)
 	}
 	return nil
 }
 
-func lemma1() error {
-	fmt.Println("p*(t) per demand family (must be monotone increasing — Lemma 1):")
-	fmt.Printf("%-18s", "t")
+func lemma1(w io.Writer) error {
+	fmt.Fprintln(w, "p*(t) per demand family (must be monotone increasing — Lemma 1):")
+	fmt.Fprintf(w, "%-18s", "t")
 	for _, f := range families {
-		fmt.Printf(" %16s", f.name)
+		fmt.Fprintf(w, " %16s", f.name)
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	for i := 0; i <= 8; i++ {
 		t := 5.0 * float64(i)
-		fmt.Printf("%-18.1f", t)
+		fmt.Fprintf(w, "%-18.1f", t)
 		for _, f := range families {
-			fmt.Printf(" %16.2f", econ.OptimalPrice(f.d, t))
+			fmt.Fprintf(w, " %16.2f", econ.OptimalPrice(f.d, t))
 		}
-		fmt.Println()
+		fmt.Fprintln(w)
 	}
 	return nil
 }
 
-func fees() error {
-	fmt.Printf("%-18s %14s %14s %14s | welfare: %8s %8s %8s\n",
+func fees(w io.Writer) error {
+	fmt.Fprintf(w, "%-18s %14s %14s %14s | welfare: %8s %8s %8s\n",
 		"demand", "t*unilateral", "t*bargain", "t*NN", "NN", "bargain", "unilat")
 	for _, f := range families {
 		nn, err := poc.EvaluateRegime(f.d, poc.RegimeNN, nil)
@@ -350,25 +324,25 @@ func fees() error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-18s %14.2f %14.2f %14.2f | %17.3f %8.3f %8.3f\n",
+		fmt.Fprintf(w, "%-18s %14.2f %14.2f %14.2f | %17.3f %8.3f %8.3f\n",
 			f.name, uni.Fee, bar.Fee, nn.Fee, nn.Welfare, bar.Welfare, uni.Welfare)
 	}
-	fmt.Println("(W_NN >= both UR regimes for every family; heavy-tailed Pareto")
-	fmt.Println(" can order bargain above unilateral — see EXPERIMENTS.md E8.)")
+	fmt.Fprintln(w, "(W_NN >= both UR regimes for every family; heavy-tailed Pareto")
+	fmt.Fprintln(w, " can order bargain above unilateral — see EXPERIMENTS.md E8.)")
 	return nil
 }
 
-func incumbent() error {
-	fmt.Println("NBS fee t=(p−rc)/2 at p=100, c=50, as churn varies (E9):")
-	fmt.Printf("%-8s %10s\n", "churn r", "fee")
+func incumbent(w io.Writer) error {
+	fmt.Fprintln(w, "NBS fee t=(p−rc)/2 at p=100, c=50, as churn varies (E9):")
+	fmt.Fprintf(w, "%-8s %10s\n", "churn r", "fee")
 	for _, r := range []float64{0.05, 0.1, 0.2, 0.3, 0.45, 0.6, 0.8} {
-		fmt.Printf("%-8.2f %10.2f\n", r, poc.NBSFee(100, r, 50))
+		fmt.Fprintf(w, "%-8.2f %10.2f\n", r, poc.NBSFee(100, r, 50))
 	}
-	fmt.Println("incumbent LMP (low churn) extracts more; incumbent CSP (high imposed churn) pays less.")
+	fmt.Fprintln(w, "incumbent LMP (low churn) extracts more; incumbent CSP (high imposed churn) pays less.")
 	return nil
 }
 
-func collusion(scale float64, checks int) error {
+func collusion(w io.Writer, scale float64, checks int) error {
 	for _, withVL := range []bool{true, false} {
 		s, err := poc.NewScenario(poc.ScenarioOptions{Scale: scale, NoVirtualLinks: !withVL, DenseVirtual: withVL})
 		if err != nil {
@@ -376,37 +350,23 @@ func collusion(scale float64, checks int) error {
 		}
 		col, err := poc.RunCollusion(s.Instance(poc.Constraint1, checks))
 		if err != nil {
-			fmt.Printf("virtual links %v: %v (manipulation made the auction fail)\n", withVL, err)
+			fmt.Fprintf(w, "virtual links %v: %v (manipulation made the auction fail)\n", withVL, err)
 			continue
 		}
-		fmt.Printf("virtual links %v: honest payments %.0f, after withdrawal %.0f, total gain %.0f (%.1f%%)\n",
+		fmt.Fprintf(w, "virtual links %v: honest payments %.0f, after withdrawal %.0f, total gain %.0f (%.1f%%)\n",
 			withVL, sum(col.Honest.Payments), sum(col.Withdrawn.Payments),
 			col.TotalGain(), 100*col.TotalGain()/sum(col.Honest.Payments))
 	}
 	return nil
 }
 
-func marketEpochs(scale float64) error {
+func marketEpochs(w io.Writer, scale float64) error {
 	s, err := poc.NewScenario(poc.ScenarioOptions{Scale: scale})
 	if err != nil {
 		return err
 	}
-	op, err := s.NewPOC(poc.Constraint1)
+	op, _, err := s.Deploy(poc.Constraint1)
 	if err != nil {
-		return err
-	}
-	for _, b := range s.Bids {
-		if err := op.SubmitBid(b); err != nil {
-			return err
-		}
-	}
-	if err := op.AddVirtualLinks(s.Virtual); err != nil {
-		return err
-	}
-	if _, err := op.RunAuction(); err != nil {
-		return err
-	}
-	if err := op.Activate(); err != nil {
 		return err
 	}
 	n := len(s.Network.Routers)
@@ -425,19 +385,19 @@ func marketEpochs(scale float64) error {
 	if _, err := op.StartFlow("csp", "lmp-b", 4, poc.BestEffort); err != nil {
 		return err
 	}
-	fmt.Printf("%-6s %12s %12s %10s\n", "epoch", "cost", "revenue", "POC net")
+	fmt.Fprintf(w, "%-6s %12s %12s %10s\n", "epoch", "cost", "revenue", "POC net")
 	for e := 0; e < 3; e++ {
 		rep, err := op.BillEpoch(6 * 3600)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-6d %12.2f %12.2f %10.2f\n", e, rep.LeaseCost+rep.VirtualCost, rep.Revenue, rep.POCNet)
+		fmt.Fprintf(w, "%-6d %12.2f %12.2f %10.2f\n", e, rep.LeaseCost+rep.VirtualCost, rep.Revenue, rep.POCNet)
 	}
-	fmt.Printf("ledger conservation: %.6f\n", op.Ledger().Conservation())
+	fmt.Fprintf(w, "ledger conservation: %.6f\n", op.Ledger().Conservation())
 	return nil
 }
 
-func peeringAudit() error {
+func peeringAudit(w io.Writer) error {
 	corpus := []peering.Policy{
 		{LMP: "clean"},
 		{LMP: "uniform-shaper", Rules: []peering.Rule{{Direction: peering.Incoming, Action: peering.Deprioritize}}},
@@ -454,7 +414,7 @@ func peeringAudit() error {
 		if len(vs) > 0 {
 			status = fmt.Sprintf("%d violation(s): %s", len(vs), vs[0].Condition)
 		}
-		fmt.Printf("  %-18s %s\n", p.LMP, status)
+		fmt.Fprintf(w, "  %-18s %s\n", p.LMP, status)
 	}
 	return nil
 }

@@ -67,22 +67,8 @@ func build(raw []byte) (*poc.Operator, *obs.Registry, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	op, err := s.NewPOC(provision.Constraint(spec.Constraint))
+	op, _, err := s.Deploy(provision.Constraint(spec.Constraint))
 	if err != nil {
-		return nil, nil, err
-	}
-	for _, b := range s.Bids {
-		if err := op.SubmitBid(b); err != nil {
-			return nil, nil, err
-		}
-	}
-	if err := op.AddVirtualLinks(s.Virtual); err != nil {
-		return nil, nil, err
-	}
-	if _, err := op.RunAuction(); err != nil {
-		return nil, nil, err
-	}
-	if err := op.Activate(); err != nil {
 		return nil, nil, err
 	}
 	return op, reg, nil

@@ -27,14 +27,11 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
-	"runtime"
-	"runtime/pprof"
-	"runtime/trace"
 	"sort"
 	"time"
 
 	poc "github.com/public-option/poc"
+	"github.com/public-option/poc/cmd/internal/diag"
 	"github.com/public-option/poc/internal/analysis"
 	"github.com/public-option/poc/internal/provision"
 )
@@ -80,7 +77,7 @@ func run() (err error) {
 	traceFile := flag.String("trace", "", "write a runtime execution trace to this file")
 	flag.Parse()
 
-	stop, err := startDiagnostics(*cpuprofile, *memprofile, *traceFile)
+	stop, err := diag.Start(*cpuprofile, *memprofile, *traceFile)
 	if err != nil {
 		return err
 	}
@@ -127,27 +124,12 @@ func run() (err error) {
 	}
 	fmt.Printf("topology: %s\n", s.Network.Summary())
 
-	op, err := s.NewPOC(provision.Constraint(*constraint))
-	if err != nil {
-		return err
-	}
-	for _, b := range s.Bids {
-		if err := op.SubmitBid(b); err != nil {
-			return err
-		}
-	}
-	if err := op.AddVirtualLinks(s.Virtual); err != nil {
-		return err
-	}
-	res, err := op.RunAuction()
+	op, res, err := s.Deploy(provision.Constraint(*constraint))
 	if err != nil {
 		return err
 	}
 	fmt.Printf("auction:  %d links leased under constraint #%d, C(SL)=%.0f, BP surplus %.0f\n",
 		len(res.Selected), *constraint, res.TotalCost, res.Surplus())
-	if err := op.Activate(); err != nil {
-		return err
-	}
 
 	// Attach an LMP at every fourth router and two CSPs at hubs.
 	n := len(s.Network.Routers)
@@ -183,13 +165,7 @@ func run() (err error) {
 
 	for e := 0; e < *epochs; e++ {
 		if *fail && e == *epochs/2 {
-			busiest, bu := -1, 0.0
-			for id, u := range op.Fabric().Utilization() {
-				if u > bu {
-					busiest, bu = id, u
-				}
-			}
-			if busiest >= 0 {
+			if busiest, bu := busiestLink(op.Fabric().Utilization()); busiest >= 0 {
 				moved := op.Fabric().FailLink(busiest)
 				fmt.Printf("epoch %d: FAILED link %d (%.0f%% utilized), %d flows rerouted\n",
 					e, busiest, 100*bu, len(moved))
@@ -238,60 +214,23 @@ func writeMetrics(reg *poc.Observer, path string) error {
 	return nil
 }
 
-// startDiagnostics enables the opt-in pprof/trace hooks and returns
-// the stop function to defer in run. Both setup and teardown report
-// errors instead of exiting, so a failure mid-run still flushes and
-// closes whatever was already started.
-func startDiagnostics(cpuprofile, memprofile, traceFile string) (func() error, error) {
-	var stops []func() error
-	stopAll := func() error {
-		var first error
-		for i := len(stops) - 1; i >= 0; i-- {
-			if err := stops[i](); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
+// busiestLink returns the most utilized link and its utilization, or
+// -1 when no link carries traffic. Links are scanned in ascending ID
+// order, so a utilization tie goes to the lowest ID; ranging over the
+// map itself would let Go's randomized map order pick the link.
+func busiestLink(util map[int]float64) (int, float64) {
+	ids := make([]int, 0, len(util))
+	for id := range util {
+		ids = append(ids, id)
 	}
-	if traceFile != "" {
-		f, err := os.Create(traceFile)
-		if err != nil {
-			return nil, err
+	sort.Ints(ids)
+	busiest, bu := -1, 0.0
+	for _, id := range ids {
+		if u := util[id]; u > bu {
+			busiest, bu = id, u
 		}
-		if err := trace.Start(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		stops = append(stops, func() error { trace.Stop(); return f.Close() })
 	}
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			stopAll()
-			return nil, err
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			f.Close()
-			stopAll()
-			return nil, err
-		}
-		stops = append(stops, func() error { pprof.StopCPUProfile(); return f.Close() })
-	}
-	if memprofile != "" {
-		stops = append(stops, func() error {
-			f, err := os.Create(memprofile)
-			if err != nil {
-				return err
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		})
-	}
-	return stopAll, nil
+	return busiest, bu
 }
 
 // goldClass is the premium QoS class used by the chaos experiment.
@@ -303,22 +242,8 @@ var goldClass = poc.QoSClass{Name: "gold", Weight: 4, Price: 10}
 // core runs near its provisioned load and a failure has to hurt
 // someone — the question the experiment answers is whom.
 func chaosDeploy(s *poc.Scenario, c poc.Constraint) (*poc.Operator, error) {
-	op, err := s.NewPOC(c)
+	op, _, err := s.Deploy(c)
 	if err != nil {
-		return nil, err
-	}
-	for _, b := range s.Bids {
-		if err := op.SubmitBid(b); err != nil {
-			return nil, err
-		}
-	}
-	if err := op.AddVirtualLinks(s.Virtual); err != nil {
-		return nil, err
-	}
-	if _, err := op.RunAuction(); err != nil {
-		return nil, err
-	}
-	if err := op.Activate(); err != nil {
 		return nil, err
 	}
 	n := len(s.Network.Routers)

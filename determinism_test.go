@@ -86,22 +86,8 @@ func chaosSurvivabilityReport(t *testing.T, workers int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.NewPOC(Constraint1)
+	p, _, err := s.Deploy(Constraint1)
 	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range s.Bids {
-		if err := p.SubmitBid(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.AddVirtualLinks(s.Virtual); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunAuction(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Activate(); err != nil {
 		t.Fatal(err)
 	}
 	gold := QoSClass{Name: "gold", Weight: 4, Price: 10}
@@ -170,22 +156,8 @@ func metricsExport(t *testing.T, workers int) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := s.NewPOC(Constraint1)
+	p, _, err := s.Deploy(Constraint1)
 	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range s.Bids {
-		if err := p.SubmitBid(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := p.AddVirtualLinks(s.Virtual); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.RunAuction(); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Activate(); err != nil {
 		t.Fatal(err)
 	}
 	gold := QoSClass{Name: "gold", Weight: 4, Price: 10}

@@ -24,22 +24,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	op, err := s.NewPOC(poc.Constraint1)
+	op, _, err := s.Deploy(poc.Constraint1)
 	if err != nil {
-		log.Fatal(err)
-	}
-	for _, b := range s.Bids {
-		if err := op.SubmitBid(b); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := op.AddVirtualLinks(s.Virtual); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := op.RunAuction(); err != nil {
-		log.Fatal(err)
-	}
-	if err := op.Activate(); err != nil {
 		log.Fatal(err)
 	}
 
@@ -121,22 +107,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	op2, err := s2.NewPOC(poc.Constraint1)
+	op2, _, err := s2.Deploy(poc.Constraint1)
 	if err != nil {
-		log.Fatal(err)
-	}
-	for _, b := range s2.Bids {
-		if err := op2.SubmitBid(b); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := op2.AddVirtualLinks(s2.Virtual); err != nil {
-		log.Fatal(err)
-	}
-	if _, err := op2.RunAuction(); err != nil {
-		log.Fatal(err)
-	}
-	if err := op2.Activate(); err != nil {
 		log.Fatal(err)
 	}
 	if _, err := op2.AttachLMP("lmp-far", 1, poc.PeeringPolicy{}); err != nil {

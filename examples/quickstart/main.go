@@ -30,20 +30,9 @@ func main() {
 	fmt.Printf("traffic:  %.1f Tbps aggregate over %d routers\n",
 		s.TM.Total()/1000, s.TM.Size())
 
-	// 2. Stand up the POC operator and run the bandwidth auction.
-	op, err := s.NewPOC(poc.Constraint1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, b := range s.Bids {
-		if err := op.SubmitBid(b); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := op.AddVirtualLinks(s.Virtual); err != nil {
-		log.Fatal(err)
-	}
-	res, err := op.RunAuction()
+	// 2. Stand up the POC operator: submit the bids, run the
+	// bandwidth auction and activate the fabric over the winners.
+	op, res, err := s.Deploy(poc.Constraint1)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,11 +45,8 @@ func main() {
 		}
 	}
 
-	// 3. Activate the fabric and attach members. The LMP's declared
-	// policy is audited against the §3.4 peering conditions.
-	if err := op.Activate(); err != nil {
-		log.Fatal(err)
-	}
+	// 3. Attach members. The LMP's declared policy is audited
+	// against the §3.4 peering conditions.
 	if _, err := op.AttachLMP("lmp-east", 0, poc.PeeringPolicy{}); err != nil {
 		log.Fatal(err)
 	}

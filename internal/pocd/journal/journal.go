@@ -22,7 +22,7 @@
 // mismatch or a sequence break — and reports the byte offset of the
 // last valid record boundary. Everything before that offset is a
 // well-formed prefix; everything after is dropped, never half-applied.
-// Resume truncates the file to that boundary before appending, so one
+// Reopen truncates the file to that boundary before appending, so one
 // torn write can never poison later records.
 package journal
 
@@ -278,22 +278,6 @@ func replayBytes(data []byte, fn func(seq uint64, payload []byte) error) (*Repla
 	}
 	res.TornBytes = int64(len(data)) - res.ValidLen
 	return res, nil
-}
-
-// Resume replays an existing journal (see Replay), truncates any torn
-// tail so the file is exactly its valid prefix, and reopens it for
-// appending with the sequence counter continuing where the last valid
-// record left off. It is Replay followed by Reopen.
-func Resume(path string, fsync bool, fn func(seq uint64, payload []byte) error) (*Writer, *ReplayResult, error) {
-	res, err := Replay(path, fn)
-	if err != nil {
-		return nil, nil, err
-	}
-	w, err := Reopen(path, fsync, res)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w, res, nil
 }
 
 // Reopen opens the journal at path for appending after the valid

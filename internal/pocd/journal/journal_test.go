@@ -168,10 +168,14 @@ func TestResumeTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ops []string
-	w, res, err := Resume(path, false, func(_ uint64, p []byte) error {
+	res, err := Replay(path, func(_ uint64, p []byte) error {
 		ops = append(ops, string(p))
 		return nil
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Reopen(path, false, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +205,11 @@ func TestResumeTruncatesTornTail(t *testing.T) {
 
 func TestResumeAfterSealAppendsMidStreamSeal(t *testing.T) {
 	path := writeSession(t, 2, true)
-	w, res, err := Resume(path, false, nil)
+	res, err := Replay(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := Reopen(path, false, res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +308,11 @@ func FuzzJournalReplay(f *testing.F) {
 	f.Add(sealed)
 
 	path := writeSession(f, 2, true)
-	w, _, err := Resume(path, false, nil)
+	res, err := Replay(path, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	w, err := Reopen(path, false, res)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -11,19 +11,16 @@
 //   - the strategy-proof VCG bandwidth auction (§3.3) — RunAuction,
 //     Figure2;
 //   - the POC operator (lease lifecycle, neutral fabric, break-even
-//     billing, terms-of-service enforcement) — NewPOC;
+//     billing, terms-of-service enforcement) — NewPOC, Deploy;
 //   - the §4 network-neutrality economics — the Econ* helpers.
 //
 // A minimal end-to-end use:
 //
 //	s, _ := poc.NewScenario(poc.ScenarioOptions{Scale: 0.3})
-//	operator, _ := s.NewPOC(poc.Constraint1)
-//	for _, b := range s.Bids {
-//		operator.SubmitBid(b)
-//	}
-//	operator.AddVirtualLinks(s.Virtual)
-//	res, _ := operator.RunAuction()
-//	operator.Activate()
+//	// Deploy submits s.Bids, adds s.Virtual, runs the auction and
+//	// activates the fabric: the whole lease lifecycle.
+//	operator, res, _ := s.Deploy(poc.Constraint1)
+//	operator.AttachLMP("lmp-east", 0, poc.PeeringPolicy{})
 //	fmt.Println("leased", len(res.Selected), "links")
 package poc
 

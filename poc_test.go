@@ -86,27 +86,12 @@ func TestEndToEndOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	op, err := s.NewPOC(Constraint1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range s.Bids {
-		if err := op.SubmitBid(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := op.AddVirtualLinks(s.Virtual); err != nil {
-		t.Fatal(err)
-	}
-	res, err := op.RunAuction()
+	op, res, err := s.Deploy(Constraint1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Selected) == 0 {
 		t.Fatal("empty selection")
-	}
-	if err := op.Activate(); err != nil {
-		t.Fatal(err)
 	}
 	if _, err := op.AttachLMP("lmp-east", 0, PeeringPolicy{}); err != nil {
 		t.Fatal(err)

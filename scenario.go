@@ -204,3 +204,30 @@ func (s *Scenario) NewPOC(c Constraint) (*Operator, error) {
 		Obs:           s.Opts.Obs,
 	})
 }
+
+// Deploy runs the lease lifecycle of a new POC under constraint c:
+// it submits every bid, adds the external ISP's virtual links, runs
+// the auction and activates the fabric over the winners. The call
+// order is fixed — obs exports and pocd journal replays depend on it.
+func (s *Scenario) Deploy(c Constraint) (*Operator, *AuctionResult, error) {
+	op, err := s.NewPOC(c)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, b := range s.Bids {
+		if err := op.SubmitBid(b); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := op.AddVirtualLinks(s.Virtual); err != nil {
+		return nil, nil, err
+	}
+	res, err := op.RunAuction()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := op.Activate(); err != nil {
+		return nil, nil, err
+	}
+	return op, res, nil
+}
