@@ -426,22 +426,34 @@ func (in *Instance) validate() error {
 func (in *Instance) linksByBP(set *linkset.Set) [][]int {
 	out := make([][]int, len(in.Bids))
 	for a, b := range in.Bids {
-		for _, id := range b.Links {
-			if set.Contains(id) {
-				out[a] = append(out[a], id)
-			}
-		}
-		sort.Ints(out[a])
+		out[a] = bidLinks(nil, b, set)
 	}
 	return out
 }
 
+// bidLinks fills the empty slice dst with b's links in set, sorted.
+func bidLinks(dst []int, b Bid, set *linkset.Set) []int {
+	for _, id := range b.Links {
+		if set.Contains(id) {
+			dst = append(dst, id)
+		}
+	}
+	sort.Ints(dst)
+	return dst
+}
+
 // costOf evaluates C(L) for a candidate set: Σ_a C_a(L ∩ L_a) plus
-// virtual contract prices.
+// virtual contract prices. Every bid is priced on one scratch slice
+// holding what linksByBP would list for it.
 func (in *Instance) costOf(set *linkset.Set) float64 {
-	total := 0.0
-	for a, links := range in.linksByBP(set) {
-		c := in.Bids[a].Cost(links)
+	longest := 0
+	for _, b := range in.Bids {
+		longest = max(longest, len(b.Links))
+	}
+	total, links := 0.0, make([]int, 0, longest)
+	for _, b := range in.Bids {
+		links = bidLinks(links[:0], b, set)
+		c := b.Cost(links)
 		if math.IsInf(c, 1) {
 			return math.Inf(1)
 		}

@@ -26,6 +26,9 @@ import (
 // and should be monotone (a superset never costs less); the auction
 // does not verify monotonicity but the winner determination assumes
 // the empty set is free.
+//
+// The auction passes scratch slices it reuses for the next call: a
+// CostFn must not retain or modify its argument.
 type CostFn func(links []int) float64
 
 // Bid is one BP's offer: the links it puts up for lease and its

@@ -16,6 +16,8 @@
 package partition
 
 import (
+	"math/bits"
+
 	"github.com/public-option/poc/internal/linkset"
 	"github.com/public-option/poc/internal/topo"
 )
@@ -31,56 +33,69 @@ type Partition struct {
 	Comp []int
 	// NumComp is the number of components.
 	NumComp int
-	// Size[k] is the number of routers in component k.
-	Size []int
 }
 
 // Components labels the connected components of the subgraph of p
-// induced by the enabled links (nil include = all links).
+// induced by the enabled links (nil include = all links), walking the
+// include set's bits in ascending link ID. It makes two allocations:
+// the Partition and one slice that backs Comp and the union-find
+// forest.
 func Components(p *topo.POCNetwork, include *linkset.Set) *Partition {
 	n := len(p.Routers)
-	parent := make([]int, n)
+	buf := make([]int, 2*n)
+	pt := &Partition{Comp: buf[:n:n]}
+	parent := buf[n:]
 	for i := range parent {
 		parent[i] = i
 	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]] // path halving
-			x = parent[x]
+	if include == nil {
+		for i := range p.Links {
+			union(parent, p.Links[i].A, p.Links[i].B)
 		}
-		return x
-	}
-	for _, l := range p.Links {
-		if include != nil && !include.Contains(l.ID) {
-			continue
-		}
-		ra, rb := find(l.A), find(l.B)
-		if ra != rb {
-			// Union by smaller root index: keeps every root the smallest
-			// member of its set, which makes labeling order-free.
-			if rb < ra {
-				ra, rb = rb, ra
+	} else {
+	words:
+		for wi, w := range include.Words() {
+			for ; w != 0; w &= w - 1 {
+				id := wi<<6 | bits.TrailingZeros64(w)
+				if id >= len(p.Links) {
+					break words
+				}
+				union(parent, p.Links[id].A, p.Links[id].B)
 			}
-			parent[rb] = ra
 		}
 	}
-	pt := &Partition{Comp: make([]int, n)}
-	label := make(map[int]int, 8)
-	for i := 0; i < n; i++ {
-		r := find(i)
-		k, ok := label[r]
-		if !ok {
-			// Roots are the smallest member of their component, and we
-			// scan routers ascending, so labels come out dense and ordered
-			// by smallest member.
-			k = pt.NumComp
-			label[r] = k
+	for i := range pt.Comp {
+		// A root is the smallest member of its component and we scan
+		// routers ascending, so a root opens the next label and every
+		// other router copies its root's, already assigned.
+		if r := find(parent, i); r == i {
+			pt.Comp[i] = pt.NumComp
 			pt.NumComp++
-			pt.Size = append(pt.Size, 0)
+		} else {
+			pt.Comp[i] = pt.Comp[r]
 		}
-		pt.Comp[i] = k
-		pt.Size[k]++
 	}
 	return pt
+}
+
+// find returns x's root, halving the path behind it. Every parent is
+// smaller than its child, so the root is the component's smallest
+// member.
+func find(parent []int, x int) int {
+	for parent[x] != x {
+		parent[x] = parent[parent[x]]
+		x = parent[x]
+	}
+	return x
+}
+
+// union joins a's and b's trees under the smaller root index, which
+// keeps every root the smallest member of its set and makes labeling
+// independent of link order.
+func union(parent []int, a, b int) {
+	ra, rb := find(parent, a), find(parent, b)
+	if rb < ra {
+		ra, rb = rb, ra
+	}
+	parent[rb] = ra
 }

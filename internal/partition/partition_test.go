@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -36,8 +37,12 @@ func TestComponentsLabels(t *testing.T) {
 	if !reflect.DeepEqual(pt.Comp, want) {
 		t.Fatalf("Comp = %v, want %v", pt.Comp, want)
 	}
-	if !reflect.DeepEqual(pt.Size, []int{3, 3, 1}) {
-		t.Fatalf("Size = %v", pt.Size)
+	size := make([]int, pt.NumComp)
+	for _, k := range pt.Comp {
+		size[k]++
+	}
+	if !reflect.DeepEqual(size, []int{3, 3, 1}) {
+		t.Fatalf("component sizes = %v", size)
 	}
 }
 
@@ -70,5 +75,61 @@ func TestComponentsLabelOrderIsBySmallestMember(t *testing.T) {
 	pt := Components(p, nil)
 	if !reflect.DeepEqual(pt.Comp, []int{0, 0, 1, 1}) {
 		t.Fatalf("Comp = %v, want [0 0 1 1]", pt.Comp)
+	}
+}
+
+// TestComponentsMatchesSearch compares the labelling with a
+// breadth-first search from each unlabelled router in ascending order,
+// on random multigraphs and include sets — some of which name IDs past
+// the last link, which must be ignored.
+func TestComponentsMatchesSearch(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		var pairs [][2]int
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			pairs = append(pairs, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		p := net(n, pairs...)
+		var include *linkset.Set
+		if trial%4 != 0 {
+			include = linkset.New(len(pairs) + 70)
+			for id := 0; id < len(pairs)+70; id++ {
+				if rng.Intn(3) != 0 {
+					include.Add(id)
+				}
+			}
+		}
+		adj := make([][]int, n)
+		for _, l := range p.Links {
+			if include == nil || include.Contains(l.ID) {
+				adj[l.A] = append(adj[l.A], l.B)
+				adj[l.B] = append(adj[l.B], l.A)
+			}
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = -1
+		}
+		k := 0
+		for s := range want {
+			if want[s] >= 0 {
+				continue
+			}
+			want[s] = k
+			for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+				for _, v := range adj[queue[0]] {
+					if want[v] < 0 {
+						want[v] = k
+						queue = append(queue, v)
+					}
+				}
+			}
+			k++
+		}
+		pt := Components(p, include)
+		if pt.NumComp != k || !reflect.DeepEqual(pt.Comp, want) {
+			t.Fatalf("trial %d: Comp = %v (%d components), want %v (%d)", trial, pt.Comp, pt.NumComp, want, k)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package provision
 import (
 	"encoding/binary"
 	"math"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -65,8 +64,10 @@ type FeasibilityCache struct {
 	hits   [2]atomic.Int64
 	misses [2]atomic.Int64
 	// decompositions counts probes answered by stitching per-component
-	// sub-checks (decompose.go) rather than one global routing.
+	// sub-checks (decompose.go) rather than one global routing;
+	// fallbacks, by reason, the ones that asked to and were computed cold.
 	decompositions atomic.Int64
+	fallbacks      [numFallbacks]atomic.Int64
 
 	// shapes holds the matrices callers probed with — never a component
 	// of one: regional decomposition restricts the shape instead.
@@ -88,12 +89,17 @@ const (
 	shaveKeyPrefix = "\xff"
 )
 
-func kindOf(key string) int {
-	if strings.HasPrefix(key, shaveKeyPrefix) {
+func kindOf[K string | []byte](key K) int {
+	if len(key) > 0 && key[0] == shaveKeyPrefix[0] {
 		return kindShave
 	}
 	return kindCheck
 }
+
+// keyBufLen sizes the stack buffer a probe builds its key in: the
+// fixed fields plus the include words of up to about 1,600 links. A
+// longer key spills to the heap and is otherwise the same.
+const keyBufLen = 256
 
 // cacheEntry is one memoized result. For a check, core is non-nil only
 // when the set was feasible and a needCore probe computed the used-link
@@ -125,6 +131,15 @@ type CacheStats struct {
 	ShaveMisses    int64
 	Entries        int
 	ShaveEntries   int
+
+	// Decomposition fallbacks by reason: probe misses that asked to
+	// decompose and were computed cold (decompose.go states each
+	// condition). Like Decompositions they count computations, so two
+	// workers racing to fill one key both count.
+	FallbackNoPlan       int64 // cross-component demand, or fewer than two components carry demand
+	FallbackSubTolerance int64 // a demand ≤ 1e-9 under Constraint 2 or 3
+	FallbackMoves        int64 // the components' move maxima sum to ≥ 512
+	FallbackUnplaced     int64 // two or more components left demand unplaced
 }
 
 // Stats snapshots the counters. They live here rather than on
@@ -142,6 +157,11 @@ func (fc *FeasibilityCache) Stats() CacheStats {
 		ShaveMisses:    fc.misses[kindShave].Load(),
 		Entries:        len(fc.m) - fc.shaves,
 		ShaveEntries:   fc.shaves,
+
+		FallbackNoPlan:       fc.fallbacks[fallbackNoPlan].Load(),
+		FallbackSubTolerance: fc.fallbacks[fallbackSubTolerance].Load(),
+		FallbackMoves:        fc.fallbacks[fallbackMoves].Load(),
+		FallbackUnplaced:     fc.fallbacks[fallbackUnplaced].Load(),
 	}
 }
 
@@ -208,9 +228,11 @@ func (fc *FeasibilityCache) Probe(p *topo.POCNetwork, include *linkset.Set, tm *
 // checked is the lookup-or-compute path behind every probe. opts must
 // already have defaults and a workspace. When needCore is true, a
 // feasible answer must carry the core link union (a coreless feasible
-// entry is treated as a miss and upgraded).
+// entry is treated as a miss and upgraded). The key is built on the
+// stack and becomes a string only when a miss stores it.
 func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64, needCore, decompose bool) (CacheSummary, *linkset.Set) {
-	key := fc.key(p, include, sh, c, opts, metric)
+	var kb [keyBufLen]byte
+	key := fc.appendKey(kb[:0], p, include, sh, c, opts, metric)
 	if e, ok := fc.peek(key, needCore); ok {
 		return e.sum, e.core
 	}
@@ -220,7 +242,7 @@ func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, sh
 		stitched bool
 	)
 	if decompose {
-		sum, core, stitched = fc.checkParts(p, c, opts, metric, decomposePlan(p, include, sh, c, opts), needCore)
+		sum, core, stitched = fc.checkParts(p, include, sh, c, opts, metric, needCore)
 	}
 	if !stitched {
 		// One full routing of the probe, Obs stripped: it is recorded
@@ -243,9 +265,9 @@ func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, sh
 // shape, counting a hit or a miss against the key's kind. A plain Check
 // entry for a feasible set has no core, so it cannot answer a needCore
 // probe — the caller falls through and upgrades it.
-func (fc *FeasibilityCache) peek(key string, needCore bool) (cacheEntry, bool) {
+func (fc *FeasibilityCache) peek(key []byte, needCore bool) (cacheEntry, bool) {
 	fc.mu.RLock()
-	e, ok := fc.m[key]
+	e, ok := fc.m[string(key)]
 	fc.mu.RUnlock()
 	kind := kindOf(key)
 	if !ok || (needCore && e.core == nil && e.sum.Feasible) {
@@ -260,13 +282,13 @@ func (fc *FeasibilityCache) peek(key string, needCore bool) (cacheEntry, bool) {
 // (two goroutines may race to fill the same key; a loaded file never
 // overrides what the process computed). It reports whether the key is
 // fresh for metrics purposes — exactly once per distinct key, so racing
-// double-computes never double-count.
-func (fc *FeasibilityCache) store(key string, e cacheEntry) bool {
+// double-computes never double-count. The table keeps a copy of key.
+func (fc *FeasibilityCache) store(key []byte, e cacheEntry) bool {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	old, existed := fc.m[key]
+	old, existed := fc.m[string(key)]
 	if !existed || old.core == nil {
-		fc.m[key] = e
+		fc.m[string(key)] = e
 	}
 	if !existed && kindOf(key) == kindShave {
 		fc.shaves++
@@ -286,7 +308,8 @@ func (fc *FeasibilityCache) store(key string, e cacheEntry) bool {
 // stored; hits and misses both return a private copy the caller may
 // mutate freely.
 func (fc *FeasibilityCache) Shaved(p *topo.POCNetwork, start *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, compute func() *linkset.Set) *linkset.Set {
-	key := shaveKeyPrefix + fc.key(p, start, fc.shapeOf(tm), c, opts.withDefaults(), metric)
+	var kb [keyBufLen]byte
+	key := fc.appendKey(append(kb[:0], shaveKeyPrefix...), p, start, fc.shapeOf(tm), c, opts.withDefaults(), metric)
 	if e, ok := fc.peek(key, false); ok {
 		return linkset.FromWords(e.core.Words(), len(p.Links))
 	}
@@ -295,12 +318,11 @@ func (fc *FeasibilityCache) Shaved(p *topo.POCNetwork, start *linkset.Set, tm *t
 	return res
 }
 
-// key builds the canonical, collision-free cache key. The include
-// set's raw words go in verbatim (trailing zero words trimmed), so two
-// logically equal sets — however built — share a key and two distinct
-// sets never do.
-func (fc *FeasibilityCache) key(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64) string {
-	buf := make([]byte, 0, 48+8*len(include.Words()))
+// appendKey appends the canonical, collision-free cache key to buf.
+// The include set's raw words go in verbatim (trailing zero words
+// trimmed), so two logically equal sets — however built — share a key
+// and two distinct sets never do.
+func (fc *FeasibilityCache) appendKey(buf []byte, p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(c))
 	buf = binary.AppendUvarint(buf, uint64(opts.MaxPaths))
 	buf = binary.AppendUvarint(buf, math.Float64bits(opts.Headroom))
@@ -311,12 +333,10 @@ func (fc *FeasibilityCache) key(p *topo.POCNetwork, include *linkset.Set, sh *sh
 	if include == nil {
 		// nil means "all links": key on the universe size.
 		buf = append(buf, 0)
-		buf = binary.AppendUvarint(buf, uint64(len(p.Links)))
-		return string(buf)
+		return binary.AppendUvarint(buf, uint64(len(p.Links)))
 	}
 	buf = append(buf, 1)
-	buf = include.AppendKey(buf)
-	return string(buf)
+	return include.AppendKey(buf)
 }
 
 // shapeOf returns tm's demand shape, computed once per pointer: a warm

@@ -1,7 +1,9 @@
 package provision
 
 import (
+	"encoding/binary"
 	"slices"
+	"sync"
 
 	"github.com/public-option/poc/internal/linkset"
 	"github.com/public-option/poc/internal/partition"
@@ -17,7 +19,8 @@ import (
 // A probe that asks for decomposition (FeasibilityCache.Probe) detects
 // that certificate on a miss, evaluates each component as an ordinary
 // memoized check over the same network with the demand shape restricted
-// to the component (restrict), and stitches the results back together.
+// to the component (restricted: restrict, memoized on the parent shape),
+// and stitches the results back together.
 //
 // Exactness conditions, and the fallbacks that guard them:
 //
@@ -54,6 +57,16 @@ import (
 // metrics layer never exports, so nothing downstream can observe the
 // difference.
 
+// Why a probe miss that asked to decompose was computed cold; the
+// indices of FeasibilityCache.fallbacks, reported by CacheStats.
+const (
+	fallbackNoPlan = iota
+	fallbackSubTolerance
+	fallbackMoves
+	fallbackUnplaced
+	numFallbacks
+)
+
 // decompComp is one component's sub-problem: its enabled links, its
 // share of the demand, and its Constraint2 scenario share.
 type decompComp struct {
@@ -63,31 +76,44 @@ type decompComp struct {
 }
 
 // decomposePlan builds the per-component sub-problems for a probe, or
-// returns nil when the separability certificate does not hold.
-func decomposePlan(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options) []decompComp {
+// returns nil and the fallback reason when the separability
+// certificate does not hold. When sh has restricted this labelling
+// before, the plan costs a constant number of allocations: the
+// partition, the plan, and one batch of include sets.
+func decomposePlan(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options) ([]decompComp, int) {
 	pt := partition.Components(p, include)
 	if pt.NumComp < 2 {
-		return nil
+		return nil, fallbackNoPlan
 	}
 	for _, d := range sh.pairs {
+		if pt.Comp[d.src] != pt.Comp[d.dst] {
+			return nil, fallbackNoPlan
+		}
 		// A sub-tolerance demand can be unreachable while the base
 		// routing stays feasible; only the global unreachable-pair
 		// check catches that.
-		if c != Constraint1 && d.gbps <= 1e-9 || pt.Comp[d.src] != pt.Comp[d.dst] {
-			return nil
+		if c != Constraint1 && d.gbps <= 1e-9 {
+			return nil, fallbackSubTolerance
 		}
 	}
-	// Indexed by component label until the last line drops the idle ones.
-	comps := make([]decompComp, pt.NumComp)
+	subs := sh.restricted(pt.Comp, pt.NumComp)
 	withDemand := 0
-	for k, sub := range sh.restrict(pt.Comp, pt.NumComp) {
+	for _, sub := range subs {
 		if sub != nil {
-			comps[k] = decompComp{include: linkset.New(len(p.Links)), sh: sub}
 			withDemand++
 		}
 	}
 	if withDemand < 2 {
-		return nil
+		return nil, fallbackNoPlan
+	}
+	// Indexed by component label until the last line drops the idle ones.
+	comps := make([]decompComp, pt.NumComp)
+	sets := linkset.NewBatch(withDemand, len(p.Links))
+	for k, sub := range subs {
+		if sub != nil {
+			comps[k] = decompComp{include: &sets[0], sh: sub}
+			sets = sets[1:]
+		}
 	}
 	for _, l := range p.Links {
 		// Enabled links never cross components.
@@ -100,7 +126,49 @@ func decomposePlan(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constr
 			comps[pt.Comp[q.src]].fs++
 		}
 	}
-	return slices.DeleteFunc(comps, func(c decompComp) bool { return c.sh == nil })
+	return slices.DeleteFunc(comps, func(c decompComp) bool { return c.sh == nil }), 0
+}
+
+// restrictMemoCap bounds how many restrictions one shape remembers.
+// An auction's probes split its matrix a dozen ways or so; a full memo
+// is emptied, which only costs recomputations, since restrict is a
+// pure function of the key.
+const restrictMemoCap = 64
+
+// restrictMemo holds a shape's restrictions, keyed by the component
+// count and then the component label of each source in bySrc order.
+// restrict reads comp only at pair sources, and each pair's source
+// heads one bySrc group, so the key is exactly restrict's input and a
+// hit is the value restrict would compute. The memoized shapes are
+// read-only and shared by every caller.
+type restrictMemo struct {
+	mu   sync.Mutex
+	subs map[string][]*shape
+}
+
+// restricted is restrict memoized on sh (see restrictMemo). A miss
+// computes under the lock: misses are a few per auction and cost
+// microseconds.
+func (sh *shape) restricted(comp []int, numComp int) []*shape {
+	var kb [128]byte
+	key := binary.AppendUvarint(kb[:0], uint64(numComp))
+	for _, group := range sh.bySrc {
+		key = binary.AppendUvarint(key, uint64(comp[group[0].src]))
+	}
+	m := &sh.memo
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if subs, ok := m.subs[string(key)]; ok {
+		return subs
+	}
+	if m.subs == nil {
+		m.subs = make(map[string][]*shape, restrictMemoCap)
+	} else if len(m.subs) == restrictMemoCap {
+		clear(m.subs)
+	}
+	subs := sh.restrict(comp, numComp)
+	m.subs[string(key)] = subs
+	return subs
 }
 
 // restrict splits sh into one shape per component (comp labels the
@@ -142,8 +210,10 @@ func (sh *shape) restrict(comp []int, numComp int) []*shape {
 // the caller computes the probe cold. The merged core is the union of
 // the component cores — exactly the cold core, since every cold routing
 // is the disjoint union of its component restrictions.
-func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, c Constraint, opts Options, metric uint64, comps []decompComp, needCore bool) (CacheSummary, *linkset.Set, bool) {
+func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64, needCore bool) (CacheSummary, *linkset.Set, bool) {
+	comps, reason := decomposePlan(p, include, sh, c, opts)
 	if comps == nil {
+		fc.fallbacks[reason].Add(1)
 		return CacheSummary{}, nil, false
 	}
 	// Component checks run Obs-stripped: cold evaluation of this probe
@@ -185,7 +255,12 @@ func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, c Constraint, opts Op
 			core.Union(ccore)
 		}
 	}
-	if merged.Moves >= 512 || unplacedComps >= 2 {
+	if merged.Moves >= 512 {
+		fc.fallbacks[fallbackMoves].Add(1)
+		return CacheSummary{}, nil, false
+	}
+	if unplacedComps >= 2 {
+		fc.fallbacks[fallbackUnplaced].Add(1)
 		return CacheSummary{}, nil, false
 	}
 	if !merged.Feasible {

@@ -1,9 +1,11 @@
 package provision
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"github.com/public-option/poc/internal/fnv64"
@@ -197,8 +199,9 @@ func TestDecomposedFallsBackOnCrossDemand(t *testing.T) {
 		if got != want {
 			t.Fatalf("%v: cross-demand answer %+v != cold %+v", c, got, want)
 		}
-		if n := fc.Stats().Decompositions; n != 0 {
-			t.Fatalf("%v: decomposed %d probes despite cross-component demand", c, n)
+		if st := fc.Stats(); st.Decompositions != 0 || st.FallbackNoPlan != 1 {
+			t.Fatalf("%v: %d decompositions and %d no-plan fallbacks despite cross-component demand, want 0 and 1",
+				c, st.Decompositions, st.FallbackNoPlan)
 		}
 	}
 
@@ -207,9 +210,96 @@ func TestDecomposedFallsBackOnCrossDemand(t *testing.T) {
 	tmc := memoTM(rng, 12, 5, 6)
 	fc := NewFeasibilityCache()
 	fc.Probe(pc, nil, tmc, Constraint2, Options{}, 0, false, true)
-	if n := fc.Stats().Decompositions; n != 0 {
-		t.Fatalf("connected instance decomposed %d probes", n)
+	if st := fc.Stats(); st.Decompositions != 0 || st.FallbackNoPlan != 1 {
+		t.Fatalf("connected instance: %d decompositions and %d no-plan fallbacks, want 0 and 1",
+			st.Decompositions, st.FallbackNoPlan)
 	}
+}
+
+// gadgetNet is a network of n routers and the given links (a, b,
+// capacity), 100 km each, all of one BP.
+func gadgetNet(n int, links ...[3]float64) *topo.POCNetwork {
+	p := &topo.POCNetwork{
+		World:   &topo.World{Cities: make([]topo.City, n)},
+		Routers: make([]int, n),
+		BPs:     make([]topo.BP, 1),
+	}
+	for i := range p.Routers {
+		p.Routers[i] = i
+	}
+	for _, l := range links {
+		p.Links = append(p.Links, topo.LogicalLink{
+			ID: len(p.Links), A: int(l[0]), B: int(l[1]), Capacity: l[2], DistanceKm: 100,
+		})
+	}
+	return p
+}
+
+// TestDecomposeFallbackReasons builds one instance per fallback
+// condition and checks that the probe answers as the cold check does,
+// does not decompose, and counts exactly that reason.
+func TestDecomposeFallbackReasons(t *testing.T) {
+	type counts struct{ noPlan, subTol, moves, unplaced int64 }
+	probe := func(t *testing.T, p *topo.POCNetwork, tm *traffic.Matrix, c Constraint, want counts) {
+		t.Helper()
+		fc := NewFeasibilityCache()
+		got, _ := fc.Probe(p, nil, tm, c, Options{}, 0, false, true)
+		coldOK, coldR := Check(p, nil, tm, c, Options{})
+		if cold := summarize(p, coldOK, coldR); got != cold {
+			t.Fatalf("answer %+v, cold %+v", got, cold)
+		}
+		st := fc.Stats()
+		if have := (counts{st.FallbackNoPlan, st.FallbackSubTolerance, st.FallbackMoves, st.FallbackUnplaced}); st.Decompositions != 0 || have != want {
+			t.Fatalf("%d decompositions, fallbacks %+v, want 0 and %+v", st.Decompositions, have, want)
+		}
+	}
+
+	t.Run("sub-tolerance", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(5))
+		p := splitNet(rng, 8, 8, 4)
+		tm := traffic.NewMatrix(len(p.Routers))
+		sideTM(rng, tm, 0, 8, 4, 5)
+		sideTM(rng, tm, 8, 8, 4, 5)
+		tm.Set(1, 6, 1e-10)
+		probe(t, p, tm, Constraint2, counts{subTol: 1})
+		// Constraint 1 has no unreachable-pair rule and decomposes.
+		fc := NewFeasibilityCache()
+		fc.Probe(p, nil, tm, Constraint1, Options{}, 0, false, true)
+		if st := fc.Stats(); st.Decompositions != 1 {
+			t.Fatalf("Constraint 1 with a sub-tolerance demand: %d decompositions, want 1", st.Decompositions)
+		}
+	})
+
+	t.Run("unplaced", func(t *testing.T) {
+		// Two single-link components, each asked for more than it carries.
+		p := gadgetNet(4, [3]float64{0, 1, 10}, [3]float64{2, 3, 10})
+		tm := traffic.NewMatrix(4)
+		tm.Set(0, 1, 50)
+		tm.Set(2, 3, 30)
+		probe(t, p, tm, Constraint1, counts{unplaced: 1})
+	})
+
+	t.Run("moves", func(t *testing.T) {
+		// Component A: twelve sources on hub 0, twelve sinks on hub 1,
+		// and 144 one-Gbps pairs across the 20-Gbps link 0–1. Each stuck
+		// pair tries to move every assignment off that link, which has no
+		// detour, so A alone spends the whole budget while leaving
+		// demand unplaced. Component B, a ring, places its one pair.
+		links := [][3]float64{{0, 1, 20}}
+		for i := 0; i < 12; i++ {
+			links = append(links, [3]float64{0, float64(2 + i), 1000}, [3]float64{1, float64(14 + i), 1000})
+		}
+		links = append(links, [3]float64{26, 27, 100}, [3]float64{27, 28, 100}, [3]float64{28, 26, 100})
+		p := gadgetNet(29, links...)
+		tm := traffic.NewMatrix(29)
+		for i := 0; i < 12; i++ {
+			for j := 0; j < 12; j++ {
+				tm.Set(2+i, 14+j, 1)
+			}
+		}
+		tm.Set(26, 28, 5)
+		probe(t, p, tm, Constraint1, counts{moves: 1})
+	})
 }
 
 // TestDecomposedSharesCache verifies a decomposed probe stores
@@ -287,6 +377,156 @@ func matrixFP(tm *traffic.Matrix) uint64 {
 	return h
 }
 
+// synthShape is the demand shape of an 80-router synth instance.
+func synthShape() (*shape, *traffic.Matrix) {
+	s := topo.GenerateSynth(topo.SynthConfig{
+		Seed: 1, Regions: 8, Routers: 80, Links: 320, BPsPerRegion: 4, Hubs: 4, Pairs: 40, Gbps: 6,
+	})
+	tm := traffic.NewMatrix(len(s.P.Routers))
+	for _, d := range s.Demand {
+		tm.Set(d.A, d.B, tm.At(d.A, d.B)+d.Gbps)
+	}
+	return newShape(tm), tm
+}
+
+// pairClasses returns each router's class: routers joined by a demand
+// pair of sh share one, named by a member.
+func pairClasses(sh *shape) []int {
+	class := make([]int, sh.n)
+	for i := range class {
+		class[i] = i
+	}
+	var find func(int) int
+	find = func(x int) int {
+		if class[x] != x {
+			class[x] = find(class[x])
+		}
+		return class[x]
+	}
+	for _, d := range sh.pairs {
+		class[find(d.src)] = find(d.dst)
+	}
+	for i := range class {
+		class[i] = find(i)
+	}
+	return class
+}
+
+// randomLabels gives each pair class of sh a random label among 2–10
+// components, so labellings split regions and merge them alike while
+// every demand pair stays inside one component.
+func randomLabels(rng *rand.Rand, sh *shape) *partition.Partition {
+	pt := &partition.Partition{Comp: make([]int, sh.n), NumComp: 2 + rng.Intn(9)}
+	label := map[int]int{}
+	for i, c := range pairClasses(sh) {
+		if _, ok := label[c]; !ok {
+			label[c] = rng.Intn(pt.NumComp)
+		}
+		pt.Comp[i] = label[c]
+	}
+	return pt
+}
+
+// sameShapes reports where two restrictions differ, field for field,
+// or "" when they are equal.
+func sameShapes(got, want []*shape) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d components, want %d", len(got), len(want))
+	}
+	for k := range want {
+		g, w := got[k], want[k]
+		switch {
+		case (g == nil) != (w == nil):
+			return fmt.Sprintf("component %d: shape %v, want %v", k, g != nil, w != nil)
+		case g == nil:
+		case g.n != w.n || g.fp != w.fp:
+			return fmt.Sprintf("component %d: n, fp = %d, %x, want %d, %x", k, g.n, g.fp, w.n, w.fp)
+		case !reflect.DeepEqual(g.pairs, w.pairs):
+			return fmt.Sprintf("component %d: pairs differ", k)
+		case !reflect.DeepEqual(g.bySize, w.bySize):
+			return fmt.Sprintf("component %d: bySize differs", k)
+		case !reflect.DeepEqual(g.bySrc, w.bySrc):
+			return fmt.Sprintf("component %d: bySrc differs", k)
+		}
+	}
+	return ""
+}
+
+// TestRestrictMemoMatchesCold: concurrent callers asking the memo for
+// random labellings, each several times and in their own order, get
+// field for field what a fresh restrict computes, and a repeated
+// labelling is served from the memo.
+func TestRestrictMemoMatchesCold(t *testing.T) {
+	sh, _ := synthShape()
+	const labellings = 24
+	pts := make([]*partition.Partition, labellings)
+	cold := make([][]*shape, labellings)
+	for i := range pts {
+		pts[i] = randomLabels(rand.New(rand.NewSource(int64(i))), sh)
+		cold[i] = sh.restrict(pts[i].Comp, pts[i].NumComp)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for j := 0; j < 4*labellings; j++ {
+				i := rng.Intn(labellings)
+				if diff := sameShapes(sh.restricted(pts[i].Comp, pts[i].NumComp), cold[i]); diff != "" {
+					t.Errorf("labelling %d: memo answer differs from restrict: %s", i, diff)
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(int64(100 + w))))
+	}
+	wg.Wait()
+	for i, pt := range pts {
+		a, b := sh.restricted(pt.Comp, pt.NumComp), sh.restricted(pt.Comp, pt.NumComp)
+		if &a[0] != &b[0] {
+			t.Fatalf("labelling %d: a repeated restriction was recomputed", i)
+		}
+	}
+}
+
+// TestRestrictMemoIsBounded: restricting by more distinct labellings
+// than the memo holds keeps at most restrictMemoCap of them, and an
+// evicted labelling restricts again to the same shapes.
+func TestRestrictMemoIsBounded(t *testing.T) {
+	sh, _ := synthShape()
+	class := pairClasses(sh)
+	// Label the k-th class by the k-th binary digit of i: every i below
+	// 2^classes is a distinct labelling into two components.
+	rank := map[int]uint{}
+	for _, c := range class {
+		if _, ok := rank[c]; !ok {
+			rank[c] = uint(len(rank))
+		}
+	}
+	labelling := func(i int) []int {
+		comp := make([]int, sh.n)
+		for r, c := range class {
+			comp[r] = i >> rank[c] & 1
+		}
+		return comp
+	}
+	first := sh.restrict(labelling(0), 2)
+	most := 0
+	for i := 0; i < restrictMemoCap+40; i++ {
+		sh.restricted(labelling(i), 2)
+		if n := len(sh.memo.subs); n > restrictMemoCap {
+			t.Fatalf("after %d labellings the memo holds %d entries, cap %d", i+1, n, restrictMemoCap)
+		} else {
+			most = max(most, n)
+		}
+	}
+	if most != restrictMemoCap {
+		t.Fatalf("the memo held at most %d of %d distinct labellings, want the cap %d", most, restrictMemoCap+40, restrictMemoCap)
+	}
+	if diff := sameShapes(sh.restricted(labelling(0), 2), first); diff != "" {
+		t.Fatalf("evicted labelling restricts differently: %s", diff)
+	}
+}
+
 // TestRestrictMatchesProjection: for seeded random partitions of the
 // synth instance's routers that keep every demand pair inside one
 // component, each restricted shape is, field for field, the shape of
@@ -294,45 +534,12 @@ func matrixFP(tm *traffic.Matrix) uint64 {
 // so component sub-checks route in the same order and key the same
 // cache bytes as when they were given matrices.
 func TestRestrictMatchesProjection(t *testing.T) {
-	s := topo.GenerateSynth(topo.SynthConfig{
-		Seed: 1, Regions: 8, Routers: 80, Links: 320, BPsPerRegion: 4, Hubs: 4, Pairs: 40, Gbps: 6,
-	})
-	n := len(s.P.Routers)
-	tm := traffic.NewMatrix(n)
-	for _, d := range s.Demand {
-		tm.Set(d.A, d.B, tm.At(d.A, d.B)+d.Gbps)
-	}
-	sh := newShape(tm)
+	sh, tm := synthShape()
 	if sh.fp != matrixFP(tm) {
 		t.Fatalf("shape fingerprint %x, matrix fingerprint %x", sh.fp, matrixFP(tm))
 	}
 	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		// Routers joined by a demand pair share a class; each class gets
-		// a random label, so labels split regions and merge them alike.
-		class := make([]int, n)
-		for i := range class {
-			class[i] = i
-		}
-		var find func(int) int
-		find = func(x int) int {
-			if class[x] != x {
-				class[x] = find(class[x])
-			}
-			return class[x]
-		}
-		for _, d := range sh.pairs {
-			class[find(d.src)] = find(d.dst)
-		}
-		pt := &partition.Partition{Comp: make([]int, n), NumComp: 2 + rng.Intn(9)}
-		label := map[int]int{}
-		for i := range pt.Comp {
-			c := find(i)
-			if _, ok := label[c]; !ok {
-				label[c] = rng.Intn(pt.NumComp)
-			}
-			pt.Comp[i] = label[c]
-		}
+		pt := randomLabels(rand.New(rand.NewSource(seed)), sh)
 		subs, withDemand := sh.restrict(pt.Comp, pt.NumComp), 0
 		for k, m := range projectMatrix(tm, pt) {
 			if m == nil {

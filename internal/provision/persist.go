@@ -186,13 +186,14 @@ func parseWords(p []byte) (*linkset.Set, bool) {
 	return linkset.FromWords(words, len(words)*64), true
 }
 
-func parseCachePayload(p []byte) (string, cacheEntry, bool) {
+// parseCachePayload decodes a frame's payload. The key aliases p.
+func parseCachePayload(p []byte) ([]byte, cacheEntry, bool) {
 	klen, n := binary.Uvarint(p)
 	if n <= 0 || uint64(len(p)-n) < klen {
-		return "", cacheEntry{}, false
+		return nil, cacheEntry{}, false
 	}
 	p = p[n:]
-	key := string(p[:klen])
+	key := p[:klen]
 	p = p[klen:]
 	var e cacheEntry
 	var ok bool
@@ -201,7 +202,7 @@ func parseCachePayload(p []byte) (string, cacheEntry, bool) {
 		return key, e, ok
 	}
 	if len(p) < 1+8+8 {
-		return "", cacheEntry{}, false
+		return nil, cacheEntry{}, false
 	}
 	flags := p[0]
 	e.sum.Feasible = flags&1 != 0
@@ -210,18 +211,18 @@ func parseCachePayload(p []byte) (string, cacheEntry, bool) {
 	p = p[17:]
 	paths, n := binary.Uvarint(p)
 	if n <= 0 {
-		return "", cacheEntry{}, false
+		return nil, cacheEntry{}, false
 	}
 	p = p[n:]
 	moves, n := binary.Uvarint(p)
 	if n <= 0 {
-		return "", cacheEntry{}, false
+		return nil, cacheEntry{}, false
 	}
 	e.sum.Paths = int(paths)
 	e.sum.Moves = int(moves)
 	if flags&2 != 0 {
 		if e.core, ok = parseWords(p[n:]); !ok {
-			return "", cacheEntry{}, false
+			return nil, cacheEntry{}, false
 		}
 	}
 	return key, e, true

@@ -349,6 +349,8 @@ type shape struct {
 	// bySrc groups pairs by source, heaviest row first (ties by source);
 	// each group is in sortDemands order. Phase 1 grows one tree per group.
 	bySrc [][]demand
+	// memo holds the shape's restrictions to components (restricted).
+	memo restrictMemo
 }
 
 // emptyShape is the shape of the zero matrix over n points.
