@@ -42,7 +42,7 @@ func run() error {
 		failures = flag.Int("failures", 0, "failure scenarios per feasibility check (0 = 4)")
 		workers  = flag.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS); any value yields identical bytes")
 		state    = flag.String("state", "", "crash/resume journal directory (empty = no journal)")
-		cold     = flag.Bool("cold", false, "disable cross-cell cache/workspace sharing (bytes must not change)")
+		cold     = flag.Bool("cold", false, "disable cross-cell cache sharing (bytes must not change)")
 		cacheFn  = flag.String("cachefile", "", "persist the shared feasibility cache here across runs (bytes must not change)")
 		out      = flag.String("out", "FLEET.json", "report path ('-' = stdout)")
 		hashOnly = flag.Bool("hash", false, "print only the report sha256")

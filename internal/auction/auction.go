@@ -28,7 +28,8 @@ type Instance struct {
 	// Constraint selects the acceptability family A(OL): every
 	// candidate link set must satisfy it for the TM.
 	Constraint provision.Constraint
-	// RouteOpts tunes the feasibility router.
+	// RouteOpts tunes the feasibility router. Its LinkCost must be
+	// nil: Run routes by the bids' price table (priceOfLink).
 	RouteOpts provision.Options
 	// MaxChecks selects the winner-determination variant:
 	//
@@ -62,14 +63,11 @@ type Instance struct {
 	// and bids replay each other's checks. Entries are keyed by a
 	// fingerprint of this instance's price metric (plus the warm set
 	// for counterfactuals), so instances with different bids never
-	// collide. A shared cache requires the auction-built metric: when
-	// RouteOpts.LinkCost is caller-supplied the external cache is
-	// ignored (its identity cannot be fingerprinted) and a private
-	// per-run memo is used instead. With an external cache the
-	// scheduling-dependent tallies — Result.CacheHits/CacheMisses and
-	// the auction.memo.* counters — are suppressed: which run inserts
-	// an entry is cross-cell scheduling luck, and the obs export must
-	// stay byte-identical for any worker interleaving.
+	// collide. With an external cache the scheduling-dependent
+	// tallies — Result.CacheHits/CacheMisses and the auction.memo.*
+	// counters — are suppressed: which run inserts an entry is
+	// cross-cell scheduling luck, and the obs export must stay
+	// byte-identical for any worker interleaving.
 	Cache *provision.FeasibilityCache
 	// Decompose enables regional decomposition inside the cached
 	// feasibility checks: probes whose enabled subgraph splits into
@@ -80,14 +78,6 @@ type Instance struct {
 	// speed on border-separable continental instances. It requires a
 	// cache (ignored under NoCache).
 	Decompose bool
-	// Workspace, when non-nil, is an external arena pool for the main
-	// (raw-metric) winner determination, built by NewRawWorkspace on an
-	// instance with the same Network, Bids, Virtual and RouteOpts.
-	// The counterfactuals draw from one workspace that Run builds for
-	// them (their warm-biased metric depends on the selection). Sharing
-	// never changes outcomes: arenas are equivalent after apply,
-	// whichever run returned them.
-	Workspace *provision.Workspace
 	// Obs, when non-nil, receives the auction's metrics and trace
 	// spans: run/counterfactual spans, check and memo counters, cost
 	// gauges, and per-BP payments. It is forwarded to
@@ -186,8 +176,9 @@ func (pt *priceTable) metric(l topo.LogicalLink) float64 {
 // exported byte, on success or failure — is the same for any Workers.
 //
 // Run derives its per-run state once and hands it to every winner
-// determination: the price table (priceOfLink), the cache context, and
-// one workspace that every counterfactual draws its arenas from.
+// determination: the price table (priceOfLink), the cache context, one
+// workspace for the main determination and one that every
+// counterfactual draws its arenas from.
 func (in *Instance) Run() (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -197,10 +188,7 @@ func (in *Instance) Run() (*Result, error) {
 	// derive its own.
 	opts := in.RouteOpts
 	rc := &runCtx{prices: in.priceOfLink()}
-	builtMetric := opts.LinkCost == nil
-	if builtMetric {
-		opts.LinkCost = rc.prices.metric
-	}
+	opts.LinkCost = rc.prices.metric
 	workers := in.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -214,10 +202,9 @@ func (in *Instance) Run() (*Result, error) {
 	// cc.external marks a cache shared beyond this run: obs recording
 	// through it is suppressed (insert wins are cross-run scheduling
 	// luck) and entries are namespaced by the instance's price-metric
-	// fingerprint. A caller-supplied LinkCost cannot be fingerprinted,
-	// so an external cache is only honored for the auction-built metric.
+	// fingerprint.
 	if !in.NoCache {
-		if in.Cache != nil && builtMetric {
+		if in.Cache != nil {
 			rc.fc, rc.base, rc.external = in.Cache, priceFingerprint(rc.prices), true
 		} else {
 			rc.fc = provision.NewFeasibilityCache()
@@ -226,12 +213,7 @@ func (in *Instance) Run() (*Result, error) {
 	run := in.Obs.StartSpan("auction.run")
 	defer run.End()
 	wd := in.Obs.StartSpan("auction.winner_determination")
-	// The main determination draws from the caller's raw-metric pool when
-	// there is one, else from its own.
-	opts.Workspace = in.Workspace
-	if opts.Workspace == nil {
-		opts.Workspace = provision.NewWorkspace(in.Network, opts)
-	}
+	opts.Workspace = provision.NewWorkspace(in.Network, opts)
 	sel, err := in.selectLinks(-1, opts, rc.rawTag(), rc)
 	wd.End()
 	if err != nil {
@@ -393,6 +375,9 @@ func (in *Instance) validate() error {
 	if in.Constraint < provision.Constraint1 || in.Constraint > provision.Constraint3 {
 		return fmt.Errorf("auction: invalid constraint %d", int(in.Constraint))
 	}
+	if in.RouteOpts.LinkCost != nil {
+		return fmt.Errorf("auction: RouteOpts.LinkCost is set; Run routes by the bids' prices")
+	}
 	seen := map[int]bool{}
 	for _, b := range in.Bids {
 		if err := b.Validate(in.Network); err != nil {
@@ -517,20 +502,6 @@ func priceFingerprint(pt *priceTable) uint64 {
 		h = fnv64.Mix(h, math.Float64bits(pt.of[id]))
 	}
 	return h
-}
-
-// NewRawWorkspace builds a provisioning workspace frozen to this
-// instance's raw price metric — the metric Run uses for the main
-// winner determination when RouteOpts.LinkCost is nil. A caller that
-// runs many auctions over the same Network, Bids, Virtual and
-// RouteOpts (the fleet runner's cells) builds one and sets it as
-// Instance.Workspace on each, sharing the arena free-list across runs.
-func (in *Instance) NewRawWorkspace() *provision.Workspace {
-	opts := in.RouteOpts
-	if opts.LinkCost == nil {
-		opts.LinkCost = in.priceOfLink().metric
-	}
-	return provision.NewWorkspace(in.Network, opts)
 }
 
 // offered returns the offered link set OL, optionally excluding one

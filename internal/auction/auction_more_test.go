@@ -164,22 +164,23 @@ func TestAggregatePaymentsCoverCosts(t *testing.T) {
 }
 
 func TestRunFigure2TopBPs(t *testing.T) {
-	p := parallelNet(4)
+	p := parallelNet(6)
 	tm := traffic.NewMatrix(2)
 	tm.Set(0, 1, 15)
 	var bids []Bid
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 6; i++ {
 		bids = append(bids, Bid{BP: i, Links: []int{i},
 			Cost: AdditiveCost(map[int]float64{i: float64(10 * (i + 1))})})
 	}
 	res, err := RunFigure2(Figure2Config{
-		Network: p, TM: tm, Bids: bids, TopBPs: 2,
+		Network: p, TM: tm, Bids: bids,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 2 {
-		t.Fatalf("rows = %d, want 2", len(res.Rows))
+	// Six BPs offer links; Figure 2 reports the five largest.
+	if len(res.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(res.Rows))
 	}
 	// Rows carry the per-constraint PoB of the largest-share BPs.
 	for _, row := range res.Rows {

@@ -176,6 +176,9 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 		{"nil tm", func(in *Instance) { in.TM = nil }},
 		{"tm size", func(in *Instance) { in.TM = traffic.NewMatrix(7) }},
 		{"bad constraint", func(in *Instance) { in.Constraint = 0 }},
+		{"caller link cost", func(in *Instance) {
+			in.RouteOpts.LinkCost = func(topo.LogicalLink) float64 { return 1 }
+		}},
 		{"foreign link", func(in *Instance) {
 			in.Bids[0].Links = []int{1} // link 1 belongs to BP1
 		}},

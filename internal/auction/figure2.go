@@ -34,10 +34,11 @@ type Figure2Config struct {
 	Virtual   []VirtualLink
 	RouteOpts provision.Options
 	MaxChecks int
-	// TopBPs selects how many of the largest BPs to report (the paper
-	// shows five).
-	TopBPs int
 }
+
+// figure2Rows is how many of the largest BPs Figure 2 reports: the
+// paper shows five.
+const figure2Rows = 5
 
 // RunFigure2 reproduces the paper's Figure 2: it runs the auction
 // under Constraint #1 (load only), Constraint #2 (single path
@@ -45,9 +46,6 @@ type Figure2Config struct {
 // payment-over-bid margin PoB = (P_a − C_a)/C_a of the largest BPs,
 // ordered by decreasing size.
 func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
-	if cfg.TopBPs <= 0 {
-		cfg.TopBPs = 5
-	}
 	out := &Figure2Result{}
 	for i, c := range []provision.Constraint{provision.Constraint1, provision.Constraint2, provision.Constraint3} {
 		inst := &Instance{
@@ -77,11 +75,7 @@ func RunFigure2(cfg Figure2Config) (*Figure2Result, error) {
 		}
 		return order[i] < order[j]
 	})
-	n := cfg.TopBPs
-	if n > len(order) {
-		n = len(order)
-	}
-	for _, bp := range order[:n] {
+	for _, bp := range order[:min(figure2Rows, len(order))] {
 		row := Figure2Row{BP: bp, Name: cfg.Network.BPs[bp].Name, Share: shares[bp]}
 		for i := 0; i < 3; i++ {
 			row.PoB[i] = out.Results[i].PoB(bp)

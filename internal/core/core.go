@@ -38,8 +38,6 @@ type Config struct {
 	Constraint provision.Constraint
 	// RouteOpts tunes feasibility routing.
 	RouteOpts provision.Options
-	// MaxChecks bounds the auction's winner-determination budget.
-	MaxChecks int
 	// ReserveMargin in [0,1) pads the break-even price for
 	// contingencies; the POC is a nonprofit, not a charity (§1.2).
 	ReserveMargin float64
@@ -58,12 +56,6 @@ type Config struct {
 	// are namespaced by price-metric fingerprint, so a reauction's
 	// reduced bids never collide with the main auction's.
 	Cache *provision.FeasibilityCache
-	// Workspace, when non-nil, is a shared raw-metric arena pool for
-	// the initial auction's main winner determination (see
-	// auction.Instance.Workspace). It is NOT forwarded to reauctions:
-	// their reduced bids change the raw price metric, and a workspace's
-	// arenas freeze the metric they were built with.
-	Workspace *provision.Workspace
 }
 
 // phase tracks lifecycle progress.
@@ -169,26 +161,32 @@ func (p *POC) RunAuction() (*auction.Result, error) {
 	if len(p.bids) == 0 {
 		return nil, fmt.Errorf("core: no bids")
 	}
-	inst := &auction.Instance{
-		Network:    p.cfg.Network,
-		Bids:       p.bids,
-		Virtual:    p.virtual,
-		TM:         p.cfg.TM,
-		Constraint: p.cfg.Constraint,
-		RouteOpts:  p.cfg.RouteOpts,
-		MaxChecks:  p.cfg.MaxChecks,
-		Workers:    p.cfg.Workers,
-		Obs:        p.cfg.Obs,
-		Cache:      p.cfg.Cache,
-		Workspace:  p.cfg.Workspace,
-	}
-	res, err := inst.Run()
+	res, err := p.newAuction(p.bids, p.cfg.TM).Run()
 	if err != nil {
 		return nil, err
 	}
 	p.auctionResult = res
 	p.phase = phaseAuctioned
 	return res, nil
+}
+
+// newAuction builds the deployment's auction over bids and tm. The
+// initial auction and every reauction differ only in those two. The
+// shared Cache is forwarded to reauctions too: entries are namespaced
+// by each auction's own price-metric fingerprint, so a reauction's
+// reduced bids never collide with the main auction's.
+func (p *POC) newAuction(bids []auction.Bid, tm *traffic.Matrix) *auction.Instance {
+	return &auction.Instance{
+		Network:    p.cfg.Network,
+		Bids:       bids,
+		Virtual:    p.virtual,
+		TM:         tm,
+		Constraint: p.cfg.Constraint,
+		RouteOpts:  p.cfg.RouteOpts,
+		Workers:    p.cfg.Workers,
+		Obs:        p.cfg.Obs,
+		Cache:      p.cfg.Cache,
+	}
 }
 
 // Activate builds the fabric over the auctioned link set.

@@ -74,23 +74,7 @@ func (p *POC) ReauctionExcluding(tm *traffic.Matrix, exclude *linkset.Set) (*Rea
 		bids[i] = auction.Bid{BP: b.BP, Links: keep, Cost: b.Cost}
 	}
 
-	// The shared Cache is forwarded (entries are namespaced by the
-	// reauction's own price-metric fingerprint); the shared Workspace
-	// is not — its arenas froze the original raw metric, and the
-	// reduced bids change the marginal prices.
-	inst := &auction.Instance{
-		Network:    p.cfg.Network,
-		Bids:       bids,
-		Virtual:    p.virtual,
-		TM:         tm,
-		Constraint: p.cfg.Constraint,
-		RouteOpts:  p.cfg.RouteOpts,
-		MaxChecks:  p.cfg.MaxChecks,
-		Workers:    p.cfg.Workers,
-		Obs:        p.cfg.Obs,
-		Cache:      p.cfg.Cache,
-	}
-	res, err := inst.Run()
+	res, err := p.newAuction(bids, tm).Run()
 	if err != nil {
 		return nil, fmt.Errorf("core: reauction: %w", err)
 	}

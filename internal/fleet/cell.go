@@ -20,17 +20,15 @@ import (
 )
 
 // bundle is everything cells of one topology share: the offer graph,
-// the standard bid book, the per-traffic-model matrices, and the
-// raw-metric workspace arena pool. Bundles are immutable once built
-// (the workspace's internal arena free-list is mutex-guarded), so any
-// number of cells may run against one concurrently.
+// the standard bid book and the per-traffic-model matrices. Bundles
+// are immutable once built, so any number of cells may run against
+// one concurrently.
 type bundle struct {
 	world   *topo.World
 	network *topo.POCNetwork
 	bids    []auction.Bid
 	virtual []auction.VirtualLink
 	tms     map[string]*traffic.Matrix
-	ws      *provision.Workspace
 }
 
 // buildBundle assembles one topology's shared state. The zoo path
@@ -100,19 +98,12 @@ func buildBundle(ts TopoSpec, cfg Config) (*bundle, error) {
 		"offpeak": traffic.Diurnal(gravity, 4),
 	}
 
-	inst := &auction.Instance{
-		Network:   network,
-		Bids:      bids,
-		Virtual:   virtual,
-		RouteOpts: provision.Options{FailureScenarios: cfg.FailureScenarios},
-	}
 	return &bundle{
 		world:   w,
 		network: network,
 		bids:    bids,
 		virtual: virtual,
 		tms:     tms,
-		ws:      inst.NewRawWorkspace(),
 	}, nil
 }
 
@@ -123,9 +114,8 @@ func buildBundle(ts TopoSpec, cfg Config) (*bundle, error) {
 // row and its exported poc-obs/v1 ledger.
 //
 // Everything scheduling-visible is per-cell (fabric, registry, flows);
-// the only cross-cell state is the shared feasibility cache and
-// workspace arena pool, both of which are determinism-safe by
-// construction (see auction.Instance.Cache).
+// the only cross-cell state is the shared feasibility cache, which is
+// determinism-safe by construction (see auction.Instance.Cache).
 func runCell(cfg Config, shared *Shared, b *bundle, cell Cell) (*CellResult, []byte, error) {
 	tm, ok := b.tms[cell.Traffic]
 	if !ok {
@@ -152,7 +142,6 @@ func runCell(cfg Config, shared *Shared, b *bundle, cell Cell) (*CellResult, []b
 		pcfg.Cache = provision.NewFeasibilityCache()
 	} else {
 		pcfg.Cache = shared.Cache
-		pcfg.Workspace = b.ws
 	}
 	p, err := core.New(pcfg)
 	if err != nil {

@@ -4,14 +4,14 @@
 // formation → auction → provisioning → fabric → chaos → billing)
 // against its own observability registry.
 //
-// The sweep is embarrassingly parallel with two deliberate exceptions:
+// The sweep is embarrassingly parallel with one deliberate exception:
 // all cells share one process-wide FeasibilityCache (identical
-// feasibility questions recur across constraints and traffic models)
-// and, per topology, one provision.Workspace arena pool. Both are
-// determinism-safe under sharing — cache answers are exact replays of
-// the routing they memoize, and everything scheduling-visible (hit
-// counters, insert-win observations) is suppressed on the shared path
-// (see auction.Instance.Cache) — so the merged report is byte-stable:
+// feasibility questions recur across constraints and traffic models).
+// It is determinism-safe under sharing — cache answers are exact
+// replays of the routing they memoize, and everything
+// scheduling-visible (hit counters, insert-win observations) is
+// suppressed on the shared path (see auction.Instance.Cache) — so the
+// merged report is byte-stable:
 // identical for -workers 1 vs N, run to run, under -race, and across
 // interrupt/resume.
 package fleet
@@ -55,15 +55,14 @@ type Config struct {
 	// It exists so tests can simulate a crash at an exact point;
 	// a tripped sweep returns ErrInterrupted.
 	MaxCells int
-	// ColdCache disables cross-cell sharing: every cell gets its own
-	// fresh feasibility cache and builds its own workspaces. The
-	// merged report must be byte-identical either way — that
-	// equivalence is the test that sharing never leaks scheduling
-	// into results.
+	// ColdCache disables cross-cell cache sharing: every cell gets its
+	// own fresh feasibility cache. The merged report must be
+	// byte-identical either way — that equivalence is the test that
+	// sharing never leaks scheduling into results.
 	ColdCache bool
 	// Shared carries cross-Run shared state; nil means Run creates its
-	// own. Passing one Shared across Runs (as pocbench does) keeps the
-	// feasibility cache warm between sweeps.
+	// own. Passing one Shared across Runs keeps the feasibility cache
+	// warm between sweeps.
 	Shared *Shared
 	// CacheFile, when non-empty, persists the shared feasibility cache
 	// across processes: Run loads it (if present) before the sweep and
@@ -92,7 +91,7 @@ func (c Config) withDefaults() Config {
 
 // Shared is the cross-cell (and, if reused, cross-Run) shared state:
 // the process-wide feasibility cache and the per-topology bundles
-// (offer graph, bid book, traffic matrices, workspace arena pool).
+// (offer graph, bid book, traffic matrices).
 type Shared struct {
 	// Cache is rebound only at construction; everyone else reads it
 	// (the FeasibilityCache itself is internally synchronized).
@@ -115,8 +114,8 @@ func NewShared() *Shared {
 // The build runs under the lock: concurrent workers needing the same
 // topology wait rather than duplicating a multi-second assembly.
 func (s *Shared) bundleFor(ts TopoSpec, cfg Config) (*bundle, error) {
-	key := fmt.Sprintf("%s|seed=%d|dir=%s|scale=%s|fs=%d",
-		ts.Name, ts.Seed, ts.Dir, hexFloat(cfg.Scale), cfg.FailureScenarios)
+	key := fmt.Sprintf("%s|seed=%d|dir=%s|scale=%s",
+		ts.Name, ts.Seed, ts.Dir, hexFloat(cfg.Scale))
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if b, ok := s.bundles[key]; ok {
@@ -130,8 +129,8 @@ func (s *Shared) bundleFor(ts TopoSpec, cfg Config) (*bundle, error) {
 	return b, nil
 }
 
-// CacheStats exposes the shared cache's hit/miss counters (for
-// pocbench and the cross-cell sharing tests).
+// CacheStats exposes the shared cache's hit/miss counters (for the
+// cross-cell sharing tests).
 func (s *Shared) CacheStats() (hits, misses int64) {
 	return s.Cache.Hits(), s.Cache.Misses()
 }
@@ -142,7 +141,7 @@ func (s *Shared) CacheStats() (hits, misses int64) {
 // of claims, completions, or journal replays — can reach the output.
 func Run(grid GridSpec, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Scale < 0 || cfg.Scale > 1 {
+	if !(cfg.Scale > 0 && cfg.Scale <= 1) {
 		return nil, fmt.Errorf("fleet: scale %v out of (0,1]", cfg.Scale)
 	}
 	cells := grid.Expand()

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,6 +73,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 	g := smallGrid()
 	if _, err := Run(g, Config{Scale: 2}); err == nil {
 		t.Fatal("scale 2 accepted")
+	}
+	if _, err := Run(g, Config{Scale: math.NaN()}); err == nil {
+		t.Fatal("scale NaN accepted")
 	}
 }
 
@@ -246,9 +250,8 @@ func TestCacheFilePersistence(t *testing.T) {
 	}
 }
 
-// TestSharedAcrossRuns: reusing one Shared across sweeps (pocbench's
-// warm trajectory) keeps results byte-identical while the cache keeps
-// its entries.
+// TestSharedAcrossRuns: reusing one Shared across sweeps keeps results
+// byte-identical while the cache keeps its entries.
 func TestSharedAcrossRuns(t *testing.T) {
 	grid := smallGrid()
 	s := NewShared()

@@ -2,7 +2,6 @@ package provision
 
 import (
 	"encoding/binary"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -325,7 +324,9 @@ func (fc *FeasibilityCache) Shaved(p *topo.POCNetwork, start *linkset.Set, tm *t
 func (fc *FeasibilityCache) appendKey(buf []byte, p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(c))
 	buf = binary.AppendUvarint(buf, uint64(opts.MaxPaths))
-	buf = binary.AppendUvarint(buf, math.Float64bits(opts.Headroom))
+	// The slot that held the routing headroom, always 0 (its uvarint is
+	// one 0 byte); kept so persisted keys keep their bytes.
+	buf = append(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(opts.FailureScenarios))
 	buf = binary.AppendUvarint(buf, metric)
 	buf = binary.AppendUvarint(buf, sh.fp)

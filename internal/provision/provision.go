@@ -78,9 +78,6 @@ type Options struct {
 	// MaxPaths bounds how many alternative paths a single demand may
 	// be split across. Default 12.
 	MaxPaths int
-	// Headroom in [0,1): fraction of each link's capacity reserved
-	// (never filled by routed demand). Default 0.
-	Headroom float64
 	// FailureScenarios bounds how many router-pair primary-path
 	// failure scenarios Constraint2 checks, taking the pairs with the
 	// largest demand first. Zero means all pairs, which is exact but
@@ -547,7 +544,7 @@ func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Op
 func (ws *Workspace) route(include *linkset.Set, sh *shape, opts Options, avoid []*linkset.Set) *Routing {
 	rt := ws.acquire()
 	defer ws.release(rt)
-	rt.apply(include, opts.Headroom, ws.all)
+	rt.apply(include, 0, ws.all)
 	return rt.route(ws, sh, opts, avoid)
 }
 

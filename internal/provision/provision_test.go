@@ -110,17 +110,6 @@ func TestRouteMaxPathsLimit(t *testing.T) {
 	}
 }
 
-func TestRouteHeadroom(t *testing.T) {
-	p := testNet(10)
-	r := Route(p, nil, tmSingle(4, 0, 2, 10), Options{MaxPaths: 1, Headroom: 0.5}, nil)
-	if r.Feasible() {
-		t.Fatal("headroom should halve effective capacity")
-	}
-	if r.Unplaced != 5 {
-		t.Fatalf("unplaced = %v, want 5", r.Unplaced)
-	}
-}
-
 func TestRouteRespectsInclude(t *testing.T) {
 	p := testNet(10)
 	include := linkset.FromIDs([]int{0, 1}, len(p.Links)) // only 0-1 and 1-2

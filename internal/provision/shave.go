@@ -9,11 +9,11 @@ import (
 	"github.com/public-option/poc/internal/traffic"
 )
 
-// ShaveHeadroom is the minimum capacity fraction the shave leaves
-// unused on every link. Without it the shaved set is exactly tight
-// for the shave's internal packing, and a fresh greedy Route over the
-// set — which packs demands in a different order — can wedge. Five
-// percent of slack absorbs that reordering in practice.
+// ShaveHeadroom is the capacity fraction the shave leaves unused on
+// every link. Without it the shaved set is exactly tight for the
+// shave's internal packing, and a fresh greedy Route over the set —
+// which packs demands in a different order — can wedge. Five percent
+// of slack absorbs that reordering in practice.
 const ShaveHeadroom = 0.05
 
 // Shaver makes a feasible link set (approximately) 1-minimal: it
@@ -169,7 +169,7 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.
 	}
 	ws := opts.Workspace
 	rt := ws.acquire()
-	rt.apply(inc, opts.Headroom, ws.all)
+	rt.apply(inc, ShaveHeadroom, ws.all)
 	r := rt.route(ws, sh, opts, avoid)
 	if !r.Feasible() {
 		ws.giveRouting(r)
@@ -177,7 +177,7 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.
 		return nil
 	}
 	lr := &liveRouting{rt: rt, r: r, avoid: avoid, banned: linkset.New(len(p.Links))}
-	rt.apply(include, opts.Headroom, ws.all)
+	rt.apply(include, ShaveHeadroom, ws.all)
 	if failed != nil {
 		failed.Iterate(func(l int) { lr.ban(l) })
 	}
@@ -200,11 +200,7 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.
 // set is not feasible to begin with. On success the caller owns the
 // Shaver's arenas and must Close it.
 func NewShaver(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (*Shaver, bool) {
-	opts = opts.withDefaults()
-	if opts.Headroom < ShaveHeadroom {
-		opts.Headroom = ShaveHeadroom
-	}
-	opts = opts.resolve(p)
+	opts = opts.withDefaults().resolve(p)
 	s := &Shaver{p: p, opts: opts, c: c, sh: opts.Workspace.shapeOf(tm), include: cloneInclude(include, len(p.Links)), ws: opts.Workspace}
 	if !s.build() {
 		s.Close()

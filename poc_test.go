@@ -12,6 +12,9 @@ func TestNewScenarioValidation(t *testing.T) {
 	if _, err := NewScenario(ScenarioOptions{Scale: 2}); err == nil {
 		t.Fatal("scale > 1 accepted")
 	}
+	if _, err := NewScenario(ScenarioOptions{Scale: math.NaN()}); err == nil {
+		t.Fatal("NaN scale accepted")
+	}
 }
 
 func TestNewScenarioSmall(t *testing.T) {

@@ -11,6 +11,15 @@ import (
 	"github.com/public-option/poc/internal/traffic"
 )
 
+// The paper's instance: its BP count, the colocation threshold for POC
+// router placement, and how many failure scenarios Constraint-2 checks
+// cover.
+const (
+	scenarioBPs              = 20
+	scenarioMinColo          = 4
+	scenarioFailureScenarios = 8
+)
+
 // ScenarioOptions sizes a paper-style experiment. The zero value plus
 // Scale=1 reproduces the paper-scale instance: 20 BPs, ~4700 logical
 // links (the paper reports 4674), a 20 Tbps gravity traffic matrix,
@@ -25,13 +34,6 @@ type ScenarioOptions struct {
 	Scale float64
 	// Seed overrides the zoo seed (0 = default).
 	Seed int64
-	// NumBPs overrides the number of bandwidth providers (0 = 20).
-	NumBPs int
-	// MinColo overrides the colocation threshold for POC router
-	// placement (0 = the paper's 4).
-	MinColo int
-	// FailureScenarios bounds Constraint-2 checks (0 = 8).
-	FailureScenarios int
 	// NoVirtualLinks omits the external ISP (used by the collusion
 	// ablation; production POCs always keep the fallback).
 	NoVirtualLinks bool
@@ -70,17 +72,8 @@ func NewScenario(opts ScenarioOptions) (*Scenario, error) {
 	if opts.Scale == 0 {
 		opts.Scale = 1
 	}
-	if opts.Scale < 0 || opts.Scale > 1 {
+	if !(opts.Scale > 0 && opts.Scale <= 1) {
 		return nil, fmt.Errorf("poc: scale %v out of (0,1]", opts.Scale)
-	}
-	if opts.NumBPs == 0 {
-		opts.NumBPs = 20
-	}
-	if opts.MinColo == 0 {
-		opts.MinColo = 4
-	}
-	if opts.FailureScenarios == 0 {
-		opts.FailureScenarios = 8
 	}
 
 	w := topo.DefaultWorld()
@@ -89,11 +82,11 @@ func NewScenario(opts ScenarioOptions) (*Scenario, error) {
 		zoo.Seed = opts.Seed
 	}
 	zoo.NumNetworks = int(float64(zoo.NumNetworks) * opts.Scale)
-	if zoo.NumNetworks < opts.NumBPs {
-		zoo.NumNetworks = opts.NumBPs
+	if zoo.NumNetworks < scenarioBPs {
+		zoo.NumNetworks = scenarioBPs
 	}
 	nets := topo.GenerateZoo(w, zoo)
-	network := topo.BuildPOCNetwork(w, nets, opts.NumBPs, opts.MinColo, 0)
+	network := topo.BuildPOCNetwork(w, nets, scenarioBPs, scenarioMinColo, 0)
 	if len(network.Routers) < 2 {
 		return nil, fmt.Errorf("poc: scenario too small: %d POC routers", len(network.Routers))
 	}
@@ -141,7 +134,7 @@ func NewScenario(opts ScenarioOptions) (*Scenario, error) {
 
 // RouteOptions returns the scenario's standard routing options.
 func (s *Scenario) RouteOptions() RouteOptions {
-	return provision.Options{FailureScenarios: s.Opts.FailureScenarios}
+	return provision.Options{FailureScenarios: scenarioFailureScenarios}
 }
 
 // Instance builds a runnable auction under the given constraint.

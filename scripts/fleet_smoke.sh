@@ -12,6 +12,8 @@
 #   5. a -cachefile sweep persists the feasibility cache; a second
 #      sweep warm-started from that file must hash-identically
 #      (persistence is a speedup, never a result change)
+#   6. a -cold sweep, every cell with its own feasibility cache, must
+#      hash-identically (cache sharing never changes a result)
 #
 # Artifacts (reports, hashes, the resume journal) are left in
 # $SMOKE_DIR for CI to upload on failure.
@@ -66,5 +68,11 @@ HASH_COLD=$("$BIN" -grid golden -workers 4 -cachefile "$CACHE" -hash)
 HASH_WARM=$("$BIN" -grid golden -workers 4 -cachefile "$CACHE" -hash)
 [ "$HASH_WARM" = "$HASH_W4" ] || fail "cachefile warm sweep hash $HASH_WARM != $HASH_W4"
 log "warm start from $(wc -c < "$CACHE")-byte cache reproduces $HASH_WARM"
+
+log "sweeping golden grid without cache sharing (-cold)"
+HASH_NOSHARE=$("$BIN" -grid golden -workers 4 -cold -hash)
+echo "$HASH_NOSHARE" > "$SMOKE_DIR/hash_cold.txt"
+[ "$HASH_NOSHARE" = "$HASH_W4" ] || fail "-cold sweep hash $HASH_NOSHARE != shared sweep $HASH_W4"
+log "-cold reproduces $HASH_NOSHARE"
 
 log "PASS"
