@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"github.com/public-option/poc/internal/scenario"
 	"github.com/public-option/poc/internal/topo"
 )
 
@@ -89,7 +90,7 @@ func main() {
 	}
 
 	if *summary {
-		p := topo.BuildPOCNetwork(w, nets, 20, 4, 0)
+		p := topo.BuildPOCNetwork(w, nets, scenario.NumBPs, scenario.MinColo, 0)
 		fmt.Printf("POC pipeline: %s\n", p.Summary())
 		shares := p.BPShare()
 		fmt.Println("BP link shares (paper: roughly 2%..12%):")

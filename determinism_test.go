@@ -437,19 +437,20 @@ func TestAuctionCacheAblation(t *testing.T) {
 // one auction to the whole scenario grid: the 24-cell default sweep
 // (two topologies × two traffic models × three constraints × two
 // chaos schedules) must merge to byte-identical reports at -workers
-// 1, 4 and 8, and again on a rerun — with the process-wide
-// feasibility cache shared across every cell the whole time, so any
-// scheduling leak through the cache would surface as drift here.
+// 1, 4 and 8, and again on a rerun — with the feasibility cache shared
+// across every cell of a sweep, and the reruns warm from the cache
+// file the first sweep saved, so any scheduling leak through the cache
+// would surface as drift here.
 func TestFleetWorkerInvariance(t *testing.T) {
 	grid := fleet.DefaultGrid()
-	shared := fleet.NewShared()
+	cacheFile := filepath.Join(t.TempDir(), "fleet.pocfcache")
 	sweep := func(workers int) []byte {
 		t.Helper()
 		// Epochs/FailureScenarios are trimmed below their defaults to
 		// keep four full sweeps CI-cheap; they shrink each cell, not
 		// the grid, so the invariance property tested is unchanged.
 		rep, err := fleet.Run(grid, fleet.Config{
-			Workers: workers, Shared: shared, Epochs: 6, FailureScenarios: 2,
+			Workers: workers, CacheFile: cacheFile, Epochs: 6, FailureScenarios: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

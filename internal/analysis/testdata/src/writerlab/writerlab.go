@@ -7,9 +7,9 @@ type Server struct {
 	closed bool           //lint:owner Shutdown
 }
 
-// Shared mirrors fleet.Shared: the exported annotated field lets the
-// cross-package test (writerlab/client) prove ownership travels
-// through facts.
+// Shared is constructor-owned state: the exported annotated field
+// lets the cross-package test (writerlab/client) prove ownership
+// travels through facts.
 type Shared struct {
 	// Cache is rebound only at construction.
 	//lint:owner NewShared

@@ -15,96 +15,41 @@ import (
 	"github.com/public-option/poc/internal/obs"
 	"github.com/public-option/poc/internal/peering"
 	"github.com/public-option/poc/internal/provision"
-	"github.com/public-option/poc/internal/topo"
+	"github.com/public-option/poc/internal/scenario"
 	"github.com/public-option/poc/internal/traffic"
 )
 
-// bundle is everything cells of one topology share: the offer graph,
-// the standard bid book and the per-traffic-model matrices. Bundles
-// are immutable once built, so any number of cells may run against
-// one concurrently.
+// bundle is everything cells of one topology share: the paper
+// instance and its per-traffic-model matrices. Bundles are immutable
+// once built, so any number of cells may run against one concurrently.
 type bundle struct {
-	world   *topo.World
-	network *topo.POCNetwork
-	bids    []auction.Bid
-	virtual []auction.VirtualLink
-	tms     map[string]*traffic.Matrix
+	*scenario.Scenario
+	tms map[string]*traffic.Matrix
 }
 
-// buildBundle assembles one topology's shared state. The zoo path
-// mirrors NewScenario's assembly (scaled network count floored at the
-// BP count, gravity matrix scaled quadratically, external ISP at the
-// four major hubs); the corpus path loads real GML files instead and
-// relaxes the colocation threshold, since small corpora rarely have
-// four networks meeting in one city.
+// buildBundle assembles one topology's shared state: the zoo instance
+// NewScenario builds, or the GML corpus instance for a Dir topology.
 func buildBundle(ts TopoSpec, cfg Config) (*bundle, error) {
-	w := topo.DefaultWorld()
 	var (
-		nets    []topo.Network
-		numBPs  = 20
-		minColo = 4
-		err     error
+		s   *scenario.Scenario
+		err error
 	)
 	if ts.Dir != "" {
-		nets, err = topo.LoadGMLCorpus(w, ts.Dir, 100)
-		if err != nil {
-			return nil, fmt.Errorf("fleet: topo %s: %w", ts.Name, err)
-		}
-		if len(nets) < numBPs {
-			numBPs = len(nets)
-		}
-		minColo = 2
+		s, err = scenario.Corpus(ts.Dir, cfg.Scale)
 	} else {
-		zoo := topo.DefaultZooConfig()
-		if ts.Seed != 0 {
-			zoo.Seed = ts.Seed
-		}
-		zoo.NumNetworks = int(float64(zoo.NumNetworks) * cfg.Scale)
-		if zoo.NumNetworks < numBPs {
-			zoo.NumNetworks = numBPs
-		}
-		nets = topo.GenerateZoo(w, zoo)
+		s, err = scenario.New(scenario.Options{Scale: cfg.Scale, Seed: ts.Seed})
 	}
-	network := topo.BuildPOCNetwork(w, nets, numBPs, minColo, 0)
-	if len(network.Routers) < 2 {
-		return nil, fmt.Errorf("fleet: topo %s: only %d POC routers", ts.Name, len(network.Routers))
+	if err != nil {
+		return nil, fmt.Errorf("fleet: topo %s: %w", ts.Name, err)
 	}
-
-	gcfg := traffic.DefaultGravityConfig()
-	gcfg.TotalGbps *= cfg.Scale * cfg.Scale
-	gravity := traffic.Gravity(len(network.Routers), gcfg,
-		func(i int) float64 { return w.Cities[network.Routers[i]].Population },
-		func(i, j int) float64 { return w.Distance(network.Routers[i], network.Routers[j]) })
-
-	pricing := auction.DefaultLeasePricing()
-	bids := auction.StandardBids(network, pricing)
-	var attach []int
-	for _, name := range []string{"NewYork", "London", "Tokyo", "SaoPaulo"} {
-		if r := network.RouterIndex(w.CityIndex(name)); r >= 0 {
-			attach = append(attach, r)
-		}
-	}
-	if len(attach) < 2 {
-		attach = []int{0, len(network.Routers) / 2}
-	}
-	virtual := auction.StandardVirtualLinks(network, attach, 400, 3.0, pricing)
-
 	// Hotspot mutates its receiver, so it gets a clone; Diurnal clones
 	// internally. All three matrices are fixed here so every cell sees
 	// identical demand regardless of evaluation order.
-	tms := map[string]*traffic.Matrix{
-		"gravity": gravity,
-		"hotspot": traffic.Hotspot(gravity.Clone(), 0, 0.1*gravity.Total()),
-		"offpeak": traffic.Diurnal(gravity, 4),
-	}
-
-	return &bundle{
-		world:   w,
-		network: network,
-		bids:    bids,
-		virtual: virtual,
-		tms:     tms,
-	}, nil
+	return &bundle{Scenario: s, tms: map[string]*traffic.Matrix{
+		"gravity": s.TM,
+		"hotspot": traffic.Hotspot(s.TM.Clone(), 0, 0.1*s.TM.Total()),
+		"offpeak": traffic.Diurnal(s.TM, 4),
+	}}, nil
 }
 
 // runCell executes the full pipeline for one grid point: BP auction,
@@ -116,7 +61,7 @@ func buildBundle(ts TopoSpec, cfg Config) (*bundle, error) {
 // Everything scheduling-visible is per-cell (fabric, registry, flows);
 // the only cross-cell state is the shared feasibility cache, which is
 // determinism-safe by construction (see auction.Instance.Cache).
-func runCell(cfg Config, shared *Shared, b *bundle, cell Cell) (*CellResult, []byte, error) {
+func runCell(cfg Config, shared *shared, b *bundle, cell Cell) (*CellResult, []byte, error) {
 	tm, ok := b.tms[cell.Traffic]
 	if !ok {
 		return nil, nil, fmt.Errorf("fleet: %s: unknown traffic model %q", cell.Key(), cell.Traffic)
@@ -125,7 +70,7 @@ func runCell(cfg Config, shared *Shared, b *bundle, cell Cell) (*CellResult, []b
 	reg.SetMeta("fleet.cell", cell.Key())
 
 	pcfg := core.Config{
-		Network:       b.network,
+		Network:       b.Network,
 		TM:            tm,
 		Constraint:    cell.Constraint,
 		RouteOpts:     provision.Options{FailureScenarios: cfg.FailureScenarios},
@@ -141,29 +86,18 @@ func runCell(cfg Config, shared *Shared, b *bundle, cell Cell) (*CellResult, []b
 		// external path deliberately suppresses.
 		pcfg.Cache = provision.NewFeasibilityCache()
 	} else {
-		pcfg.Cache = shared.Cache
+		pcfg.Cache = shared.cache
 	}
 	p, err := core.New(pcfg)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: %s: %w", cell.Key(), err)
 	}
-	for _, bid := range b.bids {
-		if err := p.SubmitBid(bid); err != nil {
-			return nil, nil, fmt.Errorf("fleet: %s: %w", cell.Key(), err)
-		}
-	}
-	if err := p.AddVirtualLinks(b.virtual); err != nil {
-		return nil, nil, fmt.Errorf("fleet: %s: %w", cell.Key(), err)
-	}
-	res, err := p.RunAuction()
+	res, err := b.Lease(p)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: %s: auction: %w", cell.Key(), err)
-	}
-	if err := p.Activate(); err != nil {
 		return nil, nil, fmt.Errorf("fleet: %s: %w", cell.Key(), err)
 	}
 
-	na := len(b.network.Routers)
+	na := len(b.Network.Routers)
 	if na > 6 {
 		na = 6
 	}
@@ -198,8 +132,8 @@ func runCell(cfg Config, shared *Shared, b *bundle, cell Cell) (*CellResult, []b
 		Constraint:  fmt.Sprintf("C%d", int(cell.Constraint)),
 		Chaos:       cell.Chaos,
 		Policy:      cell.Policy,
-		Routers:     len(b.network.Routers),
-		Links:       len(b.network.Links),
+		Routers:     len(b.Network.Routers),
+		Links:       len(b.Network.Links),
 		Selected:    len(res.Selected),
 		Checks:      res.Checks,
 		TotalCost:   hexFloat(res.TotalCost),
@@ -235,7 +169,7 @@ func runCell(cfg Config, shared *Shared, b *bundle, cell Cell) (*CellResult, []b
 			if repair < 2 {
 				repair = 2
 			}
-			sched = chaos.SingleBPOutage(b.network.Links[firstLink].BP, 1, repair)
+			sched = chaos.SingleBPOutage(b.Network.Links[firstLink].BP, 1, repair)
 		case "flap":
 			sched = chaos.FlappingLink(firstLink, 1, 1, 1, 2)
 		case "random":

@@ -28,8 +28,8 @@ import (
 )
 
 // ErrInterrupted reports a sweep that stopped before every cell
-// completed (MaxCells tripped). The journal, if any, holds the
-// completed cells; a resumed Run finishes the rest.
+// completed. The journal, if any, holds the completed cells; a resumed
+// Run finishes the rest.
 var ErrInterrupted = errors.New("fleet: sweep interrupted before all cells completed")
 
 // Config tunes one sweep. The zero value is a small, test-friendly
@@ -50,20 +50,11 @@ type Config struct {
 	// completed cells persist there and are replayed on the next Run
 	// with the same grid and parameters.
 	StateDir string
-	// MaxCells, when positive, stops the sweep after that many fresh
-	// cell completions (cells replayed from the journal don't count).
-	// It exists so tests can simulate a crash at an exact point;
-	// a tripped sweep returns ErrInterrupted.
-	MaxCells int
 	// ColdCache disables cross-cell cache sharing: every cell gets its
 	// own fresh feasibility cache. The merged report must be
 	// byte-identical either way — that equivalence is the test that
 	// sharing never leaks scheduling into results.
 	ColdCache bool
-	// Shared carries cross-Run shared state; nil means Run creates its
-	// own. Passing one Shared across Runs keeps the feasibility cache
-	// warm between sweeps.
-	Shared *Shared
 	// CacheFile, when non-empty, persists the shared feasibility cache
 	// across processes: Run loads it (if present) before the sweep and
 	// saves the cache back (atomically) after a complete sweep. Warm
@@ -71,6 +62,15 @@ type Config struct {
 	// is identical with or without the file — only faster. Incompatible
 	// with ColdCache (there is no shared cache to persist).
 	CacheFile string
+
+	// Test hooks, unset in production. cache, when non-nil, is the
+	// shared feasibility cache in place of a fresh one, so a test can
+	// read its counters after the sweep. stopAfter, when positive,
+	// stops the sweep after that many fresh cell completions (cells
+	// replayed from the journal don't count), simulating a crash at an
+	// exact point; a stopped sweep returns ErrInterrupted.
+	cache     *provision.FeasibilityCache
+	stopAfter int
 }
 
 func (c Config) withDefaults() Config {
@@ -89,31 +89,30 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Shared is the cross-cell (and, if reused, cross-Run) shared state:
-// the process-wide feasibility cache and the per-topology bundles
-// (offer graph, bid book, traffic matrices).
-type Shared struct {
-	// Cache is rebound only at construction; everyone else reads it
+// shared is one sweep's cross-cell state: the process-wide
+// feasibility cache and the per-topology bundles.
+type shared struct {
+	// cache is bound only at construction; everyone else reads it
 	// (the FeasibilityCache itself is internally synchronized).
-	//lint:owner NewShared
-	Cache *provision.FeasibilityCache
+	cache *provision.FeasibilityCache //lint:owner newShared
 
 	mu      sync.Mutex
 	bundles map[string]*bundle
 }
 
-// NewShared returns an empty shared state with a fresh cache.
-func NewShared() *Shared {
-	return &Shared{
-		Cache:   provision.NewFeasibilityCache(),
-		bundles: map[string]*bundle{},
+// newShared returns an empty shared state over cache, or over a fresh
+// cache if cache is nil.
+func newShared(cache *provision.FeasibilityCache) *shared {
+	if cache == nil {
+		cache = provision.NewFeasibilityCache()
 	}
+	return &shared{cache: cache, bundles: map[string]*bundle{}}
 }
 
 // bundleFor returns the topology's bundle, building it on first use.
 // The build runs under the lock: concurrent workers needing the same
 // topology wait rather than duplicating a multi-second assembly.
-func (s *Shared) bundleFor(ts TopoSpec, cfg Config) (*bundle, error) {
+func (s *shared) bundleFor(ts TopoSpec, cfg Config) (*bundle, error) {
 	key := fmt.Sprintf("%s|seed=%d|dir=%s|scale=%s",
 		ts.Name, ts.Seed, ts.Dir, hexFloat(cfg.Scale))
 	s.mu.Lock()
@@ -127,12 +126,6 @@ func (s *Shared) bundleFor(ts TopoSpec, cfg Config) (*bundle, error) {
 	}
 	s.bundles[key] = b
 	return b, nil
-}
-
-// CacheStats exposes the shared cache's hit/miss counters (for the
-// cross-cell sharing tests).
-func (s *Shared) CacheStats() (hits, misses int64) {
-	return s.Cache.Hits(), s.Cache.Misses()
 }
 
 // Run executes the sweep and merges the per-cell ledgers into one
@@ -159,12 +152,9 @@ func Run(grid GridSpec, cfg Config) (*Report, error) {
 		return nil, errors.New("fleet: CacheFile requires the shared cache (ColdCache set)")
 	}
 
-	shared := cfg.Shared
-	if shared == nil {
-		shared = NewShared()
-	}
+	shared := newShared(cfg.cache)
 	if cfg.CacheFile != "" {
-		if _, err := shared.Cache.LoadFile(cfg.CacheFile); err != nil {
+		if _, err := shared.cache.LoadFile(cfg.CacheFile); err != nil {
 			return nil, fmt.Errorf("fleet: cache file: %w", err)
 		}
 	}
@@ -227,7 +217,7 @@ func Run(grid GridSpec, cfg Config) (*Report, error) {
 						return
 					}
 				}
-				if n := fresh.Add(1); cfg.MaxCells > 0 && n >= int64(cfg.MaxCells) {
+				if n := fresh.Add(1); cfg.stopAfter > 0 && n >= int64(cfg.stopAfter) {
 					stopped.Store(true)
 					return
 				}
@@ -253,7 +243,7 @@ func Run(grid GridSpec, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	if cfg.CacheFile != "" {
-		if err := shared.Cache.SaveFile(cfg.CacheFile); err != nil {
+		if err := shared.cache.SaveFile(cfg.CacheFile); err != nil {
 			return nil, fmt.Errorf("fleet: cache file: %w", err)
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/public-option/poc/internal/provision"
+	"github.com/public-option/poc/internal/topo"
 )
 
 // smallGrid is the 4-cell grid the package tests sweep: cheap (C1
@@ -82,15 +83,15 @@ func TestRunRejectsBadInput(t *testing.T) {
 // TestFleetResumeProperty is the crash/resume property test: for every
 // prefix length k, a sweep killed after its k-th completed cell and
 // then resumed must produce a merged report byte-identical to an
-// uninterrupted run. MaxCells simulates the kill; Workers=1 in the
-// interrupted phase makes the kill point exact.
+// uninterrupted run. The stopAfter hook simulates the kill; Workers=1
+// in the interrupted phase makes the kill point exact.
 func TestFleetResumeProperty(t *testing.T) {
 	grid := smallGrid()
 	baseline := reportBytes(t, mustRun(t, grid, Config{Workers: 2}))
 	cells := grid.Expand()
 	for k := 1; k < len(cells); k++ {
 		dir := t.TempDir()
-		_, err := Run(grid, Config{Workers: 1, StateDir: dir, MaxCells: k})
+		_, err := Run(grid, Config{Workers: 1, StateDir: dir, stopAfter: k})
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("k=%d: interrupted run returned %v, want ErrInterrupted", k, err)
 		}
@@ -120,7 +121,7 @@ func TestFleetResumeProperty(t *testing.T) {
 func TestResumeRejectsForeignState(t *testing.T) {
 	grid := smallGrid()
 	dir := t.TempDir()
-	if _, err := Run(grid, Config{Workers: 1, StateDir: dir, MaxCells: 1}); !errors.Is(err, ErrInterrupted) {
+	if _, err := Run(grid, Config{Workers: 1, StateDir: dir, stopAfter: 1}); !errors.Is(err, ErrInterrupted) {
 		t.Fatal(err)
 	}
 	if _, err := Run(grid, Config{Workers: 1, StateDir: dir, Epochs: 12}); err == nil ||
@@ -169,9 +170,9 @@ func TestCrossCellCacheSharing(t *testing.T) {
 	two := one
 	two.Chaos = []string{"none", "bp-outage"}
 
-	s1 := NewShared()
-	mustRun(t, one, Config{Shared: s1})
-	h1, m1 := s1.CacheStats()
+	c1 := provision.NewFeasibilityCache()
+	mustRun(t, one, Config{cache: c1})
+	h1, m1 := c1.Hits(), c1.Misses()
 	if m1 == 0 {
 		t.Fatal("single-cell sweep recorded no cache misses")
 	}
@@ -179,9 +180,9 @@ func TestCrossCellCacheSharing(t *testing.T) {
 	// Workers=1 so the second cell starts after the first has stored
 	// its entries; concurrent cells can race to the same key and both
 	// miss (the counters are advisory — results never depend on them).
-	s2 := NewShared()
-	sharedRep := mustRun(t, two, Config{Shared: s2, Workers: 1})
-	h2, m2 := s2.CacheStats()
+	c2 := provision.NewFeasibilityCache()
+	sharedRep := mustRun(t, two, Config{cache: c2, Workers: 1})
+	h2, m2 := c2.Hits(), c2.Misses()
 	if m2 != m1 {
 		t.Fatalf("two-cell sweep paid %d misses, want the single-cell %d (second cell should replay from cache)", m2, m1)
 	}
@@ -205,24 +206,23 @@ func TestCacheFilePersistence(t *testing.T) {
 	grid := smallGrid()
 	path := filepath.Join(t.TempDir(), "fleet.pocfcache")
 
-	s1 := NewShared()
-	cold := reportBytes(t, mustRun(t, grid, Config{Shared: s1, CacheFile: path}))
-	_, coldMisses := s1.CacheStats()
-	if coldMisses == 0 {
+	c1 := provision.NewFeasibilityCache()
+	cold := reportBytes(t, mustRun(t, grid, Config{cache: c1, CacheFile: path}))
+	if c1.Misses() == 0 {
 		t.Fatal("cold sweep recorded no cache misses")
 	}
 	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("cache file not written: %v", err)
 	}
 
-	// Fresh Shared = fresh process. Workers=1 so cells can't race to
+	// Fresh cache = fresh process. Workers=1 so cells can't race to
 	// the same key and double-count a miss.
-	s2 := NewShared()
-	warm := reportBytes(t, mustRun(t, grid, Config{Shared: s2, CacheFile: path, Workers: 1}))
+	c2 := provision.NewFeasibilityCache()
+	warm := reportBytes(t, mustRun(t, grid, Config{cache: c2, CacheFile: path, Workers: 1}))
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("warm-from-file report differs from cold report")
 	}
-	if _, warmMisses := s2.CacheStats(); warmMisses != 0 {
+	if warmMisses := c2.Misses(); warmMisses != 0 {
 		t.Fatalf("warm-from-file sweep paid %d misses, want 0", warmMisses)
 	}
 
@@ -232,7 +232,7 @@ func TestCacheFilePersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(grid, Config{CacheFile: path, Workers: 1, MaxCells: 1, StateDir: t.TempDir()}); !errors.Is(err, ErrInterrupted) {
+	if _, err := Run(grid, Config{CacheFile: path, Workers: 1, stopAfter: 1, StateDir: t.TempDir()}); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run returned %v, want ErrInterrupted", err)
 	}
 	after, err := os.ReadFile(path)
@@ -250,19 +250,41 @@ func TestCacheFilePersistence(t *testing.T) {
 	}
 }
 
-// TestSharedAcrossRuns: reusing one Shared across sweeps keeps results
-// byte-identical while the cache keeps its entries.
-func TestSharedAcrossRuns(t *testing.T) {
-	grid := smallGrid()
-	s := NewShared()
-	first := reportBytes(t, mustRun(t, grid, Config{Shared: s}))
-	_, coldMisses := s.CacheStats()
-	second := reportBytes(t, mustRun(t, grid, Config{Shared: s}))
-	_, warmMisses := s.CacheStats()
-	if !bytes.Equal(first, second) {
-		t.Fatal("warm rerun drifted from cold run")
+// TestCorpusGrid pins the GML corpus path (TopoSpec.Dir): 24 zoo
+// networks written as GML and swept as a one-cell grid must merge to
+// a fixed report hash. The corpus instance caps the BP count at the
+// corpus size and relaxes the colocation threshold (scenario.Corpus),
+// so it is a different instance from the zoo topologies'.
+func TestCorpusGrid(t *testing.T) {
+	dir := t.TempDir()
+	w := topo.DefaultWorld()
+	zoo := topo.DefaultZooConfig()
+	zoo.NumNetworks = 24
+	for _, n := range topo.GenerateZoo(w, zoo) {
+		f, err := os.Create(filepath.Join(dir, n.Name+".gml"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := topo.WriteGML(w, n, f); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if warmMisses != coldMisses {
-		t.Fatalf("warm rerun paid %d new misses", warmMisses-coldMisses)
+	grid := GridSpec{
+		Topos:       []TopoSpec{{Name: "corpus", Dir: dir}},
+		Traffics:    []string{"gravity"},
+		Constraints: []provision.Constraint{provision.Constraint1},
+		Chaos:       []string{"bp-outage"},
+		Policies:    []string{"recall"},
+	}
+	h, err := mustRun(t, grid, Config{Workers: 1}).Hash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "cd4f4201254251dbcbcf8a4405df3ff7556091cd9f1c3c04dcccbe879837e3b0"
+	if h != want {
+		t.Fatalf("corpus report hash %s, want %s", h, want)
 	}
 }

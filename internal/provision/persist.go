@@ -9,6 +9,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"github.com/public-option/poc/internal/linkset"
@@ -233,15 +234,16 @@ func parseCachePayload(p []byte) ([]byte, cacheEntry, bool) {
 const fileBuffer = 64 << 10
 
 // SaveFile writes the cache to path atomically (temp file + rename),
-// so a crash mid-save leaves any previous file intact. Frames go
+// so a crash mid-save leaves any previous file intact, and concurrent
+// saves, each with its own temp file, leave one whole image. Frames go
 // through a buffer; a failed flush fails the save before the sync, so
 // a torn file is never renamed into place.
 func (fc *FeasibilityCache) SaveFile(path string) error {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return err
 	}
+	tmp := f.Name()
 	w := bufio.NewWriterSize(f, fileBuffer)
 	err = fc.Save(w)
 	if err == nil {
@@ -253,11 +255,13 @@ func (fc *FeasibilityCache) SaveFile(path string) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return os.Rename(tmp, path)
+	return err
 }
 
 // LoadFile loads path into the cache through a buffered reader; Load

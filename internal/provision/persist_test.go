@@ -6,6 +6,8 @@ import (
 	"hash/crc32"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"github.com/public-option/poc/internal/linkset"
@@ -392,5 +394,60 @@ func TestCachePersistFileMissing(t *testing.T) {
 	warm := NewFeasibilityCache()
 	if n, err := warm.LoadFile(path); err != nil || n != 1 {
 		t.Fatalf("file roundtrip: n=%d err=%v", n, err)
+	}
+}
+
+// TestCacheSaveFileConcurrent: two saves to one path that overlap must
+// both succeed and leave exactly one of the two images behind, with no
+// temp file. A temp name shared between saves lets one save's rename
+// steal the other's file, or truncate it mid-write.
+func TestCacheSaveFileConcurrent(t *testing.T) {
+	p := shaveNet(10, 10, 10)
+	tm := traffic.NewMatrix(2)
+	tm.Set(0, 1, 4)
+	a, b := NewFeasibilityCache(), NewFeasibilityCache()
+	a.Check(p, nil, tm, Constraint1, Options{}, 0)
+	for i := range p.Links {
+		b.Check(p, linkset.FromIDs([]int{i}, len(p.Links)), tm, Constraint1, Options{}, 0)
+	}
+	var imgA, imgB bytes.Buffer
+	if err := a.Save(&imgA); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Save(&imgB); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	path := filepath.Join(dir, "c.pocfcache")
+	for round := 0; round < 50; round++ {
+		var wg sync.WaitGroup
+		errs := make([]error, 2)
+		for i, fc := range []*FeasibilityCache{a, b} {
+			wg.Add(1)
+			go func(i int, fc *FeasibilityCache) {
+				defer wg.Done()
+				errs[i] = fc.SaveFile(path)
+			}(i, fc)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatalf("round %d: %v", round, err)
+			}
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, imgA.Bytes()) && !bytes.Equal(got, imgB.Bytes()) {
+			t.Fatalf("round %d: file (%d bytes) matches neither image", round, len(got))
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) != 1 {
+			t.Fatalf("round %d: %d files left in the directory, want only the cache", round, len(entries))
+		}
 	}
 }

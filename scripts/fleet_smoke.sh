@@ -14,8 +14,11 @@
 #      (persistence is a speedup, never a result change)
 #   6. a -cold sweep, every cell with its own feasibility cache, must
 #      hash-identically (cache sharing never changes a result)
+#   7. a 24-network GML corpus written by zoogen, swept with -corpus,
+#      must hash identically at -workers 1 and 4 (the corpus path
+#      builds its instance from files, not the generator)
 #
-# Artifacts (reports, hashes, the resume journal) are left in
+# Artifacts (reports, hashes, the resume journal, the corpus) are left in
 # $SMOKE_DIR for CI to upload on failure.
 set -euo pipefail
 
@@ -31,8 +34,9 @@ fail() {
 }
 
 cd "$REPO_ROOT"
-log "building pocfleet"
+log "building pocfleet and zoogen"
 go build -o "$BIN" ./cmd/pocfleet
+go build -o "$SMOKE_DIR/zoogen" ./cmd/zoogen
 
 log "sweeping golden grid (-workers 4)"
 "$BIN" -grid golden -workers 4 -out "$SMOKE_DIR/fleet_w4.json" | tee "$SMOKE_DIR/w4.log"
@@ -74,5 +78,14 @@ HASH_NOSHARE=$("$BIN" -grid golden -workers 4 -cold -hash)
 echo "$HASH_NOSHARE" > "$SMOKE_DIR/hash_cold.txt"
 [ "$HASH_NOSHARE" = "$HASH_W4" ] || fail "-cold sweep hash $HASH_NOSHARE != shared sweep $HASH_W4"
 log "-cold reproduces $HASH_NOSHARE"
+
+log "sweeping a zoogen GML corpus (-corpus, -workers 4 and 1)"
+CORPUS="$SMOKE_DIR/corpus"
+"$SMOKE_DIR/zoogen" -networks 24 -summary=false -out "$CORPUS"
+HASH_C4=$("$BIN" -corpus "$CORPUS" -workers 4 -hash)
+HASH_C1=$("$BIN" -corpus "$CORPUS" -workers 1 -hash)
+echo "$HASH_C4" > "$SMOKE_DIR/hash_corpus.txt"
+[ "$HASH_C1" = "$HASH_C4" ] || fail "corpus worker invariance broken: -workers 1 => $HASH_C1, -workers 4 => $HASH_C4"
+log "corpus sweep reproduces $HASH_C4"
 
 log "PASS"
