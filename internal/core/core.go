@@ -89,7 +89,6 @@ type POC struct {
 	billedGB  map[string]float64 // usage already billed, per member
 
 	recalled     map[int]bool // links recalled by their BPs
-	recalledCost float64      // monthly payment share no longer owed
 	edgeServices map[string]*edge.Service
 	qos          map[string]QoSOffering
 	epochs       int

@@ -69,7 +69,6 @@ func (p *POC) RecallLink(linkID int, penaltyRate float64) (*RecallReport, error)
 		}
 	}
 	p.recalled[linkID] = true
-	p.recalledCost += share
 
 	changed := p.fabric.FailLink(linkID)
 	rep := &RecallReport{

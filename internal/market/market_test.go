@@ -203,105 +203,6 @@ func TestBreakEvenUsagePlan(t *testing.T) {
 	}
 }
 
-func buildEconomy(t testing.TB) *Economy {
-	e := NewEconomy(2, 1, 2, 2)
-	// LMP 0: 2 customers; LMP 1: 1 customer.
-	e.AddCustomer(0, "alice")
-	e.AddCustomer(0, "bob")
-	e.AddCustomer(1, "carol")
-	for li := range e.LMPs {
-		e.LMPs[li].POCPlan = UsagePlan{PerGB: 0.01}
-		e.LMPs[li].RetailPlan = TieredPlan{Base: 40, IncludedGB: 500, OveragePer: 0.05}
-	}
-	e.LMPs[0].Customers[0].UsageGB = 300
-	e.LMPs[0].Customers[0].Subscriptions[0] = 15 // alice subscribes to csp0
-	e.LMPs[0].Customers[1].UsageGB = 800
-	e.LMPs[1].Customers[0].UsageGB = 100
-	e.LMPs[1].Customers[0].Subscriptions[1] = 10
-	// CSP 0 attaches directly; CSP 1 via LMP 1.
-	e.CSPs[0].Direct = true
-	e.CSPs[0].AccessPlan = UsagePlan{PerGB: 0.008}
-	e.CSPs[0].UsageGB = 5000
-	e.CSPs[1].ViaLMP = 1
-	e.CSPs[1].AccessPlan = UsagePlan{PerGB: 0.02}
-	e.CSPs[1].UsageGB = 1000
-	return e
-}
-
-func TestEconomySettlement(t *testing.T) {
-	e := buildEconomy(t)
-	if err := e.SettleEpoch([]float64{500, 300}, []float64{200}); err != nil {
-		t.Fatal(err)
-	}
-	l := e.Ledger
-	if c := l.Conservation(); c != 0 {
-		t.Fatalf("conservation = %v", c)
-	}
-	// POC income: LMP transit 0.01*(1100+100)=12, CSP0 direct 40.
-	// POC outgo: 500+300+200 = 1000. Net = 52 − 1000.
-	want := 12.0 + 40 - 1000
-	if got := l.POCBalance(0); math.Abs(got-want) > 1e-9 {
-		t.Fatalf("POC balance = %v, want %v", got, want)
-	}
-	// Customers only pay; their balances are negative.
-	for _, cid := range l.EntitiesByKind(Customer) {
-		if l.Balance(cid, 0) >= 0 {
-			t.Fatalf("customer %d balance non-negative", cid)
-		}
-	}
-	// Epoch advanced.
-	if l.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1", l.Epoch())
-	}
-}
-
-func TestEconomyBreakEvenLoop(t *testing.T) {
-	// The nonprofit POC prices transit to recover its costs: with
-	// break-even pricing the POC balance per epoch is >= 0 and small.
-	e := buildEconomy(t)
-	leaseCost := 800.0
-	ispCost := 200.0
-	// Expected usage = LMP transit GB + direct CSP GB.
-	expected := 1100.0 + 100 + 5000
-	plan, err := BreakEvenUsagePlan(leaseCost+ispCost, expected, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for li := range e.LMPs {
-		e.LMPs[li].POCPlan = plan
-	}
-	e.CSPs[0].AccessPlan = plan
-	if err := e.SettleEpoch([]float64{500, 300}, []float64{200}); err != nil {
-		t.Fatal(err)
-	}
-	bal := e.Ledger.POCBalance(0)
-	if bal < 0 {
-		t.Fatalf("POC lost money: %v", bal)
-	}
-	if bal > (leaseCost+ispCost)*0.05 {
-		t.Fatalf("POC profit %v exceeds reserve policy", bal)
-	}
-}
-
-func TestSettleEpochValidation(t *testing.T) {
-	e := buildEconomy(t)
-	if err := e.SettleEpoch([]float64{1}, []float64{1}); err == nil {
-		t.Fatal("wrong lease payment count accepted")
-	}
-	if err := e.SettleEpoch([]float64{1, 2}, nil); err == nil {
-		t.Fatal("wrong contract count accepted")
-	}
-	e.LMPs[0].Customers[0].Subscriptions[99] = 5
-	if err := e.SettleEpoch([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("unknown CSP subscription accepted")
-	}
-	delete(e.LMPs[0].Customers[0].Subscriptions, 99)
-	e.CSPs[1].ViaLMP = 42
-	if err := e.SettleEpoch([]float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("unknown via-LMP accepted")
-	}
-}
-
 // Property: conservation holds for any sequence of legal payments.
 func TestQuickConservation(t *testing.T) {
 	f := func(amounts []uint16) bool {

@@ -44,8 +44,8 @@ func invariants(t *testing.T, f *Fabric) {
 			used[l] += m.Gbps
 		}
 	}
-	for id, pair := range f.edgeFor {
-		if pair[0] == graph.Undefined {
+	for id := range f.net.Links {
+		if !f.selected.Contains(id) {
 			continue
 		}
 		capacity := f.net.Links[id].Capacity
@@ -144,8 +144,8 @@ func drain(t *testing.T, f *Fabric) {
 			t.Fatalf("stop multicast %d: %v", m.ID, err)
 		}
 	}
-	for id, pair := range f.edgeFor {
-		if pair[0] == graph.Undefined {
+	for id := range f.net.Links {
+		if !f.selected.Contains(id) {
 			continue
 		}
 		if f.resid[id] != f.net.Links[id].Capacity {

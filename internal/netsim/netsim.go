@@ -150,7 +150,6 @@ type Fabric struct {
 	g       *graph.Graph
 	pr      *graph.PointRouter
 	linkFor []int32
-	edgeFor [][2]graph.EdgeID
 
 	// mask is the path-search edge mask (failed links avoided,
 	// residual ≥ the demand being placed), reparameterized by usable;
@@ -197,12 +196,13 @@ func New(p *topo.POCNetwork, selected map[int]bool) *Fabric {
 		mcastsOn: make([][]int32, len(p.Links)),
 		linkMark: make([]uint32, len(p.Links)),
 	}
-	f.g, f.edgeFor = p.Graph(sel)
+	g, edgeFor := p.Graph(sel)
+	f.g = g
 	if f.selected == nil {
 		f.selected = linkset.All(len(p.Links))
 	}
-	f.linkFor = make([]int32, f.g.NumEdges())
-	for id, pair := range f.edgeFor {
+	f.linkFor = make([]int32, g.NumEdges())
+	for id, pair := range edgeFor {
 		if pair[0] == graph.Undefined {
 			continue
 		}
@@ -473,15 +473,34 @@ func (f *Fabric) startOne(src, dst EndpointID, demandGbps float64, class Class) 
 		f.obs.Add("netsim.flows.local", 1)
 		return s, nil
 	}
-	links, cost := f.findPath(se.Router, de.Router, demandGbps)
-	if math.IsInf(cost, 1) {
+	start, alloc, lat, reason := f.reserve(se.Router, de.Router, demandGbps)
+	if reason != "" {
 		f.obs.Add("netsim.flows.rejected", 1)
-		return -1, fmt.Errorf("netsim: no usable path %s→%s", se.Name, de.Name)
+		return -1, fmt.Errorf("netsim: %s %s→%s", reason, se.Name, de.Name)
 	}
 	t := &f.tab
-	start := len(t.arena.data)
-	alloc := demandGbps
-	lat := 0.0
+	s := t.admit(src, dst, demandGbps, t.internClass(class))
+	f.commit(s, start, alloc, lat)
+	for _, l := range t.path(s) {
+		f.addUsed(int(l), alloc)
+	}
+	f.obs.Add("netsim.flows.admitted", 1)
+	return s, nil
+}
+
+// reserve places demand between routers a and b: it finds the path,
+// appends it to the arena as a tentative span and returns the span's
+// start, the bottleneck allocation and the path latency. On rejection
+// it truncates the span away and returns a constant reason instead, so
+// a failed placement allocates nothing.
+func (f *Fabric) reserve(a, b int, demand float64) (start int, alloc, lat float64, reason string) {
+	links, cost := f.findPath(a, b, demand)
+	if math.IsInf(cost, 1) {
+		return 0, 0, 0, "no usable path"
+	}
+	t := &f.tab
+	start = len(t.arena.data)
+	alloc = demand
 	for _, l := range links {
 		t.arena.data = append(t.arena.data, l)
 		lat += f.net.Links[l].DistanceKm
@@ -491,19 +510,34 @@ func (f *Fabric) startOne(src, dst EndpointID, demandGbps float64, class Class) 
 	}
 	if alloc <= 1e-9 {
 		t.arena.data = t.arena.data[:start]
-		f.obs.Add("netsim.flows.rejected", 1)
-		return -1, fmt.Errorf("netsim: no capacity on path %s→%s", se.Name, de.Name)
+		return 0, 0, 0, "no capacity on path"
 	}
-	s := t.admit(src, dst, demandGbps, t.internClass(class))
-	t.commitPath(s, start)
+	return start, alloc, lat, ""
+}
+
+// commit binds a span reserve returned to slot s with its allocation
+// and latency, and enters the slot in its links' crossing indexes.
+// The caller books the links' allocation sums.
+func (f *Fabric) commit(s int32, start int, alloc, lat float64) {
+	f.tab.commitPath(s, start)
 	f.setAlloc(s, alloc)
-	t.latency[s] = lat
+	f.tab.latency[s] = lat
 	f.indexFlow(s)
-	for _, l := range t.path(s) {
-		f.addUsed(int(l), alloc)
+}
+
+// unplace releases a slot's path: it leaves its links' crossing
+// indexes, the links are resummed without it and the span is freed.
+// The slot itself stays live.
+func (f *Fabric) unplace(s int32) {
+	links := f.tab.path(s)
+	for _, l := range links {
+		f.crossRemove(int(l), s)
 	}
-	f.obs.Add("netsim.flows.admitted", 1)
-	return s, nil
+	f.nFlowIdx -= len(links)
+	for _, l := range links {
+		f.resum(int(l))
+	}
+	f.tab.freePath(s)
 }
 
 // FlowSpec is one admission request for the bulk entry points.
@@ -546,21 +580,12 @@ func (f *Fabric) StopFlow(id FlowID) error {
 	return nil
 }
 
-// stopSlot tears down one live flow: unindex, resum its links, free
-// its path span and recycle the slot.
+// stopSlot tears down one live flow: release its path and recycle
+// the slot.
 func (f *Fabric) stopSlot(s int32) {
-	t := &f.tab
-	links := t.path(s)
-	for _, l := range links {
-		f.crossRemove(int(l), s)
-	}
-	f.nFlowIdx -= len(links)
-	for _, l := range links {
-		f.resum(int(l))
-	}
+	f.unplace(s)
 	f.clearDegraded(s)
-	t.freePath(s)
-	t.release(s)
+	f.tab.release(s)
 }
 
 // StopFlows releases a batch of flows and returns how many were
@@ -615,10 +640,10 @@ func (f *Fabric) StopFlows(ids []FlowID) int {
 	return len(stopping)
 }
 
-// snapshot materializes a Flow view of a live slot with a fresh Links
-// slice.
-func (f *Fabric) snapshot(s int32) Flow {
-	t := &f.tab
+// view builds the Flow of a live slot. Its path is appended to links
+// and the Flow's Links is that tail, capped at its length (nil for a
+// pathless flow); the extended links is returned for the next view.
+func (t *flowTable) view(s int32, links []int) (Flow, []int) {
 	fl := Flow{
 		ID:            t.id(s),
 		Seq:           t.seq[s],
@@ -630,13 +655,20 @@ func (f *Fabric) snapshot(s int32) Flow {
 		LatencyKm:     t.latency[s],
 		TransferredGB: t.transferred[s],
 	}
-	if n := t.pathLen[s]; n > 0 {
-		links := make([]int, n)
-		for i, l := range t.path(s) {
-			links[i] = int(l)
+	if t.pathLen[s] > 0 {
+		start := len(links)
+		for _, l := range t.path(s) {
+			links = append(links, int(l))
 		}
-		fl.Links = links
+		fl.Links = links[start:len(links):len(links)]
 	}
+	return fl, links
+}
+
+// snapshot materializes a Flow view of a live slot with a fresh Links
+// slice.
+func (f *Fabric) snapshot(s int32) Flow {
+	fl, _ := f.tab.view(s, make([]int, 0, f.tab.pathLen[s]))
 	return fl
 }
 
@@ -657,24 +689,8 @@ func (f *Fabric) Flows() []Flow {
 	out := make([]Flow, 0, t.live)
 	backing := make([]int, 0, t.arena.liveLinks)
 	t.rangeLive(func(s int32) bool {
-		fl := Flow{
-			ID:            t.id(s),
-			Seq:           t.seq[s],
-			Src:           t.src[s],
-			Dst:           t.dst[s],
-			Demand:        t.demand[s],
-			Allocated:     t.alloc[s],
-			Class:         t.classes[t.classID[s]],
-			LatencyKm:     t.latency[s],
-			TransferredGB: t.transferred[s],
-		}
-		if n := t.pathLen[s]; n > 0 {
-			start := len(backing)
-			for _, l := range t.path(s) {
-				backing = append(backing, int(l))
-			}
-			fl.Links = backing[start:len(backing):len(backing)]
-		}
+		var fl Flow
+		fl, backing = t.view(s, backing)
 		out = append(out, fl)
 		return true
 	})
@@ -691,24 +707,7 @@ func (f *Fabric) RangeFlows(fn func(*Flow) bool) {
 	var fl Flow
 	var linkBuf []int
 	t.rangeLive(func(s int32) bool {
-		fl = Flow{
-			ID:            t.id(s),
-			Seq:           t.seq[s],
-			Src:           t.src[s],
-			Dst:           t.dst[s],
-			Demand:        t.demand[s],
-			Allocated:     t.alloc[s],
-			Class:         t.classes[t.classID[s]],
-			LatencyKm:     t.latency[s],
-			TransferredGB: t.transferred[s],
-		}
-		if n := t.pathLen[s]; n > 0 {
-			linkBuf = linkBuf[:0]
-			for _, l := range t.path(s) {
-				linkBuf = append(linkBuf, int(l))
-			}
-			fl.Links = linkBuf
-		}
+		fl, linkBuf = t.view(s, linkBuf[:0])
 		return fn(&fl)
 	})
 }
@@ -873,47 +872,22 @@ func (f *Fabric) rerouteSlots(victims []int32) []FlowID {
 	changed := make([]FlowID, 0, len(victims))
 	for _, s := range victims {
 		changed = append(changed, t.id(s))
-		// Release.
-		released := t.path(s)
-		for _, l := range released {
-			f.crossRemove(int(l), s)
-		}
-		f.nFlowIdx -= len(released)
-		for _, l := range released {
-			f.resum(int(l))
-		}
-		t.freePath(s)
+		f.unplace(s)
 		f.setAlloc(s, 0)
 		t.latency[s] = 0
-		// Re-place.
 		se := f.endpoints[t.src[s]]
 		de := f.endpoints[t.dst[s]]
 		if se.Router == de.Router {
 			f.setAlloc(s, t.demand[s])
 			continue
 		}
-		links, cost := f.findPath(se.Router, de.Router, t.demand[s])
-		if math.IsInf(cost, 1) {
+		start, alloc, lat, reason := f.reserve(se.Router, de.Router, t.demand[s])
+		if reason != "" {
 			continue
 		}
-		start := len(t.arena.data)
-		alloc := t.demand[s]
-		lat := 0.0
-		for _, l := range links {
-			t.arena.data = append(t.arena.data, l)
-			lat += f.net.Links[l].DistanceKm
-			if f.resid[l] < alloc {
-				alloc = f.resid[l]
-			}
-		}
-		if alloc <= 1e-9 {
-			t.arena.data = t.arena.data[:start]
-			continue
-		}
-		t.commitPath(s, start)
-		f.setAlloc(s, alloc)
-		t.latency[s] = lat
-		f.indexFlow(s)
+		f.commit(s, start, alloc, lat)
+		// Re-placed flows keep their seq, so they may land mid-list:
+		// book with a full resum, not addUsed's tail increment.
 		for _, l := range t.path(s) {
 			f.resum(int(l))
 		}

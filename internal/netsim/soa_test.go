@@ -61,7 +61,9 @@ func TestStaleIDNeverAliasesRecycledSlot(t *testing.T) {
 
 // TestFlowsStayInAdmissionOrderAcrossRecycling pins that Flows and
 // RangeFlows iterate in admission order (strictly increasing Seq)
-// even when slot recycling makes numeric IDs non-monotonic.
+// even when slot recycling makes numeric IDs non-monotonic, and that
+// Flows, RangeFlows and Flow(id) build the same whole Flow after a
+// reroute has re-placed paths in the middle of the population.
 func TestFlowsStayInAdmissionOrderAcrossRecycling(t *testing.T) {
 	f := New(ringNet(1000), nil)
 	eps := attach4(t, f)
@@ -80,6 +82,12 @@ func TestFlowsStayInAdmissionOrderAcrossRecycling(t *testing.T) {
 			live = append(live[:mid], live[mid+1:]...)
 		}
 	}
+	if moved := f.FailLink(0); len(moved) == 0 {
+		t.Fatal("failing link 0 rerouted no flow")
+	}
+	if err := f.Tick(10); err != nil {
+		t.Fatal(err)
+	}
 	fs := f.Flows()
 	if len(fs) != len(live) {
 		t.Fatalf("%d flows live, snapshot has %d", len(live), len(fs))
@@ -91,8 +99,11 @@ func TestFlowsStayInAdmissionOrderAcrossRecycling(t *testing.T) {
 	}
 	i := 0
 	f.RangeFlows(func(fl *Flow) bool {
-		if fl.ID != fs[i].ID || fl.Seq != fs[i].Seq || !reflect.DeepEqual(fl.Links, fs[i].Links) {
-			t.Fatalf("RangeFlows diverges from Flows at %d", i)
+		if !reflect.DeepEqual(*fl, fs[i]) {
+			t.Fatalf("RangeFlows diverges from Flows at %d: %+v vs %+v", i, *fl, fs[i])
+		}
+		if one, err := f.Flow(fl.ID); err != nil || !reflect.DeepEqual(one, fs[i]) {
+			t.Fatalf("Flow(%d) diverges from Flows at %d: %+v, %v vs %+v", fl.ID, i, one, err, fs[i])
 		}
 		i++
 		return true

@@ -2,12 +2,14 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
 
 	"github.com/public-option/poc/internal/netsim"
+	"github.com/public-option/poc/internal/pocd/journal"
 )
 
 // Handler returns the daemon's HTTP mux. Query endpoints run their
@@ -145,7 +147,8 @@ func (s *Server) readHandler(read func(*state) (any, error), stale func(*Snapsho
 
 // opHandler builds a POST handler for one op kind: decode the body's
 // one JSON value, validate (400 before any journal traffic), then run
-// through the writer.
+// through the writer. A body longer than one journal record is refused
+// with 413 before it is decoded to its end.
 func (s *Server) opHandler(kind string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.admit(w, r) {
@@ -153,15 +156,19 @@ func (s *Server) opHandler(kind string) http.HandlerFunc {
 		}
 		op := &Op{}
 		if r.ContentLength != 0 {
-			dec := json.NewDecoder(r.Body)
+			dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, journal.MaxPayload))
 			if err := dec.Decode(op); err != nil {
-				http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+				if !bodyTooLarge(w, err) {
+					http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+				}
 				return
 			}
 			// Decode stops after one value and would drop what follows
 			// it unseen: anything but whitespace there is a 400 too.
 			if _, err := dec.Token(); err != io.EOF {
-				http.Error(w, "bad request body: data after the op", http.StatusBadRequest)
+				if !bodyTooLarge(w, err) {
+					http.Error(w, "bad request body: data after the op", http.StatusBadRequest)
+				}
 				return
 			}
 		}
@@ -172,6 +179,17 @@ func (s *Server) opHandler(kind string) http.HandlerFunc {
 		}
 		s.writeReply(w, s.do(op, nil))
 	}
+}
+
+// bodyTooLarge answers 413 and reports true when a body read failed
+// at its size bound.
+func bodyTooLarge(w http.ResponseWriter, err error) bool {
+	var tooLarge *http.MaxBytesError
+	if !errors.As(err, &tooLarge) {
+		return false
+	}
+	http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+	return true
 }
 
 // writeReply encodes one writer reply as the HTTP response.

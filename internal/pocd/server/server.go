@@ -267,6 +267,13 @@ func (s *Server) handle(req *request) {
 		req.reply <- reply{err: err, status: 500}
 		return
 	}
+	// An op too large for one journal record is the request's fault,
+	// not the journal's: refuse it here so the 503 below stays "the
+	// journal is broken".
+	if len(payload) > journal.MaxPayload {
+		req.reply <- reply{err: fmt.Errorf("op encodes to %d bytes, over the %d-byte journal record bound", len(payload), journal.MaxPayload), status: 413}
+		return
+	}
 	seq, err := s.jw.Append(payload)
 	if err != nil {
 		// The journal is broken: applying now would diverge the

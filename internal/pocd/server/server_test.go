@@ -576,23 +576,28 @@ func TestShutdownDrainsAndSeals(t *testing.T) {
 	}
 }
 
-// TestValidationNeverTouchesJournal: a 400 must not consume a
-// sequence number.
+// TestValidationNeverTouchesJournal: a 400, or a 413 for a body
+// longer than one journal record, must not consume a sequence number.
 func TestValidationNeverTouchesJournal(t *testing.T) {
 	s, _, path := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	bad := []struct{ path, body string }{
-		{"/v1/flows", `{"flows":[]}`},
-		{"/v1/flows", `{"flows":[{"src":"a","dst":"b","gbps":-1}]}`},
-		{"/v1/members", `{"name":"x","kind":"wat"}`},
-		{"/v1/epoch", `{"seconds":0}`},
-		{"/v1/chaos", `{"kind":"meteor"}`},
-		{"/v1/flows/stop", `{}`},
+	bad := []struct {
+		path, body string
+		want       int
+	}{
+		{"/v1/flows", `{"flows":[]}`, 400},
+		{"/v1/flows", `{"flows":[{"src":"a","dst":"b","gbps":-1}]}`, 400},
+		{"/v1/members", `{"name":"x","kind":"wat"}`, 400},
+		{"/v1/epoch", `{"seconds":0}`, 400},
+		{"/v1/chaos", `{"kind":"meteor"}`, 400},
+		{"/v1/flows/stop", `{}`, 400},
+		// A valid op padded past one journal record.
+		{"/v1/flows", `{"flows":[{"src":"a","dst":"b","gbps":1}]}` + strings.Repeat(" ", journal.MaxPayload), 413},
 	}
 	for _, b := range bad {
-		if code, body := post(t, ts, b.path, b.body); code != 400 {
-			t.Fatalf("POST %s %s: status %d (%s), want 400", b.path, b.body, code, body)
+		if code, body := post(t, ts, b.path, b.body); code != b.want {
+			t.Fatalf("POST %s %.60s: status %d (%s), want %d", b.path, b.body, code, body, b.want)
 		}
 	}
 	ts.Close()
