@@ -33,6 +33,7 @@ import (
 	poc "github.com/public-option/poc"
 	"github.com/public-option/poc/cmd/internal/diag"
 	"github.com/public-option/poc/internal/analysis"
+	"github.com/public-option/poc/internal/netsim"
 	"github.com/public-option/poc/internal/provision"
 )
 
@@ -215,19 +216,14 @@ func writeMetrics(reg *poc.Observer, path string) error {
 }
 
 // busiestLink returns the most utilized link and its utilization, or
-// -1 when no link carries traffic. Links are scanned in ascending ID
-// order, so a utilization tie goes to the lowest ID; ranging over the
-// map itself would let Go's randomized map order pick the link.
-func busiestLink(util map[int]float64) (int, float64) {
-	ids := make([]int, 0, len(util))
-	for id := range util {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+// -1 when no link carries traffic. util is in ascending link order, as
+// Fabric.Utilization returns it, so a utilization tie goes to the
+// lowest ID.
+func busiestLink(util []netsim.LinkUtil) (int, float64) {
 	busiest, bu := -1, 0.0
-	for _, id := range ids {
-		if u := util[id]; u > bu {
-			busiest, bu = id, u
+	for _, lu := range util {
+		if lu.Utilization > bu {
+			busiest, bu = lu.Link, lu.Utilization
 		}
 	}
 	return busiest, bu

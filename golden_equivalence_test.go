@@ -278,14 +278,8 @@ func hashFabricState(f *netsim.Fabric) string {
 		}
 		fmt.Fprint(h, ";")
 	}
-	util := f.Utilization()
-	var links []int
-	for l := range util {
-		links = append(links, l)
-	}
-	sort.Ints(links)
-	for _, l := range links {
-		fmt.Fprintf(h, "u%d=%s;", l, hex(util[l]))
+	for _, lu := range f.Utilization() {
+		fmt.Fprintf(h, "u%d=%s;", lu.Link, hex(lu.Utilization))
 	}
 	usage := f.UsageByEndpoint()
 	var eps []int

@@ -666,7 +666,10 @@ func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint6
 			idle = append(idle, id)
 		}
 	})
-	in.dropBatch(cur, idle, feasible, math.MaxInt, &checks)
+	// trial is the one scratch set the bisections below probe; nothing
+	// a probe calls keeps its include set.
+	trial := linkset.New(len(in.Network.Links))
+	in.dropBatch(cur, trial, idle, feasible, math.MaxInt, &checks)
 
 	// Pass 2 (optional): price-ordered batch refinement within the
 	// check budget.
@@ -686,7 +689,7 @@ func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint6
 			if batch < 1 {
 				batch = 1
 			}
-			dropped := in.dropBatch(cur, cand[:min(batch*2, len(cand))], feasible, budget-checks, &checks)
+			dropped := in.dropBatch(cur, trial, cand[:min(batch*2, len(cand))], feasible, budget-checks, &checks)
 			if dropped == 0 {
 				break
 			}
@@ -723,13 +726,14 @@ func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint6
 // infeasibility, within a check budget: it stops descending once
 // *spent (the caller's check counter, which feasible advances) has
 // grown by budget. It mutates set in place and returns how many links
-// were removed.
-func (in *Instance) dropBatch(set *linkset.Set, cand []int, feasible func(*linkset.Set) bool, budget int, spent *int) int {
+// were removed. Each bisection node copies set into trial, the caller's
+// scratch, and probes that: feasible must not keep the set it is given.
+func (in *Instance) dropBatch(set, trial *linkset.Set, cand []int, feasible func(*linkset.Set) bool, budget int, spent *int) int {
 	if len(cand) == 0 || budget <= 0 {
 		return 0
 	}
 	before := *spent
-	trial := set.Clone()
+	trial.CopyFrom(set)
 	for _, id := range cand {
 		trial.Remove(id)
 	}
@@ -744,7 +748,7 @@ func (in *Instance) dropBatch(set *linkset.Set, cand []int, feasible func(*links
 	}
 	mid := len(cand) / 2
 	remaining := budget - (*spent - before)
-	n := in.dropBatch(set, cand[:mid], feasible, remaining, spent)
+	n := in.dropBatch(set, trial, cand[:mid], feasible, remaining, spent)
 	remaining = budget - (*spent - before)
-	return n + in.dropBatch(set, cand[mid:], feasible, remaining, spent)
+	return n + in.dropBatch(set, trial, cand[mid:], feasible, remaining, spent)
 }

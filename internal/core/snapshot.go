@@ -24,12 +24,9 @@ type Member struct {
 	Suspended bool   `json:"suspended,omitempty"`
 }
 
-// LinkUtil is one link's utilization in a Snapshot, as a sorted slice
-// (not a map) so the JSON encoding orders numerically.
-type LinkUtil struct {
-	Link        int     `json:"link"`
-	Utilization float64 `json:"utilization"`
-}
+// LinkUtil is one link's utilization in a Snapshot, as a slice sorted
+// by link (not a map) so the JSON encoding orders numerically.
+type LinkUtil = netsim.LinkUtil
 
 // Snapshot is a consistent read-only view of an active POC.
 type Snapshot struct {
@@ -77,7 +74,7 @@ func (p *POC) Snapshot() Snapshot {
 		return s
 	}
 	s.Flows = p.fabric.NumFlows()
-	s.LeasedLinks = len(p.fabric.SelectedLinks())
+	s.LeasedLinks = p.fabric.NumSelectedLinks()
 	s.FailedLinks = p.fabric.FailedLinks()
 	s.Members = p.Members()
 	recalled := make([]int, 0, len(p.recalled))
@@ -86,16 +83,7 @@ func (p *POC) Snapshot() Snapshot {
 	}
 	sort.Ints(recalled)
 	s.RecalledLinks = recalled
-	util := p.fabric.Utilization()
-	links := make([]int, 0, len(util))
-	for id := range util {
-		links = append(links, id)
-	}
-	sort.Ints(links)
-	s.Utilization = make([]LinkUtil, 0, len(links))
-	for _, id := range links {
-		s.Utilization = append(s.Utilization, LinkUtil{Link: id, Utilization: util[id]})
-	}
+	s.Utilization = p.fabric.Utilization()
 	return s
 }
 

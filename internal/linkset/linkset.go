@@ -174,6 +174,13 @@ func (s *Set) Clone() *Set {
 	return &Set{words: append([]uint64(nil), s.words...)}
 }
 
+// CopyFrom makes s a copy of t (nil = the empty set), reusing s's
+// words when they have room: a caller that copies into one scratch set
+// over and over allocates once.
+func (s *Set) CopyFrom(t *Set) {
+	s.words = append(s.words[:0], t.Words()...)
+}
+
 // Union adds every member of t to s.
 func (s *Set) Union(t *Set) {
 	if t == nil {

@@ -851,6 +851,9 @@ func (f *Fabric) SelectedLinks() []int {
 	return f.selected.AppendIDs(make([]int, 0, f.selected.Len()))
 }
 
+// NumSelectedLinks returns how many links the fabric has selected.
+func (f *Fabric) NumSelectedLinks() int { return f.selected.Len() }
+
 // rerouteSlots releases and re-places the given flows in descending
 // class-weight order (ties broken by admission order). It returns the
 // IDs of all re-placed flows (their path, allocation, or both may
@@ -947,15 +950,22 @@ func (f *Fabric) UsageByEndpoint() map[EndpointID]float64 {
 	return out
 }
 
+// LinkUtil is one link's utilization. Lists of it are in ascending
+// link order, so their JSON encoding orders numerically.
+type LinkUtil struct {
+	Link        int     `json:"link"`
+	Utilization float64 `json:"utilization"`
+}
+
 // Utilization returns used/capacity for every selected link with
-// non-zero use.
-func (f *Fabric) Utilization() map[int]float64 {
-	out := make(map[int]float64, f.selected.Len())
+// non-zero use, in ascending link order.
+func (f *Fabric) Utilization() []LinkUtil {
+	out := make([]LinkUtil, 0, f.selected.Len())
 	f.selected.Iterate(func(id int) {
 		cap := f.net.Links[id].Capacity
 		used := cap - f.resid[id]
 		if used > 1e-9 {
-			out[id] = used / cap
+			out = append(out, LinkUtil{Link: id, Utilization: used / cap})
 		}
 	})
 	return out

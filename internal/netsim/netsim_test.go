@@ -106,7 +106,7 @@ func TestStartFlowReservesShortestPath(t *testing.T) {
 		t.Fatalf("links = %v", fl.Links)
 	}
 	util := f.Utilization()
-	if util[0] != 0.5 || util[1] != 0.5 {
+	if len(util) != 2 || util[0] != (LinkUtil{Link: 0, Utilization: 0.5}) || util[1] != (LinkUtil{Link: 1, Utilization: 0.5}) {
 		t.Fatalf("utilization = %v", util)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	poc "github.com/public-option/poc"
 	"github.com/public-option/poc/internal/provision"
+	"github.com/public-option/poc/internal/topo"
 	"github.com/public-option/poc/internal/traffic"
 )
 
@@ -100,5 +101,32 @@ func TestAllocBudgetPrimaryPaths(t *testing.T) {
 	if all-halved > 4 {
 		t.Fatalf("Constraint-3 Check allocates %v objects for %d pairs but %v for %d: grows with the pair count",
 			all, pairs, halved, (pairs+1)/2)
+	}
+}
+
+// TestAllocBudgetArena: the graph is the workspace's, built by its first
+// arena, so every later arena allocates per-check state only — its
+// residuals, masks, bitsets and router shells — and the same number of
+// objects on the zoo scenario as on the 200-router, 800-link synth.
+func TestAllocBudgetArena(t *testing.T) {
+	s, err := poc.NewScenario(poc.ScenarioOptions{Scale: 0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	synth := topo.GenerateSynth(topo.SynthConfig{
+		Seed: 1, Regions: 8, Routers: 200, Links: 800, BPsPerRegion: 4, Hubs: 4, Pairs: 40, Gbps: 6,
+	})
+	var counts [2]float64
+	for i, p := range []*topo.POCNetwork{s.Network, synth.P} {
+		ws := provision.NewWorkspace(p, provision.Options{})
+		ws.NewArena() // builds the graph
+		counts[i] = testing.AllocsPerRun(10, ws.NewArena)
+		t.Logf("an arena over %d routers and %d links allocates %v objects", len(p.Routers), len(p.Links), counts[i])
+		if counts[i] > 12 {
+			t.Fatalf("an arena over %d links allocates %v objects, budget 12", len(p.Links), counts[i])
+		}
+	}
+	if counts[0] != counts[1] {
+		t.Fatalf("an arena allocates %v objects on the zoo but %v on the synth: it grows with the network", counts[0], counts[1])
 	}
 }

@@ -21,6 +21,10 @@ func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matr
 	return ws.primaryPaths(include, ws.shapeOf(tm))
 }
 
+// NewArena builds one arena of ws the way acquire does when its free
+// list is empty, and drops it.
+func (ws *Workspace) NewArena() { newArena(ws.p, ws.graph()) }
+
 // StateHash digests everything a TryDrop may touch, for the trajectory
 // test in package provision_test: every live routing's assignments as
 // (src, dst, Gbps bits, links) in pair order then list order, followed

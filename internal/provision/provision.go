@@ -308,20 +308,20 @@ func (r *Routing) MaxUtilization(p *topo.POCNetwork) float64 {
 	return mx
 }
 
-// router is one reusable routing arena: the full graph over every
-// logical link (candidate subsets select edges through the enabled /
-// open masks, see apply), the pooled Dijkstra engines, and slice-backed
-// residuals. Arenas are owned by a Workspace and must be used by one
-// goroutine at a time (acquire/release).
+// router is one reusable routing arena: per-check state over the
+// workspace's one graph of every logical link (candidate subsets select
+// edges through the enabled / open masks, see apply) — the pooled
+// Dijkstra engines' scratch, slice-backed residuals, the masks and work
+// lists. Arenas are owned by a Workspace and must be used by one
+// goroutine at a time (acquire/release); the graph they read is
+// shared and never written.
 type router struct {
-	p       *topo.POCNetwork
-	g       *graph.Graph
-	pr      *graph.PointRouter
-	tr      *graph.TreeRouter
-	linkFor []int32      // directed edge -> logical link
-	posFor  [][2]uint32  // logical link -> mask positions of its two edges
-	resid   []float64    // residual Gbps per logical link
-	enabled *linkset.Set // links of the applied subset, minus bans
+	p         *topo.POCNetwork
+	*netGraph // the workspace's graph, shared and read-only
+	pr        *graph.PointRouter
+	tr        *graph.TreeRouter
+	resid     []float64    // residual Gbps per logical link
+	enabled   *linkset.Set // links of the applied subset, minus bans
 
 	// cross is a crossing index (reindex) — a live routing's, or that of
 	// the routing route's phase 3 is repairing: link l's row is

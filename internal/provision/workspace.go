@@ -19,30 +19,37 @@ import (
 // metric) pair. The auction's winner determination probes thousands of
 // near-identical link subsets; a Workspace builds the routing graph
 // over *every* logical link once and evaluates each candidate subset
-// by XOR-diffing the include bitset into the arena's open-edge masks —
+// by XOR-diffing the include bitset into an arena's open-edge masks —
 // an O(diff) word-scan per check instead of a full graph rebuild. The
 // shortest-path kernel walks only the set bits of the mask, in
 // adjacency order, so the masked full graph explores exactly the
 // node/edge sequence a subset-built graph would: every path, cost and
 // residual is bit-identical to the rebuild-per-check seed behaviour.
 //
-// A Workspace owns a free list of arenas (router state: graph, pooled
-// TreeRouter/PointRouter scratch, slice-backed residuals). Route/Check
-// acquire an arena, apply the include set, and release it on return;
-// parallel callers (Constraint-2 scenario sweeps, the auction's
-// counterfactuals) therefore each own a private arena for the duration
-// of a routing — the per-worker ownership rule that keeps parallel runs
-// bit-identical (DESIGN.md §10).
+// The graph is built once, on the first acquire, and never written
+// again; every arena reads it. A Workspace owns a free list of arenas,
+// each nothing but per-check state (residuals, masks, TreeRouter and
+// PointRouter scratch, work lists). Route/Check acquire an arena, apply
+// the include set, and release it on return; parallel callers
+// (Constraint-2 scenario sweeps, the auction's counterfactuals)
+// therefore each own a private arena for the duration of a routing —
+// the per-worker ownership rule that keeps parallel runs bit-identical
+// (DESIGN.md §10).
 //
 // The Workspace is bound to the Options.LinkCost metric it was created
-// with: edge costs are frozen into the arena graphs. Callers must not
-// pass one workspace to checks using a different metric (an auction run
-// builds one for its main winner determination and one that all its
+// with: edge costs are frozen into the graph. Callers must not pass one
+// workspace to checks using a different metric (an auction run builds
+// one for its main winner determination and one that all its
 // counterfactuals share, each bound to that metric for the run).
 type Workspace struct {
 	p        *topo.POCNetwork
 	linkCost func(l topo.LogicalLink) float64
 	all      *linkset.Set
+
+	// net is the routing graph every arena reads, built by the first
+	// acquire (graph) and immutable after.
+	netOnce sync.Once
+	net     *netGraph
 
 	mu    sync.Mutex
 	free  []*router
@@ -58,8 +65,8 @@ type Workspace struct {
 }
 
 // NewWorkspace returns a workspace for p bound to opts.LinkCost (nil
-// means physical distance). Arenas are built lazily on first use and
-// recycled across checks.
+// means physical distance). The graph and the arenas are built lazily
+// on first use, and arenas are recycled across checks.
 func NewWorkspace(p *topo.POCNetwork, opts Options) *Workspace {
 	return &Workspace{
 		p:        p,
@@ -95,7 +102,7 @@ func (ws *Workspace) acquire() *router {
 		return rt
 	}
 	ws.mu.Unlock()
-	return newArena(ws.p, ws.linkCost)
+	return newArena(ws.p, ws.graph())
 }
 
 // release returns an arena to the free list.
@@ -136,10 +143,26 @@ func (ws *Workspace) giveRouting(r *Routing) {
 	ws.mu.Unlock()
 }
 
-// newArena builds routing state over every logical link of p, with the
-// metric frozen into the edge costs. No link is enabled until the
-// first apply.
-func newArena(p *topo.POCNetwork, linkCost func(l topo.LogicalLink) float64) *router {
+// netGraph is the routing graph over every logical link of a network,
+// with a metric frozen into the edge costs, and the maps between links
+// and edges. Nothing writes it after buildGraph, so any number of
+// arenas read one copy concurrently.
+type netGraph struct {
+	g       *graph.Graph
+	linkFor []int32     // directed edge -> logical link
+	posFor  [][2]uint32 // logical link -> mask positions of its two edges
+}
+
+// graph returns the workspace's routing graph, building it on the first
+// call; concurrent first callers wait for the one build.
+func (ws *Workspace) graph() *netGraph {
+	ws.netOnce.Do(func() { ws.net = buildGraph(ws.p, ws.linkCost) })
+	return ws.net
+}
+
+// buildGraph builds the routing graph over every logical link of p, its
+// CSR layout included, with linkCost (nil = distance) as edge costs.
+func buildGraph(p *topo.POCNetwork, linkCost func(l topo.LogicalLink) float64) *netGraph {
 	g := graph.New(len(p.Routers))
 	edgeFor := make([][2]graph.EdgeID, len(p.Links))
 	for _, l := range p.Links {
@@ -160,14 +183,18 @@ func newArena(p *topo.POCNetwork, linkCost func(l topo.LogicalLink) float64) *ro
 	for id, pair := range edgeFor {
 		posFor[id] = [2]uint32{uint32(g.Pos(pair[0])), uint32(g.Pos(pair[1]))}
 	}
-	words := (g.NumEdges() + 63) / 64
+	return &netGraph{g: g, linkFor: linkFor, posFor: posFor}
+}
+
+// newArena builds the per-check state of one arena over ng, the graph
+// of p. No link is enabled until the first apply.
+func newArena(p *topo.POCNetwork, ng *netGraph) *router {
+	words := (ng.g.NumEdges() + 63) / 64
 	return &router{
 		p:          p,
-		g:          g,
-		pr:         graph.NewPointRouter(g),
-		tr:         graph.NewTreeRouter(g),
-		linkFor:    linkFor,
-		posFor:     posFor,
+		netGraph:   ng,
+		pr:         graph.NewPointRouter(ng.g),
+		tr:         graph.NewTreeRouter(ng.g),
 		resid:      make([]float64, len(p.Links)),
 		enabled:    linkset.New(len(p.Links)),
 		enabledPos: make([]uint64, words),

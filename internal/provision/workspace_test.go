@@ -1,0 +1,83 @@
+package provision
+
+import (
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"github.com/public-option/poc/internal/topo"
+)
+
+// TestArenasShareOneGraph: every arena a workspace hands out — held at
+// once, recycled, or the shave's primary-path arena — reads the one
+// graph the workspace built.
+func TestArenasShareOneGraph(t *testing.T) {
+	p := memoNet(rand.New(rand.NewSource(1)), 12, 10)
+	ws := NewWorkspace(p, Options{})
+	a, b := ws.acquire(), ws.acquire()
+	if a == b || a.netGraph != b.netGraph || a.g != ws.graph().g {
+		t.Fatal("two arenas held at once read different graphs")
+	}
+	ws.release(b)
+	ws.release(a)
+	for range 3 {
+		rt := ws.acquire()
+		if rt.g != ws.graph().g {
+			t.Fatal("a recycled arena reads another graph")
+		}
+		ws.release(rt)
+	}
+	tm := memoTM(rand.New(rand.NewSource(2)), 12, 10, 1)
+	sh, ok := NewShaver(p, nil, tm, Constraint3, Options{Workspace: ws})
+	if !ok {
+		t.Fatal("full link set infeasible")
+	}
+	defer sh.Close()
+	for _, lr := range sh.live {
+		if lr.rt.g != ws.graph().g {
+			t.Fatal("a shaver's live arena reads another graph")
+		}
+	}
+}
+
+// TestFirstAcquiresBuildOneGraph: arenas acquired concurrently from a
+// fresh workspace all read one graph, built once — the metric is priced
+// once per link. Run it under -race: the graph is written by its one
+// build and only read after.
+func TestFirstAcquiresBuildOneGraph(t *testing.T) {
+	p := memoNet(rand.New(rand.NewSource(3)), 16, 20)
+	var priced atomic.Int64
+	ws := NewWorkspace(p, Options{LinkCost: func(l topo.LogicalLink) float64 {
+		priced.Add(1)
+		return l.DistanceKm
+	}})
+	const n = 8
+	var (
+		start, done sync.WaitGroup
+		arenas      [n]*router
+	)
+	start.Add(1)
+	for i := range arenas {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			arenas[i] = ws.acquire()
+			// Read the graph from every arena while all are held.
+			arenas[i].apply(nil, 0, ws.all)
+			arenas[i].path(0, 1, arenas[i].openMask(nil))
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i, rt := range arenas {
+		if rt.netGraph != arenas[0].netGraph {
+			t.Fatalf("arena %d reads a graph of its own", i)
+		}
+		ws.release(rt)
+	}
+	if got := priced.Load(); got != int64(len(p.Links)) {
+		t.Fatalf("%d concurrent first acquires priced %d links of %d: the graph was built more than once", n, got, len(p.Links))
+	}
+}
