@@ -42,7 +42,7 @@ func benchScenario(b *testing.B) *Scenario {
 // counterfactual winner determinations.
 func benchmarkAuction(b *testing.B, c Constraint) {
 	s := benchScenario(b)
-	var res *AuctionResult
+	var res *auction.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r, err := s.Instance(c, 0).Run()

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net/http"
 	"os"
 	"os/signal"
@@ -95,7 +96,7 @@ func run() error {
 	timeout := flag.Duration("timeout", 2*time.Second, "per-request queue deadline")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
 	rate := flag.Float64("rate", 0, "per-tenant requests/second (0 = unlimited)")
-	burst := flag.Float64("burst", 0, "per-tenant burst (0 = same as -rate)")
+	burst := flag.Float64("burst", 0, "per-tenant burst, at least 1 (0 = max(-rate, 1))")
 	nofsync := flag.Bool("nofsync", false, "skip fsync after each journal record (unsafe)")
 	replay := flag.Bool("replay", false, "replay the journal, print a summary, and exit")
 	export := flag.String("export", "", "with -replay: write the replayed obs export to this file")
@@ -103,6 +104,14 @@ func run() error {
 
 	if *journalPath == "" {
 		return fmt.Errorf("-journal is required")
+	}
+	// A NaN -rate would switch limiting off unseen, and a bucket that
+	// holds less than the one token a request costs admits nothing.
+	if math.IsNaN(*rate) || math.IsInf(*rate, 0) || math.IsNaN(*burst) || math.IsInf(*burst, 0) {
+		return fmt.Errorf("-rate %v and -burst %v must be finite", *rate, *burst)
+	}
+	if *burst > 0 && *burst < 1 {
+		return fmt.Errorf("-burst %v is below the one token a request costs", *burst)
 	}
 
 	if *replay {

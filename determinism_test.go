@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"github.com/public-option/poc/internal/auction"
+	"github.com/public-option/poc/internal/chaos"
 	"github.com/public-option/poc/internal/federation"
 	"github.com/public-option/poc/internal/fleet"
 	"github.com/public-option/poc/internal/interdomain"
@@ -96,7 +97,7 @@ func chaosSurvivabilityReport(t *testing.T, workers int) string {
 			t.Fatal(err)
 		}
 	}
-	var firstFlow *Flow
+	var firstFlow *netsim.Flow
 	for i := 0; i < 4; i++ {
 		for j := i + 1; j < 4; j++ {
 			class := BestEffort
@@ -117,7 +118,7 @@ func chaosSurvivabilityReport(t *testing.T, workers int) string {
 	}
 	sched := RandomChaos(11, 8, p.Fabric().SelectedLinks(), 0.15, 2)
 	sched.Merge(SingleBPOutage(p.Network().Links[firstFlow.Links[0]].BP, 1, 5))
-	eng, err := NewChaosEngine(p, sched, DefaultRecoveryConfig(RecoverRecall))
+	eng, err := NewChaosEngine(p, sched, DefaultRecoveryConfig(chaos.Recall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func metricsExport(t *testing.T, workers int) []byte {
 	}
 	sched := RandomChaos(11, 8, p.Fabric().SelectedLinks(), 0.15, 2)
 	sched.Merge(SingleBPOutage(p.Network().Links[links[0]].BP, 1, 5))
-	eng, err := NewChaosEngine(p, sched, DefaultRecoveryConfig(RecoverRecall))
+	eng, err := NewChaosEngine(p, sched, DefaultRecoveryConfig(chaos.Recall))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +272,7 @@ func failedAuctionExport(t *testing.T, workers int) []byte {
 // repeated calls — with ULP-sensitive addends, either reverting to map
 // iteration almost surely breaks one of the two. (The third fixed
 // accumulation, core.linkPaymentShare, is covered byte-wise by
-// TestChaosReportDeterminism through the RecoverRecall ladder.)
+// TestChaosReportDeterminism through the chaos.Recall ladder.)
 func TestSortedIterationDeterminism(t *testing.T) {
 	// interdomain: a star AS graph — src and 24 stubs all buy transit
 	// from AS 100, so every destination rides a billable provider route.
@@ -495,7 +496,7 @@ func TestDecomposedAuctionWorkerInvariance(t *testing.T) {
 	instance := func(workers int) *AuctionInstance {
 		return &AuctionInstance{
 			Network: s.P, Bids: bids, TM: tm, Constraint: Constraint2,
-			RouteOpts: RouteOptions{FailureScenarios: 8}, MaxChecks: 40, Workers: workers,
+			RouteOpts: provision.Options{FailureScenarios: 8}, MaxChecks: 40, Workers: workers,
 			Cache: provision.NewFeasibilityCache(), Decompose: true,
 		}
 	}

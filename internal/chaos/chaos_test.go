@@ -363,7 +363,9 @@ func TestCorrelatedCutUsesGeography(t *testing.T) {
 	// A cut centered on router 0's city severs every selected link
 	// touching it; both fixture flows originate there.
 	lat, lon := p.Network().RouterLatLon(0)
-	s := CorrelatedCut(lat, lon, 50, 1, 2)
+	var s Schedule
+	s.Add(Event{Epoch: 1, Kind: Correlated, Lat: lat, Lon: lon, RadiusKm: 50})
+	s.Add(Event{Epoch: 2, Kind: RepairCorrelated, Lat: lat, Lon: lon, RadiusKm: 50})
 	e, err := New(p, s, RecoveryConfig{Policy: RerouteOnly})
 	if err != nil {
 		t.Fatal(err)

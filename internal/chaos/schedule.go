@@ -188,17 +188,6 @@ func FlappingLink(link, start, downEpochs, upEpochs, cycles int) Schedule {
 	return s
 }
 
-// CorrelatedCut scripts a geographic cut of radius radiusKm around
-// (lat, lon) at failEpoch, repaired at repairEpoch.
-func CorrelatedCut(lat, lon, radiusKm float64, failEpoch, repairEpoch int) Schedule {
-	var s Schedule
-	s.Add(Event{Epoch: failEpoch, Kind: Correlated, Lat: lat, Lon: lon, RadiusKm: radiusKm})
-	if repairEpoch > failEpoch {
-		s.Add(Event{Epoch: repairEpoch, Kind: RepairCorrelated, Lat: lat, Lon: lon, RadiusKm: radiusKm})
-	}
-	return s
-}
-
 // Random generates a seeded stochastic schedule over the given
 // candidate links: each epoch, each healthy link fails independently
 // with probability failProb; a failed link repairs after a geometric

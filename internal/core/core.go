@@ -258,18 +258,6 @@ func (p *POC) AttachCSP(name string, router int) (netsim.EndpointID, error) {
 	return id, nil
 }
 
-// UpdatePolicy replaces an attached LMP's declared policy (it is
-// re-audited at the next EnforceTerms run, mirroring the
-// contract-then-audit flow of real terms of service).
-func (p *POC) UpdatePolicy(name string, policy peering.Policy) error {
-	if _, ok := p.policies[name]; !ok {
-		return fmt.Errorf("core: %s is not an attached LMP", name)
-	}
-	policy.LMP = name
-	p.policies[name] = policy
-	return nil
-}
-
 // EnforceTerms audits every attached LMP's policy and suspends
 // violators (their flows are not torn down here; operators act on the
 // returned report). It returns all violations found.
@@ -289,10 +277,6 @@ func (p *POC) EnforceTerms() []peering.Violation {
 	}
 	return out
 }
-
-// Suspended reports whether a member is suspended for terms
-// violations.
-func (p *POC) Suspended(name string) bool { return p.suspended[name] }
 
 // StartFlow admits traffic between two attached members. Suspended
 // members cannot start flows.

@@ -173,12 +173,3 @@ func (p *POC) DeployCache(service, csp string, router int) error {
 	}
 	return nil
 }
-
-// EdgeService returns a registered edge service.
-func (p *POC) EdgeService(name string) (*edge.Service, error) {
-	svc, ok := p.edgeServices[name]
-	if !ok {
-		return nil, fmt.Errorf("core: unknown edge service %q", name)
-	}
-	return svc, nil
-}

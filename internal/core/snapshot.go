@@ -40,9 +40,6 @@ type Snapshot struct {
 	Utilization   []LinkUtil    `json:"utilization,omitempty"`
 }
 
-// Epochs returns how many billing epochs have closed.
-func (p *POC) Epochs() int { return p.epochs }
-
 // Members returns the attached members sorted by name (nil before
 // Activate — members only exist on a fabric).
 func (p *POC) Members() []Member {

@@ -12,10 +12,7 @@
 // the LMP's access charge.
 package econ
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Demand describes one CSP service's demand side: the distribution of
 // consumer willingness-to-pay.
@@ -144,26 +141,3 @@ func (l Logistic) Density(v float64) float64 {
 
 // Max implements Demand.
 func (l Logistic) Max() float64 { return l.Mid + 40*l.S }
-
-// Validate sanity-checks a demand family for use in the model.
-func Validate(d Demand) error {
-	if d.Max() <= 0 {
-		return fmt.Errorf("econ: demand has non-positive support bound %v", d.Max())
-	}
-	if f0 := d.F(0); f0 < 0 || f0 > 1e-9 {
-		return fmt.Errorf("econ: F(0) = %v, want 0", f0)
-	}
-	if fm := d.F(d.Max()); fm < 1-1e-6 {
-		return fmt.Errorf("econ: F(Max) = %v, want ~1", fm)
-	}
-	prev := 0.0
-	for i := 0; i <= 100; i++ {
-		v := d.Max() * float64(i) / 100
-		f := d.F(v)
-		if f < prev-1e-12 {
-			return fmt.Errorf("econ: F decreasing at v=%v", v)
-		}
-		prev = f
-	}
-	return nil
-}

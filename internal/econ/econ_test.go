@@ -1,6 +1,7 @@
 package econ
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -14,6 +15,29 @@ var families = []struct {
 	{"exponential", Exponential{Mean: 30}},
 	{"pareto", Pareto{Scale: 20, Alpha: 2.5}},
 	{"logistic", Logistic{Mid: 50, S: 10}},
+}
+
+// Validate sanity-checks a demand family for use in the model.
+func Validate(d Demand) error {
+	if d.Max() <= 0 {
+		return fmt.Errorf("econ: demand has non-positive support bound %v", d.Max())
+	}
+	if f0 := d.F(0); f0 < 0 || f0 > 1e-9 {
+		return fmt.Errorf("econ: F(0) = %v, want 0", f0)
+	}
+	if fm := d.F(d.Max()); fm < 1-1e-6 {
+		return fmt.Errorf("econ: F(Max) = %v, want ~1", fm)
+	}
+	prev := 0.0
+	for i := 0; i <= 100; i++ {
+		v := d.Max() * float64(i) / 100
+		f := d.F(v)
+		if f < prev-1e-12 {
+			return fmt.Errorf("econ: F decreasing at v=%v", v)
+		}
+		prev = f
+	}
+	return nil
 }
 
 func TestValidateFamilies(t *testing.T) {

@@ -96,11 +96,6 @@ func (g *Graph) AddBiEdge(a, b NodeID, cost, capacity float64) (EdgeID, EdgeID) 
 	return g.AddEdge(a, b, cost, capacity), g.AddEdge(b, a, cost, capacity)
 }
 
-// Edge returns a copy of the edge with the given ID.
-func (g *Graph) Edge(id EdgeID) Edge {
-	return g.edges[id]
-}
-
 // Path is a sequence of edge IDs forming a walk from a source to a
 // destination, together with its total routing cost.
 type Path struct {
@@ -132,17 +127,4 @@ func (p Path) MinCapacity(g *Graph) float64 {
 		}
 	}
 	return min
-}
-
-// Validate checks that the path's edges are contiguous in g and
-// returns an error describing the first inconsistency.
-func (p Path) Validate(g *Graph) error {
-	for i := 1; i < len(p.Edges); i++ {
-		prev, cur := g.edges[p.Edges[i-1]], g.edges[p.Edges[i]]
-		if prev.To != cur.From {
-			return fmt.Errorf("graph: path discontinuous at hop %d: edge %d ends at %d, edge %d starts at %d",
-				i, p.Edges[i-1], prev.To, p.Edges[i], cur.From)
-		}
-	}
-	return nil
 }

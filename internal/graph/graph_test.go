@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -65,8 +66,8 @@ func TestAddEdgePanics(t *testing.T) {
 func TestNegativeCapacityMeansUnbounded(t *testing.T) {
 	g := New(2)
 	id := g.AddEdge(0, 1, 1, -1)
-	if !math.IsInf(g.Edge(id).Capacity, 1) {
-		t.Fatalf("capacity = %v, want +Inf", g.Edge(id).Capacity)
+	if !math.IsInf(g.edges[id].Capacity, 1) {
+		t.Fatalf("capacity = %v, want +Inf", g.edges[id].Capacity)
 	}
 }
 
@@ -204,7 +205,7 @@ func TestQuickDijkstraTriangleInequality(t *testing.T) {
 		g := randomGraph(seed, 30, 60)
 		tree := NewTreeRouter(g).Tree(0, nil)
 		for i := 0; i < g.NumEdges(); i++ {
-			e := g.Edge(EdgeID(i))
+			e := g.edges[i]
 			if tree.Reachable(e.From) && tree.Dist[e.To] > tree.Dist[e.From]+e.Cost+1e-9 {
 				return false
 			}
@@ -232,7 +233,7 @@ func TestQuickDijkstraPathCostMatchesDist(t *testing.T) {
 			}
 			sum := 0.0
 			for _, eid := range p.Edges {
-				sum += g.Edge(eid).Cost
+				sum += g.edges[eid].Cost
 			}
 			if math.Abs(sum-tree.Dist[n]) > 1e-9 {
 				return false
@@ -243,4 +244,17 @@ func TestQuickDijkstraPathCostMatchesDist(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Validate checks that the path's edges are contiguous in g and
+// returns an error describing the first inconsistency.
+func (p Path) Validate(g *Graph) error {
+	for i := 1; i < len(p.Edges); i++ {
+		prev, cur := g.edges[p.Edges[i-1]], g.edges[p.Edges[i]]
+		if prev.To != cur.From {
+			return fmt.Errorf("graph: path discontinuous at hop %d: edge %d ends at %d, edge %d starts at %d",
+				i, p.Edges[i-1], prev.To, p.Edges[i], cur.From)
+		}
+	}
+	return nil
 }

@@ -19,8 +19,8 @@ func TestSyntheticHierarchyShape(t *testing.T) {
 	}
 	// Regionals are multihomed.
 	for _, r := range h.Regionals {
-		if len(h.Topology.Providers(r)) != 2 {
-			t.Fatalf("regional %d has %d providers", r, len(h.Topology.Providers(r)))
+		if ps := providers(h.Topology, r); len(ps) != 2 {
+			t.Fatalf("regional %d has providers %v, want 2", r, ps)
 		}
 	}
 }

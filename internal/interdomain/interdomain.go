@@ -112,18 +112,6 @@ func (t *Topology) ASes() []ASN {
 	return out
 }
 
-// Providers returns the ASes the given AS buys transit from, sorted.
-func (t *Topology) Providers(a ASN) []ASN {
-	var out []ASN
-	for n, rel := range t.neighbors[a] {
-		if rel == CustomerOf {
-			out = append(out, n)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Route is a valley-free path from a source AS to a destination AS.
 type Route struct {
 	Path []ASN
@@ -132,9 +120,6 @@ type Route struct {
 	// route).
 	FirstHop Relationship
 }
-
-// Len returns the AS-path length (hops).
-func (r Route) Len() int { return len(r.Path) - 1 }
 
 // phase encodes the valley-free automaton state.
 type phase int

@@ -1,6 +1,7 @@
 package interdomain
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -67,7 +68,7 @@ func TestBestRoutePreference(t *testing.T) {
 	if r.FirstHop != PeerOf {
 		t.Fatalf("first hop = %v, want peer route", r.FirstHop)
 	}
-	if r.Len() != 1 {
+	if len(r.Path) != 2 {
 		t.Fatalf("path = %v, want direct", r.Path)
 	}
 	// R1(10) → S1(100): customer route.
@@ -131,7 +132,7 @@ func TestPeerRoutesNotTransitive(t *testing.T) {
 func TestSelfRoute(t *testing.T) {
 	top := classicTopology(t)
 	r, ok := top.BestRoute(5, 5)
-	if !ok || r.Len() != 0 {
+	if !ok || len(r.Path) != 1 {
 		t.Fatalf("self route = %+v", r)
 	}
 }
@@ -164,9 +165,21 @@ func TestTransitBill(t *testing.T) {
 	}
 }
 
+// providers returns the ASes a buys transit from, sorted.
+func providers(t *Topology, a ASN) []ASN {
+	var out []ASN
+	for n, rel := range t.neighbors[a] {
+		if rel == CustomerOf {
+			out = append(out, n)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 func TestProvidersAndASes(t *testing.T) {
 	top := classicTopology(t)
-	ps := top.Providers(100)
+	ps := providers(top, 100)
 	if len(ps) != 1 || ps[0] != 10 {
 		t.Fatalf("providers = %v", ps)
 	}

@@ -207,35 +207,6 @@ func (s *Set) Subtract(t *Set) {
 	}
 }
 
-// Equal reports whether s and t contain the same IDs. Nil equals nil
-// and equals the empty set.
-func (s *Set) Equal(t *Set) bool {
-	ls, lt := 0, 0
-	if s != nil {
-		ls = len(s.words)
-	}
-	if t != nil {
-		lt = len(t.words)
-	}
-	n := ls
-	if lt > n {
-		n = lt
-	}
-	for i := 0; i < n; i++ {
-		var ws, wt uint64
-		if i < ls {
-			ws = s.words[i]
-		}
-		if i < lt {
-			wt = t.words[i]
-		}
-		if ws != wt {
-			return false
-		}
-	}
-	return true
-}
-
 // Iterate calls fn for each member in ascending ID order.
 func (s *Set) Iterate(fn func(id int)) {
 	if s == nil {

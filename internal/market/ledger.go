@@ -15,10 +15,7 @@
 // Accounts.POCBalance lets callers assert.
 package market
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // EntityKind classifies the participants of the POC economy.
 type EntityKind int
@@ -264,19 +261,6 @@ func (l *Ledger) TotalsByKind(epoch int) map[FlowKind]float64 {
 	return out
 }
 
-// Payments returns a copy of all recorded payments for the given
-// epoch (all epochs when epoch < 0), in recording order.
-func (l *Ledger) Payments(epoch int) []Payment {
-	var out []Payment
-	for _, p := range l.payments {
-		if epoch >= 0 && p.Epoch != epoch {
-			continue
-		}
-		out = append(out, p)
-	}
-	return out
-}
-
 // Conservation verifies the zero-sum property: the sum of all
 // balances is 0 (every unit received was paid by someone).
 func (l *Ledger) Conservation() float64 {
@@ -285,16 +269,4 @@ func (l *Ledger) Conservation() float64 {
 		total += l.Balance(e.ID, -1)
 	}
 	return total
-}
-
-// EntitiesByKind returns the IDs of all entities of a kind, sorted.
-func (l *Ledger) EntitiesByKind(kind EntityKind) []EntityID {
-	var out []EntityID
-	for _, e := range l.entities {
-		if e.Kind == kind {
-			out = append(out, e.ID)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

@@ -130,22 +130,11 @@ func TestEpochScoping(t *testing.T) {
 	if got := l.POCBalance(-1); got != 35 {
 		t.Fatalf("all epochs = %v, want 35", got)
 	}
-	if n := len(l.Payments(1)); n != 1 {
-		t.Fatalf("epoch 1 payments = %d, want 1", n)
+	if tot := l.TotalsByKind(1)[POCAccess]; tot != 25 {
+		t.Fatalf("epoch 1 totals = %v, want 25", tot)
 	}
 	if tot := l.TotalsByKind(-1)[POCAccess]; tot != 35 {
 		t.Fatalf("totals = %v, want 35", tot)
-	}
-}
-
-func TestEntitiesByKind(t *testing.T) {
-	l := &Ledger{}
-	l.AddEntity(POC, "poc")
-	a := l.AddEntity(BandwidthProvider, "a")
-	b := l.AddEntity(BandwidthProvider, "b")
-	got := l.EntitiesByKind(BandwidthProvider)
-	if len(got) != 2 || got[0] != a || got[1] != b {
-		t.Fatalf("got %v", got)
 	}
 }
 

@@ -217,16 +217,10 @@ func (m *Multicast) TreeGbps() float64 {
 	return float64(len(m.TreeLinks)) * m.Gbps
 }
 
-// AnycastGroup is a named set of endpoints providing the same
-// service; flows to the group are delivered to the cheapest member.
-// Groups are open: any endpoint may be registered (the §3.4
-// conditions forbid offering this only to select CSPs).
-type AnycastGroup struct {
-	Name    string
-	Members []EndpointID
-}
-
-// RegisterAnycast creates or extends an anycast group.
+// RegisterAnycast creates or extends an anycast group: a named set of
+// endpoints providing the same service, whose flows are delivered to
+// the cheapest member. Groups are open: any endpoint may be registered
+// (the §3.4 conditions forbid offering this only to select CSPs).
 func (f *Fabric) RegisterAnycast(name string, members ...EndpointID) error {
 	if name == "" {
 		return fmt.Errorf("netsim: anycast group needs a name")

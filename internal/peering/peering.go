@@ -281,6 +281,3 @@ func Audit(p Policy) []Violation {
 	}
 	return out
 }
-
-// Compliant reports whether the policy passes the audit.
-func Compliant(p Policy) bool { return len(Audit(p)) == 0 }

@@ -43,9 +43,6 @@ func TestCompliantPolicies(t *testing.T) {
 			if vs := Audit(c.p); len(vs) != 0 {
 				t.Fatalf("unexpected violations: %v", vs)
 			}
-			if !Compliant(c.p) {
-				t.Fatal("Compliant() = false")
-			}
 		})
 	}
 }

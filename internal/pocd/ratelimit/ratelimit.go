@@ -24,13 +24,16 @@ type Config struct {
 	// second. Zero or negative disables limiting entirely.
 	Rate float64
 	// Burst is the bucket capacity (instantaneous headroom). Zero
-	// defaults to Rate (one second of headroom).
+	// defaults to max(Rate, 1): one second of headroom, and never less
+	// than the one token a request costs. A Burst below 1 admits
+	// nothing.
 	Burst float64
-	// MaxTenants bounds the tracked-bucket map as a memory guard
-	// against tenant-id churn attacks; once full, unknown tenants
-	// share one overflow bucket instead of allocating. Zero = 4096.
-	MaxTenants int
 }
+
+// maxTenants bounds the tracked-bucket map as a memory guard against
+// tenant-id churn attacks; once full, unknown tenants share one
+// overflow bucket instead of allocating.
+const maxTenants = 4096
 
 // bucket is one tenant's token state.
 type bucket struct {
@@ -45,16 +48,13 @@ type Limiter struct {
 
 	mu       sync.Mutex
 	buckets  map[string]*bucket
-	overflow bucket // shared by tenants beyond MaxTenants
+	overflow bucket // shared by tenants beyond maxTenants
 }
 
 // New returns a limiter with the given tuning.
 func New(cfg Config) *Limiter {
 	if cfg.Burst <= 0 {
-		cfg.Burst = cfg.Rate
-	}
-	if cfg.MaxTenants <= 0 {
-		cfg.MaxTenants = 4096
+		cfg.Burst = max(cfg.Rate, 1)
 	}
 	return &Limiter{cfg: cfg, buckets: make(map[string]*bucket)}
 }
@@ -69,7 +69,7 @@ func (l *Limiter) Allow(tenant string, now time.Time) bool {
 	defer l.mu.Unlock()
 	b, ok := l.buckets[tenant]
 	if !ok {
-		if len(l.buckets) >= l.cfg.MaxTenants {
+		if len(l.buckets) >= maxTenants {
 			b = &l.overflow
 		} else {
 			b = &bucket{tokens: l.cfg.Burst, last: now}

@@ -1,6 +1,7 @@
 package ratelimit
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -76,17 +77,32 @@ func TestDisabled(t *testing.T) {
 }
 
 func TestMaxTenantsOverflowShared(t *testing.T) {
-	l := New(Config{Rate: 1, Burst: 1, MaxTenants: 2})
-	l.Allow("a", clockAt(0))
-	l.Allow("b", clockAt(0))
-	// c and d share the overflow bucket: c drains it, d is rejected.
-	if !l.Allow("c", clockAt(0)) {
+	l := New(Config{Rate: 1, Burst: 1})
+	for i := 0; i < maxTenants; i++ {
+		if !l.Allow(fmt.Sprint("t", i), clockAt(0)) {
+			t.Fatalf("tracked tenant %d rejected", i)
+		}
+	}
+	// a and b share the overflow bucket: a drains it, b is rejected.
+	if !l.Allow("a", clockAt(0)) {
 		t.Fatal("first overflow tenant rejected")
 	}
-	if l.Allow("d", clockAt(0)) {
+	if l.Allow("b", clockAt(0)) {
 		t.Fatal("overflow bucket not shared")
 	}
-	if l.Tenants() != 2 {
-		t.Fatalf("tracked %d tenants, want 2", l.Tenants())
+	if l.Tenants() != maxTenants {
+		t.Fatalf("tracked %d tenants, want %d", l.Tenants(), maxTenants)
+	}
+}
+
+// TestRateBelowOneAdmits: with Rate 0.5 and the default Burst, the
+// bucket still holds the one token a request costs, so requests one
+// second apart are admitted every other second.
+func TestRateBelowOneAdmits(t *testing.T) {
+	l := New(Config{Rate: 0.5})
+	for s := 0; s < 100; s++ {
+		if got, want := l.Allow("t", clockAt(float64(s))), s%2 == 0; got != want {
+			t.Fatalf("request at %d s admitted=%v, want %v", s, got, want)
+		}
 	}
 }

@@ -179,24 +179,6 @@ func (fc *FeasibilityCache) Len() int {
 	return len(fc.m) - fc.shaves
 }
 
-// Reset drops every memoized entry AND the per-matrix shapes.
-// Long-lived callers that retire traffic matrices (chaos reauctions
-// build a fresh matrix per epoch) call this between runs so the
-// pointer-keyed shape map cannot grow without bound. The hit and
-// miss counters are preserved: they describe lookups, not contents.
-func (fc *FeasibilityCache) Reset() {
-	fc.mu.Lock()
-	fc.m = make(map[string]cacheEntry, 256)
-	fc.shaves = 0
-	fc.mu.Unlock()
-	fc.tmMu.Lock()
-	fc.shapes = make(map[*traffic.Matrix]*shape, 4)
-	fc.tmMu.Unlock()
-	fc.netMu.Lock()
-	fc.netFP = make(map[*topo.POCNetwork]uint64, 4)
-	fc.netMu.Unlock()
-}
-
 // Check is the memoized form of Check: same answer, same determinism,
 // but repeated queries for the same (set, constraint, options, matrix,
 // metric) are answered without routing. metric distinguishes
@@ -204,14 +186,6 @@ func (fc *FeasibilityCache) Reset() {
 func (fc *FeasibilityCache) Check(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64) (bool, CacheSummary) {
 	sum, _ := fc.Probe(p, include, tm, c, opts, metric, false, false)
 	return sum.Feasible, sum
-}
-
-// CheckCore is the memoized form of CheckCore. The returned core set
-// is shared with the cache and must be treated as read-only; it is nil
-// when the set is infeasible.
-func (fc *FeasibilityCache) CheckCore(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64) (bool, *linkset.Set) {
-	sum, core := fc.Probe(p, include, tm, c, opts, metric, true, false)
-	return sum.Feasible, core
 }
 
 // Probe is the one memoized feasibility entry point. needCore asks for

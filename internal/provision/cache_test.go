@@ -44,57 +44,9 @@ func TestFeasibilityCacheHitsAndMisses(t *testing.T) {
 	}
 }
 
-// TestFeasibilityCacheReset pins the unbounded-growth fix: Reset must
-// drop both the memoized entries and the pointer-keyed traffic-matrix
-// shapes (a long-lived cache fed a fresh matrix per chaos epoch
-// would otherwise leak one shape per retired matrix), while the
-// hit/miss counters — which describe lookups, not contents — survive.
-func TestFeasibilityCacheReset(t *testing.T) {
-	p := shaveNet(10, 10, 10)
-	fc := NewFeasibilityCache()
-	for i := 0; i < 5; i++ {
-		tm := traffic.NewMatrix(2)
-		tm.Set(0, 1, float64(i+1))
-		if ok, _ := fc.Check(p, nil, tm, Constraint1, Options{}, 0); !ok {
-			t.Fatalf("epoch %d infeasible", i)
-		}
-	}
-	if fc.Len() != 5 {
-		t.Fatalf("len=%d before reset, want 5", fc.Len())
-	}
-	if n := fc.Matrices(); n != 5 {
-		t.Fatalf("tracked %d matrix shapes, want 5", n)
-	}
-	hits, misses := fc.Hits(), fc.Misses()
-
-	fc.Reset()
-
-	if fc.Len() != 0 {
-		t.Fatalf("len=%d after reset, want 0", fc.Len())
-	}
-	if n := fc.Matrices(); n != 0 {
-		t.Fatalf("%d matrix shapes survived reset", n)
-	}
-	if fc.Hits() != hits || fc.Misses() != misses {
-		t.Fatalf("counters changed across reset: %d/%d -> %d/%d",
-			hits, misses, fc.Hits(), fc.Misses())
-	}
-
-	// The cache still works after a reset, and the first lookup is a
-	// miss again (the entries really are gone).
-	tm := traffic.NewMatrix(2)
-	tm.Set(0, 1, 3)
-	if ok, _ := fc.Check(p, nil, tm, Constraint1, Options{}, 0); !ok {
-		t.Fatal("post-reset check infeasible")
-	}
-	if fc.Misses() != misses+1 {
-		t.Fatalf("misses=%d after post-reset lookup, want %d", fc.Misses(), misses+1)
-	}
-}
-
-// TestFeasibilityCacheCoreUpgrade pins the Check->CheckCore upgrade
-// path: a plain Check entry has no core, so a CheckCore for the same
-// key recomputes once and the upgraded entry then serves core hits.
+// TestFeasibilityCacheCoreUpgrade pins the Check->core upgrade path: a
+// plain Check entry has no core, so a probe that needs the core for the
+// same key recomputes once and the upgraded entry then serves core hits.
 func TestFeasibilityCacheCoreUpgrade(t *testing.T) {
 	p := shaveNet(10, 10, 10)
 	tm := traffic.NewMatrix(2)
@@ -104,13 +56,13 @@ func TestFeasibilityCacheCoreUpgrade(t *testing.T) {
 	if ok, _ := fc.Check(p, nil, tm, Constraint1, Options{}, 0); !ok {
 		t.Fatal("infeasible")
 	}
-	ok, core := fc.CheckCore(p, nil, tm, Constraint1, Options{}, 0)
-	if !ok || core == nil || core.Len() == 0 {
-		t.Fatalf("core upgrade failed: ok=%v core=%v", ok, core)
+	sum, core := fc.Probe(p, nil, tm, Constraint1, Options{}, 0, true, false)
+	if !sum.Feasible || core == nil || core.Len() == 0 {
+		t.Fatalf("core upgrade failed: ok=%v core=%v", sum.Feasible, core)
 	}
 	misses := fc.Misses()
-	ok2, core2 := fc.CheckCore(p, nil, tm, Constraint1, Options{}, 0)
-	if !ok2 || core2 == nil {
+	sum2, core2 := fc.Probe(p, nil, tm, Constraint1, Options{}, 0, true, false)
+	if !sum2.Feasible || core2 == nil {
 		t.Fatal("core hit failed")
 	}
 	if fc.Misses() != misses {

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -62,7 +63,7 @@ func sameCore(a, b *linkset.Set) bool {
 	if (a == nil) != (b == nil) {
 		return false
 	}
-	return a == nil || a.Equal(b)
+	return a == nil || slices.Equal(a.AppendIDs(nil), b.AppendIDs(nil))
 }
 
 // splitNet builds a border-separable POC network: two memoNet-style

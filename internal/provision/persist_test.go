@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -29,7 +30,7 @@ func TestCachePersistRoundtrip(t *testing.T) {
 	wantCore := make([]*linkset.Set, len(probes))
 	for i, s := range probes {
 		_, want[i] = src.Check(p, s, tm, Constraint1, Options{}, 7)
-		_, wantCore[i] = src.CheckCore(p, s, tm, Constraint1, Options{}, 7)
+		_, wantCore[i] = src.Probe(p, s, tm, Constraint1, Options{}, 7, true, false)
 	}
 
 	var buf bytes.Buffer
@@ -62,7 +63,7 @@ func TestCachePersistRoundtrip(t *testing.T) {
 		if sum != want[i] {
 			t.Fatalf("probe %d: warm summary %+v != cold %+v", i, sum, want[i])
 		}
-		_, core := dst.CheckCore(p, s, tm, Constraint1, Options{}, 7)
+		_, core := dst.Probe(p, s, tm, Constraint1, Options{}, 7, true, false)
 		if !sameCore(core, wantCore[i]) {
 			t.Fatalf("probe %d: warm core mismatch", i)
 		}
@@ -229,7 +230,7 @@ func FuzzCacheLoad(f *testing.F) {
 	for i, s := range probes {
 		_, want[i] = src.Check(p, s, tm, Constraint1, Options{}, 7)
 		if i%2 == 0 {
-			src.CheckCore(p, s, tm, Constraint1, Options{}, 7)
+			src.Probe(p, s, tm, Constraint1, Options{}, 7, true, false)
 		}
 	}
 	src.Shaved(p, start, tm, Constraint1, Options{}, 7, shaved.Clone)
@@ -238,7 +239,7 @@ func FuzzCacheLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	for i, s := range probes {
-		_, wantCore[i] = src.CheckCore(p, s, tm, Constraint1, Options{}, 7)
+		_, wantCore[i] = src.Probe(p, s, tm, Constraint1, Options{}, 7, true, false)
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()/2])
@@ -276,7 +277,7 @@ func FuzzCacheLoad(f *testing.F) {
 			if _, sum := fc.Check(p, s, tm, Constraint1, Options{}, 7); sum != want[i] {
 				t.Fatalf("probe %d: summary %+v after load, saved cache says %+v", i, sum, want[i])
 			}
-			if _, core := fc.CheckCore(p, s, tm, Constraint1, Options{}, 7); !sameCore(core, wantCore[i]) {
+			if _, core := fc.Probe(p, s, tm, Constraint1, Options{}, 7, true, false); !sameCore(core, wantCore[i]) {
 				t.Fatalf("probe %d: core differs from the saved cache's", i)
 			}
 		}
@@ -304,11 +305,11 @@ func fixtureCache(t testing.TB) (*FeasibilityCache, func(*FeasibilityCache)) {
 			fc.Check(p, linkset.FromIDs([]int{i}, len(p.Links)), tm, Constraint1, Options{}, 7)
 		}
 		fc.Check(p, linkset.New(len(p.Links)), tm, Constraint1, Options{}, 7)
-		fc.CheckCore(p, nil, tm, Constraint1, Options{}, 7)
-		fc.CheckCore(p, linkset.FromIDs([]int{0, 1}, len(p.Links)), tm, Constraint2, Options{FailureScenarios: 4}, 7)
+		fc.Probe(p, nil, tm, Constraint1, Options{}, 7, true, false)
+		fc.Probe(p, linkset.FromIDs([]int{0, 1}, len(p.Links)), tm, Constraint2, Options{FailureScenarios: 4}, 7, true, false)
 		fc.Probe(ps, nil, tms, Constraint1, Options{}, 9, false, true)
 		got := fc.Shaved(p, linkset.All(len(p.Links)), tm, Constraint1, Options{}, 7, shave)
-		if want := linkset.FromIDs([]int{0}, len(p.Links)); !got.Equal(want) {
+		if want := linkset.FromIDs([]int{0}, len(p.Links)); !slices.Equal(got.AppendIDs(nil), want.AppendIDs(nil)) {
 			t.Fatalf("fixture shave = %v, want %v", got.AppendIDs(nil), want.AppendIDs(nil))
 		}
 	}

@@ -34,7 +34,6 @@ import (
 	"math/bits"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -239,19 +238,6 @@ func (r *Routing) push(i int, a PathAssignment) {
 // Feasible reports whether the routing placed all demand.
 func (r *Routing) Feasible() bool { return r.Unplaced <= 1e-9 }
 
-// Assignments returns the paths carrying demand (src,dst); none when
-// the matrix has no such demand or nothing of it was placed.
-func (r *Routing) Assignments(src, dst int) []PathAssignment {
-	ps := r.shape.pairs
-	i := sort.Search(len(ps), func(i int) bool {
-		return ps[i].src > src || ps[i].src == src && ps[i].dst >= dst
-	})
-	if i == len(ps) || ps[i].src != src || ps[i].dst != dst {
-		return nil
-	}
-	return r.lists[i]
-}
-
 // Visit calls fn for every routed pair — one with at least one
 // assignment — in (src,dst) order.
 func (r *Routing) Visit(fn func(src, dst int, asgs []PathAssignment)) {
@@ -261,17 +247,6 @@ func (r *Routing) Visit(fn func(src, dst int, asgs []PathAssignment)) {
 		}
 	}
 }
-
-// RoutedPairs returns the number of pairs Visit visits.
-func (r *Routing) RoutedPairs() int {
-	n := 0
-	r.Visit(func(int, int, []PathAssignment) { n++ })
-	return n
-}
-
-// Used returns the Gbps carried on a logical link, 0 when no path
-// crosses it.
-func (r *Routing) Used(link int) float64 { return r.usage[link] }
 
 // VisitUsed calls fn for every link some path crosses, ascending.
 func (r *Routing) VisitUsed(fn func(link int, gbps float64)) {
@@ -708,9 +683,7 @@ func recordCheck(r *obs.Registry, c Constraint, sum CacheSummary) {
 // memo/metrics summary.
 func summarize(p *topo.POCNetwork, feasible bool, r *Routing) CacheSummary {
 	paths := 0
-	for _, asgs := range r.lists {
-		paths += len(asgs)
-	}
+	r.Visit(func(_, _ int, asgs []PathAssignment) { paths += len(asgs) })
 	return CacheSummary{
 		Feasible:       feasible,
 		Unplaced:       r.Unplaced,

@@ -45,13 +45,24 @@ func tmSingle(n, src, dst int, gbps float64) *traffic.Matrix {
 	return m
 }
 
+// assignments returns the paths Visit reports for demand (src,dst).
+func assignments(r *Routing, src, dst int) []PathAssignment {
+	var out []PathAssignment
+	r.Visit(func(s, d int, asgs []PathAssignment) {
+		if s == src && d == dst {
+			out = asgs
+		}
+	})
+	return out
+}
+
 func TestRouteSingleDemand(t *testing.T) {
 	p := testNet(10)
 	r := Route(p, nil, tmSingle(4, 0, 2, 5), Options{}, nil)
 	if !r.Feasible() {
 		t.Fatalf("unplaced = %v", r.Unplaced)
 	}
-	asg := r.Assignments(0, 2)
+	asg := assignments(r, 0, 2)
 	if len(asg) != 1 {
 		t.Fatalf("assignments = %+v, want single path", asg)
 	}
@@ -59,8 +70,10 @@ func TestRouteSingleDemand(t *testing.T) {
 	if len(asg[0].Links) != 2 || asg[0].Links[0] != 0 || asg[0].Links[1] != 1 {
 		t.Fatalf("path links = %v, want [0 1]", asg[0].Links)
 	}
-	if r.Used(0) != 5 || r.Used(1) != 5 {
-		t.Fatalf("used = %v, %v", r.Used(0), r.Used(1))
+	used := map[int]float64{}
+	r.VisitUsed(func(l int, gbps float64) { used[l] = gbps })
+	if used[0] != 5 || used[1] != 5 {
+		t.Fatalf("used = %v, %v", used[0], used[1])
 	}
 }
 
@@ -71,7 +84,7 @@ func TestRouteSplitsAcrossPaths(t *testing.T) {
 	if !r.Feasible() {
 		t.Fatalf("unplaced = %v", r.Unplaced)
 	}
-	asg := r.Assignments(0, 2)
+	asg := assignments(r, 0, 2)
 	if len(asg) != 3 {
 		t.Fatalf("got %d paths, want 3: %+v", len(asg), asg)
 	}
@@ -132,7 +145,7 @@ func TestRouteAvoidPrimary(t *testing.T) {
 	if !r.Feasible() {
 		t.Fatal("chord should carry the demand")
 	}
-	for _, a := range r.Assignments(0, 2) {
+	for _, a := range assignments(r, 0, 2) {
 		for _, l := range a.Links {
 			if l == 0 || l == 1 {
 				t.Fatalf("assignment used banned link %d", l)
@@ -233,7 +246,7 @@ func TestCheckConstraint3(t *testing.T) {
 	if !ok {
 		t.Fatal("constraint3 should pass")
 	}
-	for _, a := range r.Assignments(0, 2) {
+	for _, a := range assignments(r, 0, 2) {
 		for _, l := range a.Links {
 			if l == 0 || l == 1 {
 				t.Fatal("constraint3 routing used the primary path")
@@ -387,7 +400,7 @@ func TestReturnedRoutingIsNeverRecycled(t *testing.T) {
 		}
 		Route(p, randomSubset(rng, len(p.Links), 6), m, opts, nil)
 		Check(p, nil, m, c, opts)
-		fc.CheckCore(p, randomSubset(rng, len(p.Links), 8), m, c, opts, 0)
+		fc.Probe(p, randomSubset(rng, len(p.Links), 8), m, c, opts, 0, true, false)
 		if sh, ok := NewShaver(p, nil, m, c, opts); ok {
 			sh.Shave(func(l int) float64 { return p.Links[l].DistanceKm }, 1)
 			sh.Close()

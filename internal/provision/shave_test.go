@@ -278,7 +278,7 @@ func TestShaverResultStillRoutes(t *testing.T) {
 	used := map[int]float64{}
 	tm.Demands(func(src, dst int, gbps float64) {
 		placed := 0.0
-		for _, a := range witness.Assignments(src, dst) {
+		for _, a := range assignments(witness, src, dst) {
 			placed += a.Gbps
 			for _, l := range a.Links {
 				used[l] += a.Gbps

@@ -90,16 +90,6 @@ type BP struct {
 	CostMult float64 // per-BP lease cost multiplier (provider efficiency)
 }
 
-// HasSite reports whether the BP has presence in the given city.
-func (b *BP) HasSite(city int) bool {
-	for _, s := range b.Sites {
-		if s == city {
-			return true
-		}
-	}
-	return false
-}
-
 // MergeNetworks combines the given networks into a single BP,
 // deduplicating sites and keeping all links.
 func MergeNetworks(name string, nets []Network, costMult float64) BP {

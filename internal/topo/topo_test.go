@@ -2,6 +2,7 @@ package topo
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -204,8 +205,8 @@ func TestMergeNetworksDedups(t *testing.T) {
 	if len(bp.Links) != 2 {
 		t.Fatalf("merged links = %d, want 2", len(bp.Links))
 	}
-	if !bp.HasSite(2) || bp.HasSite(9) {
-		t.Fatal("HasSite misbehaves")
+	if !slices.Contains(bp.Sites, 2) || slices.Contains(bp.Sites, 9) {
+		t.Fatalf("merged sites = %v, want 2 present and 9 absent", bp.Sites)
 	}
 }
 
@@ -267,7 +268,7 @@ func TestBuildPOCNetworkLinkInvariants(t *testing.T) {
 			t.Fatalf("link %d BP out of range", i)
 		}
 		// The owning BP must have presence at both endpoints.
-		if !p.BPs[l.BP].HasSite(p.Routers[l.A]) || !p.BPs[l.BP].HasSite(p.Routers[l.B]) {
+		if sites := p.BPs[l.BP].Sites; !slices.Contains(sites, p.Routers[l.A]) || !slices.Contains(sites, p.Routers[l.B]) {
 			t.Fatalf("link %d endpoints not in BP %d footprint", i, l.BP)
 		}
 	}

@@ -5,9 +5,10 @@
 // traffic matrix (how much traffic flows between each pair of
 // attachment points)" and generates "a synthetic traffic matrix
 // between all POC routers" for its auction evaluation (§3.3). This
-// package provides a gravity model seeded from city populations plus
-// hotspot and diurnal variants, and the envelope operations the POC
-// needs (scaling, point-wise max across epochs).
+// package provides a gravity model seeded from city populations, a
+// hotspot variant, a diurnal curve that scales the gravity matrix
+// down from its peak, and SampleFlows, which splits a matrix into
+// individual flows for the fabric.
 package traffic
 
 import (
@@ -56,17 +57,6 @@ func (m *Matrix) Total() float64 {
 	return s
 }
 
-// MaxEntry returns the largest single demand.
-func (m *Matrix) MaxEntry() float64 {
-	mx := 0.0
-	for _, v := range m.cell {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.n)
@@ -83,26 +73,6 @@ func (m *Matrix) Scale(f float64) *Matrix {
 		m.cell[i] *= f
 	}
 	return m
-}
-
-// Envelope returns the point-wise maximum of m and others — the
-// upper-bound matrix the POC provisions against.
-func Envelope(ms ...*Matrix) *Matrix {
-	if len(ms) == 0 {
-		return nil
-	}
-	out := ms[0].Clone()
-	for _, m := range ms[1:] {
-		if m.n != out.n {
-			panic("traffic: envelope over mismatched sizes")
-		}
-		for i, v := range m.cell {
-			if v > out.cell[i] {
-				out.cell[i] = v
-			}
-		}
-	}
-	return out
 }
 
 // Demands calls fn for every non-zero demand in row-major order.

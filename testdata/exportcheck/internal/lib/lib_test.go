@@ -1,0 +1,8 @@
+package lib
+
+import "testing"
+
+func TestTestOnly(t *testing.T) {
+	TestOnly()
+	Uncalled()
+}
