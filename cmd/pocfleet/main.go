@@ -39,7 +39,7 @@ func run() error {
 		corpus   = flag.String("corpus", "", "directory of .gml files; replaces the grid's topology axis with the real corpus")
 		scale    = flag.Float64("scale", 0, "zoo topology scale in (0,1] (0 = 0.12, the golden scale)")
 		epochs   = flag.Int("epochs", 0, "chaos horizon per cell (0 = 8)")
-		failures = flag.Int("failures", 0, "failure scenarios per feasibility check (0 = 4)")
+		failures = flag.Int("failures", 0, "failure scenarios per feasibility check (0 = 4, negative = every demand pair)")
 		workers  = flag.Int("workers", 0, "sweep parallelism (0 = GOMAXPROCS); any value yields identical bytes")
 		state    = flag.String("state", "", "crash/resume journal directory (empty = no journal)")
 		cold     = flag.Bool("cold", false, "disable cross-cell cache sharing (bytes must not change)")

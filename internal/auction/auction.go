@@ -44,13 +44,12 @@ type Instance struct {
 	// accused of favoritism").
 	MaxChecks int
 	// Workers bounds how many counterfactual winner determinations run
-	// concurrently (the per-BP runs are mutually independent), and is
-	// forwarded to RouteOpts.Workers for Constraint2's failure-scenario
-	// sweep when that is unset. 0 means runtime.GOMAXPROCS(0); 1 runs
-	// everything on the caller. Parallelism only reorders work — every
-	// outcome (Selected, TotalCost, Payments, Checks, the error of a
-	// failed auction) is bit-identical for any value, preserving the
-	// published-algorithm property.
+	// concurrently (the per-BP runs are mutually independent). 0 means
+	// runtime.GOMAXPROCS(0); 1 runs everything on the caller.
+	// Parallelism only reorders work — every outcome (Selected,
+	// TotalCost, Payments, Checks, the error of a failed auction) is
+	// bit-identical for any value, preserving the published-algorithm
+	// property.
 	Workers int
 	// NoCache disables the per-run feasibility memo (the serial seed
 	// behaviour, useful for ablation). The memo never changes outcomes
@@ -193,9 +192,6 @@ func (in *Instance) Run() (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.Workers == 0 {
-		opts.Workers = workers
-	}
 	if opts.Obs == nil {
 		opts.Obs = in.Obs
 	}
@@ -264,15 +260,15 @@ func (in *Instance) Run() (*Result, error) {
 	cfOpts.Workspace = provision.NewWorkspace(in.Network, cfOpts)
 	cfTag := rc.warmTag(warm)
 
-	// One loop, the shape of provision's Constraint-2 scenario sweep: an
-	// atomic cursor over need, workers−1 goroutines plus the caller. The
-	// runs share only read-only state (the price table, SL) and the
-	// workspace's locked free lists; results land in per-index slots.
-	// Aggregation below walks the slots in BP order, so Checks and error
-	// selection are the same for any Workers. A failing run does not stop
-	// the others: which checks the runs record in Obs would otherwise
-	// depend on how far each got before the failure — on Workers, and
-	// through Workers: 0 on the machine's core count.
+	// The auction's one fan-out: an atomic cursor over need, workers−1
+	// goroutines plus the caller. The runs share only read-only state
+	// (the price table, SL) and the workspace's locked free lists;
+	// results land in per-index slots. Aggregation below walks the slots
+	// in BP order, so Checks and error selection are the same for any
+	// Workers. A failing run does not stop the others: which checks the
+	// runs record in Obs would otherwise depend on how far each got
+	// before the failure — on Workers, and through Workers: 0 on the
+	// machine's core count.
 	alts := make([]selection, len(in.Bids))
 	errs := make([]error, len(in.Bids))
 	cf := in.Obs.StartSpan("auction.counterfactuals")
@@ -599,7 +595,7 @@ func (in *Instance) priceOfLink() *priceTable {
 // metric and the workspace whose arenas freeze it: the main run's raw
 // price metric, or the warm-biased one every counterfactual shares
 // (arenas are equivalent after apply, so sharing a pool never changes
-// an answer). Every check below — the Constraint-2 scenario sweeps and
+// an answer). Every check below — each Constraint-2 scenario routing and
 // the shave included — draws from that pool. tag names the metric to
 // the feasibility memo rc.fc (nil = no memo); within one Run only the
 // two metrics exist, so the excluded BP is captured by the include set

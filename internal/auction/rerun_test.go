@@ -39,7 +39,7 @@ func TestRunTwiceWithExternalCacheReplays(t *testing.T) {
 	if cold.Misses == 0 || warm.Misses != cold.Misses || warm.ShaveMisses != cold.ShaveMisses || warm.Hits <= cold.Hits {
 		t.Fatalf("second Run did not replay the cache: cold %+v, warm %+v", cold, warm)
 	}
-	if in.RouteOpts.LinkCost != nil || in.RouteOpts.Workers != 0 || in.RouteOpts.Obs != nil {
+	if in.RouteOpts.LinkCost != nil || in.RouteOpts.Obs != nil {
 		t.Fatalf("Run wrote through in.RouteOpts: %+v", in.RouteOpts)
 	}
 }

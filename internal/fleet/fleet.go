@@ -39,9 +39,9 @@ type Config struct {
 	// Scale in (0,1] sizes the zoo topologies exactly as
 	// ScenarioOptions.Scale does (0 = 0.12, the seed-golden scale).
 	Scale float64
-	// Epochs is the chaos horizon per cell (0 = 8).
+	// Epochs is the chaos horizon per cell (0 = 8; < 0 is an error).
 	Epochs int
-	// FailureScenarios bounds Constraint-2/3 checks (0 = 4).
+	// FailureScenarios bounds Constraint-2 checks (0 = 4, < 0 = all pairs).
 	FailureScenarios int
 	// Workers bounds sweep parallelism (0 = GOMAXPROCS). Any setting
 	// yields bit-identical merged reports.
@@ -136,6 +136,9 @@ func Run(grid GridSpec, cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
 	if !(cfg.Scale > 0 && cfg.Scale <= 1) {
 		return nil, fmt.Errorf("fleet: scale %v out of (0,1]", cfg.Scale)
+	}
+	if cfg.Epochs < 0 {
+		return nil, fmt.Errorf("fleet: negative epochs %d", cfg.Epochs)
 	}
 	cells := grid.Expand()
 	if len(cells) == 0 {

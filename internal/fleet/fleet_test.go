@@ -78,6 +78,9 @@ func TestRunRejectsBadInput(t *testing.T) {
 	if _, err := Run(g, Config{Scale: math.NaN()}); err == nil {
 		t.Fatal("scale NaN accepted")
 	}
+	if _, err := Run(g, Config{Epochs: -2}); err == nil {
+		t.Fatal("epochs -2 accepted")
+	}
 }
 
 // TestFleetResumeProperty is the crash/resume property test: for every

@@ -114,63 +114,61 @@ func sideTM(rng *rand.Rand, tm *traffic.Matrix, lo, n, pairs int, gbps float64) 
 
 // TestDecomposedMatchesCold prunes a border-separable instance step by
 // step and asserts the decomposed path returns the cold answer for
-// every constraint, worker count and scenario budget — including
+// every constraint and scenario budget — including
 // probes that drive one side infeasible. Moves is the documented
 // exception: the merged value is the components' sum, an upper bound
 // on the cold maximum.
 func TestDecomposedMatchesCold(t *testing.T) {
 	decompositions := int64(0)
-	for _, workers := range []int{1, 4} {
-		for seed := int64(1); seed <= 2; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			p := splitNet(rng, 12, 10, 6)
-			nA := 12
-			tm := traffic.NewMatrix(len(p.Routers))
-			sideTM(rng, tm, 0, nA, 6, 7)
-			sideTM(rng, tm, nA, len(p.Routers)-nA, 5, 7)
-			ws := NewWorkspace(p, Options{})
+	for seed := int64(1); seed <= 2; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := splitNet(rng, 12, 10, 6)
+		nA := 12
+		tm := traffic.NewMatrix(len(p.Routers))
+		sideTM(rng, tm, 0, nA, 6, 7)
+		sideTM(rng, tm, nA, len(p.Routers)-nA, 5, 7)
+		ws := NewWorkspace(p, Options{})
 
-			include := linkset.All(len(p.Links))
-			for step := 0; step < 14; step++ {
-				for _, c := range []Constraint{Constraint1, Constraint2, Constraint3} {
-					for _, fs := range []int{0, 3} {
-						opts := Options{Workers: workers, Workspace: ws, FailureScenarios: fs}
-						// Fresh caches and a memo-free cold path per probe so
-						// each comparison is decomposed-vs-cold, not hit replay.
-						cold := Options{Workers: workers, FailureScenarios: fs}
-						wantOK, wantR := Check(p, include, tm, c, cold)
-						want := summarize(p, wantOK, wantR)
-						wantCoreOK, wantCore := CheckCore(p, include, tm, c, cold)
+		include := linkset.All(len(p.Links))
+		for step := 0; step < 14; step++ {
+			for _, c := range []Constraint{Constraint1, Constraint2, Constraint3} {
+				for _, fs := range []int{0, 3} {
+					opts := Options{Workspace: ws, FailureScenarios: fs}
+					// Fresh caches and a memo-free cold path per probe so
+					// each comparison is decomposed-vs-cold, not hit replay.
+					cold := Options{FailureScenarios: fs}
+					wantOK, wantR := Check(p, include, tm, c, cold)
+					want := summarize(p, wantOK, wantR)
+					wantCoreOK, wantCore := CheckCore(p, include, tm, c, cold)
 
-						fc := NewFeasibilityCache()
-						got, _ := fc.Probe(p, include, tm, c, opts, 0, false, true)
-						if gotOK := got.Feasible; gotOK != wantOK {
-							t.Fatalf("w=%d seed=%d step=%d %v fs=%d: verdict %v != cold %v",
-								workers, seed, step, c, fs, got.Feasible, wantOK)
-						}
-						mask := func(s CacheSummary) CacheSummary { s.Moves = 0; return s }
-						if mask(got) != mask(want) {
-							t.Fatalf("w=%d seed=%d step=%d %v fs=%d: summary %+v != cold %+v",
-								workers, seed, step, c, fs, got, want)
-						}
-						if got.Moves < want.Moves || got.Moves >= 512 {
-							t.Fatalf("w=%d seed=%d step=%d %v fs=%d: moves bound %d vs cold %d",
-								workers, seed, step, c, fs, got.Moves, want.Moves)
-						}
-
-						fc2 := NewFeasibilityCache()
-						gotSum, gotCore := fc2.Probe(p, include, tm, c, opts, 0, true, true)
-						if gotSum.Feasible != wantCoreOK || mask(gotSum) != mask(want) || !sameCore(gotCore, wantCore) {
-							t.Fatalf("w=%d seed=%d step=%d %v fs=%d: core mismatch", workers, seed, step, c, fs)
-						}
-						decompositions += fc.Stats().Decompositions + fc2.Stats().Decompositions
+					fc := NewFeasibilityCache()
+					got, _ := fc.Probe(p, include, tm, c, opts, 0, false, true)
+					if gotOK := got.Feasible; gotOK != wantOK {
+						t.Fatalf("seed=%d step=%d %v fs=%d: verdict %v != cold %v",
+							seed, step, c, fs, got.Feasible, wantOK)
 					}
+					mask := func(s CacheSummary) CacheSummary { s.Moves = 0; return s }
+					if mask(got) != mask(want) {
+						t.Fatalf("seed=%d step=%d %v fs=%d: summary %+v != cold %+v",
+							seed, step, c, fs, got, want)
+					}
+					if got.Moves < want.Moves || got.Moves >= 512 {
+						t.Fatalf("seed=%d step=%d %v fs=%d: moves bound %d vs cold %d",
+							seed, step, c, fs, got.Moves, want.Moves)
+					}
+
+					fc2 := NewFeasibilityCache()
+					gotSum, gotCore := fc2.Probe(p, include, tm, c, opts, 0, true, true)
+					if gotSum.Feasible != wantCoreOK || mask(gotSum) != mask(want) || !sameCore(gotCore, wantCore) {
+						t.Fatalf("seed=%d step=%d %v fs=%d: core mismatch", seed, step, c, fs)
+					}
+					decompositions += fc.Stats().Decompositions + fc2.Stats().Decompositions
 				}
-				// Prune 1–2 random links for the next probe.
-				ids := include.AppendIDs(nil)
-				for i := 0; i < 1+rng.Intn(2) && len(ids) > 0; i++ {
-					include.Remove(ids[rng.Intn(len(ids))])
-				}
+			}
+			// Prune 1–2 random links for the next probe.
+			ids := include.AppendIDs(nil)
+			for i := 0; i < 1+rng.Intn(2) && len(ids) > 0; i++ {
+				include.Remove(ids[rng.Intn(len(ids))])
 			}
 		}
 	}

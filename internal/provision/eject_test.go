@@ -21,7 +21,7 @@ func TestFreeLinkIndexMatchesScan(t *testing.T) {
 		p := memoNet(rng, n, n/2+rng.Intn(n))
 		tm := memoTM(rng, n, 2*n, 10)
 		before := calls()
-		Check(p, nil, tm, Constraint(1+rng.Intn(3)), Options{FailureScenarios: 4, Workers: 1})
+		Check(p, nil, tm, Constraint(1+rng.Intn(3)), Options{FailureScenarios: 4})
 		if n <= 64 {
 			small += calls() - before
 		} else {

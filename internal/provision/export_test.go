@@ -25,6 +25,13 @@ func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matr
 // list is empty, and drops it.
 func (ws *Workspace) NewArena() { newArena(ws.p, ws.graph()) }
 
+// FreeArenas counts the arenas on ws's free list.
+func (ws *Workspace) FreeArenas() int {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return len(ws.free)
+}
+
 // StateHash digests everything a TryDrop may touch, for the trajectory
 // test in package provision_test: every live routing's assignments as
 // (src, dst, Gbps bits, links) in pair order then list order, followed

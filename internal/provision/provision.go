@@ -32,10 +32,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"github.com/public-option/poc/internal/graph"
 	"github.com/public-option/poc/internal/linkset"
@@ -79,23 +76,17 @@ type Options struct {
 	MaxPaths int
 	// FailureScenarios bounds how many router-pair primary-path
 	// failure scenarios Constraint2 checks, taking the pairs with the
-	// largest demand first. Zero means all pairs, which is exact but
-	// slow on large instances. Default 32.
+	// largest demand first. Default 32; a negative value means all
+	// pairs, which is exact but slow on large instances.
 	FailureScenarios int
 	// LinkCost overrides the routing metric for a logical link. When
 	// nil, the link's physical distance is used. The auction sets
 	// this to the lease price so that routing — and therefore the
-	// seed of the winner determination — prefers cheap links. With
-	// Workers > 1 the function is called from multiple goroutines and
-	// must be safe for concurrent use (pure functions over immutable
-	// data are).
+	// seed of the winner determination — prefers cheap links. The
+	// auction's counterfactual winner determinations call it from
+	// several goroutines at once, so it must be safe for concurrent
+	// use (pure functions over immutable data are).
 	LinkCost func(l topo.LogicalLink) float64
-	// Workers bounds how many goroutines Check may use to run
-	// Constraint2's independent failure scenarios. 0 means
-	// runtime.GOMAXPROCS(0); 1 forces the serial path. Parallelism
-	// only reorders the scenario sweep — the verdict is bit-identical
-	// to the serial one.
-	Workers int
 	// Obs, when non-nil, receives per-check metrics (verdict counts
 	// per constraint, base-routing headroom and path-count
 	// histograms). Recording uses only commutative registry
@@ -112,19 +103,6 @@ type Options struct {
 	// transient workspace is created per call. Like Obs, Workspace
 	// never enters cache keys and never changes results, only speed.
 	Workspace *Workspace
-}
-
-// workerCount resolves the effective parallelism for n independent
-// work items.
-func (o Options) workerCount(n int) int {
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	return w
 }
 
 func (o Options) withDefaults() Options {
@@ -708,9 +686,9 @@ func Check(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Const
 // checkRouting is Check without metrics recording; opts must already
 // have defaults and a workspace applied. visit sees every feasible
 // routing the constraint entails — the base routing, then each failure
-// scenario's (Constraint2) or the degraded one (Constraint3) — one call
-// at a time, stopping at the first infeasible routing — and keeps none:
-// all but the returned one, the caller's, go back to the workspace.
+// scenario's (Constraint2) or the degraded one (Constraint3) — stopping
+// at the first infeasible routing — and keeps none: all but the
+// returned one, the caller's, go back to the workspace.
 func checkRouting(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, visit func(*Routing)) (bool, *Routing) {
 	if c < Constraint1 || c > Constraint3 {
 		panic(fmt.Sprintf("provision: unknown constraint %d", int(c)))
@@ -730,64 +708,25 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constra
 	}
 	switch c {
 	case Constraint2:
-		var scenarios []*linkset.Set
-		for _, d := range sh.heaviest(opts.FailureScenarios) {
-			if failed := primaries[d.pair]; failed != nil && !failed.Empty() {
-				scenarios = append(scenarios, failed)
-			}
-		}
 		// Each scenario fails one pair's primary path for everyone and
-		// re-routes from scratch — every Route acquires its own arena,
-		// so the scenarios share no mutable state and fan across
-		// workers (the caller is one of them). The verdict (all
-		// feasible?) is order-independent, which keeps the parallel
-		// sweep bit-identical to the serial one. The first failure
-		// aborts the sweep, so WHICH scenarios were routed is scheduling
-		// luck: the move maxima are folded only on the all-feasible
-		// verdict, where every scenario completed.
-		var (
-			mu         sync.Mutex
-			next       atomic.Int64
-			infeasible atomic.Bool
-			moves      int
-		)
-		sweep := func() {
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(scenarios) || infeasible.Load() {
-					return
-				}
-				r := ws.route(subtract(include, scenarios[i], len(p.Links)), sh, opts, nil)
-				if !r.Feasible() {
-					infeasible.Store(true)
-					ws.giveRouting(r)
-					return
-				}
-				mu.Lock()
-				visit(r)
-				if r.moves > moves {
-					moves = r.moves
-				}
-				mu.Unlock()
-				ws.giveRouting(r)
+		// re-routes from scratch, heaviest pair first. The move maxima
+		// reach base only on an all-feasible verdict.
+		moves := base.moves
+		for _, d := range sh.heaviest(opts.FailureScenarios) {
+			failed := primaries[d.pair]
+			if failed == nil || failed.Empty() {
+				continue
 			}
+			r := ws.route(subtract(include, failed, len(p.Links)), sh, opts, nil)
+			if !r.Feasible() {
+				ws.giveRouting(r)
+				return false, base
+			}
+			visit(r)
+			moves = max(moves, r.moves)
+			ws.giveRouting(r)
 		}
-		var wg sync.WaitGroup
-		for w := opts.workerCount(len(scenarios)); w > 1; w-- {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				sweep()
-			}()
-		}
-		sweep()
-		wg.Wait()
-		if infeasible.Load() {
-			return false, base
-		}
-		if moves > base.moves {
-			base.moves = moves
-		}
+		base.moves = moves
 		return true, base
 
 	default: // Constraint3

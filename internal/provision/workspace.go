@@ -30,11 +30,10 @@ import (
 // again; every arena reads it. A Workspace owns a free list of arenas,
 // each nothing but per-check state (residuals, masks, TreeRouter and
 // PointRouter scratch, work lists). Route/Check acquire an arena, apply
-// the include set, and release it on return; parallel callers
-// (Constraint-2 scenario sweeps, the auction's counterfactuals)
-// therefore each own a private arena for the duration of a routing —
-// the per-worker ownership rule that keeps parallel runs bit-identical
-// (DESIGN.md §10).
+// the include set, and release it on return; parallel callers (the
+// auction's counterfactuals) therefore each own a private arena for
+// the duration of a routing — the per-worker ownership rule that keeps
+// parallel runs bit-identical (DESIGN.md §10).
 //
 // The Workspace is bound to the Options.LinkCost metric it was created
 // with: edge costs are frozen into the graph. Callers must not pass one

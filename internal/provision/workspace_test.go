@@ -2,6 +2,7 @@ package provision
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -79,5 +80,34 @@ func TestFirstAcquiresBuildOneGraph(t *testing.T) {
 	}
 	if got := priced.Load(); got != int64(len(p.Links)) {
 		t.Fatalf("%d concurrent first acquires priced %d links of %d: the graph was built more than once", n, got, len(p.Links))
+	}
+}
+
+// TestConstraint2CheckHoldsOneArena: a Constraint-2 check routes its
+// failure scenarios one after another on the calling goroutine, so even
+// with spare cores a fresh workspace never holds two arenas at once and
+// ends the check with exactly one on its free list.
+func TestConstraint2CheckHoldsOneArena(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	rng := rand.New(rand.NewSource(5))
+	p := memoNet(rng, 16, 48)
+	tm := memoTM(rng, 16, 40, 1)
+	opts := Options{FailureScenarios: 16}
+	opts.Workspace = NewWorkspace(p, opts)
+	if ok, _ := Check(p, nil, tm, Constraint2, opts); !ok {
+		t.Fatal("full link set infeasible: the scenarios were not all routed")
+	}
+	primaries, _ := PrimaryPathsOpts(p, nil, tm, opts)
+	routed := 0
+	for _, d := range opts.Workspace.shapeOf(tm).heaviest(opts.FailureScenarios) {
+		if f := primaries[d.pair]; f != nil && !f.Empty() {
+			routed++
+		}
+	}
+	if routed < 4 {
+		t.Fatalf("only %d failure scenarios: too few to show a fan-out", routed)
+	}
+	if got := opts.Workspace.FreeArenas(); got != 1 {
+		t.Fatalf("one Constraint-2 check over %d scenarios left %d arenas on the free list, want 1", routed, got)
 	}
 }
