@@ -50,6 +50,9 @@ func run() error {
 		update   = flag.Bool("update-golden", false, "with -golden: rewrite the fixture from this run instead of comparing")
 	)
 	flag.Parse()
+	if *update && *golden == "" {
+		return fmt.Errorf("-update-golden needs -golden: name the fixture to rewrite")
+	}
 
 	var grid fleet.GridSpec
 	switch *gridName {

@@ -137,24 +137,26 @@ func saveCell(dir string, res *CellResult, obsDoc []byte) error {
 
 // atomicWrite lands data at path via a same-directory tmp file and
 // rename, so readers (and resumed sweeps) never observe a torn file.
+// The sync before the rename keeps an OS crash from leaving the name
+// on an empty file, which loadState would refuse as corrupt.
 func atomicWrite(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return err
 	}
 	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
+	if err == nil {
+		err = os.Rename(name, path)
 	}
-	return nil
+	if err != nil {
+		os.Remove(name)
+	}
+	return err
 }

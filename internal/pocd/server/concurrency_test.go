@@ -9,9 +9,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"github.com/public-option/poc/internal/core"
 	"github.com/public-option/poc/internal/pocd/journal"
@@ -137,66 +135,18 @@ func TestConcurrentClientsMatchSequentialReplay(t *testing.T) {
 	}
 }
 
-// TestDegradedObsReads covers the /v1/obs fallback and the one render
-// site behind both paths. With the writer wedged before journaling the
-// next op and the queue full, concurrent obs reads must all come back
-// stale, stamped with the seq of the last APPLIED op, carrying exactly
-// the bytes a fresh read returned at that seq — and however many
-// readers share a snapshot, fresh or degraded, it renders once.
-// Mutations alone render nothing.
-func TestDegradedObsReads(t *testing.T) {
-	var armed atomic.Bool
-	entered := make(chan struct{})
-	gate := make(chan struct{})
-	s, _, path := newTestServer(t, func(cfg *Config) {
-		cfg.QueueDepth = 1
-		cfg.applyGate = func(*Op) {
-			if armed.Load() {
-				entered <- struct{}{}
-				<-gate
-			}
-		}
-	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+// TestObsReadsUnderSaturation covers /v1/obs with the writer wedged
+// before journaling the next op and the queue full: concurrent obs
+// reads must all answer 200, unmarked, stamped with the seq of the
+// last APPLIED op, carrying exactly the bytes a quiet read returned at
+// that seq — and however many readers share a snapshot, it renders
+// once. Mutations alone render nothing.
+func TestObsReadsUnderSaturation(t *testing.T) {
+	s, ts, path, wedge := newWedgeableServer(t)
 
-	// wedge parks one epoch op in the gate (dequeued, not yet
-	// journaled) and a second in the depth-1 queue; the returned func
-	// lets both through and waits for their replies.
-	wedge := func() (release func()) {
-		armed.Store(true)
-		var posts sync.WaitGroup
-		epoch := func() {
-			defer posts.Done()
-			resp, err := http.Post(ts.URL+"/v1/epoch", "application/json", bytes.NewReader([]byte(`{"seconds":60}`)))
-			if err != nil {
-				t.Errorf("wedged epoch: %v", err)
-				return
-			}
-			resp.Body.Close()
-			if resp.StatusCode != 200 {
-				t.Errorf("wedged epoch: status %d", resp.StatusCode)
-			}
-		}
-		posts.Add(2)
-		go epoch()
-		<-entered
-		go epoch()
-		for i := 0; i < 5000 && len(s.queue) < 1; i++ {
-			time.Sleep(time.Millisecond)
-		}
-		if len(s.queue) != 1 {
-			t.Fatal("queue never filled behind the wedged writer")
-		}
-		return func() {
-			armed.Store(false)
-			gate <- struct{}{}
-			posts.Wait()
-		}
-	}
-	// staleReads issues 8 concurrent GET /v1/obs, requires each to be
-	// a degraded 200 at wantSeq, and returns the bodies.
-	staleReads := func(wantSeq uint64) [][]byte {
+	// wedgedReads issues 8 concurrent GET /v1/obs, requires each to be
+	// a 200 at wantSeq, and returns the bodies.
+	wedgedReads := func(wantSeq uint64) [][]byte {
 		bodies := make([][]byte, 8)
 		var wg sync.WaitGroup
 		for i := range bodies {
@@ -210,23 +160,15 @@ func TestDegradedObsReads(t *testing.T) {
 				}
 				defer resp.Body.Close()
 				bodies[i], _ = io.ReadAll(resp.Body)
-				if resp.StatusCode != 200 || resp.Header.Get("X-Pocd-Degraded") != "stale" ||
-					resp.Header.Get("X-Pocd-Seq") != strconv.FormatUint(wantSeq, 10) {
-					t.Errorf("reader %d: status %d, degraded %q, seq %q; want 200, stale, %d", i,
-						resp.StatusCode, resp.Header.Get("X-Pocd-Degraded"), resp.Header.Get("X-Pocd-Seq"), wantSeq)
+				if resp.StatusCode != 200 || resp.Header.Get("X-Pocd-Seq") != strconv.FormatUint(wantSeq, 10) ||
+					resp.Header.Get("X-Pocd-Degraded") != "" {
+					t.Errorf("reader %d: status %d, seq %q, degraded %q; want 200, %d, none", i,
+						resp.StatusCode, resp.Header.Get("X-Pocd-Seq"), resp.Header.Get("X-Pocd-Degraded"), wantSeq)
 				}
 			}(i)
 		}
 		wg.Wait()
 		return bodies
-	}
-	renders := func() int64 {
-		_, body := get(t, ts, "/metrics")
-		var n int64 = -1
-		for _, line := range bytes.Split(body, []byte("\n")) {
-			fmt.Sscanf(string(line), "pocd_obs_renders_total %d", &n)
-		}
-		return n
 	}
 
 	for _, step := range script[:5] {
@@ -234,22 +176,22 @@ func TestDegradedObsReads(t *testing.T) {
 			t.Fatalf("POST %s: %d: %s", step.path, code, body)
 		}
 	}
-	if n := renders(); n != 0 {
+	if n := counter(t, ts, "pocd_obs_renders_total"); n != 0 {
 		t.Fatalf("%d renders after a mutation-only burst, want 0", n)
 	}
 
-	// A snapshot a fresh read already rendered: the stale readers get
+	// A snapshot a quiet read already rendered: the wedged readers get
 	// those bytes back and add no render.
 	seq := s.Seq()
-	fresh := obsExport(t, ts)
+	quiet := obsExport(t, ts)
 	release := wedge()
-	for i, body := range staleReads(seq) {
-		if !bytes.Equal(body, fresh) {
-			t.Errorf("reader %d: stale export differs from the fresh export at seq %d", i, seq)
+	for i, body := range wedgedReads(seq) {
+		if !bytes.Equal(body, quiet) {
+			t.Errorf("reader %d: export differs from the quiet export at seq %d", i, seq)
 		}
 	}
-	if n := renders(); n != 1 {
-		t.Fatalf("%d renders for one fresh and 8 stale reads of one snapshot, want 1", n)
+	if n := counter(t, ts, "pocd_obs_renders_total"); n != 1 {
+		t.Fatalf("%d renders for 9 reads of one snapshot, want 1", n)
 	}
 	release()
 
@@ -262,17 +204,17 @@ func TestDegradedObsReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, body := range staleReads(seq) {
+	for i, body := range wedgedReads(seq) {
 		if !bytes.Equal(body, want) {
-			t.Errorf("reader %d: stale export differs from the registry at seq %d", i, seq)
+			t.Errorf("reader %d: export differs from the registry at seq %d", i, seq)
 		}
 	}
-	if n := renders(); n != 2 {
+	if n := counter(t, ts, "pocd_obs_renders_total"); n != 2 {
 		t.Fatalf("%d renders, want exactly one more for 8 readers of one snapshot", n)
 	}
 	release()
 
-	// Drained: reads are fresh again and equal the journal's replay.
+	// Drained: the export equals the journal's replay.
 	live := obsExport(t, ts)
 	ts.Close()
 	if err := s.Shutdown(); err != nil {
@@ -283,6 +225,6 @@ func TestDegradedObsReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(live, replayed) {
-		t.Fatal("fresh export after the drain diverges from ReplayFile's")
+		t.Fatal("export after the drain diverges from ReplayFile's")
 	}
 }

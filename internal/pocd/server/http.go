@@ -12,13 +12,12 @@ import (
 	"github.com/public-option/poc/internal/pocd/journal"
 )
 
-// Handler returns the daemon's HTTP mux. Query endpoints run their
-// read on the writer goroutine for a fresh, consistent view; when the
-// writer is saturated (or the read times out in queue) they fall back
-// to the last published snapshot and set X-Pocd-Degraded: stale so
-// clients can tell. Mutations never degrade: a full queue sheds them
-// with 503, an over-quota tenant gets 429, and nothing is journaled
-// in either case.
+// Handler returns the daemon's HTTP mux. Snapshot queries (status,
+// utilization, qos, members, obs) answer from the snapshot published
+// after the last applied op and never wait behind the writer's
+// backlog; /v1/flows?id= reads on the writer. A full queue sheds
+// writer requests with 503, an over-quota tenant gets 429, and nothing
+// is journaled in either case.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 
@@ -35,18 +34,10 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 
 	// Reads.
-	mux.HandleFunc("GET /v1/status", s.readHandler(func(st *state) (any, error) {
-		return st.poc.Snapshot(), nil
-	}, func(sn *Snapshot) any { return sn.State }))
-	mux.HandleFunc("GET /v1/utilization", s.readHandler(func(st *state) (any, error) {
-		return st.poc.Snapshot().Utilization, nil
-	}, func(sn *Snapshot) any { return sn.State.Utilization }))
-	mux.HandleFunc("GET /v1/qos", s.readHandler(func(st *state) (any, error) {
-		return st.poc.QoSCatalog(), nil
-	}, func(sn *Snapshot) any { return sn.State.QoS }))
-	mux.HandleFunc("GET /v1/members", s.readHandler(func(st *state) (any, error) {
-		return st.poc.Members(), nil
-	}, func(sn *Snapshot) any { return sn.State.Members }))
+	mux.HandleFunc("GET /v1/status", s.snapshotHandler(func(sn *Snapshot) any { return sn.State }))
+	mux.HandleFunc("GET /v1/utilization", s.snapshotHandler(func(sn *Snapshot) any { return sn.State.Utilization }))
+	mux.HandleFunc("GET /v1/qos", s.snapshotHandler(func(sn *Snapshot) any { return sn.State.QoS }))
+	mux.HandleFunc("GET /v1/members", s.snapshotHandler(func(sn *Snapshot) any { return sn.State.Members }))
 	mux.HandleFunc("GET /v1/flows", func(w http.ResponseWriter, r *http.Request) {
 		if !s.admit(w, r) {
 			return
@@ -56,34 +47,23 @@ func (s *Server) Handler() http.Handler {
 			http.Error(w, "flows: id query parameter required", http.StatusBadRequest)
 			return
 		}
-		rep := s.do(nil, func(st *state) (any, error) {
+		// Per-flow data is not in the snapshot, so this query reads on
+		// the writer and is shed with 503 when the queue is full.
+		s.writeReply(w, s.do(nil, func(st *state) (any, error) {
 			fl, ok := st.poc.FlowSnapshot(netsim.FlowID(id))
 			if !ok {
 				return nil, fmt.Errorf("flow %d not found", id)
 			}
 			return fl, nil
-		})
-		// Per-flow data is not in the snapshot; a saturated writer
-		// means this query has no degraded fallback.
-		s.writeReply(w, rep)
+		}))
 	})
 	mux.HandleFunc("GET /v1/obs", func(w http.ResponseWriter, r *http.Request) {
 		if !s.admit(w, r) {
 			return
 		}
-		// The fresh read queues through the writer for ordering only:
-		// the published snapshot is at jw.Seq() whenever a read is
-		// dequeued. Fresh or degraded, the export renders here, on the
-		// HTTP goroutine, once per snapshot.
-		rep := s.do(nil, func(*state) (any, error) { return s.snap.Load(), nil })
-		sn, _ := rep.val.(*Snapshot)
-		if rep.err != nil {
-			if sn = s.degradedSnapshot(); sn == nil {
-				s.writeReply(w, rep)
-				return
-			}
-			w.Header().Set("X-Pocd-Degraded", "stale")
-		}
+		// The export renders here, on the HTTP goroutine, once per
+		// snapshot: whichever reader of it asks first pays.
+		sn := s.snap.Load()
 		body, err := sn.ObsExport()
 		if err != nil {
 			s.writeReply(w, reply{err: fmt.Errorf("obs export: %w", err), seq: sn.Seq})
@@ -124,24 +104,18 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// readHandler builds a GET handler that runs fresh on the writer and
-// falls back to the degraded snapshot view when the writer is
-// unreachable (queue full, draining, or queued past deadline).
-func (s *Server) readHandler(read func(*state) (any, error), stale func(*Snapshot) any) http.HandlerFunc {
+// snapshotHandler builds a GET handler that answers from the
+// published snapshot on the HTTP goroutine and never enters the writer
+// queue. The writer publishes after every applied op and before it
+// replies, so the snapshot loaded here holds every acknowledged op and
+// no unapplied one: the read is linearizable at sn.Seq.
+func (s *Server) snapshotHandler(view func(*Snapshot) any) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.admit(w, r) {
 			return
 		}
-		rep := s.do(nil, read)
-		if rep.err != nil {
-			if sn := s.degradedSnapshot(); sn != nil {
-				w.Header().Set("X-Pocd-Degraded", "stale")
-				w.Header().Set("X-Pocd-Seq", strconv.FormatUint(sn.Seq, 10))
-				writeJSON(w, http.StatusOK, stale(sn))
-				return
-			}
-		}
-		s.writeReply(w, rep)
+		sn := s.snap.Load()
+		s.writeReply(w, reply{val: view(sn), seq: sn.Seq})
 	}
 }
 
@@ -228,7 +202,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "pocd_rate_limited_total %d\n", s.mRateLimited.Load())
 	fmt.Fprintf(w, "pocd_shed_total %d\n", s.mShed.Load())
 	fmt.Fprintf(w, "pocd_timeouts_total %d\n", s.mTimeouts.Load())
-	fmt.Fprintf(w, "pocd_degraded_reads_total %d\n", s.mDegraded.Load())
 	fmt.Fprintf(w, "pocd_obs_renders_total %d\n", s.mObsRenders.Load())
 	fmt.Fprintf(w, "pocd_ops_applied_total %d\n", s.mApplied.Load())
 	fmt.Fprintf(w, "pocd_op_errors_total %d\n", s.mApplyErrors.Load())

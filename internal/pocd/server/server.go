@@ -5,10 +5,10 @@
 // POC exclusively. The writer journals each op (length-prefixed,
 // checksummed, fsynced) BEFORE applying it, so replaying the journal
 // against a freshly built deployment reproduces the in-memory state —
-// and the observability export — byte for byte. Reads either run on
-// the writer (fresh, consistent) or, when the writer is saturated,
-// degrade to the last published snapshot instead of queuing behind
-// the backlog.
+// and the observability export — byte for byte. After each applied op,
+// and before replying, the writer publishes a snapshot; queries answer
+// from it without queuing behind the backlog, and see every
+// acknowledged op.
 //
 // The package never reads the wall clock (poclint's walltime analyzer
 // enforces this for all of internal/): callers inject a clock via
@@ -52,8 +52,8 @@ type Config struct {
 	NoFsync bool
 	// Now is the injected clock. Required (cmd/pocd passes time.Now).
 	Now func() time.Time
-	// QueueDepth bounds the writer queue; beyond it mutations shed
-	// with 503 and reads degrade to snapshots. Default 64.
+	// QueueDepth bounds the writer queue; beyond it mutations and
+	// /v1/flows reads shed with 503. Default 64.
 	QueueDepth int
 	// RequestTimeout bounds how stale a queued request may be when the
 	// writer dequeues it. The deadline is stamped at enqueue and
@@ -68,8 +68,8 @@ type Config struct {
 	applyGate func(*Op)
 }
 
-// Snapshot is the degraded-read unit: the state view and the captured
-// obs registry as of one applied journal sequence.
+// Snapshot is what every snapshot query answers from: the state view
+// and the captured obs registry as of one applied journal sequence.
 type Snapshot struct {
 	Seq   uint64        `json:"seq"`
 	State core.Snapshot `json:"state"`
@@ -132,7 +132,6 @@ type Server struct {
 	mRateLimited atomic.Int64
 	mShed        atomic.Int64
 	mTimeouts    atomic.Int64
-	mDegraded    atomic.Int64
 	mApplied     atomic.Int64
 	mApplyErrors atomic.Int64
 	mObsRenders  atomic.Int64
@@ -331,13 +330,6 @@ func (s *Server) do(op *Op, read func(*state) (any, error)) reply {
 	return <-req.reply
 }
 
-// degradedSnapshot returns the last published snapshot for a read
-// that could not reach the writer.
-func (s *Server) degradedSnapshot() *Snapshot {
-	s.mDegraded.Add(1)
-	return s.snap.Load()
-}
-
 // recoverState reads the journal once, checks its header spec (a
 // non-nil wantSpec must equal it) and builds the deployment from it.
 // The op payloads decode on a second goroutine while the build runs
@@ -418,8 +410,8 @@ func (s *Server) BeginDrain() { s.ready.Store(false) }
 
 // Shutdown drains the writer queue, applies and journals everything
 // already admitted, then seals and closes the journal. After
-// Shutdown, mutations and writer reads fail with errClosed (degraded
-// reads keep working off the last snapshot). Safe to call once.
+// Shutdown, mutations and /v1/flows reads fail with errClosed, and
+// snapshot reads keep answering. Safe to call once.
 func (s *Server) Shutdown() error {
 	s.BeginDrain()
 	s.mu.Lock()

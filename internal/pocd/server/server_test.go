@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -152,15 +153,12 @@ var script = []struct{ path, body string }{
 	{"/v1/epoch", `{"seconds":1800}`},
 }
 
-// obsExport reads /v1/obs and fails on a degraded or error response.
+// obsExport reads /v1/obs and fails on an error response.
 func obsExport(t *testing.T, ts *httptest.Server) []byte {
 	t.Helper()
 	resp, b := get(t, ts, "/v1/obs")
 	if resp.StatusCode != 200 {
 		t.Fatalf("obs: status %d: %s", resp.StatusCode, b)
-	}
-	if resp.Header.Get("X-Pocd-Degraded") != "" {
-		t.Fatalf("obs: unexpectedly degraded")
 	}
 	return b
 }
@@ -447,64 +445,141 @@ func TestTimeoutDecidedBeforeJournal(t *testing.T) {
 	}
 }
 
-// TestDegradedReadsUnderSaturation: with the writer wedged and the
-// queue full, reads serve the last snapshot (marked degraded) and
-// mutations shed with 503.
-func TestDegradedReadsUnderSaturation(t *testing.T) {
+// newWedgeableServer starts a server with a depth-1 writer queue. Its
+// wedge parks one epoch op in the apply gate (dequeued, not yet
+// journaled) and a second in the queue, so the queue is full; the
+// returned release lets both through and waits for their replies. A
+// test that fails while wedged is released at cleanup, before the
+// HTTP server closes.
+func newWedgeableServer(t *testing.T) (s *Server, ts *httptest.Server, path string, wedge func() (release func())) {
+	t.Helper()
+	var armed atomic.Bool
+	entered := make(chan struct{})
 	gate := make(chan struct{})
-	s, _, _ := newTestServer(t, func(cfg *Config) {
+	s, _, path = newTestServer(t, func(cfg *Config) {
 		cfg.QueueDepth = 1
-		cfg.applyGate = func(op *Op) { <-gate }
+		cfg.applyGate = func(*Op) {
+			if armed.Load() {
+				entered <- struct{}{}
+				<-gate
+			}
+		}
 	})
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	done := make(chan struct{})
-	go func() { // occupies the writer (dequeued, gated)
-		post(t, ts, "/v1/epoch", `{"seconds":3600}`)
-		close(done)
-	}()
-	queued := make(chan struct{})
-	go func() { // fills the depth-1 queue
-		post(t, ts, "/v1/epoch", `{"seconds":3600}`)
-		close(queued)
-	}()
-	waitFor := func(cond func() bool) {
-		for i := 0; i < 5000 && !cond(); i++ {
+	ts = httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	wedge = func() func() {
+		armed.Store(true)
+		var posts sync.WaitGroup
+		epoch := func() {
+			defer posts.Done()
+			resp, err := http.Post(ts.URL+"/v1/epoch", "application/json", strings.NewReader(`{"seconds":60}`))
+			if err != nil {
+				t.Errorf("wedged epoch: %v", err)
+				return
+			}
+			resp.Body.Close()
+			if resp.StatusCode != 200 {
+				t.Errorf("wedged epoch: status %d", resp.StatusCode)
+			}
+		}
+		posts.Add(2)
+		go epoch()
+		<-entered
+		var once sync.Once
+		release := func() {
+			once.Do(func() {
+				armed.Store(false)
+				gate <- struct{}{}
+				posts.Wait()
+			})
+		}
+		t.Cleanup(release)
+		go epoch()
+		for i := 0; i < 5000 && len(s.queue) < 1; i++ {
 			time.Sleep(time.Millisecond)
 		}
-		if !cond() {
-			t.Fatal("writer never reached expected saturation")
+		if len(s.queue) != 1 {
+			t.Fatal("queue never filled behind the wedged writer")
+		}
+		return release
+	}
+	return s, ts, path, wedge
+}
+
+// counter reads one counter line from /metrics (-1 when absent).
+func counter(t *testing.T, ts *httptest.Server, name string) int64 {
+	t.Helper()
+	_, body := get(t, ts, "/metrics")
+	var n int64 = -1
+	for _, line := range strings.Split(string(body), "\n") {
+		fmt.Sscanf(line, name+" %d", &n)
+	}
+	return n
+}
+
+// TestSnapshotReadsUnderSaturation: with the writer wedged and the
+// queue full, 50 snapshot reads across every snapshot endpoint answer
+// 200 without taking a queue slot or counting as shed. /v1/status
+// answers from the snapshot of the last applied op, byte for byte what
+// a quiet read returned, while a mutation and a /v1/flows read are
+// shed with 503.
+func TestSnapshotReadsUnderSaturation(t *testing.T) {
+	s, ts, _, wedge := newWedgeableServer(t)
+	for _, step := range script[:4] {
+		if code, body := post(t, ts, step.path, step.body); code != 200 {
+			t.Fatalf("POST %s: %d: %s", step.path, code, body)
 		}
 	}
-	waitFor(func() bool { return len(s.queue) == 1 })
+	_, quiet := get(t, ts, "/v1/status")
+
+	release := wedge()
+	shed := counter(t, ts, "pocd_shed_total")
+	paths := []string{"/v1/status", "/v1/utilization", "/v1/qos", "/v1/members", "/v1/obs"}
+	for i := 0; i < 50; i++ {
+		path := paths[i%len(paths)]
+		if resp, body := get(t, ts, path); resp.StatusCode != 200 {
+			t.Fatalf("read %d, %s: status %d: %s", i, path, resp.StatusCode, body)
+		}
+		if n := len(s.queue); n != 1 {
+			t.Fatalf("read %d, %s: queue length %d, want 1", i, path, n)
+		}
+	}
+	if got := counter(t, ts, "pocd_shed_total"); got != shed {
+		t.Fatalf("pocd_shed_total moved from %d to %d over 50 snapshot reads", shed, got)
+	}
 
 	resp, body := get(t, ts, "/v1/status")
-	if resp.StatusCode != 200 {
-		t.Fatalf("degraded read: status %d: %s", resp.StatusCode, body)
+	if h := resp.Header.Get("X-Pocd-Degraded"); h != "" {
+		t.Fatalf("read with full queue: X-Pocd-Degraded %q, want none", h)
 	}
-	if resp.Header.Get("X-Pocd-Degraded") != "stale" {
-		t.Fatalf("degraded read: missing X-Pocd-Degraded header")
+	var envelope struct {
+		Seq    uint64        `json:"seq"`
+		Result core.Snapshot `json:"result"`
 	}
-	var snap core.Snapshot
-	if err := json.Unmarshal(body, &snap); err != nil {
-		t.Fatalf("degraded read: bad body: %v", err)
+	if err := json.Unmarshal(body, &envelope); err != nil {
+		t.Fatalf("read with full queue: bad body: %v", err)
+	}
+	if envelope.Seq != 4 || envelope.Result.Flows != 2 {
+		t.Fatalf("read with full queue: seq %d, %d flows; want the last applied op's seq 4, 2 flows", envelope.Seq, envelope.Result.Flows)
+	}
+	if !bytes.Equal(body, quiet) {
+		t.Fatalf("read with full queue:\n%s\ndiffers from the quiet read:\n%s", body, quiet)
 	}
 	if code, _ := post(t, ts, "/v1/epoch", `{"seconds":3600}`); code != 503 {
 		t.Fatalf("mutation with full queue: status %d, want 503", code)
 	}
-	if s.mShed.Load() == 0 || s.mDegraded.Load() == 0 {
-		t.Fatalf("shed/degraded counters not incremented: shed=%d degraded=%d",
-			s.mShed.Load(), s.mDegraded.Load())
+	if resp, body := get(t, ts, "/v1/flows?id=0"); resp.StatusCode != 503 {
+		t.Fatalf("/v1/flows with full queue: status %d: %s; want 503", resp.StatusCode, body)
+	}
+	if s.mShed.Load() == 0 {
+		t.Fatal("shed counter not incremented")
 	}
 
-	close(gate)
-	<-done
-	<-queued
-	// Writer free again: fresh reads resume, no degraded marker.
-	resp, _ = get(t, ts, "/v1/status")
-	if resp.Header.Get("X-Pocd-Degraded") != "" {
-		t.Fatal("read still degraded after writer drained")
+	release()
+	// Both wedged epochs applied: the snapshot moved to seq 6.
+	_, body = get(t, ts, "/v1/status")
+	if err := json.Unmarshal(body, &envelope); err != nil || envelope.Seq != 6 || envelope.Result.Epochs != 2 {
+		t.Fatalf("read after the drain: seq %d, %d epochs (%v); want 6, 2", envelope.Seq, envelope.Result.Epochs, err)
 	}
 	ts.Close()
 	if err := s.Shutdown(); err != nil {

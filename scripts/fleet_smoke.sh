@@ -18,6 +18,9 @@
 #      must hash identically at -workers 1 and 4 (the corpus path
 #      builds its instance from files, not the generator)
 #
+# Before any sweep it checks that -update-golden without -golden is
+# refused (exit nonzero, no report written).
+#
 # Artifacts (reports, hashes, the resume journal, the corpus) are left in
 # $SMOKE_DIR for CI to upload on failure.
 set -euo pipefail
@@ -37,6 +40,12 @@ cd "$REPO_ROOT"
 log "building pocfleet and zoogen"
 go build -o "$BIN" ./cmd/pocfleet
 go build -o "$SMOKE_DIR/zoogen" ./cmd/zoogen
+
+log "-update-golden without -golden must be refused before any sweep"
+if "$BIN" -update-golden -out "$SMOKE_DIR/refused.json" >"$SMOKE_DIR/refused.log" 2>&1; then
+    fail "-update-golden without -golden exited 0"
+fi
+[ ! -e "$SMOKE_DIR/refused.json" ] || fail "-update-golden without -golden still swept and wrote a report"
 
 log "sweeping golden grid (-workers 4)"
 "$BIN" -grid golden -workers 4 -out "$SMOKE_DIR/fleet_w4.json" | tee "$SMOKE_DIR/w4.log"

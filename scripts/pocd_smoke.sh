@@ -3,10 +3,11 @@
 # runnable locally). Exercises the daemon's whole robustness story:
 #
 #   1. fresh start: serve /readyz, admit members and flows, bill an
-#      epoch, read /metrics
+#      epoch, read every query endpoint and /metrics
 #   2. SIGTERM: drain, seal the journal, exit 0
 #   3. restart from the sealed journal: recovered obs export must be
-#      byte-identical to what the live daemon last served
+#      byte-identical to what the live daemon last served, and so must
+#      /v1/status but for its seq
 #   4. kill -9 mid-life: restart recovers, and `pocd -replay` (a clean
 #      sequential replay of the surviving journal) must hash-match the
 #      recovered daemon's export
@@ -57,8 +58,12 @@ post /v1/flows '{"flows":[{"src":"lmp-a","dst":"csp-b","gbps":1},{"src":"csp-b",
 post /v1/epoch '{"seconds":3600}'
 post /v1/flows/stop '{"ids":[0]}'
 curl -fsS "$BASE/v1/status" >"$SMOKE_DIR/status1.json" || fail "GET /v1/status"
+grep -qx '  "seq": 6' "$SMOKE_DIR/status1.json" \
+    || fail "/v1/status after six POSTs does not report seq 6 (see $SMOKE_DIR/status1.json)"
 curl -fsS "$BASE/v1/utilization" >/dev/null || fail "GET /v1/utilization"
 curl -fsS "$BASE/v1/qos" >/dev/null || fail "GET /v1/qos"
+curl -fsS "$BASE/v1/members" >/dev/null || fail "GET /v1/members"
+curl -fsS "$BASE/v1/flows?id=1" >/dev/null || fail "GET /v1/flows?id=1"
 grep -q pocd_ready <(curl -fsS "$BASE/metrics") || fail "GET /metrics"
 curl -fsS "$BASE/v1/obs" >"$SMOKE_DIR/live1.json" || fail "GET /v1/obs"
 log "API exercised: members, qos, flows, epoch, queries, metrics"
@@ -80,7 +85,11 @@ grep -q "recovered journal" "$SMOKE_DIR/daemon2.log" || fail "restart did not re
 curl -fsS "$BASE/v1/obs" >"$SMOKE_DIR/recovered1.json" || fail "GET /v1/obs after restart"
 cmp -s "$SMOKE_DIR/live1.json" "$SMOKE_DIR/recovered1.json" \
     || fail "recovered obs export differs from pre-shutdown export"
-log "restart: recovered export byte-identical"
+# The seal record took seq 7, so only the "seq" line may differ.
+curl -fsS "$BASE/v1/status" >"$SMOKE_DIR/status2.json" || fail "GET /v1/status after restart"
+cmp -s <(grep -v '^  "seq": ' "$SMOKE_DIR/status1.json") <(grep -v '^  "seq": ' "$SMOKE_DIR/status2.json") \
+    || fail "recovered /v1/status differs from pre-shutdown status beyond its seq"
+log "restart: recovered export and status byte-identical"
 
 # --- 4. kill -9, then recover and hash-match a clean replay ----------
 post /v1/epoch '{"seconds":1800}'
