@@ -86,7 +86,10 @@ type POC struct {
 	endpoints map[string]netsim.EndpointID
 	policies  map[string]peering.Policy
 	suspended map[string]bool
-	billedGB  map[string]float64 // usage already billed, per member
+	// members is memberList's result, nil until it is built and
+	// again whenever endpoints, suspended or fabric change.
+	members  []Member
+	billedGB map[string]float64 // usage already billed, per member
 
 	recalled     map[int]bool // links recalled by their BPs
 	edgeServices map[string]*edge.Service
@@ -195,6 +198,7 @@ func (p *POC) Activate() error {
 	}
 	p.fabric = netsim.New(p.cfg.Network, p.auctionResult.Selected)
 	p.fabric.SetObserver(p.cfg.Obs)
+	p.members = nil
 	p.phase = phaseActive
 	return nil
 }
@@ -237,6 +241,7 @@ func (p *POC) AttachLMP(name string, router int, policy peering.Policy) (netsim.
 		return 0, err
 	}
 	p.endpoints[name] = id
+	p.members = nil
 	p.policies[name] = policy
 	p.memberID[name] = p.ledger.AddEntity(market.LastMileProvider, name)
 	return id, nil
@@ -254,6 +259,7 @@ func (p *POC) AttachCSP(name string, router int) (netsim.EndpointID, error) {
 		return 0, err
 	}
 	p.endpoints[name] = id
+	p.members = nil
 	p.memberID[name] = p.ledger.AddEntity(market.ContentProvider, name)
 	return id, nil
 }
@@ -272,6 +278,7 @@ func (p *POC) EnforceTerms() []peering.Violation {
 		vs := peering.Audit(p.policies[n])
 		if len(vs) > 0 {
 			p.suspended[n] = true
+			p.members = nil
 			out = append(out, vs...)
 		}
 	}
@@ -418,13 +425,10 @@ func (p *POC) BillEpoch(seconds float64) (*EpochReport, error) {
 	// entries are all float-order-sensitive, and map iteration would
 	// make them drift at ULP scale run to run.
 	usage := p.fabric.UsageByEndpoint()
-	names := make([]string, 0, len(p.endpoints))
-	for name := range p.endpoints {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	members := p.memberList()
 	total := 0.0
-	for _, name := range names {
+	for _, m := range members {
+		name := m.Name
 		gb := usage[p.endpoints[name]] - p.billedGB[name]
 		if gb < 0 {
 			gb = 0
@@ -439,7 +443,8 @@ func (p *POC) BillEpoch(seconds float64) (*EpochReport, error) {
 			return nil, err
 		}
 		rep.PricePerGB = plan.PerGB
-		for _, name := range names {
+		for _, m := range members {
+			name := m.Name
 			gb := rep.UsageGB[name]
 			if gb == 0 {
 				continue

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/public-option/poc/internal/auction"
@@ -335,4 +336,55 @@ func TestLedgerEntitiesRegistered(t *testing.T) {
 	if kinds[market.ExternalISP] != 1 {
 		t.Fatal("ISP entity missing")
 	}
+}
+
+// TestSnapshotMembersFollowMembership: Snapshot shares one memoized
+// member list between changes to the membership, and every change —
+// an attach, a suspension, a reauction's fabric swap — shows in the
+// next Snapshot exactly as a list built from scratch would.
+func TestSnapshotMembersFollowMembership(t *testing.T) {
+	p := activePOC(t)
+	check := func(step string, want int) {
+		t.Helper()
+		got := p.Snapshot().Members
+		if again := p.Snapshot().Members; len(got) > 0 && &again[0] != &got[0] {
+			t.Errorf("%s: two snapshots with no change between them built two member lists", step)
+		}
+		p.members = nil
+		if fresh := p.memberList(); !reflect.DeepEqual(got, fresh) {
+			t.Errorf("%s: snapshot members %+v, want %+v", step, got, fresh)
+		}
+		if len(got) != want {
+			t.Errorf("%s: %d members, want %d", step, len(got), want)
+		}
+	}
+	check("activate", 0)
+	if _, err := p.AttachLMP("lmp-b", 2, peering.Policy{}); err != nil {
+		t.Fatal(err)
+	}
+	check("attach lmp", 1)
+	if _, err := p.AttachCSP("csp-a", 1); err != nil {
+		t.Fatal(err)
+	}
+	check("attach csp", 2)
+	p.policies["lmp-b"] = peering.Policy{LMP: "lmp-b", Rules: []peering.Rule{{
+		Direction: peering.Incoming,
+		Match:     peering.Selector{Source: "csp-a"},
+		Action:    peering.Block,
+	}}}
+	if len(p.EnforceTerms()) == 0 {
+		t.Fatal("enforcement found no violations")
+	}
+	check("suspend", 2)
+	if !p.Snapshot().Members[1].Suspended {
+		t.Fatal("suspended LMP not marked in the snapshot")
+	}
+	if _, err := p.Reauction(ringTM()); err != nil {
+		t.Fatal(err)
+	}
+	check("reauction", 2)
+	if _, err := p.BillEpoch(3600); err != nil {
+		t.Fatal(err)
+	}
+	check("bill", 2)
 }

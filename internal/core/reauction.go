@@ -149,6 +149,7 @@ func (p *POC) ReauctionExcluding(tm *traffic.Matrix, exclude *linkset.Set) (*Rea
 
 	p.auctionResult = res
 	p.fabric = newFabric
+	p.members = nil
 	// Usage counters restart with the new fabric; already-billed
 	// volume must reset with them.
 	for name := range p.billedGB {

@@ -8,11 +8,11 @@ import (
 
 // This file is the POC's read-only snapshot surface: everything pocd
 // serves on its query endpoints, gathered in one deterministic pass.
-// pocd's single-writer loop publishes a Snapshot after every applied
-// mutation; when the writer saturates, reads degrade to the last
-// published copy instead of queuing behind the backlog, so the
-// operator keeps answering (with slightly stale data) under overload
-// rather than ballooning latency. Field order and slice ordering are
+// pocd's single writer publishes a Snapshot after every applied op and
+// before it replies, and every query answers from the latest one
+// without queuing behind the writer, so a read sees every acknowledged
+// op. A Snapshot's slices are read-only: it may share them with the
+// POC and with other snapshots. Field order and slice ordering are
 // deterministic — snapshots taken at the same journal sequence are
 // byte-identical once JSON-encoded.
 
@@ -40,11 +40,16 @@ type Snapshot struct {
 	Utilization   []LinkUtil    `json:"utilization,omitempty"`
 }
 
-// Members returns the attached members sorted by name (nil before
-// Activate — members only exist on a fabric).
-func (p *POC) Members() []Member {
+// memberList returns the attached members sorted by name (nil before
+// Activate — members only exist on a fabric). The list is built once
+// per change to the membership and shared: callers must not write
+// into it.
+func (p *POC) memberList() []Member {
 	if p.fabric == nil {
 		return nil
+	}
+	if p.members != nil {
+		return p.members
 	}
 	names := make([]string, 0, len(p.endpoints))
 	for name := range p.endpoints {
@@ -60,6 +65,7 @@ func (p *POC) Members() []Member {
 		}
 		out = append(out, m)
 	}
+	p.members = out
 	return out
 }
 
@@ -73,7 +79,7 @@ func (p *POC) Snapshot() Snapshot {
 	s.Flows = p.fabric.NumFlows()
 	s.LeasedLinks = p.fabric.NumSelectedLinks()
 	s.FailedLinks = p.fabric.FailedLinks()
-	s.Members = p.Members()
+	s.Members = p.memberList()
 	recalled := make([]int, 0, len(p.recalled))
 	for id := range p.recalled {
 		recalled = append(recalled, id)

@@ -36,11 +36,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"math"
 	"os"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
 // Schema identifies the export format; bump on breaking changes.
@@ -53,7 +53,7 @@ type Registry struct {
 	mu sync.Mutex
 
 	meta     map[string]string // static run labels, set from serial code
-	counters map[string]*int64 // atomic adds, commutative
+	counters map[string]int64
 	floats   map[string]float64
 	gauges   map[string]float64
 	maxima   map[string]float64
@@ -63,7 +63,30 @@ type Registry struct {
 	spans    []Span
 	step     uint64 // monotonic span clock
 	open     []int  // stack of open span indexes
+
+	// last is the Export the latest Capture returned. A family whose
+	// bit is set in fresh has not been written since, so the next
+	// Capture hands out last's map or slice for it again instead of a
+	// copy. Every write clears its family's bit.
+	last  Export
+	fresh family
 }
+
+// family is a bit set over the registry's recorded families.
+type family uint16
+
+const (
+	famMeta family = 1 << iota
+	famCounters
+	famFloats
+	famGauges
+	famMaxima
+	famHists
+	famKeyed
+	famLines
+	famSpans
+	famAll = famMeta | famCounters | famFloats | famGauges | famMaxima | famHists | famKeyed | famLines | famSpans
+)
 
 // New returns an empty registry.
 func New() *Registry { return &Registry{} }
@@ -100,6 +123,7 @@ func (r *Registry) SetMeta(key, value string) {
 		r.meta = make(map[string]string)
 	}
 	r.meta[key] = value
+	r.fresh &^= famMeta
 	r.mu.Unlock()
 }
 
@@ -111,15 +135,11 @@ func (r *Registry) Add(name string, delta int64) {
 	}
 	r.mu.Lock()
 	if r.counters == nil {
-		r.counters = make(map[string]*int64)
+		r.counters = make(map[string]int64)
 	}
-	c, ok := r.counters[name]
-	if !ok {
-		c = new(int64)
-		r.counters[name] = c
-	}
+	r.counters[name] += delta
+	r.fresh &^= famCounters
 	r.mu.Unlock()
-	atomic.AddInt64(c, delta)
 }
 
 // Counter returns a counter's current value (0 if never written).
@@ -128,12 +148,8 @@ func (r *Registry) Counter(name string) int64 {
 		return 0
 	}
 	r.mu.Lock()
-	c := r.counters[name]
-	r.mu.Unlock()
-	if c == nil {
-		return 0
-	}
-	return atomic.LoadInt64(c)
+	defer r.mu.Unlock()
+	return r.counters[name]
 }
 
 // AddFloat accumulates into a float. Float addition is not
@@ -147,6 +163,7 @@ func (r *Registry) AddFloat(name string, v float64) {
 		r.floats = make(map[string]float64)
 	}
 	r.floats[name] += v
+	r.fresh &^= famFloats
 	r.mu.Unlock()
 }
 
@@ -171,6 +188,7 @@ func (r *Registry) Set(name string, v float64) {
 		r.gauges = make(map[string]float64)
 	}
 	r.gauges[name] = v
+	r.fresh &^= famGauges
 	r.mu.Unlock()
 }
 
@@ -196,6 +214,7 @@ func (r *Registry) SetMax(name string, v float64) {
 	}
 	if old, ok := r.maxima[name]; !ok || v > old {
 		r.maxima[name] = v
+		r.fresh &^= famMaxima
 	}
 	r.mu.Unlock()
 }
@@ -234,6 +253,7 @@ func (r *Registry) Observe(name string, buckets []float64, v float64) {
 	if v > h.max {
 		h.max = v
 	}
+	r.fresh &^= famHists
 	r.mu.Unlock()
 }
 
@@ -254,6 +274,7 @@ func (r *Registry) KeyedMax(name string, key int, v float64) {
 	}
 	if old, ok := m[key]; !ok || v > old {
 		m[key] = v
+		r.fresh &^= famKeyed
 	}
 	r.mu.Unlock()
 }
@@ -275,6 +296,7 @@ func (r *Registry) KeyedSet(name string, key int, v float64) {
 		r.keyed[name] = m
 	}
 	m[key] = v
+	r.fresh &^= famKeyed
 	r.mu.Unlock()
 }
 
@@ -292,6 +314,7 @@ func (r *Registry) Append(name string, v float64) {
 		r.lines = make(map[string][]float64)
 	}
 	r.lines[name] = append(r.lines[name], v)
+	r.fresh &^= famLines
 	r.mu.Unlock()
 }
 
@@ -323,6 +346,7 @@ func (r *Registry) StartSpan(name string) SpanHandle {
 	r.spans = append(r.spans, Span{Name: name, Start: r.step, Depth: len(r.open)})
 	idx := len(r.spans) - 1
 	r.open = append(r.open, idx)
+	r.fresh &^= famSpans
 	r.mu.Unlock()
 	return SpanHandle{r: r, idx: idx}
 }
@@ -336,6 +360,7 @@ func (s SpanHandle) End() {
 	r.mu.Lock()
 	r.step++
 	r.spans[s.idx].End = r.step
+	r.fresh &^= famSpans
 	if n := len(r.open); n > 0 && r.open[n-1] == s.idx {
 		r.open = r.open[:n-1]
 	}
@@ -370,54 +395,44 @@ type Export struct {
 }
 
 // Capture returns the registry's current state without rendering it.
-// The cost is one map entry per recorded name (plus the keyed maps'
-// entries and the spans), never the length of a timeline: a timeline
-// is append-only, so the capture shares its backing array up to the
-// captured length with the capacity clipped to it — Append only ever
-// writes at an index at or beyond that length, or into a fresh array.
-// Histogram bucket layouts are fixed at the first Observe and shared
-// the same way. Everything written in place is copied: counts, every
-// map, and the spans (End fills in a span opened before the capture).
+// It copies only the families written since the previous Capture: for
+// every other family it hands out the previous capture's map or slice
+// again, which is safe because the registry never writes into a map or
+// slice it has handed out. A family that was written costs one map
+// entry per recorded name (plus the keyed maps' entries and the
+// spans), never the length of a timeline: a timeline is append-only,
+// so the capture shares its backing array up to the captured length
+// with the capacity clipped to it — Append only ever writes at an
+// index at or beyond that length, or into a fresh array. Histogram
+// bucket layouts are fixed at the first Observe and shared the same
+// way. Everything written in place is copied: counts, every map, and
+// the spans (End fills in a span opened before the capture).
 // A capture is ordered like Set and Append: take it from the serial
 // section that records, then hand it to any goroutine.
 func (r *Registry) Capture() Export {
-	e := Export{Schema: Schema}
 	if r == nil {
-		return e
+		return Export{Schema: Schema}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if len(r.meta) > 0 {
-		e.Meta = make(map[string]string, len(r.meta))
-		for k, v := range r.meta {
-			e.Meta[k] = v
-		}
+	e := r.last
+	e.Schema = Schema
+	if r.fresh&famMeta == 0 {
+		e.Meta = maps.Clone(r.meta)
 	}
-	if len(r.counters) > 0 {
-		e.Counters = make(map[string]int64, len(r.counters))
-		for k, c := range r.counters {
-			e.Counters[k] = atomic.LoadInt64(c)
-		}
+	if r.fresh&famCounters == 0 {
+		e.Counters = maps.Clone(r.counters)
 	}
-	if len(r.floats) > 0 {
-		e.Floats = make(map[string]float64, len(r.floats))
-		for k, v := range r.floats {
-			e.Floats[k] = v
-		}
+	if r.fresh&famFloats == 0 {
+		e.Floats = maps.Clone(r.floats)
 	}
-	if len(r.gauges) > 0 {
-		e.Gauges = make(map[string]float64, len(r.gauges))
-		for k, v := range r.gauges {
-			e.Gauges[k] = v
-		}
+	if r.fresh&famGauges == 0 {
+		e.Gauges = maps.Clone(r.gauges)
 	}
-	if len(r.maxima) > 0 {
-		e.Maxima = make(map[string]float64, len(r.maxima))
-		for k, v := range r.maxima {
-			e.Maxima[k] = v
-		}
+	if r.fresh&famMaxima == 0 {
+		e.Maxima = maps.Clone(r.maxima)
 	}
-	if len(r.hists) > 0 {
+	if r.fresh&famHists == 0 {
 		e.Histograms = make(map[string]histExport, len(r.hists))
 		for k, h := range r.hists {
 			he := histExport{
@@ -431,25 +446,22 @@ func (r *Registry) Capture() Export {
 			e.Histograms[k] = he
 		}
 	}
-	if len(r.keyed) > 0 {
+	if r.fresh&famKeyed == 0 {
 		e.Keyed = make(map[string]map[int]float64, len(r.keyed))
 		for k, m := range r.keyed {
-			cp := make(map[int]float64, len(m))
-			for key, v := range m {
-				cp[key] = v
-			}
-			e.Keyed[k] = cp
+			e.Keyed[k] = maps.Clone(m)
 		}
 	}
-	if len(r.lines) > 0 {
+	if r.fresh&famLines == 0 {
 		e.Timelines = make(map[string][]float64, len(r.lines))
 		for k, v := range r.lines {
 			e.Timelines[k] = v[:len(v):len(v)]
 		}
 	}
-	if len(r.spans) > 0 {
+	if r.fresh&famSpans == 0 {
 		e.Spans = append([]Span(nil), r.spans...)
 	}
+	r.last, r.fresh = e, famAll
 	return e
 }
 

@@ -166,6 +166,20 @@ func bodyTooLarge(w http.ResponseWriter, err error) bool {
 	return true
 }
 
+// The response envelopes. Keep each struct's fields in sorted JSON key
+// order: clients see the same key order a map would encode
+// (TestReplyEnvelopeBytes pins both).
+type (
+	resultEnvelope struct {
+		Result any    `json:"result"`
+		Seq    uint64 `json:"seq"`
+	}
+	errorEnvelope struct {
+		Error string `json:"error"`
+		Seq   uint64 `json:"seq"`
+	}
+)
+
 // writeReply encodes one writer reply as the HTTP response.
 func (s *Server) writeReply(w http.ResponseWriter, rep reply) {
 	if rep.err != nil {
@@ -173,10 +187,10 @@ func (s *Server) writeReply(w http.ResponseWriter, rep reply) {
 		if status == 0 {
 			status = http.StatusInternalServerError
 		}
-		writeJSON(w, status, map[string]any{"error": rep.err.Error(), "seq": rep.seq})
+		writeJSON(w, status, errorEnvelope{Error: rep.err.Error(), Seq: rep.seq})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"seq": rep.seq, "result": rep.val})
+	writeJSON(w, http.StatusOK, resultEnvelope{Result: rep.val, Seq: rep.seq})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -151,6 +151,28 @@ func (st *state) resolveClass(name string) (netsim.Class, bool) {
 	return netsim.Class{}, false
 }
 
+// The results of the ops that have no report type of their own. Keep
+// each struct's fields in sorted JSON key order: clients see the same
+// key order a map would encode.
+type (
+	attachResult struct {
+		Endpoint int `json:"endpoint"`
+	}
+	startFlowsResult struct {
+		IDs []int64 `json:"ids"`
+	}
+	stopFlowsResult struct {
+		Stopped int `json:"stopped"`
+	}
+	publishQoSResult struct {
+		Published string `json:"published"`
+	}
+	chaosResult struct {
+		ActedLinks []int `json:"acted_links"`
+		MovedFlows int   `json:"moved_flows"`
+	}
+)
+
 // apply executes one validated op against the state. It runs only on
 // the writer goroutine, strictly after the op was journaled. Errors
 // are deterministic outcomes (the same op against the same state
@@ -171,7 +193,7 @@ func (st *state) apply(o *Op) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return map[string]any{"endpoint": int(id)}, nil
+		return attachResult{Endpoint: int(id)}, nil
 	case "start_flows":
 		reqs := make([]core.FlowRequest, len(o.Flows))
 		ok := make([]bool, len(o.Flows))
@@ -197,19 +219,19 @@ func (st *state) apply(o *Op) (any, error) {
 			}
 			out[i] = int64(id)
 		}
-		return map[string]any{"ids": out}, nil
+		return startFlowsResult{IDs: out}, nil
 	case "stop_flows":
 		ids := make([]netsim.FlowID, len(o.IDs))
 		for i, id := range o.IDs {
 			ids[i] = netsim.FlowID(id)
 		}
-		return map[string]any{"stopped": st.poc.StopFlows(ids)}, nil
+		return stopFlowsResult{Stopped: st.poc.StopFlows(ids)}, nil
 	case "publish_qos":
 		class := netsim.Class{Name: o.Name, Weight: o.Weight, Price: o.Price}
 		if err := st.poc.PublishQoS(class, o.MaxLatencyKm); err != nil {
 			return nil, err
 		}
-		return map[string]any{"published": o.Name}, nil
+		return publishQoSResult{Published: o.Name}, nil
 	case "bill_epoch":
 		rep, err := st.poc.BillEpoch(o.Seconds)
 		if err != nil {
@@ -225,7 +247,7 @@ func (st *state) apply(o *Op) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		return map[string]any{"acted_links": acted, "moved_flows": len(moved)}, nil
+		return chaosResult{ActedLinks: acted, MovedFlows: len(moved)}, nil
 	case "recall":
 		rep, err := st.poc.RecallLink(o.Link, o.PenaltyRate)
 		if err != nil {

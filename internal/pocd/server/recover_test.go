@@ -247,7 +247,7 @@ func BenchmarkRecover(b *testing.B) {
 		if rep.err != nil {
 			b.Fatal(rep.err)
 		}
-		live = append(live, rep.val.(map[string]any)["ids"].([]int64)...)
+		live = append(live, rep.val.(startFlowsResult).IDs...)
 		if len(live) > 40 {
 			mustDo(b, s, &Op{Op: "stop_flows", IDs: live[:10]})
 			live = live[10:]

@@ -210,8 +210,9 @@ func (s *Server) Seq() uint64 { return s.jw.Seq() }
 
 // publish captures the current state as the read snapshot. Runs on
 // the writer goroutine (or in New before the writer starts) and never
-// renders: the cost is the registry's names, not its history, and the
-// JSON is paid by the first /v1/obs read of this snapshot, if any.
+// renders: the cost is the names in the registry families written
+// since the last publish, not the registry's history, and the JSON is
+// paid by the first /v1/obs read of this snapshot, if any.
 func (s *Server) publish() {
 	capture := s.st.reg.Capture()
 	s.snap.Store(&Snapshot{

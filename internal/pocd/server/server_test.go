@@ -747,3 +747,44 @@ func TestJournalFailureRefusesLaterMutations(t *testing.T) {
 		t.Fatal("shutdown reported a clean seal on a broken journal")
 	}
 }
+
+// TestReplyEnvelopeBytes pins the wire bytes of the reply envelopes
+// and of every op result without a report type of its own, success
+// and error alike, against the bytes pocd answered when the envelope
+// and the results were maps.
+func TestReplyEnvelopeBytes(t *testing.T) {
+	s, _, _ := newTestServer(t, nil)
+	defer s.Shutdown()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	want := map[int]string{
+		0: "{\n  \"result\": {\n    \"endpoint\": 0\n  },\n  \"seq\": 1\n}\n",
+		2: "{\n  \"result\": {\n    \"published\": \"gold\"\n  },\n  \"seq\": 3\n}\n",
+		3: "{\n  \"result\": {\n    \"ids\": [\n      0,\n      1\n    ]\n  },\n  \"seq\": 4\n}\n",
+		5: "{\n  \"result\": {\n    \"acted_links\": [\n      2\n    ],\n    \"moved_flows\": 2\n  },\n  \"seq\": 6\n}\n",
+		8: "{\n  \"result\": {\n    \"stopped\": 1\n  },\n  \"seq\": 9\n}\n",
+	}
+	for i, step := range script {
+		code, body := post(t, ts, step.path, step.body)
+		if code != 200 {
+			t.Fatalf("POST %s: %d: %s", step.path, code, body)
+		}
+		if w, ok := want[i]; ok && body != w {
+			t.Errorf("POST %s %s:\n got %q\nwant %q", step.path, step.body, body, w)
+		}
+	}
+	for _, c := range []struct {
+		path, body string
+		code       int
+		want       string
+	}{
+		{"/v1/members", `{"name":"metro-lmp","kind":"lmp","router":0}`, 422,
+			"{\n  \"error\": \"netsim: endpoint \\\"metro-lmp\\\" already attached\",\n  \"seq\": 12\n}\n"},
+		{"/v1/chaos", `{"kind":"cut-link","link":0}`, 200,
+			"{\n  \"result\": {\n    \"acted_links\": null,\n    \"moved_flows\": 0\n  },\n  \"seq\": 13\n}\n"},
+	} {
+		if code, body := post(t, ts, c.path, c.body); code != c.code || body != c.want {
+			t.Errorf("POST %s %s: %d\n got %q\nwant %d %q", c.path, c.body, code, body, c.code, c.want)
+		}
+	}
+}
