@@ -369,16 +369,25 @@ type EpochReport struct {
 	MemberCharge map[string]float64
 }
 
+// MaxEpochSeconds bounds one billing epoch at a year. A longer epoch
+// can overflow usage and prorated payments to ±Inf and the revenue to
+// NaN, which no ledger or export can hold.
+const MaxEpochSeconds = 365 * 24 * 3600.0
+
 // BillEpoch advances simulated time by the given seconds, bills every
 // attached member at the break-even usage price, pays the BPs their
 // auction payments (prorated from monthly to the epoch length) and
 // the external ISP its contract cost, and closes the ledger epoch.
+// An epoch over MaxEpochSeconds is refused before anything moves.
 func (p *POC) BillEpoch(seconds float64) (*EpochReport, error) {
 	if p.phase != phaseActive {
 		return nil, fmt.Errorf("core: POC not active")
 	}
 	if seconds <= 0 {
 		return nil, fmt.Errorf("core: non-positive epoch length")
+	}
+	if seconds > MaxEpochSeconds {
+		return nil, fmt.Errorf("core: epoch of %v s over the %v s bound", seconds, MaxEpochSeconds)
 	}
 	if err := p.fabric.Tick(seconds); err != nil {
 		return nil, err

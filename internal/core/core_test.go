@@ -273,6 +273,19 @@ func TestFlowsAndBilling(t *testing.T) {
 	if _, err := p.BillEpoch(0); err == nil {
 		t.Fatal("zero-length epoch accepted")
 	}
+	// An epoch long enough to overflow the bill to ±Inf and NaN is
+	// refused before the fabric ticks or the ledger moves: the next
+	// epoch bills the same usage and keeps the epoch count.
+	if _, err := p.BillEpoch(1e308); err == nil {
+		t.Fatal("epoch of 1e308 s accepted")
+	}
+	rep3, err := p.BillEpoch(3600)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep3.Epoch != 2 || math.Abs(rep3.UsageGB["megaflix"]-5400) > 1e-6 {
+		t.Fatalf("epoch after a refused one: %d with usage %v, want 2 with 5400", rep3.Epoch, rep3.UsageGB["megaflix"])
+	}
 }
 
 func TestBillEpochNoTraffic(t *testing.T) {

@@ -33,16 +33,25 @@ type RecallReport struct {
 	MonthlySaving float64
 }
 
+// MaxPenaltyRate bounds a recall's penalty rate at a thousand months
+// of the link's payment share. A larger rate can overflow the penalty
+// to +Inf, which no ledger or export can hold.
+const MaxPenaltyRate = 1000.0
+
 // RecallLink processes a BP's recall of a leased (selected) link.
 // penaltyRate scales the penalty: penalty = rate × the link's share
-// of the BP's monthly auction payment. The link is failed on the
-// fabric (flows reroute or degrade) and removed from future billing.
+// of the BP's monthly auction payment; a rate over MaxPenaltyRate is
+// refused. The link is failed on the fabric (flows reroute or
+// degrade) and removed from future billing.
 func (p *POC) RecallLink(linkID int, penaltyRate float64) (*RecallReport, error) {
 	if p.phase != phaseActive {
 		return nil, fmt.Errorf("core: POC not active")
 	}
 	if penaltyRate < 0 {
 		return nil, fmt.Errorf("core: negative penalty rate")
+	}
+	if penaltyRate > MaxPenaltyRate {
+		return nil, fmt.Errorf("core: penalty rate %v over the %v bound", penaltyRate, MaxPenaltyRate)
 	}
 	if linkID < 0 || linkID >= len(p.cfg.Network.Links) {
 		return nil, fmt.Errorf("core: unknown link %d", linkID)

@@ -75,6 +75,11 @@ func TestRecallValidation(t *testing.T) {
 	if _, err := p.RecallLink(link, -1); err == nil {
 		t.Fatal("negative penalty rate accepted")
 	}
+	// A rate whose penalty overflows to +Inf, refused before the
+	// ledger moves: the recall below still succeeds.
+	if _, err := p.RecallLink(link, 1e308); err == nil {
+		t.Fatal("penalty rate 1e308 accepted")
+	}
 	if _, err := p.RecallLink(-1, 0); err == nil {
 		t.Fatal("unknown link accepted")
 	}

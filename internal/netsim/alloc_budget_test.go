@@ -39,3 +39,27 @@ func TestAllocBudgetChurn(t *testing.T) {
 		t.Fatalf("a warm churn cycle allocates %v objects, budget 1 (the returned ID slice)", allocs)
 	}
 }
+
+// TestAllocBudgetUtilization: pocd publishes a utilization list per
+// op, so Fabric.Utilization allocates one slice exactly as long as the
+// used links (no capacity for the idle ones) and, with none used,
+// nothing: an empty list, not nil, so it encodes as [].
+func TestAllocBudgetUtilization(t *testing.T) {
+	f := New(ringNet(10), nil)
+	lmp0, lmp2, _ := attach3(t, f)
+	if util := f.Utilization(); util == nil || len(util) != 0 {
+		t.Fatalf("utilization before any flow = %#v, want empty and non-nil", util)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.Utilization() }); allocs != 0 {
+		t.Fatalf("utilization with no used link allocates %v objects, budget 0", allocs)
+	}
+	if _, err := f.StartFlow(lmp0, lmp2, 5, BestEffort); err != nil {
+		t.Fatal(err)
+	}
+	if util := f.Utilization(); len(util) != 2 || cap(util) != len(util) {
+		t.Fatalf("utilization over 2 used links of 5: len %d, cap %d", len(util), cap(util))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { f.Utilization() }); allocs != 1 {
+		t.Fatalf("utilization allocates %v objects, budget 1 (the slice)", allocs)
+	}
+}

@@ -958,9 +958,18 @@ type LinkUtil struct {
 }
 
 // Utilization returns used/capacity for every selected link with
-// non-zero use, in ascending link order.
+// non-zero use, in ascending link order. The slice is exactly as long
+// as it needs to be (pocd publishes one per op, and most selected
+// links may carry nothing): a first pass counts the used links. With
+// none it is empty, not nil.
 func (f *Fabric) Utilization() []LinkUtil {
-	out := make([]LinkUtil, 0, f.selected.Len())
+	n := 0
+	f.selected.Iterate(func(id int) {
+		if f.net.Links[id].Capacity-f.resid[id] > 1e-9 {
+			n++
+		}
+	})
+	out := make([]LinkUtil, 0, n)
 	f.selected.Iterate(func(id int) {
 		cap := f.net.Links[id].Capacity
 		used := cap - f.resid[id]

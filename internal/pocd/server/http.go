@@ -1,12 +1,14 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"github.com/public-option/poc/internal/netsim"
 	"github.com/public-option/poc/internal/pocd/journal"
@@ -180,25 +182,64 @@ type (
 	}
 )
 
-// writeReply encodes one writer reply as the HTTP response.
+// writeReply encodes one writer reply as the HTTP response. A result
+// that does not encode (encoding/json refuses ±Inf and NaN) answers
+// 500 with the error envelope instead.
 func (s *Server) writeReply(w http.ResponseWriter, rep reply) {
-	if rep.err != nil {
-		status := rep.status
-		if status == 0 {
-			status = http.StatusInternalServerError
+	if rep.err == nil {
+		err := writeJSON(w, http.StatusOK, resultEnvelope{Result: rep.val, Seq: rep.seq})
+		if err == nil {
+			return
 		}
-		writeJSON(w, status, errorEnvelope{Error: rep.err.Error(), Seq: rep.seq})
-		return
+		rep = reply{err: fmt.Errorf("encode reply: %w", err), seq: rep.seq}
 	}
-	writeJSON(w, http.StatusOK, resultEnvelope{Result: rep.val, Seq: rep.seq})
+	status := rep.status
+	if status == 0 {
+		status = http.StatusInternalServerError
+	}
+	// A string and a sequence number always encode.
+	writeJSON(w, status, errorEnvelope{Error: rep.err.Error(), Seq: rep.seq})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// replyBuf is one reply's body buffer and the indenting encoder that
+// writes into it. Pooled together, the pair keeps the encoder's indent
+// buffer from reply to reply; a fresh encoder would allocate one per
+// reply, the size of the body.
+type replyBuf struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// maxKeptBuf caps the encode buffers kept between uses, the pooled
+// reply buffers and the writer's op buffer: one that grew past it for
+// an outsized value is dropped rather than pinned.
+const maxKeptBuf = 64 << 10
+
+var replyBufs = sync.Pool{New: func() any {
+	b := &replyBuf{}
+	b.enc = json.NewEncoder(&b.buf)
+	b.enc.SetIndent("", "  ")
+	return b
+}}
+
+// writeJSON encodes v, indented, and only once it has encoded writes
+// the status, the header and the body in one Write. A value that does
+// not encode leaves w untouched and returns the error.
+func writeJSON(w http.ResponseWriter, status int, v any) error {
+	b := replyBufs.Get().(*replyBuf)
+	defer func() {
+		if b.buf.Cap() <= maxKeptBuf {
+			replyBufs.Put(b)
+		}
+	}()
+	b.buf.Reset()
+	if err := b.enc.Encode(v); err != nil {
+		return err
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(b.buf.Bytes())
+	return nil
 }
 
 // handleMetrics serves daemon counters in Prometheus text exposition

@@ -72,7 +72,10 @@ var chaosKinds = map[string]chaos.Kind{
 }
 
 // validate rejects malformed ops before they reach the writer queue —
-// a 400 must never consume journal space or a sequence number.
+// a 400 must never consume journal space or a sequence number. That
+// includes the ops core refuses because they could overflow its ledger
+// to ±Inf or NaN: an epoch over core.MaxEpochSeconds, a penalty rate
+// over core.MaxPenaltyRate.
 func (o *Op) validate() error {
 	switch o.Op {
 	case "attach":
@@ -109,6 +112,9 @@ func (o *Op) validate() error {
 		if o.Seconds <= 0 {
 			return fmt.Errorf("bill_epoch: seconds must be positive")
 		}
+		if o.Seconds > core.MaxEpochSeconds {
+			return fmt.Errorf("bill_epoch: seconds over the %v bound", core.MaxEpochSeconds)
+		}
 	case "chaos":
 		if _, ok := chaosKinds[o.Kind]; !ok {
 			return fmt.Errorf("chaos: unknown kind %q", o.Kind)
@@ -119,6 +125,9 @@ func (o *Op) validate() error {
 		}
 		if o.PenaltyRate < 0 {
 			return fmt.Errorf("recall: negative penalty rate")
+		}
+		if o.PenaltyRate > core.MaxPenaltyRate {
+			return fmt.Errorf("recall: penalty rate over the %v bound", core.MaxPenaltyRate)
 		}
 	case "reauction":
 		// no fields

@@ -118,6 +118,25 @@ var reencodings = []func(b []byte) []byte{
 	},
 }
 
+// TestJournalPayloadsAreMarshalBytes: the writer's reused encoder
+// journals each op as exactly json.Marshal's bytes, its newline
+// trimmed, and no payload carries a byte of the op encoded before it.
+func TestJournalPayloadsAreMarshalBytes(t *testing.T) {
+	payloads := scriptPayloads(t)
+	if len(payloads) != len(script) {
+		t.Fatalf("journal holds %d ops, want %d", len(payloads), len(script))
+	}
+	for i, p := range payloads {
+		var o Op
+		if err := json.Unmarshal(p, &o); err != nil {
+			t.Fatalf("op %d: %v", i+1, err)
+		}
+		if want, err := json.Marshal(&o); err != nil || !bytes.Equal(p, want) {
+			t.Errorf("op %d journaled as %q, json.Marshal gives %q (%v)", i+1, p, want, err)
+		}
+	}
+}
+
 // TestNonCanonicalJournalRecoversSame: a journal whose payloads are
 // the script's ops re-encoded in ways json.Marshal never writes takes
 // the encoding/json fallback for every op, and recovers to its

@@ -17,6 +17,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -74,13 +75,25 @@ type Snapshot struct {
 	Seq   uint64        `json:"seq"`
 	State core.Snapshot `json:"state"`
 
-	obsExport func() ([]byte, error)
+	// Render-once state, allocated with the Snapshot: the capture, and
+	// the bytes (or error) its first render gave.
+	capture obs.Export
+	renders *atomic.Int64 // the server's render count
+	render  sync.Once
+	export  []byte
+	err     error
 }
 
 // ObsExport returns the poc-obs/v1 export bytes as of Seq. The capture
 // is rendered on the first call, on the caller's goroutine, and every
 // later call on the same snapshot returns those bytes (or that error).
-func (s *Snapshot) ObsExport() ([]byte, error) { return s.obsExport() }
+func (s *Snapshot) ObsExport() ([]byte, error) {
+	s.render.Do(func() {
+		s.renders.Add(1)
+		s.export, s.err = s.capture.JSON()
+	})
+	return s.export, s.err
+}
 
 type reply struct {
 	val    any
@@ -112,6 +125,11 @@ type Server struct {
 	jw      *journal.Writer //lint:owner New
 	st      *state          //lint:owner New
 	limiter *ratelimit.Limiter
+
+	// The writer encodes each op's journal payload into opBuf through
+	// opEnc, so both are reused from op to op.
+	opBuf bytes.Buffer  //lint:owner New,Server.handle
+	opEnc *json.Encoder //lint:owner New
 
 	queue      chan *request
 	writerDone chan struct{}
@@ -163,6 +181,7 @@ func New(cfg Config) (*Server, error) {
 		queue:      make(chan *request, cfg.QueueDepth),
 		writerDone: make(chan struct{}),
 	}
+	s.opEnc = json.NewEncoder(&s.opBuf)
 
 	fsync := !cfg.NoFsync
 	if _, err := os.Stat(cfg.JournalPath); err == nil {
@@ -214,14 +233,11 @@ func (s *Server) Seq() uint64 { return s.jw.Seq() }
 // since the last publish, not the registry's history, and the JSON is
 // paid by the first /v1/obs read of this snapshot, if any.
 func (s *Server) publish() {
-	capture := s.st.reg.Capture()
 	s.snap.Store(&Snapshot{
-		Seq:   s.jw.Seq(),
-		State: s.st.poc.Snapshot(),
-		obsExport: sync.OnceValues(func() ([]byte, error) {
-			s.mObsRenders.Add(1)
-			return capture.JSON()
-		}),
+		Seq:     s.jw.Seq(),
+		State:   s.st.poc.Snapshot(),
+		capture: s.st.reg.Capture(),
+		renders: &s.mObsRenders,
 	})
 }
 
@@ -258,15 +274,25 @@ func (s *Server) handle(req *request) {
 	if s.cfg.applyGate != nil {
 		s.cfg.applyGate(req.op)
 	}
-	// Marshal AFTER the gate: the journal must carry exactly the op
+	// Encode AFTER the gate: the journal must carry exactly the op
 	// that apply sees. A gate that rewrites the op would otherwise
 	// journal the pre-rewrite bytes, and replay would rebuild a
-	// different state than the live daemon held.
-	payload, err := json.Marshal(req.op)
-	if err != nil {
+	// different state than the live daemon held. The payload is
+	// json.Marshal's bytes: the encoder adds only the newline trimmed
+	// here, and Append copies the payload before opBuf is reused.
+	// The encoder and its buffer are scratch that recovery never
+	// reads, so writing them ahead of the append diverges nothing.
+	s.opBuf.Reset() //lint:allow journalorder scratch encode buffer, not replayed state
+	defer func() {
+		if s.opBuf.Cap() > maxKeptBuf {
+			s.opBuf = bytes.Buffer{} // an outsized op does not pin its buffer
+		}
+	}()
+	if err := s.opEnc.Encode(req.op); err != nil { //lint:allow journalorder scratch encoder, not replayed state
 		req.reply <- reply{err: err, status: 500}
 		return
 	}
+	payload := bytes.TrimSuffix(s.opBuf.Bytes(), []byte{'\n'})
 	// An op too large for one journal record is the request's fault,
 	// not the journal's: refuse it here so the 503 below stays "the
 	// journal is broken".

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -751,12 +752,21 @@ func TestJournalFailureRefusesLaterMutations(t *testing.T) {
 // TestReplyEnvelopeBytes pins the wire bytes of the reply envelopes
 // and of every op result without a report type of its own, success
 // and error alike, against the bytes pocd answered when the envelope
-// and the results were maps.
+// and the results were maps; and those of the snapshot reads, against
+// the bytes pocd answered when each reply made its own encoder.
 func TestReplyEnvelopeBytes(t *testing.T) {
 	s, _, _ := newTestServer(t, nil)
 	defer s.Shutdown()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
+	wantGet := func(path, want string) {
+		t.Helper()
+		if resp, body := get(t, ts, path); resp.StatusCode != 200 || string(body) != want {
+			t.Errorf("GET %s: %d\n got %q\nwant %q", path, resp.StatusCode, body, want)
+		}
+	}
+	// No flow yet: an empty list, not null.
+	wantGet("/v1/utilization", "{\n  \"result\": [],\n  \"seq\": 0\n}\n")
 	want := map[int]string{
 		0: "{\n  \"result\": {\n    \"endpoint\": 0\n  },\n  \"seq\": 1\n}\n",
 		2: "{\n  \"result\": {\n    \"published\": \"gold\"\n  },\n  \"seq\": 3\n}\n",
@@ -773,6 +783,10 @@ func TestReplyEnvelopeBytes(t *testing.T) {
 			t.Errorf("POST %s %s:\n got %q\nwant %q", step.path, step.body, body, w)
 		}
 	}
+	wantGet("/v1/status", "{\n  \"result\": {\n    \"epochs\": 3,\n    \"flows\": 1,\n    \"leased_links\": 3,\n    \"failed_links\": [\n      1\n    ],\n    \"recalled_links\": [\n      1\n    ],\n    \"members\": [\n      {\n        \"name\": \"cloud-csp\",\n        \"kind\": \"CSP\",\n        \"router\": 2\n      },\n      {\n        \"name\": \"metro-lmp\",\n        \"kind\": \"LMP\",\n        \"router\": 0\n      }\n    ],\n    \"qos\": [\n      {\n        \"Class\": {\n          \"Name\": \"gold\",\n          \"Weight\": 4,\n          \"Price\": 2.5\n        },\n        \"MaxLatencyKm\": 1000\n      }\n    ],\n    \"utilization\": [\n      {\n        \"link\": 2,\n        \"utilization\": 0.05\n      },\n      {\n        \"link\": 3,\n        \"utilization\": 0.05\n      }\n    ]\n  },\n  \"seq\": 11\n}\n")
+	wantGet("/v1/utilization", "{\n  \"result\": [\n    {\n      \"link\": 2,\n      \"utilization\": 0.05\n    },\n    {\n      \"link\": 3,\n      \"utilization\": 0.05\n    }\n  ],\n  \"seq\": 11\n}\n")
+	wantGet("/v1/members", "{\n  \"result\": [\n    {\n      \"name\": \"cloud-csp\",\n      \"kind\": \"CSP\",\n      \"router\": 2\n    },\n    {\n      \"name\": \"metro-lmp\",\n      \"kind\": \"LMP\",\n      \"router\": 0\n    }\n  ],\n  \"seq\": 11\n}\n")
+	wantGet("/v1/qos", "{\n  \"result\": [\n    {\n      \"Class\": {\n        \"Name\": \"gold\",\n        \"Weight\": 4,\n        \"Price\": 2.5\n      },\n      \"MaxLatencyKm\": 1000\n    }\n  ],\n  \"seq\": 11\n}\n")
 	for _, c := range []struct {
 		path, body string
 		code       int
@@ -786,5 +800,59 @@ func TestReplyEnvelopeBytes(t *testing.T) {
 		if code, body := post(t, ts, c.path, c.body); code != c.code || body != c.want {
 			t.Errorf("POST %s %s: %d\n got %q\nwant %d %q", c.path, c.body, code, body, c.code, c.want)
 		}
+	}
+}
+
+// TestUnencodableReplyAnswers500: the reply is encoded before the
+// status goes out, so a result encoding/json refuses (here +Inf)
+// answers 500 with the error envelope, not a 200 with an empty body.
+func TestUnencodableReplyAnswers500(t *testing.T) {
+	w := httptest.NewRecorder()
+	new(Server).writeReply(w, reply{val: map[string]float64{"x": math.Inf(1)}, seq: 7})
+	want := "{\n  \"error\": \"encode reply: json: unsupported value: +Inf\",\n  \"seq\": 7\n}\n"
+	if w.Code != 500 || w.Body.String() != want || w.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("unencodable reply: %d %q (%s), want 500 %q", w.Code, w.Body, w.Header().Get("Content-Type"), want)
+	}
+}
+
+// TestOverflowingOpsRefused: an op whose amounts would overflow the
+// ledger to ±Inf or NaN is refused with 400 before it is journaled. A
+// 1e308 s epoch used to panic the writer on its NaN revenue, and again
+// on every recovery; a 1e308 penalty rate put +Inf in the registry, so
+// its reply and every later /v1/obs read failed, replay included.
+func TestOverflowingOpsRefused(t *testing.T) {
+	for _, poison := range []struct{ op, path, body string }{
+		{"bill_epoch", "/v1/epoch", `{"seconds":1e308}`},
+		{"recall", "/v1/recall", `{"link":1,"penalty_rate":1e308}`},
+	} {
+		t.Run(poison.op, func(t *testing.T) {
+			s, _, path := newTestServer(t, nil)
+			ts := httptest.NewServer(s.Handler())
+			defer ts.Close()
+			for _, step := range script[:5] {
+				if code, body := post(t, ts, step.path, step.body); code != 200 {
+					t.Fatalf("POST %s: %d: %s", step.path, code, body)
+				}
+			}
+			if code, body := post(t, ts, poison.path, poison.body); code != 400 {
+				t.Fatalf("POST %s %s: %d: %s, want 400", poison.path, poison.body, code, body)
+			}
+			// The writer is alive and the registry renders.
+			if code, body := post(t, ts, "/v1/epoch", `{"seconds":60}`); code != 200 {
+				t.Fatalf("epoch after the refused op: %d: %s", code, body)
+			}
+			live := obsExport(t, ts)
+			ts.Close()
+			if err := s.Shutdown(); err != nil {
+				t.Fatal(err)
+			}
+			viaNew, viaReplay := recoveredExports(t, path)
+			if !bytes.Equal(viaNew, live) || !bytes.Equal(viaReplay, live) {
+				t.Fatal("recovered obs export diverges from the live one")
+			}
+			if res, err := journal.Replay(path, nil); err != nil || res.Ops != 6 {
+				t.Fatalf("journal holds %+v (%v), want the 6 accepted ops", res, err)
+			}
+		})
 	}
 }
