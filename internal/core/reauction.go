@@ -36,7 +36,7 @@ type ReauctionReport struct {
 // Reauction re-runs the auction against a new traffic matrix using
 // the standing bids and virtual links, then migrates the fabric: all
 // attachments are preserved and every flow is re-admitted onto the
-// new link set (in descending QoS weight, then flow ID). Recalled
+// new link set (in descending QoS weight, then admission order). Recalled
 // links stay excluded. Billing for subsequent epochs uses the new
 // payments.
 func (p *POC) Reauction(tm *traffic.Matrix) (*ReauctionReport, error) {
@@ -96,7 +96,6 @@ func (p *POC) ReauctionExcluding(tm *traffic.Matrix, exclude *linkset.Set) (*Rea
 	// Migrate the fabric: rebuild over the new selection, re-attach
 	// every endpoint, re-admit every flow.
 	oldFabric := p.fabric
-	oldFlows := oldFabric.Flows()
 	newFabric := netsim.New(p.cfg.Network, res.Selected)
 	newFabric.SetObserver(p.cfg.Obs)
 
@@ -110,34 +109,46 @@ func (p *POC) ReauctionExcluding(tm *traffic.Matrix, exclude *linkset.Set) (*Rea
 		idMap[ep.ID] = nid
 	}
 	// Highest class first, then admission order (Seq, not ID — flow
-	// IDs recycle table slots and are not admission-ordered).
-	sort.Slice(oldFlows, func(i, j int) bool {
-		if oldFlows[i].Class.Weight != oldFlows[j].Class.Weight {
-			return oldFlows[i].Class.Weight > oldFlows[j].Class.Weight
-		}
-		return oldFlows[i].Seq < oldFlows[j].Seq
-	})
-	specs := make([]netsim.FlowSpec, len(oldFlows))
-	for i, fl := range oldFlows {
-		specs[i] = netsim.FlowSpec{
-			Src: idMap[fl.Src], Dst: idMap[fl.Dst], Demand: fl.Demand, Class: fl.Class,
-		}
+	// IDs recycle table slots and are not admission-ordered):
+	// RangeFlows walks in admission order, so a stable sort by weight
+	// alone gives it.
+	m := migration{
+		specs: make([]netsim.FlowSpec, 0, oldFabric.NumFlows()),
+		was:   make([]float64, 0, oldFabric.NumFlows()),
 	}
-	for i, id := range newFabric.StartFlows(specs) {
-		if id < 0 {
-			rep.FlowsLost++
-			continue
+	oldFabric.RangeFlows(func(fl *netsim.Flow) bool {
+		m.specs = append(m.specs, netsim.FlowSpec{
+			Src: idMap[fl.Src], Dst: idMap[fl.Dst], Demand: fl.Demand, Class: fl.Class,
+		})
+		m.was = append(m.was, fl.Allocated)
+		return true
+	})
+	sort.Stable(&m)
+	ids := newFabric.StartFlows(m.specs)
+	// The new fabric admitted the specs in order, so its admission
+	// order lists the re-admitted flows in spec order.
+	i := 0
+	var drift error
+	newFabric.RangeFlows(func(nf *netsim.Flow) bool {
+		for ids[i] < 0 {
+			i++
 		}
-		nf, err := newFabric.Flow(id)
-		switch {
-		case err != nil:
-			rep.FlowsLost++
-		case nf.Allocated >= oldFlows[i].Allocated-1e-9:
+		if nf.ID != ids[i] {
+			drift = fmt.Errorf("core: flow %d re-admitted out of order (want %d)", nf.ID, ids[i])
+			return false
+		}
+		if nf.Allocated >= m.was[i]-1e-9 {
 			rep.FlowsKept++
-		default:
+		} else {
 			rep.FlowsDegraded++
 		}
+		i++
+		return true
+	})
+	if drift != nil {
+		return nil, drift
 	}
+	rep.FlowsLost = len(ids) - rep.FlowsKept - rep.FlowsDegraded
 
 	// Endpoint IDs are preserved by construction (attachment order);
 	// verify rather than assume.
@@ -162,4 +173,23 @@ func (p *POC) ReauctionExcluding(tm *traffic.Matrix, exclude *linkset.Set) (*Rea
 		o.Add("core.reauction.flows_lost", int64(rep.FlowsLost))
 	}
 	return rep, nil
+}
+
+// migration is the old fabric's flow population as re-admission
+// specs, with each flow's allocation on the old fabric alongside.
+// sort.Stable orders both by descending class weight.
+type migration struct {
+	specs []netsim.FlowSpec
+	was   []float64
+}
+
+func (m *migration) Len() int { return len(m.specs) }
+
+func (m *migration) Less(i, j int) bool {
+	return m.specs[i].Class.Weight > m.specs[j].Class.Weight
+}
+
+func (m *migration) Swap(i, j int) {
+	m.specs[i], m.specs[j] = m.specs[j], m.specs[i]
+	m.was[i], m.was[j] = m.was[j], m.was[i]
 }

@@ -2,7 +2,11 @@
 
 package netsim
 
-import "testing"
+import (
+	"runtime"
+	"testing"
+	"unsafe"
+)
 
 // TestAllocBudgetChurn mirrors BENCHMARK.json's per-layer
 // netsim.admit_allocs: New allocates no path-memo storage, and on a
@@ -62,4 +66,58 @@ func TestAllocBudgetUtilization(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { f.Utilization() }); allocs != 1 {
 		t.Fatalf("utilization allocates %v objects, budget 1 (the slice)", allocs)
 	}
+}
+
+// TestAllocBudgetBulkAdmission: a bulk admission grows the flow table
+// once for the whole batch — each per-slot array and the order log by
+// exactly the batch, the path arena by doubling — so it allocates what
+// it keeps. Every flow crosses the one link 0–1, so besides the arena
+// only that link's crossing index grows with the batch (by append's
+// steps). A tenfold larger batch may allocate only a fixed budget of
+// objects more, for those two, and its bytes, the returned ID slice
+// and the crossing index among them, stay within 1.5× of the table's
+// final size. Grown one append at a time, the table took over 100
+// more objects and 3.8× its size.
+func TestAllocBudgetBulkAdmission(t *testing.T) {
+	admit := func(n int) (objects, bytes uint64, table int) {
+		f := New(ringNet(1e9), nil)
+		a, _ := f.Attach("a", LMPEndpoint, 0)
+		b, _ := f.Attach("b", LMPEndpoint, 1)
+		specs := make([]FlowSpec, n)
+		for i := range specs {
+			specs[i] = FlowSpec{Src: a, Dst: b, Demand: 1, Class: BestEffort}
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f.StartFlows(specs)
+		runtime.ReadMemStats(&after)
+		if f.NumFlows() != n {
+			t.Fatalf("admitted %d of %d flows", f.NumFlows(), n)
+		}
+		return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc, tableBytes(&f.tab)
+	}
+	small, _, _ := admit(1000)
+	large, bytes, table := admit(10000)
+	const budget = 12 // log2(10) arena doublings + the crossing index's steps
+	if large > small+budget {
+		t.Errorf("bulk admission of 10 000 flows allocates %d objects, of 1 000 %d: budget +%d", large, small, budget)
+	}
+	if float64(bytes) > 1.5*float64(table) {
+		t.Errorf("bulk admission of 10 000 flows allocates %d bytes for a %d-byte table (%.2f×), budget 1.5×",
+			bytes, table, float64(bytes)/float64(table))
+	}
+}
+
+// tableBytes is the capacity of the flow table's per-slot arrays,
+// order log and path arena, in bytes.
+func tableBytes(t *flowTable) int {
+	return capBytes(t.src) + capBytes(t.dst) + capBytes(t.demand) + capBytes(t.alloc) +
+		capBytes(t.latency) + capBytes(t.transferred) + capBytes(t.classID) + capBytes(t.seq) +
+		capBytes(t.gen) + capBytes(t.pathOff) + capBytes(t.pathLen) + capBytes(t.degPos) +
+		capBytes(t.mark) + capBytes(t.order) + capBytes(t.arena.data)
+}
+
+func capBytes[E any](s []E) int {
+	var e E
+	return cap(s) * int(unsafe.Sizeof(e))
 }

@@ -1,5 +1,7 @@
 package netsim
 
+import "slices"
+
 // This file holds the struct-of-arrays flow table behind Fabric. The
 // seed engine kept a map[FlowID]*Flow with a per-flow []int path; at
 // million-flow populations the pointer chasing, map iteration order
@@ -75,6 +77,32 @@ type orderEnt struct {
 type pathArena struct {
 	data      []int32
 	liveLinks int
+}
+
+// reserve makes room for n admissions before a bulk batch. Every
+// per-slot array grows once, to the slots the free list cannot
+// supply, and the order log once, to n more entries: a batch that at
+// least doubles the table gets exactly that, a smaller one append's
+// geometric step, so a long run of small batches stays amortized
+// O(1) per flow. The allocSlot and admit appends that follow then
+// never reallocate.
+func (t *flowTable) reserve(n int) {
+	if need := n - len(t.free); need > 0 {
+		t.src = slices.Grow(t.src, need)
+		t.dst = slices.Grow(t.dst, need)
+		t.demand = slices.Grow(t.demand, need)
+		t.alloc = slices.Grow(t.alloc, need)
+		t.latency = slices.Grow(t.latency, need)
+		t.transferred = slices.Grow(t.transferred, need)
+		t.classID = slices.Grow(t.classID, need)
+		t.seq = slices.Grow(t.seq, need)
+		t.gen = slices.Grow(t.gen, need)
+		t.pathOff = slices.Grow(t.pathOff, need)
+		t.pathLen = slices.Grow(t.pathLen, need)
+		t.degPos = slices.Grow(t.degPos, need)
+		t.mark = slices.Grow(t.mark, need)
+	}
+	t.order = slices.Grow(t.order, n)
 }
 
 // allocSlot returns a free slot, growing every parallel array in
@@ -191,6 +219,19 @@ func (t *flowTable) rangeLive(fn func(slot int32) bool) {
 func (t *flowTable) path(s int32) []int32 {
 	off, n := t.pathOff[s], t.pathLen[s]
 	return t.arena.data[off : off+n]
+}
+
+// growArena makes room for k more links, at least doubling the
+// arena's capacity when it is full, so a bulk batch reallocates it
+// O(log n) times and allocates at most twice what it keeps.
+func (t *flowTable) growArena(k int) {
+	data := t.arena.data
+	if len(data)+k <= cap(data) {
+		return
+	}
+	grown := make([]int32, len(data), max(2*cap(data), len(data)+k))
+	copy(grown, data)
+	t.arena.data = grown
 }
 
 // commitPath binds the tentatively appended span [start, len(data))

@@ -499,6 +499,7 @@ func (f *Fabric) reserve(a, b int, demand float64) (start int, alloc, lat float6
 		return 0, 0, 0, "no usable path"
 	}
 	t := &f.tab
+	t.growArena(len(links))
 	start = len(t.arena.data)
 	alloc = demand
 	for _, l := range links {
@@ -555,6 +556,7 @@ type FlowSpec struct {
 // usable path, or no capacity).
 func (f *Fabric) StartFlows(specs []FlowSpec) []FlowID {
 	f.tab.compactArena()
+	f.tab.reserve(len(specs))
 	ids := make([]FlowID, len(specs))
 	for i := range specs {
 		sp := &specs[i]

@@ -139,17 +139,21 @@ func TestBulkMatchesSequential(t *testing.T) {
 	attach4(t, fBulk)
 	attach4(t, fSeq)
 
-	idsBulk := fBulk.StartFlows(specs())
-	var idsSeq []FlowID
-	for _, sp := range specs() {
-		fl, err := fSeq.StartFlow(sp.Src, sp.Dst, sp.Demand, sp.Class)
-		if err != nil {
-			idsSeq = append(idsSeq, -1)
-			continue
+	startSeq := func(specs []FlowSpec) []FlowID {
+		var ids []FlowID
+		for _, sp := range specs {
+			fl, err := fSeq.StartFlow(sp.Src, sp.Dst, sp.Demand, sp.Class)
+			if err != nil {
+				ids = append(ids, -1)
+				continue
+			}
+			ids = append(ids, fl.ID)
 		}
-		idsSeq = append(idsSeq, fl.ID)
+		return ids
 	}
-	if !reflect.DeepEqual(idsBulk, idsSeq) {
+
+	idsBulk := fBulk.StartFlows(specs())
+	if idsSeq := startSeq(specs()); !reflect.DeepEqual(idsBulk, idsSeq) {
 		t.Fatalf("bulk admission IDs diverge:\n%v\n%v", idsBulk, idsSeq)
 	}
 
@@ -175,19 +179,29 @@ func TestBulkMatchesSequential(t *testing.T) {
 
 	// A second wave lands on the recycled slots of both fabrics.
 	wave2 := specs()[:11]
-	if !reflect.DeepEqual(fBulk.StartFlows(wave2), func() []FlowID {
-		var ids []FlowID
-		for _, sp := range wave2 {
-			fl, err := fSeq.StartFlow(sp.Src, sp.Dst, sp.Demand, sp.Class)
-			if err != nil {
-				ids = append(ids, -1)
-				continue
-			}
-			ids = append(ids, fl.ID)
-		}
-		return ids
-	}()) {
+	if !reflect.DeepEqual(fBulk.StartFlows(wave2), startSeq(wave2)) {
 		t.Fatal("second-wave IDs diverge after recycling")
+	}
+
+	// A third wave the free list only partly covers: after ten more
+	// stops, 25 admissions take the free slots and grow the table for
+	// the rest.
+	var ten []FlowID
+	for _, fl := range fBulk.Flows()[:10] {
+		ten = append(ten, fl.ID)
+		if err := fSeq.StopFlow(fl.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := fBulk.StopFlows(ten); n != 10 {
+		t.Fatalf("bulk stopped %d of 10", n)
+	}
+	wave3 := specs()[:25]
+	if free := len(fBulk.tab.free); free == 0 || free >= len(wave3) {
+		t.Fatalf("%d free slots for a wave of %d: want the free list to cover it partly", free, len(wave3))
+	}
+	if !reflect.DeepEqual(fBulk.StartFlows(wave3), startSeq(wave3)) {
+		t.Fatal("third-wave IDs diverge where the table grows past its free list")
 	}
 
 	if !reflect.DeepEqual(fBulk.Flows(), fSeq.Flows()) {

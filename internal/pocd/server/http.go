@@ -46,7 +46,7 @@ func (s *Server) Handler() http.Handler {
 		}
 		id, err := strconv.ParseInt(r.URL.Query().Get("id"), 10, 64)
 		if err != nil {
-			http.Error(w, "flows: id query parameter required", http.StatusBadRequest)
+			s.writeError(w, http.StatusBadRequest, "flows: id query parameter required")
 			return
 		}
 		// Per-flow data is not in the snapshot, so this query reads on
@@ -100,7 +100,7 @@ func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	}
 	if !s.limiter.Allow(tenant, s.cfg.Now()) {
 		s.mRateLimited.Add(1)
-		http.Error(w, "rate limit exceeded for tenant "+tenant, http.StatusTooManyRequests)
+		s.writeError(w, http.StatusTooManyRequests, "rate limit exceeded for tenant "+tenant)
 		return false
 	}
 	return true
@@ -134,23 +134,23 @@ func (s *Server) opHandler(kind string) http.HandlerFunc {
 		if r.ContentLength != 0 {
 			dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, journal.MaxPayload))
 			if err := dec.Decode(op); err != nil {
-				if !bodyTooLarge(w, err) {
-					http.Error(w, "bad request body: "+err.Error(), http.StatusBadRequest)
+				if !s.bodyTooLarge(w, err) {
+					s.writeError(w, http.StatusBadRequest, "bad request body: "+err.Error())
 				}
 				return
 			}
 			// Decode stops after one value and would drop what follows
 			// it unseen: anything but whitespace there is a 400 too.
 			if _, err := dec.Token(); err != io.EOF {
-				if !bodyTooLarge(w, err) {
-					http.Error(w, "bad request body: data after the op", http.StatusBadRequest)
+				if !s.bodyTooLarge(w, err) {
+					s.writeError(w, http.StatusBadRequest, "bad request body: data after the op")
 				}
 				return
 			}
 		}
 		op.Op = kind
 		if err := op.validate(); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			s.writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		s.writeReply(w, s.do(op, nil))
@@ -159,12 +159,12 @@ func (s *Server) opHandler(kind string) http.HandlerFunc {
 
 // bodyTooLarge answers 413 and reports true when a body read failed
 // at its size bound.
-func bodyTooLarge(w http.ResponseWriter, err error) bool {
+func (s *Server) bodyTooLarge(w http.ResponseWriter, err error) bool {
 	var tooLarge *http.MaxBytesError
 	if !errors.As(err, &tooLarge) {
 		return false
 	}
-	http.Error(w, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
+	s.writeError(w, http.StatusRequestEntityTooLarge, fmt.Sprintf("request body exceeds %d bytes", tooLarge.Limit))
 	return true
 }
 
@@ -199,6 +199,14 @@ func (s *Server) writeReply(w http.ResponseWriter, rep reply) {
 	}
 	// A string and a sequence number always encode.
 	writeJSON(w, status, errorEnvelope{Error: rep.err.Error(), Seq: rep.seq})
+}
+
+// writeError answers a request refused before the writer saw it (a
+// bad body, a failed validation, an exceeded quota) with the error
+// envelope at the published snapshot's seq: every /v1 error reads the
+// same way, whether the HTTP layer or the writer refused it.
+func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
+	s.writeReply(w, reply{err: errors.New(msg), seq: s.snap.Load().Seq, status: status})
 }
 
 // replyBuf is one reply's body buffer and the indenting encoder that

@@ -796,11 +796,38 @@ func TestReplyEnvelopeBytes(t *testing.T) {
 			"{\n  \"error\": \"netsim: endpoint \\\"metro-lmp\\\" already attached\",\n  \"seq\": 12\n}\n"},
 		{"/v1/chaos", `{"kind":"cut-link","link":0}`, 200,
 			"{\n  \"result\": {\n    \"acted_links\": null,\n    \"moved_flows\": 0\n  },\n  \"seq\": 13\n}\n"},
+		// Refused before the writer: the error envelope at the
+		// published seq, like the writer's own errors.
+		{"/v1/epoch", `{"seconds":1e308}`, 400,
+			"{\n  \"error\": \"bill_epoch: seconds over the 3.1536e+07 bound\",\n  \"seq\": 13\n}\n"},
+		{"/v1/epoch", `{"seconds":`, 400,
+			"{\n  \"error\": \"bad request body: unexpected EOF\",\n  \"seq\": 13\n}\n"},
+		{"/v1/flows", `{"flows":[{"src":"a","dst":"b","gbps":1}]}` + strings.Repeat(" ", journal.MaxPayload), 413,
+			"{\n  \"error\": \"request body exceeds 67108864 bytes\",\n  \"seq\": 13\n}\n"},
 	} {
 		if code, body := post(t, ts, c.path, c.body); code != c.code || body != c.want {
-			t.Errorf("POST %s %s: %d\n got %q\nwant %d %q", c.path, c.body, code, body, c.code, c.want)
+			t.Errorf("POST %s %.60s: %d\n got %q\nwant %d %q", c.path, c.body, code, body, c.code, c.want)
 		}
 	}
+	wantErr := func(ts *httptest.Server, path string, code int, want string) {
+		t.Helper()
+		resp, body := get(t, ts, path)
+		if resp.StatusCode != code || string(body) != want || resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("GET %s: %d (%s)\n got %q\nwant %d %q", path, resp.StatusCode, resp.Header.Get("Content-Type"), body, code, want)
+		}
+	}
+	wantErr(ts, "/v1/flows?id=x", 400, "{\n  \"error\": \"flows: id query parameter required\",\n  \"seq\": 13\n}\n")
+
+	limited, _, _ := newTestServer(t, func(cfg *Config) {
+		cfg.RateLimit = ratelimit.Config{Rate: 1, Burst: 1}
+	})
+	defer limited.Shutdown()
+	lts := httptest.NewServer(limited.Handler())
+	defer lts.Close()
+	if resp, body := get(t, lts, "/v1/status"); resp.StatusCode != 200 { // spends the burst
+		t.Fatalf("GET /v1/status: %d: %s", resp.StatusCode, body)
+	}
+	wantErr(lts, "/v1/status", 429, "{\n  \"error\": \"rate limit exceeded for tenant anonymous\",\n  \"seq\": 0\n}\n")
 }
 
 // TestUnencodableReplyAnswers500: the reply is encoded before the
