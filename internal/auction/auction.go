@@ -374,26 +374,26 @@ func (in *Instance) validate() error {
 	if in.RouteOpts.LinkCost != nil {
 		return fmt.Errorf("auction: RouteOpts.LinkCost is set; Run routes by the bids' prices")
 	}
-	seen := map[int]bool{}
+	seen := linkset.New(len(in.Network.Links))
 	for _, b := range in.Bids {
 		if err := b.Validate(in.Network); err != nil {
 			return err
 		}
 		for _, id := range b.Links {
-			if seen[id] {
+			if seen.Contains(id) {
 				return fmt.Errorf("auction: link %d offered twice", id)
 			}
-			seen[id] = true
+			seen.Add(id)
 		}
 	}
 	for _, v := range in.Virtual {
 		if v.LinkID < 0 || v.LinkID >= len(in.Network.Links) {
 			return fmt.Errorf("auction: virtual link %d out of range", v.LinkID)
 		}
-		if seen[v.LinkID] {
+		if seen.Contains(v.LinkID) {
 			return fmt.Errorf("auction: link %d offered twice", v.LinkID)
 		}
-		seen[v.LinkID] = true
+		seen.Add(v.LinkID)
 		if v.ContractPrice < 0 {
 			return fmt.Errorf("auction: negative contract price for link %d", v.LinkID)
 		}
@@ -655,8 +655,10 @@ func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint6
 	}
 
 	// Pass 1: drop every link idle under the constraint's scenarios.
-	// Iteration is ascending-ID, so idle is already sorted.
-	var idle []int
+	// Iteration is ascending-ID, so idle is already sorted. Every
+	// routing uses enabled links only, so core ⊆ cur and idle has
+	// exactly cur.Len() − core.Len() links.
+	idle := make([]int, 0, cur.Len()-core.Len())
 	cur.Iterate(func(id int) {
 		if !core.Contains(id) {
 			idle = append(idle, id)

@@ -38,9 +38,31 @@ func New(universe int) *Set {
 // own share, so growing one (an Add beyond the universe) reallocates it
 // alone and never writes into a neighbour.
 func NewBatch(n, universe int) []Set {
+	var b Batch
+	return b.Take(n, universe)
+}
+
+// Batch is NewBatch's storage kept for reuse: a caller that needs a
+// few sets per call, call after call, allocates only when a call takes
+// more words or sets than every call before it.
+type Batch struct {
+	words []uint64
+	sets  []Set
+}
+
+// Take returns n empty sets sized for IDs in [0, universe), laid out as
+// NewBatch lays them out. They are valid until the next Take, which
+// empties and hands out the same storage again.
+func (b *Batch) Take(n, universe int) []Set {
 	w := (universe + wordBits - 1) / wordBits
-	slab := make([]uint64, n*w)
-	sets := make([]Set, n)
+	if cap(b.words) < n*w {
+		b.words = make([]uint64, n*w)
+	}
+	if cap(b.sets) < n {
+		b.sets = make([]Set, n)
+	}
+	slab, sets := b.words[:n*w], b.sets[:n]
+	clear(slab)
 	for i := range sets {
 		sets[i].words = slab[i*w : (i+1)*w : (i+1)*w]
 	}

@@ -179,3 +179,31 @@ func TestNewBatch(t *testing.T) {
 		t.Fatalf("NewBatch allocates %v objects, want 2", allocs)
 	}
 }
+
+// TestBatchTake: a Batch hands out the sets NewBatch would, empty on
+// every Take whatever the last caller wrote or grew, and a Take no
+// larger than an earlier one allocates nothing.
+func TestBatchTake(t *testing.T) {
+	const universe = 130
+	var b Batch
+	sets := b.Take(4, universe)
+	for i := range sets {
+		sets[i].Add(i)
+		sets[i].Add(universe - 1)
+	}
+	sets[0].Add(1000) // beyond the universe: set 0 leaves the batch's words
+	for _, n := range []int{4, 3} {
+		sets = b.Take(n, universe)
+		if len(sets) != n {
+			t.Fatalf("Take(%d) returned %d sets", n, len(sets))
+		}
+		for i := range sets {
+			if !sets[i].Empty() || len(sets[i].Words()) != len(New(universe).Words()) {
+				t.Fatalf("Take(%d): set %d is not an empty set sized like New(%d)", n, i, universe)
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { b.Take(4, universe) }); allocs != 0 {
+		t.Fatalf("a warm Take allocates %v objects, want 0", allocs)
+	}
+}

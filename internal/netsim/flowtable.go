@@ -84,8 +84,9 @@ type pathArena struct {
 // supply, and the order log once, to n more entries: a batch that at
 // least doubles the table gets exactly that, a smaller one append's
 // geometric step, so a long run of small batches stays amortized
-// O(1) per flow. The allocSlot and admit appends that follow then
-// never reallocate.
+// O(1) per flow. When the order log lacks room for n entries but holds
+// at least n dead ones, it is compacted in place instead of grown. The
+// allocSlot and admit appends that follow then never reallocate.
 func (t *flowTable) reserve(n int) {
 	if need := n - len(t.free); need > 0 {
 		t.src = slices.Grow(t.src, need)
@@ -101,6 +102,9 @@ func (t *flowTable) reserve(n int) {
 		t.pathLen = slices.Grow(t.pathLen, need)
 		t.degPos = slices.Grow(t.degPos, need)
 		t.mark = slices.Grow(t.mark, need)
+	}
+	if cap(t.order)-len(t.order) < n && t.dead >= n {
+		t.dropDead()
 	}
 	t.order = slices.Grow(t.order, n)
 }
@@ -189,6 +193,12 @@ func (t *flowTable) compactOrder() {
 	if t.dead < 64 || t.dead <= t.live {
 		return
 	}
+	t.dropDead()
+}
+
+// dropDead rewrites the admission log in place without its dead
+// entries. Live entries keep their relative order.
+func (t *flowTable) dropDead() {
 	out := t.order[:0]
 	for _, e := range t.order {
 		if t.gen[e.slot] == e.gen {

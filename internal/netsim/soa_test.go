@@ -217,6 +217,56 @@ func TestBulkMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestChurnReusesDeadOrderEntries: when the order log is full, a
+// stop-then-start churn batch that its dead entries cover compacts the
+// log in place instead of growing it, and the live flows keep their
+// admission order.
+func TestChurnReusesDeadOrderEntries(t *testing.T) {
+	f := New(ringNet(1000), nil)
+	eps := attach4(t, f)
+	spec := func(i int) FlowSpec {
+		return FlowSpec{Src: eps[i%4], Dst: eps[(i+1+i%2)%4], Demand: 1, Class: BestEffort}
+	}
+	var specs []FlowSpec
+	for i := 0; i < 40; i++ {
+		specs = append(specs, spec(i))
+	}
+	ids := f.StartFlows(specs)
+	for i := 0; len(f.tab.order) < cap(f.tab.order); i++ {
+		sp := spec(i)
+		if _, err := f.StartFlow(sp.Src, sp.Dst, sp.Demand, sp.Class); err != nil {
+			t.Fatal(err)
+		}
+	}
+	first, n := &f.tab.order[0], len(f.tab.order)
+	var stops []FlowID
+	for i := 0; i < len(ids); i += 4 {
+		stops = append(stops, ids[i])
+	}
+	if got := f.StopFlows(stops); got != len(stops) || f.tab.dead != len(stops) {
+		t.Fatalf("stopped %d of %d, %d dead log entries: want every stop left dead in the log", got, len(stops), f.tab.dead)
+	}
+	for i, id := range f.StartFlows(specs[:len(stops)]) {
+		if id < 0 {
+			t.Fatalf("re-admission %d refused", i)
+		}
+	}
+	if &f.tab.order[0] != first || len(f.tab.order) != n || f.tab.dead != 0 {
+		t.Fatalf("order log moved or grew (len %d → %d, %d dead): want it compacted in place", n, len(f.tab.order), f.tab.dead)
+	}
+	last := int64(-1)
+	f.RangeFlows(func(fl *Flow) bool {
+		if fl.Seq <= last {
+			t.Fatalf("flow %d (seq %d) after seq %d: admission order lost", fl.ID, fl.Seq, last)
+		}
+		last = fl.Seq
+		return true
+	})
+	if f.NumFlows() != n {
+		t.Fatalf("%d live flows, want %d", f.NumFlows(), n)
+	}
+}
+
 // TestRerouteVictimOrderInvariance pins that a reroute pass's outcome
 // depends only on the victim set, not on the order victims were
 // gathered (shard layout, crossing-index order): rerouteSlots re-sorts

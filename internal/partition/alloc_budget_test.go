@@ -39,3 +39,23 @@ func TestAllocBudgetComponents(t *testing.T) {
 		t.Fatalf("NumComp = %d, want 3 rings and 8 isolated routers", pt.NumComp)
 	}
 }
+
+// TestAllocBudgetLabel: labelling into a caller's warm buffer — the
+// decomposition's per-probe path — allocates nothing.
+func TestAllocBudgetLabel(t *testing.T) {
+	var pairs [][2]int
+	for i := 0; i < 32; i++ {
+		pairs = append(pairs, [2]int{i, (i + 1) % 32}, [2]int{i, (i + 5) % 32})
+	}
+	p := net(32, pairs...)
+	s := linkset.All(len(p.Links))
+	for id := 0; id < len(p.Links); id += 3 {
+		s.Remove(id)
+	}
+	buf := make([]int, 2*len(p.Routers))
+	for _, include := range []*linkset.Set{nil, s} {
+		if allocs := testing.AllocsPerRun(20, func() { Label(p, include, buf) }); allocs != 0 {
+			t.Fatalf("Label into a warm buffer allocates %v objects, budget 0", allocs)
+		}
+	}
+}

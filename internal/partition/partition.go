@@ -41,10 +41,18 @@ type Partition struct {
 // the Partition and one slice that backs Comp and the union-find
 // forest.
 func Components(p *topo.POCNetwork, include *linkset.Set) *Partition {
+	pt := Label(p, include, make([]int, 2*len(p.Routers)))
+	return &pt
+}
+
+// Label is Components into caller scratch: buf must hold at least two
+// ints per router, and Label allocates nothing. The labelling's Comp is
+// buf's first len(p.Routers) ints, the union-find forest the next as
+// many, so it is valid until the caller writes buf again.
+func Label(p *topo.POCNetwork, include *linkset.Set, buf []int) Partition {
 	n := len(p.Routers)
-	buf := make([]int, 2*n)
-	pt := &Partition{Comp: buf[:n:n]}
-	parent := buf[n:]
+	pt := Partition{Comp: buf[:n:n]}
+	parent := buf[n : 2*n]
 	for i := range parent {
 		parent[i] = i
 	}

@@ -133,3 +133,35 @@ func TestComponentsMatchesSearch(t *testing.T) {
 		}
 	}
 }
+
+// TestLabelMatchesComponents: labelling into one reused buffer, left
+// dirty by the trial before, gives Components' labelling on random
+// multigraphs and include sets.
+func TestLabelMatchesComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	buf := make([]int, 2*40)
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		var pairs [][2]int
+		for i := rng.Intn(2 * n); i > 0; i-- {
+			pairs = append(pairs, [2]int{rng.Intn(n), rng.Intn(n)})
+		}
+		p := net(n, pairs...)
+		var include *linkset.Set
+		if trial%4 != 0 {
+			include = linkset.New(len(pairs))
+			for id := range pairs {
+				if rng.Intn(3) != 0 {
+					include.Add(id)
+				}
+			}
+		}
+		for i := range buf {
+			buf[i] = rng.Intn(n) // the last trial's labels, or any garbage
+		}
+		got, want := Label(p, include, buf), Components(p, include)
+		if got.NumComp != want.NumComp || !reflect.DeepEqual(got.Comp, want.Comp) {
+			t.Fatalf("trial %d: Label = %v (%d components), Components = %v (%d)", trial, got.Comp, got.NumComp, want.Comp, want.NumComp)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 
 	"github.com/public-option/poc/internal/netsim"
@@ -86,8 +87,46 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/recall", s.opHandler("recall"))
 	mux.HandleFunc("POST /v1/reauction", s.opHandler("reauction"))
 
-	return mux
+	return s.v1Refusals(mux)
 }
+
+// v1Refusals answers what mux refuses on its own under /v1/ — a path
+// with no route (404) or a route without the request's method (405,
+// with mux's Allow header) — with the JSON error envelope at the
+// published seq, like every error the handlers write. Every other
+// request, /healthz, /readyz and /metrics among them, is mux's.
+func (s *Server) v1Refusals(mux *http.ServeMux) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasPrefix(r.URL.Path, "/v1/") {
+			if h, pattern := mux.Handler(r); pattern == "" {
+				rec := refusal{header: http.Header{}}
+				h.ServeHTTP(&rec, r)
+				switch rec.status {
+				case http.StatusNotFound:
+					s.writeError(w, rec.status, "no route for "+r.URL.Path)
+					return
+				case http.StatusMethodNotAllowed:
+					w.Header()["Allow"] = rec.header["Allow"]
+					s.writeError(w, rec.status, "method "+r.Method+" not allowed on "+r.URL.Path)
+					return
+				}
+				// Anything else is a redirect to the cleaned path.
+			}
+		}
+		mux.ServeHTTP(w, r)
+	})
+}
+
+// refusal records the status and headers mux's own refusal handler
+// writes, and drops its text body.
+type refusal struct {
+	header http.Header
+	status int
+}
+
+func (r *refusal) Header() http.Header         { return r.header }
+func (r *refusal) Write(b []byte) (int, error) { return len(b), nil }
+func (r *refusal) WriteHeader(status int)      { r.status = status }
 
 // admit counts the request and applies the per-tenant token bucket.
 // Tenants identify themselves with X-POC-Tenant; anonymous callers

@@ -817,6 +817,19 @@ func TestReplyEnvelopeBytes(t *testing.T) {
 		}
 	}
 	wantErr(ts, "/v1/flows?id=x", 400, "{\n  \"error\": \"flows: id query parameter required\",\n  \"seq\": 13\n}\n")
+	// The mux's own refusals under /v1: no route, and a route without
+	// the method, which keeps the mux's Allow header.
+	wantErr(ts, "/v1/nope", 404, "{\n  \"error\": \"no route for /v1/nope\",\n  \"seq\": 13\n}\n")
+	wantErr(ts, "/v1/epoch", 405, "{\n  \"error\": \"method GET not allowed on /v1/epoch\",\n  \"seq\": 13\n}\n")
+	if resp, _ := get(t, ts, "/v1/epoch"); resp.Header.Get("Allow") != "POST" {
+		t.Errorf("GET /v1/epoch: Allow %q, want POST", resp.Header.Get("Allow"))
+	}
+	// Outside /v1 the probes stay text.
+	for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
+		if resp, _ := get(t, ts, path); resp.StatusCode != 200 || !strings.HasPrefix(resp.Header.Get("Content-Type"), "text/plain") {
+			t.Errorf("GET %s: %d (%s), want 200 text/plain", path, resp.StatusCode, resp.Header.Get("Content-Type"))
+		}
+	}
 
 	limited, _, _ := newTestServer(t, func(cfg *Config) {
 		cfg.RateLimit = ratelimit.Config{Rate: 1, Burst: 1}

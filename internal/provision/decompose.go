@@ -77,11 +77,16 @@ type decompComp struct {
 
 // decomposePlan builds the per-component sub-problems for a probe, or
 // returns nil and the fallback reason when the separability
-// certificate does not hold. When sh has restricted this labelling
-// before, the plan costs a constant number of allocations: the
-// partition, the plan, and one batch of include sets.
-func decomposePlan(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options) ([]decompComp, int) {
-	pt := partition.Components(p, include)
+// certificate does not hold. The labelling and the components' include
+// sets are rt's decomposition scratch (router.labels, router.parts),
+// valid while the caller holds rt. When sh has restricted this
+// labelling before, the plan allocates the plan slice alone.
+func decomposePlan(rt *router, include *linkset.Set, sh *shape, c Constraint, opts Options) ([]decompComp, int) {
+	p := rt.p
+	if n := 2 * len(p.Routers); len(rt.labels) < n {
+		rt.labels = make([]int, n)
+	}
+	pt := partition.Label(p, include, rt.labels)
 	if pt.NumComp < 2 {
 		return nil, fallbackNoPlan
 	}
@@ -108,7 +113,7 @@ func decomposePlan(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constr
 	}
 	// Indexed by component label until the last line drops the idle ones.
 	comps := make([]decompComp, pt.NumComp)
-	sets := linkset.NewBatch(withDemand, len(p.Links))
+	sets := rt.parts.Take(withDemand, len(p.Links))
 	for k, sub := range subs {
 		if sub != nil {
 			comps[k] = decompComp{include: &sets[0], sh: sub}
@@ -211,7 +216,14 @@ func (sh *shape) restrict(comp []int, numComp int) []*shape {
 // the component cores — exactly the cold core, since every cold routing
 // is the disjoint union of its component restrictions.
 func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64, needCore bool) (CacheSummary, *linkset.Set, bool) {
-	comps, reason := decomposePlan(p, include, sh, c, opts)
+	// The plan lives in this arena's scratch until the merge ends; the
+	// component checks route on arenas of their own. Nothing they keep
+	// points into the plan: keys copy the include words, apply copies
+	// them into the arena.
+	ws := opts.Workspace
+	rt := ws.acquire()
+	defer ws.release(rt)
+	comps, reason := decomposePlan(rt, include, sh, c, opts)
 	if comps == nil {
 		fc.fallbacks[reason].Add(1)
 		return CacheSummary{}, nil, false

@@ -13,9 +13,10 @@ import (
 // runs this with the other budgets.
 
 // TestAllocBudgetDecomposePlan: once the shape has restricted a
-// labelling, planning a probe allocates the partition, the plan and one
-// batch of include sets — a constant, whatever the component count —
-// on the benchmark's separable 200-router, 800-link synth.
+// labelling, planning a probe into a warm arena allocates the plan
+// slice alone — the labelling and the include sets are the arena's
+// scratch — whatever the component count, on the benchmark's separable
+// 200-router, 800-link synth.
 func TestAllocBudgetDecomposePlan(t *testing.T) {
 	s := topo.GenerateSynth(topo.SynthConfig{
 		Seed: 1, Regions: 8, Routers: 200, Links: 800, BPsPerRegion: 4, Hubs: 4, Pairs: 40, Gbps: 6,
@@ -26,17 +27,20 @@ func TestAllocBudgetDecomposePlan(t *testing.T) {
 	}
 	sh := newShape(tm)
 	opts := Options{FailureScenarios: 8}
-	comps, _ := decomposePlan(s.P, nil, sh, Constraint2, opts)
+	ws := NewWorkspace(s.P, opts)
+	rt := ws.acquire()
+	defer ws.release(rt)
+	comps, _ := decomposePlan(rt, nil, sh, Constraint2, opts)
 	if len(comps) < 4 {
 		t.Fatalf("plan has %d components, want a split instance", len(comps))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if comps, _ := decomposePlan(s.P, nil, sh, Constraint2, opts); comps == nil {
+		if comps, _ := decomposePlan(rt, nil, sh, Constraint2, opts); comps == nil {
 			t.Fatal("no plan")
 		}
 	})
 	t.Logf("a %d-component plan allocates %v objects", len(comps), allocs)
-	if allocs > 8 {
-		t.Fatalf("a memo-hit plan allocates %v objects, budget 8", allocs)
+	if allocs > 1 {
+		t.Fatalf("a memo-hit plan allocates %v objects, budget 1", allocs)
 	}
 }

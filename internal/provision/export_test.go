@@ -14,11 +14,12 @@ import (
 	"github.com/public-option/poc/internal/traffic"
 )
 
-// PrimaryPathsOpts is primaryPaths for a matrix, as Check's Constraint
-// 2 and 3 call it.
+// PrimaryPathsOpts is primaryPaths for a matrix over every pair, as
+// Check's Constraint 3 calls it.
 func PrimaryPathsOpts(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options) ([]*linkset.Set, [][2]int) {
 	ws := opts.resolve(p).Workspace
-	return ws.primaryPaths(include, ws.shapeOf(tm))
+	sh := ws.shapeOf(tm)
+	return ws.primaryPaths(include, sh, sh.pairs)
 }
 
 // NewArena builds one arena of ws the way acquire does when its free

@@ -295,6 +295,11 @@ type router struct {
 	phase2, stuck  []demand
 	cands          []cand
 	banned, detour *linkset.Set
+
+	// Decomposition scratch (decomposePlan): the component labelling
+	// and union-find forest, and the components' include sets.
+	labels []int
+	parts  linkset.Batch
 }
 
 // cand is one assignment freeLink may displace.
@@ -303,6 +308,10 @@ type cand struct{ pair, slot int }
 // checkCands, when non-nil, sees every freeLink call's candidates as
 // the crossing index derived them, before they are sorted: a test hook.
 var checkCands func(res *Routing, l, exclude int, cands []cand)
+
+// checkPrimaries, when non-nil, sees the primary path sets every
+// Constraint-2 or -3 check builds, indexed by pair: a test hook.
+var checkPrimaries func(c Constraint, primaries []*linkset.Set)
 
 // treeTo grows the shortest-path tree from src over m that stops once
 // the destinations of ds have settled.
@@ -595,18 +604,23 @@ func (rt *router) route(ws *Workspace, sh *shape, opts Options, avoidPrimary []*
 	return res
 }
 
-// primaryPaths computes, for every demand pair of sh by index, the links
-// of its cheapest path in the subset include by the workspace's routing
-// metric, ignoring capacity. Pairs with no path at all stay nil and are
-// reported in the second return. The sets share one backing allocation.
-func (ws *Workspace) primaryPaths(include *linkset.Set, sh *shape) ([]*linkset.Set, [][2]int) {
+// primaryPaths computes, for the demand pairs of sh in want, the links
+// of each one's cheapest path in the subset include by the workspace's
+// routing metric, ignoring capacity; the result is indexed by pair and
+// nil for every other pair. Every pair's reachability is checked all
+// the same: pairs with no path at all are reported in the second
+// return, wanted or not. The sets share one backing allocation.
+func (ws *Workspace) primaryPaths(include *linkset.Set, sh *shape, want []demand) ([]*linkset.Set, [][2]int) {
 	rt := ws.acquire()
 	defer ws.release(rt)
 	rt.apply(include, 0, ws.all)
 
 	p, pairs := ws.p, sh.pairs
 	primaries := make([]*linkset.Set, len(pairs))
-	sets := linkset.NewBatch(len(pairs), len(p.Links))
+	sets := linkset.NewBatch(len(want), len(p.Links))
+	for j, d := range want {
+		primaries[d.pair] = &sets[j]
+	}
 	var unreachable [][2]int
 	enabled := rt.enabledMask(nil)
 	var tree *graph.ShortestTree
@@ -622,10 +636,13 @@ func (ws *Workspace) primaryPaths(include *linkset.Set, sh *shape) ([]*linkset.S
 		}
 		if !tree.Reachable(graph.NodeID(d.dst)) {
 			unreachable = append(unreachable, [2]int{d.src, d.dst})
+			primaries[i] = nil
+			continue
+		}
+		if primaries[i] == nil {
 			continue
 		}
 		rt.pathBuf = tree.AppendPathTo(rt.pathBuf[:0], rt.g, graph.NodeID(d.dst))
-		primaries[i] = &sets[i]
 		for _, eid := range rt.pathBuf {
 			primaries[i].Add(int(rt.linkFor[eid]))
 		}
@@ -702,7 +719,16 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constra
 	if c == Constraint1 {
 		return true, base
 	}
-	primaries, unreachable := ws.primaryPaths(include, sh)
+	// Constraint2 fails only the heaviest pairs' primaries, so only
+	// theirs are built; every pair must still be reachable.
+	want := sh.pairs
+	if c == Constraint2 {
+		want = sh.heaviest(opts.FailureScenarios)
+	}
+	primaries, unreachable := ws.primaryPaths(include, sh, want)
+	if checkPrimaries != nil {
+		checkPrimaries(c, primaries)
+	}
 	if len(unreachable) > 0 {
 		return false, base
 	}
@@ -712,7 +738,7 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constra
 		// re-routes from scratch, heaviest pair first. The move maxima
 		// reach base only on an all-feasible verdict.
 		moves := base.moves
-		for _, d := range sh.heaviest(opts.FailureScenarios) {
+		for _, d := range want {
 			failed := primaries[d.pair]
 			if failed == nil || failed.Empty() {
 				continue

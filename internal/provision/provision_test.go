@@ -200,6 +200,47 @@ func TestPrimaryPathsUnreachable(t *testing.T) {
 	}
 }
 
+// TestConstraint2BuildsOnlyFailedPrimaries: a Constraint-2 check
+// builds the primary path sets of the FailureScenarios heaviest pairs
+// and no others, yet still grows a tree from every source, so a pair
+// outside them that no path reaches — here one under the placement
+// tolerance, which the base routing cannot see — still fails the check.
+func TestConstraint2BuildsOnlyFailedPrimaries(t *testing.T) {
+	p := testNet(100)
+	p.World.Cities = append(p.World.Cities, topo.City{})
+	p.Routers = append(p.Routers, 4) // router 4 has no link
+	m := traffic.NewMatrix(5)
+	for i, pr := range [][2]int{{0, 1}, {0, 2}, {1, 3}, {2, 0}, {3, 1}, {3, 2}} {
+		m.Set(pr[0], pr[1], 1+float64(i))
+	}
+	const fs = 2
+	built := -1
+	checkPrimaries = func(c Constraint, primaries []*linkset.Set) {
+		if c != Constraint2 {
+			t.Errorf("primaries built for %v", c)
+		}
+		built = 0
+		for _, set := range primaries {
+			if set != nil {
+				built++
+			}
+		}
+	}
+	defer func() { checkPrimaries = nil }()
+	opts := Options{FailureScenarios: fs}
+	if ok, _ := Check(p, nil, m, Constraint2, opts); !ok || built != fs {
+		t.Fatalf("Constraint 2 over 6 reachable pairs: ok=%v, %d primary sets built, want ok and %d", ok, built, fs)
+	}
+	m.Set(1, 4, 1e-12)
+	if ok, _ := Check(p, nil, m, Constraint1, opts); !ok {
+		t.Fatal("Constraint 1 fails: the unreachable pair must sit under the placement tolerance")
+	}
+	built = -1
+	if ok, _ := Check(p, nil, m, Constraint2, opts); ok || built != fs {
+		t.Fatalf("Constraint 2 with pair (1,4) unreachable: ok=%v, %d primary sets built, want a failure after %d", ok, built, fs)
+	}
+}
+
 func TestCheckConstraint1(t *testing.T) {
 	p := testNet(10)
 	ok, r := Check(p, nil, tmSingle(4, 0, 2, 5), Constraint1, Options{})

@@ -57,9 +57,9 @@ type Shaver struct {
 
 	// undo logs every mutation of the TryDrop in flight, in order;
 	// lifted holds the assignments its repairs released. Both are
-	// truncated when the drop commits or rolls back, and reused.
-	undo   []undoRec
-	lifted []PathAssignment
+	// truncated when the drop commits or rolls back, and reused; they
+	// come from the workspace and go back to it on Close.
+	shaveLogs
 
 	// Cached metric arena for primaryOf, re-applied when include
 	// changes.
@@ -201,7 +201,8 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.
 // Shaver's arenas and must Close it.
 func NewShaver(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options) (*Shaver, bool) {
 	opts = opts.withDefaults().resolve(p)
-	s := &Shaver{p: p, opts: opts, c: c, sh: opts.Workspace.shapeOf(tm), include: cloneInclude(include, len(p.Links)), ws: opts.Workspace}
+	ws := opts.Workspace
+	s := &Shaver{p: p, opts: opts, c: c, sh: ws.shapeOf(tm), include: cloneInclude(include, len(p.Links)), ws: ws, shaveLogs: ws.takeLogs()}
 	if !s.build() {
 		s.Close()
 		return nil, false
@@ -233,7 +234,7 @@ func (s *Shaver) build() bool {
 			s.scenarios = append(s.scenarios, scenario{pair: d, primary: primary})
 		}
 	case Constraint3:
-		avoid, unreachable := s.ws.primaryPaths(s.include, s.sh)
+		avoid, unreachable := s.ws.primaryPaths(s.include, s.sh, s.sh.pairs)
 		return len(unreachable) == 0 && add(nil, avoid)
 	default:
 		return false
@@ -255,7 +256,8 @@ func (s *Shaver) Close() {
 		s.ws.release(s.pgArena)
 		s.pgArena = nil
 	}
-	s.live, s.scenarios = nil, nil
+	s.ws.giveLogs(s.shaveLogs)
+	s.live, s.scenarios, s.shaveLogs = nil, nil, shaveLogs{}
 	s.ws = nil
 }
 

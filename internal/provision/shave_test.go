@@ -92,6 +92,35 @@ func TestShaverTryDropRollsBack(t *testing.T) {
 	}
 }
 
+// TestShaverLogsComeFromWorkspace: Close gives the Shaver's undo and
+// lifted logs back to the workspace, emptied, and the next Shaver on
+// that workspace takes the same backing arrays.
+func TestShaverLogsComeFromWorkspace(t *testing.T) {
+	p := shaveNet(10, 10)
+	tm := traffic.NewMatrix(2)
+	tm.Set(0, 1, 15) // both links needed: every TryDrop rolls back
+	opts := Options{}
+	opts.Workspace = NewWorkspace(p, opts)
+	sh, ok := NewShaver(p, nil, tm, Constraint1, opts)
+	if !ok {
+		t.Fatal("feasible instance rejected")
+	}
+	if sh.TryDrop(0) || cap(sh.undo) == 0 || cap(sh.lifted) == 0 {
+		t.Fatalf("a rolled-back drop left logs of capacity %d and %d, want both grown", cap(sh.undo), cap(sh.lifted))
+	}
+	undo, lifted := &sh.undo[:1][0], &sh.lifted[:1][0]
+	sh.Close()
+	again, ok := NewShaver(p, nil, tm, Constraint1, opts)
+	if !ok {
+		t.Fatal("feasible instance rejected")
+	}
+	defer again.Close()
+	if len(again.undo) != 0 || len(again.lifted) != 0 || cap(again.undo) == 0 || cap(again.lifted) == 0 ||
+		&again.undo[:1][0] != undo || &again.lifted[:1][0] != lifted {
+		t.Fatal("the next Shaver on the workspace did not take the closed one's logs, empty")
+	}
+}
+
 func TestShaverTryDropUnknownLink(t *testing.T) {
 	p := shaveNet(10)
 	tm := traffic.NewMatrix(2)

@@ -52,7 +52,8 @@ type Workspace struct {
 
 	mu    sync.Mutex
 	free  []*router
-	freeR []*Routing // routings that never left the package, for takeRouting
+	freeR []*Routing  // routings that never left the package, for takeRouting
+	freeL []shaveLogs // closed Shavers' logs, for takeLogs
 
 	// Single-slot cache keyed by traffic-matrix pointer. The demand
 	// shape is a pure function of the matrix, which is constant across
@@ -139,6 +140,36 @@ func (ws *Workspace) takeRouting(sh *shape) *Routing {
 func (ws *Workspace) giveRouting(r *Routing) {
 	ws.mu.Lock()
 	ws.freeR = append(ws.freeR, r)
+	ws.mu.Unlock()
+}
+
+// shaveLogs is a Shaver's undo and lifted logs, empty, with the
+// capacity earlier shaves grew them to.
+type shaveLogs struct {
+	undo   []undoRec
+	lifted []PathAssignment
+}
+
+// takeLogs pops a closed Shaver's logs, or returns empty ones.
+func (ws *Workspace) takeLogs() shaveLogs {
+	var l shaveLogs
+	ws.mu.Lock()
+	if n := len(ws.freeL); n > 0 {
+		l, ws.freeL[n-1] = ws.freeL[n-1], shaveLogs{}
+		ws.freeL = ws.freeL[:n-1]
+	}
+	ws.mu.Unlock()
+	return l
+}
+
+// giveLogs puts a closing Shaver's logs on the free list, emptied and
+// cleared so they pin no routing or set until the next shave.
+func (ws *Workspace) giveLogs(l shaveLogs) {
+	clear(l.undo[:cap(l.undo)])
+	clear(l.lifted[:cap(l.lifted)])
+	l.undo, l.lifted = l.undo[:0], l.lifted[:0]
+	ws.mu.Lock()
+	ws.freeL = append(ws.freeL, l)
 	ws.mu.Unlock()
 }
 
