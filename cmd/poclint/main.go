@@ -14,10 +14,9 @@
 // the interprocedural analyzers see summaries of every import. The
 // tool takes no flags; every analyzer always runs.
 //
-// floatorder, seededrand, walltime and obsguard are documented in
-// DESIGN.md §9; the interprocedural arenapair, journalorder and
-// writerescape in DESIGN.md §14. All are implemented in
-// internal/analysis.
+// floatorder, seededrand and walltime are documented in DESIGN.md §9;
+// the interprocedural arenapair, journalorder and writerescape in
+// DESIGN.md §14. All six are implemented in internal/analysis.
 // Sanctioned exceptions carry a `//lint:allow <analyzer> <reason>`
 // comment on or above the flagged line; resource constructors carry
 // `//lint:acquire <kind>` / `//lint:release <kind>` directives and

@@ -52,9 +52,10 @@ var programCallerAllowlist = map[string]string{
 }
 
 // TestExportedNamesHaveProgramCallers keeps every exported function or
-// method under internal/ and every exported name of the root facade
-// serving a program: each is referenced from a non-test file,
-// implements an interface, or is on programCallerAllowlist.
+// method under internal/, every exported name of the root facade and
+// every unexported function or method serving a program: each is
+// referenced from a non-test file, implements an interface, or is on
+// programCallerAllowlist.
 func TestExportedNamesHaveProgramCallers(t *testing.T) {
 	problems, err := uncalledExports(".", programCallerAllowlist)
 	if err != nil {
@@ -81,8 +82,9 @@ func TestUncalledExportsFixture(t *testing.T) {
 		"internal/lib.Box.Put has no caller outside _test.go files",
 		"internal/lib.TestOnly has no caller outside _test.go files",
 		"internal/lib.Uncalled has no caller outside _test.go files",
+		"internal/lib.orphan has no caller outside _test.go files",
 		"allowlisted internal/lib.Helper has a caller now: delete its entry",
-		"allowlisted internal/lib.Removed is not an exported function or facade name: delete its entry",
+		"allowlisted internal/lib.Removed is nothing the rule covers: delete its entry",
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -126,8 +128,9 @@ func goList(dir string, args ...string) ([]listedPackage, error) {
 
 // uncalledExports type-checks the non-test files of the module in dir
 // and returns, sorted, one line per problem: an exported function or
-// method declared under an internal/ directory, or an exported name of
-// the module's root package, that no non-test file references and
+// method declared under an internal/ directory, an exported name of
+// the module's root package, or an unexported function or method
+// anywhere (main and init aside), that no non-test file references and
 // allow does not name; and an allow entry that names something now
 // referenced, or nothing the rule covers. A reference is an Info.Uses
 // or Info.Selections entry, taken through Origin so a call on an
@@ -205,33 +208,41 @@ func uncalledExports(dir string, allow map[string]string) ([]string, error) {
 		checked[p.ImportPath] = tp
 
 		rel := strings.TrimPrefix(p.ImportPath, p.Module.Path+"/")
-		switch {
-		case p.ImportPath == p.Module.Path:
+		if p.ImportPath == p.Module.Path {
+			rel = tp.Name()
 			for _, name := range tp.Scope().Names() {
 				if obj := tp.Scope().Lookup(name); obj.Exported() {
-					decls = append(decls, decl{key: tp.Name() + "." + name, obj: obj})
+					decls = append(decls, decl{key: rel + "." + name, obj: obj})
 				}
 			}
-		case slices.Contains(strings.Split(rel, "/"), "internal"):
-			for _, f := range files {
-				for _, d := range f.Decls {
-					fd, ok := d.(*ast.FuncDecl)
-					if !ok || !fd.Name.IsExported() {
-						continue
-					}
-					fn := info.Defs[fd.Name].(*types.Func)
-					sig := fn.Type().(*types.Signature)
-					if sig.Recv() == nil {
-						decls = append(decls, decl{key: rel + "." + fn.Name(), obj: fn})
-						continue
-					}
-					rt := sig.Recv().Type()
-					if ptr, ok := rt.(*types.Pointer); ok {
-						rt = ptr.Elem()
-					}
-					named := rt.(*types.Named)
-					decls = append(decls, decl{key: rel + "." + named.Obj().Name() + "." + fn.Name(), obj: fn, recv: named})
+		}
+		internal := slices.Contains(strings.Split(rel, "/"), "internal")
+		for _, f := range files {
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok {
+					continue
 				}
+				// Exported functions count under internal/ only; the
+				// facade's are its scope names above. Unexported ones
+				// count everywhere but main and init, which the
+				// runtime calls.
+				if name := fd.Name.Name; fd.Name.IsExported() && !internal ||
+					fd.Recv == nil && (name == "main" || name == "init") {
+					continue
+				}
+				fn := info.Defs[fd.Name].(*types.Func)
+				sig := fn.Type().(*types.Signature)
+				if sig.Recv() == nil {
+					decls = append(decls, decl{key: rel + "." + fn.Name(), obj: fn})
+					continue
+				}
+				rt := sig.Recv().Type()
+				if ptr, ok := rt.(*types.Pointer); ok {
+					rt = ptr.Elem()
+				}
+				named := rt.(*types.Named)
+				decls = append(decls, decl{key: rel + "." + named.Obj().Name() + "." + fn.Name(), obj: fn, recv: named})
 			}
 		}
 	}
@@ -322,7 +333,7 @@ func uncalledExports(dir string, allow map[string]string) ([]string, error) {
 	}
 	for key := range allow {
 		if !declared[key] {
-			problems = append(problems, fmt.Sprintf("allowlisted %s is not an exported function or facade name: delete its entry", key))
+			problems = append(problems, fmt.Sprintf("allowlisted %s is nothing the rule covers: delete its entry", key))
 		}
 	}
 	sort.Slice(problems, func(i, j int) bool {

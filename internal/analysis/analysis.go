@@ -1,15 +1,15 @@
 // Package analysis is poclint's static-analysis framework: a minimal,
 // dependency-free re-implementation of the golang.org/x/tools
-// go/analysis model, plus the seven analyzers that mechanize this
+// go/analysis model, plus the six analyzers that mechanize this
 // repo's determinism and safety invariants (DESIGN.md §9, §14).
 //
 // The repo's whole evaluation pipeline is gated on byte-identical
 // output across runs and across Workers settings. The bug classes
 // that break that gate — float accumulation in map-iteration order,
 // process-seeded randomness, wall clocks in simulation code,
-// nil-unsafe observability accessors, scheduling-ordered float
-// reductions — are invisible to go vet, -race and every verdict-level
-// test, so they are enforced here, mechanically, at CI time via
+// scheduling-ordered float reductions — are invisible to go vet,
+// -race and every verdict-level test, so they are enforced here,
+// mechanically, at CI time via
 //
 //	go vet -vettool=$(which poclint) ./...
 //
@@ -38,7 +38,7 @@ import (
 // it so every archived JSON records which invariant suite the tree
 // passed when the artifact was produced. Bump when an analyzer is
 // added, removed, or materially re-scoped.
-const Version = "poclint/v3"
+const Version = "poclint/v4"
 
 // An Analyzer is one named invariant check.
 type Analyzer struct {
@@ -56,7 +56,7 @@ type Analyzer struct {
 // All is the poclint suite. It is also the set of names a
 // //lint:allow directive may cite.
 var All = []*Analyzer{
-	FloatOrder, SeededRand, WallTime, ObsGuard,
+	FloatOrder, SeededRand, WallTime,
 	ArenaPair, JournalOrder, WriterEscape,
 }
 

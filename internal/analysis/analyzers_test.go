@@ -36,10 +36,6 @@ func TestWallTimeOnlyInternal(t *testing.T) { expectSuite(t, "clocksok") }
 // could not live under internal/ at all.
 func TestWallTimeInjectedClock(t *testing.T) { expectSuite(t, "internal/clockinject") }
 
-func TestObsGuardPackage(t *testing.T) { expectSuite(t, "obslab/obs") }
-
-func TestObsGuardConsumer(t *testing.T) { expectSuite(t, "obslab/consumer") }
-
 // TestAllowDirectiveErrors pins the directive grammar: a missing
 // analyzer, a missing reason and a name that is no analyzer are
 // diagnostics in their own right (attributed to "poclint", not to any

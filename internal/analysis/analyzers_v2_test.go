@@ -256,44 +256,3 @@ func AddVia(a *Acc, v float64) { a.Add(v) }
 		t.Errorf("AddVia: want FoldParams [0], got %+v", s)
 	}
 }
-
-// TestObsGuardLastSegment pins that only a package whose last path
-// element is "obs" gets the obs-package rules. "knobs" ends in "obs"
-// but is a consumer: its *Registry deref must be flagged, and its
-// half-guarded type is none of obsguard's business.
-func TestObsGuardLastSegment(t *testing.T) {
-	ml := newMemLoader(map[string]string{
-		"obs": `package obs
-
-type Registry struct{ n int }
-
-func (r *Registry) Inc() {
-	if r == nil {
-		return
-	}
-	r.n++
-}
-`,
-		"knobs": `package knobs
-
-import "obs"
-
-func Copy(r *obs.Registry) obs.Registry { return *r }
-
-type Knob struct{ v int }
-
-func (k *Knob) Get() int {
-	if k == nil {
-		return 0
-	}
-	return k.v
-}
-
-func (k *Knob) Set(v int) { k.v = v }
-`,
-	})
-	diags := ml.run(t, ObsGuard, "knobs")
-	if len(diags) != 1 || !strings.Contains(diags[0].Message, "dereferencing *Registry") {
-		t.Fatalf("want exactly the *Registry deref flagged in knobs, got %v", diags)
-	}
-}

@@ -37,8 +37,8 @@ type loadedPkg struct {
 }
 
 // testImporter resolves testdata sibling packages before the std
-// library, loading them on demand (obsguard's consumer tests import a
-// mock obs package).
+// library, loading them on demand (xfacts/use imports xfacts/helper,
+// srvlab a mock pocd/journal, arenalab its arenalab/pool).
 type testImporter struct {
 	t      *testing.T
 	root   string

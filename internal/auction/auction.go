@@ -673,22 +673,24 @@ func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint6
 	// check budget.
 	if in.MaxChecks > 0 {
 		budget := in.MaxChecks
-		cand := make([]int, 0, cur.Len())
+		// Each round probes the 2·batch most expensive links of cur.
+		// cur only shrinks, so the first round's list is the longest.
+		probed := func() int { return min(2*max(cur.Len()/8, 1), cur.Len()) }
+		cand := make([]int, 0, probed())
 		for checks < budget {
 			// Most expensive first: cur ⊆ OL, so filtering the price
 			// order to cur is cur sorted by it.
+			n := probed()
 			cand = cand[:0]
 			for _, id := range rc.prices.byPrice {
+				if len(cand) == n {
+					break
+				}
 				if cur.Contains(id) {
 					cand = append(cand, id)
 				}
 			}
-			batch := len(cand) / 8
-			if batch < 1 {
-				batch = 1
-			}
-			dropped := in.dropBatch(cur, trial, cand[:min(batch*2, len(cand))], feasible, budget-checks, &checks)
-			if dropped == 0 {
+			if in.dropBatch(cur, trial, cand, feasible, budget-checks, &checks) == 0 {
 				break
 			}
 		}

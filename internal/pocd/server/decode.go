@@ -7,25 +7,22 @@ import (
 	"unicode/utf8"
 )
 
-// decodeOp decodes one journaled op payload into *op, overwriting it.
-// Its result and its error are those of json.Unmarshal(b, op) on a
-// zero Op, for every input.
+// opDecoder decodes journaled op payloads. Its result and its error
+// for each are those of json.Unmarshal(b, op) on a zero Op, for every
+// input.
 //
 // Recovery decodes every op the journal holds, and encoding/json's
-// reflection-driven decoder is most of that cost. So decodeOp first
+// reflection-driven decoder is most of that cost. So decode first
 // tries a scanner that accepts only the shape json.Marshal(Op) writes
-// (opDecoder.canonical), and hands anything else to json.Unmarshal.
-// The scanner accepts a strict subset of what json.Unmarshal accepts
-// and decodes it to the same Op, so the fallback keeps encoding/json
-// the definition: of results and of error texts alike.
-func decodeOp(b []byte, op *Op) error {
-	return new(opDecoder).decode(b, op)
-}
-
-// opDecoder decodes a run of op payloads. It keeps one copy of each
-// string it has decoded, so the member names a journal repeats in
-// every flow are allocated once, and it gathers an array's elements in
-// a reused buffer before copying them out at their final length.
+// (canonical), and hands anything else to json.Unmarshal. The scanner
+// accepts a strict subset of what json.Unmarshal accepts and decodes
+// it to the same Op, so the fallback keeps encoding/json the
+// definition: of results and of error texts alike.
+//
+// It keeps one copy of each string it has decoded, so the member names
+// a journal repeats in every flow are allocated once, and it gathers an
+// array's elements in a reused buffer before copying them out at their
+// final length.
 type opDecoder struct {
 	b     []byte
 	i     int
@@ -37,8 +34,8 @@ type opDecoder struct {
 // maxInterned bounds the strings an opDecoder keeps.
 const maxInterned = 1 << 12
 
-// decode is decodeOp; the strings and slices it stores in *op share no
-// memory with b.
+// decode decodes one op payload into *op, overwriting it; the strings
+// and slices it stores in *op share no memory with b.
 func (d *opDecoder) decode(b []byte, op *Op) error {
 	if d.canonical(b, op) {
 		return nil

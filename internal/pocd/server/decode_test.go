@@ -25,6 +25,12 @@ var sampleOps = []Op{
 	{Op: "reauction"},
 }
 
+// decodeOp decodes one payload with a fresh opDecoder, as recovery's
+// first op does.
+func decodeOp(b []byte, op *Op) error {
+	return new(opDecoder).decode(b, op)
+}
+
 // checkDecode requires decodeOp to agree with json.Unmarshal on b:
 // both fail with the same text, or both succeed with equal ops.
 func checkDecode(t *testing.T, b []byte) {

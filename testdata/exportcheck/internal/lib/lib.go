@@ -20,7 +20,19 @@ func Planned() {}
 func Helper() int { return 1 }
 
 // Counted is called by the root package.
-func Counted() int { return Helper() }
+func Counted() int {
+	var s slab[int]
+	return Helper() + s.alloc()
+}
+
+// slab is generic and unexported: the call on slab[int] counts for
+// alloc's declaration.
+type slab[T any] struct{ free []T }
+
+func (s *slab[T]) alloc() int { return len(s.free) }
+
+// orphan is flagged: unexported, and nothing calls it.
+func orphan() {}
 
 // Box is generic: a call on Box[int] counts for the declaration.
 type Box[T any] struct{ v T }
