@@ -146,8 +146,9 @@ func (e experiment) write(w io.Writer) error {
 // stopwatch derives every wall-time report in the command from one
 // captured time.Now pair: a single start sample, with each lap read as
 // a time.Since delta against it. Wall time is reporting only — it
-// never feeds experiment state or the metrics ledger (poclint's
-// walltime analyzer holds that line in internal/).
+// never feeds experiment state or the metrics ledger (a clock read in
+// internal/ would move the determinism tests' exports and the seed-1
+// golden pins).
 type stopwatch struct {
 	start time.Time
 	last  time.Duration

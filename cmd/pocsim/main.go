@@ -40,8 +40,9 @@ import (
 // stopwatch derives every wall-time report in the command from one
 // captured time.Now pair: a single start sample, with the total read
 // as a time.Since delta against it. Wall time is reporting only — it
-// never feeds simulation state or the metrics ledger (poclint's
-// walltime analyzer holds that line in internal/).
+// never feeds simulation state or the metrics ledger (a clock read in
+// internal/ would move the determinism tests' exports and the seed-1
+// golden pins).
 type stopwatch struct {
 	start time.Time
 }

@@ -41,10 +41,6 @@ var programCallerAllowlist = map[string]string{
 	"internal/econ.Advantage":                      "paper feature (§4.5 incumbent advantage) with no artifact section yet; ROADMAP lists it for wiring",
 	"internal/econ.EntryModel.Viable":              "paper feature (§2.3 entry) with no artifact section yet; ROADMAP lists it for wiring",
 	"internal/regimesim.Result.TotalWelfare":       "paper feature (§4 welfare) with no artifact section yet; ROADMAP lists it for wiring",
-	"internal/obs.Registry.Counter":                "the registry's read API; obs and chaos tests assert through it",
-	"internal/obs.Registry.Float":                  "the registry's read API; obs and chaos tests assert through it",
-	"internal/obs.Registry.Gauge":                  "the registry's read API; obs and chaos tests assert through it",
-	"internal/obs.Registry.Timeline":               "the registry's read API; obs and chaos tests assert through it",
 	"poc.CompareRegimes":                           "documented by the godoc Example ExampleCompareRegimes",
 	"poc.AuditPolicy":                              "documented by the godoc Example ExampleAuditPolicy",
 	"poc.PeeringRule":                              "documented by the godoc Example ExampleAuditPolicy",

@@ -1,15 +1,15 @@
 // Package analysis is poclint's static-analysis framework: a minimal,
 // dependency-free re-implementation of the golang.org/x/tools
-// go/analysis model, plus the six analyzers that mechanize this
-// repo's determinism and safety invariants (DESIGN.md §9, §14).
+// go/analysis model, plus the three analyzers that mechanize the
+// invariants of this repo a test or go vet check does not reliably
+// catch first (DESIGN.md §9, §14).
 //
 // The repo's whole evaluation pipeline is gated on byte-identical
-// output across runs and across Workers settings. The bug classes
-// that break that gate — float accumulation in map-iteration order,
-// process-seeded randomness, wall clocks in simulation code,
-// scheduling-ordered float reductions — are invisible to go vet,
-// -race and every verdict-level test, so they are enforced here,
-// mechanically, at CI time via
+// output across runs and across Workers settings. Float accumulation
+// in map-iteration or scheduling order, state mutated before its
+// journal append, and single-writer state written from the wrong
+// goroutine can all pass every verdict-level test, so they are
+// enforced here, mechanically, at CI time via
 //
 //	go vet -vettool=$(which poclint) ./...
 //
@@ -38,7 +38,7 @@ import (
 // it so every archived JSON records which invariant suite the tree
 // passed when the artifact was produced. Bump when an analyzer is
 // added, removed, or materially re-scoped.
-const Version = "poclint/v4"
+const Version = "poclint/v5"
 
 // An Analyzer is one named invariant check.
 type Analyzer struct {
@@ -47,7 +47,7 @@ type Analyzer struct {
 
 	// Applies reports whether the analyzer runs on the package with
 	// the given import path. A nil Applies runs everywhere. Gating is
-	// by path so e.g. wall clocks stay legal in cmd/ and examples/.
+	// by path so e.g. the journal order binds only the daemon.
 	Applies func(path string) bool
 
 	Run func(*Pass) error
@@ -55,10 +55,7 @@ type Analyzer struct {
 
 // All is the poclint suite. It is also the set of names a
 // //lint:allow directive may cite.
-var All = []*Analyzer{
-	FloatOrder, SeededRand, WallTime,
-	ArenaPair, JournalOrder, WriterEscape,
-}
+var All = []*Analyzer{FloatOrder, JournalOrder, WriterEscape}
 
 // A Pass carries one analyzer's view of one type-checked package.
 type Pass struct {
@@ -96,9 +93,8 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...interface{}) {
 }
 
 // SrcFiles returns the package's non-test files. The invariants bind
-// production code; _test.go files may use clocks, global rand and
-// unordered iteration freely (the determinism gates themselves are
-// tests).
+// production code; _test.go files may iterate unordered freely (the
+// determinism gates themselves are tests).
 func (p *Pass) SrcFiles() []*ast.File {
 	var out []*ast.File
 	for _, f := range p.Files {
@@ -126,8 +122,8 @@ func (p *Pass) ObjectOf(id *ast.Ident) types.Object {
 // imported facts where provided), runs every applicable analyzer with
 // the full fact universe, and returns the suppressed/sorted
 // diagnostics together with the package's own facts for the driver to
-// persist. Malformed facts directives (//lint:acquire, //lint:release,
-// //lint:owner) are reported alongside analyzer diagnostics.
+// persist. Malformed //lint:owner directives are reported alongside
+// analyzer diagnostics.
 func RunAnalyzersWithFacts(analyzers []*Analyzer, fset *token.FileSet, files []*ast.File,
 	pkg *types.Package, info *types.Info, path string,
 	imports map[string]*PackageFacts) ([]Diagnostic, *PackageFacts, error) {
@@ -233,6 +229,19 @@ func (p *Pass) declaredWithin(e ast.Expr, lo, hi token.Pos) bool {
 		return false
 	}
 	return obj.Pos() >= lo && obj.Pos() <= hi
+}
+
+// calleeFunc resolves a call's static callee, or nil.
+func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		fn, _ := pass.Info.Uses[fun].(*types.Func)
+		return fn
+	case *ast.SelectorExpr:
+		fn, _ := pass.Info.Uses[fun.Sel].(*types.Func)
+		return fn
+	}
+	return nil
 }
 
 // pkgFunc reports whether ident uses a package-level function of the

@@ -21,21 +21,6 @@ func TestFloatSum(t *testing.T)             { expectSuite(t, "floatlab") }
 func TestDeepFold(t *testing.T)             { expectSuite(t, "deeplab") }
 func TestDeepFoldCrossPackage(t *testing.T) { expectSuite(t, "xfacts/use") }
 
-func TestSeededRand(t *testing.T) { expectSuite(t, "seedlab") }
-
-func TestSeededRandExemptsCmd(t *testing.T) { expectSuite(t, "cmd/seedfree") }
-
-func TestWallTime(t *testing.T) { expectSuite(t, "internal/walllab") }
-
-func TestWallTimeOnlyInternal(t *testing.T) { expectSuite(t, "clocksok") }
-
-// TestWallTimeInjectedClock pins the pattern internal/pocd uses to
-// stay clock-free: a Now func() time.Time injected from cmd/, `now`
-// samples passed as parameters, and time.Time arithmetic (After,
-// Sub, Unix) — all must stay clean, or the daemon's deadline logic
-// could not live under internal/ at all.
-func TestWallTimeInjectedClock(t *testing.T) { expectSuite(t, "internal/clockinject") }
-
 // TestAllowDirectiveErrors pins the directive grammar: a missing
 // analyzer, a missing reason and a name that is no analyzer are
 // diagnostics in their own right (attributed to "poclint", not to any

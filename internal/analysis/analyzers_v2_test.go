@@ -16,7 +16,6 @@ import (
 	"testing"
 )
 
-func TestArenaPair(t *testing.T)    { expectSuite(t, "arenalab") }
 func TestJournalOrder(t *testing.T) { expectSuite(t, "pocd/srvlab") }
 func TestWriterEscape(t *testing.T) { expectSuite(t, "writerlab") }
 
@@ -24,20 +23,15 @@ func TestWriterEscape(t *testing.T) { expectSuite(t, "writerlab") }
 // only the facts layer can carry it to the diagnostic site.
 func TestWriterEscapeCrossPackage(t *testing.T) { expectSuite(t, "writerlab/client") }
 
-// The pool/journal provider packages themselves are clean.
-func TestArenaProviderClean(t *testing.T)   { expectSuite(t, "arenalab/pool") }
+// The journal provider package itself is clean.
 func TestJournalProviderClean(t *testing.T) { expectSuite(t, "pocd/journal") }
-
-// Malformed facts directives are diagnostics in their own right.
-func TestFactsDirectiveErrors(t *testing.T) { expectSuite(t, "dirlab") }
 
 // TestFactsRoundTrip is the golden facts-file test: encode → decode →
 // identical summaries, deterministic bytes, zero summaries stripped,
 // and graceful decoding of empty or foreign-schema files.
 func TestFactsRoundTrip(t *testing.T) {
 	pf := NewPackageFacts("example.com/p")
-	pf.Funcs["Workspace.Acquire"] = FuncSummary{Acquires: "arena"}
-	pf.Funcs["Workspace.Release"] = FuncSummary{Releases: "arena", WritesRecv: true}
+	pf.Funcs["Acc.Add"] = FuncSummary{FoldRecv: true, WritesRecv: true}
 	pf.Funcs["Route"] = FuncSummary{FoldParams: []int{0, 2}, FoldGlobal: true}
 	pf.Funcs["Server.loop"] = FuncSummary{WritesRecv: true, JournalAppend: true}
 	pf.Funcs["pure"] = FuncSummary{} // zero: must be stripped
@@ -57,7 +51,7 @@ func TestFactsRoundTrip(t *testing.T) {
 	if _, ok := dec.Funcs["pure"]; ok {
 		t.Errorf("zero summary survived encoding")
 	}
-	for _, key := range []string{"Workspace.Acquire", "Workspace.Release", "Route", "Server.loop"} {
+	for _, key := range []string{"Acc.Add", "Route", "Server.loop"} {
 		got, ok := dec.Funcs[key]
 		if !ok {
 			t.Errorf("summary %s lost in round trip", key)

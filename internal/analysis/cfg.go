@@ -6,13 +6,12 @@ import (
 )
 
 // A minimal intra-function control-flow graph, built from the AST,
-// for the flow-sensitive analyzers (arenapair's all-paths release
-// check, journalorder's dominance check). It models the statement
+// for journalorder's dominance check. It models the statement
 // structures the repo actually uses — if/else, for, range, switch,
 // type switch, select, return, break/continue, labeled statements,
-// panic — and is deliberately conservative where Go gets exotic:
-// goto edges go straight to exit, and function literals are opaque
-// (their bodies are not part of the enclosing function's graph).
+// panic. goto edges go straight to exit, so a path that jumps to a
+// label is not seen there, and function literals are opaque (their
+// bodies are not part of the enclosing function's graph).
 
 // cfgBlock is one basic block: a run of simple statements plus the
 // successor edges out of it.
@@ -20,12 +19,6 @@ type cfgBlock struct {
 	stmts  []ast.Stmt
 	succs  []*cfgBlock
 	npreds int
-	// exits marks a block that leaves the function: a return, a panic,
-	// or the synthetic exit block reached by falling off the end.
-	exits bool
-	// ret is the terminating return/panic statement when exits was set
-	// by one (nil for the synthetic exit).
-	ret ast.Stmt
 }
 
 // cfg is one function body's graph.
@@ -53,7 +46,6 @@ type cfgBuilder struct {
 func buildCFG(body *ast.BlockStmt) *cfg {
 	b := &cfgBuilder{g: &cfg{}}
 	b.g.exit = b.newBlock()
-	b.g.exit.exits = true
 	b.g.entry = b.newBlock()
 	if last := b.stmts(body.List, b.g.entry); last != nil {
 		b.link(last, b.g.exit)
@@ -104,15 +96,11 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock) *cfgBlock {
 	switch st := s.(type) {
 	case *ast.ReturnStmt:
 		cur.stmts = append(cur.stmts, st)
-		cur.exits = true
-		cur.ret = st
 		return nil
 
 	case *ast.ExprStmt:
 		cur.stmts = append(cur.stmts, st)
 		if call, ok := st.X.(*ast.CallExpr); ok && isPanicCall(call) {
-			cur.exits = true
-			cur.ret = st
 			return nil
 		}
 		return cur
@@ -226,8 +214,8 @@ func (b *cfgBuilder) stmt(s ast.Stmt, cur *cfgBlock) *cfgBlock {
 				b.link(cur, f.continueTo)
 			}
 		case token.GOTO:
-			// Conservative: a goto may land anywhere; route it to exit
-			// so arenapair never claims a path it cannot see.
+			// A goto may land anywhere; its edge goes to exit rather
+			// than to a guessed target.
 			b.link(cur, b.g.exit)
 		case token.FALLTHROUGH:
 			// Edge added structurally in switchLike.

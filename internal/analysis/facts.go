@@ -49,13 +49,6 @@ type FuncSummary struct {
 	// it to recognize state mutations behind helper calls.
 	WritesRecv bool `json:"writes_recv,omitempty"`
 
-	// Acquires/Releases carry the //lint:acquire <kind> and
-	// //lint:release <kind> directives: the function hands out (or
-	// takes back) a pooled resource of that kind. arenapair pairs the
-	// two flow-sensitively.
-	Acquires string `json:"acquires,omitempty"`
-	Releases string `json:"releases,omitempty"`
-
 	// JournalAppend reports that the function appends to a write-ahead
 	// journal (a method named Append on a type declared in a package
 	// whose import path ends in "journal"), directly or transitively.
@@ -71,8 +64,7 @@ func (s FuncSummary) FoldsFloat() bool {
 // zero reports whether the summary carries no facts (omitted from the
 // encoded file to keep facts small and diffs readable).
 func (s FuncSummary) zero() bool {
-	return !s.FoldsFloat() && !s.WritesRecv &&
-		s.Acquires == "" && s.Releases == "" && !s.JournalAppend
+	return !s.FoldsFloat() && !s.WritesRecv && !s.JournalAppend
 }
 
 // PackageFacts is one package's serializable fact set.

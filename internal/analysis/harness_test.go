@@ -38,7 +38,7 @@ type loadedPkg struct {
 
 // testImporter resolves testdata sibling packages before the std
 // library, loading them on demand (xfacts/use imports xfacts/helper,
-// srvlab a mock pocd/journal, arenalab its arenalab/pool).
+// srvlab a mock pocd/journal, writerlab/client writerlab).
 type testImporter struct {
 	t      *testing.T
 	root   string

@@ -16,14 +16,12 @@ import (
 // (which are already transitively closed, making the whole relation
 // transitive without a global fixpoint).
 //
-// Three source directives feed the pass:
+// One source directive feeds the pass:
 //
-//	//lint:acquire <kind>   (func doc) function hands out a pooled resource
-//	//lint:release <kind>   (func doc) function takes one back
 //	//lint:owner <fn>[,<fn>...]  (struct field) only these functions may
 //	                         write the field, never from a spawned goroutine
 //
-// Malformed directives are diagnostics (analyzer "poclint"), same as a
+// A malformed one is a diagnostic (analyzer "poclint"), same as a
 // reason-less //lint:allow.
 
 // rootKind classifies where an expression's leftmost identifier is
@@ -66,7 +64,7 @@ type funcInfo struct {
 // ComputeFacts builds the package's fact set. imports carries the
 // facts of already-analyzed dependencies (nil is fine: summaries then
 // stop at the package boundary, which is exactly v1 behavior). The
-// returned diagnostics report malformed directives.
+// returned diagnostics report malformed //lint:owner directives.
 func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 	info *types.Info, path string, imports map[string]*PackageFacts) (*PackageFacts, []Diagnostic) {
 
@@ -92,7 +90,7 @@ func ComputeFacts(fset *token.FileSet, files []*ast.File, pkg *types.Package,
 			if key == "" {
 				continue
 			}
-			fi := summarizeFunc(p, decl, key, &diags)
+			fi := summarizeFunc(p, decl, key)
 			funcs = append(funcs, fi)
 			byKey[key] = fi
 		}
@@ -178,16 +176,13 @@ func addFoldParam(sum *FuncSummary, i int) {
 func summaryEqual(a, b FuncSummary) bool {
 	return slices.Equal(a.FoldParams, b.FoldParams) &&
 		a.FoldRecv == b.FoldRecv && a.FoldGlobal == b.FoldGlobal &&
-		a.WritesRecv == b.WritesRecv &&
-		a.Acquires == b.Acquires && a.Releases == b.Releases &&
-		a.JournalAppend == b.JournalAppend
+		a.WritesRecv == b.WritesRecv && a.JournalAppend == b.JournalAppend
 }
 
 // summarizeFunc computes one function's direct summary and call list.
-func summarizeFunc(p *Pass, decl *ast.FuncDecl, key string, diags *[]Diagnostic) *funcInfo {
+func summarizeFunc(p *Pass, decl *ast.FuncDecl, key string) *funcInfo {
 	fi := frameOf(p, decl)
 	fi.key = key
-	fi.sum.Acquires, fi.sum.Releases = funcDirectives(p, decl, diags)
 
 	ast.Inspect(decl.Body, func(n ast.Node) bool {
 		switch x := n.(type) {
@@ -333,35 +328,6 @@ func refLike(t types.Type) bool {
 		return true
 	}
 	return false
-}
-
-// funcDirectives parses //lint:acquire and //lint:release from a
-// function's doc comment.
-func funcDirectives(p *Pass, decl *ast.FuncDecl, diags *[]Diagnostic) (acquire, release string) {
-	if decl.Doc == nil {
-		return "", ""
-	}
-	for _, c := range decl.Doc.List {
-		for _, d := range []struct {
-			prefix string
-			out    *string
-		}{{"//lint:acquire", &acquire}, {"//lint:release", &release}} {
-			rest, found := strings.CutPrefix(c.Text, d.prefix)
-			if !found {
-				continue
-			}
-			fields := strings.Fields(rest)
-			if len(fields) != 1 {
-				*diags = append(*diags, Diagnostic{
-					Pos: p.Fset.Position(c.Pos()), Analyzer: "poclint",
-					Message: "malformed " + d.prefix + ": want exactly one resource kind",
-				})
-				continue
-			}
-			*d.out = fields[0]
-		}
-	}
-	return acquire, release
 }
 
 // collectOwners parses //lint:owner directives on struct fields into

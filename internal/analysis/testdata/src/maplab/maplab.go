@@ -144,7 +144,7 @@ func allowedLineAbove(m map[string]float64) float64 {
 func wrongAnalyzer(m map[string]float64) float64 {
 	t := 0.0
 	for _, v := range m {
-		//lint:allow walltime names the wrong analyzer, must not suppress
+		//lint:allow journalorder names the wrong analyzer, must not suppress
 		t += v // want "ordered by map iteration"
 	}
 	return t

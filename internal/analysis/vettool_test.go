@@ -31,9 +31,9 @@ func buildPoclint(t *testing.T) (bin, root string) {
 // TestVetToolCleanTree is the meta-gate: it builds cmd/poclint and
 // runs it over the whole module through the real `go vet -vettool`
 // protocol, asserting the tree is invariant-clean. This is the same
-// invocation CI runs; a reverted map-order fix or a new wall-clock
-// read in internal/ fails this test locally before it fails the lint
-// job.
+// invocation CI runs; a reverted map-order fix or a journal append
+// moved after its mutation fails this test locally before it fails the
+// lint job.
 func TestVetToolCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the module and vets every package")

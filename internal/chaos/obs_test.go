@@ -98,38 +98,39 @@ func TestObsMatchesReport(t *testing.T) {
 			recalls, reauctions, rep)
 	}
 
-	if got := reg.Counter("chaos.recalls"); got != int64(recalls) {
+	ex := reg.Capture()
+	if got := ex.Counters["chaos.recalls"]; got != int64(recalls) {
 		t.Fatalf("chaos.recalls = %d, report shows %d recall actions", got, recalls)
 	}
-	if got := reg.Counter("chaos.reauctions.succeeded"); got != int64(reauctions) {
+	if got := ex.Counters["chaos.reauctions.succeeded"]; got != int64(reauctions) {
 		t.Fatalf("chaos.reauctions.succeeded = %d, report shows %d", got, reauctions)
 	}
-	if got := int64(rep.Reauctions); got != reg.Counter("chaos.reauctions.succeeded") {
+	if got := int64(rep.Reauctions); got != ex.Counters["chaos.reauctions.succeeded"] {
 		t.Fatalf("Report.Reauctions = %d disagrees with counter %d",
-			got, reg.Counter("chaos.reauctions.succeeded"))
+			got, ex.Counters["chaos.reauctions.succeeded"])
 	}
-	if att := reg.Counter("chaos.reauctions.attempted"); att < reg.Counter("chaos.reauctions.succeeded") {
-		t.Fatalf("attempted %d < succeeded %d", att, reg.Counter("chaos.reauctions.succeeded"))
+	if att := ex.Counters["chaos.reauctions.attempted"]; att < ex.Counters["chaos.reauctions.succeeded"] {
+		t.Fatalf("attempted %d < succeeded %d", att, ex.Counters["chaos.reauctions.succeeded"])
 	}
 	// Exact float equality: both sides accumulate the identical penalty
 	// values in the identical order.
-	if got := reg.Float("chaos.penalty_income"); got != rep.PenaltyIncome {
+	if got := ex.Floats["chaos.penalty_income"]; got != rep.PenaltyIncome {
 		t.Fatalf("chaos.penalty_income = %v, report shows %v", got, rep.PenaltyIncome)
 	}
-	if got := reg.Counter("chaos.escalations"); got < 1 {
+	if got := ex.Counters["chaos.escalations"]; got < 1 {
 		t.Fatalf("chaos.escalations = %d, want >= 1", got)
 	}
-	if got := reg.Counter("chaos.events.cut-bp"); got != 1 {
+	if got := ex.Counters["chaos.events.cut-bp"]; got != 1 {
 		t.Fatalf("chaos.events.cut-bp = %d, want 1", got)
 	}
 
 	// Per-epoch timelines cover every simulated epoch, and delivered_min
 	// matches the worst per-class delivery the report recorded.
-	min := reg.Timeline("chaos.delivered_min")
+	min := ex.Timelines["chaos.delivered_min"]
 	if len(min) != epochs {
 		t.Fatalf("delivered_min has %d entries, want %d", len(min), epochs)
 	}
-	failed := reg.Timeline("chaos.failed_links")
+	failed := ex.Timelines["chaos.failed_links"]
 	if len(failed) != epochs {
 		t.Fatalf("failed_links has %d entries, want %d", len(failed), epochs)
 	}

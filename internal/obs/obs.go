@@ -142,16 +142,6 @@ func (r *Registry) Add(name string, delta int64) {
 	r.mu.Unlock()
 }
 
-// Counter returns a counter's current value (0 if never written).
-func (r *Registry) Counter(name string) int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.counters[name]
-}
-
 // AddFloat accumulates into a float. Float addition is not
 // associative: serial sections only.
 func (r *Registry) AddFloat(name string, v float64) {
@@ -167,16 +157,6 @@ func (r *Registry) AddFloat(name string, v float64) {
 	r.mu.Unlock()
 }
 
-// Float returns a float accumulator's current value.
-func (r *Registry) Float(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.floats[name]
-}
-
 // Set writes a gauge (last write wins). Order-dependent: serial
 // sections only.
 func (r *Registry) Set(name string, v float64) {
@@ -190,16 +170,6 @@ func (r *Registry) Set(name string, v float64) {
 	r.gauges[name] = v
 	r.fresh &^= famGauges
 	r.mu.Unlock()
-}
-
-// Gauge returns a gauge's current value.
-func (r *Registry) Gauge(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.gauges[name]
 }
 
 // SetMax raises a running maximum. Max is commutative: safe from
@@ -316,16 +286,6 @@ func (r *Registry) Append(name string, v float64) {
 	r.lines[name] = append(r.lines[name], v)
 	r.fresh &^= famLines
 	r.mu.Unlock()
-}
-
-// Timeline returns a copy of a timeline's points.
-func (r *Registry) Timeline(name string) []float64 {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return append([]float64(nil), r.lines[name]...)
 }
 
 // SpanHandle closes one span opened by StartSpan.

@@ -46,8 +46,8 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 			}
 		}()
 	}
-	if r.Counter("a") != 0 || r.Float("b") != 0 || r.Gauge("c") != 0 {
-		t.Fatal("nil registry returned non-zero values")
+	if e := r.Capture(); e.Counters != nil || e.Floats != nil || e.Gauges != nil {
+		t.Fatal("nil registry captured values")
 	}
 	b, err := r.MarshalJSON()
 	if err != nil {
@@ -79,17 +79,17 @@ func TestCountersGaugesFloats(t *testing.T) {
 	r := New()
 	r.Add("checks", 3)
 	r.Add("checks", 4)
-	if got := r.Counter("checks"); got != 7 {
+	if got := r.Capture().Counters["checks"]; got != 7 {
 		t.Fatalf("counter = %d, want 7", got)
 	}
 	r.AddFloat("income", 0.25)
 	r.AddFloat("income", 0.5)
-	if got := r.Float("income"); got != 0.75 {
+	if got := r.Capture().Floats["income"]; got != 0.75 {
 		t.Fatalf("float = %v, want 0.75", got)
 	}
 	r.Set("cost", 10)
 	r.Set("cost", 20)
-	if got := r.Gauge("cost"); got != 20 {
+	if got := r.Capture().Gauges["cost"]; got != 20 {
 		t.Fatalf("gauge = %v, want 20 (last write wins)", got)
 	}
 	r.SetMax("peak", 5)
@@ -132,7 +132,7 @@ func TestKeyedMaxAndTimeline(t *testing.T) {
 	}
 	r.Append("net", 1)
 	r.Append("net", -2)
-	tl := r.Timeline("net")
+	tl := r.Capture().Timelines["net"]
 	if len(tl) != 2 || tl[0] != 1 || tl[1] != -2 {
 		t.Fatalf("timeline = %v", tl)
 	}
@@ -185,10 +185,10 @@ func TestCommutativeOpsUnderRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := r.Counter("n"); got != workers*per {
+	e := r.Capture()
+	if got := e.Counters["n"]; got != workers*per {
 		t.Fatalf("counter = %d, want %d", got, workers*per)
 	}
-	e := r.Capture()
 	if e.Maxima["m"] != float64(workers*per-1) {
 		t.Fatalf("max = %v", e.Maxima["m"])
 	}
@@ -244,11 +244,11 @@ func TestExportDeterminism(t *testing.T) {
 
 // TestMetaCarriesPoclintVersion: pocsim stamps the linter
 // version into the export meta (reg.SetMeta("poclint", ...)); the tag
-// must be the current v4 one and round-trip verbatim into the export
+// must be the current v5 one and round-trip verbatim into the export
 // so baselines record which analyzer generation vetted the run.
 func TestMetaCarriesPoclintVersion(t *testing.T) {
-	if analysis.Version != "poclint/v4" {
-		t.Fatalf("analysis.Version = %q, want poclint/v4", analysis.Version)
+	if analysis.Version != "poclint/v5" {
+		t.Fatalf("analysis.Version = %q, want poclint/v5", analysis.Version)
 	}
 	r := New()
 	r.SetMeta("poclint", analysis.Version)
@@ -256,7 +256,7 @@ func TestMetaCarriesPoclintVersion(t *testing.T) {
 	if err := r.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"poclint"`)) || !bytes.Contains(buf.Bytes(), []byte(`"poclint/v4"`)) {
+	if !bytes.Contains(buf.Bytes(), []byte(`"poclint"`)) || !bytes.Contains(buf.Bytes(), []byte(`"poclint/v5"`)) {
 		t.Fatalf("export meta missing the poclint version tag:\n%s", buf.String())
 	}
 }

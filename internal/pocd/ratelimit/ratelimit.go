@@ -8,9 +8,8 @@
 //
 // The limiter never samples the wall clock itself: the current time
 // is injected per call by the caller (cmd/pocd passes time.Now; tests
-// pass a fake). That keeps internal/ free of clock reads — the
-// poclint walltime invariant — and makes every admission decision
-// reproducible in tests.
+// pass a fake). That keeps internal/ free of clock reads and makes
+// every admission decision reproducible in tests.
 package ratelimit
 
 import (

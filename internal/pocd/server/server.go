@@ -10,10 +10,10 @@
 // from it without queuing behind the backlog, and see every
 // acknowledged op.
 //
-// The package never reads the wall clock (poclint's walltime analyzer
-// enforces this for all of internal/): callers inject a clock via
+// The package never reads the wall clock: callers inject a clock via
 // Config.Now, which keeps timeout decisions testable and keeps the
-// replay path entirely clock-free.
+// replay path entirely clock-free. The server tests drive deadlines
+// through a fake clock, so a wall-clock read in the writer fails them.
 package server
 
 import (

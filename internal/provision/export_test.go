@@ -33,6 +33,14 @@ func (ws *Workspace) FreeArenas() int {
 	return len(ws.free)
 }
 
+// Lent counts the arenas and routings ws has handed out and not had
+// back.
+func (ws *Workspace) Lent() (arenas, routings int) {
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	return ws.lent[0], ws.lent[1]
+}
+
 // StateHash digests everything a TryDrop may touch, for the trajectory
 // test in package provision_test: every live routing's assignments as
 // (src, dst, Gbps bits, links) in pair order then list order, followed

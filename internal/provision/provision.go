@@ -501,8 +501,6 @@ func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Op
 
 // route is Route on a resolved workspace and a demand shape: it places
 // sh on an arena it holds for the call.
-//
-//lint:acquire routing
 func (ws *Workspace) route(include *linkset.Set, sh *shape, opts Options, avoid []*linkset.Set) *Routing {
 	rt := ws.acquire()
 	defer ws.release(rt)
@@ -512,8 +510,6 @@ func (ws *Workspace) route(include *linkset.Set, sh *shape, opts Options, avoid 
 
 // route runs the three routing phases on an arena that has already
 // been configured via apply, into a routing taken from ws.
-//
-//lint:acquire routing
 func (rt *router) route(ws *Workspace, sh *shape, opts Options, avoidPrimary []*linkset.Set) *Routing {
 	res := ws.takeRouting(sh)
 

@@ -54,6 +54,9 @@ type Workspace struct {
 	free  []*router
 	freeR []*Routing  // routings that never left the package, for takeRouting
 	freeL []shaveLogs // closed Shavers' logs, for takeLogs
+	// lent counts the arenas [0] and routings [1] out and not yet
+	// back, so a test can see a lease that no path returns.
+	lent [2]int
 
 	// Single-slot cache keyed by traffic-matrix pointer. The demand
 	// shape is a pure function of the matrix, which is constant across
@@ -87,13 +90,13 @@ func (o Options) resolve(p *topo.POCNetwork) Options {
 }
 
 // acquire pops a free arena or builds one. Every acquire must be
-// released on all paths (poclint arenapair enforces it): a leaked
-// arena pins its allocation until the workspace dies and silently
-// degrades pool reuse for every later call.
-//
-//lint:acquire arena
+// released on all paths (TestEveryEntryPointReturnsItsLeases checks
+// the lent count after every entry point): a leaked arena pins its
+// allocation until the workspace dies and silently degrades pool reuse
+// for every later call.
 func (ws *Workspace) acquire() *router {
 	ws.mu.Lock()
+	ws.lent[0]++
 	if n := len(ws.free); n > 0 {
 		rt := ws.free[n-1]
 		ws.free[n-1] = nil
@@ -106,10 +109,9 @@ func (ws *Workspace) acquire() *router {
 }
 
 // release returns an arena to the free list.
-//
-//lint:release arena
 func (ws *Workspace) release(rt *router) {
 	ws.mu.Lock()
+	ws.lent[0]--
 	ws.free = append(ws.free, rt)
 	ws.mu.Unlock()
 }
@@ -117,11 +119,10 @@ func (ws *Workspace) release(rt *router) {
 // takeRouting pops a recycled Routing, or makes one, reset to carry sh.
 // A routing that stays inside the package is given back by whoever
 // holds it last; one returned to a caller of the package never is.
-//
-//lint:acquire routing
 func (ws *Workspace) takeRouting(sh *shape) *Routing {
 	var r *Routing
 	ws.mu.Lock()
+	ws.lent[1]++
 	if n := len(ws.freeR); n > 0 {
 		r, ws.freeR[n-1] = ws.freeR[n-1], nil
 		ws.freeR = ws.freeR[:n-1]
@@ -135,10 +136,9 @@ func (ws *Workspace) takeRouting(sh *shape) *Routing {
 }
 
 // giveRouting puts a routing nothing refers to any more on the free list.
-//
-//lint:release routing
 func (ws *Workspace) giveRouting(r *Routing) {
 	ws.mu.Lock()
+	ws.lent[1]--
 	ws.freeR = append(ws.freeR, r)
 	ws.mu.Unlock()
 }

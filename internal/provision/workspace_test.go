@@ -7,7 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/public-option/poc/internal/linkset"
 	"github.com/public-option/poc/internal/topo"
+	"github.com/public-option/poc/internal/traffic"
 )
 
 // TestArenasShareOneGraph: every arena a workspace hands out — held at
@@ -109,5 +111,71 @@ func TestConstraint2CheckHoldsOneArena(t *testing.T) {
 	}
 	if got := opts.Workspace.FreeArenas(); got != 1 {
 		t.Fatalf("one Constraint-2 check over %d scenarios left %d arenas on the free list, want 1", routed, got)
+	}
+}
+
+// TestEveryEntryPointReturnsItsLeases: each entry point, run on a fresh
+// workspace under every constraint on a feasible set and an infeasible
+// one, gives back every arena and routing it took, except the one
+// routing Check and Route hand their caller. A leak changes no verdict
+// and no byte of output; it only pins memory and degrades reuse for
+// every later call, so the workspace's own count is what shows it.
+func TestEveryEntryPointReturnsItsLeases(t *testing.T) {
+	// Two regions with no link between them and demand inside each, so
+	// a decomposing probe is stitched from its parts.
+	rng := rand.New(rand.NewSource(1))
+	p := splitNet(rng, 12, 10, 20)
+	tm := traffic.NewMatrix(len(p.Routers))
+	sideTM(rng, tm, 0, 12, 6, 7)
+	sideTM(rng, tm, 12, 10, 5, 7)
+	price := func(l int) float64 { return p.Links[l].DistanceKm }
+	stitched := int64(0)
+	for _, c := range []Constraint{Constraint1, Constraint2, Constraint3} {
+		for _, include := range []*linkset.Set{nil, linkset.New(len(p.Links))} {
+			probe := func(decompose bool) func(Options) bool {
+				return func(o Options) bool {
+					fc := NewFeasibilityCache()
+					sum, _ := fc.Probe(p, include, tm, c, o, 0, true, decompose)
+					stitched += fc.Stats().Decompositions
+					return sum.Feasible
+				}
+			}
+			entries := []struct {
+				name     string
+				routings int // lent to the caller by contract
+				run      func(Options) bool
+			}{
+				{"Check", 1, func(o Options) bool { ok, _ := Check(p, include, tm, c, o); return ok }},
+				{"Route", 1, func(o Options) bool { return Route(p, include, tm, o, nil).Feasible() }},
+				{"CheckCore", 0, func(o Options) bool { ok, _ := CheckCore(p, include, tm, c, o); return ok }},
+				{"primaryPaths", 0, func(o Options) bool {
+					_, unreachable := PrimaryPathsOpts(p, include, tm, o)
+					return len(unreachable) == 0
+				}},
+				{"Probe", 0, probe(false)},
+				{"Probe/decompose", 0, probe(true)},
+				{"Shaver", 0, func(o Options) bool {
+					s, ok := NewShaver(p, include, tm, c, o)
+					if ok {
+						s.Shave(price, 0)
+						s.Close()
+					}
+					return ok
+				}},
+			}
+			for _, e := range entries {
+				opts := Options{Workspace: NewWorkspace(p, Options{})}
+				if got, want := e.run(opts), include == nil; got != want {
+					t.Fatalf("%v %s: feasible %v, want %v", c, e.name, got, want)
+				}
+				if arenas, routings := opts.Workspace.Lent(); arenas != 0 || routings != e.routings {
+					t.Errorf("%v %s (feasible %v): %d arenas and %d routings still lent, want 0 and %d",
+						c, e.name, include == nil, arenas, routings, e.routings)
+				}
+			}
+		}
+	}
+	if stitched == 0 {
+		t.Fatal("no probe was stitched from its parts: the decomposition path went unchecked")
 	}
 }
