@@ -32,7 +32,6 @@ import (
 
 	poc "github.com/public-option/poc"
 	"github.com/public-option/poc/cmd/internal/diag"
-	"github.com/public-option/poc/internal/analysis"
 	"github.com/public-option/poc/internal/netsim"
 	"github.com/public-option/poc/internal/provision"
 )
@@ -96,10 +95,6 @@ func run() (err error) {
 	var reg *poc.Observer
 	if *metrics != "" {
 		reg = poc.NewObserver()
-		// Tag the ledger with the lint baseline the tree passed when
-		// this binary was built — a constant, so the export stays
-		// byte-identical across runs.
-		reg.SetMeta("poclint", analysis.Version)
 	}
 
 	if *constraint < 1 || *constraint > 3 {

@@ -264,15 +264,16 @@ func failedAuctionExport(t *testing.T, workers int) []byte {
 	return out
 }
 
-// TestSortedIterationDeterminism pins the poclint floatorder fixes
-// that changed bytes: interdomain.TransitBill and
-// federation.SegmentUsage now accumulate in sorted-ID order instead of
-// map order. Each result must be bit-identical to a reference sum
-// folded explicitly in ascending ID order AND bit-identical across
-// repeated calls — with ULP-sensitive addends, either reverting to map
-// iteration almost surely breaks one of the two. (The third fixed
-// accumulation, core.linkPaymentShare, is covered byte-wise by
-// TestChaosReportDeterminism through the chaos.Recall ladder.)
+// TestSortedIterationDeterminism pins two float folds that once ran in
+// map order and changed bytes when fixed: interdomain.TransitBill and
+// federation.SegmentUsage accumulate in sorted-ID order. Each result
+// must be bit-identical to a reference sum folded explicitly in
+// ascending ID order AND bit-identical across repeated calls — with
+// ULP-sensitive addends, either reverting to map iteration almost
+// surely breaks one of the two. (The third fixed accumulation,
+// core.linkPaymentShare, is covered byte-wise by
+// TestChaosReportDeterminism through the chaos.Recall ladder, and
+// core.BillEpoch's folds by core's TestBillEpochFoldsInMemberOrder.)
 func TestSortedIterationDeterminism(t *testing.T) {
 	// interdomain: a star AS graph — src and 24 stubs all buy transit
 	// from AS 100, so every destination rides a billable provider route.

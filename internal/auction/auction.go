@@ -175,9 +175,10 @@ func (pt *priceTable) metric(l topo.LogicalLink) float64 {
 // exported byte, on success or failure — is the same for any Workers.
 //
 // Run derives its per-run state once and hands it to every winner
-// determination: the price table (priceOfLink), the cache context, one
-// workspace for the main determination and one that every
-// counterfactual draws its arenas from.
+// determination: each bid's links in ID order, the price table
+// (priceOfLink), the cache context, one workspace for the main
+// determination and one that every counterfactual draws its arenas
+// from.
 func (in *Instance) Run() (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -186,7 +187,8 @@ func (in *Instance) Run() (*Result, error) {
 	// the next Run on this instance — or on a copy with other bids — must
 	// derive its own.
 	opts := in.RouteOpts
-	rc := &runCtx{prices: in.priceOfLink()}
+	rc := &runCtx{links: sortedBidLinks(in.Bids)}
+	rc.prices = in.priceOfLink(rc.links)
 	opts.LinkCost = rc.prices.metric
 	workers := in.Workers
 	if workers <= 0 {
@@ -223,7 +225,7 @@ func (in *Instance) Run() (*Result, error) {
 		Alternative: make([]float64, len(in.Bids)),
 		Checks:      sel.checks,
 	}
-	perBP := in.linksByBP(sel.set)
+	perBP := linksByBP(rc.links, sel.set)
 	var need []int
 	for a, bid := range in.Bids {
 		res.BPCost[a] = bid.Cost(perBP[a])
@@ -401,40 +403,53 @@ func (in *Instance) validate() error {
 	return nil
 }
 
-// linksByBP partitions a selected set into per-BP sorted link lists
-// following the bids (not link ownership, so withheld links never
-// count).
-func (in *Instance) linksByBP(set *linkset.Set) [][]int {
-	out := make([][]int, len(in.Bids))
-	for a, b := range in.Bids {
-		out[a] = bidLinks(nil, b, set)
+// sortedBidLinks returns a copy of each bid's links in ascending ID
+// order. Every CostFn call of a Run reads these: a float cost summed in
+// another order lands on other bits, so pricing the bid's own order
+// would let a BP move the selection by reordering its list.
+func sortedBidLinks(bids []Bid) [][]int {
+	out := make([][]int, len(bids))
+	for a, b := range bids {
+		out[a] = slices.Clone(b.Links)
+		slices.Sort(out[a])
 	}
 	return out
 }
 
-// bidLinks fills the empty slice dst with b's links in set, sorted.
-func bidLinks(dst []int, b Bid, set *linkset.Set) []int {
-	for _, id := range b.Links {
+// linksByBP partitions a selected set into per-BP sorted link lists
+// following the bids (not link ownership, so withheld links never
+// count). links is sortedBidLinks of the bids.
+func linksByBP(links [][]int, set *linkset.Set) [][]int {
+	out := make([][]int, len(links))
+	for a, l := range links {
+		out[a] = bidLinks(nil, l, set)
+	}
+	return out
+}
+
+// bidLinks fills the empty slice dst with the links in set, in the
+// order links lists them.
+func bidLinks(dst, links []int, set *linkset.Set) []int {
+	for _, id := range links {
 		if set.Contains(id) {
 			dst = append(dst, id)
 		}
 	}
-	sort.Ints(dst)
 	return dst
 }
 
 // costOf evaluates C(L) for a candidate set: Σ_a C_a(L ∩ L_a) plus
 // virtual contract prices. Every bid is priced on one scratch slice
 // holding what linksByBP would list for it.
-func (in *Instance) costOf(set *linkset.Set) float64 {
+func (in *Instance) costOf(set *linkset.Set, links [][]int) float64 {
 	longest := 0
-	for _, b := range in.Bids {
-		longest = max(longest, len(b.Links))
+	for _, l := range links {
+		longest = max(longest, len(l))
 	}
-	total, links := 0.0, make([]int, 0, longest)
-	for _, b := range in.Bids {
-		links = bidLinks(links[:0], b, set)
-		c := b.Cost(links)
+	total, scratch := 0.0, make([]int, 0, longest)
+	for a, b := range in.Bids {
+		scratch = bidLinks(scratch[:0], links[a], set)
+		c := b.Cost(scratch)
 		if math.IsInf(c, 1) {
 			return math.Inf(1)
 		}
@@ -456,11 +471,12 @@ type selection struct {
 }
 
 // runCtx is what one Run derives once and every winner determination
-// reads: the price table, the feasibility memo, the instance's
-// price-metric fingerprint (zero for a private per-run cache), and
-// whether the cache outlives the run (external ⇒ no obs recording
-// through it).
+// reads: each bid's links in ID order, the price table, the feasibility
+// memo, the instance's price-metric fingerprint (zero for a private
+// per-run cache), and whether the cache outlives the run (external ⇒
+// no obs recording through it).
 type runCtx struct {
+	links    [][]int
 	prices   *priceTable
 	fc       *provision.FeasibilityCache
 	base     uint64
@@ -525,11 +541,13 @@ func (in *Instance) offered(excludeBP int) *linkset.Set {
 // price would miss; virtual links use their contract price. When a bid
 // prices its full set at +Inf (pathological), the singleton price is
 // the fallback. It costs Σ_a(|L_a|+1) bid evaluations of O(|L_a|)
-// each, so Run calls it once and shares the result.
-func (in *Instance) priceOfLink() *priceTable {
+// each, so Run calls it once and shares the result. links is
+// sortedBidLinks of the bids: a bid is priced on its links in ID
+// order, whatever order it lists them in.
+func (in *Instance) priceOfLink(links [][]int) *priceTable {
 	offered := len(in.Virtual)
-	for _, b := range in.Bids {
-		offered += len(b.Links)
+	for _, l := range links {
+		offered += len(l)
 	}
 	pt := &priceTable{of: make([]float64, len(in.Network.Links)), byPrice: make([]int, 0, offered)}
 	for i := range pt.of {
@@ -540,16 +558,17 @@ func (in *Instance) priceOfLink() *priceTable {
 		pt.byPrice = append(pt.byPrice, id)
 	}
 	scratch := make([]int, 0, 64)
-	for _, b := range in.Bids {
-		full := b.Cost(b.Links)
-		for i, id := range b.Links {
+	for a, b := range in.Bids {
+		l := links[a]
+		full := b.Cost(l)
+		for i, id := range l {
 			if math.IsInf(full, 1) {
 				set(id, b.Cost([]int{id}))
 				continue
 			}
 			scratch = scratch[:0]
-			scratch = append(scratch, b.Links[:i]...)
-			scratch = append(scratch, b.Links[i+1:]...)
+			scratch = append(scratch, l[:i]...)
+			scratch = append(scratch, l[i+1:]...)
 			p := full - b.Cost(scratch)
 			if p < 0 {
 				p = 0
@@ -719,7 +738,7 @@ func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint6
 		}
 	}
 
-	return selection{set: cur, cost: in.costOf(cur), checks: checks}, nil
+	return selection{set: cur, cost: in.costOf(cur, rc.links), checks: checks}, nil
 }
 
 // dropBatch tries to remove the candidate links from set, bisecting on

@@ -27,8 +27,11 @@ import (
 // does not verify monotonicity but the winner determination assumes
 // the empty set is free.
 //
-// The auction passes scratch slices it reuses for the next call: a
-// CostFn must not retain or modify its argument.
+// The auction evaluates a CostFn only on subsets in ascending ID
+// order, whatever order the bid lists its links in, so a float cost
+// summed in argument order is the same for every listing. It passes
+// scratch slices it reuses for the next call: a CostFn must not retain
+// or modify its argument.
 type CostFn func(links []int) float64
 
 // Bid is one BP's offer: the links it puts up for lease and its

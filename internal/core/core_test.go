@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/public-option/poc/internal/auction"
@@ -285,6 +287,74 @@ func TestFlowsAndBilling(t *testing.T) {
 	}
 	if rep3.Epoch != 2 || math.Abs(rep3.UsageGB["megaflix"]-5400) > 1e-6 {
 		t.Fatalf("epoch after a refused one: %d with usage %v, want 2 with 5400", rep3.Epoch, rep3.UsageGB["megaflix"])
+	}
+}
+
+// TestBillEpochFoldsInMemberOrder: the usage total, the price per GB
+// and the revenue of an epoch are float folds over the members, so
+// their bits depend on the order of the terms. With 24 members and
+// non-dyadic usage, a fold in Go's randomized map order lands on other
+// bits in most runs. The report must equal a fold in member-name order,
+// bit for bit, and be the same in 20 freshly built POCs.
+func TestBillEpochFoldsInMemberOrder(t *testing.T) {
+	const members = 24
+	name := func(i int) string { return fmt.Sprintf("lmp-%02d", i%members) }
+	bill := func() (*EpochReport, float64) {
+		p := activePOC(t)
+		reqs := make([]FlowRequest, members)
+		for i := range members {
+			if _, err := p.AttachLMP(name(i), i%4, peering.Policy{}); err != nil {
+				t.Fatal(err)
+			}
+			reqs[i] = FlowRequest{Src: name(i), Dst: name(i + 5), Gbps: 0.1*float64(i+1) + 0.013/float64(i+3), Class: netsim.BestEffort}
+		}
+		ids, err := p.StartFlows(reqs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if slices.Contains(ids, -1) {
+			t.Fatalf("flow admission failed: %v", ids)
+		}
+		rep, err := p.BillEpoch(3600)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep, p.cfg.ReserveMargin
+	}
+
+	rep, margin := bill()
+	names := make([]string, 0, len(rep.UsageGB))
+	for n := range rep.UsageGB {
+		names = append(names, n)
+	}
+	slices.Sort(names)
+	total := 0.0
+	for _, n := range names {
+		total += rep.UsageGB[n]
+	}
+	plan, err := market.BreakEvenUsagePlan(rep.LeaseCost+rep.VirtualCost, total, margin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.PricePerGB != plan.PerGB {
+		t.Fatalf("PricePerGB = %v, want %v from the usage total in member-name order", rep.PricePerGB, plan.PerGB)
+	}
+	revenue := 0.0
+	for _, n := range names {
+		charge := plan.Charge(rep.UsageGB[n])
+		if rep.MemberCharge[n] != charge {
+			t.Fatalf("MemberCharge[%s] = %v, want %v", n, rep.MemberCharge[n], charge)
+		}
+		revenue += charge
+	}
+	if rep.Revenue != revenue {
+		t.Fatalf("Revenue = %v, want %v folded in member-name order", rep.Revenue, revenue)
+	}
+	for i := 0; i < 20; i++ {
+		again, _ := bill()
+		if again.PricePerGB != rep.PricePerGB || again.Revenue != rep.Revenue || !reflect.DeepEqual(again.MemberCharge, rep.MemberCharge) {
+			t.Fatalf("POC %d bills PricePerGB %v, Revenue %v; the first billed %v, %v", i+1, again.PricePerGB, again.Revenue, rep.PricePerGB, rep.Revenue)
+		}
 	}
 }
 

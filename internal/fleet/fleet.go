@@ -92,9 +92,9 @@ func (c Config) withDefaults() Config {
 // shared is one sweep's cross-cell state: the process-wide
 // feasibility cache and the per-topology bundles.
 type shared struct {
-	// cache is bound only at construction; everyone else reads it
-	// (the FeasibilityCache itself is internally synchronized).
-	cache *provision.FeasibilityCache //lint:owner newShared
+	// cache is set once, in newShared; everyone else only reads the
+	// field (the FeasibilityCache itself is internally synchronized).
+	cache *provision.FeasibilityCache
 
 	mu      sync.Mutex
 	bundles map[string]*bundle

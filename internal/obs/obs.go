@@ -110,8 +110,8 @@ type Span struct {
 	Depth int    `json:"depth"`
 }
 
-// SetMeta attaches a static label to the export (tool versions, lint
-// baselines). Values must themselves be deterministic — never a
+// SetMeta attaches a static label to the export (a fleet cell's key,
+// a tool version). Values must themselves be deterministic — never a
 // timestamp or hostname. Last write per key wins; set from serial
 // orchestration code only.
 func (r *Registry) SetMeta(key, value string) {

@@ -7,8 +7,6 @@ import (
 	"reflect"
 	"sync"
 	"testing"
-
-	"github.com/public-option/poc/internal/analysis"
 )
 
 // TestNilRegistryIsNoOp: every exported method must be callable on a
@@ -239,24 +237,5 @@ func TestExportDeterminism(t *testing.T) {
 	}
 	if !bytes.Contains(a.Bytes(), []byte(Schema)) {
 		t.Fatal("export missing schema marker")
-	}
-}
-
-// TestMetaCarriesPoclintVersion: pocsim stamps the linter
-// version into the export meta (reg.SetMeta("poclint", ...)); the tag
-// must be the current v5 one and round-trip verbatim into the export
-// so baselines record which analyzer generation vetted the run.
-func TestMetaCarriesPoclintVersion(t *testing.T) {
-	if analysis.Version != "poclint/v5" {
-		t.Fatalf("analysis.Version = %q, want poclint/v5", analysis.Version)
-	}
-	r := New()
-	r.SetMeta("poclint", analysis.Version)
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`"poclint"`)) || !bytes.Contains(buf.Bytes(), []byte(`"poclint/v5"`)) {
-		t.Fatalf("export meta missing the poclint version tag:\n%s", buf.String())
 	}
 }

@@ -121,21 +121,29 @@ var errClosed = errors.New("server shutting down")
 
 // Server is the pocd control plane over one deployment.
 type Server struct {
-	cfg     Config
-	jw      *journal.Writer //lint:owner New
-	st      *state          //lint:owner New
+	cfg Config
+	// jw and st are set in New; from then on only the writer goroutine
+	// uses them, until Shutdown has stopped it. No HTTP handler may read
+	// or write them, or it races the writer: a handler reaches the
+	// state through a read closure on the queue (do) or the published
+	// snapshot.
+	jw      *journal.Writer
+	st      *state
 	limiter *ratelimit.Limiter
 
 	// The writer encodes each op's journal payload into opBuf through
-	// opEnc, so both are reused from op to op.
-	opBuf bytes.Buffer  //lint:owner New,Server.handle
-	opEnc *json.Encoder //lint:owner New
+	// opEnc, so both are reused from op to op. Like st, they are the
+	// writer's alone.
+	opBuf bytes.Buffer
+	opEnc *json.Encoder
 
 	queue      chan *request
 	writerDone chan struct{}
 
-	mu     sync.RWMutex // guards closed + enqueue vs close(queue)
-	closed bool         //lint:owner Shutdown
+	// mu guards closed and orders enqueue against close(queue):
+	// closed is written only in Shutdown, under mu.
+	mu     sync.RWMutex
+	closed bool
 
 	ready atomic.Bool
 	snap  atomic.Pointer[Snapshot]
@@ -216,7 +224,7 @@ func New(cfg Config) (*Server, error) {
 
 	s.publish()
 	s.ready.Store(true)
-	go s.writer() //lint:allow floatorder the one writer goroutine; its folds are ordered by the journaled queue, not completion order
+	go s.writer()
 	return s, nil
 }
 
@@ -243,11 +251,13 @@ func (s *Server) publish() {
 
 // writer is the single goroutine that owns the POC. It drains the
 // queue until Shutdown closes it, then exits; queued requests are
-// always answered, never dropped.
+// always answered, never dropped. The state's float folds follow the
+// queue's receive order, which the journal records before each apply,
+// so replay reproduces them exactly.
 func (s *Server) writer() {
 	defer close(s.writerDone)
 	for req := range s.queue {
-		s.handle(req) //lint:allow floatorder receive order is journaled before each apply; replay reproduces it exactly
+		s.handle(req)
 	}
 }
 
@@ -282,13 +292,13 @@ func (s *Server) handle(req *request) {
 	// here, and Append copies the payload before opBuf is reused.
 	// The encoder and its buffer are scratch that recovery never
 	// reads, so writing them ahead of the append diverges nothing.
-	s.opBuf.Reset() //lint:allow journalorder scratch encode buffer, not replayed state
+	s.opBuf.Reset()
 	defer func() {
 		if s.opBuf.Cap() > maxKeptBuf {
 			s.opBuf = bytes.Buffer{} // an outsized op does not pin its buffer
 		}
 	}()
-	if err := s.opEnc.Encode(req.op); err != nil { //lint:allow journalorder scratch encoder, not replayed state
+	if err := s.opEnc.Encode(req.op); err != nil {
 		req.reply <- reply{err: err, status: 500}
 		return
 	}

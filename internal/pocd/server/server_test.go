@@ -164,6 +164,19 @@ func obsExport(t *testing.T, ts *httptest.Server) []byte {
 	return b
 }
 
+// writerExport renders the obs export of the state the writer holds,
+// read on the writer through its queue. It is not the published
+// snapshot: an op applied and then refused returns before the writer
+// publishes, so only the writer's own state shows it.
+func writerExport(t *testing.T, s *Server) []byte {
+	t.Helper()
+	rep := s.do(nil, func(st *state) (any, error) { return st.reg.ExportJSON() })
+	if rep.err != nil {
+		t.Fatalf("writer export: %v", rep.err)
+	}
+	return rep.val.([]byte)
+}
+
 // recordEnds parses the journal frame structure and returns the byte
 // offset just past each record (header record first).
 func recordEnds(t *testing.T, raw []byte) []int64 {
@@ -425,6 +438,13 @@ func TestTimeoutDecidedBeforeJournal(t *testing.T) {
 	second := <-secondDone
 	if !strings.HasPrefix(second, "503") || !strings.Contains(second, "deadline") {
 		t.Fatalf("queued op past deadline: got %q, want 503 deadline", second)
+	}
+	// The writer holds exactly what the journal replays to: the
+	// timed-out op was not applied either.
+	if _, replayed, err := ReplayFile(path, buildRing); err != nil {
+		t.Fatal(err)
+	} else if !bytes.Equal(writerExport(t, s), replayed) {
+		t.Fatal("the writer's obs export diverges from ReplayFile's after a timed-out op")
 	}
 	ts.Close()
 	if err := s.Shutdown(); err != nil {
@@ -713,7 +733,9 @@ func TestSpecMismatchRefused(t *testing.T) {
 // journal writer refuses every later one, so the daemon answers each
 // mutation 503 without applying it and the live state stays exactly
 // what the journal replays to — no op is acknowledged behind a record
-// of unknown durability.
+// of unknown durability. The state the writer holds is checked as well
+// as the published snapshot, and every /v1 endpoint must still answer:
+// a refused op leaves the writer's state as it was, not gone.
 func TestJournalFailureRefusesLaterMutations(t *testing.T) {
 	s, _, path := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
@@ -728,12 +750,18 @@ func TestJournalFailureRefusesLaterMutations(t *testing.T) {
 	if err := s.jw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, step := range script[4:] {
+	// One op of every kind, script[4:] and the kinds it lacks.
+	mutations := append([]struct{ path, body string }{
+		{"/v1/members", `{"name":"late-lmp","kind":"lmp","router":1}`},
+		{"/v1/qos", `{"name":"silver","weight":2,"price":1}`},
+		{"/v1/flows", `{"flows":[{"src":"metro-lmp","dst":"cloud-csp","gbps":1}]}`},
+		{"/v1/reauction", ``},
+	}, script[4:]...)
+	for _, step := range mutations {
 		if code, body := post(t, ts, step.path, step.body); code != 503 {
 			t.Fatalf("POST %s on a broken journal: %d (%s), want 503", step.path, code, body)
 		}
 	}
-	live := obsExport(t, ts)
 	res, replayed, err := ReplayFile(path, buildRing)
 	if err != nil {
 		t.Fatal(err)
@@ -741,8 +769,16 @@ func TestJournalFailureRefusesLaterMutations(t *testing.T) {
 	if res.Ops != 4 || res.TornBytes != 0 {
 		t.Fatalf("journal replays %+v, want the 4 acknowledged ops", res)
 	}
-	if !bytes.Equal(live, replayed) {
+	if !bytes.Equal(obsExport(t, ts), replayed) {
 		t.Fatal("live obs export diverges from ReplayFile's after a journal failure")
+	}
+	if !bytes.Equal(writerExport(t, s), replayed) {
+		t.Fatal("the writer's obs export diverges from ReplayFile's after a journal failure")
+	}
+	for _, path := range []string{"/v1/status", "/v1/utilization", "/v1/qos", "/v1/members", "/v1/obs", "/v1/flows?id=0"} {
+		if resp, body := get(t, ts, path); resp.StatusCode != 200 {
+			t.Fatalf("GET %s on a broken journal: %d (%s), want 200", path, resp.StatusCode, body)
+		}
 	}
 	if err := s.Shutdown(); err == nil {
 		t.Fatal("shutdown reported a clean seal on a broken journal")
