@@ -274,14 +274,18 @@ func (in *Instance) Run() (*Result, error) {
 	alts := make([]selection, len(in.Bids))
 	errs := make([]error, len(in.Bids))
 	cf := in.Obs.StartSpan("auction.counterfactuals")
+	order := need
+	if sweepOrder != nil {
+		order = sweepOrder(slices.Clone(need))
+	}
 	var next atomic.Int64
 	sweep := func() {
 		for {
 			i := int(next.Add(1)) - 1
-			if i >= len(need) {
+			if i >= len(order) {
 				return
 			}
-			a := need[i]
+			a := order[i]
 			alts[a], errs[a] = in.selectLinks(a, cfOpts, cfTag, rc)
 		}
 	}
@@ -324,6 +328,12 @@ func (in *Instance) Run() (*Result, error) {
 	in.record(res, need, rc)
 	return res, nil
 }
+
+// sweepOrder, when non-nil, reorders the BPs the counterfactual sweep
+// takes from its cursor, so a test can fix the order a worker's folds
+// into shared state run in: a test hook, which must return a
+// permutation of need.
+var sweepOrder func(need []int) []int
 
 // paymentBuckets is the fixed layout for the per-BP payment histogram.
 var paymentBuckets = []float64{1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -226,5 +227,97 @@ func TestObsReadsUnderSaturation(t *testing.T) {
 	}
 	if !bytes.Equal(live, replayed) {
 		t.Fatal("export after the drain diverges from ReplayFile's")
+	}
+}
+
+// spaces reads as n ASCII spaces.
+type spaces struct{ n int64 }
+
+func (s *spaces) Read(p []byte) (int, error) {
+	if s.n == 0 {
+		return 0, io.EOF
+	}
+	p = p[:min(int64(len(p)), s.n)]
+	for i := range p {
+		p[i] = ' '
+	}
+	s.n -= int64(len(p))
+	return len(p), nil
+}
+
+// TestOversizedBodyWhileMutating sends a body longer than one journal
+// record on a fresh connection while two clients keep mutations in
+// flight. The 413 is decided on the connection's goroutine, which must
+// touch nothing the writer alone owns (opBuf, opEnc, jw, st): the
+// writer keeps encoding ops into opBuf while the body is read, and a
+// fresh connection has no happens-before edge to it, so under -race a
+// 413 path that touches opBuf is reported.
+func TestOversizedBodyWhileMutating(t *testing.T) {
+	s, _, path := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, step := range script[:3] {
+		if code, body := post(t, ts, step.path, step.body); code != 200 {
+			t.Fatalf("seed %s: %d: %s", step.path, code, body)
+		}
+	}
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				resp, err := http.Post(ts.URL+"/v1/epoch", "application/json", strings.NewReader(`{"seconds":60}`))
+				if err != nil {
+					t.Errorf("mutation: %v", err)
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != 200 {
+					t.Errorf("mutation: status %d", resp.StatusCode)
+					return
+				}
+			}
+		}()
+	}
+	// The padding sits inside the op, so Decode itself hits the bound.
+	const head, tail = `{"seconds":60`, "}"
+	body := io.MultiReader(strings.NewReader(head), &spaces{journal.MaxPayload}, strings.NewReader(tail))
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/epoch", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(len(head)+len(tail)) + journal.MaxPayload
+	fresh := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := fresh.Do(req)
+	close(done)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status %d, want 413", resp.StatusCode)
+	}
+
+	live := obsExport(t, ts)
+	ts.Close()
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	_, replayed, err := ReplayFile(path, buildRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(live, replayed) {
+		t.Fatal("export after the oversized body diverges from ReplayFile's")
 	}
 }

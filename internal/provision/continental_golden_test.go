@@ -9,8 +9,6 @@ import (
 
 	"github.com/public-option/poc/internal/auction"
 	"github.com/public-option/poc/internal/provision"
-	"github.com/public-option/poc/internal/topo"
-	"github.com/public-option/poc/internal/traffic"
 )
 
 // hashOutcome digests an auction's winners and, per BP, its payment,
@@ -54,27 +52,9 @@ func TestConnectedContinentalGolden(t *testing.T) {
 		wantHash   = "aa7cc71c7c0ba18aa572da9ae689deae8feaff0e7e75326ae0422ee532ea34d8"
 		wantChecks = 680
 	)
-	cfg := topo.SynthConfig{
-		Seed: 1, Regions: 4, Routers: 100, Links: 400, Border: 8, BPsPerRegion: 4, Hubs: 4, Pairs: 40, Gbps: 6,
-	}
-	s := topo.GenerateSynth(cfg)
-	tm := traffic.NewMatrix(len(s.P.Routers))
-	hub := make([]int, cfg.Regions) // each region's first demand source
-	for i := range hub {
-		hub[i] = -1
-	}
-	for _, d := range s.Demand {
-		tm.Set(d.A, d.B, tm.At(d.A, d.B)+d.Gbps)
-		if r := s.Region[d.A]; hub[r] < 0 {
-			hub[r] = d.A
-		}
-	}
-	for r, a := range hub {
-		b := hub[(r+1)%len(hub)]
-		tm.Set(a, b, tm.At(a, b)+0.5)
-	}
+	p, tm := provision.BorderedSynth()
 	in := &auction.Instance{
-		Network: s.P, Bids: auction.StandardBids(s.P, auction.DefaultLeasePricing()), TM: tm,
+		Network: p, Bids: auction.StandardBids(p, auction.DefaultLeasePricing()), TM: tm,
 		Constraint: provision.Constraint2, RouteOpts: provision.Options{FailureScenarios: 8},
 		MaxChecks: 40, Cache: provision.NewFeasibilityCache(), Decompose: true,
 	}

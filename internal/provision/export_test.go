@@ -127,3 +127,30 @@ func WatchFreeLink(t testing.TB) func() int64 {
 	t.Cleanup(func() { checkCands = nil })
 	return calls.Load
 }
+
+// BorderedSynth is a 100-router topo.GenerateSynth instance, bordered,
+// with a ring of 0.5 Gbps demands from each region's first demand
+// source to the next region's, so no probe's enabled subgraph is
+// separable.
+func BorderedSynth() (*topo.POCNetwork, *traffic.Matrix) {
+	cfg := topo.SynthConfig{
+		Seed: 1, Regions: 4, Routers: 100, Links: 400, Border: 8, BPsPerRegion: 4, Hubs: 4, Pairs: 40, Gbps: 6,
+	}
+	s := topo.GenerateSynth(cfg)
+	tm := traffic.NewMatrix(len(s.P.Routers))
+	hub := make([]int, cfg.Regions) // each region's first demand source
+	for i := range hub {
+		hub[i] = -1
+	}
+	for _, d := range s.Demand {
+		tm.Set(d.A, d.B, tm.At(d.A, d.B)+d.Gbps)
+		if r := s.Region[d.A]; hub[r] < 0 {
+			hub[r] = d.A
+		}
+	}
+	for r, a := range hub {
+		b := hub[(r+1)%len(hub)]
+		tm.Set(a, b, tm.At(a, b)+0.5)
+	}
+	return s.P, tm
+}

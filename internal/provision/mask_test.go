@@ -115,7 +115,7 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 				placed = placed[:0]
 			case op == 1:
 				when = "route"
-				ws.giveRouting(rt.route(ws, ws.shapeOf(tm), Options{}.withDefaults(), nil))
+				ws.giveRouting(rt.route(ws, ws.shapeOf(tm), Options{}.withDefaults(), nil, readRouting))
 				placed = placed[:0]
 			case op == 2:
 				when = "ban"

@@ -482,6 +482,20 @@ func avoidOf(avoid []*linkset.Set, i int) *linkset.Set {
 	return avoid[i]
 }
 
+// readMode says what a route's caller reads of the routing it gets.
+// A readVerdict route returns at the first demand whose remainder
+// survives phase 3: that pair alone is in UnplacedPairs, Unplaced holds
+// its remainder, and the lists keep their tombstones and the usage is
+// stale. A feasible routing never takes that exit, so it is the
+// readRouting route's byte for byte. Callers that test only Feasible()
+// and give a failed routing back pass readVerdict (DESIGN §10.3).
+type readMode uint8
+
+const (
+	readRouting readMode = iota
+	readVerdict
+)
+
 // Route places tm onto the link subset include (nil = all links) and
 // returns the routing. avoidPrimary, when non-nil, holds for each demand
 // pair — indexed in tm.Demands order — the set of logical links that
@@ -496,21 +510,21 @@ func avoidOf(avoid []*linkset.Set, i int) *linkset.Set {
 // searches over the residual capacities.
 func Route(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, opts Options, avoidPrimary []*linkset.Set) *Routing {
 	opts = opts.withDefaults().resolve(p)
-	return opts.Workspace.route(include, opts.Workspace.shapeOf(tm), opts, avoidPrimary)
+	return opts.Workspace.route(include, opts.Workspace.shapeOf(tm), opts, avoidPrimary, readRouting)
 }
 
 // route is Route on a resolved workspace and a demand shape: it places
 // sh on an arena it holds for the call.
-func (ws *Workspace) route(include *linkset.Set, sh *shape, opts Options, avoid []*linkset.Set) *Routing {
+func (ws *Workspace) route(include *linkset.Set, sh *shape, opts Options, avoid []*linkset.Set, mode readMode) *Routing {
 	rt := ws.acquire()
 	defer ws.release(rt)
 	rt.apply(include, 0, ws.all)
-	return rt.route(ws, sh, opts, avoid)
+	return rt.route(ws, sh, opts, avoid, mode)
 }
 
 // route runs the three routing phases on an arena that has already
 // been configured via apply, into a routing taken from ws.
-func (rt *router) route(ws *Workspace, sh *shape, opts Options, avoidPrimary []*linkset.Set) *Routing {
+func (rt *router) route(ws *Workspace, sh *shape, opts Options, avoidPrimary []*linkset.Set, mode readMode) *Routing {
 	res := ws.takeRouting(sh)
 
 	phase2, stuck := rt.phase2[:0], rt.stuck[:0]
@@ -586,10 +600,16 @@ func (rt *router) route(ws *Workspace, sh *shape, opts Options, avoidPrimary []*
 		if left > 1e-9 {
 			res.Unplaced += left
 			res.UnplacedPairs = append(res.UnplacedPairs, [2]int{d.src, d.dst})
+			if mode == readVerdict {
+				break // Unplaced only grows: the verdict is fixed
+			}
 		}
 	}
 	res.moves = 512 - moves
 	rt.phase2, rt.stuck = phase2[:0], stuck[:0]
+	if mode == readVerdict && !res.Feasible() {
+		return res
+	}
 
 	// Strip the zero-Gbps tombstones the ejection phase leaves behind,
 	// then account usage.
@@ -707,7 +727,7 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constra
 		panic(fmt.Sprintf("provision: unknown constraint %d", int(c)))
 	}
 	ws := opts.Workspace
-	base := ws.route(include, sh, opts, nil)
+	base := ws.route(include, sh, opts, nil, readRouting)
 	if !base.Feasible() {
 		return false, base
 	}
@@ -739,7 +759,8 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constra
 			if failed == nil || failed.Empty() {
 				continue
 			}
-			r := ws.route(subtract(include, failed, len(p.Links)), sh, opts, nil)
+			// Only a feasible scenario routing is read past its verdict.
+			r := ws.route(subtract(include, failed, len(p.Links)), sh, opts, nil, readVerdict)
 			if !r.Feasible() {
 				ws.giveRouting(r)
 				return false, base
@@ -752,7 +773,7 @@ func checkRouting(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constra
 		return true, base
 
 	default: // Constraint3
-		r := ws.route(include, sh, opts, primaries)
+		r := ws.route(include, sh, opts, primaries, readRouting)
 		if base.moves > r.moves {
 			r.moves = base.moves
 		}

@@ -381,13 +381,7 @@ func TestFullZooFeasibleAllConstraints(t *testing.T) {
 	if testing.Short() {
 		t.Skip("zoo feasibility is slow")
 	}
-	w := topo.DefaultWorld()
-	nets := topo.GenerateZoo(w, topo.DefaultZooConfig())
-	p := topo.BuildPOCNetwork(w, nets, 20, 4, 0)
-	cfg := traffic.DefaultGravityConfig()
-	tm := traffic.Gravity(len(p.Routers), cfg,
-		func(i int) float64 { return w.Cities[p.Routers[i]].Population },
-		func(i, j int) float64 { return w.Distance(p.Routers[i], p.Routers[j]) })
+	p, tm := zooInstance(1)
 	for _, c := range []Constraint{Constraint1, Constraint2, Constraint3} {
 		ok, r := Check(p, nil, tm, c, Options{FailureScenarios: 8})
 		if !ok {

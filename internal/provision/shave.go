@@ -159,9 +159,10 @@ func (lr *liveRouting) unban(l int) {
 
 // newLive routes tm over include minus failed (with per-pair avoid
 // sets) and wraps the result as a liveRouting, or returns nil when
-// infeasible. Shaved links must be passed in failed so the routing
-// avoids them. opts must carry defaults and a resolved Workspace; the
-// returned routing owns one of its arenas until released.
+// infeasible, so an infeasible route stops at its verdict. Shaved links
+// must be passed in failed so the routing avoids them. opts must carry
+// defaults and a resolved Workspace; the returned routing owns one of
+// its arenas until released.
 func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.Set, sh *shape, opts Options) *liveRouting {
 	inc := include
 	if failed != nil && !failed.Empty() {
@@ -170,7 +171,7 @@ func newLive(p *topo.POCNetwork, include, failed *linkset.Set, avoid []*linkset.
 	ws := opts.Workspace
 	rt := ws.acquire()
 	rt.apply(inc, ShaveHeadroom, ws.all)
-	r := rt.route(ws, sh, opts, avoid)
+	r := rt.route(ws, sh, opts, avoid, readVerdict)
 	if !r.Feasible() {
 		ws.giveRouting(r)
 		ws.release(rt)
