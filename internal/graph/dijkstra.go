@@ -120,6 +120,8 @@ type dijkstraScratch struct {
 	// a register held across the search loops slows every search.
 	goal []uint32
 	left int
+
+	labels []float64 // sharesLabel's scratch
 }
 
 // begin sizes the scratch for n nodes and opens a new epoch. On the
@@ -188,8 +190,8 @@ func rejects(avoid []uint64, resid []float64, want float64, l uint) bool {
 // stamp is stale counts as dist +Inf.
 //
 // A non-nil c records the search's certificate (see Cert), overwriting
-// it: the answer to every link test the search asks, admitted links
-// into Rel and rejected ones into Rej. A nil c records nothing.
+// it: every link the search asks about and refuses goes into Rej. A
+// nil c records nothing.
 func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, targets []NodeID, c *Cert) {
 	lay := g.layout()
 	s.begin(len(lay.off) - 1)
@@ -205,7 +207,6 @@ func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, targets []N
 		avoid, resid, want = m.Avoid, m.Resid, m.Want
 	}
 	if c != nil {
-		clear(c.Rel)
 		clear(c.Rej)
 	}
 	needLink := avoid != nil || resid != nil || c != nil
@@ -262,9 +263,6 @@ func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, targets []N
 							c.Rej[l>>6] |= 1 << (l & 63)
 						}
 						continue
-					}
-					if c != nil {
-						c.Rel[l>>6] |= 1 << (l & 63)
 					}
 				}
 				epoch[to] = cur

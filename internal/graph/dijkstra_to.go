@@ -3,6 +3,7 @@ package graph
 import (
 	"math"
 	"math/bits"
+	"slices"
 )
 
 // NewPointRouter returns a reusable point-to-point shortest-path
@@ -44,15 +45,55 @@ func (pr *PointRouter) PathInto(buf []EdgeID, src, dst NodeID, m *Mask) ([]EdgeI
 }
 
 // CertifiedPathInto is PathInto that also records the search's
-// certificate into c, whose bitsets it overwrites: a later PathInto
-// for the same src, dst and graph over any mask c Holds for returns
-// this call's path and cost exactly. m.Open must be nil — a
-// certificate speaks for link labels, not edge positions.
-func (pr *PointRouter) CertifiedPathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert) ([]EdgeID, float64) {
+// certificate into c, whose bitset it overwrites, and reports whether
+// the search met a tie: two nodes it settled at one label (a frontier
+// search handed back to the heap is one such case). When it met none,
+// a later PathInto for the same src, dst and graph over any mask c
+// Holds for, with this call's path, returns this call's path and cost
+// exactly. A tied search's certificate proves nothing; the caller must
+// not keep it. m.Open must be nil — a certificate speaks for link
+// labels, not edge positions.
+func (pr *PointRouter) CertifiedPathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert) (edges []EdgeID, cost float64, tied bool) {
 	if m != nil && m.Open != nil {
 		panic("graph: a certified search needs a mask with nil Open")
 	}
-	return pr.pathInto(buf, src, dst, m, c)
+	if c.Rej == nil {
+		panic("graph: a certificate needs its Rej bitset")
+	}
+	edges, cost = pr.pathInto(buf, src, dst, m, c)
+	return edges, cost, src != dst && pr.s.sharesLabel(pr.g.NumNodes(), dst)
+}
+
+// sharesLabel reports whether the certified search just run may have
+// settled two nodes at one label. Costs are ≥ 0, so a search pops in
+// label order, and one that stops at dst has popped every visited node
+// labeled below dst (every visited node, when dst was not reached).
+// Sorting those labels with the nodes labeled as dst, popped or not,
+// and comparing neighbours finds every shared label on either engine:
+// a frontier fallback's, and one least never sees at once, of a node
+// that joined front at the pop before its own over a zero cost or one
+// the sum absorbs.
+func (s *dijkstraScratch) sharesLabel(n int, dst NodeID) bool {
+	bound := math.Inf(1)
+	if s.epoch[dst] == s.cur {
+		bound = s.dist[dst]
+	}
+	if cap(s.labels) < n {
+		s.labels = make([]float64, 0, n)
+	}
+	labels := s.labels[:0]
+	for v, e := range s.epoch[:n] {
+		if e == s.cur && s.dist[v] <= bound {
+			labels = append(labels, s.dist[v])
+		}
+	}
+	slices.Sort(labels)
+	for i := 1; i < len(labels); i++ {
+		if labels[i] == labels[i-1] {
+			return true
+		}
+	}
+	return false
 }
 
 // ResumeInto is PathInto for a mask that admits the same edges as the
@@ -93,7 +134,6 @@ func (pr *PointRouter) pathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert)
 	pr.last.lay = nil
 	if src == dst {
 		if c != nil {
-			clear(c.Rel)
 			clear(c.Rej)
 		}
 		return buf, 0
@@ -125,33 +165,39 @@ func (pr *PointRouter) appendPath(buf []EdgeID, src, dst NodeID) ([]EdgeID, floa
 	return buf, s.dist[dst]
 }
 
-// Cert is the certificate of one point search: the answers the mask
-// gave it. The search asks the mask's link test only of edges that
-// would relax (their tentative distance beats the target's at that
-// moment); Rel holds every link it asked about and was admitted — each
-// a relaxation that wrote state — and Rej every link it asked about
-// and was refused.
+// Cert is the certificate of one point search's answer. The search
+// asks the mask's link test only of edges that would relax (their
+// tentative distance beats the target's at that moment); Rej holds
+// every link it asked about and was refused. With the returned path,
+// that is all the answer depends on.
 //
-// A masked search is a deterministic function of those answers: costs,
-// adjacency order and the relaxation test do not depend on the mask.
-// So a later search over the same graph and pair that admits every Rel
-// link and rejects every Rej link asks the same questions, gets the
-// same answers and writes the same dist, parent and heap state at
-// every step (by induction over the examined edges). It returns the
-// same path and cost, bit for bit, with no reasoning about ties, heap
-// layout or float sums.
+// Let M be the recorded mask and M' a later one that rejects every Rej
+// link and admits every link of the path P. Take M* equal to M on the
+// links the search asked about and to M' on every other link. A masked
+// search is a deterministic function of the answers it gets — costs,
+// adjacency order and the relaxation test do not depend on the mask —
+// so the recorded search runs unchanged under M* and returns P. M'
+// admits a subset of what M* admits (it may refuse links M admitted)
+// and still admits P, so P is still a cheapest path under M', and
+// every node of P keeps its M* label. When no two of the recorded
+// search's effective pops shared a label, no other candidate parent of
+// a P-node can be settled before P's own: a search over M' relaxes P's
+// edges first and returns P at the same cost, bit for bit (DESIGN
+// §11.6). When two did, the heap's layout decides among equal labels,
+// and M' may change it: such a certificate proves nothing.
 //
-// Rel and Rej are caller-owned bitsets over link labels (SetLinks),
-// each at least (max label + 64)/64 words.
+// Rej is a caller-owned bitset over link labels (SetLinks), at least
+// (max label + 64)/64 words.
 type Cert struct {
-	Rel, Rej []uint64
+	Rej []uint64
 }
 
-// Holds reports whether a point search over m would run exactly as
-// the certified one did: m admits every Rel link and rejects every Rej
-// link, by the kernel's own link test. A mask with a non-nil Open is
-// never held, because a certificate says nothing about edge positions.
-func (c *Cert) Holds(m *Mask) bool {
+// Holds reports whether a point search over m would return the path
+// whose link labels are path, as the untied search that recorded c
+// did: m rejects every Rej link and admits every path link, by the
+// kernel's own link test. A mask with a non-nil Open is never held,
+// because a certificate says nothing about edge positions.
+func (c *Cert) Holds(m *Mask, path []int32) bool {
 	var avoid []uint64
 	var resid []float64
 	var want float64
@@ -161,16 +207,14 @@ func (c *Cert) Holds(m *Mask) bool {
 		}
 		avoid, resid, want = m.Avoid, m.Resid, m.Want
 	}
+	for _, l := range path {
+		if rejects(avoid, resid, want, uint(l)) {
+			return false
+		}
+	}
 	for wi, w := range c.Rej {
 		for ; w != 0; w &= w - 1 {
 			if !rejects(avoid, resid, want, uint(wi<<6|bits.TrailingZeros64(w))) {
-				return false
-			}
-		}
-	}
-	for wi, w := range c.Rel {
-		for ; w != 0; w &= w - 1 {
-			if rejects(avoid, resid, want, uint(wi<<6|bits.TrailingZeros64(w))) {
 				return false
 			}
 		}

@@ -10,7 +10,7 @@ import (
 // refPath is the reference search's src→dst path and cost, nil at +Inf
 // when dst is unreachable.
 func refPath(g *Graph, admit func(EdgeID) bool, src, dst NodeID) ([]EdgeID, float64) {
-	dist, parent := refSearch(g, admit, src, dst)
+	dist, parent, _ := refSearch(g, admit, src, dst)
 	var path []EdgeID
 	if !math.IsInf(dist[dst], 1) {
 		for v := dst; v != src; v = g.edges[parent[v]].From {
@@ -47,7 +47,7 @@ func TestResumeMatchesFreshSearch(t *testing.T) {
 			c.mask.Open = slices.Clone(g.layout().all)
 		}
 		lay := g.layout()
-		cert := Cert{Rel: make([]uint64, (c.numLinks+63)/64), Rej: make([]uint64, (c.numLinks+63)/64)}
+		cert := Cert{Rej: make([]uint64, (c.numLinks+63)/64)}
 		pr, fresh := NewPointRouter(g), NewPointRouter(g)
 		src, dst := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
 		pr.PathInto(nil, src, dst, c.mask)

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -10,8 +11,9 @@ import (
 // refSearch is the closure-driven Dijkstra the mask kernel replaced,
 // kept as the differential reference: it scans the adjacency list of
 // every popped node, asks admit about each edge, and relaxes with the
-// same heap. dst = Undefined settles the whole tree.
-func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float64, parent []EdgeID) {
+// same heap. dst = Undefined settles the whole tree. wrote lists, in
+// order, every edge whose relaxation wrote a label.
+func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float64, parent, wrote []EdgeID) {
 	n := g.NumNodes()
 	dist = make([]float64, n)
 	parent = make([]EdgeID, n)
@@ -37,11 +39,12 @@ func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float
 			if nd := it.dist + e.Cost; nd < dist[e.To] {
 				dist[e.To] = nd
 				parent[e.To] = eid
+				wrote = append(wrote, eid)
 				q.push(pqItem{node: e.To, dist: nd})
 			}
 		}
 	}
-	return dist, parent
+	return dist, parent, wrote
 }
 
 // kernelCase is one random instance: a multigraph with parallel edges,
@@ -188,13 +191,17 @@ func settled(s *dijkstraScratch, n int) ([]float64, []EdgeID) {
 }
 
 // tally counts what a test exercised: certificates that held for
-// changed masks, frontier searches that completed, fell back to the
-// heap, or were resumed, and trees that stopped at their targets short
-// of the whole tree.
-type tally struct{ held, completed, fellBack, resumed, stopped int }
+// changed masks, those of them that refuse a link the search relaxed
+// (where a certificate of every link test the search asked would have
+// failed), certified searches that met a tie, frontier searches that
+// completed, fell back to the heap, or were resumed, and trees that
+// stopped at their targets short of the whole tree.
+type tally struct{ held, weak, tied, completed, fellBack, resumed, stopped int }
 
 func (ty *tally) add(o tally) {
 	ty.held += o.held
+	ty.weak += o.weak
+	ty.tied += o.tied
 	ty.completed += o.completed
 	ty.fellBack += o.fellBack
 	ty.resumed += o.resumed
@@ -209,45 +216,62 @@ func (ty *tally) count(s *dijkstraScratch) {
 // checks the certificate's contract: the certified search leaves every
 // dist and parent the reference heap search leaves (it never prunes,
 // whichever engine ran it) and the same answer as an uncertified run,
-// the certificate holds for the mask it was recorded under, and every
-// perturbed mask it holds for yields exactly the recorded path and
-// cost. It tallies the perturbed masks that changed something the
-// certificate held for, and both routers' engine counts.
+// and the certificate holds for the mask it was recorded under. Unless
+// the search met a tie, every perturbed mask it holds for, with the
+// recorded path's links, yields exactly the recorded path and cost. It
+// tallies the tied searches, the perturbed masks that changed something
+// the certificate held for, those of them that refuse a link the
+// search relaxed, and both routers' engine counts.
 func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (ty tally) {
 	t.Helper()
 	g := c.g
 	words := (c.numLinks + 63) / 64
-	cert := Cert{Rel: make([]uint64, words), Rej: make([]uint64, words)}
-	for i := range cert.Rel {
-		cert.Rel[i], cert.Rej[i] = ^uint64(0), ^uint64(0) // the search must clear both
+	cert := Cert{Rej: make([]uint64, words)}
+	for i := range cert.Rej {
+		cert.Rej[i] = ^uint64(0) // the search must clear it
 	}
 	pc, pr := NewPointRouter(g), NewPointRouter(g)
 	defer ty.count(&pc.s)
 	defer ty.count(&pr.s)
-	path, cost := pc.CertifiedPathInto(nil, src, dst, c.mask, &cert)
+	path, cost, tied := pc.CertifiedPathInto(nil, src, dst, c.mask, &cert)
 	want, wantCost := pr.PathInto(nil, src, dst, c.mask)
+	relaxed := make([]uint64, words) // the links of every relaxation that wrote a label
 	if src != dst {
 		cd, cp := settled(&pc.s, g.NumNodes())
-		wd, wp := refSearch(g, c.admit, src, dst)
+		wd, wp, wrote := refSearch(g, c.admit, src, dst)
 		for i := range cd {
 			if cd[i] != wd[i] || cp[i] != wp[i] {
 				t.Fatalf("certified search %d->%d: node %d dist/parent %v/%d, reference %v/%d", src, dst, i, cd[i], cp[i], wd[i], wp[i])
 			}
 		}
+		for _, eid := range wrote {
+			l := uint(c.links[eid])
+			relaxed[l>>6] |= 1 << (l & 63)
+		}
 	}
 	if cost != wantCost || !slices.Equal(path, want) {
 		t.Fatalf("certified search %d->%d: %v at %v, uncertified %v at %v", src, dst, path, cost, want, wantCost)
 	}
-	if !cert.Holds(c.mask) {
+	links := make([]int32, len(path))
+	for k, eid := range path {
+		links[k] = c.links[eid]
+	}
+	if !cert.Holds(c.mask, links) {
 		t.Fatalf("certificate of %d->%d does not hold for the mask it was recorded under", src, dst)
+	}
+	if tied {
+		ty.tied++
 	}
 	for k := 0; k < 8; k++ {
 		m, changed := perturb(rng, c)
-		if !cert.Holds(m) {
+		if tied || !cert.Holds(m, links) {
 			continue
 		}
 		if changed {
 			ty.held++
+			if refusesAny(m, relaxed) {
+				ty.weak++
+			}
 		}
 		got, gotCost := pr.PathInto(nil, src, dst, m)
 		if gotCost != cost || !slices.Equal(got, path) {
@@ -256,6 +280,18 @@ func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (ty 
 		}
 	}
 	return ty
+}
+
+// refusesAny reports whether m refuses some link of the bitset links.
+func refusesAny(m *Mask, links []uint64) bool {
+	for wi, w := range links {
+		for ; w != 0; w &= w - 1 {
+			if rejects(m.Avoid, m.Resid, m.Want, uint(wi<<6|bits.TrailingZeros64(w))) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // randomTargets draws up to four targets for a tree from src, any node
@@ -354,7 +390,7 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (ty tally) {
 	defer ty.count(&pr.s)
 	for k := 0; k < 4; k++ {
 		src := NodeID(rng.Intn(n))
-		wantDist, wantParent := refSearch(g, c.admit, src, Undefined)
+		wantDist, wantParent, _ := refSearch(g, c.admit, src, Undefined)
 		tree := tr.Tree(src, c.mask)
 		for i := 0; i < n; i++ {
 			if tree.Dist[i] != wantDist[i] || tree.Parent[i] != wantParent[i] {
@@ -384,10 +420,13 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (ty tally) {
 // for bit, across random open / avoid / threshold sets, on graphs the
 // frontier engine serves (up to 64 nodes) and on larger ones only the
 // heap does. It also checks the certificates, that enough of them hold
-// for changed masks for that check to mean something, and that the
-// frontier both completed and fell back often enough for the
-// comparison to cover each, and that trees stopped at their targets
-// short of the whole tree often enough on both engines.
+// for changed masks for that check to mean something — enough of those
+// refusing a link the search relaxed to show the check covers what a
+// certificate of every link test would not, and enough searches tying
+// to cover the tie rule — that the frontier both completed and fell
+// back often enough for the comparison to cover each, and that trees
+// stopped at their targets short of the whole tree often enough on
+// both engines.
 func TestMaskKernelMatchesClosureReference(t *testing.T) {
 	var ty tally
 	var stoppedHeap int
@@ -403,9 +442,13 @@ func TestMaskKernelMatchesClosureReference(t *testing.T) {
 		}
 		ty.add(o)
 	}
-	if ty.held < 100 || ty.completed < 1000 || ty.fellBack < 100 {
-		t.Fatalf("certificates held for %d changed masks, frontier searches completed %d and fell back %d times; want at least 100, 1000 and 100",
-			ty.held, ty.completed, ty.fellBack)
+	if ty.held < 1000 || ty.weak < 100 || ty.tied < 100 {
+		t.Fatalf("certificates held for %d changed masks, %d of them refusing a link the search relaxed, and %d certified searches tied; want at least 1000, 100 and 100",
+			ty.held, ty.weak, ty.tied)
+	}
+	if ty.completed < 1000 || ty.fellBack < 100 {
+		t.Fatalf("frontier searches completed %d and fell back %d times; want at least 1000 and 100",
+			ty.completed, ty.fellBack)
 	}
 	if ty.stopped-stoppedHeap < 800 || stoppedHeap < 150 {
 		t.Fatalf("%d trees stopped at their targets on the frontier engine's graphs and %d on the heap's; want at least 800 and 150",
@@ -420,14 +463,14 @@ func TestMaskKernelMatchesClosureReference(t *testing.T) {
 func TestCertNeedsLinkMasks(t *testing.T) {
 	g := diamond()
 	all := openExcept(g)
-	cert := Cert{Rel: []uint64{^uint64(0)}, Rej: []uint64{^uint64(0)}}
-	if _, cost := NewPointRouter(g).CertifiedPathInto(nil, 2, 2, nil, &cert); cost != 0 || cert.Rel[0] != 0 || cert.Rej[0] != 0 {
-		t.Fatalf("src == dst: cost %v, certificate %+v, want 0 and empty", cost, cert)
+	cert := Cert{Rej: []uint64{^uint64(0)}}
+	if path, cost, tied := NewPointRouter(g).CertifiedPathInto(nil, 2, 2, nil, &cert); len(path) != 0 || cost != 0 || tied || cert.Rej[0] != 0 {
+		t.Fatalf("src == dst: path %v at %v, tied %v, certificate %+v, want empty at 0, untied, empty", path, cost, tied, cert)
 	}
-	if !cert.Holds(nil) || !cert.Holds(&Mask{Avoid: []uint64{^uint64(0)}}) {
+	if !cert.Holds(nil, nil) || !cert.Holds(&Mask{Avoid: []uint64{^uint64(0)}}, nil) {
 		t.Fatal("the empty certificate does not hold for a link mask")
 	}
-	if cert.Holds(all) {
+	if cert.Holds(all, nil) {
 		t.Fatal("a certificate holds for a mask with an Open set")
 	}
 	defer func() {
@@ -436,6 +479,57 @@ func TestCertNeedsLinkMasks(t *testing.T) {
 		}
 	}()
 	NewPointRouter(g).CertifiedPathInto(nil, 0, 3, all, &cert)
+}
+
+// TestTiedCertificateHoldsForNothing pins the tie rule on the smallest
+// all-equal-cost case. Node 0 reaches 1, 2 and 3 at cost 1, and 2 and
+// 3 both reach 4. The heap pops 1, then 3, then 2 — an order its
+// layout sets — so the search from 0 to 4 takes 0→3→4 and refuses
+// nothing. Refuse link 0→1, which the search admitted and which is off
+// that path: the certificate (no refused links) and the path's links
+// still hold, but the heap now pops 2 before 3, and the search takes
+// 0→2→4 at the same cost. The certified search must report its tie.
+func TestTiedCertificateHoldsForNothing(t *testing.T) {
+	g := New(5)
+	for _, e := range [][2]NodeID{{0, 1}, {0, 2}, {0, 3}, {2, 4}, {3, 4}} {
+		g.AddEdge(e[0], e[1], 1, 1)
+	}
+	g.SetLinks([]int32{0, 1, 2, 3, 4}) // link l is edge l
+	cert := Cert{Rej: make([]uint64, 1)}
+	path, cost, tied := NewPointRouter(g).CertifiedPathInto(nil, 0, 4, nil, &cert)
+	links := []int32{int32(path[0]), int32(path[1])}
+	refuse := &Mask{Avoid: []uint64{1 << 0}}
+	got, gotCost := NewPointRouter(g).PathInto(nil, 0, 4, refuse)
+	if !cert.Holds(refuse, links) || gotCost != cost || slices.Equal(got, path) {
+		t.Fatalf("fixture: certified %v at %v, holds %v for a mask refusing 0→1, which yields %v at %v; want a different path at the same cost",
+			path, cost, cert.Holds(refuse, links), got, gotCost)
+	}
+	if !tied {
+		t.Fatalf("the search %v met a three-way tie at label 1 and did not report it", path)
+	}
+}
+
+// TestCertifiedSearchReportsSharedLabels pins what a tie is, on both
+// engines: two effective pops at one label, even when the two nodes
+// never wait in the frontier together. On 0→1→2 a zero cost on 1→2
+// settles 2 at 1's label, one pop after 1; at cost 1 nothing ties. The
+// graph is padded with isolated nodes past 64 to run the heap.
+func TestCertifiedSearchReportsSharedLabels(t *testing.T) {
+	for _, n := range []int{3, frontierMax + 1} {
+		for _, second := range []float64{0, 1} {
+			g := New(n)
+			g.AddEdge(0, 1, 1, 1)
+			g.AddEdge(1, 2, second, 1)
+			g.SetLinks([]int32{0, 1})
+			cert := Cert{Rej: make([]uint64, 1)}
+			pr := NewPointRouter(g)
+			path, _, tied := pr.CertifiedPathInto(nil, 0, 2, nil, &cert)
+			if len(path) != 2 || tied != (second == 0) || pr.s.fellBack != 0 {
+				t.Fatalf("%d nodes, cost %v on 1→2: path %v, tied %v, fell back %d times; want 2 edges, tied %v, no fallback",
+					n, second, path, tied, pr.s.fellBack, second == 0)
+			}
+		}
+	}
 }
 
 // TestMaskKernelWideRows forces node position ranges that span several
@@ -460,6 +554,7 @@ func FuzzMaskKernel(f *testing.F) {
 	f.Add(int64(6), uint8(64), uint16(300), []byte{2, 64, 17})   // 65 nodes: the smallest heap-only one
 	f.Add(int64(3), uint8(1), uint16(5), []byte{0, 0})           // self-loops only
 	f.Add(int64(9), uint8(30), uint16(0), []byte{4})             // no edges
+	f.Add(int64(11), uint8(11), uint16(40), []byte{0, 5})        // all costs equal: certified searches tie
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, m uint16, tree []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		c := newKernelCase(rng, 1+int(n), int(m)%600)
@@ -473,7 +568,7 @@ func FuzzMaskKernel(f *testing.F) {
 		for _, b := range tree[1:] {
 			targets = append(targets, NodeID(int(b)%nodes))
 		}
-		wantDist, wantParent := refSearch(c.g, c.admit, src, Undefined)
+		wantDist, wantParent, _ := refSearch(c.g, c.admit, src, Undefined)
 		checkTree(t, c, NewTreeRouter(c.g), src, targets, wantDist, wantParent)
 	})
 }

@@ -9,15 +9,18 @@ import (
 )
 
 // TestAllocBudgetChurn mirrors BENCHMARK.json's per-layer
-// netsim.admit_allocs: New allocates no path-memo storage, and on a
-// warm fabric a StopFlows+StartFlows churn cycle allocates only the ID
-// slice StartFlows returns — the memo's lookups and its certified
-// searches allocate nothing per search or per flow. The ring is tight
-// enough that certificates fail and searches re-run. (The race
-// detector inflates counts, hence the build tag.)
+// netsim.admit_allocs: New allocates no path-memo storage; once
+// searched, the memo holds exactly its four slices — per ordered
+// router pair a length, a cost, a window of routers−1 links and one
+// certificate bitset of ⌈links/64⌉ words, nothing more; and on a warm
+// fabric a StopFlows+StartFlows churn cycle allocates only the ID slice
+// StartFlows returns — the memo's lookups and its certified searches
+// allocate nothing per search or per flow. The ring is tight enough
+// that certificates fail and searches re-run. (The race detector
+// inflates counts, hence the build tag.)
 func TestAllocBudgetChurn(t *testing.T) {
 	f := New(ringNet(40), nil)
-	if f.memo.plen != nil || f.memo.links != nil || f.memo.certs != nil {
+	if f.memo.plen != nil || f.memo.links != nil || f.memo.rej != nil {
 		t.Fatal("New allocated path-memo storage")
 	}
 	eps := attach4(t, f)
@@ -30,6 +33,12 @@ func TestAllocBudgetChurn(t *testing.T) {
 	ids := f.StartFlows(specs)
 	if f.memo.plen == nil {
 		t.Fatal("admission did not go through the path memo")
+	}
+	m := &f.memo
+	pairs, words := m.routers*m.routers, (len(f.net.Links)+63)/64
+	if got, want := capBytes(m.plen)+capBytes(m.cost)+capBytes(m.links)+capBytes(m.rej),
+		pairs*(4+8+4*(m.routers-1)+8*words); got != want {
+		t.Fatalf("path memo holds %d bytes for %d pairs over %d links, budget %d", got, pairs, len(f.net.Links), want)
 	}
 	const k = 10
 	cycle := func() {

@@ -95,10 +95,10 @@ func invariants(t *testing.T, f *Fabric) {
 
 // checkMemo asserts the path memo's exactness on the fabric as it
 // stands: for every stored pair and a sweep of demands, wherever the
-// stored certificate holds for the fabric's current mask, the stored
-// path and cost equal a fresh, uncertified search's. It returns how
-// many (pair, demand) probes held, so a caller can tell the check was
-// not vacuous.
+// stored certificate holds for the fabric's current mask and the
+// stored path, the stored path and cost equal a fresh, uncertified
+// search's. It returns how many (pair, demand) probes held, so a
+// caller can tell the check was not vacuous.
 func checkMemo(t *testing.T, f *Fabric) (held int) {
 	t.Helper()
 	m := &f.memo
@@ -111,7 +111,7 @@ func checkMemo(t *testing.T, f *Fabric) (held int) {
 		c, win := m.entry(i)
 		for _, demand := range []float64{1e-9, 0.5, 2, 5, 10, 20, 60} {
 			mask := f.usable(demand)
-			if !c.Holds(mask) {
+			if !c.Holds(mask, win[:n]) {
 				continue
 			}
 			held++

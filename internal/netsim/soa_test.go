@@ -3,9 +3,11 @@ package netsim
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/public-option/poc/internal/topo"
+	"github.com/public-option/poc/internal/traffic"
 )
 
 // attach4 attaches one LMP endpoint per ring router.
@@ -369,6 +371,103 @@ func TestMemoAcrossBPCycle(t *testing.T) {
 		if checkMemo(t, f) == 0 {
 			t.Fatalf("step %d (%s): no stored certificate holds at any probe demand", step, op)
 		}
+	}
+}
+
+// TestMemoServesChurn loads a zoo fabric the way the benchmark's
+// fabric-churn workload does — the Scale-0.35 zoo, gravity-sampled
+// flows whose demands total a tenth of the selected capacity, five
+// cycles that stop and restart a tenth of them, then the busiest BP
+// failed and repaired — at a third of its flows, and counts the path
+// memo's lookups. As flows fill links, links far from a pair's path run
+// out of room. A certificate that also listed every link the search
+// admitted failed on them and served 6 227 of the 16 677 lookups
+// (37 %); the answer's certificate serves 13 123 (79 %), and must
+// serve at least memoShare.
+func TestMemoServesChurn(t *testing.T) {
+	const memoShare = 0.75
+	w := topo.DefaultWorld()
+	cfg := topo.DefaultZooConfig()
+	cfg.NumNetworks = max(int(float64(cfg.NumNetworks)*0.35), 20)
+	p := topo.BuildPOCNetwork(w, topo.GenerateZoo(w, cfg), 20, 4, 0)
+	gcfg := traffic.DefaultGravityConfig()
+	gcfg.TotalGbps *= 0.35 * 0.35
+	tm := traffic.Gravity(len(p.Routers), gcfg,
+		func(i int) float64 { return w.Cities[p.Routers[i]].Population },
+		func(i, j int) float64 { return w.Distance(p.Routers[i], p.Routers[j]) })
+	capacity := 0.0
+	perBP := make([]int, len(p.BPs))
+	bp := 0
+	for _, l := range p.Links {
+		capacity += l.Capacity
+		if l.BP >= 0 {
+			if perBP[l.BP]++; perBP[l.BP] > perBP[bp] {
+				bp = l.BP
+			}
+		}
+	}
+	f := New(p, nil)
+	eps := make([]EndpointID, len(p.Routers))
+	for r := range p.Routers {
+		id, err := f.Attach(string(rune('A'+r)), LMPEndpoint, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps[r] = id
+	}
+	var specs []FlowSpec
+	for _, fl := range traffic.SampleFlows(tm, 10000, 0.1*capacity, 1) {
+		specs = append(specs, FlowSpec{Src: eps[fl.Src], Dst: eps[fl.Dst], Demand: fl.Gbps, Class: BestEffort})
+	}
+	ids := f.StartFlows(specs)
+	k := len(ids) / 10
+	for c := 0; c < 5; c++ {
+		f.StopFlows(ids[c*k : (c+1)*k])
+		copy(ids[c*k:(c+1)*k], f.StartFlows(specs[c*k:(c+1)*k]))
+	}
+	if len(f.FailBP(bp)) == 0 {
+		t.Fatalf("failing BP %d rerouted nothing", bp)
+	}
+	f.RepairBP(bp)
+	invariants(t, f)
+	m := &f.memo
+	lookups := m.hits + m.misses
+	if share := float64(m.hits) / float64(lookups); share < memoShare {
+		t.Fatalf("the memo answered %d of %d lookups (%.1f %%), want at least %.0f %%",
+			m.hits, lookups, 100*share, 100*memoShare)
+	}
+	t.Logf("the memo answered %d of %d lookups", m.hits, lookups)
+}
+
+// TestMemoKeepsNoTiedSearch is graph's tied-certificate fixture as a
+// fabric: router 0 reaches 1, 2 and 3 over equal links, and 2 and 3
+// both reach 4 over equal links. The search for 0→4 meets a three-way
+// tie, and the heap's layout takes 0-3-4. Failing link 0-1, off that
+// path, makes a fresh search take 0-2-4, though the certificate (no
+// refused links) and the stored path's links still hold. The memo must
+// not have kept the tied search: the invariants compare every held
+// entry with a fresh search, and the next admission must take 0-2-4.
+func TestMemoKeepsNoTiedSearch(t *testing.T) {
+	p := &topo.POCNetwork{
+		World:   &topo.World{Cities: make([]topo.City, 5)},
+		BPs:     make([]topo.BP, 5),
+		Routers: []int{0, 1, 2, 3, 4},
+	}
+	for _, ab := range [][2]int{{0, 1}, {0, 2}, {0, 3}, {2, 4}, {3, 4}} {
+		p.Links = append(p.Links, topo.LogicalLink{
+			ID: len(p.Links), BP: len(p.Links), A: ab[0], B: ab[1], Capacity: 100, DistanceKm: 100,
+		})
+	}
+	f := New(p, nil)
+	a, _ := f.Attach("a", LMPEndpoint, 0)
+	b, _ := f.Attach("b", LMPEndpoint, 4)
+	if fl, err := f.StartFlow(a, b, 1, BestEffort); err != nil || !slices.Equal(fl.Links, []int{2, 4}) {
+		t.Fatalf("fixture: flow 0→4 takes %v (%v), want links [2 4], 0-3-4", fl, err)
+	}
+	f.FailLinks([]int{0})
+	invariants(t, f)
+	if fl, err := f.StartFlow(a, b, 1, BestEffort); err != nil || !slices.Equal(fl.Links, []int{1, 3}) {
+		t.Fatalf("with link 0-1 failed, flow 0→4 takes %v (%v), want links [1 3], 0-2-4", fl, err)
 	}
 }
 

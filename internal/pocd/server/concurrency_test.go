@@ -44,45 +44,69 @@ func TestConcurrentClientsMatchSequentialReplay(t *testing.T) {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
-			for r := 0; r < rounds; r++ {
+			// post and get would t.Fatal, which ends only this
+			// goroutine: the client stops at its first transport error
+			// and reports it.
+			var err error
+			send := func(path, body string) (code int, b string) {
+				if err == nil {
+					code, b, err = tryPost(ts, path, body)
+				}
+				return code, b
+			}
+			read := func(path string) int {
+				if err == nil {
+					var resp *http.Response
+					if resp, _, err = tryGet(ts, path); err == nil {
+						return resp.StatusCode
+					}
+				}
+				return 0
+			}
+			for r := 0; r < rounds && err == nil; r++ {
 				switch (c + r) % 6 {
 				case 0:
-					code, body := post(t, ts, "/v1/flows",
+					code, body := send("/v1/flows",
 						`{"flows":[{"src":"metro-lmp","dst":"cloud-csp","gbps":0.5}]}`)
-					if code != 200 {
+					if err == nil && code != 200 {
 						t.Errorf("client %d: flows: %d: %s", c, code, body)
 					}
 				case 1:
 					// May stop an already-stopped or never-admitted ID:
 					// a legitimate no-op, journaled like everything else.
-					post(t, ts, "/v1/flows/stop", fmt.Sprintf(`{"ids":[%d]}`, r))
+					send("/v1/flows/stop", fmt.Sprintf(`{"ids":[%d]}`, r))
 				case 2:
-					resp, _ := get(t, ts, "/v1/status")
-					if resp.StatusCode != 200 {
-						t.Errorf("client %d: status: %d", c, resp.StatusCode)
+					if code := read("/v1/status"); err == nil && code != 200 {
+						t.Errorf("client %d: status: %d", c, code)
 					}
 				case 3:
-					post(t, ts, "/v1/epoch", `{"seconds":60}`)
+					send("/v1/epoch", `{"seconds":60}`)
 				case 4:
 					kind := "cut-link"
 					if r%2 == 1 {
 						kind = "repair-link"
 					}
-					post(t, ts, "/v1/chaos", fmt.Sprintf(`{"kind":%q,"link":2}`, kind))
+					send("/v1/chaos", fmt.Sprintf(`{"kind":%q,"link":2}`, kind))
 				case 5:
 					// Duplicate publishes 422 after the first; apply
 					// errors are journaled and must replay identically.
-					post(t, ts, "/v1/qos",
+					send("/v1/qos",
 						fmt.Sprintf(`{"name":"silver","weight":2,"price":1.5,"max_latency_km":2000}`))
-					resp, _ := get(t, ts, "/v1/obs")
-					if resp.StatusCode != 200 {
-						t.Errorf("client %d: obs: %d", c, resp.StatusCode)
+					if code := read("/v1/obs"); err == nil && code != 200 {
+						t.Errorf("client %d: obs: %d", c, code)
 					}
 				}
+			}
+			if err != nil {
+				t.Errorf("client %d: %v", c, err)
 			}
 		}(c)
 	}
 	wg.Wait()
+	if t.Failed() {
+		s.Shutdown()
+		return // the clients' errors say what went wrong
+	}
 
 	liveExport := obsExport(t, ts)
 	_, liveStatusBytes := get(t, ts, "/v1/status")

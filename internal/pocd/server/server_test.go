@@ -113,27 +113,50 @@ func newTestServer(t *testing.T, mutate func(*Config)) (*Server, *fakeClock, str
 	return s, clock, path
 }
 
-// post sends one mutation through the HTTP surface.
+// post sends one mutation through the HTTP surface. It stops the test
+// on a transport error, so only the test's own goroutine may call it;
+// a client goroutine calls tryPost and reports with t.Errorf.
 func post(t *testing.T, ts *httptest.Server, path, body string) (int, string) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	code, b, err := tryPost(ts, path, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, string(b)
+	return code, b
 }
 
+// get is post for a read: the test's own goroutine only (see tryGet).
 func get(t *testing.T, ts *httptest.Server, path string) (*http.Response, []byte) {
 	t.Helper()
-	resp, err := http.Get(ts.URL + path)
+	resp, b, err := tryGet(ts, path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	b, _ := io.ReadAll(resp.Body)
 	return resp, b
+}
+
+// tryPost is post returning the transport error: t.Fatal ends only
+// the goroutine that calls it, so a client goroutine reports with
+// t.Errorf and goes on to send what its test waits for.
+func tryPost(ts *httptest.Server, path, body string) (int, string, error) {
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+	if err != nil {
+		return 0, "", err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(b), err
+}
+
+// tryGet is get returning the transport error (see tryPost).
+func tryGet(ts *httptest.Server, path string) (*http.Response, []byte, error) {
+	resp, err := http.Get(ts.URL + path)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	return resp, b, err
 }
 
 // script drives a representative session: membership, QoS, flows,
@@ -414,16 +437,28 @@ func TestTimeoutDecidedBeforeJournal(t *testing.T) {
 
 	// Occupy the writer with a gated op; only once the writer is
 	// provably wedged, queue a second mutation and let its deadline
-	// lapse before the writer reaches it.
+	// lapse before the writer reaches it. Each client sends its result
+	// whatever happens, so a failed request fails the test instead of
+	// hanging it.
 	firstDone := make(chan int)
 	go func() {
-		code, _ := post(t, ts, "/v1/qos", `{"name":"gold","weight":4,"price":2}`)
+		code, _, err := tryPost(ts, "/v1/qos", `{"name":"gold","weight":4,"price":2}`)
+		if err != nil {
+			t.Errorf("gated op: %v", err)
+		}
 		firstDone <- code
 	}()
-	<-gateEntered
+	select {
+	case <-gateEntered:
+	case code := <-firstDone:
+		t.Fatalf("gated op answered %d before reaching the writer", code)
+	}
 	secondDone := make(chan string)
 	go func() {
-		code, body := post(t, ts, "/v1/epoch", `{"seconds":3600}`)
+		code, body, err := tryPost(ts, "/v1/epoch", `{"seconds":3600}`)
+		if err != nil {
+			t.Errorf("queued op: %v", err)
+		}
 		secondDone <- fmt.Sprintf("%d %s", code, body)
 	}()
 	for i := 0; i < 5000 && len(s.queue) < 1; i++ {
