@@ -34,9 +34,10 @@ func benchMask(g *Graph, kind string, links int) *Mask {
 	switch kind {
 	case "open":
 		m := &Mask{Open: slices.Clone(g.layout().all)}
-		for p := 0; p < g.NumEdges(); p++ {
-			if rng.Intn(4) != 0 {
-				m.Open[p>>6] &^= 1 << (uint(p) & 63)
+		for id := 0; id < g.NumEdges(); id++ {
+			if rng.Intn(4) != 0 { // by edge, so the set survives a change of position order
+				p := uint(g.Pos(EdgeID(id)))
+				m.Open[p>>6] &^= 1 << (p & 63)
 			}
 		}
 		return m

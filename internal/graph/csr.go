@@ -1,12 +1,15 @@
 package graph
 
+import "math"
+
 // layout is the CSR (compressed sparse row) form of a Graph that the
 // shortest-path kernel walks: node u's outgoing edges occupy the
-// contiguous positions off[u]..off[u+1]-1 of the column slices, in
-// adjacency (= insertion) order. A position is therefore both an index
-// into the columns and a bit index into an open-edge bitset, and
-// ascending position within a node's range is exactly the order the
-// adjacency list would have been scanned in.
+// contiguous positions off[u]..off[u+1]-1 of the column slices. A
+// position is both an index into the columns and a bit index into an
+// open-edge bitset. A node's positions run in adjacency (= insertion)
+// order, except on a graph the frontier engine serves where
+// costOrderSafe allows cost order: there they run in ascending cost,
+// ties in adjacency order, and heap is the adjacency-ordered layout.
 type layout struct {
 	off  []int32 // len NumNodes+1
 	to   []int32
@@ -18,6 +21,10 @@ type layout struct {
 	// all is the position bitset with every edge set: the open set of
 	// a nil Mask or a nil Mask.Open.
 	all []uint64
+
+	// heap, on a cost-ordered layout, is the graph's layout in adjacency
+	// order, which the heap loop walks (heapView); nil on the others.
+	heap *layout
 }
 
 // layout returns g's CSR form, building it on first use. Concurrent
@@ -56,10 +63,95 @@ func (g *Graph) layout() *layout {
 		}
 	}
 	lay.off[len(g.adj)] = int32(p)
+	if len(g.adj) <= frontierMax {
+		if byCost := lay.byCost(); byCost != nil {
+			lay = byCost
+		}
+	}
 	if g.lay.CompareAndSwap(nil, lay) {
 		return lay
 	}
 	return g.layout()
+}
+
+// byCost returns adj, an adjacency-ordered layout, with each node's
+// positions in ascending cost, ties in adjacency order, and adj as its
+// heap layout; or nil when the order could move a label (costOrderSafe).
+func (adj *layout) byCost() *layout {
+	m := len(adj.to)
+	lay := &layout{
+		off:  adj.off,
+		to:   make([]int32, m),
+		eid:  make([]int32, m),
+		link: make([]int32, m),
+		cost: make([]float64, m),
+		pos:  make([]int32, m),
+		all:  adj.all,
+		heap: adj,
+	}
+	if !adj.costOrderSafe(lay.pos) {
+		return nil
+	}
+	for u := 0; u+1 < len(adj.off); u++ {
+		lo, hi := int(adj.off[u]), int(adj.off[u+1])
+		for p := lo; p < hi; p++ {
+			q := p // insertion: equal costs keep adjacency order
+			for ; q > lo && lay.cost[q-1] > adj.cost[p]; q-- {
+				lay.to[q], lay.eid[q], lay.link[q], lay.cost[q] = lay.to[q-1], lay.eid[q-1], lay.link[q-1], lay.cost[q-1]
+			}
+			lay.to[q], lay.eid[q], lay.link[q], lay.cost[q] = adj.to[p], adj.eid[p], adj.link[p], adj.cost[p]
+		}
+	}
+	for p, id := range lay.eid {
+		lay.pos[id] = int32(p)
+	}
+	return lay
+}
+
+// costOrderSafe reports whether relaxing each node's edges in cost
+// order leaves every label and parent the adjacency order of adj, a
+// layout of at most 64 nodes, leaves. Only parallel edges can
+// tell the orders apart: from one popped node u, two edges to v relax v
+// to du+c1 and du+c2, and the one scanned first keeps v when the two
+// sums are equal. Distinct costs whose sums round to one float differ
+// by at most the spacing of floats at that sum. A sum is a label plus a
+// cost: at most the sum of every edge cost, with the rounding of at
+// most 64 additions, and 4× that sum bounds it. So when every two
+// parallel edges of distinct cost differ by more than the spacing
+// there, their sums differ and the cheaper edge wins in either order. A
+// graph with an infinite cost sum fails the test. prev, one entry per
+// position, is scratch.
+func (adj *layout) costOrderSafe(prev []int32) bool {
+	total := 0.0
+	for _, c := range adj.cost {
+		total += c
+	}
+	bound := 4 * total
+	spacing := math.Nextafter(bound, math.Inf(1)) - bound
+	// last[v] is the latest position to v: a parallel of the position in
+	// hand when it lies in the same node's range. prev chains each
+	// position to its node's earlier parallels.
+	var last [frontierMax]int32
+	for v := range last {
+		last[v] = -1
+	}
+	for u := 0; u+1 < len(adj.off); u++ {
+		lo, hi := adj.off[u], adj.off[u+1]
+		for p := lo; p < hi; p++ {
+			v := adj.to[p]
+			prev[p] = -1
+			if l := last[v]; l >= lo {
+				prev[p] = l
+			}
+			last[v] = p
+			for q := prev[p]; q >= 0; q = prev[q] {
+				if d := math.Abs(adj.cost[p] - adj.cost[q]); d != 0 && !(d > spacing) {
+					return false
+				}
+			}
+		}
+	}
+	return true
 }
 
 // SetLinks labels every edge with a caller-defined link ID — typically

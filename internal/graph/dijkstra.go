@@ -108,11 +108,17 @@ type dijkstraScratch struct {
 	cur    uint32
 	q      pq
 
-	// The frontier engine's logs (frontier.go), and how often it
-	// completed, fell back to the heap, and resumed a search.
-	undo                         []undoEntry
-	pops                         []popMark
-	completed, fellBack, resumed uint64
+	// The frontier engine's logs (frontier.go): label writes, pops, the
+	// frontier the search stopped with and the node whose pop stopped
+	// it (Undefined when none did). The counts: searches the frontier
+	// completed and fell back to the heap, resumed searches, and of
+	// those, answers read off the log without searching and searches
+	// cut back to the pop that first labeled the log's old target.
+	undo                                             []undoEntry
+	pops                                             []popMark
+	stop                                             uint64
+	stopped                                          NodeID
+	completed, fellBack, resumed, served, retargeted uint64
 
 	// goal[i] == cur marks node i as a target of the search in flight
 	// and left counts those not yet popped (aim); goal is built by the
@@ -122,6 +128,10 @@ type dijkstraScratch struct {
 	left int
 
 	labels []float64 // sharesLabel's scratch
+
+	// heapView's scratch: a mask, its Open in heap positions.
+	mask Mask
+	open []uint64
 }
 
 // begin sizes the scratch for n nodes and opens a new epoch. On the
@@ -176,7 +186,8 @@ func rejects(avoid []uint64, resid []float64, want float64, l uint) bool {
 
 // search is the heap-ordered Dijkstra loop behind both engines: every
 // search on a graph of more than 64 nodes, and every one the frontier
-// loop (settle, frontier.go) hands back on a tie. It settles
+// loop (settle, frontier.go) hands back on a tie, on the adjacency-
+// ordered layout heapView gives it. It settles
 // nodes from src until dst is popped, or until the pop that settles the
 // last of targets (dst = Undefined and no targets settle everything
 // reachable), relaxing only the edges m admits: per popped
@@ -192,8 +203,7 @@ func rejects(avoid []uint64, resid []float64, want float64, l uint) bool {
 // A non-nil c records the search's certificate (see Cert), overwriting
 // it: every link the search asks about and refuses goes into Rej. A
 // nil c records nothing.
-func (s *dijkstraScratch) search(g *Graph, m *Mask, src, dst NodeID, targets []NodeID, c *Cert) {
-	lay := g.layout()
+func (s *dijkstraScratch) search(lay *layout, m *Mask, src, dst NodeID, targets []NodeID, c *Cert) {
 	s.begin(len(lay.off) - 1)
 	s.aim(len(lay.off)-1, targets)
 	open := lay.all

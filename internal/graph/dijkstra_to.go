@@ -18,8 +18,9 @@ type PointRouter struct {
 	s dijkstraScratch
 
 	// last identifies the search the frontier logs in s record — a
-	// completed, uncertified frontier search for src→dst on layout lay —
-	// or is zero when there is none to resume.
+	// completed, uncertified frontier search from src on layout lay,
+	// pruned for the target dst — or is zero when there is none to
+	// resume.
 	last struct {
 		lay      *layout
 		src, dst NodeID
@@ -98,34 +99,46 @@ func (s *dijkstraScratch) sharesLabel(n int, dst NodeID) bool {
 
 // ResumeInto is PathInto for a mask that admits the same edges as the
 // mask of this router's last search except, at most, edges out of the
-// nodes in changed (bit i = node i). When the last search was a
-// completed frontier search for the same pair, it already popped the
-// same nodes in the same order up to its first pop of a changed node:
-// ResumeInto rewinds the search's log to that pop and continues from
-// there under m, and when no changed node was popped it returns the
-// last answer without searching. Otherwise — a graph of more than 64
-// nodes, another pair, a certified or fallen-back search, an added
-// edge — it runs PathInto. Either way it returns exactly PathInto's
-// path and cost.
+// nodes in changed (bit i = node i). When that search was a completed
+// frontier search from the same src, whatever its dst, its logs are a
+// search from src stopped at some pop, and up to its first pop of a
+// changed node they are the same search under m: ResumeInto cuts them
+// there. If dst was settled before the cut, the labels answer. If not,
+// it goes on from the frontier the logs stopped with — first cutting
+// back, when dst is not the logged search's target, to the pop that
+// first labeled that target, before which nothing was pruned. Otherwise
+// — a graph of more than 64 nodes, another src, a certified or
+// fallen-back search, an added edge — it runs PathInto. Either way it
+// returns exactly PathInto's path and cost (DESIGN §10.3).
 func (pr *PointRouter) ResumeInto(buf []EdgeID, src, dst NodeID, m *Mask, changed uint64) ([]EdgeID, float64) {
 	s := &pr.s
 	lay := pr.g.layout()
-	if pr.last.lay != lay || pr.last.src != src || pr.last.dst != dst {
+	if pr.last.lay != lay || pr.last.src != src || src == dst {
 		return pr.pathInto(buf, src, dst, m, nil)
 	}
 	s.resumed++
 	for i, p := range s.pops {
-		if changed&(1<<uint(p.node)) == 0 {
-			continue
+		if changed&(1<<uint(p.node)) != 0 {
+			s.cut(i)
+			break
 		}
-		s.rewind(int(p.log))
-		s.pops = s.pops[:i]
-		if !s.settle(lay, m, p.front, dst, nil) {
-			s.fellBack++
-			pr.last.lay = nil
-			s.search(pr.g, m, src, dst, nil, nil)
+	}
+	if s.stopped == dst || s.epoch[dst] == s.cur && s.stop&(1<<uint(dst)) == 0 {
+		s.served++
+		return pr.appendPath(buf, src, dst)
+	}
+	if dst != pr.last.dst {
+		if i := s.labeledAt(pr.last.dst); i >= 0 {
+			s.cut(i)
+			s.retargeted++
 		}
-		break
+		pr.last.dst = dst
+	}
+	if !s.settle(lay, m, s.stop, dst, nil) {
+		s.fellBack++
+		pr.last.lay = nil
+		hl, hm := s.heapView(lay, m)
+		s.search(hl, hm, src, dst, nil, nil)
 	}
 	return pr.appendPath(buf, src, dst)
 }
@@ -175,7 +188,7 @@ func (pr *PointRouter) appendPath(buf []EdgeID, src, dst NodeID) ([]EdgeID, floa
 // link and admits every link of the path P. Take M* equal to M on the
 // links the search asked about and to M' on every other link. A masked
 // search is a deterministic function of the answers it gets — costs,
-// adjacency order and the relaxation test do not depend on the mask —
+// scan order and the relaxation test do not depend on the mask —
 // so the recorded search runs unchanged under M* and returns P. M'
 // admits a subset of what M* admits (it may refuse links M admitted)
 // and still admits P, so P is still a cheapest path under M', and

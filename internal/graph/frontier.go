@@ -29,15 +29,48 @@ type popMark struct {
 // reports whether the frontier completed, which leaves an undo log a
 // point search can resume from.
 func (s *dijkstraScratch) run(g *Graph, m *Mask, src, dst NodeID, targets []NodeID, c *Cert) bool {
+	lay := g.layout()
 	if g.NumNodes() <= frontierMax {
-		if s.frontier(g.layout(), m, src, dst, targets, c) {
+		if s.frontier(lay, m, src, dst, targets, c) {
 			s.completed++
 			return true
 		}
 		s.fellBack++
+		lay, m = s.heapView(lay, m)
 	}
-	s.search(g, m, src, dst, targets, c)
+	s.search(lay, m, src, dst, targets, c)
 	return false
+}
+
+// heapView returns the layout and mask the heap loop runs a search of
+// lay under m on: lay and m themselves when lay is in adjacency order;
+// for a cost-ordered lay its heap layout, with m's Open translated to
+// that layout's positions in s. The heap is the tie reference: which of
+// two equal labels it pops first depends on its push order, so it
+// relaxes in adjacency order on every graph.
+func (s *dijkstraScratch) heapView(lay *layout, m *Mask) (*layout, *Mask) {
+	if lay.heap == nil {
+		return lay, m
+	}
+	if m == nil || m.Open == nil {
+		return lay.heap, m
+	}
+	if cap(s.open) < len(lay.all) {
+		s.open = make([]uint64, len(lay.all))
+	}
+	s.open = s.open[:len(lay.all)]
+	clear(s.open)
+	for wi, w := range m.Open[:len(lay.all)] {
+		for ; w != 0; w &= w - 1 {
+			if p := wi<<6 | bits.TrailingZeros64(w); p < len(lay.eid) {
+				q := lay.heap.pos[lay.eid[p]]
+				s.open[q>>6] |= 1 << (uint(q) & 63)
+			}
+		}
+	}
+	s.mask = *m
+	s.mask.Open = s.open
+	return lay.heap, &s.mask
 }
 
 // frontier starts a search on a graph of at most 64 nodes and settles
@@ -73,25 +106,34 @@ func (s *dijkstraScratch) frontier(lay *layout, m *Mask, src, dst NodeID, target
 // their node's dist, so popping one does nothing. Costs are ≥ 0, so
 // when one node of front holds the least dist, it is the heap's next
 // effective pop, and by induction both loops pop the same nodes in the
-// same order, relax the same edges in adjacency order, ask the same
-// link tests and write the same dist and parent. When the least dist is
+// same order, relax the same edges, ask the same link tests and write
+// the same dist and parent. When the least dist is
 // shared the heap's choice depends on its layout, and settle returns
 // false at once; the caller reruns the search on the heap.
+//
+// On a cost-ordered layout (csr.go) settle relaxes a node's edges in
+// ascending cost, not adjacency order: the labels and parents are the
+// same (costOrderSafe), and only which link tests the search asks of
+// parallel edges can differ.
 //
 // An uncertified point search skips every relaxation with nd ≥
 // dist[dst]: such a node could only be popped after dst or in a tie
 // with it, which ends the search either way, and its edges cannot lower
 // dst's label. The path and cost are the heap's; only labels no one
-// reads differ. A certified search (c != nil) does not prune, so its
-// certificate records the heap's whole run (DESIGN §11.6).
+// reads differ. On a cost-ordered layout every later edge of the node
+// costs at least as much, so the first such edge ends the node's scan.
+// A certified search (c != nil) does not prune, so its certificate
+// records a whole run (DESIGN §11.6).
 //
 // A search with targets stops, as search does, right after the pop that
 // settles the last of the s.left targets not yet popped. A tie after
 // that pop no longer sends it back to the heap: up to that pop it has
 // matched the heap's run.
 //
-// Every label write is logged in s.undo and every pop in s.pops, so a
-// resumed search can rewind to any pop (PointRouter.ResumeInto).
+// Every label write is logged in s.undo and every pop in s.pops, and
+// the search leaves in s.stop the frontier it stopped with and in
+// s.stopped the node whose pop ended it, so a resumed search can rewind
+// to any pop or go on from the end (PointRouter.ResumeInto).
 func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID, c *Cert) bool {
 	open := lay.all
 	var avoid []uint64
@@ -117,6 +159,8 @@ func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID,
 		bound = dist[target]
 	}
 	undo, pops := s.undo, s.pops
+	s.stopped = Undefined
+pop:
 	for front != 0 {
 		u, unique := least(front, dist)
 		if !unique {
@@ -125,6 +169,7 @@ func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID,
 		}
 		du := dist[u]
 		if NodeID(u) == dst {
+			s.stopped = dst
 			break // settled: done
 		}
 		if s.left > 0 && s.goal[u] == cur {
@@ -152,6 +197,9 @@ func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID,
 				w &= w - 1
 				nd := du + lay.cost[p]
 				if !(nd < bound) {
+					if lay.heap != nil {
+						continue pop // cost-ordered: so is every later edge
+					}
 					continue // past dst
 				}
 				to := lay.to[p]
@@ -180,6 +228,7 @@ func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID,
 		}
 	}
 	s.undo, s.pops = undo, pops
+	s.stop = front
 	return true
 }
 
@@ -207,15 +256,39 @@ func least(front uint64, dist []float64) (u int, unique bool) {
 	return u, eq == 0
 }
 
-// rewind undoes the label writes logged after the first n, restoring
-// the labels and stamps the search held when its log was n entries long.
-func (s *dijkstraScratch) rewind(n int) {
-	for i := len(s.undo) - 1; i >= n; i-- {
-		e := s.undo[i]
+// cut rewinds the logged search to just before its pop i: it undoes
+// the label writes logged from that pop on, restoring the labels and
+// stamps the search held then, and the frontier it popped from.
+func (s *dijkstraScratch) cut(i int) {
+	mark := s.pops[i]
+	for k := len(s.undo) - 1; k >= int(mark.log); k-- {
+		e := s.undo[k]
 		s.dist[e.node], s.parent[e.node] = e.dist, EdgeID(e.parent)
 		if math.IsInf(e.dist, 1) {
 			s.epoch[e.node] = 0 // never the current epoch
 		}
 	}
-	s.undo = s.undo[:n]
+	s.undo, s.pops = s.undo[:mark.log], s.pops[:i]
+	s.stop, s.stopped = mark.front, Undefined
+}
+
+// labeledAt returns the index of the logged pop whose relaxations first
+// labeled v, or -1 when the logged search never labeled v (or v is its
+// source, labeled before any pop).
+func (s *dijkstraScratch) labeledAt(v NodeID) int {
+	if s.epoch[v] != s.cur {
+		return -1
+	}
+	for k, e := range s.undo {
+		if NodeID(e.node) != v {
+			continue
+		}
+		// The pop that logged entry k: the last to start at or before it.
+		i := len(s.pops) - 1
+		for int(s.pops[i].log) > k {
+			i--
+		}
+		return i
+	}
+	return -1
 }

@@ -16,7 +16,9 @@
 // checks across thousands of candidate link subsets. On a graph of at
 // most 64 nodes the queue is a bitset scanned for a unique minimum
 // (frontier.go), which pops exactly what the binary heap would; a tie
-// sends the search back to the heap.
+// sends the search back to the heap. There a node's edges are scanned
+// cheapest first (csr.go), so a point search leaves a node at its first
+// edge past the destination's label.
 package graph
 
 import (

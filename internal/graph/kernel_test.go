@@ -52,7 +52,11 @@ func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float
 // one of three regimes: small integers, so exact ties abound; one cost
 // for every edge, so ties are everywhere; or real-valued, where ties
 // between distinct nodes are absent and the frontier search completes.
-// The first two send many frontier searches back to the heap.
+// The first two send many frontier searches back to the heap. Parallel
+// twins cost what their edge costs, except in half the real-valued
+// cases, where they cost the next float down: cheaper edges scanned
+// later, whose sums round together with the first's, so the layout must
+// stay in adjacency order (costOrderSafe).
 type kernelCase struct {
 	g        *Graph
 	links    []int32
@@ -81,8 +85,12 @@ func newKernelCase(rng *rand.Rand, n, m int) kernelCase {
 		} else {
 			g.AddBiEdge(a, b, cost, 1)
 		}
-		if rng.Intn(4) == 0 { // parallel twin at the same cost
-			g.AddEdge(a, b, cost, 1)
+		if rng.Intn(4) == 0 { // parallel twin
+			twin := cost
+			if regime == 3 {
+				twin = math.Nextafter(cost, 0)
+			}
+			g.AddEdge(a, b, twin, 1)
 		}
 	}
 	ne := g.NumEdges()
@@ -194,9 +202,14 @@ func settled(s *dijkstraScratch, n int) ([]float64, []EdgeID) {
 // changed masks, those of them that refuse a link the search relaxed
 // (where a certificate of every link test the search asked would have
 // failed), certified searches that met a tie, frontier searches that
-// completed, fell back to the heap, or were resumed, and trees that
-// stopped at their targets short of the whole tree.
-type tally struct{ held, weak, tied, completed, fellBack, resumed, stopped int }
+// completed, fell back to the heap, or were resumed, resumed searches
+// answered off the log or cut back to their old target's first
+// labeling, and trees that stopped at their targets short of the whole
+// tree.
+type tally struct {
+	held, weak, tied, completed, fellBack, resumed, stopped int
+	served, retargeted                                      int
+}
 
 func (ty *tally) add(o tally) {
 	ty.held += o.held
@@ -206,10 +219,13 @@ func (ty *tally) add(o tally) {
 	ty.fellBack += o.fellBack
 	ty.resumed += o.resumed
 	ty.stopped += o.stopped
+	ty.served += o.served
+	ty.retargeted += o.retargeted
 }
 
 func (ty *tally) count(s *dijkstraScratch) {
-	ty.add(tally{completed: int(s.completed), fellBack: int(s.fellBack), resumed: int(s.resumed)})
+	ty.add(tally{completed: int(s.completed), fellBack: int(s.fellBack), resumed: int(s.resumed),
+		served: int(s.served), retargeted: int(s.retargeted)})
 }
 
 // checkCert records a certified search for src→dst under c's mask and
@@ -555,6 +571,7 @@ func FuzzMaskKernel(f *testing.F) {
 	f.Add(int64(3), uint8(1), uint16(5), []byte{0, 0})           // self-loops only
 	f.Add(int64(9), uint8(30), uint16(0), []byte{4})             // no edges
 	f.Add(int64(11), uint8(11), uint16(40), []byte{0, 5})        // all costs equal: certified searches tie
+	f.Add(int64(15), uint8(11), uint16(80), []byte{3, 7})        // twins a float cheaper: the layout keeps adjacency order
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, m uint16, tree []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		c := newKernelCase(rng, 1+int(n), int(m)%600)

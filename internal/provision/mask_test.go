@@ -40,10 +40,11 @@ func checkMasks(t *testing.T, rt *router, when string) {
 // checkSplits replays one place call with a fresh search per split. It
 // restores the residuals and open mask place started from, then books
 // the splits place made one by one: each must be the path a fresh
-// search finds on the arena at that point, where place resumed the last
-// split's search; after the last one, a fresh search must agree that
-// place had to stop, and the arena must be back in the state place
-// left, bit for bit.
+// search finds on the arena at that point, where place may have resumed
+// the arena's last search from the same source, to this destination or
+// another; after the last one, a fresh search must agree that place had
+// to stop, and the arena must be back in the state place left, bit for
+// bit.
 func checkSplits(t *testing.T, rt *router, d demand, avoid *linkset.Set, resid0 []float64, open0 []uint64, splits []PathAssignment, maxPaths int, remaining float64) {
 	t.Helper()
 	residAfter, openAfter := slices.Clone(rt.resid), slices.Clone(rt.open)
@@ -73,6 +74,62 @@ func checkSplits(t *testing.T, rt *router, d demand, avoid *linkset.Set, resid0 
 	}
 }
 
+// searchLog is what watchSearches saw: every point search, those that
+// resumed the arena's last search, and those of them that resumed a
+// search to another destination.
+type searchLog struct{ searches, resumed, retargeted int }
+
+// watchSearches installs the checkSearch hook until the test ends. On
+// every open-mask search of an arena that searched before, the arena's
+// changed set must name the tail router of every edge position whose
+// open bit moved since that search; and when the search resumes, of
+// every position whose admission moved: the mask it runs under against
+// the last search's, an enabled-mask search's too.
+func watchSearches(t *testing.T) *searchLog {
+	type snap struct {
+		open, admit []uint64
+		src, dst    int
+	}
+	var log searchLog
+	snaps := map[*router]snap{}
+	checkSearch = func(rt *router, src, dst int, m graph.Mask, resume bool) {
+		t.Helper()
+		admit := slices.Clone(m.Open)
+		for l := range rt.p.Links {
+			if l>>6 < len(m.Avoid) && m.Avoid[l>>6]&(1<<(l&63)) != 0 {
+				rt.setBits(admit, l, false)
+			}
+		}
+		log.searches++
+		last, searched := snaps[rt]
+		if searched && rt.track && &m.Open[0] == &rt.open[0] {
+			for l, ends := range rt.p.Links {
+				for k, p := range rt.posFor[l] {
+					tail := []int{ends.A, ends.B}[k]
+					bit := uint64(1) << (p & 63)
+					moved := (last.open[p>>6]^rt.open[p>>6])&bit != 0
+					if resume {
+						moved = moved || (last.admit[p>>6]^admit[p>>6])&bit != 0
+					}
+					if moved && rt.changed&(1<<uint(tail)) == 0 {
+						t.Fatalf("link %d's edge out of router %d moved since the arena's last search (%d->%d), but changed %#x leaves the router out",
+							l, tail, last.src, last.dst, rt.changed)
+					}
+				}
+			}
+		}
+		if resume {
+			log.resumed++
+			if last.src == src && last.dst != dst {
+				log.retargeted++
+			}
+		}
+		snaps[rt] = snap{open: slices.Clone(rt.open), admit: admit, src: src, dst: dst}
+	}
+	t.Cleanup(func() { checkSearch = nil })
+	return &log
+}
+
 func randomSubset(rng *rand.Rand, n, keepOutOf int) *linkset.Set {
 	s := linkset.New(n)
 	for l := 0; l < n; l++ {
@@ -87,9 +144,11 @@ func randomSubset(rng *rand.Rand, n, keepOutOf int) *linkset.Set {
 // place / release / ban / unban / full-route sequences, with demands
 // large enough to saturate links, and checks the mask invariant after
 // every step, and every path split of every place against a fresh
-// search (checkSplits).
+// search (checkSplits). Consecutive places mostly share a source across
+// destinations and often an avoid set, so their searches resume one
+// another; watchSearches checks the arena's changed set at each.
 func TestArenaMasksTrackResiduals(t *testing.T) {
-	resumed := 0
+	log := watchSearches(t)
 	for seed := int64(1); seed <= 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		n := 6 + rng.Intn(8)
@@ -104,6 +163,8 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 		// A one-pair routing for the placements to land in.
 		res := ws.takeRouting(&shape{pairs: make([]demand, 1)})
 		var placed []PathAssignment
+		var avoid *linkset.Set
+		src := rng.Intn(n)
 		for step := 0; step < 200; step++ {
 			var when string
 			switch op := rng.Intn(10); {
@@ -132,16 +193,20 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 				placed = append(placed[:i], placed[i+1:]...)
 			default:
 				when = "place"
-				var avoid *linkset.Set
-				if rng.Intn(3) == 0 {
+				switch rng.Intn(6) {
+				case 0:
+					avoid = nil
+				case 1:
 					avoid = randomSubset(rng, len(p.Links), 2)
 				}
-				d, maxPaths := demand{src: rng.Intn(n), dst: rng.Intn(n)}, 1+rng.Intn(4)
+				if rng.Intn(3) == 0 {
+					src = rng.Intn(n)
+				}
+				d, maxPaths := demand{src: src, dst: rng.Intn(n)}, 1+rng.Intn(4)
 				resid0, open0 := slices.Clone(rt.resid), slices.Clone(rt.open)
 				added, remaining := rt.place(res, d, 5+rng.Float64()*60, maxPaths, avoid)
 				splits := res.lists[0][len(res.lists[0])-added:]
 				checkSplits(t, rt, d, avoid, resid0, open0, splits, maxPaths, remaining)
-				resumed += max(added-1, 0)
 				placed = append(placed, splits...)
 			}
 			checkMasks(t, rt, when)
@@ -149,8 +214,9 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 		ws.giveRouting(res)
 		ws.release(rt)
 	}
-	if resumed < 100 {
-		t.Fatalf("only %d path splits resumed a search; want at least 100", resumed)
+	if log.resumed < 3000 || log.retargeted < 700 {
+		t.Fatalf("%d searches: %d resumed the arena's last one, %d of them to another destination; want at least 3000 and 700",
+			log.searches, log.resumed, log.retargeted)
 	}
 }
 
@@ -159,6 +225,7 @@ func TestArenaMasksTrackResiduals(t *testing.T) {
 // checks the invariant on every arena the shave holds and on every
 // arena it has returned to the pool.
 func TestShaverMasksTrackResiduals(t *testing.T) {
+	watchSearches(t)
 	for seed := int64(1); seed <= 12; seed++ {
 		for _, c := range []Constraint{Constraint1, Constraint2, Constraint3} {
 			rng := rand.New(rand.NewSource(seed))

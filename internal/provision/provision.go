@@ -290,6 +290,15 @@ type router struct {
 	pathBuf    []graph.EdgeID // path output scratch
 	targets    []graph.NodeID // a tree's targets (treeTo)
 
+	// The open-mask search the point router's logs hold, for path to
+	// resume: searched says they hold one, searchedAvoid is its avoid
+	// set, and changed the routers (bit i = router i) whose links'
+	// admission has moved since (touch). Only graphs of at most 64
+	// routers track anything (track): larger ones never resume.
+	track, searched bool
+	searchedAvoid   *linkset.Set
+	changed         uint64
+
 	// Per-route scratch: the phase work lists, freeLink's candidates and
 	// the link it bans, phase 3's detour set.
 	phase2, stuck  []demand
@@ -308,6 +317,10 @@ type cand struct{ pair, slot int }
 // checkCands, when non-nil, sees every freeLink call's candidates as
 // the crossing index derived them, before they are sorted: a test hook.
 var checkCands func(res *Routing, l, exclude int, cands []cand)
+
+// checkSearch, when non-nil, sees every point search of path and
+// enabledPath before it runs, and whether it resumes: a test hook.
+var checkSearch func(rt *router, src, dst int, m graph.Mask, resume bool)
 
 // checkPrimaries, when non-nil, sees the primary path sets every
 // Constraint-2 or -3 check builds, indexed by pair: a test hook.
@@ -328,19 +341,9 @@ func (rt *router) treeTo(src int, m *graph.Mask, ds []demand) *graph.ShortestTre
 // to the pair's list and returns how many, and the amount left unplaced.
 func (rt *router) place(res *Routing, d demand, gbps float64, maxPaths int, avoid *linkset.Set) (added int, remaining float64) {
 	remaining = gbps
-	usable := rt.openMask(avoid)
-	var closed uint64
 	for ; added < maxPaths && remaining > 1e-9; added++ {
 		// Find the cheapest path that can carry any positive amount.
-		// Between splits the mask loses only the links the last split
-		// saturated, so every search after the first resumes the last.
-		var edges []graph.EdgeID
-		var ok bool
-		if added == 0 {
-			edges, ok = rt.path(d.src, d.dst, usable)
-		} else {
-			edges, ok = rt.resume(d.src, d.dst, usable, closed)
-		}
+		edges, ok := rt.path(d.src, d.dst, avoid)
 		if !ok {
 			break
 		}
@@ -350,7 +353,6 @@ func (rt *router) place(res *Routing, d demand, gbps float64, maxPaths int, avoi
 		}
 		links := res.keep(rt, edges)
 		rt.addPath(links, -bn)
-		closed = rt.closedEnds(links)
 		res.push(d.pair, PathAssignment{Links: links, Gbps: bn})
 		remaining -= bn
 	}
@@ -374,7 +376,7 @@ func (rt *router) unplace(res *Routing, i, n int) {
 func (rt *router) ejectAndPlace(res *Routing, d demand, gbps float64, avoid *linkset.Set, moves *int) (placed float64, blocker int) {
 	// Cheapest path over all enabled links (capacity ignored),
 	// respecting only the pair's avoid set.
-	edges, _ := rt.path(d.src, d.dst, rt.enabledMask(avoid))
+	edges := rt.enabledPath(d.src, d.dst, avoid)
 	if len(edges) == 0 {
 		return 0, -1
 	}
@@ -445,6 +447,7 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude int, moves
 	})
 	freed := 0.0
 	rt.banned.Add(l)
+	rt.touch(l)
 	for _, c := range cands {
 		if freed >= need || *moves <= 0 {
 			break
@@ -471,6 +474,7 @@ func (rt *router) freeLink(res *Routing, l int, need float64, exclude int, moves
 		freed += a.Gbps
 	}
 	rt.banned.Remove(l)
+	rt.touch(l)
 	return freed
 }
 

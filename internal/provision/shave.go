@@ -274,7 +274,7 @@ func (s *Shaver) primaryOf(d demand) (*linkset.Set, bool) {
 		s.pgArena.apply(s.include, 0, s.ws.all)
 		s.pgVersion = s.version
 	}
-	edges, _ := s.pgArena.path(d.src, d.dst, s.pgArena.enabledMask(nil))
+	edges := s.pgArena.enabledPath(d.src, d.dst, nil)
 	if len(edges) == 0 {
 		return nil, d.src == d.dst
 	}

@@ -21,10 +21,10 @@ import (
 // over *every* logical link once and evaluates each candidate subset
 // by XOR-diffing the include bitset into an arena's open-edge masks —
 // an O(diff) word-scan per check instead of a full graph rebuild. The
-// shortest-path kernel walks only the set bits of the mask, in
-// adjacency order, so the masked full graph explores exactly the
-// node/edge sequence a subset-built graph would: every path, cost and
-// residual is bit-identical to the rebuild-per-check seed behaviour.
+// shortest-path kernel walks only the set bits of the mask, so the
+// masked full graph settles exactly the labels a subset-built graph
+// would: every path, cost and residual is bit-identical to the
+// rebuild-per-check seed behaviour.
 //
 // The graph is built once, on the first acquire, and never written
 // again; every arena reads it. A Workspace owns a free list of arenas,
@@ -223,6 +223,7 @@ func newArena(p *topo.POCNetwork, ng *netGraph) *router {
 	return &router{
 		p:          p,
 		netGraph:   ng,
+		track:      len(p.Routers) <= 64,
 		pr:         graph.NewPointRouter(ng.g),
 		tr:         graph.NewTreeRouter(ng.g),
 		resid:      make([]float64, len(p.Links)),
@@ -257,6 +258,16 @@ func (rt *router) setEnabled(l int, on bool) {
 	}
 	rt.setBits(rt.enabledPos, l, on)
 	rt.setBits(rt.open, l, on && rt.resid[l] >= 1e-9)
+	rt.touch(l)
+}
+
+// touch marks the routers at both ends of link l changed for the next
+// resumed search (path): the link's admission may have moved.
+func (rt *router) touch(l int) {
+	if rt.track {
+		ln := &rt.p.Links[l]
+		rt.changed |= 1<<uint(ln.A) | 1<<uint(ln.B)
+	}
 }
 
 // addResid adjusts link l's residual by d Gbps. Every residual write
@@ -269,6 +280,7 @@ func (rt *router) addResid(l int, d float64) {
 	rt.resid[l] = r
 	if now := r >= 1e-9; now != (old >= 1e-9) && rt.enabled.Contains(l) {
 		rt.setBits(rt.open, l, now)
+		rt.touch(l)
 	}
 }
 
@@ -290,38 +302,41 @@ func (rt *router) enabledMask(avoid *linkset.Set) *graph.Mask {
 	return &graph.Mask{Open: rt.enabledPos, Avoid: avoid.Words()}
 }
 
-// path finds the cheapest src→dst path admitted by m; ok is false when
-// there is none. The edge sequence lives in arena scratch, valid until
-// the arena's next search: bottleneck reads it, Routing.keep copies it.
-func (rt *router) path(src, dst int, m *graph.Mask) (edges []graph.EdgeID, ok bool) {
-	edges, cost := rt.pr.PathInto(rt.pathBuf[:0], graph.NodeID(src), graph.NodeID(dst), m)
-	rt.pathBuf = edges[:0]
-	return edges, !math.IsInf(cost, 1)
-}
-
-// resume is path for a mask that differs from the one of the arena's
-// last path search only on edges out of the routers in changed (bit i =
-// router i): the search picks up where the last one first popped one
-// of them (graph.PointRouter.ResumeInto) and returns exactly what path
-// would.
-func (rt *router) resume(src, dst int, m *graph.Mask, changed uint64) (edges []graph.EdgeID, ok bool) {
-	edges, cost := rt.pr.ResumeInto(rt.pathBuf[:0], graph.NodeID(src), graph.NodeID(dst), m, changed)
-	rt.pathBuf = edges[:0]
-	return edges, !math.IsInf(cost, 1)
-}
-
-// closedEnds is the set of routers (bit i = router i; routers past 63
-// are left out, and searches on such graphs do not resume) at either
-// end of a link in links that is now closed for capacity.
-func (rt *router) closedEnds(links []int) uint64 {
-	var ends uint64
-	for _, l := range links {
-		if rt.resid[l] < 1e-9 {
-			ln := &rt.p.Links[l]
-			ends |= 1<<uint(ln.A) | 1<<uint(ln.B)
-		}
+// path finds the cheapest src→dst path over the links open for
+// capacity, minus avoid (nil = none); ok is false when there is none.
+// The arena's last path search under the same avoid set, from any
+// source to any destination, is resumed (graph.PointRouter.ResumeInto)
+// with the routers touch marked since; nothing else resumes it. The
+// edge sequence lives in arena scratch, valid until the arena's next
+// search: bottleneck reads it, Routing.keep copies it.
+func (rt *router) path(src, dst int, avoid *linkset.Set) (edges []graph.EdgeID, ok bool) {
+	m := rt.openMask(avoid)
+	resume := rt.searched && avoid == rt.searchedAvoid
+	if checkSearch != nil {
+		checkSearch(rt, src, dst, *m, resume)
 	}
-	return ends
+	var cost float64
+	if resume {
+		edges, cost = rt.pr.ResumeInto(rt.pathBuf[:0], graph.NodeID(src), graph.NodeID(dst), m, rt.changed)
+	} else {
+		edges, cost = rt.pr.PathInto(rt.pathBuf[:0], graph.NodeID(src), graph.NodeID(dst), m)
+	}
+	rt.searched, rt.searchedAvoid, rt.changed = rt.track, avoid, 0
+	rt.pathBuf = edges[:0]
+	return edges, !math.IsInf(cost, 1)
+}
+
+// enabledPath is path over every enabled link, capacity ignored. It
+// replaces the point router's logs, so the next path starts afresh.
+func (rt *router) enabledPath(src, dst int, avoid *linkset.Set) []graph.EdgeID {
+	m := rt.enabledMask(avoid)
+	if checkSearch != nil {
+		checkSearch(rt, src, dst, *m, false)
+	}
+	edges, _ := rt.pr.PathInto(rt.pathBuf[:0], graph.NodeID(src), graph.NodeID(dst), m)
+	rt.searched = false
+	rt.pathBuf = edges[:0]
+	return edges
 }
 
 // bottleneck is the least residual along edges, capped at gbps.
@@ -363,6 +378,7 @@ func (rt *router) apply(include *linkset.Set, headroom float64, all *linkset.Set
 		ew[wi] = t
 	}
 	copy(rt.open, rt.enabledPos)
+	rt.changed = ^uint64(0)
 	scale := 1 - headroom
 	target.Iterate(func(id int) {
 		r := rt.p.Links[id].Capacity * scale

@@ -69,7 +69,7 @@ func TestFirstAcquiresBuildOneGraph(t *testing.T) {
 			arenas[i] = ws.acquire()
 			// Read the graph from every arena while all are held.
 			arenas[i].apply(nil, 0, ws.all)
-			arenas[i].path(0, 1, arenas[i].openMask(nil))
+			arenas[i].path(0, 1, nil)
 		}()
 	}
 	start.Done()
