@@ -56,11 +56,13 @@ func benchMask(g *Graph, kind string, links int) *Mask {
 
 // BenchmarkSearch times the kernel's searches on zoo-sized graphs — 27
 // and 36 routers, which the frontier engine serves, and 200, which only
-// the heap does — over each mask kind. One op is 64 point searches, 16
-// trees, or 16 demands split over up to four paths, each split closing
-// one link of the last path as saturation would: "resume" resumes the
-// last split's search, "fresh" searches again from scratch. A
-// "tree-to-k" tree stops once k random destinations have settled.
+// the heap does — over each mask kind. One op is 64 point searches, 64
+// certified ones (over the masks with no Open set, which a certificate
+// can speak for), 16 trees, or 16 demands split over up to four paths,
+// each split closing one link of the last path as saturation would:
+// "resume" resumes the last split's search, "fresh" searches again from
+// scratch. A "tree-to-k" tree stops once k random destinations have
+// settled.
 func BenchmarkSearch(b *testing.B) {
 	for _, size := range []struct{ n, links int }{{27, 300}, {36, 653}, {200, 800}} {
 		g := benchGraph(size.n, size.links)
@@ -80,6 +82,18 @@ func BenchmarkSearch(b *testing.B) {
 					}
 				}
 			})
+			if m == nil || m.Open == nil {
+				b.Run(fmt.Sprintf("certified/%s/n%d", kind, size.n), func(b *testing.B) {
+					pr := NewPointRouter(g)
+					cert := Cert{Rej: make([]uint64, (size.links+63)/64)}
+					var buf []EdgeID
+					for i := 0; i < b.N; i++ {
+						for _, p := range pairs {
+							buf, _, _ = pr.CertifiedPathInto(buf[:0], p[0], p[1], m, &cert)
+						}
+					}
+				})
+			}
 			b.Run(fmt.Sprintf("tree/%s/n%d", kind, size.n), func(b *testing.B) {
 				tr := NewTreeRouter(g)
 				for i := 0; i < b.N; i++ {

@@ -42,7 +42,14 @@ func (pr *PointRouter) Path(src, dst NodeID, m *Mask) Path {
 // buffer is returned unextended with +Inf cost, and src == dst yields
 // an empty sequence at cost 0.
 func (pr *PointRouter) PathInto(buf []EdgeID, src, dst NodeID, m *Mask) ([]EdgeID, float64) {
-	return pr.pathInto(buf, src, dst, m, nil)
+	pr.last.lay = nil
+	if src == dst {
+		return buf, 0
+	}
+	if pr.s.run(pr.g, m, src, dst, nil, nil) {
+		pr.last.lay, pr.last.src, pr.last.dst = pr.g.layout(), src, dst
+	}
+	return pr.appendPath(buf, src, dst)
 }
 
 // CertifiedPathInto is PathInto that also records the search's
@@ -53,7 +60,7 @@ func (pr *PointRouter) PathInto(buf []EdgeID, src, dst NodeID, m *Mask) ([]EdgeI
 // Holds for, with this call's path, returns this call's path and cost
 // exactly. A tied search's certificate proves nothing; the caller must
 // not keep it. m.Open must be nil — a certificate speaks for link
-// labels, not edge positions.
+// labels, not edge positions. The search prunes as PathInto's does.
 func (pr *PointRouter) CertifiedPathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert) (edges []EdgeID, cost float64, tied bool) {
 	if m != nil && m.Open != nil {
 		panic("graph: a certified search needs a mask with nil Open")
@@ -61,19 +68,39 @@ func (pr *PointRouter) CertifiedPathInto(buf []EdgeID, src, dst NodeID, m *Mask,
 	if c.Rej == nil {
 		panic("graph: a certificate needs its Rej bitset")
 	}
-	edges, cost = pr.pathInto(buf, src, dst, m, c)
-	return edges, cost, src != dst && pr.s.sharesLabel(pr.g.NumNodes(), dst)
+	pr.last.lay = nil
+	s, n := &pr.s, pr.g.NumNodes()
+	if s.run(pr.g, m, src, dst, nil, c) {
+		tied = s.popsTie(dst)
+	} else {
+		tied = n <= frontierMax || s.sharesLabel(n, dst) // a frontier fallback is a tie
+	}
+	edges, cost = pr.appendPath(buf, src, dst)
+	return edges, cost, tied
 }
 
-// sharesLabel reports whether the certified search just run may have
-// settled two nodes at one label. Costs are ≥ 0, so a search pops in
-// label order, and one that stops at dst has popped every visited node
-// labeled below dst (every visited node, when dst was not reached).
-// Sorting those labels with the nodes labeled as dst, popped or not,
-// and comparing neighbours finds every shared label on either engine:
-// a frontier fallback's, and one least never sees at once, of a node
-// that joined front at the pop before its own over a zero cost or one
-// the sum absorbs.
+// popsTie is sharesLabel for a search the frontier completed, read off
+// its pop log instead of sorted. The log holds the nodes popped before
+// dst, in label order, and dst was the unique least of the frontier
+// when popped: so the visited labels up to dst's are the logged pops'
+// and dst's own, and two are equal exactly when two consecutive pops
+// share a label or dst shares the last pop's.
+func (s *dijkstraScratch) popsTie(dst NodeID) bool {
+	prev := math.Inf(-1)
+	for _, p := range s.pops {
+		if s.dist[p.node] == prev {
+			return true
+		}
+		prev = s.dist[p.node]
+	}
+	return s.stopped == dst && s.dist[dst] == prev
+}
+
+// sharesLabel reports whether the certified heap search just run may
+// have settled two nodes at one label. A search pops in label order, so
+// one that stops at dst has popped every visited node labeled below it
+// (every visited node, when dst was not reached): sorting those labels
+// with the nodes labeled as dst and comparing neighbours finds them.
 func (s *dijkstraScratch) sharesLabel(n int, dst NodeID) bool {
 	bound := math.Inf(1)
 	if s.epoch[dst] == s.cur {
@@ -114,7 +141,7 @@ func (pr *PointRouter) ResumeInto(buf []EdgeID, src, dst NodeID, m *Mask, change
 	s := &pr.s
 	lay := pr.g.layout()
 	if pr.last.lay != lay || pr.last.src != src || src == dst {
-		return pr.pathInto(buf, src, dst, m, nil)
+		return pr.PathInto(buf, src, dst, m)
 	}
 	s.resumed++
 	for i, p := range s.pops {
@@ -139,20 +166,6 @@ func (pr *PointRouter) ResumeInto(buf []EdgeID, src, dst NodeID, m *Mask, change
 		pr.last.lay = nil
 		hl, hm := s.heapView(lay, m)
 		s.search(hl, hm, src, dst, nil, nil)
-	}
-	return pr.appendPath(buf, src, dst)
-}
-
-func (pr *PointRouter) pathInto(buf []EdgeID, src, dst NodeID, m *Mask, c *Cert) ([]EdgeID, float64) {
-	pr.last.lay = nil
-	if src == dst {
-		if c != nil {
-			clear(c.Rej)
-		}
-		return buf, 0
-	}
-	if pr.s.run(pr.g, m, src, dst, nil, c) && c == nil {
-		pr.last.lay, pr.last.src, pr.last.dst = pr.g.layout(), src, dst
 	}
 	return pr.appendPath(buf, src, dst)
 }

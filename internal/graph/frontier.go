@@ -116,24 +116,26 @@ func (s *dijkstraScratch) frontier(lay *layout, m *Mask, src, dst NodeID, target
 // same (costOrderSafe), and only which link tests the search asks of
 // parallel edges can differ.
 //
-// An uncertified point search skips every relaxation with nd ≥
+// A point search, certified or not, skips every relaxation with nd ≥
 // dist[dst]: such a node could only be popped after dst or in a tie
 // with it, which ends the search either way, and its edges cannot lower
 // dst's label. The path and cost are the heap's; only labels no one
 // reads differ. On a cost-ordered layout every later edge of the node
 // costs at least as much, so the first such edge ends the node's scan.
-// A certified search (c != nil) does not prune, so its certificate
-// records a whole run (DESIGN §11.6).
+// A certified search's certificate then records the pruned run, which
+// is as exact as the whole run's (DESIGN §11.6).
 //
 // A search with targets stops, as search does, right after the pop that
 // settles the last of the s.left targets not yet popped. A tie after
 // that pop no longer sends it back to the heap: up to that pop it has
 // matched the heap's run.
 //
-// Every label write is logged in s.undo and every pop in s.pops, and
-// the search leaves in s.stop the frontier it stopped with and in
-// s.stopped the node whose pop ended it, so a resumed search can rewind
-// to any pop or go on from the end (PointRouter.ResumeInto).
+// Every label write is logged in s.undo and every pop in s.pops, by
+// index within the capacity frontier gave them (append's growth call
+// spilled the loop's registers, E47), and the search leaves in s.stop
+// the frontier it stopped with and in s.stopped the node whose pop
+// ended it, so a resumed search can rewind to any pop or go on from the
+// end (PointRouter.ResumeInto).
 func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID, c *Cert) bool {
 	open := lay.all
 	var avoid []uint64
@@ -152,11 +154,9 @@ func (s *dijkstraScratch) settle(lay *layout, m *Mask, front uint64, dst NodeID,
 	}
 	cur := s.cur
 	dist, parent, epoch := s.dist, s.parent, s.epoch
-	target, bound := dst, math.Inf(1)
-	if c != nil {
-		target = Undefined
-	} else if target != Undefined {
-		bound = dist[target]
+	bound := math.Inf(1)
+	if dst != Undefined {
+		bound = dist[dst]
 	}
 	undo, pops := s.undo, s.pops
 	s.stopped = Undefined
@@ -177,7 +177,8 @@ pop:
 				break // the last target settled
 			}
 		}
-		pops = append(pops, popMark{node: int32(u), log: int32(len(undo)), front: front})
+		pops = pops[:len(pops)+1]
+		pops[len(pops)-1] = popMark{node: int32(u), log: int32(len(undo)), front: front}
 		front &^= 1 << uint(u)
 		lo, hi := int(lay.off[u]), int(lay.off[u+1])
 		if lo == hi {
@@ -216,12 +217,13 @@ pop:
 						continue
 					}
 				}
-				undo = append(undo, undoEntry{node: to, parent: int32(parent[to]), dist: d})
+				undo = undo[:len(undo)+1]
+				undo[len(undo)-1] = undoEntry{node: to, parent: int32(parent[to]), dist: d}
 				epoch[to] = cur
 				dist[to] = nd
 				parent[to] = EdgeID(lay.eid[p])
 				front |= 1 << uint(to)
-				if NodeID(to) == target {
+				if NodeID(to) == dst {
 					bound = nd
 				}
 			}

@@ -10,7 +10,7 @@ import (
 // refPath is the reference search's src→dst path and cost, nil at +Inf
 // when dst is unreachable.
 func refPath(g *Graph, admit func(EdgeID) bool, src, dst NodeID) ([]EdgeID, float64) {
-	dist, parent, _ := refSearch(g, admit, src, dst)
+	dist, parent, _, _ := refSearch(g, admit, src, dst)
 	var path []EdgeID
 	if !math.IsInf(dist[dst], 1) {
 		for v := dst; v != src; v = g.edges[parent[v]].From {
@@ -187,7 +187,7 @@ func TestCostOrderKeepsParallelTies(t *testing.T) {
 			t.Fatalf("costs %v and 0 on parallel edges: layout cost-ordered %v, want %v", first, ordered, first == 0.5)
 		}
 		all := func(EdgeID) bool { return true }
-		wantDist, wantParent, _ := refSearch(g, all, 0, Undefined)
+		wantDist, wantParent, _, _ := refSearch(g, all, 0, Undefined)
 		want, wantCost := refPath(g, all, 0, 2)
 		tree := NewTreeRouter(g).Tree(0, nil)
 		if tree.Parent[2] != wantParent[2] || tree.Dist[2] != wantDist[2] {

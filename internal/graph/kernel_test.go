@@ -11,9 +11,11 @@ import (
 // refSearch is the closure-driven Dijkstra the mask kernel replaced,
 // kept as the differential reference: it scans the adjacency list of
 // every popped node, asks admit about each edge, and relaxes with the
-// same heap. dst = Undefined settles the whole tree. wrote lists, in
-// order, every edge whose relaxation wrote a label.
-func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float64, parent, wrote []EdgeID) {
+// same heap. dst = Undefined settles the whole tree. It never prunes.
+// wrote lists, in order, every edge whose relaxation wrote a label, and
+// refused every edge admit turned away that would have written one: the
+// links a certificate of this whole run would hold refused.
+func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float64, parent, wrote, refused []EdgeID) {
 	n := g.NumNodes()
 	dist = make([]float64, n)
 	parent = make([]EdgeID, n)
@@ -32,11 +34,15 @@ func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float
 			break
 		}
 		for _, eid := range g.adj[it.node] {
+			e := &g.edges[eid]
+			nd := it.dist + e.Cost
 			if !admit(eid) {
+				if nd < dist[e.To] {
+					refused = append(refused, eid)
+				}
 				continue
 			}
-			e := &g.edges[eid]
-			if nd := it.dist + e.Cost; nd < dist[e.To] {
+			if nd < dist[e.To] {
 				dist[e.To] = nd
 				parent[e.To] = eid
 				wrote = append(wrote, eid)
@@ -44,14 +50,15 @@ func refSearch(g *Graph, admit func(EdgeID) bool, src, dst NodeID) (dist []float
 			}
 		}
 	}
-	return dist, parent, wrote
+	return dist, parent, wrote, refused
 }
 
 // kernelCase is one random instance: a multigraph with parallel edges,
 // link labels shared by edge pairs, and a random mask. Its costs are
-// one of three regimes: small integers, so exact ties abound; one cost
-// for every edge, so ties are everywhere; or real-valued, where ties
-// between distinct nodes are absent and the frontier search completes.
+// one of three regimes: small integers, zero included, so exact ties
+// and zero-cost hops abound; one cost for every edge, so ties are
+// everywhere; or real-valued, where ties between distinct nodes are
+// absent and the frontier search completes.
 // The first two send many frontier searches back to the heap. Parallel
 // twins cost what their edge costs, except in half the real-valued
 // cases, where they cost the next float down: cheaper edges scanned
@@ -73,7 +80,7 @@ func newKernelCase(rng *rand.Rand, n, m int) kernelCase {
 	regime := rng.Intn(4) // 0 all equal, 1 integer, else real-valued
 	for i := 0; i < m; i++ {
 		a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		cost := float64(1 + rng.Intn(3))
+		cost := float64(rng.Intn(3))
 		switch regime {
 		case 0:
 			cost = 1
@@ -149,17 +156,23 @@ func (c kernelCase) admit(eid EdgeID) bool {
 	return m.Resid == nil || m.Resid[l] >= m.Want
 }
 
-// perturb returns a mask near c's — its Avoid and Resid copied with a
-// few links flipped or re-drawn, sometimes a new Want — always with a
-// nil Open, the masks a certificate can speak for. changed reports
-// whether anything was flipped or re-drawn.
-func perturb(rng *rand.Rand, c kernelCase) (m *Mask, changed bool) {
-	m = &Mask{}
+// linkMask returns a copy of c's Avoid, Resid and Want, with a nil Open.
+func (c kernelCase) linkMask() *Mask {
+	m := &Mask{}
 	if c.mask != nil {
 		m.Avoid = append([]uint64(nil), c.mask.Avoid...)
 		m.Resid = append([]float64(nil), c.mask.Resid...)
 		m.Want = c.mask.Want
 	}
+	return m
+}
+
+// perturb returns a mask near c's — its Avoid and Resid copied with a
+// few links flipped or re-drawn, sometimes a new Want — always with a
+// nil Open, the masks a certificate can speak for. changed reports
+// whether anything was flipped or re-drawn.
+func perturb(rng *rand.Rand, c kernelCase) (m *Mask, changed bool) {
+	m = c.linkMask()
 	for k := rng.Intn(4); k > 0; k-- {
 		l := rng.Intn(c.numLinks)
 		if rng.Intn(2) == 0 {
@@ -185,6 +198,29 @@ func perturb(rng *rand.Rand, c kernelCase) (m *Mask, changed bool) {
 	return m, changed
 }
 
+// readmit returns c's link mask (linkMask) admitting every link of the
+// bitset links. changed reports whether that admitted a link c's
+// mask refused.
+func readmit(c kernelCase, links []uint64) (m *Mask, changed bool) {
+	m = c.linkMask()
+	for wi, w := range links {
+		for ; w != 0; w &= w - 1 {
+			l := wi<<6 | bits.TrailingZeros64(w)
+			if !rejects(m.Avoid, m.Resid, m.Want, uint(l)) {
+				continue
+			}
+			if l>>6 < len(m.Avoid) {
+				m.Avoid[l>>6] &^= 1 << (uint(l) & 63)
+			}
+			if m.Resid != nil && m.Resid[l] < m.Want {
+				m.Resid[l] = m.Want
+			}
+			changed = true
+		}
+	}
+	return m, changed
+}
+
 // settled copies the state a search left in s: dist and parent of
 // every node stamped this epoch, +Inf / Undefined elsewhere.
 func settled(s *dijkstraScratch, n int) ([]float64, []EdgeID) {
@@ -201,19 +237,22 @@ func settled(s *dijkstraScratch, n int) ([]float64, []EdgeID) {
 // tally counts what a test exercised: certificates that held for
 // changed masks, those of them that refuse a link the search relaxed
 // (where a certificate of every link test the search asked would have
-// failed), certified searches that met a tie, frontier searches that
-// completed, fell back to the heap, or were resumed, resumed searches
+// failed), those that admit a link the unpruned reference refused
+// (where the certificate of a whole run would have failed), certified
+// searches that met a tie, frontier searches that completed, fell back
+// to the heap, or were resumed, resumed searches
 // answered off the log or cut back to their old target's first
 // labeling, and trees that stopped at their targets short of the whole
 // tree.
 type tally struct {
-	held, weak, tied, completed, fellBack, resumed, stopped int
-	served, retargeted                                      int
+	held, weak, pruned, tied, completed, fellBack, resumed, stopped int
+	served, retargeted                                              int
 }
 
 func (ty *tally) add(o tally) {
 	ty.held += o.held
 	ty.weak += o.weak
+	ty.pruned += o.pruned
 	ty.tied += o.tied
 	ty.completed += o.completed
 	ty.fellBack += o.fellBack
@@ -229,15 +268,20 @@ func (ty *tally) count(s *dijkstraScratch) {
 }
 
 // checkCert records a certified search for src→dst under c's mask and
-// checks the certificate's contract: the certified search leaves every
-// dist and parent the reference heap search leaves (it never prunes,
-// whichever engine ran it) and the same answer as an uncertified run,
-// and the certificate holds for the mask it was recorded under. Unless
-// the search met a tie, every perturbed mask it holds for, with the
-// recorded path's links, yields exactly the recorded path and cost. It
-// tallies the tied searches, the perturbed masks that changed something
-// the certificate held for, those of them that refuse a link the
-// search relaxed, and both routers' engine counts.
+// checks the certificate's contract. The certified search prunes
+// exactly as an uncertified one: it leaves the same labels everywhere,
+// and the same answer. Where the reference heap search, which never
+// prunes, labels a node below dst, and at dst, both leave the
+// reference's dist and parent. A search the frontier completed reports
+// the tie sharesLabel sorts for, and the certificate holds for the mask
+// it was recorded under. Unless the search met a tie, every mask it
+// holds for, with the recorded path's links, yields exactly the
+// recorded path and cost: random perturbations of c's mask, and c's
+// mask re-admitting the links the reference refused and the search
+// never asked about. It tallies the tied searches, the masks that
+// changed something the certificate held for, those of them that
+// refuse a link the search relaxed or admit one the reference refused,
+// and both routers' engine counts.
 func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (ty tally) {
 	t.Helper()
 	g := c.g
@@ -252,17 +296,30 @@ func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (ty 
 	path, cost, tied := pc.CertifiedPathInto(nil, src, dst, c.mask, &cert)
 	want, wantCost := pr.PathInto(nil, src, dst, c.mask)
 	relaxed := make([]uint64, words) // the links of every relaxation that wrote a label
+	refused := make([]uint64, words) // the links the reference refused
 	if src != dst {
-		cd, cp := settled(&pc.s, g.NumNodes())
-		wd, wp, wrote := refSearch(g, c.admit, src, dst)
+		n := g.NumNodes()
+		cd, cp := settled(&pc.s, n)
+		ud, up := settled(&pr.s, n)
+		wd, wp, wrote, refusals := refSearch(g, c.admit, src, dst)
 		for i := range cd {
-			if cd[i] != wd[i] || cp[i] != wp[i] {
+			if cd[i] != ud[i] || cp[i] != up[i] {
+				t.Fatalf("certified search %d->%d: node %d dist/parent %v/%d, uncertified %v/%d", src, dst, i, cd[i], cp[i], ud[i], up[i])
+			}
+			if (NodeID(i) == dst || wd[i] < wd[dst]) && (cd[i] != wd[i] || cp[i] != wp[i]) {
 				t.Fatalf("certified search %d->%d: node %d dist/parent %v/%d, reference %v/%d", src, dst, i, cd[i], cp[i], wd[i], wp[i])
 			}
 		}
 		for _, eid := range wrote {
 			l := uint(c.links[eid])
 			relaxed[l>>6] |= 1 << (l & 63)
+		}
+		for _, eid := range refusals {
+			l := uint(c.links[eid])
+			refused[l>>6] |= 1 << (l & 63)
+		}
+		if sorted := pc.s.sharesLabel(n, dst); pc.s.completed > 0 && tied != sorted {
+			t.Fatalf("certified search %d->%d: the pop log reads tied %v, the sorted labels %v", src, dst, tied, sorted)
 		}
 	}
 	if cost != wantCost || !slices.Equal(path, want) {
@@ -278,15 +335,17 @@ func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (ty 
 	if tied {
 		ty.tied++
 	}
-	for k := 0; k < 8; k++ {
-		m, changed := perturb(rng, c)
+	try := func(m *Mask, changed bool) {
 		if tied || !cert.Holds(m, links) {
-			continue
+			return
 		}
 		if changed {
 			ty.held++
 			if refusesAny(m, relaxed) {
 				ty.weak++
+			}
+			if admitsAny(m, refused) {
+				ty.pruned++
 			}
 		}
 		got, gotCost := pr.PathInto(nil, src, dst, m)
@@ -295,14 +354,38 @@ func checkCert(t *testing.T, rng *rand.Rand, c kernelCase, src, dst NodeID) (ty 
 				src, dst, m, got, gotCost, path, cost)
 		}
 	}
+	for k := 0; k < 8; k++ {
+		try(perturb(rng, c))
+	}
+	// The links the reference refused and the pruned search never asked
+	// about: admitted all at once, then one at a time.
+	past := make([]uint64, words)
+	for i := range past {
+		past[i] = refused[i] &^ cert.Rej[i]
+	}
+	try(readmit(c, past))
+	for wi, w := range past {
+		for ; w != 0; w &= w - 1 {
+			one := make([]uint64, words)
+			one[wi] = w & -w
+			try(readmit(c, one))
+		}
+	}
 	return ty
 }
 
 // refusesAny reports whether m refuses some link of the bitset links.
-func refusesAny(m *Mask, links []uint64) bool {
+func refusesAny(m *Mask, links []uint64) bool { return testsAny(m, links, true) }
+
+// admitsAny reports whether m admits some link of the bitset links.
+func admitsAny(m *Mask, links []uint64) bool { return testsAny(m, links, false) }
+
+// testsAny reports whether m's link test answers refuse for some link
+// of the bitset links.
+func testsAny(m *Mask, links []uint64, refuse bool) bool {
 	for wi, w := range links {
 		for ; w != 0; w &= w - 1 {
-			if rejects(m.Avoid, m.Resid, m.Want, uint(wi<<6|bits.TrailingZeros64(w))) {
+			if rejects(m.Avoid, m.Resid, m.Want, uint(wi<<6|bits.TrailingZeros64(w))) == refuse {
 				return true
 			}
 		}
@@ -406,7 +489,7 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (ty tally) {
 	defer ty.count(&pr.s)
 	for k := 0; k < 4; k++ {
 		src := NodeID(rng.Intn(n))
-		wantDist, wantParent, _ := refSearch(g, c.admit, src, Undefined)
+		wantDist, wantParent, _, _ := refSearch(g, c.admit, src, Undefined)
 		tree := tr.Tree(src, c.mask)
 		for i := 0; i < n; i++ {
 			if tree.Dist[i] != wantDist[i] || tree.Parent[i] != wantParent[i] {
@@ -438,8 +521,10 @@ func checkKernelCase(t *testing.T, rng *rand.Rand, c kernelCase) (ty tally) {
 // heap does. It also checks the certificates, that enough of them hold
 // for changed masks for that check to mean something — enough of those
 // refusing a link the search relaxed to show the check covers what a
-// certificate of every link test would not, and enough searches tying
-// to cover the tie rule — that the frontier both completed and fell
+// certificate of every link test would not, enough admitting a link
+// the unpruned reference refused to show it covers what a whole run's
+// certificate would not, and enough searches tying to cover the tie
+// rule — that the frontier both completed and fell
 // back often enough for the comparison to cover each, and that trees
 // stopped at their targets short of the whole tree often enough on
 // both engines.
@@ -458,9 +543,9 @@ func TestMaskKernelMatchesClosureReference(t *testing.T) {
 		}
 		ty.add(o)
 	}
-	if ty.held < 1000 || ty.weak < 100 || ty.tied < 100 {
-		t.Fatalf("certificates held for %d changed masks, %d of them refusing a link the search relaxed, and %d certified searches tied; want at least 1000, 100 and 100",
-			ty.held, ty.weak, ty.tied)
+	if ty.held < 1000 || ty.weak < 100 || ty.pruned < 100 || ty.tied < 100 {
+		t.Fatalf("certificates held for %d changed masks, %d of them refusing a link the search relaxed and %d admitting one the unpruned reference refused, and %d certified searches tied; want at least 1000, 100, 100 and 100",
+			ty.held, ty.weak, ty.pruned, ty.tied)
 	}
 	if ty.completed < 1000 || ty.fellBack < 100 {
 		t.Fatalf("frontier searches completed %d and fell back %d times; want at least 1000 and 100",
@@ -548,6 +633,49 @@ func TestCertifiedSearchReportsSharedLabels(t *testing.T) {
 	}
 }
 
+// TestPopLogTie pins the tie a completed frontier search reads off its
+// pop log, one fixture per way a label can repeat, and checks each
+// against sharesLabel's sort. A zero-cost last hop ties dst with the
+// last pop; a zero-cost first hop ties two consecutive pops, the first
+// of them the source's; parallel edges of equal cost into dst tie
+// nothing, because the second never relaxes, and the certificate still
+// holds, with the same answer, when the twin off the path is refused.
+func TestPopLogTie(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		edges [][3]float64 // from, to, cost
+		tied  bool
+	}{
+		{"zero-cost last hop", [][3]float64{{0, 1, 1}, {1, 2, 0}}, true},
+		{"consecutive equal pops", [][3]float64{{0, 1, 0}, {1, 2, 1}}, true},
+		{"parallel equal-cost edges into dst", [][3]float64{{0, 1, 1}, {1, 2, 1}, {1, 2, 1}}, false},
+	} {
+		g := New(3)
+		var links []int32
+		for i, e := range tc.edges {
+			g.AddEdge(NodeID(e[0]), NodeID(e[1]), e[2], 1)
+			links = append(links, int32(i))
+		}
+		g.SetLinks(links)
+		cert := Cert{Rej: make([]uint64, 1)}
+		pr := NewPointRouter(g)
+		path, cost, tied := pr.CertifiedPathInto(nil, 0, 2, nil, &cert)
+		if len(path) != 2 || tied != tc.tied || pr.s.completed != 1 || pr.s.sharesLabel(3, 2) != tc.tied {
+			t.Fatalf("%s: path %v, tied %v, sorted labels tied %v, %d completed frontier searches; want 2 edges, tied %v, one completed search",
+				tc.name, path, tied, pr.s.sharesLabel(3, 2), pr.s.completed, tc.tied)
+		}
+		if tc.tied {
+			continue
+		}
+		twin := &Mask{Avoid: []uint64{1 << (3 - path[1])}} // edges 1 and 2 are the twins
+		got, gotCost := NewPointRouter(g).PathInto(nil, 0, 2, twin)
+		if !cert.Holds(twin, []int32{int32(path[0]), int32(path[1])}) || gotCost != cost || !slices.Equal(got, path) {
+			t.Fatalf("%s: certified %v at %v; refusing the other twin, holds %v, and the search returns %v at %v",
+				tc.name, path, cost, cert.Holds(twin, []int32{int32(path[0]), int32(path[1])}), got, gotCost)
+		}
+	}
+}
+
 // TestMaskKernelWideRows forces node position ranges that span several
 // bitset words and start/end mid-word, the masking edge cases of the
 // bit iteration.
@@ -572,6 +700,8 @@ func FuzzMaskKernel(f *testing.F) {
 	f.Add(int64(9), uint8(30), uint16(0), []byte{4})             // no edges
 	f.Add(int64(11), uint8(11), uint16(40), []byte{0, 5})        // all costs equal: certified searches tie
 	f.Add(int64(15), uint8(11), uint16(80), []byte{3, 7})        // twins a float cheaper: the layout keeps adjacency order
+	f.Add(int64(170), uint8(11), uint16(40), []byte{1, 4})       // zero-cost last hops: dst ties the last pop
+	f.Add(int64(114), uint8(8), uint16(30), []byte{2, 5})        // equal-cost twins into dst: pruned, untied
 	f.Fuzz(func(t *testing.T, seed int64, n uint8, m uint16, tree []byte) {
 		rng := rand.New(rand.NewSource(seed))
 		c := newKernelCase(rng, 1+int(n), int(m)%600)
@@ -585,7 +715,7 @@ func FuzzMaskKernel(f *testing.F) {
 		for _, b := range tree[1:] {
 			targets = append(targets, NodeID(int(b)%nodes))
 		}
-		wantDist, wantParent, _ := refSearch(c.g, c.admit, src, Undefined)
+		wantDist, wantParent, _, _ := refSearch(c.g, c.admit, src, Undefined)
 		checkTree(t, c, NewTreeRouter(c.g), src, targets, wantDist, wantParent)
 	})
 }

@@ -528,15 +528,19 @@ func (f *Fabric) commit(s int32, start int, alloc, lat float64) {
 
 // unplace releases a slot's path: it leaves its links' crossing
 // indexes, the links are resummed without it and the span is freed.
-// The slot itself stays live.
-func (f *Fabric) unplace(s int32) {
+// The slot itself stays live. A failed link is resummed only with
+// resumFailed: a reroute resums each failed link once, after the last
+// of its victims has left it (rerouteSlots).
+func (f *Fabric) unplace(s int32, resumFailed bool) {
 	links := f.tab.path(s)
 	for _, l := range links {
 		f.crossRemove(int(l), s)
 	}
 	f.nFlowIdx -= len(links)
 	for _, l := range links {
-		f.resum(int(l))
+		if resumFailed || !f.failed.Contains(int(l)) {
+			f.resum(int(l))
+		}
 	}
 	f.tab.freePath(s)
 }
@@ -585,7 +589,7 @@ func (f *Fabric) StopFlow(id FlowID) error {
 // stopSlot tears down one live flow: release its path and recycle
 // the slot.
 func (f *Fabric) stopSlot(s int32) {
-	f.unplace(s)
+	f.unplace(s, true)
 	f.clearDegraded(s)
 	f.tab.release(s)
 }
@@ -874,10 +878,26 @@ func (f *Fabric) rerouteSlots(victims []int32) []FlowID {
 		}
 		return t.seq[victims[i]] < t.seq[victims[j]]
 	})
+	// The failed links the victims cross. Nothing reads their sums while
+	// the victims leave them — a mask refuses a failed link on its Avoid
+	// bit before reading its residual, and no new path crosses one — and
+	// a sum over fewer allocations ≥ 0 never exceeds the peak already
+	// sampled. So each is resummed once, after the last victim has left,
+	// not once per victim.
+	mark := f.nextMark()
+	failed := f.touchedBuf[:0]
+	for _, s := range victims {
+		for _, l := range t.path(s) {
+			if f.linkMark[l] != mark && f.failed.Contains(int(l)) {
+				f.linkMark[l] = mark
+				failed = append(failed, l)
+			}
+		}
+	}
 	changed := make([]FlowID, 0, len(victims))
 	for _, s := range victims {
 		changed = append(changed, t.id(s))
-		f.unplace(s)
+		f.unplace(s, false)
 		f.setAlloc(s, 0)
 		t.latency[s] = 0
 		se := f.endpoints[t.src[s]]
@@ -897,6 +917,10 @@ func (f *Fabric) rerouteSlots(victims []int32) []FlowID {
 			f.resum(int(l))
 		}
 	}
+	for _, l := range failed {
+		f.resum(int(l))
+	}
+	f.touchedBuf = failed[:0]
 	if f.obs != nil {
 		var full, degraded, dropped int
 		for _, s := range victims {

@@ -382,6 +382,52 @@ func TestFailLinksAtomicCut(t *testing.T) {
 	}
 }
 
+// TestRerouteResumsSharedFailedLink fails the one link hundreds of
+// flows share, repairs it, and fails it again under a multicast that
+// stays on it. A reroute resums a failed link once, after its last
+// victim has left, not once per victim: every link's used and resid
+// must still equal a from-scratch ordered sum bit for bit (invariants)
+// after each step, the failed link's included.
+func TestRerouteResumsSharedFailedLink(t *testing.T) {
+	f := New(ringNet(1000), nil)
+	a, _ := f.Attach("a", LMPEndpoint, 0)
+	b, _ := f.Attach("b", LMPEndpoint, 1)
+	for i := 0; i < 400; i++ {
+		if _, err := f.StartFlow(a, b, 0.3+float64(i%7)/3, BestEffort); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(f.flowsOn[0]) != 400 || f.used[0] == 0 {
+		t.Fatalf("fixture: %d flows on link 0 (sum %v), want all 400", len(f.flowsOn[0]), f.used[0])
+	}
+	invariants(t, f)
+	if victims := f.FailLink(0); len(victims) != 400 {
+		t.Fatalf("failing link 0 rerouted %d flows, want 400", len(victims))
+	}
+	invariants(t, f)
+	if f.used[0] != 0 || f.resid[0] != f.net.Links[0].Capacity {
+		t.Fatalf("failed link 0 kept used %v, resid %v", f.used[0], f.resid[0])
+	}
+	f.RepairLink(0)
+	invariants(t, f)
+	m, err := f.StartMulticast(a, []EndpointID{b}, 1.7)
+	if err != nil || len(m.TreeLinks) != 1 || m.TreeLinks[0] != 0 {
+		t.Fatalf("multicast %+v, %v: want the tree {0}", m, err)
+	}
+	for i := 0; i < 300; i++ {
+		f.StartFlow(a, b, 0.3+float64(i%5)/3, BestEffort)
+	}
+	if victims := f.FailLink(0); len(victims) != 300 {
+		t.Fatalf("failing link 0 under the multicast rerouted %d flows, want 300", len(victims))
+	}
+	invariants(t, f)
+	if f.used[0] != 1.7 {
+		t.Fatalf("failed link 0 holds %v, want the multicast's 1.7 alone", f.used[0])
+	}
+	f.RepairLink(0)
+	invariants(t, f)
+}
+
 // TestFailRepairConservesCapacityExactly is the bit-for-bit
 // conservation gate: residuals are recomputed as exact ordered sums,
 // so any fail → repair → fail cycling returns every link to exactly

@@ -382,7 +382,7 @@ func TestMemoAcrossBPCycle(t *testing.T) {
 // memo's lookups. As flows fill links, links far from a pair's path run
 // out of room. A certificate that also listed every link the search
 // admitted failed on them and served 6 227 of the 16 677 lookups
-// (37 %); the answer's certificate serves 13 123 (79 %), and must
+// (37 %); the answer's certificate serves 13 248 (79 %), and must
 // serve at least memoShare.
 func TestMemoServesChurn(t *testing.T) {
 	const memoShare = 0.75
