@@ -7,6 +7,9 @@ import (
 	"testing"
 
 	"github.com/public-option/poc/internal/linkset"
+	"github.com/public-option/poc/internal/provision"
+	"github.com/public-option/poc/internal/topo"
+	"github.com/public-option/poc/internal/traffic"
 )
 
 // The race detector inflates allocation counts, hence the build tag; CI
@@ -48,5 +51,48 @@ func TestAllocBudgetDropBatch(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a dropBatch bisecting over %d checks allocates %v objects, budget 0", checks, allocs)
+	}
+}
+
+// TestAllocBudgetDeterminationHit: through a shared cache that already
+// holds the determination, determine is one memo lookup plus C(L): it
+// allocates the offered start set the key is built from (a set and its
+// words) and costOf's scratch slice — nothing per check, per link or
+// per BP.
+func TestAllocBudgetDeterminationHit(t *testing.T) {
+	s := topo.GenerateSynth(topo.SynthConfig{
+		Seed: 3, Regions: 4, Routers: 64, Links: 256, BPsPerRegion: 4, Hubs: 2, Pairs: 6, Gbps: 6,
+	})
+	tm := traffic.NewMatrix(len(s.P.Routers))
+	for _, d := range s.Demand {
+		tm.Set(d.A, d.B, tm.At(d.A, d.B)+d.Gbps)
+	}
+	in := &Instance{
+		Network: s.P, Bids: StandardBids(s.P, DefaultLeasePricing()), TM: tm, Constraint: provision.Constraint2,
+		RouteOpts: provision.Options{FailureScenarios: 8}, MaxChecks: 40,
+	}
+	rc := &runCtx{links: sortedBidLinks(in.Bids)}
+	rc.prices = in.priceOfLink(rc.links)
+	rc.fc, rc.base, rc.external = provision.NewFeasibilityCache(), priceFingerprint(rc.prices), true
+	opts := in.RouteOpts
+	opts.LinkCost = rc.prices.metric
+	opts.Workspace = provision.NewWorkspace(in.Network, opts)
+	cold, err := in.determine(-1, opts, rc.rawTag(), rc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warm selection
+	allocs := testing.AllocsPerRun(20, func() {
+		warm, err = in.determine(-1, opts, rc.rawTag(), rc)
+	})
+	if err != nil || warm.checks != cold.checks || warm.cost != cold.cost || warm.set != cold.set {
+		t.Fatalf("hit returned %d checks, cost %v, err %v; the miss %d checks, cost %v", warm.checks, warm.cost, err, cold.checks, cold.cost)
+	}
+	if st := rc.fc.Stats(); st.DeterminationHits != 21 || st.DeterminationMisses != 1 {
+		t.Fatalf("determination lookups: %+v", st)
+	}
+	t.Logf("a determination hit allocates %v objects", allocs)
+	if allocs > 3 {
+		t.Fatalf("a determination hit allocates %v objects, budget 3", allocs)
 	}
 }

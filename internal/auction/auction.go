@@ -59,7 +59,8 @@ type Instance struct {
 	// Cache, when non-nil, is an external feasibility memo shared
 	// across runs — the fleet runner threads one process-wide cache
 	// through every cell so instances over the same network, matrix
-	// and bids replay each other's checks. Entries are keyed by a
+	// and bids replay each other's checks — and whole winner
+	// determinations (see determine). Entries are keyed by a
 	// fingerprint of this instance's price metric (plus the warm set
 	// for counterfactuals), so instances with different bids never
 	// collide. With an external cache the scheduling-dependent
@@ -212,7 +213,7 @@ func (in *Instance) Run() (*Result, error) {
 	defer run.End()
 	wd := in.Obs.StartSpan("auction.winner_determination")
 	opts.Workspace = provision.NewWorkspace(in.Network, opts)
-	sel, err := in.selectLinks(-1, opts, rc.rawTag(), rc)
+	sel, err := in.determine(-1, opts, rc.rawTag(), rc)
 	wd.End()
 	if err != nil {
 		return nil, fmt.Errorf("auction: winner determination: %w", err)
@@ -286,7 +287,7 @@ func (in *Instance) Run() (*Result, error) {
 				return
 			}
 			a := order[i]
-			alts[a], errs[a] = in.selectLinks(a, cfOpts, cfTag, rc)
+			alts[a], errs[a] = in.determine(a, cfOpts, cfTag, rc)
 		}
 	}
 	var wg sync.WaitGroup
@@ -599,10 +600,41 @@ func (in *Instance) priceOfLink(links [][]int) *priceTable {
 	return pt
 }
 
-// selectLinks is the deterministic winner-determination heuristic:
+// determine is one winner determination: SL when excludeBP < 0, else
+// SL_-excludeBP. Through a cache shared beyond the run (rc.external) the
+// whole determination is memoized (FeasibilityCache.Determined): its
+// start set — the offered links minus the excluded BP's — under the
+// metric tag and MaxChecks fixes its selection and check count, so a
+// warm re-clear answers it with one lookup and prices the selection.
+// The key pins the price metric, not the cost functions, so C(L) is
+// always computed from the bids. A private per-run cache never sees a
+// determination twice, so it stores none.
+func (in *Instance) determine(excludeBP int, opts provision.Options, tag uint64, rc *runCtx) (selection, error) {
+	start := in.offered(excludeBP)
+	var (
+		set    *linkset.Set
+		checks int
+		err    error
+	)
+	if rc.external {
+		set, checks, err = rc.fc.Determined(in.Network, start, in.TM, in.Constraint, opts, tag, in.MaxChecks, func() (*linkset.Set, int, error) {
+			return in.selectLinks(start, opts, tag, rc)
+		})
+	} else {
+		set, checks, err = in.selectLinks(start, opts, tag, rc)
+	}
+	if err != nil {
+		return selection{}, err
+	}
+	return selection{set: set, cost: in.costOf(set, rc.links), checks: checks}, nil
+}
+
+// selectLinks is the deterministic winner-determination heuristic. It
+// returns the selection and the feasibility checks it spent.
 //
-//  1. Start from all offered links (minus the excluded BP) and fail
-//     if even that is unacceptable.
+//  1. Start from cur, all offered links (minus the excluded BP), and
+//     fail if even that is unacceptable. selectLinks shrinks cur in
+//     place.
 //  2. Drop-unused pass: route the TM by lease price, then drop every
 //     link the routing (and, for resilience constraints, the
 //     degraded routings) leaves idle, bisecting the drop batch on
@@ -619,7 +651,7 @@ func (in *Instance) priceOfLink(links [][]int) *priceTable {
 // heuristic noise. The whole pipeline is deterministic, so the POC
 // can publish it and every BP can reproduce the outcome.
 //
-// Everything a determination reads beyond its own excluded BP comes
+// Everything a determination reads beyond its own start set comes
 // from the caller, derived once per Run. opts carries the routing
 // metric and the workspace whose arenas freeze it: the main run's raw
 // price metric, or the warm-biased one every counterfactual shares
@@ -631,8 +663,7 @@ func (in *Instance) priceOfLink(links [][]int) *priceTable {
 // in the key and counterfactuals reuse each other's checks. The tags
 // mix in rc.base, so runs sharing an external cache never cross
 // metrics. rc.prices gives pass 2's removal order and the shave's.
-func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint64, rc *runCtx) (selection, error) {
-	cur := in.offered(excludeBP)
+func (in *Instance) selectLinks(cur *linkset.Set, opts provision.Options, tag uint64, rc *runCtx) (*linkset.Set, int, error) {
 	checks := 0
 	fc := rc.fc
 	// probe is the one feasibility query of the determination. Every
@@ -678,7 +709,7 @@ func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint6
 			boosted.MaxPaths = 48
 		}
 		if ok, core = probe(cur, boosted, true); !ok {
-			return selection{}, fmt.Errorf("offered set is not acceptable under %v", in.Constraint)
+			return nil, 0, fmt.Errorf("offered set is not acceptable under %v", in.Constraint)
 		}
 		opts = boosted
 	}
@@ -748,7 +779,7 @@ func (in *Instance) selectLinks(excludeBP int, opts provision.Options, tag uint6
 		}
 	}
 
-	return selection{set: cur, cost: in.costOf(cur, rc.links), checks: checks}, nil
+	return cur, checks, nil
 }
 
 // dropBatch tries to remove the candidate links from set, bisecting on

@@ -159,9 +159,9 @@ func TestResumeRejectsForeignState(t *testing.T) {
 //
 // The two-cell grid differs only in the chaos axis, which runs after
 // the auction and (under the reroute policy) never touches
-// provisioning: both cells ask the cache exactly the same feasibility
-// questions. So a shared sweep must pay the misses of ONE cell and
-// answer the second entirely from cache.
+// provisioning: both cells run exactly the same winner determinations.
+// So a shared sweep must pay the misses of ONE cell and answer every
+// determination of the second from the memo, without a check lookup.
 func TestCrossCellCacheSharing(t *testing.T) {
 	one := GridSpec{
 		Topos:       []TopoSpec{{Name: "fig2"}},
@@ -175,9 +175,9 @@ func TestCrossCellCacheSharing(t *testing.T) {
 
 	c1 := provision.NewFeasibilityCache()
 	mustRun(t, one, Config{cache: c1})
-	h1, m1 := c1.Hits(), c1.Misses()
-	if m1 == 0 {
-		t.Fatal("single-cell sweep recorded no cache misses")
+	s1 := c1.Stats()
+	if s1.Misses == 0 || s1.DeterminationMisses == 0 {
+		t.Fatalf("single-cell sweep recorded no cache misses: %+v", s1)
 	}
 
 	// Workers=1 so the second cell starts after the first has stored
@@ -185,12 +185,14 @@ func TestCrossCellCacheSharing(t *testing.T) {
 	// miss (the counters are advisory — results never depend on them).
 	c2 := provision.NewFeasibilityCache()
 	sharedRep := mustRun(t, two, Config{cache: c2, Workers: 1})
-	h2, m2 := c2.Hits(), c2.Misses()
-	if m2 != m1 {
-		t.Fatalf("two-cell sweep paid %d misses, want the single-cell %d (second cell should replay from cache)", m2, m1)
+	s2 := c2.Stats()
+	if s2.Misses != s1.Misses || s2.Hits != s1.Hits || s2.DeterminationMisses != s1.DeterminationMisses {
+		t.Fatalf("two-cell sweep looked up %d/%d checks and missed %d determinations, want the single cell's %d/%d and %d (second cell should replay from the memo)",
+			s2.Hits, s2.Misses, s2.DeterminationMisses, s1.Hits, s1.Misses, s1.DeterminationMisses)
 	}
-	if h2 <= h1 {
-		t.Fatalf("two-cell sweep hits %d not above single-cell %d", h2, h1)
+	if s2.DeterminationHits != s1.DeterminationHits+s1.DeterminationMisses {
+		t.Fatalf("two-cell sweep answered %d determinations from the memo, want the %d the second cell runs",
+			s2.DeterminationHits-s1.DeterminationHits, s1.DeterminationMisses)
 	}
 
 	// Sharing must be invisible in the output: a cold sweep (every
@@ -225,8 +227,8 @@ func TestCacheFilePersistence(t *testing.T) {
 	if !bytes.Equal(cold, warm) {
 		t.Fatal("warm-from-file report differs from cold report")
 	}
-	if warmMisses := c2.Misses(); warmMisses != 0 {
-		t.Fatalf("warm-from-file sweep paid %d misses, want 0", warmMisses)
+	if st := c2.Stats(); st.Misses != 0 || st.DeterminationMisses != 0 {
+		t.Fatalf("warm-from-file sweep paid %d check and %d determination misses, want 0", st.Misses, st.DeterminationMisses)
 	}
 
 	// An interrupted sweep must NOT overwrite the file: the save runs

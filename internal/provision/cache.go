@@ -53,15 +53,17 @@ type CacheSummary struct {
 type FeasibilityCache struct {
 	mu sync.RWMutex
 	// m is the one memo table. An entry's kind is its key's leading
-	// byte (kindOf): shaveKeyPrefix marks a shave result, anything else
-	// — a check key starts with uvarint(Constraint) — a check verdict.
-	// shaves counts the shave-kind keys, so Len can report checks only.
-	m      map[string]cacheEntry
-	shaves int
+	// byte (kindOf): shaveKeyPrefix marks a shave result,
+	// determinationKeyPrefix a winner determination, anything else — a
+	// check key starts with uvarint(Constraint) — a check verdict.
+	// entries counts the keys of each kind, so Len can report checks
+	// only.
+	m       map[string]cacheEntry
+	entries [numKinds]int
 
 	// Lookup tallies, indexed by entry kind.
-	hits   [2]atomic.Int64
-	misses [2]atomic.Int64
+	hits   [numKinds]atomic.Int64
+	misses [numKinds]atomic.Int64
 	// decompositions counts probes answered by stitching per-component
 	// sub-checks (decompose.go) rather than one global routing;
 	// fallbacks, by reason, the ones that asked to and were computed cold.
@@ -78,19 +80,28 @@ type FeasibilityCache struct {
 }
 
 // Entry kinds. A shave-memo key is a check key behind a prefix byte no
-// check key can start with (constraints are small, so 0xff never leads
-// a uvarint(Constraint)); in sorted order every shave key therefore
-// follows every check key.
+// check key can start with (constraints are small, so neither 0xfe nor
+// 0xff ever leads a uvarint(Constraint)); a determination key is
+// 0xfe ∥ varint(MaxChecks) ∥ a check key. In sorted order the check
+// keys come first, then the determinations, then the shaves.
 const (
 	kindCheck = iota
 	kindShave
+	kindDetermination
+	numKinds
 
-	shaveKeyPrefix = "\xff"
+	shaveKeyPrefix         = "\xff"
+	determinationKeyPrefix = "\xfe"
 )
 
 func kindOf[K string | []byte](key K) int {
-	if len(key) > 0 && key[0] == shaveKeyPrefix[0] {
-		return kindShave
+	if len(key) > 0 {
+		switch key[0] {
+		case shaveKeyPrefix[0]:
+			return kindShave
+		case determinationKeyPrefix[0]:
+			return kindDetermination
+		}
 	}
 	return kindCheck
 }
@@ -103,11 +114,14 @@ const keyBufLen = 256
 // cacheEntry is one memoized result. For a check, core is non-nil only
 // when the set was feasible and a needCore probe computed the used-link
 // union. For a shave (FeasibilityCache.Shaved) sum is zero and core is
-// the shaved set. Either way the set is shared with every subsequent
-// hit and must be treated as read-only.
+// the shaved set. For a determination (FeasibilityCache.Determined) sum
+// is zero, core is the selection and checks the determination's check
+// count. Either way the set is shared with every subsequent hit and
+// must be treated as read-only.
 type cacheEntry struct {
-	sum  CacheSummary
-	core *linkset.Set
+	sum    CacheSummary
+	core   *linkset.Set
+	checks int
 }
 
 // NewFeasibilityCache returns an empty concurrency-safe cache.
@@ -130,6 +144,10 @@ type CacheStats struct {
 	ShaveMisses    int64
 	Entries        int
 	ShaveEntries   int
+
+	DeterminationHits    int64
+	DeterminationMisses  int64
+	DeterminationEntries int
 
 	// Decomposition fallbacks by reason: probe misses that asked to
 	// decompose and were computed cold (decompose.go states each
@@ -154,8 +172,12 @@ func (fc *FeasibilityCache) Stats() CacheStats {
 		Decompositions: fc.decompositions.Load(),
 		ShaveHits:      fc.hits[kindShave].Load(),
 		ShaveMisses:    fc.misses[kindShave].Load(),
-		Entries:        len(fc.m) - fc.shaves,
-		ShaveEntries:   fc.shaves,
+		Entries:        fc.entries[kindCheck],
+		ShaveEntries:   fc.entries[kindShave],
+
+		DeterminationHits:    fc.hits[kindDetermination].Load(),
+		DeterminationMisses:  fc.misses[kindDetermination].Load(),
+		DeterminationEntries: fc.entries[kindDetermination],
 
 		FallbackNoPlan:       fc.fallbacks[fallbackNoPlan].Load(),
 		FallbackSubTolerance: fc.fallbacks[fallbackSubTolerance].Load(),
@@ -171,12 +193,12 @@ func (fc *FeasibilityCache) Hits() int64 { return fc.hits[kindCheck].Load() }
 func (fc *FeasibilityCache) Misses() int64 { return fc.misses[kindCheck].Load() }
 
 // Len returns the number of memoized check entries — the distinct
-// (set, constraint, options, matrix, metric) tuples probed. Shave
-// entries are not counted.
+// (set, constraint, options, matrix, metric) tuples probed. Shave and
+// determination entries are not counted.
 func (fc *FeasibilityCache) Len() int {
 	fc.mu.RLock()
 	defer fc.mu.RUnlock()
-	return len(fc.m) - fc.shaves
+	return fc.entries[kindCheck]
 }
 
 // Check is the memoized form of Check: same answer, same determinism,
@@ -259,12 +281,17 @@ func (fc *FeasibilityCache) peek(key []byte, needCore bool) (cacheEntry, bool) {
 func (fc *FeasibilityCache) store(key []byte, e cacheEntry) bool {
 	fc.mu.Lock()
 	defer fc.mu.Unlock()
-	old, existed := fc.m[string(key)]
+	return fc.put(string(key), e)
+}
+
+// put is store's rule on a string key; the caller holds mu.
+func (fc *FeasibilityCache) put(key string, e cacheEntry) bool {
+	old, existed := fc.m[key]
 	if !existed || old.core == nil {
-		fc.m[string(key)] = e
+		fc.m[key] = e
 	}
-	if !existed && kindOf(key) == kindShave {
-		fc.shaves++
+	if !existed {
+		fc.entries[kindOf(key)]++
 	}
 	return !existed
 }
@@ -289,6 +316,34 @@ func (fc *FeasibilityCache) Shaved(p *topo.POCNetwork, start *linkset.Set, tm *t
 	res := compute()
 	fc.store(key, cacheEntry{core: res.Clone()})
 	return res
+}
+
+// Determined memoizes a whole winner determination: the auction's
+// passes 1–3 from a start set to a selection. A determination is a
+// deterministic function of the check-key material of its start set —
+// network, matrix, constraint, feasibility options and the price metric
+// (which fixes the routing costs, pass 2's removal order and the shave's)
+// — plus the check budget maxChecks, which selects the variant; the key
+// is 0xfe ∥ varint(maxChecks) ∥ that check key. The entry holds the
+// selection and the determination's check count, which the caller's
+// budget accounting (and every outcome that reports it) must see
+// unchanged. On a miss, compute runs the determination; a failed one
+// is returned and not stored. Hits and misses both return a set shared
+// with the cache: the caller must not mutate it, nor the set compute
+// returned.
+func (fc *FeasibilityCache) Determined(p *topo.POCNetwork, start *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, maxChecks int, compute func() (*linkset.Set, int, error)) (*linkset.Set, int, error) {
+	var kb [keyBufLen]byte
+	key := binary.AppendVarint(append(kb[:0], determinationKeyPrefix...), int64(maxChecks))
+	key = fc.appendKey(key, p, start, fc.shapeOf(tm), c, opts.withDefaults(), metric)
+	if e, ok := fc.peek(key, false); ok {
+		return e.core, e.checks, nil
+	}
+	sel, checks, err := compute()
+	if err != nil {
+		return nil, 0, err
+	}
+	fc.store(key, cacheEntry{core: sel, checks: checks})
+	return sel, checks, nil
 }
 
 // appendKey appends the canonical, collision-free cache key to buf.

@@ -36,14 +36,19 @@ import (
 //
 //	uvarint(words) ∥ words(u64 LE each)
 //
-// Save iterates keys in sorted order — check entries first, then shave
-// entries, because 0xff-prefixed keys sort last — so saving the same
-// contents always produces the same bytes. Load verifies the magic,
-// then stops quietly at the first torn or corrupt frame (a crash
-// mid-save loses the tail, never the run). Keys are content
-// fingerprints (FNV-1a over matrix/network contents plus the raw
-// include words), so a key written by one process hashes identically
-// when another loads it.
+// kind 3 (winner-determination entry, see FeasibilityCache.Determined)
+// continues:
+//
+//	uvarint(checks) ∥ uvarint(words) ∥ words(u64 LE each)
+//
+// Save iterates keys in sorted order — check entries first, then
+// determination entries (0xfe-prefixed), then shave entries (0xff) — so
+// saving the same contents always produces the same bytes. Load
+// verifies the magic, then stops quietly at the first torn or corrupt
+// frame (a crash mid-save loses the tail, never the run). Keys are
+// content fingerprints (FNV-1a over matrix/network contents plus the
+// raw include words), so a key written by one process hashes
+// identically when another loads it.
 //
 // Entries loaded from a file replay exactly the checks that produced
 // them, so a warm-started cache answers with the same bytes a cold one
@@ -55,7 +60,7 @@ import (
 const cacheMagic = "pocfcache/v1\n"
 
 // Frame kinds, by entry kind.
-var cacheFrameKind = [2]byte{kindCheck: 1, kindShave: 2}
+var cacheFrameKind = [numKinds]byte{kindCheck: 1, kindShave: 2, kindDetermination: 3}
 
 // Save writes every resident entry to w in sorted-key order.
 func (fc *FeasibilityCache) Save(w io.Writer) error {
@@ -99,7 +104,11 @@ func appendWords(dst []byte, words []uint64) []byte {
 func appendCachePayload(dst []byte, key string, e cacheEntry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
-	if kindOf(key) == kindShave {
+	switch kindOf(key) {
+	case kindShave:
+		return appendWords(dst, e.core.Words())
+	case kindDetermination:
+		dst = binary.AppendUvarint(dst, uint64(e.checks))
 		return appendWords(dst, e.core.Words())
 	}
 	var flags byte
@@ -123,19 +132,54 @@ func appendCachePayload(dst []byte, key string, e cacheEntry) []byte {
 // Load reads entries from r into the cache (insert-win) and returns
 // how many were loaded. A torn or corrupt tail ends the load silently —
 // everything before it is kept. A bad magic is an error: the file is
-// not a cache.
+// not a cache. The frames are read first and inserted together, under
+// one lock, into a table sized once for them when the cache is empty.
 func (fc *FeasibilityCache) Load(r io.Reader) (int, error) {
+	frames, err := readFrames(r)
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, c := range frames {
+		n += len(c)
+	}
+	fc.mu.Lock()
+	defer fc.mu.Unlock()
+	if len(fc.m) == 0 {
+		fc.m = make(map[string]cacheEntry, n)
+	}
+	for _, c := range frames {
+		for _, f := range c {
+			fc.put(f.key, f.e)
+		}
+	}
+	return n, nil
+}
+
+// frame is one decoded cache-file frame.
+type frame struct {
+	key string
+	e   cacheEntry
+}
+
+// frameChunk is how many frames readFrames holds per allocation: the
+// frames are kept in chunks, never copied into a grown slice.
+const frameChunk = 128
+
+// readFrames decodes the frames of a cache file up to its first torn
+// or corrupt one, in chunks of frameChunk.
+func readFrames(r io.Reader) ([][]frame, error) {
 	magic := make([]byte, len(cacheMagic))
 	if _, err := io.ReadFull(r, magic); err != nil {
 		if err == io.EOF {
-			return 0, fmt.Errorf("provision: cache file empty")
+			return nil, fmt.Errorf("provision: cache file empty")
 		}
-		return 0, err
+		return nil, err
 	}
 	if string(magic) != cacheMagic {
-		return 0, fmt.Errorf("provision: bad cache magic %q", magic)
+		return nil, fmt.Errorf("provision: bad cache magic %q", magic)
 	}
-	loaded := 0
+	var frames [][]frame
 	header := make([]byte, 9)
 	// The frame length is outside input: the buffer grows with the bytes
 	// that actually arrive, never by what a header claims.
@@ -143,31 +187,34 @@ func (fc *FeasibilityCache) Load(r io.Reader) (int, error) {
 	body := io.LimitedReader{R: r}
 	for {
 		if _, err := io.ReadFull(r, header); err != nil {
-			return loaded, nil // clean EOF or torn header: stop
+			return frames, nil // clean EOF or torn header: stop
 		}
 		n := binary.LittleEndian.Uint32(header[0:4])
 		kind := header[4]
 		crc := binary.LittleEndian.Uint32(header[5:9])
 		if n > 1<<30 {
-			return loaded, nil
+			return frames, nil
 		}
 		buf.Reset()
 		body.N = int64(n)
 		if _, err := buf.ReadFrom(&body); err != nil || body.N > 0 {
-			return loaded, nil // torn payload
+			return frames, nil // torn payload
 		}
 		payload := buf.Bytes()
 		if crc32.ChecksumIEEE(payload) != crc {
-			return loaded, nil // corrupt frame
+			return frames, nil // corrupt frame
 		}
 		key, e, ok := parseCachePayload(payload)
-		// A frame whose kind disagrees with its key's would file a shave
-		// under a check key or the reverse: corrupt, like an unknown kind.
+		// A frame whose kind disagrees with its key's would file an entry
+		// under a key of another kind: corrupt, like an unknown kind.
 		if !ok || kind != cacheFrameKind[kindOf(key)] {
-			return loaded, nil
+			return frames, nil
 		}
-		fc.store(key, e)
-		loaded++
+		if len(frames) == 0 || len(frames[len(frames)-1]) == frameChunk {
+			frames = append(frames, make([]frame, 0, frameChunk))
+		}
+		last := &frames[len(frames)-1]
+		*last = append(*last, frame{string(key), e})
 	}
 }
 
@@ -198,8 +245,17 @@ func parseCachePayload(p []byte) ([]byte, cacheEntry, bool) {
 	p = p[klen:]
 	var e cacheEntry
 	var ok bool
-	if kindOf(key) == kindShave {
+	switch kindOf(key) {
+	case kindShave:
 		e.core, ok = parseWords(p)
+		return key, e, ok
+	case kindDetermination:
+		checks, n := binary.Uvarint(p)
+		if n <= 0 || checks > math.MaxInt {
+			return nil, cacheEntry{}, false
+		}
+		e.checks = int(checks)
+		e.core, ok = parseWords(p[n:])
 		return key, e, ok
 	}
 	if len(p) < 1+8+8 {

@@ -3,6 +3,7 @@ package provision
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math/rand"
 	"os"
@@ -12,6 +13,7 @@ import (
 	"testing"
 
 	"github.com/public-option/poc/internal/linkset"
+	"github.com/public-option/poc/internal/topo"
 	"github.com/public-option/poc/internal/traffic"
 )
 
@@ -139,6 +141,154 @@ func TestCachePersistShaveMemo(t *testing.T) {
 	}
 }
 
+// TestCachePersistDeterminationMemo pins the kind-3 frames: a winner
+// determination's selection and check count survive a save/load cycle
+// and replay without recomputing, and the entries stay out of Len and
+// Entries.
+func TestCachePersistDeterminationMemo(t *testing.T) {
+	p := shaveNet(10, 10, 10, 10)
+	tm := traffic.NewMatrix(2)
+	tm.Set(0, 1, 8)
+	start := linkset.All(len(p.Links))
+	sel := linkset.FromIDs([]int{1, 3}, len(p.Links))
+
+	src := NewFeasibilityCache()
+	src.Check(p, start, tm, Constraint1, Options{}, 7)
+	got, checks, err := src.Determined(p, start, tm, Constraint1, Options{}, 7, 40, func() (*linkset.Set, int, error) { return sel, 17, nil })
+	if err != nil || !sameCore(got, sel) || checks != 17 {
+		t.Fatalf("miss returned %v, %d checks, %v", got.AppendIDs(nil), checks, err)
+	}
+	if st := src.Stats(); st.DeterminationMisses != 1 || st.DeterminationEntries != 1 || st.Entries != 1 || src.Len() != 1 {
+		t.Fatalf("stats after miss: %+v len=%d", st, src.Len())
+	}
+
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var buf2 bytes.Buffer
+	if err := src.Save(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Fatal("two saves of identical contents differ")
+	}
+
+	dst := NewFeasibilityCache()
+	if loaded, err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil || loaded != 2 {
+		t.Fatalf("load: n=%d err=%v", loaded, err)
+	}
+	warm, checks, err := dst.Determined(p, start, tm, Constraint1, Options{}, 7, 40, func() (*linkset.Set, int, error) {
+		t.Fatal("warm cache recomputed the determination")
+		return nil, 0, nil
+	})
+	if err != nil || !sameCore(warm, sel) || checks != 17 {
+		t.Fatalf("warm hit returned %v, %d checks, %v", warm.AppendIDs(nil), checks, err)
+	}
+	if st := dst.Stats(); st.DeterminationHits != 1 || st.DeterminationMisses != 0 || st.DeterminationEntries != 1 ||
+		st.Entries != 1 || st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("stats after warm hit: %+v", st)
+	}
+	buf2.Reset()
+	if err := dst.Save(&buf2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+		t.Fatal("Load → Save did not reproduce the file")
+	}
+
+	// A failed determination is returned and not stored.
+	fail := errors.New("unacceptable")
+	if _, _, err := dst.Determined(p, start, tm, Constraint1, Options{}, 7, 0, func() (*linkset.Set, int, error) { return nil, 0, fail }); err != fail {
+		t.Fatalf("failed determination returned %v", err)
+	}
+	if st := dst.Stats(); st.DeterminationEntries != 1 {
+		t.Fatalf("a failed determination was stored: %+v", st)
+	}
+}
+
+// TestDeterminationKeyedApart: the same start set is another
+// determination under another check budget, metric tag, network or
+// matrix, and a determination never answers a check or a shave of the
+// same start set.
+func TestDeterminationKeyedApart(t *testing.T) {
+	p := shaveNet(10, 10, 10, 10)
+	q := shaveNet(10, 10, 10, 20)
+	tm := traffic.NewMatrix(2)
+	tm.Set(0, 1, 8)
+	tm2 := traffic.NewMatrix(2)
+	tm2.Set(0, 1, 9)
+	start := linkset.All(len(p.Links))
+	fc := NewFeasibilityCache()
+	computed := 0
+	determine := func(net *topo.POCNetwork, m *traffic.Matrix, metric uint64, maxChecks int) {
+		fc.Determined(net, start, m, Constraint1, Options{}, metric, maxChecks, func() (*linkset.Set, int, error) {
+			computed++
+			return linkset.FromIDs([]int{computed % 4}, len(p.Links)), computed, nil
+		})
+	}
+	determine(p, tm, 7, 40)
+	determine(p, tm, 7, 40)
+	if computed != 1 {
+		t.Fatalf("a repeated determination computed %d times", computed)
+	}
+	for i, vary := range []func(){
+		func() { determine(p, tm, 7, 41) },
+		func() { determine(p, tm, 7, -1) },
+		func() { determine(p, tm, 8, 40) },
+		func() { determine(q, tm, 7, 40) },
+		func() { determine(p, tm2, 7, 40) },
+	} {
+		vary()
+		if computed != i+2 {
+			t.Fatalf("variant %d hit another determination's entry", i)
+		}
+	}
+	if st := fc.Stats(); st.DeterminationEntries != 6 || st.DeterminationHits != 1 || fc.Len() != 0 {
+		t.Fatalf("stats: %+v len=%d", st, fc.Len())
+	}
+	if _, sum := fc.Check(p, start, tm, Constraint1, Options{}, 7); !sum.Feasible || fc.Misses() != 1 {
+		t.Fatal("a determination entry answered a check")
+	}
+	fc.Shaved(p, start, tm, Constraint1, Options{}, 7, start.Clone)
+	if st := fc.Stats(); st.ShaveMisses != 1 {
+		t.Fatal("a determination entry answered a shave")
+	}
+}
+
+// TestCacheLoadInsertWins: loading into a cache that already holds
+// entries keeps them. A file entry fills a key the cache lacks and
+// upgrades a coreless entry to a cored one, but never replaces an entry
+// with a core; Load counts every frame it read either way.
+func TestCacheLoadInsertWins(t *testing.T) {
+	p := shaveNet(10, 10, 10, 10)
+	tm := traffic.NewMatrix(2)
+	tm.Set(0, 1, 8)
+	one := func(id int) *linkset.Set { return linkset.FromIDs([]int{id}, len(p.Links)) }
+	src := NewFeasibilityCache()
+	src.Probe(p, nil, tm, Constraint1, Options{}, 7, true, false) // cored
+	src.Check(p, one(0), tm, Constraint1, Options{}, 7)           // coreless
+	var buf bytes.Buffer
+	if err := src.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+
+	dst := NewFeasibilityCache()
+	dst.Check(p, nil, tm, Constraint1, Options{}, 7)                 // coreless: the file's core upgrades it
+	dst.Probe(p, one(0), tm, Constraint1, Options{}, 7, true, false) // cored: the file's coreless entry loses
+	dst.Check(p, one(1), tm, Constraint1, Options{}, 7)              // not in the file
+	if n, err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil || n != 2 || dst.Len() != 3 {
+		t.Fatalf("load: n=%d err=%v len=%d, want 2 frames read into 3 entries", n, err, dst.Len())
+	}
+	misses := dst.Misses()
+	dst.Probe(p, nil, tm, Constraint1, Options{}, 7, true, false)
+	dst.Probe(p, one(0), tm, Constraint1, Options{}, 7, true, false)
+	dst.Check(p, one(1), tm, Constraint1, Options{}, 7)
+	if dst.Misses() != misses {
+		t.Fatalf("%d probes missed after the load: an entry was lost or a core overwritten", dst.Misses()-misses)
+	}
+}
+
 func TestCachePersistTornTail(t *testing.T) {
 	p := shaveNet(10, 10, 10)
 	tm := traffic.NewMatrix(2)
@@ -182,12 +332,20 @@ func TestCachePersistTornTail(t *testing.T) {
 	entry = append(entry, make([]byte, 8+8+1+1)...) // Unplaced, MaxUtilization, Paths, Moves
 	entry = append(entry, huge...)
 	shave := append([]byte{2, shaveKeyPrefix[0], 'k'}, huge...)
+	determination := append([]byte{2, determinationKeyPrefix[0], 'k', 3}, huge...) // ∥ checks ∥ words
 	// A frame whose kind contradicts its key's leading byte is corrupt too.
-	crossed := append([]byte{1, 'k'}, 0) // shave frame, check key, zero words
+	crossed := append([]byte{1, 'k'}, 0)                         // check key, zero words
+	crossedWD := []byte{2, determinationKeyPrefix[0], 'k', 3, 0} // determination key, 3 checks, zero words
+	crossedShave := append([]byte{2, shaveKeyPrefix[0], 'k'}, 0) // shave key, zero words
 	for _, f := range []struct {
 		kind    byte
 		payload []byte
-	}{{cacheFrameKind[kindCheck], entry}, {cacheFrameKind[kindShave], shave}, {cacheFrameKind[kindShave], crossed}} {
+	}{
+		{cacheFrameKind[kindCheck], entry}, {cacheFrameKind[kindShave], shave}, {cacheFrameKind[kindDetermination], determination},
+		{cacheFrameKind[kindShave], crossed}, {cacheFrameKind[kindDetermination], crossed},
+		{cacheFrameKind[kindShave], crossedWD}, {cacheFrameKind[kindCheck], crossedWD},
+		{cacheFrameKind[kindDetermination], crossedShave},
+	} {
 		data := append([]byte(nil), buf.Bytes()...)
 		data = binary.LittleEndian.AppendUint32(data, uint32(len(f.payload)))
 		data = append(data, f.kind)
@@ -210,7 +368,8 @@ func TestCachePersistTornTail(t *testing.T) {
 }
 
 // FuzzCacheLoad feeds Load arbitrary bytes, seeded with a real save
-// holding every entry shape (coreless check, check with core, shave):
+// holding every entry shape (coreless check, check with core, shave,
+// determination):
 // it must not panic, cannot load more entries than the input has whole
 // frames, and whatever it loaded must answer like the saved cache.
 func FuzzCacheLoad(f *testing.F) {
@@ -234,6 +393,9 @@ func FuzzCacheLoad(f *testing.F) {
 		}
 	}
 	src.Shaved(p, start, tm, Constraint1, Options{}, 7, shaved.Clone)
+	selected := linkset.FromIDs([]int{0, 2}, len(p.Links))
+	determined := func() (*linkset.Set, int, error) { return selected, 9, nil }
+	src.Determined(p, start, tm, Constraint1, Options{}, 7, 40, determined)
 	var buf bytes.Buffer
 	if err := src.Save(&buf); err != nil {
 		f.Fatal(err)
@@ -283,6 +445,9 @@ func FuzzCacheLoad(f *testing.F) {
 		}
 		if got := fc.Shaved(p, start, tm, Constraint1, Options{}, 7, shaved.Clone); !sameCore(got, shaved) {
 			t.Fatalf("shave %v after load, saved cache says %v", got.AppendIDs(nil), shaved.AppendIDs(nil))
+		}
+		if got, checks, _ := fc.Determined(p, start, tm, Constraint1, Options{}, 7, 40, determined); !sameCore(got, selected) || checks != 9 {
+			t.Fatalf("determination %v with %d checks after load, saved cache says %v with 9", got.AppendIDs(nil), checks, selected.AppendIDs(nil))
 		}
 	})
 }

@@ -11,7 +11,8 @@
 #      every cell replayed) must reproduce the same hash
 #   5. a -cachefile sweep persists the feasibility cache; a second
 #      sweep warm-started from that file must hash-identically
-#      (persistence is a speedup, never a result change)
+#      (persistence is a speedup, never a result change) and, since it
+#      computes nothing new, re-save the file byte for byte
 #   6. a -cold sweep, every cell with its own feasibility cache, must
 #      hash-identically (cache sharing never changes a result)
 #   7. a 24-network GML corpus written by zoogen, swept with -corpus,
@@ -78,8 +79,10 @@ CACHE="$SMOKE_DIR/fleet.pocfcache"
 HASH_COLD=$("$BIN" -grid golden -workers 4 -cachefile "$CACHE" -hash)
 [ "$HASH_COLD" = "$HASH_W4" ] || fail "cachefile cold sweep hash $HASH_COLD != $HASH_W4"
 [ -s "$CACHE" ] || fail "cachefile sweep left no cache file at $CACHE"
+cp "$CACHE" "$CACHE.cold"
 HASH_WARM=$("$BIN" -grid golden -workers 4 -cachefile "$CACHE" -hash)
 [ "$HASH_WARM" = "$HASH_W4" ] || fail "cachefile warm sweep hash $HASH_WARM != $HASH_W4"
+cmp "$CACHE.cold" "$CACHE" || fail "cachefile warm sweep re-saved a different cache file"
 log "warm start from $(wc -c < "$CACHE")-byte cache reproduces $HASH_WARM"
 
 log "sweeping golden grid without cache sharing (-cold)"
