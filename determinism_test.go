@@ -533,7 +533,7 @@ func TestDecomposedAuctionWorkerInvariance(t *testing.T) {
 		if hash, checks := run(in); hash != wantHash || checks != wantChecks {
 			t.Fatalf("warm Workers %d: outcome %s with %d checks, cold: %s with %d", workers, hash, checks, wantHash, wantChecks)
 		}
-		if st := in.Cache.Stats(); st.Misses != 0 || st.ShaveMisses != 0 || st.DeterminationMisses != 0 {
+		if st := in.Cache.Stats(); st.Misses != 0 || st.DeterminationMisses != 0 {
 			t.Fatalf("warm Workers %d missed the loaded cache: %+v", workers, st)
 		}
 	}

@@ -757,25 +757,14 @@ func (in *Instance) selectLinks(cur *linkset.Set, opts provision.Options, tag ui
 	}
 
 	// Pass 3: shave to incremental 1-minimality. The shave routes
-	// internally without going through check(), so at continental
-	// scale it dominates a cache-warm determination — memoize its
-	// result in the cache under the same key material (the price
-	// metric fingerprint also fixes the shave's price order; see
-	// FeasibilityCache.Shaved). The Shaver records no obs, so a memo
-	// hit skipping it never perturbs metrics exports.
+	// internally without going through probe, so no check memo answers
+	// it; a warm re-clear skips it with the whole determination
+	// (FeasibilityCache.Determined). The Shaver records no obs.
 	if in.MaxChecks >= 0 {
-		runShave := func() *linkset.Set {
-			if sh, ok := provision.NewShaver(in.Network, cur, in.TM, in.Constraint, opts); ok {
-				sh.Shave(func(link int) float64 { return rc.prices.of[link] }, 0)
-				defer sh.Close()
-				return sh.Include()
-			}
-			return cur
-		}
-		if fc != nil {
-			cur = fc.Shaved(in.Network, cur, in.TM, in.Constraint, opts, tag, runShave)
-		} else {
-			cur = runShave()
+		if sh, ok := provision.NewShaver(in.Network, cur, in.TM, in.Constraint, opts); ok {
+			sh.Shave(func(link int) float64 { return rc.prices.of[link] }, 0)
+			cur = sh.Include()
+			sh.Close()
 		}
 	}
 

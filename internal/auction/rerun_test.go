@@ -18,7 +18,7 @@ import (
 
 // A second Run on the same instance still sees the auction-built
 // metric, so it honors the external cache and answers every winner
-// determination from it, without a check or shave lookup.
+// determination from it, without a check lookup.
 func TestRunTwiceWithExternalCacheReplays(t *testing.T) {
 	s, err := poc.NewScenario(poc.ScenarioOptions{Scale: 0.12})
 	if err != nil {
@@ -41,7 +41,6 @@ func TestRunTwiceWithExternalCacheReplays(t *testing.T) {
 	warm := in.Cache.Stats()
 	if cold.Misses == 0 || cold.DeterminationMisses == 0 ||
 		warm.Hits != cold.Hits || warm.Misses != cold.Misses ||
-		warm.ShaveHits != cold.ShaveHits || warm.ShaveMisses != cold.ShaveMisses ||
 		warm.DeterminationMisses != cold.DeterminationMisses ||
 		warm.DeterminationHits != cold.DeterminationHits+cold.DeterminationMisses {
 		t.Fatalf("second Run did not replay every determination: cold %+v, warm %+v", cold, warm)
@@ -88,7 +87,7 @@ func TestCollusionRerunDerivesItsOwnMetric(t *testing.T) {
 
 // A warm re-clear — LoadFile, then Run on a fresh instance — answers
 // every winner determination from one memo entry and returns the cold
-// Result, Checks included, without one check or shave lookup: on the
+// Result, Checks included, without one check lookup: on the
 // separable synth instance (decomposed cold) and on the zoo instance
 // under Constraint 2.
 func TestWarmRerunReplaysEveryDetermination(t *testing.T) {
@@ -152,7 +151,7 @@ func TestWarmRerunReplaysEveryDetermination(t *testing.T) {
 				t.Fatalf("warm Result differs from the cold one:\n%+v\n%+v", warm, cold)
 			}
 			st := win.Cache.Stats()
-			if st.Hits+st.Misses != 0 || st.ShaveHits+st.ShaveMisses != 0 ||
+			if st.Hits+st.Misses != 0 ||
 				st.DeterminationHits != determinations || st.DeterminationMisses != 0 {
 				t.Fatalf("warm run did not answer each of %d determinations with one lookup: %+v", determinations, st)
 			}

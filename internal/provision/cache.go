@@ -53,11 +53,10 @@ type CacheSummary struct {
 type FeasibilityCache struct {
 	mu sync.RWMutex
 	// m is the one memo table. An entry's kind is its key's leading
-	// byte (kindOf): shaveKeyPrefix marks a shave result,
-	// determinationKeyPrefix a winner determination, anything else — a
-	// check key starts with uvarint(Constraint) — a check verdict.
-	// entries counts the keys of each kind, so Len can report checks
-	// only.
+	// byte (kindOf): determinationKeyPrefix marks a winner
+	// determination, anything else — a check key starts with
+	// uvarint(Constraint) — a check verdict. entries counts the keys of
+	// each kind, so Len can report checks only.
 	m       map[string]cacheEntry
 	entries [numKinds]int
 
@@ -79,29 +78,21 @@ type FeasibilityCache struct {
 	netFP map[*topo.POCNetwork]uint64
 }
 
-// Entry kinds. A shave-memo key is a check key behind a prefix byte no
-// check key can start with (constraints are small, so neither 0xfe nor
-// 0xff ever leads a uvarint(Constraint)); a determination key is
-// 0xfe ∥ varint(MaxChecks) ∥ a check key. In sorted order the check
-// keys come first, then the determinations, then the shaves.
+// Entry kinds. A determination key is 0xfe ∥ varint(MaxChecks) ∥ a
+// check key, behind a prefix byte no check key can start with
+// (constraints are small, so 0xfe never leads a uvarint(Constraint)).
+// In sorted order the check keys come first, then the determinations.
 const (
 	kindCheck = iota
-	kindShave
 	kindDetermination
 	numKinds
 
-	shaveKeyPrefix         = "\xff"
 	determinationKeyPrefix = "\xfe"
 )
 
 func kindOf[K string | []byte](key K) int {
-	if len(key) > 0 {
-		switch key[0] {
-		case shaveKeyPrefix[0]:
-			return kindShave
-		case determinationKeyPrefix[0]:
-			return kindDetermination
-		}
+	if len(key) > 0 && key[0] == determinationKeyPrefix[0] {
+		return kindDetermination
 	}
 	return kindCheck
 }
@@ -113,11 +104,10 @@ const keyBufLen = 256
 
 // cacheEntry is one memoized result. For a check, core is non-nil only
 // when the set was feasible and a needCore probe computed the used-link
-// union. For a shave (FeasibilityCache.Shaved) sum is zero and core is
-// the shaved set. For a determination (FeasibilityCache.Determined) sum
-// is zero, core is the selection and checks the determination's check
-// count. Either way the set is shared with every subsequent hit and
-// must be treated as read-only.
+// union. For a determination (FeasibilityCache.Determined) sum is zero,
+// core is the selection and checks the determination's check count.
+// Either way the set is shared with every subsequent hit and must be
+// treated as read-only.
 type cacheEntry struct {
 	sum    CacheSummary
 	core   *linkset.Set
@@ -140,10 +130,11 @@ type CacheStats struct {
 	Hits           int64
 	Misses         int64
 	Decompositions int64
-	ShaveHits      int64
-	ShaveMisses    int64
 	Entries        int
-	ShaveEntries   int
+	// ShaveHits is always 0: the pass-3 shave is not memoized, since a
+	// warm re-clear answers its whole determination first. The field
+	// stays only because the benchmark's provision.shave_hits reads it.
+	ShaveHits int64
 
 	DeterminationHits    int64
 	DeterminationMisses  int64
@@ -170,10 +161,7 @@ func (fc *FeasibilityCache) Stats() CacheStats {
 		Hits:           fc.hits[kindCheck].Load(),
 		Misses:         fc.misses[kindCheck].Load(),
 		Decompositions: fc.decompositions.Load(),
-		ShaveHits:      fc.hits[kindShave].Load(),
-		ShaveMisses:    fc.misses[kindShave].Load(),
 		Entries:        fc.entries[kindCheck],
-		ShaveEntries:   fc.entries[kindShave],
 
 		DeterminationHits:    fc.hits[kindDetermination].Load(),
 		DeterminationMisses:  fc.misses[kindDetermination].Load(),
@@ -193,8 +181,8 @@ func (fc *FeasibilityCache) Hits() int64 { return fc.hits[kindCheck].Load() }
 func (fc *FeasibilityCache) Misses() int64 { return fc.misses[kindCheck].Load() }
 
 // Len returns the number of memoized check entries — the distinct
-// (set, constraint, options, matrix, metric) tuples probed. Shave and
-// determination entries are not counted.
+// (set, constraint, options, matrix, metric) tuples probed.
+// Determination entries are not counted.
 func (fc *FeasibilityCache) Len() int {
 	fc.mu.RLock()
 	defer fc.mu.RUnlock()
@@ -294,28 +282,6 @@ func (fc *FeasibilityCache) put(key string, e cacheEntry) bool {
 		fc.entries[kindOf(key)]++
 	}
 	return !existed
-}
-
-// Shaved memoizes the shave-to-1-minimality step of a winner
-// determination. The shave is a deterministic function of exactly the
-// material the check key encodes — network, start set, matrix,
-// constraint, feasibility options and the price metric (which fixes
-// both the routing costs and the shave's price order) — but it routes
-// internally without going through a check, and at continental scale it
-// dominates a warm run's wall clock. Memoizing its result as a second
-// entry kind of the same table turns a persisted-cache replay into pure
-// lookup. On a miss, compute runs the caller's shave and its result is
-// stored; hits and misses both return a private copy the caller may
-// mutate freely.
-func (fc *FeasibilityCache) Shaved(p *topo.POCNetwork, start *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, compute func() *linkset.Set) *linkset.Set {
-	var kb [keyBufLen]byte
-	key := fc.appendKey(append(kb[:0], shaveKeyPrefix...), p, start, fc.shapeOf(tm), c, opts.withDefaults(), metric)
-	if e, ok := fc.peek(key, false); ok {
-		return linkset.FromWords(e.core.Words(), len(p.Links))
-	}
-	res := compute()
-	fc.store(key, cacheEntry{core: res.Clone()})
-	return res
 }
 
 // Determined memoizes a whole winner determination: the auction's

@@ -32,23 +32,24 @@ import (
 //	∥ uvarint(Paths) ∥ uvarint(Moves)
 //	∥ [has-core: uvarint(words) ∥ words(u64 LE each)]
 //
-// kind 2 (shave-memo entry, see FeasibilityCache.Shaved) continues:
-//
-//	uvarint(words) ∥ words(u64 LE each)
-//
 // kind 3 (winner-determination entry, see FeasibilityCache.Determined)
 // continues:
 //
 //	uvarint(checks) ∥ uvarint(words) ∥ words(u64 LE each)
 //
+// Kind 2 is retired: it held a memoized pass-3 shave under a 0xff key.
+// Load stops at such a frame as at any frame whose kind disagrees with
+// its key's. 0xff keys sort last, so in a file written while kind 2
+// existed they only ever sit at the tail, and the load keeps every
+// check and determination before them.
+//
 // Save iterates keys in sorted order — check entries first, then
-// determination entries (0xfe-prefixed), then shave entries (0xff) — so
-// saving the same contents always produces the same bytes. Load
-// verifies the magic, then stops quietly at the first torn or corrupt
-// frame (a crash mid-save loses the tail, never the run). Keys are
-// content fingerprints (FNV-1a over matrix/network contents plus the
-// raw include words), so a key written by one process hashes
-// identically when another loads it.
+// determination entries (0xfe-prefixed) — so saving the same contents
+// always produces the same bytes. Load verifies the magic, then stops
+// quietly at the first torn or corrupt frame (a crash mid-save loses
+// the tail, never the run). Keys are content fingerprints (FNV-1a over
+// matrix/network contents plus the raw include words), so a key written
+// by one process hashes identically when another loads it.
 //
 // Entries loaded from a file replay exactly the checks that produced
 // them, so a warm-started cache answers with the same bytes a cold one
@@ -60,7 +61,7 @@ import (
 const cacheMagic = "pocfcache/v1\n"
 
 // Frame kinds, by entry kind.
-var cacheFrameKind = [numKinds]byte{kindCheck: 1, kindShave: 2, kindDetermination: 3}
+var cacheFrameKind = [numKinds]byte{kindCheck: 1, kindDetermination: 3}
 
 // Save writes every resident entry to w in sorted-key order.
 func (fc *FeasibilityCache) Save(w io.Writer) error {
@@ -104,10 +105,7 @@ func appendWords(dst []byte, words []uint64) []byte {
 func appendCachePayload(dst []byte, key string, e cacheEntry) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(key)))
 	dst = append(dst, key...)
-	switch kindOf(key) {
-	case kindShave:
-		return appendWords(dst, e.core.Words())
-	case kindDetermination:
+	if kindOf(key) == kindDetermination {
 		dst = binary.AppendUvarint(dst, uint64(e.checks))
 		return appendWords(dst, e.core.Words())
 	}
@@ -245,11 +243,7 @@ func parseCachePayload(p []byte) ([]byte, cacheEntry, bool) {
 	p = p[klen:]
 	var e cacheEntry
 	var ok bool
-	switch kindOf(key) {
-	case kindShave:
-		e.core, ok = parseWords(p)
-		return key, e, ok
-	case kindDetermination:
+	if kindOf(key) == kindDetermination {
 		checks, n := binary.Uvarint(p)
 		if n <= 0 || checks > math.MaxInt {
 			return nil, cacheEntry{}, false

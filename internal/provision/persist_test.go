@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"sync"
 	"testing"
 
@@ -72,72 +71,6 @@ func TestCachePersistRoundtrip(t *testing.T) {
 	}
 	if dst.Misses() != misses {
 		t.Fatalf("warm cache recomputed %d probes", dst.Misses()-misses)
-	}
-}
-
-// TestCachePersistShaveMemo pins the kind-2 frames: shave results
-// survive a save/load cycle, replay without recomputing, and return
-// private copies the caller may mutate.
-func TestCachePersistShaveMemo(t *testing.T) {
-	p := shaveNet(10, 10, 10, 10)
-	tm := traffic.NewMatrix(2)
-	tm.Set(0, 1, 8)
-	start := linkset.All(len(p.Links))
-	shavedSet := linkset.FromIDs([]int{0, 2}, len(p.Links))
-
-	src := NewFeasibilityCache()
-	got := src.Shaved(p, start, tm, Constraint1, Options{}, 7, func() *linkset.Set { return shavedSet })
-	if !sameCore(got, shavedSet) {
-		t.Fatal("miss did not return the computed set")
-	}
-	if st := src.Stats(); st.ShaveMisses != 1 || st.ShaveEntries != 1 {
-		t.Fatalf("stats after miss: %+v", st)
-	}
-
-	var buf bytes.Buffer
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var buf2 bytes.Buffer
-	if err := src.Save(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
-		t.Fatal("two saves of identical contents differ")
-	}
-
-	dst := NewFeasibilityCache()
-	if loaded, err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil || loaded != 1 {
-		t.Fatalf("load: n=%d err=%v", loaded, err)
-	}
-	warm := dst.Shaved(p, start, tm, Constraint1, Options{}, 7, func() *linkset.Set {
-		t.Fatal("warm cache recomputed the shave")
-		return nil
-	})
-	if !sameCore(warm, shavedSet) {
-		t.Fatal("warm shave result diverged")
-	}
-	if st := dst.Stats(); st.ShaveHits != 1 || st.ShaveMisses != 0 {
-		t.Fatalf("stats after warm hit: %+v", st)
-	}
-
-	// The replayed set is a private copy: mutating it must not leak
-	// into later hits.
-	warm.Add(5)
-	again := dst.Shaved(p, start, tm, Constraint1, Options{}, 7, func() *linkset.Set {
-		t.Fatal("recomputed after mutation")
-		return nil
-	})
-	if !sameCore(again, shavedSet) {
-		t.Fatal("mutating a returned shave leaked into the cache")
-	}
-
-	// A different start set or metric is a distinct shave.
-	other := linkset.FromIDs([]int{1, 3}, len(p.Links))
-	dst.Shaved(p, other, tm, Constraint1, Options{}, 7, func() *linkset.Set { return other })
-	dst.Shaved(p, start, tm, Constraint1, Options{}, 8, func() *linkset.Set { return other })
-	if st := dst.Stats(); st.ShaveMisses != 2 || st.ShaveEntries != 3 {
-		t.Fatalf("distinct shaves not keyed apart: %+v", st)
 	}
 }
 
@@ -209,8 +142,8 @@ func TestCachePersistDeterminationMemo(t *testing.T) {
 
 // TestDeterminationKeyedApart: the same start set is another
 // determination under another check budget, metric tag, network or
-// matrix, and a determination never answers a check or a shave of the
-// same start set.
+// matrix, and a determination never answers a check of the same start
+// set.
 func TestDeterminationKeyedApart(t *testing.T) {
 	p := shaveNet(10, 10, 10, 10)
 	q := shaveNet(10, 10, 10, 20)
@@ -249,10 +182,6 @@ func TestDeterminationKeyedApart(t *testing.T) {
 	}
 	if _, sum := fc.Check(p, start, tm, Constraint1, Options{}, 7); !sum.Feasible || fc.Misses() != 1 {
 		t.Fatal("a determination entry answered a check")
-	}
-	fc.Shaved(p, start, tm, Constraint1, Options{}, 7, start.Clone)
-	if st := fc.Stats(); st.ShaveMisses != 1 {
-		t.Fatal("a determination entry answered a shave")
 	}
 }
 
@@ -331,33 +260,30 @@ func TestCachePersistTornTail(t *testing.T) {
 	entry := []byte{1, 'k', 2}                      // uvarint(len(key)) ∥ key ∥ flags: has-core
 	entry = append(entry, make([]byte, 8+8+1+1)...) // Unplaced, MaxUtilization, Paths, Moves
 	entry = append(entry, huge...)
-	shave := append([]byte{2, shaveKeyPrefix[0], 'k'}, huge...)
 	determination := append([]byte{2, determinationKeyPrefix[0], 'k', 3}, huge...) // ∥ checks ∥ words
 	// A frame whose kind contradicts its key's leading byte is corrupt too.
 	crossed := append([]byte{1, 'k'}, 0)                         // check key, zero words
 	crossedWD := []byte{2, determinationKeyPrefix[0], 'k', 3, 0} // determination key, 3 checks, zero words
-	crossedShave := append([]byte{2, shaveKeyPrefix[0], 'k'}, 0) // shave key, zero words
+	// A well-formed frame of the retired kind 2 ends the load like one.
+	// Read as a check entry its payload would parse (flags 3, no core
+	// words), so only the frame kind stops it.
+	retired := appendWords([]byte{2, 0xff, 'k'}, []uint64{1, 1, 0}) // shave key, three words
 	for _, f := range []struct {
 		kind    byte
 		payload []byte
 	}{
-		{cacheFrameKind[kindCheck], entry}, {cacheFrameKind[kindShave], shave}, {cacheFrameKind[kindDetermination], determination},
-		{cacheFrameKind[kindShave], crossed}, {cacheFrameKind[kindDetermination], crossed},
-		{cacheFrameKind[kindShave], crossedWD}, {cacheFrameKind[kindCheck], crossedWD},
-		{cacheFrameKind[kindDetermination], crossedShave},
+		{cacheFrameKind[kindCheck], entry}, {cacheFrameKind[kindDetermination], determination},
+		{2, retired}, {cacheFrameKind[kindDetermination], retired},
+		{cacheFrameKind[kindDetermination], crossed}, {cacheFrameKind[kindCheck], crossedWD},
 	} {
-		data := append([]byte(nil), buf.Bytes()...)
-		data = binary.LittleEndian.AppendUint32(data, uint32(len(f.payload)))
-		data = append(data, f.kind)
-		data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(f.payload))
-		data = append(data, f.payload...)
+		data := appendFrame(append([]byte(nil), buf.Bytes()...), f.kind, f.payload)
 		dst3 := NewFeasibilityCache()
 		loaded3, err := dst3.Load(bytes.NewReader(data))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if loaded3 != 3 || dst3.Len() != 3 {
-			t.Fatalf("kind %d overflow frame: loaded %d entries, want the 3 before it", f.kind, loaded3)
+			t.Fatalf("kind %d frame %x: loaded %d entries, want the 3 before it", f.kind, f.payload, loaded3)
 		}
 	}
 
@@ -367,11 +293,35 @@ func TestCachePersistTornTail(t *testing.T) {
 	}
 }
 
+// appendFrame appends one cache-file frame of the given kind around
+// payload, CRC included.
+func appendFrame(data []byte, kind byte, payload []byte) []byte {
+	data = binary.LittleEndian.AppendUint32(data, uint32(len(payload)))
+	data = append(data, kind)
+	data = binary.LittleEndian.AppendUint32(data, crc32.ChecksumIEEE(payload))
+	return append(data, payload...)
+}
+
+// appendRetiredShave appends a frame of the retired kind 2, the one
+// testdata/pocfcache_v1.bin ended with while the kind existed: link 0,
+// the pass-3 shave of all links of the fixture network under metric 7,
+// keyed 0xff ∥ check key.
+func appendRetiredShave(data []byte) []byte {
+	p := shaveNet(10, 10, 10, 10)
+	tm := traffic.NewMatrix(2)
+	tm.Set(0, 1, 8)
+	fc := NewFeasibilityCache()
+	key := fc.appendKey([]byte{0xff}, p, linkset.All(len(p.Links)), fc.shapeOf(tm), Constraint1, Options{}.withDefaults(), 7)
+	payload := append(binary.AppendUvarint(nil, uint64(len(key))), key...)
+	return appendFrame(data, 2, appendWords(payload, []uint64{1}))
+}
+
 // FuzzCacheLoad feeds Load arbitrary bytes, seeded with a real save
-// holding every entry shape (coreless check, check with core, shave,
-// determination):
-// it must not panic, cannot load more entries than the input has whole
-// frames, and whatever it loaded must answer like the saved cache.
+// holding every entry shape (coreless check, check with core,
+// determination), and with that save followed by a frame of the
+// retired kind 2, where a load must stop: it must not panic, cannot
+// load more entries than the input has whole frames, and whatever it
+// loaded must answer like the saved cache.
 func FuzzCacheLoad(f *testing.F) {
 	p := shaveNet(10, 10, 10, 10)
 	tm := traffic.NewMatrix(2)
@@ -381,7 +331,6 @@ func FuzzCacheLoad(f *testing.F) {
 		probes = append(probes, linkset.FromIDs([]int{i}, len(p.Links)))
 	}
 	start := linkset.All(len(p.Links))
-	shaved := linkset.FromIDs([]int{0}, len(p.Links))
 
 	src := NewFeasibilityCache()
 	want := make([]CacheSummary, len(probes))
@@ -392,7 +341,6 @@ func FuzzCacheLoad(f *testing.F) {
 			src.Probe(p, s, tm, Constraint1, Options{}, 7, true, false)
 		}
 	}
-	src.Shaved(p, start, tm, Constraint1, Options{}, 7, shaved.Clone)
 	selected := linkset.FromIDs([]int{0, 2}, len(p.Links))
 	determined := func() (*linkset.Set, int, error) { return selected, 9, nil }
 	src.Determined(p, start, tm, Constraint1, Options{}, 7, 40, determined)
@@ -405,6 +353,7 @@ func FuzzCacheLoad(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add(buf.Bytes()[:buf.Len()/2])
+	f.Add(appendRetiredShave(bytes.Clone(buf.Bytes())))
 	f.Add([]byte(cacheMagic))
 	// The committed fixture probes the same network, matrix and metric
 	// (plus a Constraint2 and a decomposed entry), so its entries must
@@ -443,9 +392,6 @@ func FuzzCacheLoad(f *testing.F) {
 				t.Fatalf("probe %d: core differs from the saved cache's", i)
 			}
 		}
-		if got := fc.Shaved(p, start, tm, Constraint1, Options{}, 7, shaved.Clone); !sameCore(got, shaved) {
-			t.Fatalf("shave %v after load, saved cache says %v", got.AppendIDs(nil), shaved.AppendIDs(nil))
-		}
 		if got, checks, _ := fc.Determined(p, start, tm, Constraint1, Options{}, 7, 40, determined); !sameCore(got, selected) || checks != 9 {
 			t.Fatalf("determination %v with %d checks after load, saved cache says %v with 9", got.AppendIDs(nil), checks, selected.AppendIDs(nil))
 		}
@@ -453,9 +399,10 @@ func FuzzCacheLoad(f *testing.F) {
 }
 
 // fixtureCache replays the probes that produced
-// testdata/pocfcache_v1.bin — written by Save at the commit before the
-// memo became one table — and returns the cache plus a function that
-// repeats every probe against another cache and fails on any miss.
+// testdata/pocfcache_v1.bin — Save's bytes since the memo became one
+// table, less the one frame of the retired kind 2 the file then ended
+// with — and returns the cache plus a function that repeats every probe
+// against another cache and fails on any miss.
 func fixtureCache(t testing.TB) (*FeasibilityCache, func(*FeasibilityCache)) {
 	p := shaveNet(10, 10, 10, 10)
 	tm := traffic.NewMatrix(2)
@@ -465,7 +412,7 @@ func fixtureCache(t testing.TB) (*FeasibilityCache, func(*FeasibilityCache)) {
 	tms := traffic.NewMatrix(len(ps.Routers))
 	sideTM(rng, tms, 0, 10, 4, 6)
 	sideTM(rng, tms, 10, 10, 4, 6)
-	replay := func(fc *FeasibilityCache, shave func() *linkset.Set) {
+	replay := func(fc *FeasibilityCache) {
 		for i := range p.Links {
 			fc.Check(p, linkset.FromIDs([]int{i}, len(p.Links)), tm, Constraint1, Options{}, 7)
 		}
@@ -473,43 +420,30 @@ func fixtureCache(t testing.TB) (*FeasibilityCache, func(*FeasibilityCache)) {
 		fc.Probe(p, nil, tm, Constraint1, Options{}, 7, true, false)
 		fc.Probe(p, linkset.FromIDs([]int{0, 1}, len(p.Links)), tm, Constraint2, Options{FailureScenarios: 4}, 7, true, false)
 		fc.Probe(ps, nil, tms, Constraint1, Options{}, 9, false, true)
-		got := fc.Shaved(p, linkset.All(len(p.Links)), tm, Constraint1, Options{}, 7, shave)
-		if want := linkset.FromIDs([]int{0}, len(p.Links)); !slices.Equal(got.AppendIDs(nil), want.AppendIDs(nil)) {
-			t.Fatalf("fixture shave = %v, want %v", got.AppendIDs(nil), want.AppendIDs(nil))
-		}
 	}
 	fc := NewFeasibilityCache()
-	replay(fc, func() *linkset.Set {
-		sh, ok := NewShaver(p, nil, tm, Constraint1, Options{})
-		if !ok {
-			t.Fatal("fixture shave instance infeasible")
-		}
-		defer sh.Close()
-		sh.Shave(func(l int) float64 { return float64(l + 1) }, 0)
-		return sh.Include()
-	})
-	if st := fc.Stats(); st.Decompositions != 1 || st.Entries != 10 || st.ShaveEntries != 1 {
+	replay(fc)
+	if st := fc.Stats(); st.Decompositions != 1 || st.Entries != 10 {
 		t.Fatalf("fixture cache shape: %+v", st)
 	}
 	return fc, func(warm *FeasibilityCache) {
 		before := warm.Stats()
-		replay(warm, func() *linkset.Set {
-			t.Fatal("warm cache recomputed the shave")
-			return nil
-		})
+		replay(warm)
 		after := warm.Stats()
-		if after.Misses != before.Misses || after.ShaveMisses != before.ShaveMisses || after.Decompositions != before.Decompositions {
+		if after.Misses != before.Misses || after.Decompositions != before.Decompositions {
 			t.Fatalf("fixture probes missed on a warm cache: %+v -> %+v", before, after)
 		}
 	}
 }
 
 // TestCachePersistFixture pins the pocfcache/v1 bytes across the
-// one-table refactor: the committed file holds every entry shape
+// one-table refactor: the committed file holds every check entry shape
 // (coreless checks, cores, a decomposed probe with its two component
-// entries, one shave). The same probes must Save to the same bytes,
-// Load → Save must reproduce the file, and the loaded cache must answer
-// every probe without computing.
+// entries). The same probes must Save to the same bytes, Load → Save
+// must reproduce the file, and the loaded cache must answer every probe
+// without computing. Written while frame kind 2 existed, the file ended
+// in one shave frame (appendRetiredShave): with that tail it loads as
+// the same 10 entries, and saves as the fixture.
 func TestCachePersistFixture(t *testing.T) {
 	want, err := os.ReadFile("testdata/pocfcache_v1.bin")
 	if err != nil {
@@ -524,22 +458,27 @@ func TestCachePersistFixture(t *testing.T) {
 		t.Fatalf("Save of the fixture probes wrote %d bytes that differ from testdata/pocfcache_v1.bin (%d bytes)", buf.Len(), len(want))
 	}
 
-	warm := NewFeasibilityCache()
-	n, err := warm.Load(bytes.NewReader(want))
-	if err != nil || n != 11 {
-		t.Fatalf("load: n=%d err=%v, want 11 entries", n, err)
+	for _, file := range []struct {
+		name string
+		data []byte
+	}{{"the fixture", want}, {"the fixture with a kind-2 tail", appendRetiredShave(bytes.Clone(want))}} {
+		warm := NewFeasibilityCache()
+		n, err := warm.Load(bytes.NewReader(file.data))
+		if err != nil || n != 10 {
+			t.Fatalf("load of %s: n=%d err=%v, want 10 entries", file.name, n, err)
+		}
+		if st := warm.Stats(); st.Entries != 10 || st.DeterminationEntries != 0 || warm.Len() != 10 {
+			t.Fatalf("loaded shape of %s: %+v len=%d", file.name, st, warm.Len())
+		}
+		buf.Reset()
+		if err := warm.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("Load → Save of %s did not write testdata/pocfcache_v1.bin", file.name)
+		}
+		replay(warm)
 	}
-	if st := warm.Stats(); st.Entries != 10 || st.ShaveEntries != 1 || warm.Len() != 10 {
-		t.Fatalf("loaded shape: %+v len=%d", st, warm.Len())
-	}
-	buf.Reset()
-	if err := warm.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatal("Load → Save did not reproduce testdata/pocfcache_v1.bin")
-	}
-	replay(warm)
 }
 
 func TestCachePersistFileMissing(t *testing.T) {
