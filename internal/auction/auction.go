@@ -5,7 +5,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -145,17 +144,35 @@ func (r *Result) Surplus() float64 {
 }
 
 // priceTable is one Run's link prices (see priceOfLink). It is a pure
-// function of the bids, built once per Run and read-only after, so
-// every winner determination, every counterfactual worker and every
-// metric closure reads the same table.
+// function of the bids, built once per Run and read-only after (but for
+// the one sort of ids), so every winner determination, every
+// counterfactual worker and every metric closure reads the same table.
 type priceTable struct {
 	// of is indexed by link ID; +Inf means unpriced (no bid or contract
 	// offers the link) or priced at +Inf.
 	of []float64
-	// byPrice lists the offered links by price descending, then ID
-	// ascending — a total order, so filtering it to a subset yields
-	// exactly that subset sorted the same way.
-	byPrice []int
+	// ids lists the offered links, in ID order until byPrice sorts it.
+	ids    []int
+	sorted sync.Once
+}
+
+// byPrice lists the offered links by price descending, then ID
+// ascending — a total order, so filtering it to a subset yields exactly
+// that subset sorted the same way. Only pass 2 reads the order, and a
+// warm re-clear runs no pass 2, so the first reader sorts it.
+func (pt *priceTable) byPrice() []int {
+	pt.sorted.Do(func() {
+		slices.SortFunc(pt.ids, func(i, j int) int {
+			switch pi, pj := pt.of[i], pt.of[j]; {
+			case pi > pj:
+				return -1
+			case pi < pj:
+				return 1
+			}
+			return i - j
+		})
+	})
+	return pt.ids
 }
 
 // metric routes by declared lease price so that the routing — and
@@ -176,10 +193,10 @@ func (pt *priceTable) metric(l topo.LogicalLink) float64 {
 // exported byte, on success or failure — is the same for any Workers.
 //
 // Run derives its per-run state once and hands it to every winner
-// determination: each bid's links in ID order, the price table
-// (priceOfLink), the cache context, one workspace for the main
-// determination and one that every counterfactual draws its arenas
-// from.
+// determination (newRunCtx): each bid's offer as a set, the offered set
+// OL, the price table (priceOfLink), the cache context, one workspace
+// for the main determination and one that every counterfactual draws
+// its arenas from.
 func (in *Instance) Run() (*Result, error) {
 	if err := in.validate(); err != nil {
 		return nil, err
@@ -188,8 +205,7 @@ func (in *Instance) Run() (*Result, error) {
 	// the next Run on this instance — or on a copy with other bids — must
 	// derive its own.
 	opts := in.RouteOpts
-	rc := &runCtx{links: sortedBidLinks(in.Bids)}
-	rc.prices = in.priceOfLink(rc.links)
+	rc := in.newRunCtx()
 	opts.LinkCost = rc.prices.metric
 	workers := in.Workers
 	if workers <= 0 {
@@ -204,7 +220,7 @@ func (in *Instance) Run() (*Result, error) {
 	// fingerprint.
 	if !in.NoCache {
 		if in.Cache != nil {
-			rc.fc, rc.base, rc.external = in.Cache, priceFingerprint(rc.prices), true
+			rc.fc, rc.base, rc.external = in.Cache, rc.priceFingerprint(), true
 		} else {
 			rc.fc = provision.NewFeasibilityCache()
 		}
@@ -213,7 +229,7 @@ func (in *Instance) Run() (*Result, error) {
 	defer run.End()
 	wd := in.Obs.StartSpan("auction.winner_determination")
 	opts.Workspace = provision.NewWorkspace(in.Network, opts)
-	sel, err := in.determine(-1, opts, rc.rawTag(), rc)
+	sel, err := in.determine(-1, nil, opts, rc.rawTag(), rc)
 	wd.End()
 	if err != nil {
 		return nil, fmt.Errorf("auction: winner determination: %w", err)
@@ -226,7 +242,7 @@ func (in *Instance) Run() (*Result, error) {
 		Alternative: make([]float64, len(in.Bids)),
 		Checks:      sel.checks,
 	}
-	perBP := linksByBP(rc.links, sel.set)
+	perBP := linksByBP(rc.offers, sel.set)
 	var need []int
 	for a, bid := range in.Bids {
 		res.BPCost[a] = bid.Cost(perBP[a])
@@ -281,13 +297,16 @@ func (in *Instance) Run() (*Result, error) {
 	}
 	var next atomic.Int64
 	sweep := func() {
+		// start holds SL_-a's start set, OL − L_a, for one
+		// determination at a time: one set per worker, not per BP.
+		start := linkset.New(len(in.Network.Links))
 		for {
 			i := int(next.Add(1)) - 1
 			if i >= len(order) {
 				return
 			}
 			a := order[i]
-			alts[a], errs[a] = in.determine(a, cfOpts, cfTag, rc)
+			alts[a], errs[a] = in.determine(a, start, cfOpts, cfTag, rc)
 		}
 	}
 	var wg sync.WaitGroup
@@ -414,52 +433,25 @@ func (in *Instance) validate() error {
 	return nil
 }
 
-// sortedBidLinks returns a copy of each bid's links in ascending ID
-// order. Every CostFn call of a Run reads these: a float cost summed in
-// another order lands on other bits, so pricing the bid's own order
-// would let a BP move the selection by reordering its list.
-func sortedBidLinks(bids []Bid) [][]int {
-	out := make([][]int, len(bids))
-	for a, b := range bids {
-		out[a] = slices.Clone(b.Links)
-		slices.Sort(out[a])
+// linksByBP partitions a selected set into per-BP link lists in ID
+// order, following the bids (not link ownership, so withheld links
+// never count). offers is runCtx.offers.
+func linksByBP(offers []linkset.Set, set *linkset.Set) [][]int {
+	out := make([][]int, len(offers))
+	for a := range offers {
+		out[a] = set.AppendAnd(nil, &offers[a])
 	}
 	return out
-}
-
-// linksByBP partitions a selected set into per-BP sorted link lists
-// following the bids (not link ownership, so withheld links never
-// count). links is sortedBidLinks of the bids.
-func linksByBP(links [][]int, set *linkset.Set) [][]int {
-	out := make([][]int, len(links))
-	for a, l := range links {
-		out[a] = bidLinks(nil, l, set)
-	}
-	return out
-}
-
-// bidLinks fills the empty slice dst with the links in set, in the
-// order links lists them.
-func bidLinks(dst, links []int, set *linkset.Set) []int {
-	for _, id := range links {
-		if set.Contains(id) {
-			dst = append(dst, id)
-		}
-	}
-	return dst
 }
 
 // costOf evaluates C(L) for a candidate set: Σ_a C_a(L ∩ L_a) plus
 // virtual contract prices. Every bid is priced on one scratch slice
-// holding what linksByBP would list for it.
-func (in *Instance) costOf(set *linkset.Set, links [][]int) float64 {
-	longest := 0
-	for _, l := range links {
-		longest = max(longest, len(l))
-	}
-	total, scratch := 0.0, make([]int, 0, longest)
+// holding what linksByBP would list for it, read off the words of the
+// set and of the bid's offer.
+func (in *Instance) costOf(set *linkset.Set, rc *runCtx) float64 {
+	total, scratch := 0.0, make([]int, 0, rc.longest)
 	for a, b := range in.Bids {
-		scratch = bidLinks(scratch[:0], links[a], set)
+		scratch = set.AppendAnd(scratch[:0], &rc.offers[a])
 		c := b.Cost(scratch)
 		if math.IsInf(c, 1) {
 			return math.Inf(1)
@@ -482,16 +474,43 @@ type selection struct {
 }
 
 // runCtx is what one Run derives once and every winner determination
-// reads: each bid's links in ID order, the price table, the feasibility
-// memo, the instance's price-metric fingerprint (zero for a private
-// per-run cache), and whether the cache outlives the run (external ⇒
-// no obs recording through it).
+// reads: each bid's offer L_a as a set and the size of the largest, the
+// price table, the offered set OL, the feasibility memo, the instance's price-metric
+// fingerprint (zero for a private per-run cache), and whether the
+// cache outlives the run (external ⇒ no obs recording through it).
+//
+// Every CostFn call of a Run lists its links in ascending ID order, as
+// a set iterates: a float cost summed in another order lands on other
+// bits, so pricing the bid's own order would let a BP move the
+// selection by reordering its list.
 type runCtx struct {
-	links    [][]int
+	offers   []linkset.Set
+	longest  int
 	prices   *priceTable
+	ol       *linkset.Set
 	fc       *provision.FeasibilityCache
 	base     uint64
 	external bool
+}
+
+// newRunCtx derives the bids' part of a runCtx: each bid's offer, OL —
+// every bid's links plus the virtual links — and the price table. The
+// caller sets the cache fields.
+func (in *Instance) newRunCtx() *runCtx {
+	n := len(in.Network.Links)
+	rc := &runCtx{offers: linkset.NewBatch(len(in.Bids), n), ol: linkset.New(n)}
+	for a, b := range in.Bids {
+		for _, id := range b.Links {
+			rc.offers[a].Add(id)
+		}
+		rc.ol.Union(&rc.offers[a])
+		rc.longest = max(rc.longest, len(b.Links))
+	}
+	for _, v := range in.Virtual {
+		rc.ol.Add(v.LinkID)
+	}
+	rc.prices = in.priceOfLink(rc.offers, rc.ol)
+	return rc
 }
 
 // rawTag is the cache metric tag of the raw price metric (the main
@@ -512,105 +531,75 @@ func (rc *runCtx) warmTag(warm *linkset.Set) uint64 {
 	return fnv64.Mix(tag, math.Float64bits(warmBias))
 }
 
-// priceFingerprint hashes a price table by value, in ascending link ID
-// over the priced links: two instances with equal bids produce equal
-// fingerprints (and so share cache entries), while a reauction's
+// priceFingerprint hashes the price table by value, in ascending link
+// ID over the priced links — OL: two instances with equal bids produce
+// equal fingerprints (and so share cache entries), while a reauction's
 // reduced bids — different marginal prices — produce a different one.
-func priceFingerprint(pt *priceTable) uint64 {
-	ids := slices.Clone(pt.byPrice)
-	slices.Sort(ids)
+func (rc *runCtx) priceFingerprint() uint64 {
 	h := uint64(fnv64.Offset)
-	for _, id := range ids {
+	rc.ol.Iterate(func(id int) {
 		h = fnv64.Mix(h, uint64(id))
-		h = fnv64.Mix(h, math.Float64bits(pt.of[id]))
-	}
+		h = fnv64.Mix(h, math.Float64bits(rc.prices.of[id]))
+	})
 	return h
 }
 
-// offered returns the offered link set OL, optionally excluding one
-// BP's links (excludeBP >= 0).
-func (in *Instance) offered(excludeBP int) *linkset.Set {
-	ol := linkset.New(len(in.Network.Links))
-	for a, b := range in.Bids {
-		if a == excludeBP {
-			continue
-		}
-		for _, id := range b.Links {
-			ol.Add(id)
-		}
-	}
-	for _, v := range in.Virtual {
-		ol.Add(v.LinkID)
-	}
-	return ol
-}
-
 // priceOfLink builds the price table: the per-link price used as the
-// routing metric and the removal order. Each BP link's price is its
-// *marginal* price within the BP's full offer (C_a(L_a) −
+// routing metric and the removal order (byPrice). Each BP link's price
+// is its *marginal* price within the BP's full offer (C_a(L_a) −
 // C_a(L_a∖{id})), which sees bundle discounts that a naive singleton
 // price would miss; virtual links use their contract price. When a bid
 // prices its full set at +Inf (pathological), the singleton price is
 // the fallback. It costs Σ_a(|L_a|+1) bid evaluations of O(|L_a|)
-// each, so Run calls it once and shares the result. links is
-// sortedBidLinks of the bids: a bid is priced on its links in ID
-// order, whatever order it lists them in.
-func (in *Instance) priceOfLink(links [][]int) *priceTable {
-	offered := len(in.Virtual)
-	for _, l := range links {
-		offered += len(l)
-	}
-	pt := &priceTable{of: make([]float64, len(in.Network.Links)), byPrice: make([]int, 0, offered)}
+// each, so Run calls it once and shares the result. offers and ol are
+// runCtx's: a bid is priced on its links in ID order, whatever order
+// it lists them in.
+func (in *Instance) priceOfLink(offers []linkset.Set, ol *linkset.Set) *priceTable {
+	pt := &priceTable{of: make([]float64, len(in.Network.Links)), ids: ol.AppendIDs(make([]int, 0, ol.Len()))}
 	for i := range pt.of {
 		pt.of[i] = math.Inf(1)
 	}
-	set := func(id int, p float64) {
-		pt.of[id] = p
-		pt.byPrice = append(pt.byPrice, id)
-	}
-	scratch := make([]int, 0, 64)
+	var l, scratch []int
 	for a, b := range in.Bids {
-		l := links[a]
+		l = offers[a].AppendIDs(l[:0])
 		full := b.Cost(l)
 		for i, id := range l {
 			if math.IsInf(full, 1) {
-				set(id, b.Cost([]int{id}))
+				pt.of[id] = b.Cost([]int{id})
 				continue
 			}
-			scratch = scratch[:0]
-			scratch = append(scratch, l[:i]...)
-			scratch = append(scratch, l[i+1:]...)
+			scratch = append(append(scratch[:0], l[:i]...), l[i+1:]...)
 			p := full - b.Cost(scratch)
 			if p < 0 {
 				p = 0
 			}
-			set(id, p)
+			pt.of[id] = p
 		}
 	}
 	for _, v := range in.Virtual {
-		set(v.LinkID, v.ContractPrice)
+		pt.of[v.LinkID] = v.ContractPrice
 	}
-	sort.Slice(pt.byPrice, func(i, j int) bool {
-		pi, pj := pt.of[pt.byPrice[i]], pt.of[pt.byPrice[j]]
-		if pi != pj {
-			return pi > pj
-		}
-		return pt.byPrice[i] < pt.byPrice[j]
-	})
 	return pt
 }
 
 // determine is one winner determination: SL when excludeBP < 0, else
-// SL_-excludeBP. Through a cache shared beyond the run (rc.external) the
+// SL_-excludeBP, whose start set OL − L_excludeBP it writes into
+// scratch. Through a cache shared beyond the run (rc.external) the
 // whole determination is memoized (FeasibilityCache.Determined): its
-// start set — the offered links minus the excluded BP's — under the
-// metric tag and MaxChecks fixes its selection and check count, so a
-// warm re-clear answers it with one lookup and prices the selection.
-// The key pins the price metric, not the cost functions, so C(L) is
-// always computed from the bids. A private per-run cache never sees a
-// determination twice, so it stores none.
-func (in *Instance) determine(excludeBP int, opts provision.Options, tag uint64, rc *runCtx) (selection, error) {
-	start := in.offered(excludeBP)
+// start set under the metric tag and MaxChecks fixes its selection and
+// check count, so a warm re-clear answers it with one lookup — keyed
+// on the start set's words, with no copy — and prices the selection.
+// Only a determination that runs clones the start set, which it
+// shrinks in place. The key pins the price metric, not the cost
+// functions, so C(L) is always computed from the bids. A private
+// per-run cache never sees a determination twice, so it stores none.
+func (in *Instance) determine(excludeBP int, scratch *linkset.Set, opts provision.Options, tag uint64, rc *runCtx) (selection, error) {
+	start := rc.ol
+	if excludeBP >= 0 {
+		scratch.CopyFrom(rc.ol)
+		scratch.Subtract(&rc.offers[excludeBP])
+		start = scratch
+	}
 	var (
 		set    *linkset.Set
 		checks int
@@ -618,15 +607,15 @@ func (in *Instance) determine(excludeBP int, opts provision.Options, tag uint64,
 	)
 	if rc.external {
 		set, checks, err = rc.fc.Determined(in.Network, start, in.TM, in.Constraint, opts, tag, in.MaxChecks, func() (*linkset.Set, int, error) {
-			return in.selectLinks(start, opts, tag, rc)
+			return in.selectLinks(start.Clone(), opts, tag, rc)
 		})
 	} else {
-		set, checks, err = in.selectLinks(start, opts, tag, rc)
+		set, checks, err = in.selectLinks(start.Clone(), opts, tag, rc)
 	}
 	if err != nil {
 		return selection{}, err
 	}
-	return selection{set: set, cost: in.costOf(set, rc.links), checks: checks}, nil
+	return selection{set: set, cost: in.costOf(set, rc), checks: checks}, nil
 }
 
 // selectLinks is the deterministic winner-determination heuristic. It
@@ -742,7 +731,7 @@ func (in *Instance) selectLinks(cur *linkset.Set, opts provision.Options, tag ui
 			// order to cur is cur sorted by it.
 			n := probed()
 			cand = cand[:0]
-			for _, id := range rc.prices.byPrice {
+			for _, id := range rc.prices.byPrice() {
 				if len(cand) == n {
 					break
 				}

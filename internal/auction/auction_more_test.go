@@ -35,7 +35,7 @@ func parallelInstance(prices []float64, demand float64) *Instance {
 	in := &Instance{Network: p, TM: tm, Constraint: provision.Constraint1}
 	for i, price := range prices {
 		in.Bids = append(in.Bids, Bid{BP: i, Links: []int{i},
-			Cost: AdditiveCost(map[int]float64{i: price})})
+			Cost: AdditiveCost([]int{i}, fixedPrice(price))})
 	}
 	return in
 }
@@ -170,7 +170,7 @@ func TestRunFigure2TopBPs(t *testing.T) {
 	var bids []Bid
 	for i := 0; i < 6; i++ {
 		bids = append(bids, Bid{BP: i, Links: []int{i},
-			Cost: AdditiveCost(map[int]float64{i: float64(10 * (i + 1))})})
+			Cost: AdditiveCost([]int{i}, fixedPrice(float64(10*(i+1))))})
 	}
 	res, err := RunFigure2(Figure2Config{
 		Network: p, TM: tm, Bids: bids,
@@ -196,7 +196,7 @@ func TestRunFigure2PropagatesErrors(t *testing.T) {
 	tm.Set(0, 1, 5)
 	_, err := RunFigure2(Figure2Config{
 		Network: p, TM: tm,
-		Bids: []Bid{{BP: 0, Links: []int{0}, Cost: AdditiveCost(map[int]float64{0: 10})}},
+		Bids: []Bid{{BP: 0, Links: []int{0}, Cost: AdditiveCost([]int{0}, fixedPrice(10))}},
 	})
 	if err == nil {
 		t.Fatal("expected error for irreplaceable BP")
@@ -219,8 +219,8 @@ func TestNonAdditivePricingAffectsSelection(t *testing.T) {
 	in := &Instance{
 		Network: p, TM: tm, Constraint: provision.Constraint1,
 		Bids: []Bid{
-			{BP: 0, Links: []int{0, 1}, Cost: VolumeDiscountCost(map[int]float64{0: 30, 1: 30}, 0.3, 0.3)},
-			{BP: 1, Links: []int{2, 3}, Cost: AdditiveCost(map[int]float64{2: 25, 3: 25})},
+			{BP: 0, Links: []int{0, 1}, Cost: VolumeDiscountCost([]int{0, 1}, fixedPrice(30), 0.3, 0.3)},
+			{BP: 1, Links: []int{2, 3}, Cost: AdditiveCost([]int{2, 3}, fixedPrice(25))},
 		},
 	}
 	res, err := in.Run()

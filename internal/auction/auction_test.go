@@ -2,6 +2,7 @@ package auction
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -34,8 +35,8 @@ func twoPathInstance(priceDirect, priceHopEach float64) *Instance {
 	return &Instance{
 		Network: p,
 		Bids: []Bid{
-			{BP: 0, Links: []int{0}, Cost: AdditiveCost(map[int]float64{0: priceDirect})},
-			{BP: 1, Links: []int{1, 2}, Cost: AdditiveCost(map[int]float64{1: priceHopEach, 2: priceHopEach})},
+			{BP: 0, Links: []int{0}, Cost: AdditiveCost([]int{0}, fixedPrice(priceDirect))},
+			{BP: 1, Links: []int{1, 2}, Cost: AdditiveCost([]int{1, 2}, fixedPrice(priceHopEach))},
 		},
 		TM:         tm,
 		Constraint: provision.Constraint1,
@@ -146,7 +147,7 @@ func TestRunErrorsWithoutAlternative(t *testing.T) {
 	in := &Instance{
 		Network: p,
 		Bids: []Bid{
-			{BP: 0, Links: []int{0}, Cost: AdditiveCost(map[int]float64{0: 100})},
+			{BP: 0, Links: []int{0}, Cost: AdditiveCost([]int{0}, fixedPrice(100))},
 		},
 		TM:         tm,
 		Constraint: provision.Constraint1,
@@ -183,7 +184,7 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 			in.Bids[0].Links = []int{1} // link 1 belongs to BP1
 		}},
 		{"double offer", func(in *Instance) {
-			in.Bids = append(in.Bids, Bid{BP: 0, Links: []int{0}, Cost: AdditiveCost(map[int]float64{0: 1})})
+			in.Bids = append(in.Bids, Bid{BP: 0, Links: []int{0}, Cost: AdditiveCost([]int{0}, fixedPrice(1))})
 		}},
 		{"nil cost", func(in *Instance) { in.Bids[0].Cost = nil }},
 		{"nonzero empty set", func(in *Instance) {
@@ -257,7 +258,7 @@ func TestVirtualLinkSelectedWhenCheapest(t *testing.T) {
 }
 
 func TestAdditiveCost(t *testing.T) {
-	c := AdditiveCost(map[int]float64{1: 10, 2: 20})
+	c := AdditiveCost([]int{1, 2}, func(id int) float64 { return float64(10 * id) })
 	if got := c(nil); got != 0 {
 		t.Fatalf("empty = %v", got)
 	}
@@ -270,8 +271,7 @@ func TestAdditiveCost(t *testing.T) {
 }
 
 func TestVolumeDiscountCost(t *testing.T) {
-	prices := map[int]float64{1: 100, 2: 100, 3: 100}
-	c := VolumeDiscountCost(prices, 0.05, 0.08)
+	c := VolumeDiscountCost([]int{1, 2, 3}, fixedPrice(100), 0.05, 0.08)
 	if got := c([]int{1}); got != 100 {
 		t.Fatalf("single = %v", got)
 	}
@@ -288,8 +288,8 @@ func TestVolumeDiscountCost(t *testing.T) {
 
 func TestVolumeDiscountPanics(t *testing.T) {
 	for _, fn := range []func(){
-		func() { VolumeDiscountCost(nil, -1, 0.1) },
-		func() { VolumeDiscountCost(nil, 0.1, 1.0) },
+		func() { VolumeDiscountCost(nil, nil, -1, 0.1) },
+		func() { VolumeDiscountCost(nil, nil, 0.1, 1.0) },
 	} {
 		func() {
 			defer func() {
@@ -357,13 +357,16 @@ func TestStandardBidsCoverAllLinks(t *testing.T) {
 // TestStandardBidsMatchPerBPScan: bucketing links by BP in one pass
 // gives each BP the links, in the order, and at the prices that one
 // LinksOfBP scan per BP gave it — on the zoo network (with a virtual
-// link no BP owns) and on a synth one.
+// link no BP owns) and on a synth one. Every bid prices its singletons,
+// its whole offer and random subsets at the bits VolumeDiscountCost
+// over a map from the same LeasePricing gives.
 func TestStandardBidsMatchPerBPScan(t *testing.T) {
 	w := topo.DefaultWorld()
 	zoo := topo.BuildPOCNetwork(w, topo.GenerateZoo(w, topo.DefaultZooConfig()), 20, 4, 0)
 	zoo.AddVirtualLink(0, 1, 10)
 	synth := topo.GenerateSynth(topo.DefaultSynthConfig()).P
 	lp := DefaultLeasePricing()
+	rng := rand.New(rand.NewSource(7))
 	for _, p := range []*topo.POCNetwork{zoo, synth} {
 		for b, bid := range StandardBids(p, lp) {
 			want := p.LinksOfBP(b)
@@ -377,8 +380,15 @@ func TestStandardBidsMatchPerBPScan(t *testing.T) {
 					t.Fatalf("BP %d: link %d bid at %v, priced %v", b, id, got, prices[id])
 				}
 			}
-			if got, ref := bid.Cost(want), VolumeDiscountCost(prices, 0.01, 0.12)(want); got != ref {
-				t.Fatalf("BP %d: all links bid at %v, per-scan bid %v", b, got, ref)
+			ref := mapVolumeDiscountCost(prices, 0.01, 0.12)
+			for i := 0; i < 20; i++ {
+				sub := want
+				if i > 0 {
+					sub = slices.DeleteFunc(slices.Clone(want), func(int) bool { return rng.Intn(2) == 0 })
+				}
+				if got, want := bid.Cost(sub), ref(sub); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("BP %d: links %v bid at %v, map pricing %v", b, sub, got, want)
+				}
 			}
 		}
 	}

@@ -16,6 +16,7 @@ package auction
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/public-option/poc/internal/topo"
 )
@@ -65,33 +66,24 @@ func (b Bid) Validate(p *topo.POCNetwork) error {
 	return nil
 }
 
-// AdditiveCost returns a CostFn that sums fixed per-link prices.
-// Links not in the price map are priced at +Inf (not offered).
-func AdditiveCost(priceByLink map[int]float64) CostFn {
-	return func(links []int) float64 {
-		total := 0.0
-		for _, id := range links {
-			p, ok := priceByLink[id]
-			if !ok {
-				return math.Inf(1)
-			}
-			total += p
-		}
-		return total
-	}
+// AdditiveCost returns a CostFn that sums fixed per-link prices: each
+// of links costs price(id). Any other link — and a link priced +Inf —
+// is not offered, and prices the subset at +Inf.
+func AdditiveCost(links []int, price func(id int) float64) CostFn {
+	return newLinkPrices(links, price).sum
 }
 
-// VolumeDiscountCost returns a CostFn that sums per-link prices and
-// then applies a volume discount: leasing k links costs
-// (1 − min(maxDiscount, rate·(k−1))) times the additive sum. This is
-// the kind of non-additive pricing the paper explicitly allows BPs to
-// express ("discounts for multiple links, or other non-additive
-// variations in pricing").
-func VolumeDiscountCost(priceByLink map[int]float64, rate, maxDiscount float64) CostFn {
+// VolumeDiscountCost returns a CostFn that sums per-link prices, as
+// AdditiveCost does, and then applies a volume discount: leasing k
+// links costs (1 − min(maxDiscount, rate·(k−1))) times the additive
+// sum. This is the kind of non-additive pricing the paper explicitly
+// allows BPs to express ("discounts for multiple links, or other
+// non-additive variations in pricing").
+func VolumeDiscountCost(links []int, price func(id int) float64, rate, maxDiscount float64) CostFn {
 	if rate < 0 || maxDiscount < 0 || maxDiscount >= 1 {
 		panic("auction: invalid discount parameters")
 	}
-	add := AdditiveCost(priceByLink)
+	add := AdditiveCost(links, price)
 	return func(links []int) float64 {
 		base := add(links)
 		if math.IsInf(base, 1) || len(links) <= 1 {
@@ -103,6 +95,47 @@ func VolumeDiscountCost(priceByLink map[int]float64, rate, maxDiscount float64) 
 		}
 		return base * (1 - d)
 	}
+}
+
+// linkPrices is a bid's price list, indexed by link ID: link lo+i
+// costs of[i], and +Inf marks an ID of the span the bid does not
+// offer. The auction evaluates a CostFn Σ_a(|L_a|+1) times to price a
+// run and once per bid per determination, so the lookup is one bounds
+// check and one load, not a map probe.
+type linkPrices struct {
+	lo int
+	of []float64
+}
+
+// newLinkPrices lays out price(id) for each of links over the span
+// from the smallest ID to the largest.
+func newLinkPrices(links []int, price func(id int) float64) linkPrices {
+	if len(links) == 0 {
+		return linkPrices{}
+	}
+	lo, hi := slices.Min(links), slices.Max(links)
+	lp := linkPrices{lo: lo, of: make([]float64, hi-lo+1)}
+	for i := range lp.of {
+		lp.of[i] = math.Inf(1)
+	}
+	for _, id := range links {
+		lp.of[id-lo] = price(id)
+	}
+	return lp
+}
+
+// sum adds the prices of links in argument order and returns +Inf at
+// the first link the bid does not offer.
+func (lp linkPrices) sum(links []int) float64 {
+	total := 0.0
+	for _, id := range links {
+		i := uint(id - lp.lo)
+		if i >= uint(len(lp.of)) || math.IsInf(lp.of[i], 1) {
+			return math.Inf(1)
+		}
+		total += lp.of[i]
+	}
+	return total
 }
 
 // LeasePricing converts a logical link's physical characteristics to
@@ -147,19 +180,17 @@ func StandardBids(p *topo.POCNetwork, lp LeasePricing) []Bid {
 		}
 	}
 	bids := make([]Bid, len(p.BPs))
-	prices := make([]map[int]float64, len(p.BPs))
 	for b, n := range counts {
 		bids[b] = Bid{BP: b, Links: make([]int, 0, n)}
-		prices[b] = make(map[int]float64, n)
 	}
 	for _, l := range p.Links {
 		if l.BP >= 0 && l.BP < len(counts) {
 			bids[l.BP].Links = append(bids[l.BP].Links, l.ID)
-			prices[l.BP][l.ID] = lp.Price(p, l)
 		}
 	}
+	price := func(id int) float64 { return lp.Price(p, p.Links[id]) }
 	for b := range bids {
-		bids[b].Cost = VolumeDiscountCost(prices[b], 0.01, 0.12)
+		bids[b].Cost = VolumeDiscountCost(bids[b].Links, price, 0.01, 0.12)
 	}
 	return bids
 }

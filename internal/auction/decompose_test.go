@@ -63,17 +63,14 @@ func regionalInstance(seed int64) *Instance {
 	side(nSide)
 
 	in := &Instance{Network: p, TM: tm, Constraint: provision.Constraint2, MaxChecks: 40}
-	prices := make([]map[int]float64, nBPs)
+	prices := make([]float64, len(p.Links))
 	links := make([][]int, nBPs)
 	for _, l := range p.Links {
-		if prices[l.BP] == nil {
-			prices[l.BP] = map[int]float64{}
-		}
-		prices[l.BP][l.ID] = l.DistanceKm * (0.8 + 0.4*rng.Float64())
+		prices[l.ID] = l.DistanceKm * (0.8 + 0.4*rng.Float64())
 		links[l.BP] = append(links[l.BP], l.ID)
 	}
 	for a := 0; a < nBPs; a++ {
-		in.Bids = append(in.Bids, Bid{BP: a, Links: links[a], Cost: AdditiveCost(prices[a])})
+		in.Bids = append(in.Bids, Bid{BP: a, Links: links[a], Cost: AdditiveCost(links[a], func(id int) float64 { return prices[id] })})
 	}
 	return in
 }

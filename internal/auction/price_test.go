@@ -50,7 +50,7 @@ func outcomeDigest(res *Result, links int) uint64 {
 func TestRunPricesBidsOnce(t *testing.T) {
 	in := pricedInstance()
 	const wantFP uint64 = 0x62ec9d755947beb6 // priceFingerprint of this instance, recorded before the table replaced the price map
-	if got := priceFingerprint(in.priceOfLink(sortedBidLinks(in.Bids))); got != wantFP {
+	if got := in.newRunCtx().priceFingerprint(); got != wantFP {
 		t.Fatalf("priceFingerprint = %#x, want %#x", got, wantFP)
 	}
 

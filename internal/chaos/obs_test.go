@@ -28,11 +28,8 @@ func observedPOC(t *testing.T) (*core.POC, *obs.Registry, *netsim.Flow) {
 	}
 	for b := range net.BPs {
 		links := net.LinksOfBP(b)
-		prices := map[int]float64{}
-		for _, id := range links {
-			prices[id] = net.Links[id].DistanceKm
-		}
-		if err := p.SubmitBid(auction.Bid{BP: b, Links: links, Cost: auction.AdditiveCost(prices)}); err != nil {
+		distance := func(id int) float64 { return net.Links[id].DistanceKm }
+		if err := p.SubmitBid(auction.Bid{BP: b, Links: links, Cost: auction.AdditiveCost(links, distance)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -67,11 +67,8 @@ func submitAllBids(t *testing.T, p *POC, net *topo.POCNetwork) {
 	t.Helper()
 	for b := range net.BPs {
 		links := net.LinksOfBP(b)
-		prices := map[int]float64{}
-		for _, id := range links {
-			prices[id] = 100 * net.Links[id].DistanceKm / 100
-		}
-		if err := p.SubmitBid(auction.Bid{BP: b, Links: links, Cost: auction.AdditiveCost(prices)}); err != nil {
+		price := func(id int) float64 { return 100 * net.Links[id].DistanceKm / 100 }
+		if err := p.SubmitBid(auction.Bid{BP: b, Links: links, Cost: auction.AdditiveCost(links, price)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -149,7 +146,7 @@ func TestSubmitBidValidation(t *testing.T) {
 	p := newPOC(t)
 	net := p.cfg.Network
 	links := net.LinksOfBP(0)
-	bid := auction.Bid{BP: 0, Links: links, Cost: auction.AdditiveCost(map[int]float64{links[0]: 1})}
+	bid := auction.Bid{BP: 0, Links: links, Cost: auction.AdditiveCost(links[:1], func(int) float64 { return 1 })}
 	if err := p.SubmitBid(bid); err != nil {
 		t.Fatal(err)
 	}

@@ -203,6 +203,39 @@ func TestCrossCellCacheSharing(t *testing.T) {
 	}
 }
 
+// TestGoldenGridDeterminesEachKeyOnce: a winner determination that
+// one cell is computing is not computed again by another, so sweeping
+// the golden grid into a fresh cache misses as many determinations at
+// Workers 4, in each of three sweeps, as at Workers 1 — and every
+// sweep matches the committed fleet golden.
+func TestGoldenGridDeterminesEachKeyOnce(t *testing.T) {
+	g, err := LoadGolden(filepath.Join("..", "..", "testdata", "fleet_golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sweep := func(workers int) int64 {
+		t.Helper()
+		c := provision.NewFeasibilityCache()
+		diffs, err := g.Diff(mustRun(t, GoldenGrid(), Config{cache: c, Workers: workers}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range diffs {
+			t.Errorf("workers %d: drift: %s", workers, d)
+		}
+		return c.Stats().DeterminationMisses
+	}
+	want := sweep(1)
+	if want == 0 {
+		t.Fatal("the golden grid missed no determination into a fresh cache")
+	}
+	for i := 0; i < 3; i++ {
+		if got := sweep(4); got != want {
+			t.Fatalf("sweep %d at Workers 4 missed %d determinations, Workers 1 missed %d", i, got, want)
+		}
+	}
+}
+
 // TestCacheFilePersistence: a sweep with CacheFile saves the shared
 // cache after a complete sweep; a second process-fresh sweep loading
 // it answers from the file (no new misses) and merges byte-identical

@@ -96,20 +96,6 @@ func FromMap(m map[int]bool, universe int) *Set {
 	return s
 }
 
-// FromWords builds a set sized for universe from raw bitset words
-// (little-endian word order, as returned by Words). Extra words beyond
-// the universe are preserved; missing words are zero. The words are
-// copied. The cache persistence layer uses this to reconstruct cores
-// byte-identically across processes.
-func FromWords(words []uint64, universe int) *Set {
-	s := New(universe)
-	if len(words) > len(s.words) {
-		s.words = make([]uint64, len(words))
-	}
-	copy(s.words, words)
-	return s
-}
-
 // FromIDs builds a set from explicit IDs.
 func FromIDs(ids []int, universe int) *Set {
 	s := New(universe)
@@ -250,8 +236,24 @@ func (s *Set) AppendIDs(dst []int) []int {
 	return dst
 }
 
-// Words exposes the backing words (read-only by convention). A nil
-// set has no words.
+// AppendAnd appends the members of s ∩ t in ascending order to dst and
+// returns the extended slice: one pass over the words, no membership
+// test per ID.
+func (s *Set) AppendAnd(dst []int, t *Set) []int {
+	a, b := s.Words(), t.Words()
+	for wi := range min(len(a), len(b)) {
+		w := a[wi] & b[wi]
+		for w != 0 {
+			dst = append(dst, wi*wordBits+bits.TrailingZeros64(w))
+			w &= w - 1
+		}
+	}
+	return dst
+}
+
+// Words exposes the backing words: read-only by convention, except
+// that a decoder may fill the words of a set New just made. A nil set
+// has no words.
 func (s *Set) Words() []uint64 {
 	if s == nil {
 		return nil

@@ -207,3 +207,29 @@ func TestBatchTake(t *testing.T) {
 		t.Fatalf("a warm Take allocates %v objects, want 0", allocs)
 	}
 }
+
+// TestAppendAnd: AppendAnd lists, in ascending order after what dst
+// held, exactly the IDs both sets contain — for sets of different
+// capacities and for nil.
+func TestAppendAnd(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for trial := 0; trial < 200; trial++ {
+		a, b := New(1+rng.Intn(300)), New(1+rng.Intn(300))
+		for i := 0; i < 100; i++ {
+			a.Add(rng.Intn(300))
+			b.Add(rng.Intn(300))
+		}
+		want := []int{-1}
+		for id := 0; id < 300; id++ {
+			if a.Contains(id) && b.Contains(id) {
+				want = append(want, id)
+			}
+		}
+		if got := a.AppendAnd([]int{-1}, b); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: %v, want %v", trial, got, want)
+		}
+		if got := a.AppendAnd(nil, nil); got != nil {
+			t.Fatalf("trial %d: intersection with nil is %v", trial, got)
+		}
+	}
+}

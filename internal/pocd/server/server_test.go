@@ -69,11 +69,8 @@ func buildRing(spec []byte) (*core.POC, *obs.Registry, error) {
 	}
 	for b := range net.BPs {
 		links := net.LinksOfBP(b)
-		prices := map[int]float64{}
-		for _, id := range links {
-			prices[id] = 100 * net.Links[id].DistanceKm / 100
-		}
-		if err := p.SubmitBid(auction.Bid{BP: b, Links: links, Cost: auction.AdditiveCost(prices)}); err != nil {
+		price := func(id int) float64 { return 100 * net.Links[id].DistanceKm / 100 }
+		if err := p.SubmitBid(auction.Bid{BP: b, Links: links, Cost: auction.AdditiveCost(links, price)}); err != nil {
 			return nil, nil, err
 		}
 	}

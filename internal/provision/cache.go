@@ -2,6 +2,7 @@ package provision
 
 import (
 	"encoding/binary"
+	"errors"
 	"sync"
 	"sync/atomic"
 
@@ -48,8 +49,8 @@ type CacheSummary struct {
 // metric tag per LinkCost so entries never cross metrics.
 //
 // The cache is safe for concurrent use. It assumes the traffic
-// matrices it sees are not mutated while cached (their demand shape,
-// fingerprint included, is computed once per *Matrix pointer).
+// matrices it sees are not mutated while cached (their fingerprint and
+// demand shape are computed once per *Matrix pointer).
 type FeasibilityCache struct {
 	mu sync.RWMutex
 	// m is the one memo table. An entry's kind is its key's leading
@@ -59,6 +60,10 @@ type FeasibilityCache struct {
 	// each kind, so Len can report checks only.
 	m       map[string]cacheEntry
 	entries [numKinds]int
+	// flights holds the winner determinations being computed, by key,
+	// also under mu: a lookup that finds its key here waits for that
+	// computation instead of running its own (Determined).
+	flights map[string]*flight
 
 	// Lookup tallies, indexed by entry kind.
 	hits   [numKinds]atomic.Int64
@@ -69,10 +74,11 @@ type FeasibilityCache struct {
 	decompositions atomic.Int64
 	fallbacks      [numFallbacks]atomic.Int64
 
-	// shapes holds the matrices callers probed with — never a component
-	// of one: regional decomposition restricts the shape instead.
-	tmMu   sync.Mutex
-	shapes map[*traffic.Matrix]*shape
+	// matrices holds the matrices callers probed with — never a
+	// component of one: regional decomposition restricts the shape
+	// instead.
+	tmMu     sync.Mutex
+	matrices map[*traffic.Matrix]*cachedMatrix
 
 	netMu sync.Mutex
 	netFP map[*topo.POCNetwork]uint64
@@ -117,11 +123,12 @@ type cacheEntry struct {
 // NewFeasibilityCache returns an empty concurrency-safe cache.
 func NewFeasibilityCache() *FeasibilityCache {
 	return &FeasibilityCache{
-		m: make(map[string]cacheEntry, 256),
+		m:       make(map[string]cacheEntry, 256),
+		flights: make(map[string]*flight),
 		// A cache usually sees a handful of matrices (the auction's
 		// one, plus chaos reauction variants) — pre-size small.
-		shapes: make(map[*traffic.Matrix]*shape, 4),
-		netFP:  make(map[*topo.POCNetwork]uint64, 4),
+		matrices: make(map[*traffic.Matrix]*cachedMatrix, 4),
+		netFP:    make(map[*topo.POCNetwork]uint64, 4),
 	}
 }
 
@@ -136,6 +143,10 @@ type CacheStats struct {
 	// stays only because the benchmark's provision.shave_hits reads it.
 	ShaveHits int64
 
+	// A determination lookup that waits for another goroutine's
+	// computation of its key counts what a lookup after it would: a hit
+	// on a result, a miss on a failure, which stores nothing. So the
+	// determination tallies are the same for any interleaving.
 	DeterminationHits    int64
 	DeterminationMisses  int64
 	DeterminationEntries int
@@ -205,20 +216,23 @@ func (fc *FeasibilityCache) Check(p *topo.POCNetwork, include *linkset.Set, tm *
 // probe is border-separable: the answer is identical to the global
 // check's, up to the internal Moves bound documented there.
 func (fc *FeasibilityCache) Probe(p *topo.POCNetwork, include *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, needCore, decompose bool) (CacheSummary, *linkset.Set) {
-	return fc.checked(p, include, fc.shapeOf(tm), c, opts.withDefaults().resolve(p), metric, needCore, decompose)
+	m := fc.matrixOf(tm)
+	return fc.checked(p, include, m.fp, m.shape, c, opts.withDefaults().resolve(p), metric, needCore, decompose)
 }
 
-// checked is the lookup-or-compute path behind every probe. opts must
-// already have defaults and a workspace. When needCore is true, a
-// feasible answer must carry the core link union (a coreless feasible
-// entry is treated as a miss and upgraded). The key is built on the
-// stack and becomes a string only when a miss stores it.
-func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64, needCore, decompose bool) (CacheSummary, *linkset.Set) {
+// checked is the lookup-or-compute path behind every probe of a matrix
+// with fingerprint fp. opts must already have defaults and a
+// workspace. When needCore is true, a feasible answer must carry the
+// core link union (a coreless feasible entry is treated as a miss and
+// upgraded). The key is built on the stack and becomes a string only
+// when a miss stores it; only a miss asks shapeOf for the demand shape.
+func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, fp uint64, shapeOf func() *shape, c Constraint, opts Options, metric uint64, needCore, decompose bool) (CacheSummary, *linkset.Set) {
 	var kb [keyBufLen]byte
-	key := fc.appendKey(kb[:0], p, include, sh, c, opts, metric)
+	key := fc.appendKey(kb[:0], p, include, fp, c, opts, metric)
 	if e, ok := fc.peek(key, needCore); ok {
 		return e.sum, e.core
 	}
+	sh := shapeOf()
 	var (
 		sum      CacheSummary
 		core     *linkset.Set
@@ -244,20 +258,19 @@ func (fc *FeasibilityCache) checked(p *topo.POCNetwork, include *linkset.Set, sh
 	return sum, core
 }
 
-// peek returns the entry for key if it can answer a probe of the given
-// shape, counting a hit or a miss against the key's kind. A plain Check
-// entry for a feasible set has no core, so it cannot answer a needCore
-// probe — the caller falls through and upgrades it.
+// peek returns the check entry for key if it can answer a probe of the
+// given shape, counting a check hit or miss. A plain Check entry for a
+// feasible set has no core, so it cannot answer a needCore probe — the
+// caller falls through and upgrades it.
 func (fc *FeasibilityCache) peek(key []byte, needCore bool) (cacheEntry, bool) {
 	fc.mu.RLock()
 	e, ok := fc.m[string(key)]
 	fc.mu.RUnlock()
-	kind := kindOf(key)
 	if !ok || (needCore && e.core == nil && e.sum.Feasible) {
-		fc.misses[kind].Add(1)
+		fc.misses[kindCheck].Add(1)
 		return cacheEntry{}, false
 	}
-	fc.hits[kind].Add(1)
+	fc.hits[kindCheck].Add(1)
 	return e, true
 }
 
@@ -294,29 +307,81 @@ func (fc *FeasibilityCache) put(key string, e cacheEntry) bool {
 // selection and the determination's check count, which the caller's
 // budget accounting (and every outcome that reports it) must see
 // unchanged. On a miss, compute runs the determination; a failed one
-// is returned and not stored. Hits and misses both return a set shared
-// with the cache: the caller must not mutate it, nor the set compute
-// returned.
+// is returned and not stored. A miss on a key another goroutine is
+// computing waits for that computation and returns its result or its
+// error, so concurrent runs never determine one key twice. Hits and
+// misses both return a set shared with the cache: the caller must not
+// mutate it, nor the set compute returned.
 func (fc *FeasibilityCache) Determined(p *topo.POCNetwork, start *linkset.Set, tm *traffic.Matrix, c Constraint, opts Options, metric uint64, maxChecks int, compute func() (*linkset.Set, int, error)) (*linkset.Set, int, error) {
 	var kb [keyBufLen]byte
 	key := binary.AppendVarint(append(kb[:0], determinationKeyPrefix...), int64(maxChecks))
-	key = fc.appendKey(key, p, start, fc.shapeOf(tm), c, opts.withDefaults(), metric)
-	if e, ok := fc.peek(key, false); ok {
+	key = fc.appendKey(key, p, start, fc.matrixOf(tm).fp, c, opts.withDefaults(), metric)
+	fc.mu.Lock()
+	e, ok := fc.m[string(key)]
+	f, flying := fc.flights[string(key)]
+	if !ok && !flying {
+		f = &flight{done: make(chan struct{}), err: errAbandoned}
+		fc.flights[string(key)] = f
+	}
+	fc.mu.Unlock()
+	switch {
+	case ok:
+		fc.hits[kindDetermination].Add(1)
 		return e.core, e.checks, nil
+	case flying:
+		if waitHook != nil {
+			waitHook()
+		}
+		<-f.done
+		if f.err != nil {
+			fc.misses[kindDetermination].Add(1)
+			return nil, 0, f.err
+		}
+		fc.hits[kindDetermination].Add(1)
+		return f.sel, f.checks, nil
 	}
-	sel, checks, err := compute()
-	if err != nil {
-		return nil, 0, err
+	fc.misses[kindDetermination].Add(1)
+	// Deferred, so that waiters are released even if compute panics:
+	// they then get errAbandoned.
+	defer func() {
+		fc.mu.Lock()
+		if f.err == nil {
+			fc.put(string(key), cacheEntry{core: f.sel, checks: f.checks})
+		}
+		delete(fc.flights, string(key))
+		fc.mu.Unlock()
+		close(f.done)
+	}()
+	f.sel, f.checks, f.err = compute()
+	if f.err != nil {
+		return nil, 0, f.err
 	}
-	fc.store(key, cacheEntry{core: sel, checks: checks})
-	return sel, checks, nil
+	return f.sel, f.checks, nil
 }
+
+// waitHook, when non-nil, runs as a determination lookup starts to
+// wait for another goroutine's computation: a test hook, so a test can
+// release the computation once every lookup waits.
+var waitHook func()
+
+// flight is one winner determination being computed; done closes when
+// its outcome is in.
+type flight struct {
+	done   chan struct{}
+	sel    *linkset.Set
+	checks int
+	err    error
+}
+
+// errAbandoned is what the waiters of a determination get when its
+// computation panicked.
+var errAbandoned = errors.New("provision: a concurrent computation of this winner determination panicked")
 
 // appendKey appends the canonical, collision-free cache key to buf.
 // The include set's raw words go in verbatim (trailing zero words
 // trimmed), so two logically equal sets — however built — share a key
 // and two distinct sets never do.
-func (fc *FeasibilityCache) appendKey(buf []byte, p *topo.POCNetwork, include *linkset.Set, sh *shape, c Constraint, opts Options, metric uint64) []byte {
+func (fc *FeasibilityCache) appendKey(buf []byte, p *topo.POCNetwork, include *linkset.Set, fp uint64, c Constraint, opts Options, metric uint64) []byte {
 	buf = binary.AppendUvarint(buf, uint64(c))
 	buf = binary.AppendUvarint(buf, uint64(opts.MaxPaths))
 	// The slot that held the routing headroom, always 0 (its uvarint is
@@ -324,7 +389,7 @@ func (fc *FeasibilityCache) appendKey(buf []byte, p *topo.POCNetwork, include *l
 	buf = append(buf, 0)
 	buf = binary.AppendUvarint(buf, uint64(opts.FailureScenarios))
 	buf = binary.AppendUvarint(buf, metric)
-	buf = binary.AppendUvarint(buf, sh.fp)
+	buf = binary.AppendUvarint(buf, fp)
 	buf = binary.AppendUvarint(buf, fc.networkFP(p))
 	if include == nil {
 		// nil means "all links": key on the universe size.
@@ -335,18 +400,32 @@ func (fc *FeasibilityCache) appendKey(buf []byte, p *topo.POCNetwork, include *l
 	return include.AppendKey(buf)
 }
 
-// shapeOf returns tm's demand shape, computed once per pointer: a warm
-// run's probes are all hits, and would otherwise pay one shape per
-// winner determination's workspace just to key them.
-func (fc *FeasibilityCache) shapeOf(tm *traffic.Matrix) *shape {
+// cachedMatrix is what the cache knows of one matrix: the fingerprint
+// every key carries, computed when the record is made, and the demand
+// shape a routing needs, built on the first probe that routes. A warm
+// re-clear whose lookups all hit never builds the shape.
+type cachedMatrix struct {
+	tm   *traffic.Matrix
+	fp   uint64
+	once sync.Once
+	sh   *shape
+}
+
+func (m *cachedMatrix) shape() *shape {
+	m.once.Do(func() { m.sh = newShape(m.tm) })
+	return m.sh
+}
+
+// matrixOf returns tm's record, made once per pointer.
+func (fc *FeasibilityCache) matrixOf(tm *traffic.Matrix) *cachedMatrix {
 	fc.tmMu.Lock()
 	defer fc.tmMu.Unlock()
-	sh, ok := fc.shapes[tm]
+	m, ok := fc.matrices[tm]
 	if !ok {
-		sh = newShape(tm)
-		fc.shapes[tm] = sh
+		m = &cachedMatrix{tm: tm, fp: demandFP(tm)}
+		fc.matrices[tm] = m
 	}
-	return sh
+	return m
 }
 
 // networkFP fingerprints an offer graph once per pointer (FNV-1a over
@@ -355,8 +434,8 @@ func (fc *FeasibilityCache) shapeOf(tm *traffic.Matrix) *shape {
 // deployments — the fleet runner runs many topologies through one
 // process-wide cache — needs the network in the key: the include-set
 // words and options alone can collide between two graphs of similar
-// size. Like shapeOf, it assumes cached networks are not mutated while
-// cached.
+// size. Like matrixOf, it assumes cached networks are not mutated
+// while cached.
 func (fc *FeasibilityCache) networkFP(p *topo.POCNetwork) uint64 {
 	fc.netMu.Lock()
 	defer fc.netMu.Unlock()

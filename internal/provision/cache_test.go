@@ -1,8 +1,12 @@
 package provision
 
 import (
+	"errors"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"github.com/public-option/poc/internal/fnv64"
 	"github.com/public-option/poc/internal/linkset"
@@ -102,5 +106,73 @@ func TestNetworkFPFullEndpoints(t *testing.T) {
 	}
 	if got := fc.networkFP(small); got != h {
 		t.Fatalf("fingerprint of a network that fits the packed word moved: %#x, want %#x", got, h)
+	}
+}
+
+// TestDeterminedSingleFlight: lookups of a determination another
+// goroutine is computing wait for it. A success is computed once and
+// every waiting lookup counts a hit; a failure hands its error to the
+// waiters, stores nothing, and every lookup counts the miss a lookup
+// after it would.
+func TestDeterminedSingleFlight(t *testing.T) {
+	p := shaveNet(10, 10, 10, 10)
+	tm := traffic.NewMatrix(2)
+	tm.Set(0, 1, 8)
+	start := linkset.All(len(p.Links))
+	sel := linkset.FromIDs([]int{1, 3}, len(p.Links))
+	fail := errors.New("unacceptable")
+	const callers = 5
+	waiting := make(chan struct{}, callers)
+	waitHook = func() { waiting <- struct{}{} }
+	defer func() { waitHook = nil }()
+	for _, want := range []error{nil, fail} {
+		fc := NewFeasibilityCache()
+		var computes atomic.Int64
+		started, release := make(chan struct{}), make(chan struct{})
+		compute := func() (*linkset.Set, int, error) {
+			if computes.Add(1) == 1 {
+				close(started)
+				<-release
+			}
+			if want != nil {
+				return nil, 0, want
+			}
+			return sel, 9, nil
+		}
+		var wg sync.WaitGroup
+		lookup := func() {
+			defer wg.Done()
+			got, checks, err := fc.Determined(p, start, tm, Constraint1, Options{}, 7, 40, compute)
+			if err != want || (want == nil && (!sameCore(got, sel) || checks != 9)) {
+				t.Errorf("lookup returned %v, %d checks, %v; want the computation's, %v", got.AppendIDs(nil), checks, err, want)
+			}
+		}
+		wg.Add(callers)
+		go lookup()
+		<-started
+		for i := 1; i < callers; i++ {
+			go lookup()
+		}
+		for i := 1; i < callers; i++ {
+			select {
+			case <-waiting:
+			case <-time.After(10 * time.Second):
+				close(release)
+				wg.Wait()
+				t.Fatalf("%d of %d lookups waited for the computation in flight", i-1, callers-1)
+			}
+		}
+		close(release)
+		wg.Wait()
+		st := fc.Stats()
+		if computes.Load() != 1 {
+			t.Fatalf("%d lookups ran %d computations, want 1", callers, computes.Load())
+		}
+		if want == nil && (st.DeterminationMisses != 1 || st.DeterminationHits != callers-1 || st.DeterminationEntries != 1) {
+			t.Fatalf("success: stats %+v; want 1 miss, %d hits, 1 entry", st, callers-1)
+		}
+		if want != nil && (st.DeterminationMisses != callers || st.DeterminationHits != 0 || st.DeterminationEntries != 0) {
+			t.Fatalf("failure: stats %+v; want %d misses, no hit, no entry", st, callers)
+		}
 	}
 }

@@ -250,7 +250,7 @@ func (fc *FeasibilityCache) checkParts(p *topo.POCNetwork, include *linkset.Set,
 				copts.FailureScenarios = comp.fs
 			}
 		}
-		sum, ccore := fc.checked(p, comp.include, comp.sh, cc, copts, metric, needCore, false)
+		sum, ccore := fc.checked(p, comp.include, comp.sh.fp, func() *shape { return comp.sh }, cc, copts, metric, needCore, false)
 		if !sum.Feasible {
 			merged.Feasible = false
 		}

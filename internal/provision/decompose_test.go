@@ -534,8 +534,8 @@ func TestRestrictMemoIsBounded(t *testing.T) {
 // cache bytes as when they were given matrices.
 func TestRestrictMatchesProjection(t *testing.T) {
 	sh, tm := synthShape()
-	if sh.fp != matrixFP(tm) {
-		t.Fatalf("shape fingerprint %x, matrix fingerprint %x", sh.fp, matrixFP(tm))
+	if sh.fp != matrixFP(tm) || demandFP(tm) != matrixFP(tm) {
+		t.Fatalf("shape fingerprint %x, demandFP %x, matrix fingerprint %x", sh.fp, demandFP(tm), matrixFP(tm))
 	}
 	for seed := int64(1); seed <= 20; seed++ {
 		pt := randomLabels(rand.New(rand.NewSource(seed)), sh)

@@ -73,12 +73,26 @@ func (s *Shaver) StateHash() string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// Matrices counts the traffic matrices the cache holds a shape for —
+// Matrices counts the traffic matrices the cache holds a record of —
 // and therefore keeps alive.
 func (fc *FeasibilityCache) Matrices() int {
 	fc.tmMu.Lock()
 	defer fc.tmMu.Unlock()
-	return len(fc.shapes)
+	return len(fc.matrices)
+}
+
+// ShapesBuilt counts the matrices the cache has built a demand shape
+// for.
+func (fc *FeasibilityCache) ShapesBuilt() int {
+	fc.tmMu.Lock()
+	defer fc.tmMu.Unlock()
+	n := 0
+	for _, m := range fc.matrices {
+		if m.sh != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // IndexError checks the crossing index's superset invariant on every

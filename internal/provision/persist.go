@@ -216,20 +216,21 @@ func readFrames(r io.Reader) ([][]frame, error) {
 	}
 }
 
-// parseWords decodes uvarint(count) ∥ words into a set. The count is
-// outside input: it is checked against the bytes present before it
-// sizes anything.
+// parseWords decodes uvarint(count) ∥ words into a set, straight into
+// the words of a set sized for them. The count is outside input: it is
+// checked against the bytes present before it sizes anything.
 func parseWords(p []byte) (*linkset.Set, bool) {
 	wc, n := binary.Uvarint(p)
 	if n <= 0 || wc > uint64(len(p)-n)/8 {
 		return nil, false
 	}
 	p = p[n:]
-	words := make([]uint64, wc)
+	set := linkset.New(int(wc) * 64)
+	words := set.Words()
 	for i := range words {
 		words[i] = binary.LittleEndian.Uint64(p[i*8:])
 	}
-	return linkset.FromWords(words, len(words)*64), true
+	return set, true
 }
 
 // parseCachePayload decodes a frame's payload. The key aliases p.

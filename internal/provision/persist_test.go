@@ -76,8 +76,8 @@ func TestCachePersistRoundtrip(t *testing.T) {
 
 // TestCachePersistDeterminationMemo pins the kind-3 frames: a winner
 // determination's selection and check count survive a save/load cycle
-// and replay without recomputing, and the entries stay out of Len and
-// Entries.
+// and replay without recomputing or building a demand shape, and the
+// entries stay out of Len and Entries.
 func TestCachePersistDeterminationMemo(t *testing.T) {
 	p := shaveNet(10, 10, 10, 10)
 	tm := traffic.NewMatrix(2)
@@ -121,6 +121,11 @@ func TestCachePersistDeterminationMemo(t *testing.T) {
 	if st := dst.Stats(); st.DeterminationHits != 1 || st.DeterminationMisses != 0 || st.DeterminationEntries != 1 ||
 		st.Entries != 1 || st.Hits != 0 || st.Misses != 0 {
 		t.Fatalf("stats after warm hit: %+v", st)
+	}
+	// The hit keyed on the matrix fingerprint alone: nothing routed, so
+	// no demand shape was built.
+	if n := dst.ShapesBuilt(); n != 0 {
+		t.Fatalf("a determination hit built %d demand shapes", n)
 	}
 	buf2.Reset()
 	if err := dst.Save(&buf2); err != nil {
@@ -311,7 +316,7 @@ func appendRetiredShave(data []byte) []byte {
 	tm := traffic.NewMatrix(2)
 	tm.Set(0, 1, 8)
 	fc := NewFeasibilityCache()
-	key := fc.appendKey([]byte{0xff}, p, linkset.All(len(p.Links)), fc.shapeOf(tm), Constraint1, Options{}.withDefaults(), 7)
+	key := fc.appendKey([]byte{0xff}, p, linkset.All(len(p.Links)), fc.matrixOf(tm).fp, Constraint1, Options{}.withDefaults(), 7)
 	payload := append(binary.AppendUvarint(nil, uint64(len(key))), key...)
 	return appendFrame(data, 2, appendWords(payload, []uint64{1}))
 }

@@ -436,8 +436,20 @@ func emptyShape(n int) *shape {
 func (sh *shape) add(d demand) int {
 	d.pair = len(sh.pairs)
 	sh.pairs = append(sh.pairs, d)
-	sh.fp = fnv64.Mix(fnv64.Mix(sh.fp, uint64(d.src)<<32|uint64(d.dst)), math.Float64bits(d.gbps))
+	sh.fp = mixDemand(sh.fp, d.src, d.dst, d.gbps)
 	return d.pair
+}
+
+// mixDemand folds one demand pair into a matrix fingerprint.
+func mixDemand(h uint64, src, dst int, gbps float64) uint64 {
+	return fnv64.Mix(fnv64.Mix(h, uint64(src)<<32|uint64(dst)), math.Float64bits(gbps))
+}
+
+// demandFP is tm's fingerprint, newShape(tm).fp, without the shape.
+func demandFP(tm *traffic.Matrix) uint64 {
+	h := fnv64.Mix(fnv64.Offset, uint64(tm.Size()))
+	tm.Demands(func(s, d int, g float64) { h = mixDemand(h, s, d, g) })
+	return h
 }
 
 func newShape(tm *traffic.Matrix) *shape {

@@ -78,8 +78,8 @@ func (m *Matrix) Scale(f float64) *Matrix {
 // Demands calls fn for every non-zero demand in row-major order.
 func (m *Matrix) Demands(fn func(src, dst int, gbps float64)) {
 	for i := 0; i < m.n; i++ {
-		for j := 0; j < m.n; j++ {
-			if v := m.cell[i*m.n+j]; v > 0 {
+		for j, v := range m.cell[i*m.n : (i+1)*m.n] {
+			if v > 0 {
 				fn(i, j, v)
 			}
 		}
