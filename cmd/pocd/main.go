@@ -175,7 +175,7 @@ func run() error {
 	if err := s.Shutdown(); err != nil {
 		return fmt.Errorf("seal journal: %w", err)
 	}
-	log.Printf("journal sealed at seq %d; bye", s.Seq())
+	log.Printf("journal sealed after seq %d; bye", s.Seq())
 	return nil
 }
 

@@ -342,8 +342,9 @@ func (in *Instance) Run() (*Result, error) {
 		}
 	}
 	if rc.fc != nil && !rc.external {
-		res.CacheHits = int(rc.fc.Hits())
-		res.CacheMisses = int(rc.fc.Misses())
+		st := rc.fc.Stats()
+		res.CacheHits = int(st.Hits)
+		res.CacheMisses = int(st.Misses)
 	}
 	in.record(res, need, rc)
 	return res, nil
@@ -360,9 +361,9 @@ var paymentBuckets = []float64{1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8}
 
 // record publishes the auction outcome. It runs after the parallel
 // fan-in, so ordered operations (gauges, per-BP payments) are safe;
-// the memo counters use fc.Len() — the number of distinct link sets
-// checked — rather than the scheduling-dependent hit/miss tallies, so
-// the export is identical for any Workers value.
+// the memo counters use the cache's check entries — the number of
+// distinct link sets checked — rather than the scheduling-dependent
+// hit/miss tallies, so the export is identical for any Workers value.
 func (in *Instance) record(res *Result, need []int, rc *runCtx) {
 	if in.Obs == nil {
 		return
@@ -382,7 +383,7 @@ func (in *Instance) record(res *Result, need []int, rc *runCtx) {
 	// it, in completion order — scheduling-dependent — so the memo
 	// counters are private-cache only.
 	if rc.fc != nil && !rc.external {
-		entries := int64(rc.fc.Len())
+		entries := int64(rc.fc.Stats().Entries)
 		in.Obs.Add("auction.memo.lookups", int64(res.Checks))
 		in.Obs.Add("auction.memo.entries", entries)
 		in.Obs.Add("auction.memo.replayed", int64(res.Checks)-entries)

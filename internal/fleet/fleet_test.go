@@ -246,7 +246,7 @@ func TestCacheFilePersistence(t *testing.T) {
 
 	c1 := provision.NewFeasibilityCache()
 	cold := reportBytes(t, mustRun(t, grid, Config{cache: c1, CacheFile: path}))
-	if c1.Misses() == 0 {
+	if c1.Stats().Misses == 0 {
 		t.Fatal("cold sweep recorded no cache misses")
 	}
 	if _, err := os.Stat(path); err != nil {

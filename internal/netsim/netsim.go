@@ -527,18 +527,18 @@ func (f *Fabric) commit(s int32, start int, alloc, lat float64) {
 }
 
 // unplace releases a slot's path: it leaves its links' crossing
-// indexes, the links are resummed without it and the span is freed.
-// The slot itself stays live. A failed link is resummed only with
-// resumFailed: a reroute resums each failed link once, after the last
-// of its victims has left it (rerouteSlots).
-func (f *Fabric) unplace(s int32, resumFailed bool) {
+// indexes, the links that have not failed are resummed without it and
+// the span is freed. The slot itself stays live. A reroute resums each
+// failed link once, after the last of its victims has left it
+// (rerouteSlots).
+func (f *Fabric) unplace(s int32) {
 	links := f.tab.path(s)
 	for _, l := range links {
 		f.crossRemove(int(l), s)
 	}
 	f.nFlowIdx -= len(links)
 	for _, l := range links {
-		if resumFailed || !f.failed.Contains(int(l)) {
+		if !f.failed.Contains(int(l)) {
 			f.resum(int(l))
 		}
 	}
@@ -574,24 +574,15 @@ func (f *Fabric) StartFlows(specs []FlowSpec) []FlowID {
 	return ids
 }
 
-// StopFlow releases a flow's reservation.
+// StopFlow releases a flow's reservation: StopFlows of one ID, but
+// strict about an unknown one.
 func (f *Fabric) StopFlow(id FlowID) error {
-	s, ok := f.tab.lookup(id)
-	if !ok {
+	if _, ok := f.tab.lookup(id); !ok {
 		return fmt.Errorf("netsim: unknown flow %d", id)
 	}
-	f.stopSlot(s)
-	f.tab.compactArena()
-	f.obs.Add("netsim.flows.stopped", 1)
+	ids := [1]FlowID{id}
+	f.StopFlows(ids[:])
 	return nil
-}
-
-// stopSlot tears down one live flow: release its path and recycle
-// the slot.
-func (f *Fabric) stopSlot(s int32) {
-	f.unplace(s, true)
-	f.clearDegraded(s)
-	f.tab.release(s)
 }
 
 // StopFlows releases a batch of flows and returns how many were
@@ -897,7 +888,7 @@ func (f *Fabric) rerouteSlots(victims []int32) []FlowID {
 	changed := make([]FlowID, 0, len(victims))
 	for _, s := range victims {
 		changed = append(changed, t.id(s))
-		f.unplace(s, false)
+		f.unplace(s)
 		f.setAlloc(s, 0)
 		t.latency[s] = 0
 		se := f.endpoints[t.src[s]]

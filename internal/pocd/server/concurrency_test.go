@@ -7,12 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
 	"github.com/public-option/poc/internal/core"
+	"github.com/public-option/poc/internal/obs"
 	"github.com/public-option/poc/internal/pocd/journal"
 )
 
@@ -222,10 +224,12 @@ func TestObsReadsUnderSaturation(t *testing.T) {
 
 	// A snapshot nobody has read: 8 readers racing for it render it
 	// once. The wedged writer sits before the journal append, so the
-	// registry is quiescent and can be exported for reference.
+	// registry, fetched through the writer beforehand, is quiescent and
+	// can be exported for reference.
 	seq += 2
+	reg := s.do(nil, func(st *state) (any, error) { return st.reg, nil }).val.(*obs.Registry)
 	release = wedge()
-	want, err := s.st.reg.ExportJSON()
+	want, err := reg.ExportJSON()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,11 +275,9 @@ func (s *spaces) Read(p []byte) (int, error) {
 
 // TestOversizedBodyWhileMutating sends a body longer than one journal
 // record on a fresh connection while two clients keep mutations in
-// flight. The 413 is decided on the connection's goroutine, which must
-// touch nothing the writer alone owns (opBuf, opEnc, jw, st): the
-// writer keeps encoding ops into opBuf while the body is read, and a
-// fresh connection has no happens-before edge to it, so under -race a
-// 413 path that touches opBuf is reported.
+// flight. The body is refused with 413 while it is read, before it
+// reaches the writer, and neither the refusal nor the mutations around
+// it move the live state off the journal's replay.
 func TestOversizedBodyWhileMutating(t *testing.T) {
 	s, _, path := newTestServer(t, nil)
 	ts := httptest.NewServer(s.Handler())
@@ -343,5 +345,51 @@ func TestOversizedBodyWhileMutating(t *testing.T) {
 	}
 	if !bytes.Equal(live, replayed) {
 		t.Fatal("export after the oversized body diverges from ReplayFile's")
+	}
+}
+
+// TestSeqWhileMutating calls Seq in a loop while another goroutine
+// posts 50 epochs. Seq reads the published snapshot, so under -race it
+// shares nothing with the writer; it never goes backwards, reads 50
+// once the posts are answered, and still reads 50 after Shutdown has
+// written the seal record.
+func TestSeqWhileMutating(t *testing.T) {
+	s, _, _ := newTestServer(t, nil)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	const epochs = 50
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < epochs; i++ {
+			if code, body, err := tryPost(ts, "/v1/epoch", `{"seconds":60}`); err != nil || code != 200 {
+				t.Errorf("epoch %d: status %d (%s), %v", i, code, body, err)
+				return
+			}
+		}
+	}()
+	for last, posting := uint64(0), true; posting; {
+		select {
+		case <-done:
+			posting = false
+		default:
+			runtime.Gosched()
+		}
+		seq := s.Seq()
+		if seq < last {
+			<-done
+			t.Fatalf("Seq went from %d back to %d", last, seq)
+		}
+		last = seq
+	}
+	if got := s.Seq(); got != epochs {
+		t.Fatalf("Seq %d after %d epochs", got, epochs)
+	}
+	ts.Close()
+	if err := s.Shutdown(); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Seq(); got != epochs {
+		t.Fatalf("Seq %d after Shutdown, want %d, the seq before the seal", got, epochs)
 	}
 }

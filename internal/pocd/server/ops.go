@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 
 	"github.com/public-option/poc/internal/chaos"
@@ -8,6 +10,7 @@ import (
 	"github.com/public-option/poc/internal/netsim"
 	"github.com/public-option/poc/internal/obs"
 	"github.com/public-option/poc/internal/peering"
+	"github.com/public-option/poc/internal/pocd/journal"
 )
 
 // Op is one journaled mutation: the canonical unit of change in pocd.
@@ -137,12 +140,17 @@ func (o *Op) validate() error {
 	return nil
 }
 
-// state is everything the single-writer loop owns: the POC and its
-// observability registry. Nothing outside the writer goroutine may
-// touch either after New returns.
+// state is everything the single-writer loop owns: the POC, its obs
+// registry, the journal, and the op encoder with the buffer it reuses
+// from op to op. New hands it to the writer goroutine and keeps no
+// reference. ReplayFile's has no journal.
 type state struct {
 	poc *core.POC
 	reg *obs.Registry
+
+	jw    *journal.Writer
+	opBuf bytes.Buffer
+	opEnc *json.Encoder
 }
 
 // resolveClass maps a wire class name to a netsim class: empty or

@@ -119,23 +119,12 @@ var errShed = errors.New("writer queue full")
 // errClosed marks a request refused because the server is draining.
 var errClosed = errors.New("server shutting down")
 
-// Server is the pocd control plane over one deployment.
+// Server is the pocd control plane over one deployment. It holds no
+// reference to the writer's state: a handler reaches that only through
+// a read closure on the queue (do) or the published snapshot.
 type Server struct {
-	cfg Config
-	// jw and st are set in New; from then on only the writer goroutine
-	// uses them, until Shutdown has stopped it. No HTTP handler may read
-	// or write them, or it races the writer: a handler reaches the
-	// state through a read closure on the queue (do) or the published
-	// snapshot.
-	jw      *journal.Writer
-	st      *state
+	cfg     Config
 	limiter *ratelimit.Limiter
-
-	// The writer encodes each op's journal payload into opBuf through
-	// opEnc, so both are reused from op to op. Like st, they are the
-	// writer's alone.
-	opBuf bytes.Buffer
-	opEnc *json.Encoder
 
 	queue      chan *request
 	writerDone chan struct{}
@@ -150,6 +139,8 @@ type Server struct {
 
 	// recovered is non-nil when New resumed an existing journal.
 	recovered *journal.ReplayResult
+	// sealErr is the writer's Seal result, set before writerDone closes.
+	sealErr error
 
 	// Daemon-local metrics. These live OUTSIDE the journaled POC obs
 	// registry on purpose: HTTP traffic accounting must not perturb
@@ -189,42 +180,41 @@ func New(cfg Config) (*Server, error) {
 		queue:      make(chan *request, cfg.QueueDepth),
 		writerDone: make(chan struct{}),
 	}
-	s.opEnc = json.NewEncoder(&s.opBuf)
 
 	fsync := !cfg.NoFsync
+	var st *state
 	if _, err := os.Stat(cfg.JournalPath); err == nil {
 		// Recover: rebuild the deployment from the header spec, replay
 		// the ops, then reopen the journal after its valid prefix
 		// (truncating any torn tail).
-		st, res, replay, err := recoverState(cfg.JournalPath, cfg.Spec, cfg.Build)
+		var replay func() error
+		st, s.recovered, replay, err = recoverState(cfg.JournalPath, cfg.Spec, cfg.Build)
 		if err != nil {
 			return nil, err
 		}
 		if err := replay(); err != nil {
 			return nil, fmt.Errorf("pocd: resume journal: %w", err)
 		}
-		jw, err := journal.Reopen(cfg.JournalPath, fsync, res)
-		if err != nil {
+		if st.jw, err = journal.Reopen(cfg.JournalPath, fsync, s.recovered); err != nil {
 			return nil, fmt.Errorf("pocd: resume journal: %w", err)
 		}
-		s.st, s.jw, s.recovered = st, jw, res
-		s.mApplied.Store(int64(res.Ops))
+		s.mApplied.Store(int64(s.recovered.Ops))
 	} else {
 		p, reg, err := cfg.Build(cfg.Spec)
 		if err != nil {
 			return nil, fmt.Errorf("pocd: build deployment: %w", err)
 		}
-		s.st = &state{poc: p, reg: reg}
 		jw, err := journal.Create(cfg.JournalPath, cfg.Spec, fsync)
 		if err != nil {
 			return nil, fmt.Errorf("pocd: create journal: %w", err)
 		}
-		s.jw = jw
+		st = &state{poc: p, reg: reg, jw: jw}
 	}
+	st.opEnc = json.NewEncoder(&st.opBuf)
 
-	s.publish()
+	s.publish(st)
 	s.ready.Store(true)
-	go s.writer()
+	go s.writer(st)
 	return s, nil
 }
 
@@ -232,36 +222,41 @@ func New(cfg Config) (*Server, error) {
 // journal, nil for a fresh start.
 func (s *Server) Recovered() *journal.ReplayResult { return s.recovered }
 
-// Seq returns the last journaled sequence number.
-func (s *Server) Seq() uint64 { return s.jw.Seq() }
+// Seq returns the journal's seq as the published snapshot records it,
+// so it is safe from any goroutine. After Shutdown it is still the seq
+// from before the seal, not the seal record's.
+func (s *Server) Seq() uint64 { return s.snap.Load().Seq }
 
-// publish captures the current state as the read snapshot. Runs on
-// the writer goroutine (or in New before the writer starts) and never
-// renders: the cost is the names in the registry families written
-// since the last publish, not the registry's history, and the JSON is
-// paid by the first /v1/obs read of this snapshot, if any.
-func (s *Server) publish() {
+// publish captures st as the read snapshot. Runs on the writer
+// goroutine (or in New before the writer starts) and never renders:
+// the cost is the names in the registry families written since the
+// last publish, not the registry's history, and the JSON is paid by
+// the first /v1/obs read of this snapshot, if any.
+func (s *Server) publish(st *state) {
 	s.snap.Store(&Snapshot{
-		Seq:     s.jw.Seq(),
-		State:   s.st.poc.Snapshot(),
-		capture: s.st.reg.Capture(),
+		Seq:     st.jw.Seq(),
+		State:   st.poc.Snapshot(),
+		capture: st.reg.Capture(),
 		renders: &s.mObsRenders,
 	})
 }
 
-// writer is the single goroutine that owns the POC. It drains the
-// queue until Shutdown closes it, then exits; queued requests are
-// always answered, never dropped. The state's float folds follow the
-// queue's receive order, which the journal records before each apply,
-// so replay reproduces them exactly.
-func (s *Server) writer() {
+// writer is the single goroutine that owns st. It drains the queue
+// until Shutdown closes it, then seals the journal and exits; queued
+// requests are always answered, never dropped. The state's float
+// folds follow the queue's receive order, which the journal records
+// before each apply, so replay reproduces them exactly.
+func (s *Server) writer(st *state) {
 	defer close(s.writerDone)
 	for req := range s.queue {
-		s.handle(req)
+		s.handle(st, req)
 	}
+	// Seal marks a clean shutdown — recovery distinguishes "sealed"
+	// from "crashed" and CI asserts on it.
+	s.sealErr = st.jw.Seal()
 }
 
-func (s *Server) handle(req *request) {
+func (s *Server) handle(st *state, req *request) {
 	// Timeout decision happens HERE, before journaling. A request
 	// that sat in the queue past its deadline dies whole; once an op
 	// is journaled it is always applied. Replay therefore never sees
@@ -272,12 +267,12 @@ func (s *Server) handle(req *request) {
 		return
 	}
 	if req.read != nil {
-		val, err := req.read(s.st)
+		val, err := req.read(st)
 		status := 0
 		if err != nil {
 			status = 404
 		}
-		req.reply <- reply{val: val, err: err, seq: s.jw.Seq(), status: status}
+		req.reply <- reply{val: val, err: err, seq: st.jw.Seq(), status: status}
 		return
 	}
 
@@ -292,17 +287,17 @@ func (s *Server) handle(req *request) {
 	// here, and Append copies the payload before opBuf is reused.
 	// The encoder and its buffer are scratch that recovery never
 	// reads, so writing them ahead of the append diverges nothing.
-	s.opBuf.Reset()
+	st.opBuf.Reset()
 	defer func() {
-		if s.opBuf.Cap() > maxKeptBuf {
-			s.opBuf = bytes.Buffer{} // an outsized op does not pin its buffer
+		if st.opBuf.Cap() > maxKeptBuf {
+			st.opBuf = bytes.Buffer{} // an outsized op does not pin its buffer
 		}
 	}()
-	if err := s.opEnc.Encode(req.op); err != nil {
+	if err := st.opEnc.Encode(req.op); err != nil {
 		req.reply <- reply{err: err, status: 500}
 		return
 	}
-	payload := bytes.TrimSuffix(s.opBuf.Bytes(), []byte{'\n'})
+	payload := bytes.TrimSuffix(st.opBuf.Bytes(), []byte{'\n'})
 	// An op too large for one journal record is the request's fault,
 	// not the journal's: refuse it here so the 503 below stays "the
 	// journal is broken".
@@ -310,21 +305,21 @@ func (s *Server) handle(req *request) {
 		req.reply <- reply{err: fmt.Errorf("op encodes to %d bytes, over the %d-byte journal record bound", len(payload), journal.MaxPayload), status: 413}
 		return
 	}
-	seq, err := s.jw.Append(payload)
+	seq, err := st.jw.Append(payload)
 	if err != nil {
 		// The journal is broken: applying now would diverge the
 		// durable record from memory. Refuse the mutation.
 		req.reply <- reply{err: fmt.Errorf("journal append: %w", err), status: 503}
 		return
 	}
-	val, applyErr := s.st.apply(req.op)
+	val, applyErr := st.apply(req.op)
 	s.mApplied.Add(1)
 	if applyErr != nil {
 		s.mApplyErrors.Add(1)
 	}
 	// Publish even after an apply error — the op may have partially
 	// acted (per-entry admissions) and the obs registry moved.
-	s.publish()
+	s.publish(st)
 	status := 0
 	if applyErr != nil {
 		status = 422
@@ -446,23 +441,17 @@ func ReplayFile(path string, build BuildFunc) (*journal.ReplayResult, []byte, er
 func (s *Server) BeginDrain() { s.ready.Store(false) }
 
 // Shutdown drains the writer queue, applies and journals everything
-// already admitted, then seals and closes the journal. After
-// Shutdown, mutations and /v1/flows reads fail with errClosed, and
-// snapshot reads keep answering. Safe to call once.
+// already admitted, and returns the error of the writer's final Seal.
+// After Shutdown, mutations and /v1/flows reads fail with errClosed,
+// and snapshot reads keep answering. Later calls return the same.
 func (s *Server) Shutdown() error {
 	s.BeginDrain()
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.writerDone
-		return nil
+	if !s.closed {
+		s.closed = true
+		close(s.queue)
 	}
-	s.closed = true
-	close(s.queue)
 	s.mu.Unlock()
 	<-s.writerDone
-	// The writer has exited; the journal is single-owned again. Seal
-	// marks a clean shutdown — recovery distinguishes "sealed" from
-	// "crashed" and CI asserts on it.
-	return s.jw.Seal()
+	return s.sealErr
 }

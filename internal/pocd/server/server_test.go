@@ -777,10 +777,10 @@ func TestJournalFailureRefusesLaterMutations(t *testing.T) {
 			t.Fatalf("POST %s: %d: %s", step.path, code, body)
 		}
 	}
-	// The writer goroutine is idle between requests; closing the file
-	// under it makes the next append fail.
-	if err := s.jw.Close(); err != nil {
-		t.Fatal(err)
+	// Closing the file on the writer goroutine makes the next append
+	// fail.
+	if rep := s.do(nil, func(st *state) (any, error) { return nil, st.jw.Close() }); rep.err != nil {
+		t.Fatal(rep.err)
 	}
 	// One op of every kind, script[4:] and the kinds it lacks.
 	mutations := append([]struct{ path, body string }{

@@ -185,21 +185,6 @@ func (fc *FeasibilityCache) Stats() CacheStats {
 	}
 }
 
-// Hits returns how many check lookups were answered from the cache.
-func (fc *FeasibilityCache) Hits() int64 { return fc.hits[kindCheck].Load() }
-
-// Misses returns how many check lookups fell through to a computation.
-func (fc *FeasibilityCache) Misses() int64 { return fc.misses[kindCheck].Load() }
-
-// Len returns the number of memoized check entries — the distinct
-// (set, constraint, options, matrix, metric) tuples probed.
-// Determination entries are not counted.
-func (fc *FeasibilityCache) Len() int {
-	fc.mu.RLock()
-	defer fc.mu.RUnlock()
-	return fc.entries[kindCheck]
-}
-
 // Check is the memoized form of Check: same answer, same determinism,
 // but repeated queries for the same (set, constraint, options, matrix,
 // metric) are answered without routing. metric distinguishes

@@ -24,15 +24,15 @@ func TestFeasibilityCacheHitsAndMisses(t *testing.T) {
 	if !ok {
 		t.Fatal("feasible instance rejected")
 	}
-	if fc.Hits() != 0 || fc.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d after first lookup, want 0/1", fc.Hits(), fc.Misses())
+	if fc.Stats().Hits != 0 || fc.Stats().Misses != 1 {
+		t.Fatalf("hits=%d misses=%d after first lookup, want 0/1", fc.Stats().Hits, fc.Stats().Misses)
 	}
 	ok, _ = fc.Check(p, nil, tm, Constraint1, Options{}, 0)
 	if !ok {
 		t.Fatal("cached answer flipped")
 	}
-	if fc.Hits() != 1 || fc.Misses() != 1 {
-		t.Fatalf("hits=%d misses=%d after repeat, want 1/1", fc.Hits(), fc.Misses())
+	if fc.Stats().Hits != 1 || fc.Stats().Misses != 1 {
+		t.Fatalf("hits=%d misses=%d after repeat, want 1/1", fc.Stats().Hits, fc.Stats().Misses)
 	}
 
 	// A different include set is a different key.
@@ -40,11 +40,11 @@ func TestFeasibilityCacheHitsAndMisses(t *testing.T) {
 	if ok, _ := fc.Check(p, inc, tm, Constraint1, Options{}, 0); !ok {
 		t.Fatal("two-link subset infeasible")
 	}
-	if fc.Misses() != 2 {
-		t.Fatalf("misses=%d after distinct set, want 2", fc.Misses())
+	if fc.Stats().Misses != 2 {
+		t.Fatalf("misses=%d after distinct set, want 2", fc.Stats().Misses)
 	}
-	if fc.Len() != 2 {
-		t.Fatalf("len=%d, want 2", fc.Len())
+	if fc.Stats().Entries != 2 {
+		t.Fatalf("len=%d, want 2", fc.Stats().Entries)
 	}
 }
 
@@ -64,12 +64,12 @@ func TestFeasibilityCacheCoreUpgrade(t *testing.T) {
 	if !sum.Feasible || core == nil || core.Len() == 0 {
 		t.Fatalf("core upgrade failed: ok=%v core=%v", sum.Feasible, core)
 	}
-	misses := fc.Misses()
+	misses := fc.Stats().Misses
 	sum2, core2 := fc.Probe(p, nil, tm, Constraint1, Options{}, 0, true, false)
 	if !sum2.Feasible || core2 == nil {
 		t.Fatal("core hit failed")
 	}
-	if fc.Misses() != misses {
+	if fc.Stats().Misses != misses {
 		t.Fatal("core hit recomputed")
 	}
 }

@@ -316,12 +316,12 @@ func TestDecomposedSharesCache(t *testing.T) {
 
 	fc := NewFeasibilityCache()
 	first, _ := fc.Probe(p, nil, tm, Constraint1, opts, 0, false, true)
-	hits := fc.Hits()
+	hits := fc.Stats().Hits
 	again, _ := fc.Probe(p, nil, tm, Constraint1, opts, 0, false, true)
 	if first != again {
 		t.Fatalf("replay diverged: %+v vs %+v", first, again)
 	}
-	if fc.Hits() != hits+1 {
+	if fc.Stats().Hits != hits+1 {
 		t.Fatal("second decomposed probe was not a global-key hit")
 	}
 
@@ -336,12 +336,12 @@ func TestDecomposedSharesCache(t *testing.T) {
 	}
 	include := linkset.All(len(p.Links))
 	include.Remove(bLink)
-	misses := fc.Misses()
-	hits = fc.Hits()
+	misses := fc.Stats().Misses
+	hits = fc.Stats().Hits
 	fc.Probe(p, include, tm, Constraint1, opts, 0, false, true)
-	if fc.Hits() <= hits {
+	if fc.Stats().Hits <= hits {
 		t.Fatalf("side-A component entry did not hit (hits %d -> %d, misses %d -> %d)",
-			hits, fc.Hits(), misses, fc.Misses())
+			hits, fc.Stats().Hits, misses, fc.Stats().Misses)
 	}
 }
 

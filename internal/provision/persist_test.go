@@ -53,12 +53,12 @@ func TestCachePersistRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded != src.Len() || dst.Len() != src.Len() {
-		t.Fatalf("loaded %d entries, want %d (dst len %d)", loaded, src.Len(), dst.Len())
+	if loaded != src.Stats().Entries || dst.Stats().Entries != src.Stats().Entries {
+		t.Fatalf("loaded %d entries, want %d (dst len %d)", loaded, src.Stats().Entries, dst.Stats().Entries)
 	}
 
 	// Every probe must now hit with the identical summary and core.
-	misses := dst.Misses()
+	misses := dst.Stats().Misses
 	for i, s := range probes {
 		_, sum := dst.Check(p, s, tm, Constraint1, Options{}, 7)
 		if sum != want[i] {
@@ -69,8 +69,8 @@ func TestCachePersistRoundtrip(t *testing.T) {
 			t.Fatalf("probe %d: warm core mismatch", i)
 		}
 	}
-	if dst.Misses() != misses {
-		t.Fatalf("warm cache recomputed %d probes", dst.Misses()-misses)
+	if dst.Stats().Misses != misses {
+		t.Fatalf("warm cache recomputed %d probes", dst.Stats().Misses-misses)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestCachePersistDeterminationMemo(t *testing.T) {
 	if err != nil || !sameCore(got, sel) || checks != 17 {
 		t.Fatalf("miss returned %v, %d checks, %v", got.AppendIDs(nil), checks, err)
 	}
-	if st := src.Stats(); st.DeterminationMisses != 1 || st.DeterminationEntries != 1 || st.Entries != 1 || src.Len() != 1 {
-		t.Fatalf("stats after miss: %+v len=%d", st, src.Len())
+	if st := src.Stats(); st.DeterminationMisses != 1 || st.DeterminationEntries != 1 || st.Entries != 1 {
+		t.Fatalf("stats after miss: %+v", st)
 	}
 
 	var buf bytes.Buffer
@@ -182,10 +182,10 @@ func TestDeterminationKeyedApart(t *testing.T) {
 			t.Fatalf("variant %d hit another determination's entry", i)
 		}
 	}
-	if st := fc.Stats(); st.DeterminationEntries != 6 || st.DeterminationHits != 1 || fc.Len() != 0 {
-		t.Fatalf("stats: %+v len=%d", st, fc.Len())
+	if st := fc.Stats(); st.DeterminationEntries != 6 || st.DeterminationHits != 1 || st.Entries != 0 {
+		t.Fatalf("stats: %+v", st)
 	}
-	if _, sum := fc.Check(p, start, tm, Constraint1, Options{}, 7); !sum.Feasible || fc.Misses() != 1 {
+	if _, sum := fc.Check(p, start, tm, Constraint1, Options{}, 7); !sum.Feasible || fc.Stats().Misses != 1 {
 		t.Fatal("a determination entry answered a check")
 	}
 }
@@ -211,15 +211,15 @@ func TestCacheLoadInsertWins(t *testing.T) {
 	dst.Check(p, nil, tm, Constraint1, Options{}, 7)                 // coreless: the file's core upgrades it
 	dst.Probe(p, one(0), tm, Constraint1, Options{}, 7, true, false) // cored: the file's coreless entry loses
 	dst.Check(p, one(1), tm, Constraint1, Options{}, 7)              // not in the file
-	if n, err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil || n != 2 || dst.Len() != 3 {
-		t.Fatalf("load: n=%d err=%v len=%d, want 2 frames read into 3 entries", n, err, dst.Len())
+	if n, err := dst.Load(bytes.NewReader(buf.Bytes())); err != nil || n != 2 || dst.Stats().Entries != 3 {
+		t.Fatalf("load: n=%d err=%v len=%d, want 2 frames read into 3 entries", n, err, dst.Stats().Entries)
 	}
-	misses := dst.Misses()
+	misses := dst.Stats().Misses
 	dst.Probe(p, nil, tm, Constraint1, Options{}, 7, true, false)
 	dst.Probe(p, one(0), tm, Constraint1, Options{}, 7, true, false)
 	dst.Check(p, one(1), tm, Constraint1, Options{}, 7)
-	if dst.Misses() != misses {
-		t.Fatalf("%d probes missed after the load: an entry was lost or a core overwritten", dst.Misses()-misses)
+	if dst.Stats().Misses != misses {
+		t.Fatalf("%d probes missed after the load: an entry was lost or a core overwritten", dst.Stats().Misses-misses)
 	}
 }
 
@@ -243,7 +243,7 @@ func TestCachePersistTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded != 2 || dst.Len() != 2 {
+	if loaded != 2 || dst.Stats().Entries != 2 {
 		t.Fatalf("torn load kept %d entries, want 2", loaded)
 	}
 
@@ -287,7 +287,7 @@ func TestCachePersistTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if loaded3 != 3 || dst3.Len() != 3 {
+		if loaded3 != 3 || dst3.Stats().Entries != 3 {
 			t.Fatalf("kind %d frame %x: loaded %d entries, want the 3 before it", f.kind, f.payload, loaded3)
 		}
 	}
@@ -472,8 +472,8 @@ func TestCachePersistFixture(t *testing.T) {
 		if err != nil || n != 10 {
 			t.Fatalf("load of %s: n=%d err=%v, want 10 entries", file.name, n, err)
 		}
-		if st := warm.Stats(); st.Entries != 10 || st.DeterminationEntries != 0 || warm.Len() != 10 {
-			t.Fatalf("loaded shape of %s: %+v len=%d", file.name, st, warm.Len())
+		if st := warm.Stats(); st.Entries != 10 || st.DeterminationEntries != 0 {
+			t.Fatalf("loaded shape of %s: %+v", file.name, st)
 		}
 		buf.Reset()
 		if err := warm.Save(&buf); err != nil {
